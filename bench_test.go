@@ -867,10 +867,8 @@ func BenchmarkShardedWriters(b *testing.B) {
 }
 
 //
-// Compiled-execution benchmarks (cryptdb-bench -fig joins). Each family
-// runs the same statement through the compiled operator pipeline and the
-// AST interpreter (SetCompiledExec toggles per arm), so the ratio is the
-// lowering's speedup with the data and plan held fixed.
+// Compiled-execution benchmarks (cryptdb-bench -fig joins): joins and
+// GROUP BY through the operator pipeline, sqldb's only SELECT executor.
 //
 
 var (
@@ -963,68 +961,44 @@ func execFixtures(b *testing.B) (*sqldb.DB, *sqldb.DB) {
 	return execJoinDB, execGroupDB
 }
 
-func runExecArms(b *testing.B, db *sqldb.DB, sql string, wantRows int) {
-	runExecArmsOpt(b, db, sql, wantRows, false)
-}
-
-// runExecArmsOpt is runExecArms with an opt-out for interpreted arms that
-// degrade to quadratic nested loops: those take minutes per op, so -short
-// (the CI bench smoke) skips them and measures only the compiled arm.
-func runExecArmsOpt(b *testing.B, db *sqldb.DB, sql string, wantRows int, quadraticInterp bool) {
-	for _, arm := range []struct {
-		name     string
-		compiled bool
-	}{{"Compiled", true}, {"Interpreted", false}} {
-		b.Run(arm.name, func(b *testing.B) {
-			if !arm.compiled && quadraticInterp && testing.Short() {
-				b.Skip("interpreted arm nested-loops ~100M pairs (minutes/op); run without -short")
-			}
-			db.SetCompiledExec(arm.compiled)
-			defer db.SetCompiledExec(true)
-			before := db.PlanCounters()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := db.ExecSQL(sql)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != wantRows {
-					b.Fatalf("got %d rows, want %d", len(res.Rows), wantRows)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(wantRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-			after := db.PlanCounters()
-			if arm.compiled && after.Compiled-before.Compiled < int64(b.N) {
-				b.Fatalf("compiled arm fell back: %+v -> %+v", before, after)
-			}
-			if !arm.compiled && after.Interpreted-before.Interpreted < int64(b.N) {
-				b.Fatalf("interpreted arm compiled: %+v -> %+v", before, after)
-			}
-		})
+// runExec times one SELECT and checks the pipeline ran it b.N times.
+func runExec(b *testing.B, db *sqldb.DB, sql string, wantRows int) {
+	before := db.PlanCounters()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := db.ExecSQL(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != wantRows {
+			b.Fatalf("got %d rows, want %d", len(res.Rows), wantRows)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(wantRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	if after := db.PlanCounters(); after.Compiled-before.Compiled < int64(b.N) {
+		b.Fatalf("pipeline did not run every statement: %+v -> %+v", before, after)
 	}
 }
 
 // BenchmarkJoinsEquiJoin joins 10k x 10k rows on an unindexed DET-style
-// key: the compiled engine builds a transient hash table while the
-// interpreter has no probe index and degrades to a nested loop — the
-// capability gap the compiled layer exists to close.
+// key: the hash join builds a transient hash table where a row-at-a-time
+// executor would nested-loop 100M pairs.
 func BenchmarkJoinsEquiJoin(b *testing.B) {
 	joinDB, _ := execFixtures(b)
-	runExecArmsOpt(b, joinDB, "SELECT ja.id, jc.id FROM ja, jc WHERE ja.k = jc.k", 10000, true)
+	runExec(b, joinDB, "SELECT ja.id, jc.id FROM ja, jc WHERE ja.k = jc.k", 10000)
 }
 
 // BenchmarkJoinsEquiJoinIndexed joins the same 10k x 10k rows with a hash
-// index on the probe side, so both arms join in linear time: the compiled
-// engine probes the persistent index directly and the interpreter gets its
-// indexed probe. This isolates per-row execution overhead.
+// index on the probe side: the hash join probes the persistent index
+// directly instead of building a table.
 func BenchmarkJoinsEquiJoinIndexed(b *testing.B) {
 	joinDB, _ := execFixtures(b)
-	runExecArms(b, joinDB, "SELECT ja.id, jb.id FROM ja, jb WHERE ja.k = jb.k", 10000)
+	runExec(b, joinDB, "SELECT ja.id, jb.id FROM ja, jb WHERE ja.k = jb.k", 10000)
 }
 
 // BenchmarkJoinsGroupBy aggregates 100k rows into 100 groups.
 func BenchmarkJoinsGroupBy(b *testing.B) {
 	_, groupDB := execFixtures(b)
-	runExecArms(b, groupDB, "SELECT grp, COUNT(*), SUM(val), MIN(val) FROM jg GROUP BY grp", 100)
+	runExec(b, groupDB, "SELECT grp, COUNT(*), SUM(val), MIN(val) FROM jg GROUP BY grp", 100)
 }

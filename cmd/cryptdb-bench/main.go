@@ -18,7 +18,7 @@
 //	cryptdb-bench -fig durability WAL/snapshot write-path overhead & recovery
 //	cryptdb-bench -fig groupcommit concurrent sessions + WAL group commit
 //	cryptdb-bench -fig shardscale sharded store write scaling (1/2/4/8 shards)
-//	cryptdb-bench -fig joins    compiled vs interpreted joins and GROUP BY
+//	cryptdb-bench -fig joins    compiled-pipeline joins and GROUP BY, single vs 4-shard
 //	cryptdb-bench -fig parallelexec morsel-parallel workers sweep (resident + paged)
 //	cryptdb-bench -fig all      everything
 //

@@ -200,6 +200,9 @@ func (p *Proxy) adjustJoin(a, b *ColumnMeta) error {
 		ra.joinGroup = base
 		rb.joinGroup = base
 	}
+	// Path compression for the two joined columns (the caller holds the
+	// write side of p.mu; groupRoot itself never writes).
+	a.joinGroup, b.joinGroup = base, base
 
 	if p.opts.Training {
 		p.trainLog = append(p.trainLog, TrainEvent{

@@ -211,3 +211,50 @@ func TestConcurrentInserts(t *testing.T) {
 		t.Fatalf("count = %v", res.Rows[0][0])
 	}
 }
+
+// TestConcurrentJoinsOverAdjustedGroup runs joins from two sessions over a
+// join group that is already adjusted, so both stay on the read-locked
+// steady-state path where adjNeeded looks up the columns' group roots. That
+// lookup must not write: orders.uid is a non-root member of the group, and
+// a path-compressing find stores to its joinGroup from both sessions at
+// once. Run with -race.
+func TestConcurrentJoinsOverAdjustedGroup(t *testing.T) {
+	p := newTestProxy(t)
+	mustExec(t, p, "CREATE TABLE users (id INT PRIMARY KEY, name TEXT)")
+	mustExec(t, p, "CREATE TABLE orders (oid INT PRIMARY KEY, uid INT)")
+	const users, orders = 6, 18
+	for i := 0; i < users; i++ {
+		mustExec(t, p, "INSERT INTO users (id, name) VALUES (?, ?)", sqldb.Int(int64(i)), sqldb.Text(fmt.Sprintf("u%d", i)))
+	}
+	for i := 0; i < orders; i++ {
+		mustExec(t, p, "INSERT INTO orders (oid, uid) VALUES (?, ?)", sqldb.Int(int64(i)), sqldb.Int(int64(i%users)))
+	}
+	const join = "SELECT users.name, orders.oid FROM users, orders WHERE users.id = orders.uid"
+	mustExec(t, p, join) // adjusts both JAdj onions and merges the groups
+	before := p.Stats().OnionAdjustments
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := p.NewSession()
+			defer s.Close()
+			for i := 0; i < 20; i++ {
+				res, err := s.Execute(join)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(res.Rows) != orders {
+					t.Errorf("join returned %d rows, want %d", len(res.Rows), orders)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if after := p.Stats().OnionAdjustments; after != before {
+		t.Fatalf("steady-state joins adjusted onions: %d -> %d", before, after)
+	}
+}

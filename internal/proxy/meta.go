@@ -95,19 +95,15 @@ type ColumnMeta struct {
 	idxOrd     bool
 }
 
-// groupRoot finds the column's join transitivity-group representative with
-// path compression.
+// groupRoot finds the column's join transitivity-group representative. It
+// only reads: adjNeeded calls it under the read side of Proxy.mu from
+// concurrent sessions. adjustJoin, under the write side, is the one place
+// that writes joinGroup, and it shortens the paths it walked.
 func (c *ColumnMeta) groupRoot() *ColumnMeta {
-	root := c
-	for root.joinGroup != root {
-		root = root.joinGroup
-	}
 	for c.joinGroup != c {
-		next := c.joinGroup
-		c.joinGroup = root
-		c = next
+		c = c.joinGroup
 	}
-	return root
+	return c
 }
 
 // HasOnion reports whether the column carries onion o.

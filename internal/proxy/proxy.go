@@ -93,8 +93,8 @@ type Stats struct {
 	ASTCacheHits     int64
 	ASTCacheMisses   int64
 	// Server reports how the storage engine executed the proxy's rewritten
-	// statements (compiled vs interpreted pipeline, join strategy, grouped
-	// scatter pushdowns), summed across shards.
+	// statements (access paths, join strategy, grouped scatter pushdowns),
+	// summed across shards.
 	Server sqldb.PlanCounters
 }
 

@@ -4,14 +4,19 @@ package sqldb
 // operator pipeline in exec.go evaluates rows without re-walking the
 // sqlparser AST: column references resolve to (table, column) positions
 // once, operators dispatch once, and aggregate references become slot
-// indexes. Anything the compiler does not cover reports ok=false and the
-// query falls back to the interpreter in select.go, which doubles as the
-// oracle for equivalence tests. The compiled forms must preserve the
-// interpreter's semantics exactly — NULL comparisons, text<->int coercion,
+// indexes. Lowering is also where a statement is resolved: an unknown or
+// ambiguous column, an unknown function or operator, an aggregate in row
+// context — each is returned as an error here, once, before any row is
+// read, so it never depends on what the tables hold. The compiled forms
+// must evaluate exactly like evalCtx.eval (which writes and the planner's
+// constant folding still use, and which the test-only AST interpreter in
+// interp_test.go is built on) — NULL comparisons, text<->int coercion,
 // AND/OR short-circuit, integer division by zero — so each case below
-// mirrors the corresponding branch of evalCtx.eval.
+// mirrors the corresponding branch of it, error texts included.
 
 import (
+	"fmt"
+
 	"repro/internal/sqlparser"
 )
 
@@ -46,8 +51,8 @@ func bareColSlot(sc *scope, e sqlparser.Expr) colSlot {
 }
 
 // andChain combines filter conjuncts with AND short-circuit semantics:
-// evaluation stops at the first non-truthy conjunct, exactly as the
-// interpreter walks the original left-associated AND tree.
+// evaluation stops at the first non-truthy conjunct, exactly as evaluating
+// the original left-associated AND tree does.
 func andChain(cs []compiledExpr) compiledExpr {
 	return func(ev *execEnv) (Value, error) {
 		for _, c := range cs {
@@ -65,8 +70,7 @@ func andChain(cs []compiledExpr) compiledExpr {
 
 // exprCompiler lowers expressions against one query scope. aggIdx is nil in
 // row context; in grouped output context (projection, HAVING, ORDER BY over
-// groups) it maps an aggregate call's printed form to its execEnv.aggs slot,
-// mirroring the interpreter's agg map.
+// groups) it maps an aggregate call's printed form to its execEnv.aggs slot.
 type exprCompiler struct {
 	db     *DB
 	sc     *scope
@@ -78,22 +82,22 @@ type exprCompiler struct {
 	sawUDF bool
 }
 
-func (c *exprCompiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
+func (c *exprCompiler) compile(e sqlparser.Expr) (compiledExpr, error) {
 	switch x := e.(type) {
 	case *sqlparser.IntLit:
 		v := Int(x.V)
-		return func(*execEnv) (Value, error) { return v, nil }, true
+		return func(*execEnv) (Value, error) { return v, nil }, nil
 	case *sqlparser.StrLit:
 		v := Text(x.V)
-		return func(*execEnv) (Value, error) { return v, nil }, true
+		return func(*execEnv) (Value, error) { return v, nil }, nil
 	case *sqlparser.BytesLit:
 		v := Blob(x.V)
-		return func(*execEnv) (Value, error) { return v, nil }, true
+		return func(*execEnv) (Value, error) { return v, nil }, nil
 	case *sqlparser.NullLit:
-		return func(*execEnv) (Value, error) { return Null(), nil }, true
+		return func(*execEnv) (Value, error) { return Null(), nil }, nil
 	case *sqlparser.BoolLit:
 		v := Bool(x.V)
-		return func(*execEnv) (Value, error) { return v, nil }, true
+		return func(*execEnv) (Value, error) { return v, nil }, nil
 	case *sqlparser.Param:
 		idx := x.Index
 		return func(ev *execEnv) (Value, error) {
@@ -101,24 +105,24 @@ func (c *exprCompiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
 				return Value{}, errMissingParam(idx)
 			}
 			return ev.params[idx], nil
-		}, true
+		}, nil
 	case *sqlparser.ColRef:
 		ti, ci, err := c.sc.resolve(x.Table, x.Column)
 		if err != nil {
-			return nil, false // interpreter reproduces the resolution error
+			return nil, err
 		}
 		return func(ev *execEnv) (Value, error) {
 			if ev.tup == nil || ev.tup[ti] == nil {
 				return Null(), nil
 			}
 			return ev.tup[ti][ci], nil
-		}, true
+		}, nil
 	case *sqlparser.BinaryExpr:
 		return c.compileBinary(x)
 	case *sqlparser.UnaryExpr:
-		sub, ok := c.compile(x.E)
-		if !ok {
-			return nil, false
+		sub, err := c.compile(x.E)
+		if err != nil {
+			return nil, err
 		}
 		switch x.Op {
 		case "NOT":
@@ -131,7 +135,7 @@ func (c *exprCompiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
 					return Null(), nil
 				}
 				return Bool(!v.Truthy()), nil
-			}, true
+			}, nil
 		case "-":
 			return func(ev *execEnv) (Value, error) {
 				v, err := sub(ev)
@@ -143,19 +147,19 @@ func (c *exprCompiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
 					return Value{}, err
 				}
 				return Int(-n), nil
-			}, true
+			}, nil
 		}
-		return nil, false
+		return nil, fmt.Errorf("sqldb: unknown unary operator %q", x.Op)
 	case *sqlparser.InExpr:
-		sub, ok := c.compile(x.E)
-		if !ok {
-			return nil, false
+		sub, err := c.compile(x.E)
+		if err != nil {
+			return nil, err
 		}
 		items := make([]compiledExpr, len(x.List))
 		for i, item := range x.List {
-			ce, ok := c.compile(item)
-			if !ok {
-				return nil, false
+			ce, err := c.compile(item)
+			if err != nil {
+				return nil, err
 			}
 			items[i] = ce
 		}
@@ -178,15 +182,15 @@ func (c *exprCompiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
 				}
 			}
 			return Bool(not), nil
-		}, true
+		}, nil
 	case *sqlparser.LikeExpr:
-		sub, ok := c.compile(x.E)
-		if !ok {
-			return nil, false
+		sub, err := c.compile(x.E)
+		if err != nil {
+			return nil, err
 		}
-		pat, ok := c.compile(x.Pattern)
-		if !ok {
-			return nil, false
+		pat, err := c.compile(x.Pattern)
+		if err != nil {
+			return nil, err
 		}
 		not := x.Not
 		return func(ev *execEnv) (Value, error) {
@@ -202,19 +206,19 @@ func (c *exprCompiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
 				return Bool(false), nil
 			}
 			return Bool(likeMatch(valueText(v), valueText(p)) != not), nil
-		}, true
+		}, nil
 	case *sqlparser.BetweenExpr:
-		sub, ok := c.compile(x.E)
-		if !ok {
-			return nil, false
+		sub, err := c.compile(x.E)
+		if err != nil {
+			return nil, err
 		}
-		lo, ok := c.compile(x.Lo)
-		if !ok {
-			return nil, false
+		lo, err := c.compile(x.Lo)
+		if err != nil {
+			return nil, err
 		}
-		hi, ok := c.compile(x.Hi)
-		if !ok {
-			return nil, false
+		hi, err := c.compile(x.Hi)
+		if err != nil {
+			return nil, err
 		}
 		not := x.Not
 		return func(ev *execEnv) (Value, error) {
@@ -242,11 +246,11 @@ func (c *exprCompiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
 				return Value{}, err
 			}
 			return Bool((cl >= 0 && ch <= 0) != not), nil
-		}, true
+		}, nil
 	case *sqlparser.IsNullExpr:
-		sub, ok := c.compile(x.E)
-		if !ok {
-			return nil, false
+		sub, err := c.compile(x.E)
+		if err != nil {
+			return nil, err
 		}
 		not := x.Not
 		return func(ev *execEnv) (Value, error) {
@@ -255,38 +259,41 @@ func (c *exprCompiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
 				return Value{}, err
 			}
 			return Bool(v.IsNull() != not), nil
-		}, true
+		}, nil
 	case *sqlparser.FuncCall:
 		return c.compileFuncCall(x)
 	}
-	return nil, false
+	return nil, fmt.Errorf("sqldb: cannot evaluate %T", e)
 }
 
-func (c *exprCompiler) compileFuncCall(x *sqlparser.FuncCall) (compiledExpr, bool) {
+func (c *exprCompiler) compileFuncCall(x *sqlparser.FuncCall) (compiledExpr, error) {
 	// Aggregate calls in grouped output context read their slot.
 	if c.aggIdx != nil {
 		if idx, ok := c.aggIdx[x.String()]; ok {
-			return func(ev *execEnv) (Value, error) { return ev.aggs[idx], nil }, true
+			return func(ev *execEnv) (Value, error) { return ev.aggs[idx], nil }, nil
 		}
 	}
+	// Anything else is row context: an aggregate here sits outside a grouped
+	// query's output clauses (in WHERE, ON or GROUP BY) or inside another
+	// aggregate's argument.
 	if isBuiltinAgg(x.Name) {
-		return nil, false // aggregate in row context: interpreter errors
+		return nil, fmt.Errorf("sqldb: aggregate %s in a non-aggregate context", x.Name)
 	}
 	// The registries are stable for the duration of a statement (Exec holds
 	// db.mu, RegisterUDF takes the write side), so resolving here is safe.
-	if _, isAgg := c.db.aggUDFs[x.Name]; isAgg {
-		return nil, false
-	}
 	fn, ok := c.db.udfs[x.Name]
+	if _, isAgg := c.db.aggUDFs[x.Name]; isAgg && !ok {
+		return nil, fmt.Errorf("sqldb: aggregate UDF %s in a non-aggregate context", x.Name)
+	}
 	if !ok {
-		return nil, false // unknown function: interpreter errors
+		return nil, fmt.Errorf("sqldb: unknown function %s", x.Name)
 	}
 	c.sawUDF = true
 	args := make([]compiledExpr, len(x.Args))
 	for i, a := range x.Args {
-		ce, ok := c.compile(a)
-		if !ok {
-			return nil, false
+		ce, err := c.compile(a)
+		if err != nil {
+			return nil, err
 		}
 		args[i] = ce
 	}
@@ -300,7 +307,7 @@ func (c *exprCompiler) compileFuncCall(x *sqlparser.FuncCall) (compiledExpr, boo
 			vals[i] = v
 		}
 		return fn(vals)
-	}, true
+	}, nil
 }
 
 // Comparison opcodes, resolved at compile time.
@@ -313,14 +320,14 @@ const (
 	cmpGe
 )
 
-func (c *exprCompiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, bool) {
-	l, ok := c.compile(x.L)
-	if !ok {
-		return nil, false
+func (c *exprCompiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, error) {
+	l, err := c.compile(x.L)
+	if err != nil {
+		return nil, err
 	}
-	r, ok := c.compile(x.R)
-	if !ok {
-		return nil, false
+	r, err := c.compile(x.R)
+	if err != nil {
+		return nil, err
 	}
 	switch x.Op {
 	case "AND":
@@ -337,7 +344,7 @@ func (c *exprCompiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, boo
 				return Value{}, err
 			}
 			return Bool(lv.Truthy() && rv.Truthy()), nil
-		}, true
+		}, nil
 	case "OR":
 		return func(ev *execEnv) (Value, error) {
 			lv, err := l(ev)
@@ -352,7 +359,7 @@ func (c *exprCompiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, boo
 				return Value{}, err
 			}
 			return Bool(rv.Truthy()), nil
-		}, true
+		}, nil
 	case "=", "!=", "<", "<=", ">", ">=":
 		var op int
 		switch x.Op {
@@ -401,7 +408,7 @@ func (c *exprCompiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, boo
 				out = cmp >= 0
 			}
 			return Bool(out), nil
-		}, true
+		}, nil
 	case "||":
 		return func(ev *execEnv) (Value, error) {
 			lv, err := l(ev)
@@ -416,7 +423,7 @@ func (c *exprCompiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, boo
 				return Null(), nil
 			}
 			return Text(valueText(lv) + valueText(rv)), nil
-		}, true
+		}, nil
 	case "+", "-", "*", "/", "%", "&", "|", "^":
 		op := x.Op[0]
 		return func(ev *execEnv) (Value, error) {
@@ -463,9 +470,9 @@ func (c *exprCompiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, boo
 			default:
 				return Int(a ^ b), nil
 			}
-		}, true
+		}, nil
 	}
-	return nil, false
+	return nil, fmt.Errorf("sqldb: unknown operator %q", x.Op)
 }
 
 //
@@ -517,33 +524,33 @@ type aggSpec struct {
 	newAcc func() vAgg
 }
 
-// compileSelect lowers s into a compiledSelect, or reports ok=false when any
-// piece is outside the compiler's coverage (the interpreter then runs the
-// query and reproduces any evaluation error the compiler refused to guess
-// at). aggCalls is the pre-collected aggregate list from execSelect.
-func (db *DB) compileSelect(s *sqlparser.SelectStmt, sc *scope, aggCalls []*sqlparser.FuncCall, params []Value) (*compiledSelect, bool) {
+// compileSelect resolves and lowers s into a compiledSelect. Every name,
+// function and aggregate placement in the statement is checked here, so a
+// malformed statement fails identically on an empty and on a populated
+// table. aggCalls is the pre-collected aggregate list from execSelect.
+func (db *DB) compileSelect(s *sqlparser.SelectStmt, sc *scope, aggCalls []*sqlparser.FuncCall, params []Value) (*compiledSelect, error) {
 	cp := &compiledSelect{db: db, s: s, sc: sc, params: params}
 	cp.grouped = len(s.GroupBy) > 0 || len(aggCalls) > 0
 
 	rowc := &exprCompiler{db: db, sc: sc}
 
 	// Source pipeline: scans and joins.
-	if !cp.compileSource(rowc) {
-		return nil, false
+	if err := cp.compileSource(rowc); err != nil {
+		return nil, err
 	}
 
 	if s.Where != nil {
 		// Conjuncts consumed as hash-join keys are already enforced on
-		// every joined tuple; filter on the rest, preserving the
-		// interpreter's left-to-right AND order among them.
+		// every joined tuple; filter on the rest, in their left-to-right
+		// AND order.
 		var remaining []compiledExpr
 		for _, pred := range conjuncts(s.Where) {
 			if cp.usedWhere[pred] {
 				continue
 			}
-			ce, ok := rowc.compile(pred)
-			if !ok {
-				return nil, false
+			ce, err := rowc.compile(pred)
+			if err != nil {
+				return nil, err
 			}
 			remaining = append(remaining, ce)
 		}
@@ -559,94 +566,99 @@ func (db *DB) compileSelect(s *sqlparser.SelectStmt, sc *scope, aggCalls []*sqlp
 	// Output context: grouped queries project over aggregate slots.
 	outc := rowc
 	if cp.grouped {
-		// Deduplicate aggregate calls by printed form, as the interpreter
-		// does, and lower each into an accumulator factory.
+		// Deduplicate aggregate calls by printed form and lower each into
+		// an accumulator factory.
 		uniq := make(map[string]int)
 		for _, fc := range aggCalls {
 			key := fc.String()
 			if _, ok := uniq[key]; ok {
 				continue
 			}
-			spec, ok := db.compileAgg(rowc, fc)
-			if !ok {
-				return nil, false
+			spec, err := db.compileAgg(rowc, fc)
+			if err != nil {
+				return nil, err
 			}
 			uniq[key] = len(cp.aggs)
 			cp.aggs = append(cp.aggs, spec)
 		}
 		for _, g := range s.GroupBy {
-			ge, ok := rowc.compile(g)
-			if !ok {
-				return nil, false
+			ge, err := rowc.compile(g)
+			if err != nil {
+				return nil, err
 			}
 			cp.groupKeys = append(cp.groupKeys, ge)
 			cp.groupKeySlots = append(cp.groupKeySlots, bareColSlot(sc, g))
 		}
 		outc = &exprCompiler{db: db, sc: sc, aggIdx: uniq}
 		if s.Having != nil {
-			h, ok := outc.compile(s.Having)
-			if !ok {
-				return nil, false
+			h, err := outc.compile(s.Having)
+			if err != nil {
+				return nil, err
 			}
 			cp.having = h
 		}
 	} else if s.Having != nil {
-		// HAVING without grouping: leave it to the interpreter.
-		return nil, false
+		// There are no groups to filter; silently ignoring the clause would
+		// return rows it was written to exclude.
+		return nil, fmt.Errorf("sqldb: HAVING requires GROUP BY or an aggregate")
 	}
 
-	cols, projExprs, err := db.projectionPlan(s, sc)
-	if err != nil {
-		return nil, false
+	var err error
+	if cp.cols, cp.proj, err = outc.compileProjection(s); err != nil {
+		return nil, err
 	}
-	cp.cols = cols
-	for _, e := range projExprs {
-		pe, ok := outc.compile(e)
-		if !ok {
-			return nil, false
-		}
-		cp.proj = append(cp.proj, pe)
-	}
-
 	for _, item := range db.resolveOrderBy(s) {
-		ke, ok := outc.compile(item.Expr)
-		if !ok {
-			return nil, false
+		ke, err := outc.compile(item.Expr)
+		if err != nil {
+			return nil, err
 		}
 		cp.orderBy = append(cp.orderBy, compiledOrder{key: ke, desc: item.Desc})
 	}
 	cp.noPar = rowc.sawUDF || outc.sawUDF
-	return cp, true
+	return cp, nil
 }
 
-// compileAgg lowers one aggregate call into an accumulator factory,
-// mirroring newAggAcc. Argument expressions compile in row context; an
-// aggregate nested inside another aggregate's argument fails compilation so
-// the interpreter can produce its context error.
-func (db *DB) compileAgg(rowc *exprCompiler, fc *sqlparser.FuncCall) (aggSpec, bool) {
+// compileProjection expands the select list (projectionPlan) and lowers
+// each output expression.
+func (c *exprCompiler) compileProjection(s *sqlparser.SelectStmt) ([]string, []compiledExpr, error) {
+	cols, exprs, err := c.db.projectionPlan(s, c.sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	proj := make([]compiledExpr, len(exprs))
+	for i, e := range exprs {
+		if proj[i], err = c.compile(e); err != nil {
+			return nil, nil, err
+		}
+	}
+	return cols, proj, nil
+}
+
+// compileAgg lowers one aggregate call into an accumulator factory.
+// Argument expressions compile in row context, which is what rejects an
+// aggregate nested inside another aggregate's argument.
+func (db *DB) compileAgg(rowc *exprCompiler, fc *sqlparser.FuncCall) (aggSpec, error) {
 	if factory, ok := db.aggUDFs[fc.Name]; ok {
 		args := make([]compiledExpr, len(fc.Args))
 		for i, a := range fc.Args {
-			ce, ok := rowc.compile(a)
-			if !ok {
-				return aggSpec{}, false
+			ce, err := rowc.compile(a)
+			if err != nil {
+				return aggSpec{}, err
 			}
 			args[i] = ce
 		}
 		rowc.sawUDF = true // AggState carries opaque cross-row state: not mergeable
-		return aggSpec{newAcc: func() vAgg { return &cUDFAcc{args: args, state: factory()} }}, true
+		return aggSpec{newAcc: func() vAgg { return &cUDFAcc{args: args, state: factory()} }}, nil
 	}
 	if fc.Name == "COUNT" && fc.Star {
-		return aggSpec{newAcc: func() vAgg { return &cCountStarAcc{} }}, true
+		return aggSpec{newAcc: func() vAgg { return &cCountStarAcc{} }}, nil
 	}
-	// The one-argument builtins: an arity mismatch only errors when a row is
-	// actually stepped, so leave those statements to the interpreter.
 	if len(fc.Args) != 1 {
-		return aggSpec{}, false
+		return aggSpec{}, fmt.Errorf("sqldb: %s takes one argument", fc.Name)
 	}
-	arg, ok := rowc.compile(fc.Args[0])
-	if !ok {
-		return aggSpec{}, false
+	arg, err := rowc.compile(fc.Args[0])
+	if err != nil {
+		return aggSpec{}, err
 	}
 	// A bare-column argument steps via a direct slot read, skipping the
 	// closure call per row.
@@ -654,29 +666,29 @@ func (db *DB) compileAgg(rowc *exprCompiler, fc *sqlparser.FuncCall) (aggSpec, b
 	switch fc.Name {
 	case "COUNT":
 		if fc.Distinct {
-			return aggSpec{newAcc: func() vAgg { return &cCountDistinctAcc{arg: arg, slot: slot, seen: map[string]bool{}} }}, true
+			return aggSpec{newAcc: func() vAgg { return &cCountDistinctAcc{arg: arg, slot: slot, seen: map[string]bool{}} }}, nil
 		}
-		return aggSpec{newAcc: func() vAgg { return &cCountAcc{arg: arg, slot: slot} }}, true
+		return aggSpec{newAcc: func() vAgg { return &cCountAcc{arg: arg, slot: slot} }}, nil
 	case "SUM":
-		return aggSpec{newAcc: func() vAgg { return &cSumAcc{arg: arg, slot: slot} }}, true
+		return aggSpec{newAcc: func() vAgg { return &cSumAcc{arg: arg, slot: slot} }}, nil
 	case "AVG":
-		return aggSpec{newAcc: func() vAgg { return &cAvgAcc{arg: arg, slot: slot} }}, true
+		return aggSpec{newAcc: func() vAgg { return &cAvgAcc{arg: arg, slot: slot} }}, nil
 	case "MIN":
-		return aggSpec{newAcc: func() vAgg { return &cMinMaxAcc{arg: arg, slot: slot, min: true} }}, true
+		return aggSpec{newAcc: func() vAgg { return &cMinMaxAcc{arg: arg, slot: slot, min: true} }}, nil
 	case "MAX":
-		return aggSpec{newAcc: func() vAgg { return &cMinMaxAcc{arg: arg, slot: slot} }}, true
+		return aggSpec{newAcc: func() vAgg { return &cMinMaxAcc{arg: arg, slot: slot} }}, nil
 	}
-	return aggSpec{}, false
+	return aggSpec{}, fmt.Errorf("sqldb: unknown aggregate %s", fc.Name)
 }
 
 // compileSource lowers the FROM clause into a chain of scan and join
-// operators following the same join order and per-table access paths as the
-// interpreter (produceTuples).
-func (cp *compiledSelect) compileSource(rowc *exprCompiler) bool {
+// operators: one planned access path per table, explicit JOIN ... ON chains
+// in written order, comma joins reordered by cost.
+func (cp *compiledSelect) compileSource(rowc *exprCompiler) error {
 	db, s, sc, params := cp.db, cp.s, cp.sc, cp.params
 	if len(s.From) == 0 {
 		cp.src = constSource{}
-		return true
+		return nil
 	}
 
 	conj := conjuncts(s.Where)
@@ -696,8 +708,8 @@ func (cp *compiledSelect) compileSource(rowc *exprCompiler) bool {
 		// With no ORDER BY the result is order-insensitive, so the planner
 		// is free to pick hash-join build sides by cost: stream the most
 		// expensive access path and build hash tables over the cheaper ones.
-		// (With an ORDER BY we keep the interpreter's order so stable-sort
-		// ties break identically.)
+		// (With an ORDER BY we keep joinOrder's seed so stable-sort ties
+		// break the way the reference interpreter breaks them.)
 		seed := 0
 		for i, a := range accesses {
 			if a.cost > accesses[seed].cost {
@@ -724,9 +736,9 @@ func (cp *compiledSelect) compileSource(rowc *exprCompiler) bool {
 		ti := order[k]
 		ref := s.From[ti]
 
-		keys, residual, ok := cp.joinKeys(rowc, ref.JoinOn, conj, ti, placed)
-		if !ok {
-			return false
+		keys, residual, err := cp.joinKeys(rowc, ref.JoinOn, conj, ti, placed)
+		if err != nil {
+			return err
 		}
 		if len(keys) > 0 {
 			src = &hashJoinSource{
@@ -742,25 +754,26 @@ func (cp *compiledSelect) compileSource(rowc *exprCompiler) bool {
 		placed[ti] = true
 	}
 	cp.src = src
-	return true
+	return nil
 }
 
 // joinKeys extracts the multi-column equi-key for joining table ti: ON
-// conjuncts of the form `placed-expr = ti.col` (either orientation), plus —
-// exactly like the interpreter's whereProbe — equivalent WHERE conjuncts,
-// which for an inner join only prune pairs the final WHERE filter would
-// reject anyway. Remaining ON conjuncts (and, for a WHERE-derived key, the
-// full ON clause) become the residual filter evaluated on each joined
-// tuple. Reports ok=false when a piece fails to compile.
-func (cp *compiledSelect) joinKeys(rowc *exprCompiler, on sqlparser.Expr, whereConj []sqlparser.Expr, ti int, placed []bool) ([]joinKey, compiledExpr, bool) {
+// conjuncts of the form `placed-expr = ti.col` (either orientation), plus
+// equivalent WHERE conjuncts, which for an inner join only prune pairs the
+// final WHERE filter would reject anyway. Remaining ON conjuncts (and, for
+// a WHERE-derived key, the full ON clause) become the residual filter
+// evaluated on each joined tuple.
+func (cp *compiledSelect) joinKeys(rowc *exprCompiler, on sqlparser.Expr, whereConj []sqlparser.Expr, ti int, placed []bool) ([]joinKey, compiledExpr, error) {
 	sc := cp.sc
 	var keys []joinKey
 	var residual []sqlparser.Expr
 
-	tryKey := func(pred sqlparser.Expr) (joinKey, bool) {
+	// tryKey reports whether pred is an equi-key conjunct for table ti; the
+	// error is the probe side's resolve error.
+	tryKey := func(pred sqlparser.Expr) (joinKey, bool, error) {
 		b, ok := pred.(*sqlparser.BinaryExpr)
 		if !ok || b.Op != "=" {
-			return joinKey{}, false
+			return joinKey{}, false, nil
 		}
 		colOf := func(e sqlparser.Expr) (int, bool) {
 			cr, ok := e.(*sqlparser.ColRef)
@@ -773,25 +786,29 @@ func (cp *compiledSelect) joinKeys(rowc *exprCompiler, on sqlparser.Expr, whereC
 			}
 			return ci, true
 		}
-		try := func(buildSide, probeSide sqlparser.Expr) (joinKey, bool) {
+		try := func(buildSide, probeSide sqlparser.Expr) (joinKey, bool, error) {
 			ci, ok := colOf(buildSide)
 			if !ok || !exprOverPlaced(sc, probeSide, placed) {
-				return joinKey{}, false
+				return joinKey{}, false, nil
 			}
-			pe, ok := rowc.compile(probeSide)
-			if !ok {
-				return joinKey{}, false
+			pe, err := rowc.compile(probeSide)
+			if err != nil {
+				return joinKey{}, false, err
 			}
-			return joinKey{probe: pe, buildPos: ci}, true
+			return joinKey{probe: pe, buildPos: ci}, true, nil
 		}
-		if k, ok := try(b.L, b.R); ok {
-			return k, true
+		if k, ok, err := try(b.L, b.R); ok || err != nil {
+			return k, ok, err
 		}
 		return try(b.R, b.L)
 	}
 
 	for _, pred := range conjuncts(on) {
-		if k, ok := tryKey(pred); ok {
+		k, ok, err := tryKey(pred)
+		if err != nil {
+			return nil, nil, err
+		}
+		if ok {
 			keys = append(keys, k)
 		} else {
 			residual = append(residual, pred)
@@ -799,11 +816,15 @@ func (cp *compiledSelect) joinKeys(rowc *exprCompiler, on sqlparser.Expr, whereC
 	}
 	if len(residual) > 0 && len(keys) == 0 && on != nil {
 		// No usable key in the ON clause: the loop join evaluates the whole
-		// clause, preserving the interpreter's left-to-right AND order.
+		// clause, in its left-to-right AND order.
 		residual = []sqlparser.Expr{on}
 	}
 	for _, pred := range whereConj {
-		if k, ok := tryKey(pred); ok {
+		k, ok, err := tryKey(pred)
+		if err != nil {
+			return nil, nil, err
+		}
+		if ok {
 			keys = append(keys, k)
 			// The hash join enforces this equality on every emitted pair
 			// (by trusted key lookup or per-pair coercing comparison), so
@@ -821,19 +842,19 @@ func (cp *compiledSelect) joinKeys(rowc *exprCompiler, on sqlparser.Expr, whereC
 		for _, r := range residual[1:] {
 			e = &sqlparser.BinaryExpr{Op: "AND", L: e, R: r}
 		}
-		re, ok := rowc.compile(e)
-		if !ok {
-			return nil, nil, false
+		re, err := rowc.compile(e)
+		if err != nil {
+			return nil, nil, err
 		}
 		resExpr = re
 	}
-	return keys, resExpr, true
+	return keys, resExpr, nil
 }
 
 // exprOverPlaced reports whether every column reference in e resolves to an
 // already-placed table, so the expression can be evaluated against the probe
-// stream. Unresolvable references disqualify the expression (the residual
-// filter then reproduces the interpreter's behavior for them).
+// stream. Unresolvable references disqualify the expression; compiling the
+// residual filter then reports them.
 func exprOverPlaced(sc *scope, e sqlparser.Expr, placed []bool) bool {
 	switch x := e.(type) {
 	case nil:

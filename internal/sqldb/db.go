@@ -109,13 +109,8 @@ type DB struct {
 	busyNanos int64
 
 	// Planner counters (atomics; see PlanCounters).
-	fullScans, eqScans, rangeScans, orderedScans, minMaxFast     int64
-	compiledSel, interpSel, hashJoins, nestedLoops, joinDegraded int64
-
-	// noCompile disables the compiled execution pipeline (exec.go) when
-	// non-zero, forcing every SELECT through the AST interpreter. Tests use
-	// it to run the interpreter as an oracle against the compiled path.
-	noCompile int32
+	fullScans, eqScans, rangeScans, orderedScans, minMaxFast int64
+	compiledSel, hashJoins, nestedLoops                      int64
 
 	// execWorkers is the configured intra-query parallelism for the
 	// compiled pipeline (see parallel.go): 0 picks the process default
@@ -134,21 +129,25 @@ type DB struct {
 // statements seeded from a full scan, a hash-index equality lookup, or an
 // ordered-index range scan, and how many SELECTs were answered in index
 // order (ORDER BY ... LIMIT) or from index endpoints (MIN/MAX). It also
-// tallies the execution layer's choices: SELECTs lowered into the compiled
-// operator pipeline vs. interpreted over the AST, hash-join vs. nested-loop
-// operators, joins whose multi-column equi key the interpreter degraded to
-// a single-column probe, and (summed in by a sharded store) GROUP BYs
-// executed per-shard with partial-aggregate recombination.
+// tallies the execution layer's choices: SELECTs run by the compiled
+// operator pipeline, hash-join vs. nested-loop operators, and (summed in by
+// a sharded store) GROUP BYs executed per-shard with partial-aggregate
+// recombination.
 type PlanCounters struct {
-	FullScans     int64
-	EqScans       int64
-	RangeScans    int64
-	OrderedScans  int64
-	MinMaxIndex   int64
-	Compiled      int64
+	FullScans    int64
+	EqScans      int64
+	RangeScans   int64
+	OrderedScans int64
+	MinMaxIndex  int64
+	Compiled     int64
+	HashJoins    int64
+	NestedLoops  int64
+	// Interpreted and DegradedJoins are always zero: they counted SELECTs
+	// run by the AST interpreter, which is no longer in the binary (it is
+	// the tests' reference executor, interp_test.go). The fields stay only
+	// because the benchmark module (bench/layers.go) reads them and is
+	// frozen against this package; a benchmark change can drop both.
 	Interpreted   int64
-	HashJoins     int64
-	NestedLoops   int64
 	DegradedJoins int64
 	// GroupPushdowns is always zero at the sqldb level; a sharded store
 	// counts its scatter GROUP BY decompositions here when summing.
@@ -173,10 +172,8 @@ func (db *DB) PlanCounters() PlanCounters {
 		OrderedScans:      atomic.LoadInt64(&db.orderedScans),
 		MinMaxIndex:       atomic.LoadInt64(&db.minMaxFast),
 		Compiled:          atomic.LoadInt64(&db.compiledSel),
-		Interpreted:       atomic.LoadInt64(&db.interpSel),
 		HashJoins:         atomic.LoadInt64(&db.hashJoins),
 		NestedLoops:       atomic.LoadInt64(&db.nestedLoops),
-		DegradedJoins:     atomic.LoadInt64(&db.joinDegraded),
 		ParallelPipelines: atomic.LoadInt64(&db.parallelPipelines),
 		Morsels:           atomic.LoadInt64(&db.morselsRun),
 		ExecWorkers:       int64(db.effectiveExecWorkers()),
@@ -194,35 +191,11 @@ func (db *DB) absorbCounters(view *DB) {
 	atomic.AddInt64(&db.orderedScans, atomic.LoadInt64(&view.orderedScans))
 	atomic.AddInt64(&db.minMaxFast, atomic.LoadInt64(&view.minMaxFast))
 	atomic.AddInt64(&db.compiledSel, atomic.LoadInt64(&view.compiledSel))
-	atomic.AddInt64(&db.interpSel, atomic.LoadInt64(&view.interpSel))
 	atomic.AddInt64(&db.hashJoins, atomic.LoadInt64(&view.hashJoins))
 	atomic.AddInt64(&db.nestedLoops, atomic.LoadInt64(&view.nestedLoops))
-	atomic.AddInt64(&db.joinDegraded, atomic.LoadInt64(&view.joinDegraded))
 	atomic.AddInt64(&db.parallelPipelines, atomic.LoadInt64(&view.parallelPipelines))
 	atomic.AddInt64(&db.morselsRun, atomic.LoadInt64(&view.morselsRun))
 }
-
-// SetCompiledExec enables or disables the compiled execution pipeline.
-// Enabled by default; disabling forces every SELECT through the AST
-// interpreter, which equivalence tests use as the oracle. Safe to call
-// concurrently with running statements.
-func (db *DB) SetCompiledExec(on bool) {
-	var v int32
-	if !on {
-		v = 1
-	}
-	atomic.StoreInt32(&db.noCompile, v)
-}
-
-func (db *DB) compiledExecEnabled() bool {
-	return atomic.LoadInt32(&db.noCompile) == 0
-}
-
-// CompiledExecEnabled reports whether the compiled pipeline is active.
-// Storage layers that spin up transient databases (the sharded store's
-// gather fallback) propagate the setting so a disabled pipeline stays
-// disabled end-to-end.
-func (db *DB) CompiledExecEnabled() bool { return db.compiledExecEnabled() }
 
 // SetExecWorkers configures intra-query parallelism for this database's
 // compiled pipeline: 0 restores the process default (SetDefaultExecWorkers,
@@ -243,7 +216,7 @@ func (db *DB) SetExecWorkers(n int) {
 
 // ExecWorkers returns the configured worker setting (0 = process default).
 // Storage layers that spin up transient databases (the sharded store's
-// gather fallback) propagate it, like CompiledExecEnabled.
+// gather fallback) propagate it.
 func (db *DB) ExecWorkers() int { return int(atomic.LoadInt32(&db.execWorkers)) }
 
 // BusyNanos reports cumulative statement execution time.

@@ -58,15 +58,16 @@ func (s *scope) resolve(table, col string) (int, int, error) {
 	return foundTi, foundCi, nil
 }
 
-// evalCtx carries everything expression evaluation needs.
+// evalCtx carries everything one-shot expression evaluation needs: writes
+// (SET and VALUES expressions, UPDATE/DELETE predicates), the planner's
+// constant folding and standalone evaluation walk the AST with it. SELECTs
+// do not — they lower their expressions once (compile.go), whose cases
+// mirror eval's.
 type evalCtx struct {
 	db     *DB
 	scope  *scope
 	tup    tuple
 	params []Value
-	// agg maps an aggregate call's String() to its computed value when
-	// evaluating projections/HAVING over grouped results.
-	agg map[string]Value
 	// lookup, when set, resolves column references instead of scope/tup
 	// (standalone evaluation — see EvalExpr).
 	lookup func(table, col string) (Value, error)
@@ -187,12 +188,6 @@ func (c *evalCtx) eval(e sqlparser.Expr) (Value, error) {
 		}
 		return Bool(v.IsNull() != x.Not), nil
 	case *sqlparser.FuncCall:
-		// Grouped aggregates are resolved from the precomputed map.
-		if c.agg != nil {
-			if v, ok := c.agg[x.String()]; ok {
-				return v, nil
-			}
-		}
 		if isBuiltinAgg(x.Name) {
 			return Value{}, fmt.Errorf("sqldb: aggregate %s in a non-aggregate context", x.Name)
 		}

@@ -4,10 +4,9 @@ package sqldb
 // lowered SELECT (compile.go) runs through. Rows flow in batches of ~256
 // tuples from a scan source through hash-join / nested-loop operators into
 // a consumer that filters, groups, sorts and projects with compiled
-// closures — no AST walking per row. Semantics mirror the interpreter in
-// select.go exactly; the interpreter remains both the fallback for
-// statements the compiler refuses and the oracle the equivalence tests
-// compare against.
+// closures — no AST walking per row. It is the only SELECT executor in the
+// binary; the equivalence tests hold it to the row-at-a-time reference
+// interpreter in interp_test.go.
 
 import (
 	"fmt"
@@ -111,7 +110,7 @@ type joinKey struct {
 // (eqSlots): the key lookup is only trusted when each build column holds a
 // single value kind and the probe value coerces into it; otherwise the
 // probe row falls back to comparing against every build row, which
-// reproduces the interpreter's per-pair `=` behavior — including NULL
+// reproduces a nested loop's per-pair `=` behavior — including NULL
 // never matching and cross-kind comparison errors.
 type hashJoinSource struct {
 	db       *DB
@@ -289,14 +288,13 @@ func (h *hashJoinSource) finishBuild(bt *builtTable, kinds [][4]int) {
 // same way the hash indexes do it (eqSlots): the key lookup is only
 // trusted when each build column holds a single value kind and the probe
 // value coerces into it; otherwise the probe row falls back to comparing
-// against every build row, which reproduces the interpreter's per-pair `=`
+// against every build row, which reproduces a nested loop's per-pair `=`
 // behavior — including NULL never matching and cross-kind comparison
 // errors.
 func (h *hashJoinSource) probeTuple(bt *builtTable, s *probeScratch, tup tuple, pair func(tuple, []Value) error) error {
 	if bt.total == 0 {
-		// No build rows: no pairs exist, so — like the interpreter's
-		// nested loop — the probe-side key expressions are never
-		// evaluated.
+		// No build rows: no pairs exist, so — as in a nested loop — the
+		// probe-side key expressions are never evaluated.
 		return nil
 	}
 	s.pev.tup = tup
@@ -384,7 +382,7 @@ func (h *hashJoinSource) probeIndex(bt *builtTable, s *probeScratch, tup tuple, 
 		}
 	}
 	// Mixed build kinds or an incoercible probe value: per-row coercing
-	// comparison, as the interpreter's scan fallback does.
+	// comparison, as a nested loop over a scan does.
 	s.probeVals[0] = v
 	perr := error(nil)
 	h.t.scan(func(_ int, brow []Value) bool {
@@ -424,8 +422,8 @@ func (h *hashJoinSource) run(emit func([]tuple) error) error {
 }
 
 // pairKeyEqual evaluates the multi-column key equality for one (probe,
-// build) pair in conjunct order with AND short-circuit, mirroring the
-// interpreter's evaluation of the original equality conjuncts.
+// build) pair in conjunct order with AND short-circuit, mirroring
+// evalCtx.eval on the original equality conjuncts.
 func (h *hashJoinSource) pairKeyEqual(probeVals []Value, brow []Value) (bool, error) {
 	for i, k := range h.keys {
 		bv := brow[k.buildPos]
@@ -445,7 +443,7 @@ func (h *hashJoinSource) pairKeyEqual(probeVals []Value, brow []Value) (bool, er
 
 // loopJoinSource is the compiled nested-loop join for steps with no equi
 // key: each probe tuple iterates the table's access path under the ON
-// filter, exactly like the interpreter's fallback.
+// filter.
 type loopJoinSource struct {
 	db     *DB
 	inner  rowSource
@@ -518,8 +516,8 @@ func (p *compiledSelect) run() (*Result, error) {
 // sortItem is one sortable output row: a tuple (a group's first tuple for
 // grouped queries) plus finalized aggregates, with ORDER BY keys memoized
 // lazily so each key expression is evaluated at most once per row — and
-// not at all for keys no comparison reaches, matching the interpreter's
-// per-comparison evaluation.
+// not at all for keys no comparison reaches, so a key expression's error
+// surfaces exactly when per-comparison evaluation would raise it.
 type sortItem struct {
 	tup  tuple
 	aggs []Value
@@ -599,14 +597,22 @@ func (p *compiledSelect) projectInto(ev *execEnv, tup tuple, aggs []Value) ([]Va
 func (p *compiledSelect) projectWith(pa *projAlloc, ev *execEnv, tup tuple, aggs []Value) ([]Value, error) {
 	ev.tup, ev.aggs = tup, aggs
 	row := pa.alloc(len(p.proj))
-	for i, pe := range p.proj {
+	if err := evalProjection(p.proj, ev, row); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// evalProjection evaluates a lowered select list against ev into row.
+func evalProjection(proj []compiledExpr, ev *execEnv, row []Value) error {
+	for i, pe := range proj {
 		v, err := pe(ev)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		row[i] = v
 	}
-	return row, nil
+	return nil
 }
 
 func (p *compiledSelect) runPlain() (*Result, error) {
@@ -676,8 +682,8 @@ func (p *compiledSelect) runPlain() (*Result, error) {
 }
 
 // cgroup is one hash-aggregation group: the first tuple seen (projection of
-// non-aggregate expressions uses it, as in the interpreter) plus one
-// accumulator per deduplicated aggregate call.
+// non-aggregate expressions uses it) plus one accumulator per deduplicated
+// aggregate call.
 type cgroup struct {
 	first tuple
 	accs  []vAgg
@@ -829,8 +835,7 @@ func (p *compiledSelect) finishGrouped(order []*cgroup) (*Result, error) {
 }
 
 //
-// Value-level aggregate accumulators, mirroring the interpreter's aggAcc
-// family (select.go) with compiled argument closures.
+// Aggregate accumulators over compiled argument closures.
 //
 
 type vAgg interface {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -433,5 +434,85 @@ func TestBackgroundAutoCheckpoint(t *testing.T) {
 				t.Fatal("CheckpointPauseNanos not surfaced")
 			}
 		})
+	}
+}
+
+// TestPagedFaultInstallRace has two readers fault the page of a
+// checkpointed (clean, evictable) table over and over while a third
+// goroutine sweeps the clock under a one-byte budget, so a page is evicted
+// the moment it is installed. A reader that loses the install race must
+// still come back holding a page: it used to return whatever the slot held
+// after the sweep had emptied it again — nil — and rowAt dereferenced that.
+// faultPage is called directly so the lost-install path is taken whenever
+// the other reader's page is still there; every row read is checked against
+// a resident database. The window is a few instructions wide: it needs the
+// race detector's slowdown to be hit reliably, so run with -race.
+func TestPagedFaultInstallRace(t *testing.T) {
+	paged, err := Open(t.TempDir(), DurabilityOptions{NoFsync: true, Paged: true, CacheBytes: 1, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paged.Close()
+	resident := New()
+	const rows = 8
+	for _, db := range []*DB{paged, resident} {
+		mustExec(t, db, "CREATE TABLE big (id INT PRIMARY KEY, v INT)")
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO big (id, v) VALUES ")
+		for i := 0; i < rows; i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, %d)", i, 7*i)
+		}
+		mustExec(t, db, sb.String())
+	}
+	if err := paged.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	pt, rt := paged.Table("big"), resident.Table("big")
+
+	done := make(chan struct{})
+	var sweeper, readers sync.WaitGroup
+	sweeper.Add(1)
+	go func() {
+		defer sweeper.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			paged.mu.RLock()
+			paged.pager.evictToBudget()
+			paged.mu.RUnlock()
+		}
+	}()
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 60000; i++ {
+				paged.mu.RLock()
+				p := pt.faultPage(0)
+				paged.mu.RUnlock()
+				if p == nil {
+					t.Errorf("fault %d: faultPage returned a nil page", i)
+					return
+				}
+				slot := i % rows
+				got, want := p.rows[slot], rt.rowAt(slot)
+				if len(got) != 2 || got[0].I != want[0].I || got[1].I != want[1].I {
+					t.Errorf("fault %d: slot %d = %v, want %v", i, slot, got, want)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(done)
+	sweeper.Wait()
+	if cs := paged.CacheStats(); cs.Evictions == 0 {
+		t.Fatalf("the sweep never evicted a page: %+v", cs)
 	}
 }

@@ -369,44 +369,3 @@ func joinOrder(s *sqlparser.SelectStmt, accesses []access) []int {
 	}
 	return order
 }
-
-// whereProbe finds a WHERE equijoin conjunct `placed.col = new.col` whose
-// new-table side is hash-indexed, so a comma join can probe instead of
-// building a cross product. It returns the expression to evaluate against
-// the already-placed tables and the probe column of table ti.
-func (db *DB) whereProbe(conj []sqlparser.Expr, sc *scope, ti int, placed []bool) (sqlparser.Expr, string, bool) {
-	for _, pred := range conj {
-		b, ok := pred.(*sqlparser.BinaryExpr)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		side := func(e sqlparser.Expr) (int, string, bool) {
-			cr, ok := e.(*sqlparser.ColRef)
-			if !ok {
-				return 0, "", false
-			}
-			cti, _, err := sc.resolve(cr.Table, cr.Column)
-			if err != nil {
-				return 0, "", false
-			}
-			return cti, cr.Column, true
-		}
-		lt, lc, lok := side(b.L)
-		rt, rc, rok := side(b.R)
-		if !lok || !rok {
-			continue
-		}
-		t := sc.tabs[ti].t
-		switch {
-		case lt == ti && rt != ti && placed[rt]:
-			if _, has := t.indexes[lc]; has {
-				return b.R, lc, true
-			}
-		case rt == ti && lt != ti && placed[lt]:
-			if _, has := t.indexes[rc]; has {
-				return b.L, rc, true
-			}
-		}
-	}
-	return nil, "", false
-}

@@ -350,7 +350,6 @@ func (txn *Txn) viewDB() *DB {
 		tables:      make(map[string]*Table, len(txn.db.tables)),
 		udfs:        txn.db.udfs,
 		aggUDFs:     txn.db.aggUDFs,
-		noCompile:   atomic.LoadInt32(&txn.db.noCompile),
 		execWorkers: atomic.LoadInt32(&txn.db.execWorkers),
 	}
 	for name, t := range txn.db.tables {

@@ -16,56 +16,23 @@ import (
 // ORDER BY ... LIMIT, aggregates, GROUP BY/HAVING, DISTINCT and a join —
 // against store/single and store/sharded at 2, 3 and 8 shards, and
 // requires identical results throughout: the partitioning must be
-// invisible to SQL.
+// invisible to SQL. Both sides run sqldb's compiled pipeline (its only
+// SELECT executor; sqldb's own suites hold it to the reference
+// interpreter), and the counters prove the sharded side answered through
+// it and pushed grouped queries down per shard instead of gathering.
 func TestCrossShardEquivalence(t *testing.T) {
 	for _, shards := range []int{2, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			runEquivalence(t, single.New(sqldb.New()), New(shards))
+			dut := New(shards)
+			runEquivalence(t, single.New(sqldb.New()), dut)
+			pc := dut.Stats().Plan
+			if pc.Compiled == 0 {
+				t.Fatalf("sharded engine never ran the compiled pipeline: %+v", pc)
+			}
+			if pc.GroupPushdowns == 0 {
+				t.Fatalf("no GROUP BY was pushed down per shard: %+v", pc)
+			}
 		})
-	}
-}
-
-// TestCrossShardEquivalenceInterpreted repeats the workload with the
-// compiled pipeline disabled on every node: the interpreter must produce
-// the same rows through the same scatter plans.
-func TestCrossShardEquivalenceInterpreted(t *testing.T) {
-	refDB := sqldb.New()
-	refDB.SetCompiledExec(false)
-	dut := New(3)
-	for i := 0; i < 3; i++ {
-		dut.Shard(i).SetCompiledExec(false)
-	}
-	runEquivalence(t, single.New(refDB), dut)
-	pc := dut.Stats().Plan
-	if pc.Compiled != 0 {
-		t.Fatalf("compiled pipeline ran with SetCompiledExec(false): %+v", pc)
-	}
-	if pc.Interpreted == 0 || pc.GroupPushdowns == 0 {
-		t.Fatalf("workload did not exercise interpreter + grouped scatter: %+v", pc)
-	}
-}
-
-// TestCrossShardCompiledVsInterpreted pits a compiled sharded engine
-// against an interpreted one on the full workload — the cross-executor,
-// cross-topology equivalence the compiled pipeline must hold — and checks
-// the counters prove which path each arm took.
-func TestCrossShardCompiledVsInterpreted(t *testing.T) {
-	ref := New(3)
-	for i := 0; i < 3; i++ {
-		ref.Shard(i).SetCompiledExec(false)
-	}
-	dut := New(3)
-	runEquivalence(t, ref, dut)
-
-	pc := dut.Stats().Plan
-	if pc.Compiled == 0 {
-		t.Fatalf("compiled arm never compiled: %+v", pc)
-	}
-	if pc.GroupPushdowns == 0 {
-		t.Fatalf("no GROUP BY was pushed down per shard: %+v", pc)
-	}
-	if rc := ref.Stats().Plan; rc.Compiled != 0 || rc.Interpreted == 0 {
-		t.Fatalf("interpreted arm not interpreted: %+v", rc)
 	}
 }
 
