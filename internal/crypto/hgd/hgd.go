@@ -154,6 +154,21 @@ func sampleH2PEC(k, n1, n2, m, minjx, maxjx float64, coins *prf.Stream) float64 
 	p2 := p1 + kl/lamdl
 	p3 := p2 + kr/lamdr
 
+	mode := math.Max(minjx, math.Min(maxjx, m))
+	if math.IsInf(p3, 0) || math.IsNaN(p3) {
+		// Populations near 2^62 (the top levels of OPE's tree): float64
+		// cannot resolve the differences of ln n! above, kl or kr
+		// overflows, and no draw can be accepted. u is p3 scaled, so
+		// it is ±Inf or NaN; a -Inf lands left of the support and is
+		// skipped, and every other value either skips on ix or v, or
+		// reaches the acceptance test with v = +Inf or NaN, whose
+		// logarithm is never <= the right-hand side (finite or -Inf,
+		// since a is finite). The loop below would burn all its
+		// attempts and return the mode whatever the coins say, so
+		// return it now: same value, no draws.
+		return mode
+	}
+
 	for attempt := 0; attempt < 100000; attempt++ {
 		u := coins.Float64() * p3
 		v := coins.Float64()
@@ -183,9 +198,10 @@ func sampleH2PEC(k, n1, n2, m, minjx, maxjx float64, coins *prf.Stream) float64 
 			return ix
 		}
 	}
-	// Rejection failed to converge (possible only under extreme
-	// floating-point degeneracy); return the mode.
-	return math.Max(minjx, math.Min(maxjx, m))
+	// Rejection failed to converge: with p3 finite this takes a
+	// population above 2^52 whose rounding error in a alone exceeds the
+	// range of ln v. Return the mode.
+	return mode
 }
 
 // small factorials for the exact branch of afc.
@@ -200,6 +216,11 @@ var lnFact = [...]float64{
 	8.525161361065415, // ln 7!
 }
 
+// halfLn2Pi is Stirling's 0.5·ln 2π, computed once with the same calls afc
+// used to make per evaluation (Go does not fold math.Log), so afc returns
+// the same bits.
+var halfLn2Pi = 0.5 * math.Log(2*math.Pi)
+
 // afc approximates ln(i!). Exact for i <= 7, Stirling with correction terms
 // beyond, matching the AFC function of the original Fortran.
 func afc(i float64) float64 {
@@ -211,6 +232,6 @@ func afc(i float64) float64 {
 	if i <= 7 {
 		return lnFact[int(i)]
 	}
-	return 0.5*math.Log(2*math.Pi) + (i+0.5)*math.Log(i) - i +
+	return halfLn2Pi + (i+0.5)*math.Log(i) - i +
 		1/(12*i) - 1/(360*i*i*i)
 }

@@ -36,7 +36,16 @@ func SumUint64(key []byte, data ...[]byte) uint64 {
 // same bits, which is what makes OPE encryption deterministic.
 type Stream struct {
 	ctr cipher.Stream
+	// buf[off:] is keystream generated but not yet handed out. Draws
+	// are served from it in order, so the bits are those of one
+	// XORKeyStream call per draw, without the call and its allocation.
+	buf [streamBuf]byte
+	off int
 }
+
+// streamBuf is four AES blocks: an OPE tree node takes two to six 8-byte
+// draws and a leaf one, so a larger buffer would mostly be discarded.
+const streamBuf = 64
 
 // NewStream derives an AES-256-CTR coin stream from key and context.
 func NewStream(key []byte, context ...[]byte) *Stream {
@@ -46,19 +55,42 @@ func NewStream(key []byte, context ...[]byte) *Stream {
 		panic("prf: aes.NewCipher: " + err.Error()) // impossible: fixed key size
 	}
 	var iv [aes.BlockSize]byte
-	return &Stream{ctr: cipher.NewCTR(block, iv[:])}
+	return &Stream{ctr: cipher.NewCTR(block, iv[:]), off: streamBuf}
+}
+
+// refill replaces the (consumed) buffer with the next streamBuf bytes of
+// keystream.
+func (s *Stream) refill() {
+	clear(s.buf[:])
+	s.ctr.XORKeyStream(s.buf[:], s.buf[:])
+	s.off = 0
 }
 
 // Bytes fills and returns a fresh slice of n pseudo-random bytes.
 func (s *Stream) Bytes(n int) []byte {
 	out := make([]byte, n)
-	s.ctr.XORKeyStream(out, out)
+	for filled := 0; filled < n; {
+		if s.off == streamBuf {
+			s.refill()
+		}
+		c := copy(out[filled:], s.buf[s.off:])
+		filled += c
+		s.off += c
+	}
 	return out
 }
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (s *Stream) Uint64() uint64 {
-	return binary.BigEndian.Uint64(s.Bytes(8))
+	if s.off == streamBuf {
+		s.refill()
+	}
+	if streamBuf-s.off < 8 { // an odd-sized Bytes call left the draw straddling a refill
+		return binary.BigEndian.Uint64(s.Bytes(8))
+	}
+	v := binary.BigEndian.Uint64(s.buf[s.off:])
+	s.off += 8
+	return v
 }
 
 // Uint64n returns a pseudo-random value in [0, n) without modulo bias.

@@ -34,59 +34,103 @@ func NewIV() ([]byte, error) {
 	return iv, nil
 }
 
-// Bytes encrypts arbitrary data under key with the given IV using
-// AES-256-CBC with PKCS#7-style padding. The same (key, iv, pt) triple
-// always yields the same ciphertext; probabilistic security comes from
-// drawing a fresh IV per row.
-func Bytes(key, iv, pt []byte) ([]byte, error) {
-	if len(iv) != IVSize {
-		return nil, fmt.Errorf("rnd: IV must be %d bytes, got %d", IVSize, len(iv))
-	}
+// Cipher is the RND layer of one column onion under one key: the AES block
+// cipher for byte strings and the 64-bit PRP for integers, with their key
+// schedules derived once. It is safe for concurrent use. The package-level
+// functions below derive the half they need on every call; anything that
+// encrypts or decrypts more than one value under a key should hold a Cipher.
+type Cipher struct {
+	block cipher.Block
+	prp   *feistel.Cipher
+}
+
+// New derives the RND cipher for key.
+func New(key []byte) *Cipher {
+	return &Cipher{block: newBlock(key), prp: newPRP(key)}
+}
+
+func newBlock(key []byte) cipher.Block {
 	block, err := aes.NewCipher(prf.Sum(key, []byte("rnd-aes")))
 	if err != nil {
-		return nil, fmt.Errorf("rnd: %w", err)
+		panic("rnd: aes.NewCipher: " + err.Error()) // impossible: 32-byte key
+	}
+	return block
+}
+
+func newPRP(key []byte) *feistel.Cipher {
+	return feistel.New(prf.Sum(key, []byte("rnd-int")))
+}
+
+func checkIV(iv []byte) error {
+	if len(iv) != IVSize {
+		return fmt.Errorf("rnd: IV must be %d bytes, got %d", IVSize, len(iv))
+	}
+	return nil
+}
+
+// Bytes encrypts arbitrary data with the given IV using AES-256-CBC with
+// PKCS#7-style padding. The same (key, iv, pt) triple always yields the
+// same ciphertext; probabilistic security comes from drawing a fresh IV
+// per row.
+func (c *Cipher) Bytes(iv, pt []byte) ([]byte, error) {
+	if err := checkIV(iv); err != nil {
+		return nil, err
 	}
 	padded := pad(pt, aes.BlockSize)
 	ct := make([]byte, len(padded))
-	cipher.NewCBCEncrypter(block, iv).CryptBlocks(ct, padded)
+	cipher.NewCBCEncrypter(c.block, iv).CryptBlocks(ct, padded)
 	return ct, nil
 }
 
 // DecryptBytes inverts Bytes.
-func DecryptBytes(key, iv, ct []byte) ([]byte, error) {
-	if len(iv) != IVSize {
-		return nil, fmt.Errorf("rnd: IV must be %d bytes, got %d", IVSize, len(iv))
+func (c *Cipher) DecryptBytes(iv, ct []byte) ([]byte, error) {
+	if err := checkIV(iv); err != nil {
+		return nil, err
 	}
 	if len(ct) == 0 || len(ct)%aes.BlockSize != 0 {
 		return nil, fmt.Errorf("rnd: ciphertext length %d not a positive multiple of %d", len(ct), aes.BlockSize)
 	}
-	block, err := aes.NewCipher(prf.Sum(key, []byte("rnd-aes")))
-	if err != nil {
-		return nil, fmt.Errorf("rnd: %w", err)
-	}
 	pt := make([]byte, len(ct))
-	cipher.NewCBCDecrypter(block, iv).CryptBlocks(pt, ct)
+	cipher.NewCBCDecrypter(c.block, iv).CryptBlocks(pt, ct)
 	return unpad(pt, aes.BlockSize)
 }
 
 // Uint64 encrypts a 64-bit integer as a single 64-bit block: one round of
 // CBC with the 64-bit PRP, ct = E(pt XOR iv64). iv64 is derived from the
 // row IV so that integer and string columns can share the stored IV.
-func Uint64(key, iv []byte, pt uint64) (uint64, error) {
-	if len(iv) != IVSize {
-		return 0, fmt.Errorf("rnd: IV must be %d bytes, got %d", IVSize, len(iv))
+func (c *Cipher) Uint64(iv []byte, pt uint64) (uint64, error) {
+	if err := checkIV(iv); err != nil {
+		return 0, err
 	}
-	c := feistel.New(prf.Sum(key, []byte("rnd-int")))
-	return c.Encrypt(pt ^ binary.BigEndian.Uint64(iv[:8])), nil
+	return c.prp.Encrypt(pt ^ binary.BigEndian.Uint64(iv[:8])), nil
 }
 
 // DecryptUint64 inverts Uint64.
-func DecryptUint64(key, iv []byte, ct uint64) (uint64, error) {
-	if len(iv) != IVSize {
-		return 0, fmt.Errorf("rnd: IV must be %d bytes, got %d", IVSize, len(iv))
+func (c *Cipher) DecryptUint64(iv []byte, ct uint64) (uint64, error) {
+	if err := checkIV(iv); err != nil {
+		return 0, err
 	}
-	c := feistel.New(prf.Sum(key, []byte("rnd-int")))
-	return c.Decrypt(ct) ^ binary.BigEndian.Uint64(iv[:8]), nil
+	return c.prp.Decrypt(ct) ^ binary.BigEndian.Uint64(iv[:8]), nil
+}
+
+// Bytes is Cipher.Bytes under a key used once.
+func Bytes(key, iv, pt []byte) ([]byte, error) {
+	return (&Cipher{block: newBlock(key)}).Bytes(iv, pt)
+}
+
+// DecryptBytes is Cipher.DecryptBytes under a key used once.
+func DecryptBytes(key, iv, ct []byte) ([]byte, error) {
+	return (&Cipher{block: newBlock(key)}).DecryptBytes(iv, ct)
+}
+
+// Uint64 is Cipher.Uint64 under a key used once.
+func Uint64(key, iv []byte, pt uint64) (uint64, error) {
+	return (&Cipher{prp: newPRP(key)}).Uint64(iv, pt)
+}
+
+// DecryptUint64 is Cipher.DecryptUint64 under a key used once.
+func DecryptUint64(key, iv []byte, ct uint64) (uint64, error) {
+	return (&Cipher{prp: newPRP(key)}).DecryptUint64(iv, ct)
 }
 
 func pad(pt []byte, size int) []byte {

@@ -2,6 +2,7 @@ package rnd
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -152,5 +153,71 @@ func TestNewIVFresh(t *testing.T) {
 	}
 	if len(a) != IVSize {
 		t.Fatalf("IV length %d, want %d", len(a), IVSize)
+	}
+}
+
+// TestCipherKnownAnswer pins RND ciphertexts to the bytes the per-call
+// functions produced at the parent of PR 16 (commit bfea0c0), recorded
+// there: a Cipher built once, and the wrappers over it, must keep reading
+// what is already stored in the DBMS. The IV is "0123456789abcdef".
+func TestCipherKnownAnswer(t *testing.T) {
+	iv := []byte("0123456789abcdef")
+	blobs := []struct{ key, pt, ct string }{
+		{"rnd-kat-key-0", "", "77179dbd20ab435743dbc837c22516a4"},
+		{"rnd-kat-key-0", "hello", "ba4ed130a8155869da43763f03f4dde8"},
+		{"rnd-kat-key-0", "exactly 16 bytes", "2521a3f192f2ac5946003bc09c10dd8af008f211c5f9d88186a9dff6a982c9ae"},
+		{"rnd-kat-key-0", "thirty-three bytes of plaintext..", "09b4b50ff1a7741f85aaf054fb7273d12cf93b17550c040b03ed45a9884dc21a62b872960e22c56bc0d26d716f155d6e"},
+		{"rnd-kat-key-1", "", "d81d074819431797479f4e939ccda199"},
+		{"rnd-kat-key-1", "hello", "df490cb89a71f7007136e676a9099a39"},
+		{"rnd-kat-key-1", "exactly 16 bytes", "3aaf3ae74ca3e9b64df583dc755a98db2affca731d40c5bb0144fb433ddbeb87"},
+		{"rnd-kat-key-1", "thirty-three bytes of plaintext..", "1a2d7a13dc7a4f76f299101332880842978db818c99b738fd1f1a61c69598b71bcfd3fbd5c00c9db27f032ed6bc7d3e3"},
+	}
+	ints := []struct {
+		key    string
+		pt, ct uint64
+	}{
+		{"rnd-kat-key-0", 0x0, 0x61870c345c01934d},
+		{"rnd-kat-key-0", 0x1, 0xbe1ac38060fd266f},
+		{"rnd-kat-key-0", 0x8000000000000000, 0x6a09191a4afb9040},
+		{"rnd-kat-key-0", 0xffffffffffffffff, 0x502b8ad340dbcd13},
+		{"rnd-kat-key-0", 0x40000219daf8d030, 0x3ad7aeec61803d6a},
+		{"rnd-kat-key-1", 0x0, 0x106a41d16aa3fd0c},
+		{"rnd-kat-key-1", 0x1, 0xf736c162ce4ea78a},
+		{"rnd-kat-key-1", 0x8000000000000000, 0xaa3726f17d0f121c},
+		{"rnd-kat-key-1", 0xffffffffffffffff, 0x69be3a8336c58e23},
+		{"rnd-kat-key-1", 0x40000219daf8d030, 0x9a431419da3f23b},
+	}
+	ciphers := map[string]*Cipher{} // one per key, reused across values
+	cipherFor := func(key string) *Cipher {
+		if ciphers[key] == nil {
+			ciphers[key] = New([]byte(key))
+		}
+		return ciphers[key]
+	}
+	for _, v := range blobs {
+		c, key := cipherFor(v.key), []byte(v.key)
+		held, err1 := c.Bytes(iv, []byte(v.pt))
+		once, err2 := Bytes(key, iv, []byte(v.pt))
+		if err1 != nil || err2 != nil || hex.EncodeToString(held) != v.ct || hex.EncodeToString(once) != v.ct {
+			t.Errorf("Bytes(%q, %q): Cipher %x (%v), function %x (%v), recorded %s", v.key, v.pt, held, err1, once, err2, v.ct)
+		}
+		back1, err1 := c.DecryptBytes(iv, held)
+		back2, err2 := DecryptBytes(key, iv, held)
+		if err1 != nil || err2 != nil || string(back1) != v.pt || string(back2) != v.pt {
+			t.Errorf("DecryptBytes(%q, %s): Cipher %q (%v), function %q (%v), want %q", v.key, v.ct, back1, err1, back2, err2, v.pt)
+		}
+	}
+	for _, v := range ints {
+		c, key := cipherFor(v.key), []byte(v.key)
+		held, err1 := c.Uint64(iv, v.pt)
+		once, err2 := Uint64(key, iv, v.pt)
+		if err1 != nil || err2 != nil || held != v.ct || once != v.ct {
+			t.Errorf("Uint64(%q, %#x): Cipher %#x (%v), function %#x (%v), recorded %#x", v.key, v.pt, held, err1, once, err2, v.ct)
+		}
+		back1, err1 := c.DecryptUint64(iv, v.ct)
+		back2, err2 := DecryptUint64(key, iv, v.ct)
+		if err1 != nil || err2 != nil || back1 != v.pt || back2 != v.pt {
+			t.Errorf("DecryptUint64(%q, %#x): Cipher %#x (%v), function %#x (%v), want %#x", v.key, v.ct, back1, err1, back2, err2, v.pt)
+		}
 	}
 }

@@ -48,6 +48,22 @@ func (p *Proxy) detCipher(cm *ColumnMeta) *det.Cipher {
 	return cm.detCipher
 }
 
+// rndCipher returns the RND layer of onion o of the column, its key derived
+// and its key schedules built on first use.
+func (p *Proxy) rndCipher(cm *ColumnMeta, o onion.Onion) *rnd.Cipher {
+	cm.mu.Lock()
+	defer cm.mu.Unlock()
+	c := cm.rndCipher[o]
+	if c == nil {
+		if cm.rndCipher == nil {
+			cm.rndCipher = make(map[onion.Onion]*rnd.Cipher)
+		}
+		c = rnd.New(p.colKey(cm, o, onion.RND))
+		cm.rndCipher[o] = c
+	}
+	return c
+}
+
 func (p *Proxy) opeCipher(cm *ColumnMeta) *ope.Cipher {
 	cm.mu.Lock()
 	defer cm.mu.Unlock()
@@ -147,7 +163,7 @@ func (p *Proxy) encryptOnion(cm *ColumnMeta, o onion.Onion, v sqldb.Value, iv []
 		if cm.Type == sqlparser.TypeInt {
 			detCt := p.detCipher(cm).Uint64(uint64(v.I))
 			if cur == onion.RND {
-				wrapped, err := rnd.Uint64(p.colKey(cm, onion.Eq, onion.RND), iv, detCt)
+				wrapped, err := p.rndCipher(cm, onion.Eq).Uint64(iv, detCt)
 				if err != nil {
 					return sqldb.Value{}, err
 				}
@@ -157,7 +173,7 @@ func (p *Proxy) encryptOnion(cm *ColumnMeta, o onion.Onion, v sqldb.Value, iv []
 		}
 		detCt := p.detCipher(cm).Bytes(plaintextBytes(v))
 		if cur == onion.RND {
-			wrapped, err := rnd.Bytes(p.colKey(cm, onion.Eq, onion.RND), iv, detCt)
+			wrapped, err := p.rndCipher(cm, onion.Eq).Bytes(iv, detCt)
 			if err != nil {
 				return sqldb.Value{}, err
 			}
@@ -168,7 +184,7 @@ func (p *Proxy) encryptOnion(cm *ColumnMeta, o onion.Onion, v sqldb.Value, iv []
 	case onion.JAdj:
 		jv := p.joinKey(cm).Compute(p.joinPRF, plaintextBytes(v))
 		if cur == onion.RND {
-			wrapped, err := rnd.Bytes(p.colKey(cm, onion.JAdj, onion.RND), iv, jv)
+			wrapped, err := p.rndCipher(cm, onion.JAdj).Bytes(iv, jv)
 			if err != nil {
 				return sqldb.Value{}, err
 			}
@@ -186,7 +202,7 @@ func (p *Proxy) encryptOnion(cm *ColumnMeta, o onion.Onion, v sqldb.Value, iv []
 			return sqldb.Value{}, err
 		}
 		if cur == onion.RND {
-			wrapped, err := rnd.Uint64(p.colKey(cm, onion.Ord, onion.RND), iv, opeCt)
+			wrapped, err := p.rndCipher(cm, onion.Ord).Uint64(iv, opeCt)
 			if err != nil {
 				return sqldb.Value{}, err
 			}
@@ -226,7 +242,7 @@ func (p *Proxy) decryptEq(cm *ColumnMeta, ct, iv sqldb.Value) (sqldb.Value, erro
 				return sqldb.Value{}, fmt.Errorf("proxy: missing IV decrypting %s.%s", cm.Table.Logical, cm.Logical)
 			}
 			var err error
-			u, err = rnd.DecryptUint64(p.colKey(cm, onion.Eq, onion.RND), iv.B, u)
+			u, err = p.rndCipher(cm, onion.Eq).DecryptUint64(iv.B, u)
 			if err != nil {
 				return sqldb.Value{}, err
 			}
@@ -240,7 +256,7 @@ func (p *Proxy) decryptEq(cm *ColumnMeta, ct, iv sqldb.Value) (sqldb.Value, erro
 			return sqldb.Value{}, fmt.Errorf("proxy: missing IV decrypting %s.%s", cm.Table.Logical, cm.Logical)
 		}
 		var err error
-		b, err = rnd.DecryptBytes(p.colKey(cm, onion.Eq, onion.RND), iv.B, b)
+		b, err = p.rndCipher(cm, onion.Eq).DecryptBytes(iv.B, b)
 		if err != nil {
 			return sqldb.Value{}, err
 		}

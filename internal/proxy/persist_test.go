@@ -203,6 +203,51 @@ func TestProxyRestartAfterCheckpoint(t *testing.T) {
 	}
 }
 
+// TestProxyRestartParentDataDir opens a data directory written by the
+// parent of PR 16 (commit bfea0c0) — OPE ciphertexts from the sampler that
+// still spun at the top of the tree, Paillier ciphertexts with textbook r^n,
+// RND layers keyed per call — and replays testdata/parent_answers.txt: the
+// statements after "> " and, below each, what the parent itself answered on
+// a copy of the same directory. Range, ORDER BY, MIN/MAX, SUM and increments
+// run over the parent's rows alone and then mixed with rows this build
+// inserts; the age column's onions are still at RND, so its range query
+// strips layers the parent wrapped.
+//
+// In the fixture: emp(id, name, salary, bonus, age) with ids 1-10 (salary
+// (id-3)·100), two rows at the ends of the OPE domain, salary's Ord and
+// name's Eq already peeled, one increment applied; 256-bit Paillier key.
+func TestProxyRestartParentDataDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"wal.log", "proxy-keys.json"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "parent_datadir", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	answers, err := os.ReadFile(filepath.Join("testdata", "parent_answers.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, p := openDurable(t, dir)
+	if p.Table("emp") == nil {
+		t.Fatal("the parent's metadata did not restore table emp")
+	}
+	// A statement line starts with "> "; result lines never do.
+	blocks := strings.Split("\n"+strings.TrimSuffix(string(answers), "\n"), "\n> ")[1:]
+	if len(blocks) < 20 {
+		t.Fatalf("%d statements in the fixture, want the full script", len(blocks))
+	}
+	for _, block := range blocks {
+		stmt, want, _ := strings.Cut(block+"\n", "\n")
+		if got := resultString(t, p, stmt); got != want {
+			t.Errorf("%s\ngot:\n%swant (the parent's answer):\n%s", stmt, got, want)
+		}
+	}
+}
+
 func mustExecP(t *testing.T, p *Proxy, sql string) *sqldb.Result {
 	t.Helper()
 	res, err := p.Execute(sql)

@@ -22,9 +22,6 @@ type Options struct {
 	// HOMBits is the Paillier modulus size; the paper's 1024 (2048-bit
 	// ciphertexts) is the default. Tests may shrink it.
 	HOMBits int
-	// HOMPrecompute pre-fills this many r^n values (§3.5.2); the paper
-	// uses 30,000.
-	HOMPrecompute int
 	// DisableOPECache turns off the OPE node cache (for the ablation
 	// benchmark reproducing the paper's 25 ms -> 7 ms improvement).
 	DisableOPECache bool
@@ -280,11 +277,6 @@ func openPersistent(db store.Engine, opts Options) (*Proxy, error) {
 
 // newProxy assembles a proxy around existing key material.
 func newProxy(db store.Engine, mk *keys.Master, hk *hom.Key, opts Options) (*Proxy, error) {
-	if opts.HOMPrecompute > 0 {
-		if err := hk.Precompute(opts.HOMPrecompute); err != nil {
-			return nil, fmt.Errorf("proxy: %w", err)
-		}
-	}
 	p := &Proxy{
 		db:       db,
 		mk:       mk,
