@@ -102,11 +102,14 @@ func figDurability() error {
 			return err
 		}
 	}
+	loaded := db.WALStats()
 	if _, err := p.Execute("SELECT id FROM emp WHERE salary > 500 ORDER BY salary LIMIT 5"); err != nil {
-		return err // peels Ord: the adjusted level must survive recovery
+		return err // materialises Ord and peels it: both must survive recovery
 	}
 	stats := db.WALStats()
-	fmt.Printf("\nencrypted load: %d rows, wal %d batches / %d KiB\n", rows, stats.Batches, stats.Bytes/1024)
+	fmt.Printf("\nencrypted load (Eq onions): %d rows, wal %d batches / %d KiB\n", rows, loaded.Batches, loaded.Bytes/1024)
+	fmt.Printf("first range query (materialises salary's Ord onion, one batch a row, then strips RND): +%d batches / +%d KiB\n",
+		stats.Batches-loaded.Batches, (stats.Bytes-loaded.Bytes)/1024)
 	if err := db.Close(); err != nil { // release the data-dir lock; recovery reopens it
 		return err
 	}

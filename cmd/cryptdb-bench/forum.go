@@ -47,6 +47,8 @@ func fig14() error {
 	fmt.Printf("%-14s %14.0f %9.1f%%\n", "MySQL+proxy", proxyTput, 100*(proxyTput-mysqlTput)/mysqlTput)
 	fmt.Printf("%-14s %14.0f %9.1f%%\n", "CryptDB", cryptTput, 100*(cryptTput-mysqlTput)/mysqlTput)
 	fmt.Println("paper: MySQL+proxy -8.3%, CryptDB -14.5% (half the loss is proxying itself)")
+	fmt.Println("(CryptDB arm: no onion plan; the warm-up requests materialise the onions the forum's")
+	fmt.Println(" queries use, every other onion stays deferred and costs a write nothing)")
 
 	// The paper's requests spend most of their time in PHP rendering
 	// (~50-240 ms each), so its -14.5% reflects a few ms of crypto per

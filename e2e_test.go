@@ -178,6 +178,116 @@ func TestFullLifecycle(t *testing.T) {
 	}
 }
 
+// TestDeferredOnionsEndToEnd follows one table through the onion lifecycle
+// across a restart, from outside the proxy package: what a curious DBA can
+// count at the server (non-NULL cells), what Report says, and the answers.
+// With no plan a load stores rid, Eq and IV per value and nothing else; the
+// first SUM adds exactly one ciphertext per row, the first range query one
+// more, and a restarted proxy remembers both.
+func TestDeferredOnionsEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*sqldb.DB, *proxy.Proxy) {
+		db, err := sqldb.Open(dir, sqldb.DurabilityOptions{NoFsync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := proxy.New(db, proxy.Options{HOMBits: 256, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, p
+	}
+	cells := func(db *sqldb.DB) (n int) {
+		for _, name := range db.TableNames() {
+			res, err := db.ExecSQL("SELECT * FROM " + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range res.Rows {
+				for _, v := range row {
+					if !v.IsNull() {
+						n++
+					}
+				}
+			}
+		}
+		return n
+	}
+	report := func(p *proxy.Proxy) string {
+		var sb strings.Builder
+		for _, r := range p.Report() {
+			fmt.Fprintf(&sb, "%s %v deferred %v; ", r.Column, r.Present, r.Deferred)
+		}
+		return sb.String()
+	}
+	exec := func(p *proxy.Proxy, sql string) *sqldb.Result {
+		t.Helper()
+		res, err := p.Execute(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+
+	db, p := open()
+	exec(p, "CREATE TABLE ledger (acct INT PRIMARY KEY, amount INT, memo TEXT)")
+	const rows = 200
+	var sb strings.Builder
+	wantSum := int64(0)
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d, 'memo %d')", i, i*10, i)
+		wantSum += int64(i * 10)
+	}
+	exec(p, "INSERT INTO ledger (acct, amount, memo) VALUES "+sb.String())
+	if got, want := cells(db), rows*(1+3+3); got != want {
+		t.Fatalf("after the load the server holds %d non-NULL cells, want %d (rid, three Eq, three IV a row)", got, want)
+	}
+	if got, want := report(p), "acct [Eq] deferred [JAdj Ord Add]; amount [Eq] deferred [JAdj Ord Add]; memo [Eq] deferred [JAdj Ord Search]; "; got != want {
+		t.Fatalf("report after the load:\n%s\nwant\n%s", got, want)
+	}
+
+	if got := exec(p, "SELECT SUM(amount) FROM ledger").Rows[0][0].I; got != wantSum {
+		t.Fatalf("first SUM = %d, want %d", got, wantSum)
+	}
+	if got, want := cells(db), rows*(1+3+3+1); got != want {
+		t.Fatalf("after the first SUM the server holds %d non-NULL cells, want %d", got, want)
+	}
+	if n := len(exec(p, "SELECT acct FROM ledger WHERE amount BETWEEN 100 AND 290").Rows); n != 20 {
+		t.Fatalf("first range query returned %d rows, want 20", n)
+	}
+	exec(p, "INSERT INTO ledger (acct, amount, memo) VALUES (1000, 5, 'late')")
+	wantCells := (rows + 1) * (1 + 3 + 3 + 2)
+	if got := cells(db); got != wantCells {
+		t.Fatalf("after SUM, range and one more row the server holds %d non-NULL cells, want %d", got, wantCells)
+	}
+	wantReport := "acct [Eq] deferred [JAdj Ord Add]; amount [Eq Ord Add] deferred [JAdj]; memo [Eq] deferred [JAdj Ord Search]; "
+	if got := report(p); got != wantReport {
+		t.Fatalf("report after SUM and range:\n%s\nwant\n%s", got, wantReport)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, p = open()
+	defer db.Close() //nolint:errcheck // test teardown
+	if got := report(p); got != wantReport {
+		t.Fatalf("report after the restart:\n%s\nwant\n%s", got, wantReport)
+	}
+	if got := exec(p, "SELECT SUM(amount) FROM ledger").Rows[0][0].I; got != wantSum+5 {
+		t.Fatalf("SUM after the restart = %d, want %d", got, wantSum+5)
+	}
+	if n := len(exec(p, "SELECT acct FROM ledger WHERE amount < 100").Rows); n != 11 {
+		t.Fatalf("range after the restart returned %d rows, want 11", n)
+	}
+	if st := p.Stats(); st.OnionAdjustments != 0 || cells(db) != wantCells {
+		t.Fatalf("the restarted proxy adjusted %d onions and the server holds %d cells, want 0 and %d",
+			st.OnionAdjustments, cells(db), wantCells)
+	}
+}
+
 // TestThreatModel1EndToEnd verifies the §2.1 guarantee across the whole
 // stack: a curious DBA (full read access to the DBMS) learns no plaintext
 // and no schema names even while the application actively queries.

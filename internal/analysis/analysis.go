@@ -27,6 +27,10 @@ type Fig9Row struct {
 	AtDET         int
 	AtOPE         int
 	HighSensitive int // columns at RND/HOM among considered
+	// Onions counts the onions the considered columns declare besides Eq,
+	// and Deferred how many of them the query set never needed: with no
+	// a-priori plan the server holds no ciphertext of those at all.
+	Onions, Deferred int
 }
 
 // AnalyzeApp runs one app's queries through a training-mode proxy and
@@ -63,6 +67,10 @@ func Summarize(reports []proxy.ColumnReport) Fig9Row {
 			continue
 		}
 		row.ConsiderEnc++
+		row.Deferred += len(r.Deferred)
+		if n := len(r.Present) + len(r.Deferred); n > 0 {
+			row.Onions += n - 1 // Eq is always present
+		}
 		if r.NeedsPlaintext {
 			row.NeedsPlain++
 			continue
@@ -115,6 +123,8 @@ func Aggregate(name string, rows []Fig9Row) Fig9Row {
 		out.AtDET += r.AtDET
 		out.AtOPE += r.AtOPE
 		out.HighSensitive += r.HighSensitive
+		out.Onions += r.Onions
+		out.Deferred += r.Deferred
 	}
 	return out
 }

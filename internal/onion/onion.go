@@ -178,6 +178,13 @@ func (c Class) Requirement() (Onion, Layer, bool) {
 type State struct {
 	Stack []Layer // outermost .. innermost
 	Cur   int     // index into Stack of the current outermost layer
+	// Deferred marks an onion whose server column is declared but holds no
+	// ciphertext yet: writes skip it, and the first query whose requirement
+	// names it fills the whole column from the Eq onion, at layer Cur, before
+	// anything is stripped (§3.5.2 read the other way round: an onion nobody
+	// has needed is not stored). The server learns nothing from a deferred
+	// onion, not even what RND would show. The zero value is a present onion.
+	Deferred bool
 }
 
 // NewState builds the initial (fully wrapped) state for an onion stack.

@@ -131,3 +131,25 @@ func TestLayerFromString(t *testing.T) {
 		t.Fatal("want error for unknown layer")
 	}
 }
+
+// TestDeferredIsOrthogonalToLayer: the deferred bit says whether the onion
+// holds ciphertexts; the layer pointer says at which layer they are (or will
+// be, once materialised). Neither moves the other, and a state built the way
+// every pre-existing one was — without the bit — is a present onion.
+func TestDeferredIsOrthogonalToLayer(t *testing.T) {
+	st := NewState(StackFor(Ord, sqlparser.TypeInt))
+	if st.Deferred {
+		t.Fatal("a new state must be a present onion")
+	}
+	st.Deferred = true
+	if st.Current() != RND || st.AtOrBelow(OPE) {
+		t.Fatalf("deferred onion reports layer %s", st.Current())
+	}
+	if layers, err := st.LayersAbove(OPE); err != nil || len(layers) != 1 || layers[0] != RND {
+		t.Fatalf("LayersAbove(OPE) on a deferred onion = %v, %v", layers, err)
+	}
+	st.Descend()
+	if !st.Deferred || st.Current() != OPE {
+		t.Fatalf("Descend changed the bit: %+v", st)
+	}
+}

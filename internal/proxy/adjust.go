@@ -59,25 +59,9 @@ func (p *Proxy) applyRequirement(req requirement) error {
 		return p.lowerTo(req.cm, onion.Ord, onion.OPE)
 	case onion.ClassSearch:
 		// Search onion starts (and stays) at SEARCH; nothing to strip.
-		if !req.cm.HasOnion(onion.Search) {
-			return fmt.Errorf("proxy: %s.%s has no Search onion",
-				req.cm.Table.Logical, req.cm.Logical)
-		}
-		if !req.cm.UsedSearch {
-			req.cm.UsedSearch = true
-			return p.persistMetaLocked()
-		}
-		return nil
+		return p.firstUse(req.cm, onion.Search, &req.cm.UsedSearch)
 	case onion.ClassSum, onion.ClassIncrement:
-		if !req.cm.HasOnion(onion.Add) {
-			return fmt.Errorf("proxy: %s.%s has no Add onion",
-				req.cm.Table.Logical, req.cm.Logical)
-		}
-		if !req.cm.UsedSum {
-			req.cm.UsedSum = true
-			return p.persistMetaLocked()
-		}
-		return nil
+		return p.firstUse(req.cm, onion.Add, &req.cm.UsedSum)
 	case onion.ClassJoin:
 		if err := p.maybeResync(req.cm); err != nil {
 			return err
@@ -90,6 +74,23 @@ func (p *Proxy) applyRequirement(req requirement) error {
 		return p.adjustRangeJoin(req.cm, req.joinWith)
 	}
 	return fmt.Errorf("proxy: unknown computation class %v", req.class)
+}
+
+// firstUse serves the single-layer onions (Add, Search), which have nothing
+// to strip: the first requirement on one materialises it if it was deferred
+// and records the usage flag of the §8.3 analysis.
+func (p *Proxy) firstUse(cm *ColumnMeta, o onion.Onion, used *bool) error {
+	if !cm.HasOnion(o) {
+		return fmt.Errorf("proxy: %s.%s has no %s onion", cm.Table.Logical, cm.Logical, o)
+	}
+	if err := p.materialise(cm, o); err != nil {
+		return err
+	}
+	if !*used {
+		*used = true
+		return p.persistMetaLocked()
+	}
+	return nil
 }
 
 // lowerTo peels onion o of column cm down to layer target by issuing
@@ -115,10 +116,15 @@ func (p *Proxy) lowerTo(cm *ColumnMeta, o onion.Onion, target onion.Layer) error
 		p.trainLog = append(p.trainLog, TrainEvent{
 			Table: cm.Table.Logical, Column: cm.Logical, Onion: o, Layer: target,
 		})
+		st.Deferred = false
 		for range layers {
 			st.Descend()
 		}
 		return nil
+	}
+	// A deferred onion has no ciphertexts to strip a layer from yet.
+	if err := p.materialise(cm, o); err != nil {
+		return err
 	}
 
 	// Onion decryption executes autonomously — the equivalent of the
@@ -301,9 +307,72 @@ func (p *Proxy) adjustRangeJoin(a, b *ColumnMeta) error {
 	return p.lowerTo(b, onion.Ord, onion.OPE)
 }
 
-// maybeResync re-materializes a column's Eq/JAdj/Ord onions from its Add
-// onion after HOM increments made them stale — the two-query strategy of
-// §3.3, applied lazily at column granularity.
+// materialise fills a deferred onion: the first statement whose requirement
+// names onion o of cm pays, once and for the whole column, what every INSERT
+// would otherwise have paid for it. Each row's plaintext is read back through
+// the Eq onion and encrypted into o at o's current layer and current
+// effective key, under the row's stored IV. Rows first, bit second: Deferred
+// is cleared and persisted only after every row is written, so a crash in
+// between leaves the bit set and the next use redoes an idempotent rewrite.
+// The caller holds the write side of p.mu and writers hold the read side for
+// a whole statement, so no row can be inserted without the onion after the
+// bit flips; rows buffered in another session's open transaction would be,
+// hence the same retryable refusal as a layer adjustment. A no-op for an
+// onion that is present.
+func (p *Proxy) materialise(cm *ColumnMeta, o onion.Onion) error {
+	st := cm.Onions[o]
+	if st == nil || !st.Deferred {
+		return nil
+	}
+	if p.opts.Training {
+		st.Deferred = false
+		return nil
+	}
+	if p.replica != nil {
+		// A write like any adjustment: the primary materialises, the rows
+		// and the blob replicate down.
+		return p.replicaReadOnly()
+	}
+	// The Eq onion is the source; after an increment the Add onion is.
+	if err := p.maybeResync(cm); err != nil {
+		return err
+	}
+	if err := p.adjustBlocked(cm.Table); err != nil {
+		return err
+	}
+	err := p.rewriteColumn(cm.Table, []string{cm.onionCol(onion.Eq), cm.ivCol()}, []string{cm.onionCol(o)},
+		func(rows [][]sqldb.Value) ([][]sqldb.Value, error) {
+			pts, err := p.mapRows(rows, func(r []sqldb.Value) ([]sqldb.Value, error) {
+				pt, err := p.decryptEq(cm, r[1], r[2])
+				return []sqldb.Value{pt, r[2]}, err
+			})
+			if err != nil {
+				return nil, err
+			}
+			if o == onion.Ord && !p.opts.DisableOPECache {
+				// §3.1 batch optimization, as on a multi-row INSERT.
+				ms := opePlaintexts(cm, len(pts), func(i int) sqldb.Value { return pts[i][0] })
+				_, _ = p.opeCipher(cm).EncryptBatch(ms) // cache warmer; the per-row pass reports errors
+			}
+			return p.mapRows(pts, func(r []sqldb.Value) ([]sqldb.Value, error) {
+				if r[0].IsNull() {
+					return nil, nil // the column is NULL already
+				}
+				ct, err := p.encryptOnion(cm, o, r[0], r[1].B)
+				return []sqldb.Value{ct}, err
+			})
+		})
+	if err != nil {
+		return fmt.Errorf("proxy: materialising %s onion of %s.%s: %w", o, cm.Table.Logical, cm.Logical, err)
+	}
+	st.Deferred = false
+	atomic.AddInt64(&p.stats.OnionAdjustments, 1)
+	return p.persistMetaLocked()
+}
+
+// maybeResync re-encrypts a column's Eq/JAdj/Ord onions from its Add onion
+// after HOM increments made them stale — the two-query strategy of §3.3,
+// applied lazily at column granularity. Deferred onions stay deferred.
 func (p *Proxy) maybeResync(cm *ColumnMeta) error {
 	if cm == nil || !cm.Stale[onion.Eq] {
 		return nil
@@ -312,56 +381,43 @@ func (p *Proxy) maybeResync(cm *ColumnMeta) error {
 		cm.Stale = make(map[onion.Onion]bool)
 		return nil
 	}
-	// The per-row rewrite below re-materializes every onion from the Add
-	// onion; rows buffered by an open transaction would be skipped and
-	// then committed stale, so refuse (retryable) while one is open.
+	// Rows buffered by an open transaction would be skipped by the rewrite
+	// and then committed stale, so refuse (retryable) while one is open.
 	if err := p.adjustBlocked(cm.Table); err != nil {
 		return err
 	}
-
-	sel := &sqlparser.SelectStmt{
-		Exprs: []sqlparser.SelectExpr{
-			{Expr: &sqlparser.ColRef{Column: "rid"}},
-			{Expr: &sqlparser.ColRef{Column: cm.onionCol(onion.Add)}},
-		},
-		From: []sqlparser.TableRef{{Table: cm.Table.Anon}},
+	var onions []onion.Onion
+	write := []string{cm.ivCol()}
+	for _, o := range cm.onionList() {
+		if o != onion.Add {
+			onions = append(onions, o)
+			write = append(write, cm.onionCol(o))
+		}
 	}
-	res, err := p.db.Exec(sel)
+	err := p.rewriteColumn(cm.Table, []string{cm.onionCol(onion.Add)}, write,
+		func(rows [][]sqldb.Value) ([][]sqldb.Value, error) {
+			return p.mapRows(rows, func(r []sqldb.Value) ([]sqldb.Value, error) {
+				pt, err := p.decryptAdd(cm, r[1])
+				if err != nil {
+					return nil, err
+				}
+				iv, err := newIV()
+				if err != nil {
+					return nil, err
+				}
+				out := []sqldb.Value{sqldb.Blob(iv)}
+				for _, o := range onions {
+					v, err := p.encryptOnion(cm, o, pt, iv)
+					if err != nil {
+						return nil, err
+					}
+					out = append(out, v)
+				}
+				return out, nil
+			})
+		})
 	if err != nil {
-		return fmt.Errorf("proxy: resync read: %w", err)
-	}
-	for _, row := range res.Rows {
-		pt, err := p.decryptAdd(cm, row[1])
-		if err != nil {
-			return fmt.Errorf("proxy: resync decrypt: %w", err)
-		}
-		iv, err := newIV()
-		if err != nil {
-			return err
-		}
-		assigns := []sqlparser.Assignment{{Column: cm.ivCol(), Value: &sqlparser.BytesLit{V: iv}}}
-		for _, o := range []onion.Onion{onion.Eq, onion.JAdj, onion.Ord} {
-			if !cm.HasOnion(o) {
-				continue
-			}
-			v, err := p.encryptOnion(cm, o, pt, iv)
-			if err != nil {
-				return err
-			}
-			assigns = append(assigns, sqlparser.Assignment{Column: cm.onionCol(o), Value: valueToExpr(v)})
-		}
-		upd := &sqlparser.UpdateStmt{
-			Table:       cm.Table.Anon,
-			Assignments: assigns,
-			Where: &sqlparser.BinaryExpr{
-				Op: "=",
-				L:  &sqlparser.ColRef{Column: "rid"},
-				R:  &sqlparser.IntLit{V: row[0].I},
-			},
-		}
-		if _, err := p.db.ExecAutonomous(upd); err != nil {
-			return fmt.Errorf("proxy: resync write: %w", err)
-		}
+		return fmt.Errorf("proxy: resync of %s.%s: %w", cm.Table.Logical, cm.Logical, err)
 	}
 	cm.Stale = make(map[onion.Onion]bool)
 	atomic.AddInt64(&p.stats.Resyncs, 1)

@@ -79,11 +79,34 @@ func forEachRow(workers, n int, fn func(i int) error) error {
 	return firstErr
 }
 
+// opePlaintexts encodes a column's non-NULL values for ope.EncryptBatch.
+// Values that fail to coerce or encode are skipped here and reported by the
+// per-row path, which keeps error attribution identical to the serial
+// pipeline.
+func opePlaintexts(cm *ColumnMeta, n int, at func(i int) sqldb.Value) []uint64 {
+	ms := make([]uint64, 0, n)
+	for i := 0; i < n; i++ {
+		v := at(i)
+		if v.IsNull() {
+			continue
+		}
+		coerced, err := coerceToColumn(cm, v)
+		if err != nil {
+			continue
+		}
+		m, err := opeEncode(coerced)
+		if err != nil {
+			continue
+		}
+		ms = append(ms, m)
+	}
+	return ms
+}
+
 // prewarmOPE batch-encrypts every Ord-onion plaintext of a multi-row INSERT
 // so the per-row workers hit the OPE leaf cache instead of walking the tree
-// independently. Sorting happens inside EncryptBatch; values that fail to
-// coerce or encode are skipped here and reported by the per-row path, which
-// keeps error attribution identical to the serial pipeline.
+// independently. Sorting happens inside EncryptBatch. Columns whose Ord
+// onion is not written (discarded or deferred) are skipped.
 func (p *Proxy) prewarmOPE(colMeta []*ColumnMeta, rows [][]sqldb.Value) {
 	if p.opts.DisableOPECache || len(rows) < 2 {
 		return
@@ -94,25 +117,10 @@ func (p *Proxy) prewarmOPE(colMeta []*ColumnMeta, rows [][]sqldb.Value) {
 	}
 	var jobs []job
 	for ci, cm := range colMeta {
-		if cm.Plain || cm.EncFor != nil || !cm.HasOnion(onion.Ord) {
+		if cm.Plain || cm.EncFor != nil || !cm.present(onion.Ord) {
 			continue
 		}
-		ms := make([]uint64, 0, len(rows))
-		for _, row := range rows {
-			v := row[ci]
-			if v.IsNull() {
-				continue
-			}
-			coerced, err := coerceToColumn(cm, v)
-			if err != nil {
-				continue
-			}
-			m, err := opeEncode(coerced)
-			if err != nil {
-				continue
-			}
-			ms = append(ms, m)
-		}
+		ms := opePlaintexts(cm, len(rows), func(i int) sqldb.Value { return rows[i][ci] })
 		if len(ms) >= 2 {
 			jobs = append(jobs, job{cm: cm, ms: ms})
 		}

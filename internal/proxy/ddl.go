@@ -63,8 +63,12 @@ func (p *Proxy) createTable(st *sqlparser.CreateTableStmt) error {
 			// blob; no server computation is possible on it (§4.2).
 			anon.Cols = append(anon.Cols, sqlparser.ColumnDef{Name: cm.mpCol(), Type: sqlparser.TypeBlob})
 		default:
-			for _, o := range p.plannedOnions(st.Name, cm) {
+			onions, planned := p.plannedOnions(st.Name, cm)
+			for _, o := range onions {
 				cm.Onions[o] = onion.NewState(onion.StackFor(o, cd.Type))
+				// No plan entry: only Eq is written; the first query that
+				// needs another onion materialises it (§3.5.2).
+				cm.Onions[o].Deferred = !planned && o != onion.Eq
 				anon.Cols = append(anon.Cols, sqlparser.ColumnDef{
 					Name: cm.onionCol(o),
 					Type: cm.serverType(o),

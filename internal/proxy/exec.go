@@ -55,9 +55,10 @@ func (p *Proxy) adjNeeded(an *analysis) bool {
 		return true
 	}
 	// atOrBelow treats a discarded onion (nil state) as needing the slow
-	// path, which produces the proper "no such onion" error.
+	// path, which produces the proper "no such onion" error, and a deferred
+	// one likewise: the slow path materialises it.
 	atOrBelow := func(st *onion.State, l onion.Layer) bool {
-		return st != nil && st.AtOrBelow(l)
+		return st != nil && !st.Deferred && st.AtOrBelow(l)
 	}
 	for _, r := range an.reqs {
 		switch r.class {
@@ -92,13 +93,13 @@ func (p *Proxy) adjNeeded(an *analysis) bool {
 				return true
 			}
 		case onion.ClassSum, onion.ClassIncrement:
-			// No layer change, but first use records the Add-onion
-			// usage flag for the §8.3 analysis.
-			if !r.cm.UsedSum {
+			// No layer change, but first use materialises a deferred Add
+			// onion and records the usage flag for the §8.3 analysis.
+			if !r.cm.UsedSum || !r.cm.present(onion.Add) {
 				return true
 			}
 		case onion.ClassSearch:
-			if !r.cm.UsedSearch {
+			if !r.cm.UsedSearch || !r.cm.present(onion.Search) {
 				return true
 			}
 		case onion.ClassPlaintext:
@@ -670,6 +671,14 @@ func (p *Proxy) encryptRowValue(cm *ColumnMeta, v sqldb.Value) ([]sqlparser.Expr
 	coerced, err := coerceToColumn(cm, v)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: %s.%s: %w", cm.Table.Logical, cm.Logical, err)
+	}
+	if cm.HasOnion(onion.Ord) && !cm.present(onion.Ord) {
+		// The value is not OPE-encrypted now, but it must be encryptable
+		// when the onion is materialised: refuse out-of-domain integers
+		// here, as an eager Ord onion does.
+		if _, err := opeEncode(coerced); err != nil {
+			return nil, err
+		}
 	}
 	iv, err := newIV()
 	if err != nil {

@@ -108,18 +108,28 @@ func (c *ColumnMeta) groupRoot() *ColumnMeta {
 	return c
 }
 
-// HasOnion reports whether the column carries onion o.
+// HasOnion reports whether the column declares onion o: the plan did not
+// discard it. A declared onion may still be deferred (see present).
 func (c *ColumnMeta) HasOnion(o onion.Onion) bool {
 	_, ok := c.Onions[o]
 	return ok
 }
 
-// onionList returns the column's materialized onions in canonical order
-// (which may be a subset of the type's onions under an OnionPlan).
+// present reports whether onion o holds ciphertexts: declared and not
+// deferred.
+func (c *ColumnMeta) present(o onion.Onion) bool {
+	st := c.Onions[o]
+	return st != nil && !st.Deferred
+}
+
+// onionList is the one writer list: the onions every INSERT, UPDATE and
+// resync encrypts into, in canonical order. It leaves out onions the plan
+// discarded and onions still deferred, whose server column stays NULL until
+// materialise fills it.
 func (c *ColumnMeta) onionList() []onion.Onion {
 	var out []onion.Onion
 	for _, o := range onion.Onions(c.Type) {
-		if c.HasOnion(o) {
+		if c.present(o) {
 			out = append(out, o)
 		}
 	}

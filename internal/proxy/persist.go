@@ -51,7 +51,11 @@ import (
 const (
 	keyFileName  = "proxy-keys.json"
 	metaSealInfo = "proxy-meta-seal"
-	metaVersion  = 1
+	// metaVersion 2 added metaOnion.Deferred. A version-1 blob has every
+	// declared onion present, which is what an absent field decodes to, so it
+	// is read as is; a version-1 binary must not read a version-2 blob (it
+	// would treat a deferred onion's NULL column as data), hence the bump.
+	metaVersion = 2
 )
 
 // keyFile is the once-written secret material of a data directory.
@@ -91,8 +95,9 @@ type metaSpeaksFor struct {
 }
 
 type metaOnion struct {
-	Stack []string `json:"stack"`
-	Cur   int      `json:"cur"`
+	Stack    []string `json:"stack"`
+	Cur      int      `json:"cur"`
+	Deferred bool     `json:"deferred,omitempty"`
 }
 
 type metaColumn struct {
@@ -265,7 +270,7 @@ func (p *Proxy) sealedMetaLocked() ([]byte, error) {
 					for i, l := range st.Stack {
 						stack[i] = string(l)
 					}
-					mc.Onions[string(o)] = metaOnion{Stack: stack, Cur: st.Cur}
+					mc.Onions[string(o)] = metaOnion{Stack: stack, Cur: st.Cur, Deferred: st.Deferred}
 				}
 			}
 			cm.mu.Lock()
@@ -296,7 +301,8 @@ func (p *Proxy) sealedMetaLocked() ([]byte, error) {
 
 // persistMetaLocked durably commits the current metadata in its own WAL
 // batch. Used for transitions with no accompanying server statement (usage
-// flags, OPE-JOIN declarations, resync completion, group-root moves).
+// flags, OPE-JOIN declarations, resync and materialisation completion,
+// group-root moves).
 // Callers hold p.mu.
 func (p *Proxy) persistMetaLocked() error {
 	if !p.persistent() {
@@ -325,7 +331,7 @@ func (p *Proxy) restoreState(sealed []byte) error {
 	if err := json.Unmarshal(plain, &ms); err != nil {
 		return fmt.Errorf("proxy: decoding metadata: %w", err)
 	}
-	if ms.Version != metaVersion {
+	if ms.Version < 1 || ms.Version > metaVersion {
 		return fmt.Errorf("proxy: metadata version %d not supported", ms.Version)
 	}
 	p.nTab = ms.NTab
@@ -385,7 +391,7 @@ func (p *Proxy) restoreState(sealed []byte) error {
 					return fmt.Errorf("proxy: column %s.%s onion %s: layer index %d out of range",
 						mt.Logical, mc.Logical, o, mo.Cur)
 				}
-				cm.Onions[onion.Onion(o)] = &onion.State{Stack: stack, Cur: mo.Cur}
+				cm.Onions[onion.Onion(o)] = &onion.State{Stack: stack, Cur: mo.Cur, Deferred: mo.Deferred}
 			}
 			for _, o := range mc.Stale {
 				cm.Stale[onion.Onion(o)] = true

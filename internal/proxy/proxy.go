@@ -52,9 +52,14 @@ type Options struct {
 	// Training makes the proxy analyze and record onion adjustments
 	// without encrypting or executing anything (§3.5.1 training mode).
 	Training bool
-	// Plan restricts which onions each column materializes (§3.5.2
-	// "known query set": discard onions that are not needed). Derive one
-	// with TrainPlan. Nil keeps every applicable onion.
+	// Plan is the developer's a-priori statement of the query set (§3.5.2
+	// "known query set"), per column: an onion the column's entry lists is
+	// present from the first row, an onion it omits is discarded and a
+	// query needing it is refused (the error names table, column and
+	// onion). A column with no entry — every column when Plan is nil —
+	// declares every applicable onion, writes only Eq, and materialises
+	// each other onion on the first query that needs it. Derive a plan
+	// with TrainPlan.
 	Plan OnionPlan
 	// DataDir makes the proxy durable: key material (master key, Paillier
 	// primes) is loaded from — or, on first use, generated into —

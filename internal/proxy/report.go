@@ -23,6 +23,12 @@ type ColumnReport struct {
 	// RND/HOM, or DET with no repeats (repeat detection is the caller's
 	// concern; this flag covers the layer part only).
 	High bool
+	// Present and Deferred split the column's declared onions, in canonical
+	// order: the server holds ciphertexts of a present onion, at the layer
+	// MinEnc accounts for, and none at all of a deferred one — which is
+	// stronger than RND (no row count per value length, no NULL pattern). An
+	// onion in neither list was discarded by the plan.
+	Present, Deferred []onion.Onion
 }
 
 // Report computes the per-column steady-state onion analysis over all
@@ -54,6 +60,14 @@ func (p *Proxy) columnReport(cm *ColumnMeta) ColumnReport {
 		NeedsHOM:       cm.UsedSum,
 		NeedsSEARCH:    cm.UsedSearch,
 		NeedsPlaintext: cm.NeedsPlaintext,
+	}
+	for _, o := range onion.Onions(cm.Type) {
+		switch {
+		case cm.present(o):
+			cr.Present = append(cr.Present, o)
+		case cm.HasOnion(o):
+			cr.Deferred = append(cr.Deferred, o)
+		}
 	}
 	switch {
 	case cm.Plain:

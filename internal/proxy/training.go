@@ -1,14 +1,21 @@
 package proxy
 
 import (
+	"slices"
+
 	"repro/internal/onion"
 	"repro/internal/sqldb"
 )
 
-// OnionPlan records, per "table.column", which onions to materialize — the
-// §3.5.2 "known query set" optimization: after training on the
-// application's queries, onions that no query needs are discarded, saving
-// storage and encryption time. The Eq onion is always kept (it is the
+// OnionPlan is the developer's a-priori statement of which onions a column
+// needs, per "table.column" — the §3.5.2 "known query set" optimization.
+// For a column with an entry, an onion the entry lists is present from the
+// first row (every INSERT encrypts into it), and an onion it omits is
+// discarded: its server column is never declared and a query that needs it
+// is refused with the table, column and onion named. A column with no entry
+// gets the default lifecycle instead: every applicable onion is declared,
+// only Eq is written, and each other onion is deferred until the first query
+// that needs it (see materialise). The Eq onion is always kept (it is the
 // decryption path for projections).
 type OnionPlan map[string][]onion.Onion
 
@@ -77,35 +84,21 @@ func TrainPlan(ddl []string, queries []TrainQuery) (OnionPlan, error) {
 	return p.DerivePlan(), nil
 }
 
-// plannedOnions returns the onions to materialize for a column, honoring
-// the configured plan (all applicable onions when unplanned).
-func (p *Proxy) plannedOnions(table string, cm *ColumnMeta) []onion.Onion {
+// plannedOnions returns the onions to declare for a column and whether the
+// configured plan has an entry for it. With an entry the list is the entry
+// (plus Eq) and every onion in it is present from the first row; without one
+// it is every applicable onion, and the caller defers all but Eq.
+func (p *Proxy) plannedOnions(table string, cm *ColumnMeta) (onions []onion.Onion, planned bool) {
 	all := onion.Onions(cm.Type)
-	if p.opts.Plan == nil {
-		return all
-	}
 	keep, ok := p.opts.Plan[planKey(table, cm.Logical)]
 	if !ok {
-		return all
+		return all, false
 	}
-	var out []onion.Onion
 	for _, o := range all {
-		for _, k := range keep {
-			if o == k {
-				out = append(out, o)
-				break
-			}
+		// Eq is mandatory: it is how the proxy reads values back.
+		if o == onion.Eq || slices.Contains(keep, o) {
+			onions = append(onions, o)
 		}
 	}
-	// Eq is mandatory: it is how the proxy reads values back.
-	hasEq := false
-	for _, o := range out {
-		if o == onion.Eq {
-			hasEq = true
-		}
-	}
-	if !hasEq {
-		out = append([]onion.Onion{onion.Eq}, out...)
-	}
-	return out
+	return onions, true
 }

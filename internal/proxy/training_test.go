@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/onion"
 	"repro/internal/sqldb"
+	"repro/internal/sqlparser"
 )
 
 func TestTrainPlanAndDiscard(t *testing.T) {
@@ -101,12 +102,21 @@ func TestPlanStorageReduction(t *testing.T) {
 		}
 		return db.SizeBytes()
 	}
-	full := load(Options{HOMBits: 256})
+	// "Full" is a plan that lists every onion: all present from the first
+	// row. No plan at all defers everything but Eq, which after a load
+	// stores what the trained plan stores plus the deferred columns' NULLs.
+	full := load(Options{HOMBits: 256, Plan: OnionPlan{
+		"t.a": onion.Onions(sqlparser.TypeInt), "t.b": onion.Onions(sqlparser.TypeInt), "t.c": onion.Onions(sqlparser.TypeText),
+	}})
 	planned := load(Options{HOMBits: 256, Plan: plan})
+	deferred := load(Options{HOMBits: 256})
 	if planned >= full {
 		t.Fatalf("planned storage %d not smaller than full %d", planned, full)
 	}
 	if float64(planned) > 0.5*float64(full) {
 		t.Fatalf("expected large reduction, got %d vs %d", planned, full)
+	}
+	if deferred < planned || float64(deferred) > 1.2*float64(planned) {
+		t.Fatalf("a load with no plan stores %d bytes, the trained plan %d: want within 20%% above", deferred, planned)
 	}
 }
