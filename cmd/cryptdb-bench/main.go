@@ -41,7 +41,6 @@ var figures = []struct {
 	{"groupcommit", "concurrent sessions + WAL group commit", figGroupCommit},
 	{"shardscale", "sharded store write scaling (1/2/4/8 shards)", figShardScale},
 	{"joins", "compiled-pipeline joins and GROUP BY, single vs 4-shard", figJoins},
-	{"parallelexec", "morsel-parallel workers sweep (resident + paged)", figParallelExec},
 	{"replication", "WAL shipping: primary-only vs primary+follower, snapshot resync", figReplication},
 }
 

@@ -9,6 +9,12 @@
 //	ROW <tab-separated> for each result row, then OK <n>
 //	ERR <message>       on error
 //
+// A response line never carries a raw backslash, LF, CR or TAB from a cell
+// or an error message: they are written as \\, \n, \r and \t (the escapes
+// a SQL string literal reads back), so a stored newline cannot end a line
+// early and a stored tab cannot shift columns. Split a ROW on TAB first,
+// then unescape each cell.
+//
 // Usage:
 //
 //	cryptdb-server [-addr :7432] [-multi] [-data-dir DIR] [-shards N]
@@ -78,6 +84,7 @@ import (
 	"repro/internal/mp"
 	"repro/internal/proxy"
 	"repro/internal/sqldb"
+	"repro/internal/sqlparser"
 	"repro/internal/store"
 	"repro/internal/store/replicated"
 	"repro/internal/store/sharded"
@@ -89,44 +96,36 @@ import (
 // connections before closing them forcibly.
 const drainTimeout = 10 * time.Second
 
+// newFlagSet declares every cryptdb-server flag, bound to cfg. It is the
+// one place a flag is defined, so the README check in main_test.go can ask
+// it which flags exist.
+func newFlagSet(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("cryptdb-server", flag.ExitOnError)
+	fs.StringVar(&cfg.addr, "addr", ":7432", "listen address")
+	fs.BoolVar(&cfg.multi, "multi", false, "enable multi-principal mode (§4)")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "directory for durable state (WAL, snapshots, proxy keys); empty runs in-memory")
+	fs.IntVar(&cfg.shards, "shards", 1, "number of store shards (hash-partitioned by hidden row id); a durable directory fixes the count at creation")
+	fs.BoolVar(&cfg.noFsync, "wal-nofsync", false, "skip fsync after each commit (faster; a machine crash may lose recent commits)")
+	fs.Int64Var(&cfg.checkpointMB, "checkpoint-mb", 4, "WAL size in MiB that triggers an automatic snapshot; 0 disables")
+	fs.BoolVar(&cfg.paged, "paged", false, "store rows in on-disk page segments behind a byte-budgeted buffer cache, so data may exceed RAM (requires -data-dir); an existing directory's layout always wins")
+	fs.Int64Var(&cfg.cacheMB, "cache-mb", 64, "paged-mode buffer-cache budget in MiB, split evenly across shards; ignored without -paged (or a paged directory)")
+	fs.IntVar(&cfg.maxSessions, "max-sessions", 0, "maximum concurrent client sessions; 0 = unlimited")
+	fs.StringVar(&cfg.replicateTo, "replicate-to", "", "also listen on this address for replication followers and ship the WAL to them (requires -data-dir)")
+	fs.StringVar(&cfg.replicaOf, "replica-of", "", "run as a read-only follower of the primary at this address (requires -data-dir with the primary's proxy-keys.json)")
+	return fs
+}
+
 func main() {
-	addr := flag.String("addr", ":7432", "listen address")
-	multi := flag.Bool("multi", false, "enable multi-principal mode (§4)")
-	dataDir := flag.String("data-dir", "", "directory for durable state (WAL, snapshots, proxy keys); empty runs in-memory")
-	shards := flag.Int("shards", 1, "number of store shards (hash-partitioned by hidden row id); a durable directory fixes the count at creation")
-	noFsync := flag.Bool("wal-nofsync", false, "skip fsync after each commit (faster; a machine crash may lose recent commits)")
-	checkpointMB := flag.Int64("checkpoint-mb", 4, "WAL size in MiB that triggers an automatic snapshot; 0 disables")
-	paged := flag.Bool("paged", false, "store rows in on-disk page segments behind a byte-budgeted buffer cache, so data may exceed RAM (requires -data-dir); an existing directory's layout always wins")
-	cacheMB := flag.Int64("cache-mb", 64, "paged-mode buffer-cache budget in MiB, split evenly across shards; ignored without -paged (or a paged directory)")
-	maxSessions := flag.Int("max-sessions", 0, "maximum concurrent client sessions; 0 = unlimited")
-	replicateTo := flag.String("replicate-to", "", "also listen on this address for replication followers and ship the WAL to them (requires -data-dir)")
-	replicaOf := flag.String("replica-of", "", "run as a read-only follower of the primary at this address (requires -data-dir with the primary's proxy-keys.json)")
-	execWorkers := flag.Int("exec-workers", 0, "intra-query worker count for compiled execution (morsel parallelism), per statement; 0 = GOMAXPROCS, 1 = serial")
-	flag.Parse()
+	var cfg config
+	newFlagSet(&cfg).Parse(os.Args[1:]) //nolint:errcheck // ExitOnError: Parse exits on a bad flag
 
-	// Set before the engine opens so every database the process creates —
-	// shards, replication followers, gather temporaries — inherits it.
-	sqldb.SetDefaultExecWorkers(*execWorkers)
-
-	srv, err := newServer(config{
-		addr:         *addr,
-		multi:        *multi,
-		dataDir:      *dataDir,
-		shards:       *shards,
-		noFsync:      *noFsync,
-		checkpointMB: *checkpointMB,
-		paged:        *paged,
-		cacheMB:      *cacheMB,
-		maxSessions:  *maxSessions,
-		replicateTo:  *replicateTo,
-		replicaOf:    *replicaOf,
-	})
+	srv, err := newServer(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	mode := "in-memory"
-	if *dataDir != "" {
-		mode = "durable, data-dir=" + *dataDir
+	if cfg.dataDir != "" {
+		mode = "durable, data-dir=" + cfg.dataDir
 	}
 	if n := srv.eng.Shards(); n > 1 {
 		mode += fmt.Sprintf(", %d shards", n)
@@ -134,12 +133,12 @@ func main() {
 	if b := srv.eng.Stats().Cache.BudgetBytes; b > 0 {
 		mode += fmt.Sprintf(", paged (cache %d MiB)", b>>20)
 	}
-	if *replicaOf != "" {
-		mode += ", read-only replica of " + *replicaOf
+	if cfg.replicaOf != "" {
+		mode += ", read-only replica of " + cfg.replicaOf
 	} else if pe, ok := srv.eng.(*replicated.PrimaryEngine); ok {
 		mode += ", replicating on " + pe.Addr()
 	}
-	log.Printf("cryptdb-server listening on %s (multi-principal: %v, %s)", srv.ln.Addr(), *multi, mode)
+	log.Printf("cryptdb-server listening on %s (multi-principal: %v, %s)", srv.ln.Addr(), cfg.multi, mode)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
@@ -376,9 +375,8 @@ func (s *server) run() error {
 	// Report engine-wide work before closing: counters sum across every
 	// shard (reading shard 0 alone would under-report).
 	st := s.eng.Stats()
-	log.Printf("cryptdb-server: store stats: shards=%d wal-batches=%d wal-syncs=%d checkpoints=%d size=%dB busy=%dms parallel-pipelines=%d morsels=%d exec-workers=%d",
-		st.Shards, st.WAL.Batches, st.WAL.Syncs, st.WAL.Checkpoints, st.SizeBytes, st.BusyNanos/1e6,
-		st.Plan.ParallelPipelines, st.Plan.Morsels, st.Plan.ExecWorkers)
+	log.Printf("cryptdb-server: store stats: shards=%d wal-batches=%d wal-syncs=%d checkpoints=%d size=%dB busy=%dms",
+		st.Shards, st.WAL.Batches, st.WAL.Syncs, st.WAL.Checkpoints, st.SizeBytes, st.BusyNanos/1e6)
 	for _, f := range st.Followers {
 		log.Printf("cryptdb-server: follower %s shard %d: acked seq %d of %d (lag %d)",
 			f.Remote, f.Shard, f.AckedSeq, f.PrimarySeq, f.PrimarySeq-f.AckedSeq)
@@ -453,7 +451,7 @@ func serve(conn net.Conn, ex workload.Executor) {
 		}
 		res, err := ex.Execute(sql)
 		if err != nil {
-			fmt.Fprintf(out, "ERR %v\n", err)
+			fmt.Fprintf(out, "ERR %s\n", sqlparser.EscapeString(err.Error()))
 			if out.Flush() != nil {
 				return // write side is dead; stop serving the connection
 			}
@@ -462,7 +460,7 @@ func serve(conn net.Conn, ex workload.Executor) {
 		for _, row := range res.Rows {
 			parts := make([]string, len(row))
 			for i, v := range row {
-				parts[i] = v.String()
+				parts[i] = sqlparser.EscapeString(v.String())
 			}
 			// Rows decrypt at the proxy and return to the client in the
 			// clear — this IS the trusted side of the CryptDB boundary.
@@ -484,7 +482,7 @@ func serve(conn net.Conn, ex workload.Executor) {
 	// with unread bytes queued can RST the ERR line away before the
 	// client reads it.
 	if err := in.Err(); err != nil && !os.IsTimeout(err) {
-		fmt.Fprintf(out, "ERR %v\n", err)
+		fmt.Fprintf(out, "ERR %s\n", sqlparser.EscapeString(err.Error()))
 		if out.Flush() != nil {
 			return // both directions dead; skip the drain
 		}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/proxy"
 	"repro/internal/sqldb"
+	"repro/internal/sqlparser"
 	"repro/internal/store/sharded"
 )
 
@@ -653,5 +655,93 @@ func TestShardedDirLayoutWinsOverFlags(t *testing.T) {
 	}
 	if _, err := newServer(config{addr: "127.0.0.1:0", dataDir: sdir, shards: 4}); err == nil {
 		t.Fatal("single-store dir accepted -shards 4")
+	}
+}
+
+// TestStoredBytesCannotForgeResponseLines stores text holding the bytes that
+// frame a response (LF, CR, TAB) and the escape character itself, then reads
+// it back over TCP: every statement must get exactly one response, every ROW
+// the expected number of cells, and every cell must unescape to what was
+// stored.
+func TestStoredBytesCannotForgeResponseLines(t *testing.T) {
+	srv, err := newServer(config{addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- srv.run() }()
+	defer func() {
+		srv.shutdown()
+		<-runErr
+	}()
+	conn, err := net.Dial("tcp", srv.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+
+	stored := []string{"a\nOK 7", "col\tshift", "cr\rlf\r\nERR no", `back\slash \n`, `trailing\`, "it's plain"}
+	if got := sendLine(t, conn, r, "CREATE TABLE u (id INT, s TEXT)"); got[0] != "OK 0" {
+		t.Fatalf("create: %q", got)
+	}
+	for i, s := range stored {
+		if got := sendLine(t, conn, r, fmt.Sprintf("INSERT INTO u (id, s) VALUES (%d, %s)", i, &sqlparser.StrLit{V: s})); got[0] != "OK 1" {
+			t.Fatalf("insert %q: %q", s, got)
+		}
+	}
+	got := sendLine(t, conn, r, "SELECT id, s FROM u ORDER BY id")
+	if len(got) != len(stored)+1 || got[len(stored)] != fmt.Sprintf("OK %d", len(stored)) {
+		t.Fatalf("SELECT answered %d lines, want %d rows and OK %d: %q", len(got), len(stored), len(stored), got)
+	}
+	for i, s := range stored {
+		cells := strings.Split(strings.TrimPrefix(got[i], "ROW "), "\t")
+		if len(cells) != 2 || cells[0] != fmt.Sprint(i) {
+			t.Fatalf("row %d = %q: want 2 cells, the first %d", i, got[i], i)
+		}
+		tok, err := sqlparser.NewLexer("'" + strings.ReplaceAll(cells[1], "'", "''") + "'").Next()
+		if err != nil || tok.Text != s {
+			t.Fatalf("row %d: cell %q unescapes to %q (%v), stored %q", i, cells[1], tok.Text, err, s)
+		}
+	}
+	// The stream is still in step: the next statement gets its own answer.
+	if got := sendLine(t, conn, r, "SELECT COUNT(*) FROM u"); len(got) != 2 || got[0] != fmt.Sprintf("ROW %d", len(stored)) || got[1] != "OK 1" {
+		t.Fatalf("statement after the SELECT answered %q", got)
+	}
+}
+
+// TestREADMEFlagsAreDefined keeps README.md and the flag set in step: every
+// -flag on a README command line that runs cryptdb-server, and every
+// backquoted `-flag` in its text, must be one newFlagSet defines.
+func TestREADMEFlagsAreDefined(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flags the README names that belong to other commands.
+	elsewhere := map[string]bool{"json": true} // cryptdb-vet, cryptdb-bench
+	fs := newFlagSet(new(config))
+	named := 0
+	check := func(line int, name string) {
+		named++
+		if fs.Lookup(name) == nil && !elsewhere[name] {
+			t.Errorf("README.md:%d names -%s, which cryptdb-server does not define", line, name)
+		}
+	}
+	backquoted := regexp.MustCompile("`-([a-z][a-z-]*)")
+	onCommand := regexp.MustCompile(` -([a-z][a-z-]*)`)
+	for i, line := range strings.Split(string(readme), "\n") {
+		for _, m := range backquoted.FindAllStringSubmatch(line, -1) {
+			check(i+1, m[1])
+		}
+		if _, args, ok := strings.Cut(line, "cryptdb-server "); ok {
+			args, _, _ = strings.Cut(args, "#")
+			for _, m := range onCommand.FindAllStringSubmatch(" "+args, -1) {
+				check(i+1, m[1])
+			}
+		}
+	}
+	if named < 20 {
+		t.Fatalf("found only %d flag mentions in README.md; the patterns no longer match it", named)
 	}
 }

@@ -352,8 +352,8 @@ func (w *regionWalker) stmt(s ast.Stmt) {
 		// lock the spawner still holds, and the spawner joins the pool
 		// under that lock (worker fan-out, WaitGroup.Wait), the pair
 		// deadlocks. Even read-read on an RWMutex wedges once a writer
-		// queues between the two acquisitions. The morsel worker pool
-		// depends on this: workers run under the *spawner's* statement
+		// queues between the two acquisitions. BuildIndexesParallel
+		// depends on this: its workers run under the *spawner's* statement
 		// lock and must never touch db.mu themselves.
 		if len(w.held) > 0 {
 			w.checkSpawn(s)

@@ -75,11 +75,6 @@ type exprCompiler struct {
 	db     *DB
 	sc     *scope
 	aggIdx map[string]int
-	// sawUDF records that a compiled expression calls a user-registered
-	// function (scalar or aggregate). UDFs give no thread-safety contract,
-	// so a plan touching one is excluded from parallel execution
-	// (compiledSelect.noPar).
-	sawUDF bool
 }
 
 func (c *exprCompiler) compile(e sqlparser.Expr) (compiledExpr, error) {
@@ -288,7 +283,6 @@ func (c *exprCompiler) compileFuncCall(x *sqlparser.FuncCall) (compiledExpr, err
 	if !ok {
 		return nil, fmt.Errorf("sqldb: unknown function %s", x.Name)
 	}
-	c.sawUDF = true
 	args := make([]compiledExpr, len(x.Args))
 	for i, a := range x.Args {
 		ce, err := c.compile(a)
@@ -512,11 +506,7 @@ type compiledSelect struct {
 	cols    []string
 	proj    []compiledExpr
 	orderBy []compiledOrder
-	projMem projAlloc // chunk allocator for result rows (projectInto)
-
-	// noPar excludes this plan from morsel-parallel execution: some
-	// compiled expression calls a UDF (parallel.go).
-	noPar bool
+	projMem []Value // chunk result rows are carved from (projectInto)
 }
 
 // aggSpec builds one aggregate accumulator per group.
@@ -614,7 +604,6 @@ func (db *DB) compileSelect(s *sqlparser.SelectStmt, sc *scope, aggCalls []*sqlp
 		}
 		cp.orderBy = append(cp.orderBy, compiledOrder{key: ke, desc: item.Desc})
 	}
-	cp.noPar = rowc.sawUDF || outc.sawUDF
 	return cp, nil
 }
 
@@ -647,7 +636,6 @@ func (db *DB) compileAgg(rowc *exprCompiler, fc *sqlparser.FuncCall) (aggSpec, e
 			}
 			args[i] = ce
 		}
-		rowc.sawUDF = true // AggState carries opaque cross-row state: not mergeable
 		return aggSpec{newAcc: func() vAgg { return &cUDFAcc{args: args, state: factory()} }}, nil
 	}
 	if fc.Name == "COUNT" && fc.Star {

@@ -111,18 +111,6 @@ type DB struct {
 	// Planner counters (atomics; see PlanCounters).
 	fullScans, eqScans, rangeScans, orderedScans, minMaxFast int64
 	compiledSel, hashJoins, nestedLoops                      int64
-
-	// execWorkers is the configured intra-query parallelism for the
-	// compiled pipeline (see parallel.go): 0 picks the process default
-	// (SetDefaultExecWorkers, else GOMAXPROCS), 1 forces serial execution,
-	// >1 caps the per-statement worker count. Atomic.
-	execWorkers int32
-
-	// Morsel-execution counters (atomics; see PlanCounters):
-	// parallelPipelines counts statements that actually executed on >1
-	// worker, morselsRun the morsels those statements dispatched.
-	parallelPipelines int64
-	morselsRun        int64
 }
 
 // PlanCounters tallies the scan planner's access-path decisions: how many
@@ -152,38 +140,33 @@ type PlanCounters struct {
 	// GroupPushdowns is always zero at the sqldb level; a sharded store
 	// counts its scatter GROUP BY decompositions here when summing.
 	GroupPushdowns int64
-	// ParallelPipelines counts compiled SELECTs that executed morsel-
-	// parallel (>1 worker actually engaged); Morsels counts the morsels
-	// those statements dispatched across scan and join-build phases.
-	// ExecWorkers is the effective per-statement worker cap — a
-	// configuration snapshot, not a tally (a sharded store reports the
-	// max across shards).
+	// ParallelPipelines and Morsels are always zero: they counted SELECTs
+	// split into morsels across worker goroutines, a mode that is no longer
+	// in the binary (a SELECT runs on its session's goroutine). The fields
+	// stay only because the benchmark module (bench/layers.go) reads them
+	// and is frozen against this package; a benchmark change can drop both.
 	ParallelPipelines int64
 	Morsels           int64
-	ExecWorkers       int64
 }
 
 // PlanCounters returns a snapshot of the planner's access-path tallies.
 func (db *DB) PlanCounters() PlanCounters {
 	return PlanCounters{
-		FullScans:         atomic.LoadInt64(&db.fullScans),
-		EqScans:           atomic.LoadInt64(&db.eqScans),
-		RangeScans:        atomic.LoadInt64(&db.rangeScans),
-		OrderedScans:      atomic.LoadInt64(&db.orderedScans),
-		MinMaxIndex:       atomic.LoadInt64(&db.minMaxFast),
-		Compiled:          atomic.LoadInt64(&db.compiledSel),
-		HashJoins:         atomic.LoadInt64(&db.hashJoins),
-		NestedLoops:       atomic.LoadInt64(&db.nestedLoops),
-		ParallelPipelines: atomic.LoadInt64(&db.parallelPipelines),
-		Morsels:           atomic.LoadInt64(&db.morselsRun),
-		ExecWorkers:       int64(db.effectiveExecWorkers()),
+		FullScans:    atomic.LoadInt64(&db.fullScans),
+		EqScans:      atomic.LoadInt64(&db.eqScans),
+		RangeScans:   atomic.LoadInt64(&db.rangeScans),
+		OrderedScans: atomic.LoadInt64(&db.orderedScans),
+		MinMaxIndex:  atomic.LoadInt64(&db.minMaxFast),
+		Compiled:     atomic.LoadInt64(&db.compiledSel),
+		HashJoins:    atomic.LoadInt64(&db.hashJoins),
+		NestedLoops:  atomic.LoadInt64(&db.nestedLoops),
 	}
 }
 
-// absorbCounters adds a throwaway view database's planner and morsel
-// tallies into db. Transactional SELECTs execute against a per-statement
-// viewDB copy (session.go); without this their access-path and parallelism
-// decisions would vanish with the copy.
+// absorbCounters adds a throwaway view database's planner tallies into db.
+// Transactional SELECTs execute against a per-statement viewDB copy
+// (session.go); without this their access-path decisions would vanish with
+// the copy.
 func (db *DB) absorbCounters(view *DB) {
 	atomic.AddInt64(&db.fullScans, atomic.LoadInt64(&view.fullScans))
 	atomic.AddInt64(&db.eqScans, atomic.LoadInt64(&view.eqScans))
@@ -193,31 +176,7 @@ func (db *DB) absorbCounters(view *DB) {
 	atomic.AddInt64(&db.compiledSel, atomic.LoadInt64(&view.compiledSel))
 	atomic.AddInt64(&db.hashJoins, atomic.LoadInt64(&view.hashJoins))
 	atomic.AddInt64(&db.nestedLoops, atomic.LoadInt64(&view.nestedLoops))
-	atomic.AddInt64(&db.parallelPipelines, atomic.LoadInt64(&view.parallelPipelines))
-	atomic.AddInt64(&db.morselsRun, atomic.LoadInt64(&view.morselsRun))
 }
-
-// SetExecWorkers configures intra-query parallelism for this database's
-// compiled pipeline: 0 restores the process default (SetDefaultExecWorkers,
-// else GOMAXPROCS), 1 forces serial execution (the ablation arm), n>1 caps
-// each statement at n workers. Requests above the process-wide token
-// budget raise it, so an explicit sweep is honored even on small machines.
-// Safe to call concurrently with running statements; in-flight statements
-// keep the worker count they started with.
-func (db *DB) SetExecWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > 1 {
-		execTokens.ensureCap(n - 1)
-	}
-	atomic.StoreInt32(&db.execWorkers, int32(n))
-}
-
-// ExecWorkers returns the configured worker setting (0 = process default).
-// Storage layers that spin up transient databases (the sharded store's
-// gather fallback) propagate it.
-func (db *DB) ExecWorkers() int { return int(atomic.LoadInt32(&db.execWorkers)) }
 
 // BusyNanos reports cumulative statement execution time.
 func (db *DB) BusyNanos() int64 { return atomic.LoadInt64(&db.busyNanos) }

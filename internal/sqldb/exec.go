@@ -125,12 +125,10 @@ type hashJoinSource struct {
 }
 
 // pairFunc returns the emit step shared by the probe paths: join the build
-// row into a fresh tuple, apply the residual ON filter, hand downstream.
-// newTuple/add abstract the downstream so the serial batcher and the
-// parallel morsel pipelines (parallel.go) share the same join semantics.
-func (h *hashJoinSource) pairFunc(newTuple func() tuple, add func(tuple) error, rev *execEnv) func(tuple, []Value) error {
+// row into a fresh tuple, apply the residual ON filter, batch.
+func (h *hashJoinSource) pairFunc(out *batcher, rev *execEnv) func(tuple, []Value) error {
 	return func(tup tuple, brow []Value) error {
-		nt := newTuple()
+		nt := out.newTuple()
 		copy(nt, tup)
 		nt[h.ti] = brow
 		if h.residual != nil {
@@ -143,17 +141,14 @@ func (h *hashJoinSource) pairFunc(newTuple func() tuple, add func(tuple) error, 
 				return nil
 			}
 		}
-		return add(nt)
+		return out.add(nt)
 	}
 }
 
 // builtTable is one hash join's prepared build side. Either a borrowed
 // persistent hash index (idx != nil: the build side is an unpruned full
 // scan over a single indexed key column, so the index *is* the build
-// table) or a transient table built from the access path, stored in one or
-// more stripes: the serial build fills a single stripe, the parallel build
-// (parallel.go) fills buildStripes keyed by a hash of the key bytes so
-// stripes build concurrently without locks.
+// table) or a transient map built from the access path.
 type builtTable struct {
 	// Index mode.
 	idx      *hashIndex
@@ -161,37 +156,16 @@ type builtTable struct {
 	idxHomog bool
 
 	// Build mode.
-	stripes     []map[string][][]Value
-	stripeMask  uint32    // 0 with a single stripe
-	rows        [][]Value // build rows with a fully non-NULL key, slot order
+	m           map[string][][]Value // encoded key -> build rows, slot order
+	rows        [][]Value            // build rows with a fully non-NULL key, slot order
 	buildKinds  []Kind
 	homogeneous bool
 
 	total int // all build rows, including NULL-key ones
 }
 
-// lookup returns the build rows under an encoded key, in slot order.
-func (bt *builtTable) lookup(key []byte) [][]Value {
-	s := 0
-	if bt.stripeMask != 0 {
-		s = int(fnv32a(key) & bt.stripeMask)
-	}
-	return bt.stripes[s][string(key)]
-}
-
-// fnv32a hashes key bytes for stripe selection (FNV-1a).
-func fnv32a(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
-}
-
-// probeScratch is the per-probe-pipeline scratch state of one hash join:
+// probeScratch is the probe-side scratch state of one hash join's run:
 // evaluation environments, decoded key values and the key encoding buffer.
-// The serial run owns one; each parallel worker owns one per join step.
 type probeScratch struct {
 	pev, rev  execEnv
 	probeVals []Value
@@ -208,9 +182,8 @@ func (h *hashJoinSource) newProbeScratch() *probeScratch {
 
 // prepare runs the build phase once and tallies the join in the planner
 // counters (hashJoins for a trusted-key build, nestedLoops for a
-// heterogeneous one that degrades to per-pair comparison). workers > 1
-// builds large unpruned build sides morsel-parallel (parallel.go).
-func (h *hashJoinSource) prepare(workers int) (*builtTable, error) {
+// heterogeneous one that degrades to per-pair comparison).
+func (h *hashJoinSource) prepare() *builtTable {
 	// When the key is one column, the build side is an unpruned full scan
 	// and that column already has a hash index, the index *is* the build
 	// table: probe it directly instead of rebuilding the same map per
@@ -224,20 +197,12 @@ func (h *hashJoinSource) prepare(workers int) (*builtTable, error) {
 			} else {
 				atomic.AddInt64(&h.db.nestedLoops, 1)
 			}
-			return &builtTable{idx: idx, idxKind: kind, idxHomog: homog, total: h.t.RowCount()}, nil
+			return &builtTable{idx: idx, idxKind: kind, idxHomog: homog, total: h.t.RowCount()}
 		}
 	}
-	if workers > 1 && h.acc.kind == accessScan && h.t.live >= parallelMinRows {
-		return h.buildParallel(workers)
-	}
-	return h.buildSerial()
-}
 
-// buildSerial hashes the build side's candidate rows on the equi key in a
-// single stripe, in slot order.
-func (h *hashJoinSource) buildSerial() (*builtTable, error) {
-	bt := &builtTable{stripes: []map[string][][]Value{make(map[string][][]Value)}}
-	m := bt.stripes[0]
+	// Hash the build side's candidate rows on the equi key, in slot order.
+	bt := &builtTable{m: make(map[string][][]Value)}
 	kinds := make([][4]int, len(h.keys))
 	vals := make([]Value, len(h.keys))
 	var keyBuf []byte
@@ -256,17 +221,13 @@ func (h *hashJoinSource) buildSerial() (*builtTable, error) {
 			keyBuf = v.appendKey(keyBuf)
 			keyBuf = append(keyBuf, 0)
 		}
-		m[string(keyBuf)] = append(m[string(keyBuf)], row)
+		bt.m[string(keyBuf)] = append(bt.m[string(keyBuf)], row)
 		bt.rows = append(bt.rows, row)
 		return true
 	})
-	h.finishBuild(bt, kinds)
-	return bt, nil
-}
 
-// finishBuild derives the per-column build kinds, decides the trusted-key
-// vs per-pair probe mode, and tallies the join.
-func (h *hashJoinSource) finishBuild(bt *builtTable, kinds [][4]int) {
+	// The per-column build kinds decide the trusted-key vs per-pair probe
+	// mode.
 	bt.buildKinds = make([]Kind, len(h.keys))
 	bt.homogeneous = true
 	for i := range kinds {
@@ -281,6 +242,7 @@ func (h *hashJoinSource) finishBuild(bt *builtTable, kinds [][4]int) {
 	} else {
 		atomic.AddInt64(&h.db.nestedLoops, 1)
 	}
+	return bt
 }
 
 // probeTuple matches one probe tuple against the prepared build table and
@@ -329,7 +291,7 @@ func (h *hashJoinSource) probeTuple(bt *builtTable, s *probeScratch, tup tuple, 
 			s.keyBuf = append(s.keyBuf, 0)
 		}
 		if coerced {
-			for _, brow := range bt.lookup(s.keyBuf) {
+			for _, brow := range bt.m[string(s.keyBuf)] {
 				if err := pair(tup, brow); err != nil {
 					return err
 				}
@@ -400,14 +362,11 @@ func (h *hashJoinSource) probeIndex(bt *builtTable, s *probeScratch, tup tuple, 
 }
 
 func (h *hashJoinSource) run(emit func([]tuple) error) error {
-	bt, err := h.prepare(1)
-	if err != nil {
-		return err
-	}
+	bt := h.prepare()
 	out := newBatcher(h.ntabs, emit)
 	s := h.newProbeScratch()
-	pair := h.pairFunc(out.newTuple, out.add, &s.rev)
-	err = h.inner.run(func(batch []tuple) error {
+	pair := h.pairFunc(out, &s.rev)
+	err := h.inner.run(func(batch []tuple) error {
 		for _, tup := range batch {
 			if err := h.probeTuple(bt, s, tup, pair); err != nil {
 				return err
@@ -504,9 +463,6 @@ func (p *compiledSelect) run() (*Result, error) {
 	if p.hasSeed {
 		p.db.countAccess(p.seedAcc)
 	}
-	if res, err, ran := p.tryRunParallel(); ran {
-		return res, err
-	}
 	if p.grouped {
 		return p.runGrouped()
 	}
@@ -575,28 +531,16 @@ func (p *compiledSelect) sortItems(items []sortItem) error {
 	return sortErr
 }
 
-// projAlloc carves result rows from chunks: one allocation per batchSize
-// rows instead of one per row. The compiledSelect owns one for serial
-// execution; each parallel worker owns its own (parallel.go).
-type projAlloc struct{ mem []Value }
-
-func (pa *projAlloc) alloc(n int) []Value {
-	if len(pa.mem) < n {
-		pa.mem = make([]Value, n*batchSize)
-	}
-	row := pa.mem[:n:n]
-	pa.mem = pa.mem[n:]
-	return row
-}
-
 func (p *compiledSelect) projectInto(ev *execEnv, tup tuple, aggs []Value) ([]Value, error) {
-	return p.projectWith(&p.projMem, ev, tup, aggs)
-}
-
-// projectWith evaluates the projection into a row carved from pa.
-func (p *compiledSelect) projectWith(pa *projAlloc, ev *execEnv, tup tuple, aggs []Value) ([]Value, error) {
 	ev.tup, ev.aggs = tup, aggs
-	row := pa.alloc(len(p.proj))
+	// Result rows are carved from chunks: one allocation per batchSize rows
+	// instead of one per row.
+	n := len(p.proj)
+	if len(p.projMem) < n {
+		p.projMem = make([]Value, n*batchSize)
+	}
+	row := p.projMem[:n:n]
+	p.projMem = p.projMem[n:]
 	if err := evalProjection(p.proj, ev, row); err != nil {
 		return nil, err
 	}
@@ -775,15 +719,6 @@ func (p *compiledSelect) runGrouped() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.finishGrouped(order)
-}
-
-// finishGrouped runs the serial, order-sensitive tail of hash aggregation
-// over groups in first-seen order: finalize accumulators, HAVING, ORDER
-// BY, projection, DISTINCT, LIMIT. Shared by the serial fold above and the
-// parallel merge (parallel.go).
-func (p *compiledSelect) finishGrouped(order []*cgroup) (*Result, error) {
-	ev := &execEnv{params: p.params}
 
 	// Aggregates over zero rows with no GROUP BY yield one group.
 	if len(order) == 0 && len(p.s.GroupBy) == 0 {
@@ -953,28 +888,12 @@ func (a *cAvgAcc) final() (Value, error) {
 	return Int(a.sum / a.n), nil
 }
 
-// aggCompareError wraps a MIN/MAX running-best comparison failure. The
-// message (and so the user-visible error) is exactly the underlying
-// Compare error; the distinct type lets the parallel executor recognize
-// that the error depends on cross-row state (which value happens to be the
-// running best) and rerun the statement serially for the exact serial
-// outcome (parallel.go).
-type aggCompareError struct{ err error }
-
-func (e *aggCompareError) Error() string { return e.err.Error() }
-func (e *aggCompareError) Unwrap() error { return e.err }
-
 type cMinMaxAcc struct {
 	arg  compiledExpr
 	slot colSlot
 	min  bool
 	best Value
 	any  bool
-	// kinds is a bitmask of the non-NULL value kinds folded in (1<<Kind).
-	// More than one bit set means the result of — and errors raised by —
-	// the running-best comparison depend on fold order, so partials with a
-	// multi-kind union cannot be merged (parallel.go falls back to serial).
-	kinds uint8
 }
 
 func (a *cMinMaxAcc) step(ev *execEnv) error {
@@ -985,7 +904,6 @@ func (a *cMinMaxAcc) step(ev *execEnv) error {
 	if v.IsNull() {
 		return nil
 	}
-	a.kinds |= 1 << uint(v.Kind)
 	if !a.any {
 		a.best = v
 		a.any = true
@@ -993,7 +911,7 @@ func (a *cMinMaxAcc) step(ev *execEnv) error {
 	}
 	c, err := v.Compare(a.best)
 	if err != nil {
-		return &aggCompareError{err}
+		return err
 	}
 	if (a.min && c < 0) || (!a.min && c > 0) {
 		a.best = v

@@ -347,10 +347,9 @@ func (txn *Txn) buildMerged(t *Table, tt *txnTable) (*Table, map[int]*txnRow) {
 // pieces (UDF registries) are aliased, not copied. Callers hold db.mu.
 func (txn *Txn) viewDB() *DB {
 	view := &DB{
-		tables:      make(map[string]*Table, len(txn.db.tables)),
-		udfs:        txn.db.udfs,
-		aggUDFs:     txn.db.aggUDFs,
-		execWorkers: atomic.LoadInt32(&txn.db.execWorkers),
+		tables:  make(map[string]*Table, len(txn.db.tables)),
+		udfs:    txn.db.udfs,
+		aggUDFs: txn.db.aggUDFs,
 	}
 	for name, t := range txn.db.tables {
 		if tt := txn.tables[name]; tt != nil && (len(tt.mods) > 0 || len(tt.ins) > 0) {
@@ -374,9 +373,9 @@ func (txn *Txn) execSelect(s *sqlparser.SelectStmt, params []Value) (*Result, er
 	defer db.mu.RUnlock()
 	view := txn.viewDB()
 	res, err := view.execSelect(s, params)
-	// The view is a throwaway copy, so planner and morsel counters landed
-	// on it; fold them into the shared database so transactional reads show
-	// up in PlanCounters / Stats like autocommit reads do.
+	// The view is a throwaway copy, so the planner counters landed on it;
+	// fold them into the shared database so transactional reads show up in
+	// PlanCounters / Stats like autocommit reads do.
 	db.absorbCounters(view)
 	return res, err
 }

@@ -140,7 +140,7 @@ func (e *ColRef) String() string {
 }
 func (e *IntLit) String() string { return strconv.FormatInt(e.V, 10) }
 func (e *StrLit) String() string {
-	return "'" + strings.ReplaceAll(e.V, "'", "''") + "'"
+	return "'" + strings.ReplaceAll(EscapeString(e.V), "'", "''") + "'"
 }
 func (e *BytesLit) String() string { return "x'" + hex.EncodeToString(e.V) + "'" }
 func (*NullLit) String() string    { return "NULL" }
@@ -380,14 +380,14 @@ func (s *SelectStmt) String() string {
 			sb.WriteString(" AS " + e.Alias)
 		}
 	}
-	sb.WriteString(" FROM ")
 	for i, t := range s.From {
-		if i > 0 {
-			if t.JoinOn != nil {
-				sb.WriteString(" JOIN ")
-			} else {
-				sb.WriteString(", ")
-			}
+		switch {
+		case i == 0:
+			sb.WriteString(" FROM ")
+		case t.JoinOn != nil:
+			sb.WriteString(" JOIN ")
+		default:
+			sb.WriteString(", ")
 		}
 		sb.WriteString(t.Table)
 		if t.Alias != "" {

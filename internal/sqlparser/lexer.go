@@ -50,6 +50,16 @@ var keywords = map[string]bool{
 	"USING": true,
 }
 
+// stringEscaper writes backslash, LF, CR and TAB as the backslash escapes a
+// string literal reads back.
+var stringEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
+
+// EscapeString returns s with backslash, LF, CR and TAB written as \\, \n,
+// \r and \t. The result holds none of LF, CR and TAB, and a string literal
+// with the result between its quotes (quotes in s doubled) lexes back to s;
+// cryptdb-server frames its response lines with it.
+func EscapeString(s string) string { return stringEscaper.Replace(s) }
+
 // Lexer tokenizes a SQL statement.
 type Lexer struct {
 	src string
@@ -112,8 +122,8 @@ func (l *Lexer) Next() (Token, error) {
 					sb.WriteByte('\n')
 				case 't':
 					sb.WriteByte('\t')
-				case '\\', '\'', '"':
-					sb.WriteByte(next)
+				case 'r':
+					sb.WriteByte('\r')
 				default:
 					sb.WriteByte(next)
 				}

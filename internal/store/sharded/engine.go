@@ -878,13 +878,6 @@ func (e *Engine) Stats() store.Stats {
 		out.Plan.NestedLoops += pc.NestedLoops
 		out.Plan.DegradedJoins += pc.DegradedJoins
 		out.Plan.GroupPushdowns += pc.GroupPushdowns
-		out.Plan.ParallelPipelines += pc.ParallelPipelines
-		out.Plan.Morsels += pc.Morsels
-		// ExecWorkers is a configuration snapshot, not a tally: report the
-		// widest per-statement cap any shard would use.
-		if pc.ExecWorkers > out.Plan.ExecWorkers {
-			out.Plan.ExecWorkers = pc.ExecWorkers
-		}
 		ws := sh.WALStats()
 		out.WAL.Batches += ws.Batches
 		out.WAL.Bytes += ws.Bytes

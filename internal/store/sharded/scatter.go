@@ -880,9 +880,6 @@ func sortMerged(rows [][]sqldb.Value, keys []postOrder, params []sqldb.Value) er
 func (c *Conn) gatherExec(s *sqlparser.SelectStmt, params []sqldb.Value) (*sqldb.Result, error) {
 	e := c.eng
 	tmp := sqldb.New()
-	// Inherit the worker setting so the final join/aggregate runs
-	// morsel-parallel like any shard.
-	tmp.SetExecWorkers(e.shards[0].ExecWorkers())
 	e.udfMu.RLock()
 	for name, fn := range e.udfs {
 		tmp.RegisterUDF(name, fn)
