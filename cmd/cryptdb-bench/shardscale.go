@@ -115,7 +115,7 @@ func figShardScale() error {
 	}
 	fmt.Println("\nRows route by hash of the hidden rid; each shard keeps its own WAL and")
 	fmt.Println("group-commit cohort, so the statement lock and the fsync stream both multiply")
-	fmt.Println("with the shard count (given cores/spindles to run them on). Reads")
-	fmt.Println("scatter-gather with an ordered merge (not timed here).")
+	fmt.Println("with the shard count (given cores/spindles to run them on). A read that")
+	fmt.Println("spans shards runs per shard and finishes in shard 0's pipeline (not timed here).")
 	return nil
 }

@@ -352,9 +352,9 @@ func (w *regionWalker) stmt(s ast.Stmt) {
 		// lock the spawner still holds, and the spawner joins the pool
 		// under that lock (worker fan-out, WaitGroup.Wait), the pair
 		// deadlocks. Even read-read on an RWMutex wedges once a writer
-		// queues between the two acquisitions. BuildIndexesParallel
-		// depends on this: its workers run under the *spawner's* statement
-		// lock and must never touch db.mu themselves.
+		// queues between the two acquisitions. A worker pool spawned under
+		// a statement lock would have to leave that lock to its spawner;
+		// today no spawn site holds one, and this check keeps it so.
 		if len(w.held) > 0 {
 			w.checkSpawn(s)
 		}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sqlparser"
 )
 
 // renderRows flattens result rows into comparable strings via the
@@ -308,6 +310,70 @@ func TestCompiledJoinSemantics(t *testing.T) {
 	}
 	if pc := db.PlanCounters(); pc.HashJoins+pc.NestedLoops == 0 {
 		t.Fatalf("no join operators ran: %+v", pc)
+	}
+}
+
+// TestSelectFeeds holds SelectFeeds — every FROM entry bound to supplied
+// rows, the seam a sharded store finishes cross-shard reads on — to the
+// same statement over the stored tables: same rows, same failures, and its
+// hash joins counted on the database it ran on.
+func TestSelectFeeds(t *testing.T) {
+	db := seedEquivalenceDB(t)
+	for i := 0; i < 60; i++ {
+		grp := Text(fmt.Sprintf("g%d", i%5))
+		if i%11 == 0 {
+			grp = Null()
+		}
+		mustExec(t, db, "INSERT INTO t1 (id, grp, a, b) VALUES (?, ?, ?, ?)", Int(int64(i)), grp, Int(int64(i%17)), Int(int64(i%7)))
+		mustExec(t, db, "INSERT INTO t2 (id, fk, c) VALUES (?, ?, ?)", Int(int64(i)), Int(int64(i*7%60)), Int(int64(i%9)))
+		mustExec(t, db, "INSERT INTO t3 (id, k1, k2, d) VALUES (?, ?, ?, ?)", Int(int64(i)), Int(int64(i%9)), Int(int64(i%4)), Int(int64(i)))
+	}
+	fed := func(sql string, params ...Value) (*Result, error) {
+		s, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := s.(*sqlparser.SelectStmt)
+		feeds := make([]Feed, len(sel.From))
+		for i, ref := range sel.From {
+			res := mustExec(t, db, "SELECT * FROM "+ref.Table)
+			feeds[i] = Feed{Columns: res.Columns, Rows: res.Rows}
+		}
+		return db.SelectFeeds(sel, feeds, params...)
+	}
+	var fedJoins int64
+	for _, q := range []struct {
+		sql     string
+		ordered bool
+	}{
+		{"SELECT t1.id, t2.id, t2.c FROM t1, t2 WHERE t1.id = t2.fk AND t2.c > 3", false},
+		{"SELECT t1.grp, COUNT(*), SUM(t2.c) FROM t1 JOIN t2 ON t1.id = t2.fk WHERE t1.a > 4 GROUP BY t1.grp HAVING COUNT(*) > 1 ORDER BY t1.grp", true},
+		{"SELECT t1.grp, t3.d FROM t1, t2, t3 WHERE t1.id = t2.fk AND t2.c = t3.k1 AND t1.b > 2", false},
+		{"SELECT x.id, y.id FROM t1 x JOIN t1 y ON x.a = y.b WHERE x.grp = 'g1'", false},
+		{"SELECT COUNT(DISTINCT grp), AVG(a) FROM t1", true},
+		{"SELECT * FROM t3 WHERE d > 10 ORDER BY k1 DESC, id LIMIT 5 OFFSET 2", true},
+		{"SELECT id FROM t1 WHERE a = NULL", false},
+		{"SELECT t1.id FROM t1, t2 WHERE t1.id = t2.nope", false},
+	} {
+		rs, errS := db.ExecSQL(q.sql)
+		before := db.PlanCounters().HashJoins
+		rf, errF := fed(q.sql)
+		fedJoins += db.PlanCounters().HashJoins - before
+		if (errS == nil) != (errF == nil) {
+			t.Fatalf("%q: stored err=%v, fed err=%v", q.sql, errS, errF)
+		}
+		if errS == nil {
+			sameRows(t, "feeds", q.sql, rs, rf, q.ordered)
+			if strings.Join(rs.Columns, ",") != strings.Join(rf.Columns, ",") {
+				t.Fatalf("%q: columns %v vs %v", q.sql, rs.Columns, rf.Columns)
+			}
+		}
+	}
+	if fedJoins != 5 {
+		t.Fatalf("fed statements counted %d hash joins, want 5", fedJoins)
+	}
+	if _, err := db.SelectFeeds(&sqlparser.SelectStmt{From: []sqlparser.TableRef{{Table: "t1"}}}, nil); err == nil {
+		t.Fatal("SelectFeeds accepted a FROM entry without a feed")
 	}
 }
 

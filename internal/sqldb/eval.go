@@ -11,6 +11,9 @@ import (
 type scopeTable struct {
 	alias string // effective name used for qualification
 	t     *Table
+	// feed, when set, supplies the entry's rows (SelectFeeds); t is then a
+	// rowless, unindexed table that only names the columns.
+	feed *Feed
 }
 
 // scope resolves column references for a query over one or more tables.
@@ -26,6 +29,16 @@ func (s *scope) addTable(alias string, t *Table) {
 		alias = t.Name
 	}
 	s.tabs = append(s.tabs, scopeTable{alias: alias, t: t})
+}
+
+// addFeed binds a FROM entry to supplied rows.
+func (s *scope) addFeed(ref sqlparser.TableRef, f *Feed) {
+	cols := make([]Column, len(f.Columns))
+	for i, name := range f.Columns {
+		cols[i] = Column{Name: name}
+	}
+	s.addTable(ref.Alias, newTable(ref.Table, cols))
+	s.tabs[len(s.tabs)-1].feed = f
 }
 
 // resolve maps a (table, column) reference to (table index, column index).

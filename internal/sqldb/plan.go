@@ -246,6 +246,7 @@ const (
 	accessEq
 	accessRange
 	accessEmpty
+	accessFeed
 )
 
 // access is the chosen way to read one table's candidate rows.
@@ -255,12 +256,19 @@ type access struct {
 	slots []int     // accessEq
 	idx   *ordIndex // accessRange
 	rng   ordRange
+	rows  [][]Value // accessFeed
 }
 
 // iterate visits the candidate rows of t under the access path.
 func (a access) iterate(t *Table, fn func(slot int, row []Value) bool) {
 	switch a.kind {
 	case accessEmpty:
+	case accessFeed:
+		for i, row := range a.rows {
+			if !fn(i, row) {
+				return
+			}
+		}
 	case accessEq:
 		for _, slot := range a.slots {
 			if row := t.rowAt(slot); row != nil {
@@ -298,9 +306,14 @@ func (db *DB) countAccess(a access) {
 }
 
 // bestAccess picks the cheapest access path for scope table ti given the
-// WHERE conjuncts: hash-index equality, ordered-index range, or full scan.
+// WHERE conjuncts: hash-index equality, ordered-index range, or full scan —
+// or, for a fed entry (which has no indexes), its rows unless a conjunct
+// can never match.
 func (db *DB) bestAccess(t *Table, sc *scope, ti int, conj []sqlparser.Expr, params []Value) access {
 	best := access{kind: accessScan, cost: t.live}
+	if f := sc.tabs[ti].feed; f != nil {
+		best = access{kind: accessFeed, cost: len(f.Rows), rows: f.Rows}
+	}
 	bounds := db.sargBounds(conj, sc, ti, params)
 	for col, b := range bounds {
 		if b.bad {

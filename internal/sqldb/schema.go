@@ -3,9 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/sqlparser"
@@ -192,22 +190,9 @@ func (t *Table) addIndex(column string, unique bool) error {
 	if _, ok := t.indexes[column]; ok {
 		return nil // idempotent
 	}
-	idx, err := t.buildHashIndex(column, unique)
-	if err != nil {
-		return err
-	}
-	t.indexes[column] = idx
-	return nil
-}
-
-// buildHashIndex scans the table into a new, uninstalled hash index. The
-// build phase is side-effect free on the table, so several indexes can
-// build concurrently (BuildIndexesParallel) before being installed under
-// the write lock.
-func (t *Table) buildHashIndex(column string, unique bool) (*hashIndex, error) {
 	pos := t.ColumnIndex(column)
 	if pos < 0 {
-		return nil, fmt.Errorf("sqldb: no column %s.%s to index", t.Name, column)
+		return fmt.Errorf("sqldb: no column %s.%s to index", t.Name, column)
 	}
 	idx := &hashIndex{column: column, pos: pos, unique: unique, m: make(map[string][]int)}
 	var dup error
@@ -221,9 +206,10 @@ func (t *Table) buildHashIndex(column string, unique bool) (*hashIndex, error) {
 		return true
 	})
 	if dup != nil {
-		return nil, dup
+		return dup
 	}
-	return idx, nil
+	t.indexes[column] = idx
+	return nil
 }
 
 // addOrdIndex builds an ordered (range) index over an existing column.
@@ -231,100 +217,17 @@ func (t *Table) addOrdIndex(column string) error {
 	if _, ok := t.ordIndexes[column]; ok {
 		return nil // idempotent
 	}
-	ix, err := t.buildOrdIndex(column)
-	if err != nil {
-		return err
-	}
-	t.ordIndexes[column] = ix
-	return nil
-}
-
-// buildOrdIndex is the side-effect-free build phase of addOrdIndex.
-func (t *Table) buildOrdIndex(column string) (*ordIndex, error) {
 	pos := t.ColumnIndex(column)
 	if pos < 0 {
-		return nil, fmt.Errorf("sqldb: no column %s.%s to index", t.Name, column)
+		return fmt.Errorf("sqldb: no column %s.%s to index", t.Name, column)
 	}
 	ix := newOrdIndex(column, pos)
 	t.scan(func(slot int, row []Value) bool {
 		ix.insert(row[pos], slot)
 		return true
 	})
-	return ix, nil
-}
-
-// BuildIndexesParallel creates the given indexes on table, scanning the
-// table once per missing index on up to GOMAXPROCS goroutines, then
-// installing them serially. Used by the sharded engine's gather executor,
-// which rebuilds every index of a gathered table. Runs as one autocommit
-// statement: on a WAL-backed database the index creations land in one
-// atomic redo frame; on in-memory databases (the gather temporary) redo is
-// a no-op. Already-present indexes are skipped, matching addIndex.
-func (db *DB) BuildIndexesParallel(table string, infos []IndexInfo) error {
-	_, err := db.autocommit(nil, func() (*Result, error) {
-		t, ok := db.tables[table]
-		if !ok || t.dropped {
-			return nil, fmt.Errorf("sqldb: no table %s", table)
-		}
-		type job struct {
-			info IndexInfo
-			hash *hashIndex
-			ord  *ordIndex
-			err  error
-		}
-		var jobs []*job
-		for _, info := range infos {
-			if info.Ordered {
-				if _, ok := t.ordIndexes[info.Column]; ok {
-					continue
-				}
-			} else if _, ok := t.indexes[info.Column]; ok {
-				continue
-			}
-			jobs = append(jobs, &job{info: info})
-		}
-		// The build phase only reads the table, and db.mu's write side (held
-		// by autocommit) keeps mutators out for every worker. A page fault on
-		// a worker becomes that job's error instead of a panic off the
-		// statement's goroutine.
-		build := func(j *job) {
-			defer catchPageFault(&j.err)
-			if j.info.Ordered {
-				j.ord, j.err = t.buildOrdIndex(j.info.Column)
-			} else {
-				j.hash, j.err = t.buildHashIndex(j.info.Column, j.info.Unique)
-			}
-		}
-		// Worker w takes jobs w, w+nw, ...
-		nw := min(runtime.GOMAXPROCS(0), len(jobs))
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(jobs); i += nw {
-					build(jobs[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, j := range jobs {
-			if j.err != nil {
-				return nil, j.err
-			}
-		}
-		for _, j := range jobs {
-			if j.info.Ordered {
-				t.ordIndexes[j.info.Column] = j.ord
-				db.redoCreateIndex(table, j.info.Column, false, true)
-			} else {
-				t.indexes[j.info.Column] = j.hash
-				db.redoCreateIndex(table, j.info.Column, j.info.Unique, false)
-			}
-		}
-		return &Result{}, nil
-	})
-	return err
+	t.ordIndexes[column] = ix
+	return nil
 }
 
 // ordIndex returns the ordered index on column, or nil.

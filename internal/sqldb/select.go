@@ -3,16 +3,56 @@ package sqldb
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/sqlparser"
 )
 
-// selectScope binds the FROM tables into a scope and collects the aggregate
-// calls of the projection, HAVING and ORDER BY — what makes a SELECT
-// grouped, which the index fast paths need to know up front.
-func (db *DB) selectScope(s *sqlparser.SelectStmt) (*scope, []*sqlparser.FuncCall, error) {
+// Feed is a row set bound to one FROM entry in place of a stored table:
+// Columns names the positions of every row.
+type Feed struct {
+	Columns []string
+	Rows    [][]Value
+}
+
+// SelectFeeds runs s through the compiled pipeline with FROM entry i bound
+// to feeds[i]. The rows are scanned where they lie — never copied into a
+// table, never indexed — and a hash join builds over them like over any
+// pruned access path. UDFs and plan counters are this database's. A sharded
+// store finishes every cross-shard SELECT this way, on shard 0, over the
+// rows its shards returned.
+func (db *DB) SelectFeeds(s *sqlparser.SelectStmt, feeds []Feed, params ...Value) (*Result, error) {
+	if len(feeds) != len(s.From) {
+		return nil, fmt.Errorf("sqldb: %d feeds for %d FROM entries", len(feeds), len(s.From))
+	}
+	defer db.trackBusy(time.Now())
+	// db.mu guards only the UDF registries here, which compiling resolves
+	// into the plan: the run reads the caller's rows, so writers to this
+	// database do not wait for it.
+	db.mu.RLock()
+	sc, aggCalls, err := db.selectScope(s, feeds)
+	var cp *compiledSelect
+	if err == nil {
+		cp, err = db.compileSelect(s, sc, aggCalls, params)
+	}
+	db.mu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	atomic.AddInt64(&db.compiledSel, 1)
+	return cp.run()
+}
+
+// selectScope binds the FROM tables (or feeds, when given) into a scope and
+// collects the aggregate calls of the projection, HAVING and ORDER BY — what
+// makes a SELECT grouped, which the index fast paths need to know up front.
+func (db *DB) selectScope(s *sqlparser.SelectStmt, feeds []Feed) (*scope, []*sqlparser.FuncCall, error) {
 	sc := &scope{}
-	for _, ref := range s.From {
+	for i, ref := range s.From {
+		if feeds != nil {
+			sc.addFeed(ref, &feeds[i])
+			continue
+		}
 		t, ok := db.tables[ref.Table]
 		if !ok {
 			return nil, nil, fmt.Errorf("sqldb: no table %s", ref.Table)
@@ -35,7 +75,7 @@ func (db *DB) selectScope(s *sqlparser.SelectStmt) (*scope, []*sqlparser.FuncCal
 }
 
 func (db *DB) execSelect(s *sqlparser.SelectStmt, params []Value) (*Result, error) {
-	sc, aggCalls, err := db.selectScope(s)
+	sc, aggCalls, err := db.selectScope(s, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -281,12 +321,6 @@ func (db *DB) resolveOrderBy(s *sqlparser.SelectStmt) []sqlparser.OrderItem {
 	}
 	return out
 }
-
-// SortCompare orders values exactly as ORDER BY does (NULLs first,
-// cross-kind values by kind, never failing). Exported for storage layers
-// that merge pre-sorted result streams — the sharded store's k-way merge
-// must agree with the per-shard sort order or merged output interleaves.
-func SortCompare(a, b Value) int { return compareForSort(a, b) }
 
 // compareForSort orders values with NULLs first and cross-kind values by
 // kind, so sorting never fails.

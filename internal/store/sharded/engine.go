@@ -18,15 +18,14 @@
 // write commits its blob only on its own shard, leaving the others one
 // version behind).
 //
-// Reads scatter to every shard in parallel and gather through an ordered
-// merge: per-shard ORDER BY runs on each shard's ordered (OPE) indexes,
-// LIMIT and MIN/MAX push down, and the coordinator k-way merges in the
-// planner's index order. Aggregates recombine from per-shard partials
-// (COUNT sums, MIN/MAX compare, aggregate UDFs — Paillier hom_sum — are
-// re-applied to partials, which is exactly a product of partial products).
-// Query shapes the scatter planner cannot prove correct (joins, COUNT
-// DISTINCT) fall back to gathering the referenced tables into a transient
-// in-memory sqldb and executing there — slower, never wrong.
+// A read that cannot be routed runs a per-shard statement on every shard in
+// parallel, and shard 0's compiled pipeline runs a coordinator statement
+// over the rows they return (scatter.go): ORDER BY and LIMIT push down to
+// each shard's ordered (OPE) indexes, aggregates push down as partials
+// that the coordinator merges (an aggregate UDF — Paillier hom_sum — is
+// re-applied to its partials, which is exactly a product of partial
+// products), and joins run over each table's filtered rows. The SQL
+// semantics of a cross-shard read are therefore sqldb's own.
 //
 // Transactions are single-shard: a transaction pins itself to the first
 // shard it writes, and a statement that routes elsewhere fails with a
@@ -64,10 +63,10 @@ type Engine struct {
 	dir    string
 	shards []*sqldb.DB
 
-	// groupPushdowns counts GROUP BY queries the scatter planner executed
-	// as per-shard grouped aggregation with partial recombination at the
-	// gather (as opposed to the transient-gather fallback). Engine-level
-	// because the decision is made here, not in any one shard's planner.
+	// groupPushdowns counts GROUP BY queries executed as per-shard grouped
+	// partials merged by the coordinator (as opposed to feeding the table's
+	// rows). Engine-level because the decision is made here, not in any one
+	// shard's planner.
 	groupPushdowns int64
 
 	// metaMu serializes metadata-carrying commits so the sequence
@@ -76,11 +75,10 @@ type Engine struct {
 	metaSeq uint64
 	meta    []byte
 
-	// udfMu guards the registries mirrored here so scatter merging and
-	// the gather fallback know which functions aggregate.
+	// udfMu guards the names of the registered aggregate UDFs, which the
+	// planner must tell from scalar calls.
 	udfMu   sync.RWMutex
-	udfs    map[string]sqldb.UDF
-	aggUDFs map[string]sqldb.AggUDF
+	aggUDFs map[string]bool
 
 	defOnce sync.Once
 	defConn *Conn
@@ -102,8 +100,7 @@ func newEngine(dir string, n int) *Engine {
 	return &Engine{
 		dir:     dir,
 		shards:  make([]*sqldb.DB, n),
-		udfs:    make(map[string]sqldb.UDF),
-		aggUDFs: make(map[string]sqldb.AggUDF),
+		aggUDFs: make(map[string]bool),
 	}
 }
 
@@ -779,31 +776,28 @@ func (e *Engine) broadcastAutonomous(st sqlparser.Statement, meta []byte, params
 
 // RegisterUDF implements store.Engine.
 func (e *Engine) RegisterUDF(name string, fn sqldb.UDF) {
-	e.udfMu.Lock()
-	e.udfs[name] = fn
-	e.udfMu.Unlock()
 	for _, sh := range e.shards {
 		sh.RegisterUDF(name, fn)
 	}
 }
 
 // RegisterAggUDF implements store.Engine. The UDF must be decomposable
-// (see store.Engine): scatter-gather re-applies it to per-shard partials.
+// (see store.Engine): a cross-shard aggregate re-applies it to per-shard
+// partials.
 func (e *Engine) RegisterAggUDF(name string, fn sqldb.AggUDF) {
 	e.udfMu.Lock()
-	e.aggUDFs[name] = fn
+	e.aggUDFs[name] = true
 	e.udfMu.Unlock()
 	for _, sh := range e.shards {
 		sh.RegisterAggUDF(name, fn)
 	}
 }
 
-// aggUDF returns the aggregate UDF registered under name, if any.
-func (e *Engine) aggUDF(name string) (sqldb.AggUDF, bool) {
+// isAggUDF reports whether name is a registered aggregate UDF.
+func (e *Engine) isAggUDF(name string) bool {
 	e.udfMu.RLock()
 	defer e.udfMu.RUnlock()
-	fn, ok := e.aggUDFs[name]
-	return fn, ok
+	return e.aggUDFs[name]
 }
 
 // shardedTableInfo sums introspection across shards.

@@ -229,6 +229,33 @@ func TestStatsAggregation(t *testing.T) {
 	}
 }
 
+// TestCrossShardJoinCounters: a cross-shard equi-join runs in shard 0's
+// compiled pipeline, so its hash join and its compilation count in Stats
+// next to the shards' own reads of the two tables.
+func TestCrossShardJoinCounters(t *testing.T) {
+	const shards = 3
+	e := New(shards)
+	mustExec(t, e, "CREATE TABLE u (id INT PRIMARY KEY, grp INT)")
+	mustExec(t, e, "CREATE TABLE o (id INT PRIMARY KEY, uid INT)")
+	for i := 1; i <= 30; i++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO u (id, grp) VALUES (%d, %d)", i, i%4))
+		mustExec(t, e, fmt.Sprintf("INSERT INTO o (id, uid) VALUES (%d, %d)", i, i%10+1))
+	}
+	before := e.Stats().Plan
+	res := mustExec(t, e, "SELECT o.id, u.grp FROM o, u WHERE o.uid = u.id")
+	if len(res.Rows) != 30 {
+		t.Fatalf("join returned %d rows, want 30", len(res.Rows))
+	}
+	after := e.Stats().Plan
+	if got := after.HashJoins - before.HashJoins; got != 1 {
+		t.Fatalf("HashJoins advanced by %d, want 1", got)
+	}
+	// One read of each table per shard, plus the coordinator statement.
+	if got := after.Compiled - before.Compiled; got != 2*shards+1 {
+		t.Fatalf("Compiled advanced by %d, want %d", got, 2*shards+1)
+	}
+}
+
 // TestAggregateUDFRecombination: a decomposable aggregate UDF recombines
 // across shards (the hom_sum shape: fold partials through the same UDF).
 func TestAggregateUDFRecombination(t *testing.T) {

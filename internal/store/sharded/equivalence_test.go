@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sqldb"
@@ -13,13 +14,15 @@ import (
 
 // TestCrossShardEquivalence drives one pseudo-random workload — inserts,
 // routed and broadcast updates, deletes, transactions, range queries,
-// ORDER BY ... LIMIT, aggregates, GROUP BY/HAVING, DISTINCT and a join —
+// ORDER BY ... LIMIT, aggregates, GROUP BY/HAVING, DISTINCT, COUNT
+// (DISTINCT), an aggregate UDF and joins, one inside a transaction —
 // against store/single and store/sharded at 2, 3 and 8 shards, and
 // requires identical results throughout: the partitioning must be
 // invisible to SQL. Both sides run sqldb's compiled pipeline (its only
 // SELECT executor; sqldb's own suites hold it to the reference
 // interpreter), and the counters prove the sharded side answered through
-// it and pushed grouped queries down per shard instead of gathering.
+// it and pushed grouped queries down per shard instead of feeding whole
+// tables to the coordinator.
 func TestCrossShardEquivalence(t *testing.T) {
 	for _, shards := range []int{2, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -36,10 +39,12 @@ func TestCrossShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestScatterPostMergeShapes proves the generalized scatter planner keeps
-// the new shapes — expressions over aggregates, AVG in HAVING/ORDER BY —
-// on the per-shard pushdown path: GroupPushdowns must advance once per
-// grouped query, meaning none of them fell back to the transient gather.
+// TestScatterPostMergeShapes proves the aggregate planner keeps the
+// post-merge shapes — expressions over aggregates, AVG in HAVING/ORDER BY —
+// on the per-shard partial path: GroupPushdowns must advance once per
+// grouped query, meaning none of them was fed whole to the coordinator. It
+// also holds the merge to one store's semantics where ordering by kind
+// would hide an error: MIN/MAX over values that do not compare must fail.
 func TestScatterPostMergeShapes(t *testing.T) {
 	eng := New(4)
 	ref := single.New(sqldb.New())
@@ -80,7 +85,31 @@ func TestScatterPostMergeShapes(t *testing.T) {
 		compareResults(t, sql, r1, r2, false)
 	}
 	if got := eng.Stats().Plan.GroupPushdowns; got != int64(len(grouped)) {
-		t.Fatalf("GroupPushdowns = %d, want %d (a shape fell back to gather)", got, len(grouped))
+		t.Fatalf("GroupPushdowns = %d, want %d (a shape was not pushed down)", got, len(grouped))
+	}
+
+	// Integers on even shards, 'abc' on odd ones: every shard's partial MIN
+	// and MAX succeed, but one store compares TEXT with INT and fails.
+	for _, e := range []store.Engine{eng, ref} {
+		if _, err := e.ExecSQL("CREATE TABLE mx (id INT PRIMARY KEY, x TEXT)"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			x := sqldb.Int(int64(i))
+			if eng.ShardOf("mx", sqldb.Int(int64(i)))%2 == 1 {
+				x = sqldb.Text("abc")
+			}
+			if _, err := e.ExecSQL("INSERT INTO mx (id, x) VALUES (?, ?)", sqldb.Int(int64(i)), x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, sql := range []string{"SELECT MIN(x) FROM mx", "SELECT MAX(x) FROM mx"} {
+		for _, e := range []store.Engine{ref, eng} {
+			if res, err := e.ExecSQL(sql); err == nil || !strings.Contains(err.Error(), "cannot compare") {
+				t.Fatalf("%s on %T: rows %v, err %v; want a comparison error", sql, e, res, err)
+			}
+		}
 	}
 }
 
@@ -119,15 +148,21 @@ func runEquivalence(t *testing.T, ref, dut store.Engine) {
 		}
 	}
 
-	checkQuery := func(sql string, ordered bool, params ...sqldb.Value) {
+	// checkQuery compares one query's results and returns the sharded one
+	// (an empty result when both engines refused the statement).
+	checkQuery := func(sql string, ordered bool, params ...sqldb.Value) *sqldb.Result {
 		t.Helper()
 		r1, r2 := both(sql, params...)
 		if r1 == nil {
-			return
+			return &sqldb.Result{}
 		}
 		compareResults(t, sql, r1, r2, ordered)
+		return r2
 	}
 
+	for _, e := range []store.Engine{ref, dut} {
+		e.RegisterAggUDF("xsum", func() sqldb.AggState { return &xsumState{} })
+	}
 	mustBoth("CREATE TABLE t (id INT PRIMARY KEY, grp TEXT, val INT, pad TEXT)")
 	mustBoth("CREATE INDEX t_val ON t (val)")
 	mustBoth("CREATE TABLE t2 (id INT PRIMARY KEY, ref INT)")
@@ -151,14 +186,22 @@ func runEquivalence(t *testing.T, ref, dut store.Engine) {
 		checkQuery("SELECT grp, COUNT(*), SUM(val) FROM t GROUP BY grp", false)
 		checkQuery("SELECT grp, COUNT(*) AS c FROM t GROUP BY grp HAVING COUNT(*) > 2 ORDER BY c DESC, grp LIMIT 3", true)
 		// Post-merge shapes: expressions over aggregates, and AVG outside
-		// the select list (both decompose per shard, recombine at gather).
+		// the select list (both decompose per shard and merge in the
+		// coordinator statement).
 		checkQuery("SELECT grp, SUM(val) + COUNT(*) FROM t GROUP BY grp", false)
 		checkQuery("SELECT grp, SUM(val) * 2 AS s2 FROM t GROUP BY grp ORDER BY SUM(val) DESC, grp LIMIT 3", true)
 		checkQuery("SELECT grp, AVG(val) AS a FROM t GROUP BY grp HAVING AVG(val) > 200 ORDER BY a DESC, grp", true)
 		checkQuery("SELECT grp, AVG(val) - 1 FROM t GROUP BY grp HAVING SUM(val) + COUNT(*) > 20", false)
 		checkQuery("SELECT COUNT(*) FROM t WHERE grp = ?", true, sqldb.Text(groups[rng.Intn(len(groups))]))
-		// Cross-shard join: exercises the gather fallback.
+		// Shapes the coordinator runs as written over each table's rows.
 		checkQuery("SELECT t.id, t2.id FROM t, t2 WHERE t.id = t2.ref", false)
+		checkQuery("SELECT t.id, t.val, t2.id FROM t JOIN t2 ON t2.ref = t.id WHERE t.val < 700 AND t2.id > 20", false)
+		checkQuery("SELECT a.id, b.id, b.grp FROM t a, t b WHERE a.grp = 'red' AND a.val = b.id", false)
+		checkQuery("SELECT t.grp, SUM(t2.id), COUNT(*) FROM t JOIN t2 ON t2.ref = t.id GROUP BY t.grp HAVING SUM(t2.id) > 100", false)
+		checkQuery("SELECT t.grp, xsum(t.val) FROM t, t2 WHERE t.id = t2.ref GROUP BY t.grp", false)
+		checkQuery("SELECT COUNT(DISTINCT grp), COUNT(DISTINCT val) FROM t", true)
+		checkQuery("SELECT grp, COUNT(DISTINCT val) FROM t GROUP BY grp", false)
+		checkQuery("SELECT * FROM t ORDER BY val DESC, id LIMIT 4", true)
 	}
 
 	for step := 0; step < 400; step++ {
@@ -203,6 +246,13 @@ func runEquivalence(t *testing.T, ref, dut store.Engine) {
 			mustBoth("INSERT INTO t (id, grp, val, pad) VALUES (?, 'cyan', ?, 'txn')",
 				id, sqldb.Int(int64(rng.Intn(1000))))
 			mustBoth("UPDATE t SET val = val + 1 WHERE id = ?", id)
+			// A cross-shard join inside the pinned transaction sees its own
+			// uncommitted rows (t2's routing key is the same id, so the same
+			// shard).
+			mustBoth("INSERT INTO t2 (id, ref) VALUES (?, ?)", id, id)
+			if res := checkQuery("SELECT t.val, t2.id FROM t JOIN t2 ON t2.ref = t.id WHERE t.id = ?", false, id); len(res.Rows) != 1 {
+				t.Fatalf("join inside the transaction: %d rows, want its own uncommitted row", len(res.Rows))
+			}
 			if rng.Intn(2) == 0 {
 				mustBoth("COMMIT")
 			} else {

@@ -1,23 +1,34 @@
-// Scatter-gather reads.
+// Cross-shard reads.
 //
-// A SELECT that cannot be routed to one shard fans out to all of them in
-// parallel and merges:
+// A SELECT that cannot be routed to one shard is finished one way: every
+// shard runs a per-shard statement in parallel, through this connection's
+// sessions, and shard 0's compiled pipeline runs a coordinator statement
+// over the rows they return (sqldb.SelectFeeds). Only the pair of
+// statements depends on the shape:
 //
-//   - Plain queries concatenate, or — when the query carries a server-side
-//     ORDER BY (the proxy's OPE `ORDER BY ... LIMIT` path) — k-way merge in
-//     sort order, with LIMIT pushed down so each shard's ordered index
-//     terminates early and the coordinator reads at most k·LIMIT rows.
-//   - Aggregates recombine from per-shard partials: COUNT sums, SUM sums,
-//     MIN/MAX compare, AVG decomposes into per-shard SUM+COUNT, and
-//     aggregate UDFs (hom_sum) re-apply over partials — for Paillier a
-//     product of partial products, which is §3.1's server-side SUM spread
-//     over shards. GROUP BY merges groups by key; HAVING, ORDER BY and
-//     select-list expressions over aggregates evaluate post-merge on
-//     combined values (AVG anywhere decomposes into hidden SUM+COUNT
-//     columns and finalizes at the gather).
-//   - Anything the planner cannot prove correct (joins across shards,
-//     COUNT(DISTINCT)) gathers the referenced tables into a transient
-//     in-memory sqldb and executes there: slower, never wrong.
+//   - Unordered plain reads (point, search, the proxy's column reads) run as
+//     written on every shard and concatenate; there is no coordinator
+//     statement.
+//   - Ordered, DISTINCT or LIMIT plain reads project their non-selected
+//     ORDER BY keys as hidden columns and push LIMIT (absorbing OFFSET) down,
+//     so each shard's ordered (OPE) index stops early; the coordinator runs
+//     SELECT [DISTINCT] visible FROM partial ORDER BY keys LIMIT ….
+//   - Single-table aggregates run a partial statement per shard — COUNT,
+//     SUM, MIN, MAX and aggregate UDFs as written, AVG as SUM and COUNT —
+//     and the coordinator merges the partials: COUNT and SUM by SUM,
+//     MIN/MAX by MIN/MAX, AVG as SUM(s)/SUM(c), an aggregate UDF re-applied
+//     to its partials (for hom_sum a product of per-shard partial products,
+//     §3.1's server-side SUM spread over shards). GROUP BY, HAVING, ORDER
+//     BY, expressions over aggregates, DISTINCT and LIMIT are the
+//     coordinator's.
+//   - Everything else — joins, COUNT(DISTINCT), star with ORDER BY — feeds
+//     each FROM entry from a plain read of its table, filtered by the
+//     leading WHERE conjuncts over that entry alone, and the coordinator
+//     runs the statement as written.
+//
+// A per-shard statement that fails sends the SELECT down the feed path,
+// where the coordinator evaluates every expression on exactly the rows one
+// store would: a statement fails sharded when it fails on one store.
 //
 // Reads take no cross-shard snapshot: per-shard results reflect each
 // shard's committed state at its own read time, the same read-committed
@@ -25,8 +36,7 @@
 package sharded
 
 import (
-	"fmt"
-	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -43,15 +53,20 @@ func (c *Conn) execSelect(s *sqlparser.SelectStmt, params []sqldb.Value) (*sqldb
 		if shard, ok := e.routeWhere(s.From[0].Table, s.Where, params, s.From[0].Alias); ok {
 			return c.session(shard).Exec(s, params...)
 		}
-		if hasAgg := e.selectHasAgg(s); hasAgg || len(s.GroupBy) > 0 {
-			if plan, ok := e.planAgg(s); ok {
-				return c.runAgg(plan, params)
+		planner := e.planPlain
+		if e.selectHasAgg(s) || len(s.GroupBy) > 0 {
+			planner = e.planAgg
+		}
+		if plan, ok := planner(s); ok {
+			// A statement run as written fails exactly where one store
+			// would; a rewritten one may not, and the feed path decides.
+			res, err := c.runPartial(plan, params)
+			if err == nil || plan.merge == nil {
+				return res, err
 			}
-		} else if plan, ok := e.planPlain(s); ok {
-			return c.runPlain(plan, params)
 		}
 	}
-	return c.gatherExec(s, params)
+	return c.feedExec(s, params)
 }
 
 // scatter runs one statement on every shard in parallel through this
@@ -80,36 +95,54 @@ func (c *Conn) scatter(st *sqlparser.SelectStmt, params []sqldb.Value) ([]*sqldb
 }
 
 //
-// Aggregate detection
+// Expression helpers
 //
 
 var builtinAggs = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
 
 func (e *Engine) isAgg(name string) bool {
-	if builtinAggs[name] {
+	return builtinAggs[name] || e.isAggUDF(name)
+}
+
+// children lists an expression's direct subexpressions.
+func children(ex sqlparser.Expr) []sqlparser.Expr {
+	switch x := ex.(type) {
+	case *sqlparser.BinaryExpr:
+		return []sqlparser.Expr{x.L, x.R}
+	case *sqlparser.UnaryExpr:
+		return []sqlparser.Expr{x.E}
+	case *sqlparser.FuncCall:
+		return x.Args
+	case *sqlparser.InExpr:
+		return append([]sqlparser.Expr{x.E}, x.List...)
+	case *sqlparser.LikeExpr:
+		return []sqlparser.Expr{x.E, x.Pattern}
+	case *sqlparser.BetweenExpr:
+		return []sqlparser.Expr{x.E, x.Lo, x.Hi}
+	case *sqlparser.IsNullExpr:
+		return []sqlparser.Expr{x.E}
+	}
+	return nil
+}
+
+// anyExpr reports whether pred holds for ex or any of its subexpressions.
+func anyExpr(ex sqlparser.Expr, pred func(sqlparser.Expr) bool) bool {
+	if pred(ex) {
 		return true
 	}
-	_, ok := e.aggUDF(name)
-	return ok
+	for _, c := range children(ex) {
+		if anyExpr(c, pred) {
+			return true
+		}
+	}
+	return false
 }
 
 func (e *Engine) containsAgg(ex sqlparser.Expr) bool {
-	switch x := ex.(type) {
-	case *sqlparser.FuncCall:
-		if e.isAgg(x.Name) {
-			return true
-		}
-		for _, a := range x.Args {
-			if e.containsAgg(a) {
-				return true
-			}
-		}
-	case *sqlparser.BinaryExpr:
-		return e.containsAgg(x.L) || e.containsAgg(x.R)
-	case *sqlparser.UnaryExpr:
-		return e.containsAgg(x.E)
-	}
-	return false
+	return anyExpr(ex, func(x sqlparser.Expr) bool {
+		fc, ok := x.(*sqlparser.FuncCall)
+		return ok && e.isAgg(fc.Name)
+	})
 }
 
 func (e *Engine) selectHasAgg(s *sqlparser.SelectStmt) bool {
@@ -129,70 +162,20 @@ func (e *Engine) selectHasAgg(s *sqlparser.SelectStmt) bool {
 	return false
 }
 
-//
-// Plain (non-aggregate) scatter
-//
-
-type plainPlan struct {
-	perShard *sqlparser.SelectStmt
-	visible  int // -1: every column is visible (no hidden merge keys)
-	keys     []mergeKey
-	distinct bool
-	limit    *int64
-	offset   *int64
+func isStar(se sqlparser.SelectExpr) bool {
+	cr, ok := se.Expr.(*sqlparser.ColRef)
+	return se.Star || (ok && cr.Column == "*")
 }
 
-type mergeKey struct {
-	idx  int
-	desc bool
-}
-
-// planPlain builds the per-shard statement and merge plan for a
-// non-aggregate single-table SELECT. ok=false falls back to gather.
-func (e *Engine) planPlain(s *sqlparser.SelectStmt) (*plainPlan, bool) {
-	per := *s // shallow copy; slices replaced below where modified
-	plan := &plainPlan{perShard: &per, visible: -1, distinct: s.Distinct, limit: s.Limit, offset: s.Offset}
-
-	if len(s.OrderBy) > 0 {
-		hasStar := false
-		for _, se := range s.Exprs {
-			if se.Star {
-				hasStar = true
-			} else if cr, ok := se.Expr.(*sqlparser.ColRef); ok && cr.Column == "*" {
-				hasStar = true
-			}
-		}
-		if hasStar {
-			return nil, false // column arithmetic under a star is not worth guessing
-		}
-		exprs := append([]sqlparser.SelectExpr(nil), s.Exprs...)
-		plan.visible = len(exprs)
-		for _, item := range s.OrderBy {
-			idx := visibleIndex(item.Expr, s.Exprs)
-			if idx < 0 {
-				idx = len(exprs)
-				exprs = append(exprs, sqlparser.SelectExpr{Expr: item.Expr})
-			}
-			plan.keys = append(plan.keys, mergeKey{idx: idx, desc: item.Desc})
-		}
-		per.Exprs = exprs
+// outName is the result column name sqldb gives a select item.
+func outName(se sqlparser.SelectExpr) string {
+	if se.Alias != "" {
+		return se.Alias
 	}
-
-	// Push LIMIT down (absorbing OFFSET); the global cut happens at merge.
-	// Exception: DISTINCT with hidden sort-key columns — each shard's
-	// DISTINCT then runs over (visible, hidden) tuples, so rows that
-	// collapse in the post-merge visible-prefix dedup would eat the
-	// per-shard budget and starve the global result. Fetch everything and
-	// cut after the merge instead.
-	per.Limit, per.Offset = nil, nil
-	if s.Limit != nil && !(s.Distinct && plan.visible >= 0 && len(per.Exprs) > plan.visible) {
-		lim := *s.Limit
-		if s.Offset != nil {
-			lim += *s.Offset
-		}
-		per.Limit = &lim
+	if cr, ok := se.Expr.(*sqlparser.ColRef); ok {
+		return cr.Column
 	}
-	return plan, true
+	return se.Expr.String()
 }
 
 // visibleIndex resolves an ORDER BY expression to a projected column: by
@@ -214,739 +197,312 @@ func visibleIndex(ex sqlparser.Expr, items []sqlparser.SelectExpr) int {
 	return -1
 }
 
-func (c *Conn) runPlain(plan *plainPlan, params []sqldb.Value) (*sqldb.Result, error) {
+//
+// Partial statements: per-shard rows, one coordinator statement over them
+//
+
+// partialPlan is a single-table SELECT split into the statement every shard
+// runs and the coordinator statement over the shards' rows, whose one FROM
+// entry reads partial column i as #i.
+type partialPlan struct {
+	perShard *sqlparser.SelectStmt
+	merge    *sqlparser.SelectStmt // nil: the shards' rows concatenate
+}
+
+var partialFrom = []sqlparser.TableRef{{Table: "partial"}}
+
+func partialCol(i int) *sqlparser.ColRef {
+	return &sqlparser.ColRef{Column: "#" + strconv.Itoa(i)}
+}
+
+func (c *Conn) runPartial(plan *partialPlan, params []sqldb.Value) (*sqldb.Result, error) {
 	results, err := c.scatter(plan.perShard, params)
 	if err != nil {
 		return nil, err
 	}
-	var rows [][]sqldb.Value
-	if len(plan.keys) == 0 {
-		for _, r := range results {
-			rows = append(rows, r.Rows...)
-		}
-	} else {
-		rows = mergeOrdered(results, plan.keys)
+	feed := sqldb.Feed{Columns: results[0].Columns}
+	for _, r := range results {
+		feed.Rows = append(feed.Rows, r.Rows...)
 	}
-
-	visible := plan.visible
-	if visible < 0 {
-		visible = len(results[0].Columns)
+	if plan.merge == nil {
+		return &sqldb.Result{Columns: feed.Columns, Rows: feed.Rows}, nil
 	}
-	if plan.distinct {
-		rows = dedupPrefix(rows, visible)
+	feed.Columns = make([]string, len(feed.Columns))
+	for i := range feed.Columns {
+		feed.Columns[i] = partialCol(i).Column
 	}
-	rows = cutLimit(rows, plan.limit, plan.offset)
-	for i, row := range rows {
-		rows[i] = row[:visible]
-	}
-	return &sqldb.Result{Columns: results[0].Columns[:visible], Rows: rows}, nil
+	return c.eng.shards[0].SelectFeeds(plan.merge, []sqldb.Feed{feed}, params...)
 }
 
-// mergeOrdered k-way merges per-shard sorted results, ties broken by shard
-// index so the merge is deterministic.
-func mergeOrdered(results []*sqldb.Result, keys []mergeKey) [][]sqldb.Value {
-	pos := make([]int, len(results))
-	var out [][]sqldb.Value
-	for {
-		best := -1
-		for i, r := range results {
-			if pos[i] >= len(r.Rows) {
-				continue
-			}
-			if best < 0 || keyLess(r.Rows[pos[i]], results[best].Rows[pos[best]], keys) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		out = append(out, results[best].Rows[pos[best]])
-		pos[best]++
+// planPlain plans a non-aggregate single-table SELECT. ok=false (a star
+// with ORDER BY) leaves it to the feed path.
+func (e *Engine) planPlain(s *sqlparser.SelectStmt) (*partialPlan, bool) {
+	if !s.Distinct && s.Limit == nil && s.Offset == nil && len(s.OrderBy) == 0 {
+		return &partialPlan{perShard: s}, true
 	}
-}
-
-func keyLess(a, b []sqldb.Value, keys []mergeKey) bool {
-	for _, k := range keys {
-		cmp := sqldb.SortCompare(a[k.idx], b[k.idx])
-		if cmp == 0 {
-			continue
-		}
-		if k.desc {
-			return cmp > 0
-		}
-		return cmp < 0
-	}
-	return false
-}
-
-func dedupPrefix(rows [][]sqldb.Value, visible int) [][]sqldb.Value {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		key := ""
-		for _, v := range r[:visible] {
-			key += v.Key() + "\x1f"
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, r)
-	}
-	return out
-}
-
-func cutLimit(rows [][]sqldb.Value, limit, offset *int64) [][]sqldb.Value {
-	if offset != nil {
-		if int(*offset) >= len(rows) {
-			return nil
-		}
-		rows = rows[*offset:]
-	}
-	if limit != nil && int(*limit) < len(rows) {
-		rows = rows[:*limit]
-	}
-	return rows
-}
-
-//
-// Aggregate scatter
-//
-
-const (
-	outPlain = iota
-	outCount
-	outSum
-	outMin
-	outMax
-	outAvg
-	outUDF
-)
-
-// aggCol describes one per-shard result column and how partials combine.
-type aggCol struct {
-	kind int
-	udf  sqldb.AggUDF // outUDF
-}
-
-// aggOut maps one output column of the original query onto merged columns.
-type aggOut struct {
-	name string
-	src  int // merged column (plain value or combined aggregate)
-	sum  int // avg: per-shard SUM column
-	cnt  int // avg: per-shard COUNT column
-	avg  bool
-	post *postRef // expression over aggregates, evaluated post-merge
-}
-
-type postRef struct {
-	expr sqlparser.Expr
-	idx  []refBinding // substitutions into the merged row
-}
-
-type refBinding struct {
-	key string // FuncCall.String() or ColRef.String()
-	agg bool
-	idx int
-	avg bool // AVG: finalize sum/cnt instead of reading idx
-	sum int
-	cnt int
-}
-
-type aggPlan struct {
-	perShard *sqlparser.SelectStmt
-	cols     []aggCol // one per per-shard column
-	outs     []aggOut
-	groupIdx []int
-	having   *postRef
-	orderBy  []postOrder
-	distinct bool
-	limit    *int64
-	offset   *int64
-}
-
-type postOrder struct {
-	idx  int
-	avg  *aggOut
-	ref  *postRef // aggregate expression evaluated post-merge
-	desc bool
-}
-
-// planAgg builds the per-shard statement and recombination plan for an
-// aggregate / GROUP BY SELECT. ok=false falls back to gather.
-func (e *Engine) planAgg(s *sqlparser.SelectStmt) (*aggPlan, bool) {
-	plan := &aggPlan{distinct: s.Distinct, limit: s.Limit, offset: s.Offset}
-	var items []sqlparser.SelectExpr
-
-	// addItem appends (or reuses) a per-shard projection column.
-	byString := make(map[string]int)
-	addItem := func(se sqlparser.SelectExpr, col aggCol) int {
-		key := se.Expr.String()
-		if se.Alias == "" {
-			if idx, ok := byString[key]; ok {
-				return idx
-			}
-		}
-		idx := len(items)
-		items = append(items, se)
-		plan.cols = append(plan.cols, col)
-		if se.Alias == "" {
-			byString[key] = idx
-		}
-		return idx
-	}
-
-	// aggColFor classifies one aggregate call, or fails.
-	aggColFor := func(fc *sqlparser.FuncCall) (aggCol, bool) {
-		if fc.Distinct {
-			return aggCol{}, false // COUNT(DISTINCT) needs the values, not counts
-		}
-		switch fc.Name {
-		case "COUNT":
-			return aggCol{kind: outCount}, true
-		case "SUM":
-			return aggCol{kind: outSum}, true
-		case "MIN":
-			return aggCol{kind: outMin}, true
-		case "MAX":
-			return aggCol{kind: outMax}, true
-		case "AVG":
-			return aggCol{}, false // decomposed by the caller
-		}
-		if fn, ok := e.aggUDF(fc.Name); ok {
-			return aggCol{kind: outUDF, udf: fn}, true
-		}
-		return aggCol{}, false
-	}
-
-	// addAvg appends the hidden SUM+COUNT pair an AVG decomposes into.
-	addAvg := func(fc *sqlparser.FuncCall) (sumIdx, cntIdx int, ok bool) {
-		if fc.Star || fc.Distinct || len(fc.Args) != 1 {
-			return 0, 0, false
-		}
-		sumIdx = addItem(sqlparser.SelectExpr{Expr: &sqlparser.FuncCall{Name: "SUM", Args: fc.Args}}, aggCol{kind: outSum})
-		cntIdx = addItem(sqlparser.SelectExpr{Expr: &sqlparser.FuncCall{Name: "COUNT", Args: fc.Args}}, aggCol{kind: outCount})
-		return sumIdx, cntIdx, true
-	}
-
-	// resolve binds a HAVING / ORDER BY / select-list subexpression to
-	// merged columns, appending hidden aggregate columns as needed (AVG
-	// becomes a hidden SUM+COUNT pair finalized at the gather). ok=false on
-	// anything unresolvable (unknown function, column not
-	// grouped/projected).
-	var resolve func(ex sqlparser.Expr, refs *[]refBinding) bool
-	resolve = func(ex sqlparser.Expr, refs *[]refBinding) bool {
-		switch x := ex.(type) {
-		case *sqlparser.FuncCall:
-			if !e.isAgg(x.Name) {
-				return false
-			}
-			if x.Name == "AVG" {
-				sumIdx, cntIdx, ok := addAvg(x)
-				if !ok {
-					return false
-				}
-				*refs = append(*refs, refBinding{key: x.String(), agg: true, avg: true, sum: sumIdx, cnt: cntIdx})
-				return true
-			}
-			col, ok := aggColFor(x)
-			if !ok {
-				return false
-			}
-			idx := addItem(sqlparser.SelectExpr{Expr: x}, col)
-			*refs = append(*refs, refBinding{key: x.String(), agg: true, idx: idx})
-			return true
-		case *sqlparser.ColRef:
-			// Select-list alias?
-			if x.Table == "" {
-				for i, se := range s.Exprs {
-					if !se.Star && se.Alias == x.Column && i < len(plan.outs) {
-						out := plan.outs[i]
-						if out.post != nil {
-							return false
-						}
-						if out.avg {
-							*refs = append(*refs, refBinding{key: x.String(), agg: true, avg: true, sum: out.sum, cnt: out.cnt})
-						} else {
-							*refs = append(*refs, refBinding{key: x.String(), idx: out.src})
-						}
-						return true
-					}
-				}
-			}
-			str := x.String()
-			for i, it := range items {
-				if plan.cols[i].kind == outPlain && it.Alias == "" && it.Expr.String() == str {
-					*refs = append(*refs, refBinding{key: str, idx: i})
-					return true
-				}
-			}
-			return false
-		case *sqlparser.BinaryExpr:
-			return resolve(x.L, refs) && resolve(x.R, refs)
-		case *sqlparser.UnaryExpr:
-			return resolve(x.E, refs)
-		case *sqlparser.IntLit, *sqlparser.StrLit, *sqlparser.BytesLit,
-			*sqlparser.NullLit, *sqlparser.BoolLit, *sqlparser.Param:
-			return true
-		}
-		return false
-	}
-
-	// Output columns.
+	var names []string
 	for _, se := range s.Exprs {
-		if se.Star {
-			return nil, false
-		}
-		if cr, ok := se.Expr.(*sqlparser.ColRef); ok && cr.Column == "*" {
-			return nil, false
-		}
-		name := se.Alias
-		if name == "" {
-			if cr, ok := se.Expr.(*sqlparser.ColRef); ok {
-				name = cr.Column
-			} else {
-				name = se.Expr.String()
-			}
-		}
-		if fc, ok := se.Expr.(*sqlparser.FuncCall); ok && e.isAgg(fc.Name) {
-			if fc.Name == "AVG" {
-				sumIdx, cntIdx, ok := addAvg(fc)
-				if !ok {
-					return nil, false
-				}
-				plan.outs = append(plan.outs, aggOut{name: name, avg: true, sum: sumIdx, cnt: cntIdx})
-				continue
-			}
-			col, ok := aggColFor(fc)
-			if !ok {
-				return nil, false
-			}
-			idx := addItem(sqlparser.SelectExpr{Expr: se.Expr, Alias: se.Alias}, col)
-			plan.outs = append(plan.outs, aggOut{name: name, src: idx})
+		if !isStar(se) {
+			names = append(names, outName(se))
 			continue
 		}
-		if e.containsAgg(se.Expr) {
-			// Expression over aggregates: bind every aggregate call and
-			// column to merged columns, evaluate the expression post-merge.
-			ref := &postRef{expr: se.Expr}
-			if !resolve(se.Expr, &ref.idx) {
-				return nil, false
-			}
-			plan.outs = append(plan.outs, aggOut{name: name, post: ref})
-			continue
+		cols := e.tableCols(s.From[0].Table)
+		if len(s.OrderBy) > 0 || cols == nil {
+			return nil, false
 		}
-		idx := addItem(sqlparser.SelectExpr{Expr: se.Expr, Alias: se.Alias}, aggCol{kind: outPlain})
-		plan.outs = append(plan.outs, aggOut{name: name, src: idx})
+		for _, col := range cols {
+			names = append(names, col.Name)
+		}
+	}
+	merge := &sqlparser.SelectStmt{Distinct: s.Distinct, From: partialFrom, Limit: s.Limit, Offset: s.Offset}
+	for i, name := range names {
+		merge.Exprs = append(merge.Exprs, sqlparser.SelectExpr{Expr: partialCol(i), Alias: name})
+	}
+	per := *s // shallow copy; hidden sort keys extend a copy of the select list
+	per.Exprs = append([]sqlparser.SelectExpr(nil), s.Exprs...)
+	for _, item := range s.OrderBy {
+		idx := visibleIndex(item.Expr, s.Exprs)
+		if idx < 0 {
+			idx = len(per.Exprs)
+			per.Exprs = append(per.Exprs, sqlparser.SelectExpr{Expr: item.Expr})
+		}
+		merge.OrderBy = append(merge.OrderBy, sqlparser.OrderItem{Expr: partialCol(idx), Desc: item.Desc})
 	}
 
-	// Group identity: every GROUP BY expression must be a merged column.
+	// Push LIMIT down (absorbing OFFSET), except under DISTINCT with hidden
+	// sort keys: each shard's DISTINCT then runs over (visible, hidden)
+	// tuples, so rows that collapse at the coordinator would eat the
+	// per-shard budget and starve the result. A shard's ORDER BY only
+	// matters to its LIMIT.
+	per.Limit, per.Offset = nil, nil
+	if s.Limit != nil && !(s.Distinct && len(per.Exprs) > len(s.Exprs)) {
+		lim := *s.Limit
+		if s.Offset != nil {
+			lim += *s.Offset
+		}
+		per.Limit = &lim
+	} else {
+		per.OrderBy = nil
+	}
+	return &partialPlan{perShard: &per, merge: merge}, true
+}
+
+// planAgg plans an aggregate or grouped single-table SELECT: the per-shard
+// statement computes partials, the merge statement combines them. ok=false
+// (COUNT(DISTINCT), a star, an aggregate under IN/LIKE/BETWEEN/IS NULL)
+// leaves it to the feed path.
+func (e *Engine) planAgg(s *sqlparser.SelectStmt) (*partialPlan, bool) {
+	p := &partials{eng: e, byText: make(map[string]int)}
+	merge := &sqlparser.SelectStmt{Distinct: s.Distinct, From: partialFrom, Limit: s.Limit, Offset: s.Offset}
+	for _, se := range s.Exprs {
+		if isStar(se) {
+			return nil, false
+		}
+		ex, ok := p.lower(se.Expr)
+		if !ok {
+			return nil, false
+		}
+		merge.Exprs = append(merge.Exprs, sqlparser.SelectExpr{Expr: ex, Alias: outName(se)})
+	}
 	for _, g := range s.GroupBy {
-		if e.containsAgg(g) {
-			return nil, false
-		}
-		idx := addItem(sqlparser.SelectExpr{Expr: g}, aggCol{kind: outPlain})
-		plan.groupIdx = append(plan.groupIdx, idx)
+		merge.GroupBy = append(merge.GroupBy, p.column(g))
 	}
-
 	if s.Having != nil {
-		ref := &postRef{expr: s.Having}
-		if !resolve(s.Having, &ref.idx) {
+		ex, ok := p.lower(s.Having)
+		if !ok {
 			return nil, false
 		}
-		plan.having = ref
+		merge.Having = ex
 	}
 	for _, o := range s.OrderBy {
-		// ORDER BY over merged values: an aggregate expression, an alias,
-		// or a grouped/projected column.
-		if e.containsAgg(o.Expr) {
-			ref := &postRef{expr: o.Expr}
-			if !resolve(o.Expr, &ref.idx) {
+		var ex sqlparser.Expr
+		if i := visibleIndex(o.Expr, s.Exprs); i >= 0 {
+			ex = merge.Exprs[i].Expr // an alias or a projected expression
+		} else {
+			var ok bool
+			if ex, ok = p.lower(o.Expr); !ok {
 				return nil, false
 			}
-			plan.orderBy = append(plan.orderBy, postOrder{ref: ref, desc: o.Desc})
-			continue
 		}
-		if cr, ok := o.Expr.(*sqlparser.ColRef); ok && cr.Table == "" {
-			if i := aliasOut(s, plan, cr.Column); i != nil {
-				switch {
-				case i.post != nil:
-					plan.orderBy = append(plan.orderBy, postOrder{ref: i.post, desc: o.Desc})
-				case i.avg:
-					plan.orderBy = append(plan.orderBy, postOrder{avg: i, desc: o.Desc})
-				default:
-					plan.orderBy = append(plan.orderBy, postOrder{idx: i.src, desc: o.Desc})
-				}
-				continue
-			}
-		}
-		idx := -1
-		str := o.Expr.String()
-		for i, it := range items {
-			if plan.cols[i].kind == outPlain && it.Alias == "" && it.Expr.String() == str {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return nil, false
-		}
-		plan.orderBy = append(plan.orderBy, postOrder{idx: idx, desc: o.Desc})
+		merge.OrderBy = append(merge.OrderBy, sqlparser.OrderItem{Expr: ex, Desc: o.Desc})
 	}
-
-	plan.perShard = &sqlparser.SelectStmt{
-		Exprs:   items,
-		From:    s.From,
-		Where:   s.Where,
-		GroupBy: s.GroupBy,
+	if len(s.GroupBy) > 0 {
+		atomic.AddInt64(&e.groupPushdowns, 1)
 	}
-	return plan, true
+	per := &sqlparser.SelectStmt{Exprs: p.items, From: s.From, Where: s.Where, GroupBy: s.GroupBy}
+	return &partialPlan{perShard: per, merge: merge}, true
 }
 
-// aliasOut finds the output column a bare name aliases.
-func aliasOut(s *sqlparser.SelectStmt, plan *aggPlan, name string) *aggOut {
-	for i, se := range s.Exprs {
-		if !se.Star && se.Alias == name {
-			return &plan.outs[i]
-		}
-	}
-	return nil
+// partials collects the per-shard select list of an aggregate plan.
+type partials struct {
+	eng    *Engine
+	items  []sqlparser.SelectExpr
+	byText map[string]int
 }
 
-// mergedGroup is one group being recombined across shards.
-type mergedGroup struct {
-	vals []sqldb.Value
-	udfs map[int]sqldb.AggState
+// column projects ex per shard (once per distinct text) and returns the
+// partial column that reads it.
+func (p *partials) column(ex sqlparser.Expr) *sqlparser.ColRef {
+	key := ex.String()
+	i, ok := p.byText[key]
+	if !ok {
+		i = len(p.items)
+		p.items = append(p.items, sqlparser.SelectExpr{Expr: ex})
+		p.byText[key] = i
+	}
+	return partialCol(i)
 }
 
-func (c *Conn) runAgg(plan *aggPlan, params []sqldb.Value) (*sqldb.Result, error) {
-	if len(plan.groupIdx) > 0 {
-		atomic.AddInt64(&c.eng.groupPushdowns, 1)
-	}
-	results, err := c.scatter(plan.perShard, params)
-	if err != nil {
-		return nil, err
-	}
-
-	groups := make(map[string]*mergedGroup)
-	var order []string
-	for _, r := range results {
-		for _, row := range r.Rows {
-			key := ""
-			for _, gi := range plan.groupIdx {
-				key += row[gi].Key() + "\x1f"
-			}
-			g := groups[key]
-			if g == nil {
-				g = &mergedGroup{vals: append([]sqldb.Value(nil), row...)}
-				for i, col := range plan.cols {
-					if col.kind == outUDF {
-						if g.udfs == nil {
-							g.udfs = make(map[int]sqldb.AggState)
-						}
-						st := col.udf()
-						if err := st.Step([]sqldb.Value{row[i]}); err != nil {
-							return nil, err
-						}
-						g.udfs[i] = st
-					}
-				}
-				groups[key] = g
-				order = append(order, key)
-				continue
-			}
-			for i, col := range plan.cols {
-				if err := combinePartial(g, i, col, row[i]); err != nil {
-					return nil, err
-				}
-			}
+// lower rewrites an output expression of the original statement into the
+// merge statement's terms: aggregates merge their partials, aggregate-free
+// subexpressions that read columns become partial columns (each group's
+// first row, as in one store), and literals and parameters stay.
+func (p *partials) lower(ex sqlparser.Expr) (sqlparser.Expr, bool) {
+	if !p.eng.containsAgg(ex) {
+		if !anyExpr(ex, func(x sqlparser.Expr) bool { _, ok := x.(*sqlparser.ColRef); return ok }) {
+			return ex, true
 		}
-	}
-
-	// Finalize UDF accumulators into the merged rows.
-	for _, key := range order {
-		g := groups[key]
-		for i, st := range g.udfs {
-			v, err := st.Final()
-			if err != nil {
-				return nil, err
-			}
-			g.vals[i] = v
-		}
-	}
-
-	rows := make([][]sqldb.Value, 0, len(order))
-	for _, key := range order {
-		g := groups[key]
-		if plan.having != nil {
-			keep, err := evalPost(plan.having, g.vals, params)
-			if err != nil {
-				return nil, err
-			}
-			if !keep.Truthy() {
-				continue
-			}
-		}
-		rows = append(rows, g.vals)
-	}
-
-	if len(plan.orderBy) > 0 {
-		if err := sortMerged(rows, plan.orderBy, params); err != nil {
-			return nil, err
-		}
-	}
-
-	out := &sqldb.Result{}
-	for _, o := range plan.outs {
-		out.Columns = append(out.Columns, o.name)
-	}
-	for _, row := range rows {
-		final := make([]sqldb.Value, len(plan.outs))
-		for i, o := range plan.outs {
-			switch {
-			case o.post != nil:
-				v, err := evalPost(o.post, row, params)
-				if err != nil {
-					return nil, err
-				}
-				final[i] = v
-			case o.avg:
-				final[i] = avgFinal(row[o.sum], row[o.cnt])
-			default:
-				final[i] = row[o.src]
-			}
-		}
-		out.Rows = append(out.Rows, final)
-	}
-	if plan.distinct {
-		out.Rows = dedupPrefix(out.Rows, len(plan.outs))
-	}
-	out.Rows = cutLimit(out.Rows, plan.limit, plan.offset)
-	return out, nil
-}
-
-// combinePartial folds one shard's partial into the group.
-func combinePartial(g *mergedGroup, i int, col aggCol, v sqldb.Value) error {
-	switch col.kind {
-	case outPlain:
-		// Group-key columns are equal by construction; a bare non-grouped
-		// column keeps the first shard's value (first-tuple semantics).
-		return nil
-	case outCount, outSum:
-		if v.IsNull() {
-			return nil
-		}
-		if g.vals[i].IsNull() {
-			g.vals[i] = v
-			return nil
-		}
-		a, err := g.vals[i].AsInt()
-		if err != nil {
-			return err
-		}
-		b, err := v.AsInt()
-		if err != nil {
-			return err
-		}
-		g.vals[i] = sqldb.Int(a + b)
-	case outMin, outMax:
-		if v.IsNull() {
-			return nil
-		}
-		if g.vals[i].IsNull() {
-			g.vals[i] = v
-			return nil
-		}
-		cmp, err := v.Compare(g.vals[i])
-		if err != nil {
-			cmp = sqldb.SortCompare(v, g.vals[i])
-		}
-		if (col.kind == outMin && cmp < 0) || (col.kind == outMax && cmp > 0) {
-			g.vals[i] = v
-		}
-	case outUDF:
-		return g.udfs[i].Step([]sqldb.Value{v})
-	}
-	return nil
-}
-
-func avgFinal(sum, cnt sqldb.Value) sqldb.Value {
-	if sum.IsNull() || cnt.IsNull() {
-		return sqldb.Null()
-	}
-	n, err := cnt.AsInt()
-	if err != nil || n == 0 {
-		return sqldb.Null()
-	}
-	s, err := sum.AsInt()
-	if err != nil {
-		return sqldb.Null()
-	}
-	return sqldb.Int(s / n)
-}
-
-// evalPost evaluates a HAVING / select-list / ORDER BY expression against
-// a merged row by substituting its bound references with literals. AVG
-// bindings finalize their hidden SUM+COUNT pair here.
-func evalPost(ref *postRef, row []sqldb.Value, params []sqldb.Value) (sqldb.Value, error) {
-	bind := make(map[string]sqldb.Value, len(ref.idx))
-	for _, b := range ref.idx {
-		if b.avg {
-			bind[b.key] = avgFinal(row[b.sum], row[b.cnt])
-		} else {
-			bind[b.key] = row[b.idx]
-		}
-	}
-	sub := substitute(ref.expr, bind)
-	return sqldb.EvalConst(sub, params)
-}
-
-// substitute replaces bound aggregate calls and column references with
-// value literals.
-func substitute(ex sqlparser.Expr, bind map[string]sqldb.Value) sqlparser.Expr {
-	if v, ok := bind[ex.String()]; ok {
-		switch ex.(type) {
-		case *sqlparser.FuncCall, *sqlparser.ColRef:
-			return exprFromValue(v)
-		}
+		return p.column(ex), true
 	}
 	switch x := ex.(type) {
+	case *sqlparser.FuncCall:
+		if p.eng.isAgg(x.Name) {
+			return p.mergeAgg(x)
+		}
 	case *sqlparser.BinaryExpr:
-		return &sqlparser.BinaryExpr{Op: x.Op, L: substitute(x.L, bind), R: substitute(x.R, bind)}
+		l, okL := p.lower(x.L)
+		r, okR := p.lower(x.R)
+		return &sqlparser.BinaryExpr{Op: x.Op, L: l, R: r}, okL && okR
 	case *sqlparser.UnaryExpr:
-		return &sqlparser.UnaryExpr{Op: x.Op, E: substitute(x.E, bind)}
+		sub, ok := p.lower(x.E)
+		return &sqlparser.UnaryExpr{Op: x.Op, E: sub}, ok
 	}
-	return ex
+	return nil, false
 }
 
-func sortMerged(rows [][]sqldb.Value, keys []postOrder, params []sqldb.Value) error {
-	// Materialize the key values first: post-merge expressions can fail,
-	// and sort comparators cannot return errors.
-	keyVals := make([][]sqldb.Value, len(rows))
-	for i, row := range rows {
-		ks := make([]sqldb.Value, len(keys))
-		for j, k := range keys {
-			switch {
-			case k.ref != nil:
-				v, err := evalPost(k.ref, row, params)
-				if err != nil {
-					return err
+// mergeAgg lowers one aggregate call into its merge over per-shard
+// partials.
+func (p *partials) mergeAgg(fc *sqlparser.FuncCall) (sqlparser.Expr, bool) {
+	if fc.Distinct {
+		return nil, false // COUNT(DISTINCT) needs the values, not counts
+	}
+	over := func(name string, partial sqlparser.Expr) sqlparser.Expr {
+		return &sqlparser.FuncCall{Name: name, Args: []sqlparser.Expr{p.column(partial)}}
+	}
+	switch fc.Name {
+	case "COUNT":
+		return over("SUM", fc), true
+	case "AVG":
+		if fc.Star || len(fc.Args) != 1 {
+			return nil, false
+		}
+		// Integer division, NULL over a zero count: exactly AVG's final.
+		return &sqlparser.BinaryExpr{Op: "/",
+			L: over("SUM", &sqlparser.FuncCall{Name: "SUM", Args: fc.Args}),
+			R: over("SUM", &sqlparser.FuncCall{Name: "COUNT", Args: fc.Args}),
+		}, true
+	}
+	// SUM, MIN, MAX and decomposable aggregate UDFs re-apply to partials.
+	return over(fc.Name, fc), true
+}
+
+//
+// Feeds
+//
+
+// feedExec finishes a cross-shard SELECT exactly as one store would: each
+// FROM entry is fed by a plain read of its table from every shard, and shard
+// 0 runs the statement as written over the feeds. Every feed is read before
+// the statement compiles, so no shard's lock is held while another is read.
+func (c *Conn) feedExec(s *sqlparser.SelectStmt, params []sqldb.Value) (*sqldb.Result, error) {
+	own := c.eng.pushdown(s)
+	feeds := make([]sqldb.Feed, len(s.From))
+	for i, ref := range s.From {
+		read := &sqlparser.SelectStmt{
+			Exprs: []sqlparser.SelectExpr{{Star: true}},
+			From:  []sqlparser.TableRef{{Table: ref.Table, Alias: ref.Alias}},
+			Where: own[i],
+		}
+		res, err := c.execSelect(read, params)
+		if err != nil && own[i] != nil {
+			// A pushed conjunct failed on a row the statement may never
+			// evaluate it on; feed the whole table and let the statement
+			// decide.
+			read.Where = nil
+			res, err = c.execSelect(read, params)
+		}
+		if err != nil {
+			return nil, err
+		}
+		feeds[i] = sqldb.Feed{Columns: res.Columns, Rows: res.Rows}
+	}
+	return c.eng.shards[0].SelectFeeds(s, feeds, params...)
+}
+
+// pushdown returns, per FROM entry, the WHERE conjuncts its feed applies
+// (ANDed): the leading run of conjuncts that each read one entry alone. A
+// conjunct that reads several entries, none, or an aggregate ends the run,
+// so a row a feed drops is one the statement's filter rejects before it
+// evaluates anything the feed skipped.
+func (e *Engine) pushdown(s *sqlparser.SelectStmt) []sqlparser.Expr {
+	own := make([]sqlparser.Expr, len(s.From))
+	for _, cj := range conjunctsOf(s.Where) {
+		i := e.entryOf(s.From, cj)
+		if i < 0 {
+			break
+		}
+		if own[i] == nil {
+			own[i] = cj
+		} else {
+			own[i] = &sqlparser.BinaryExpr{Op: "AND", L: own[i], R: cj}
+		}
+	}
+	return own
+}
+
+// entryOf returns the FROM entry that every column of ex resolves to, by
+// sqldb's rules (a qualifier names an alias or table, the first match wins;
+// a bare name must be unambiguous), or -1.
+func (e *Engine) entryOf(from []sqlparser.TableRef, ex sqlparser.Expr) int {
+	hasCol := func(i int, col string) bool {
+		t := e.shards[0].Table(from[i].Table)
+		return t != nil && t.ColumnIndex(col) >= 0
+	}
+	resolve := func(cr *sqlparser.ColRef) int {
+		found := -1
+		for i, ref := range from {
+			if cr.Table != "" {
+				if (ref.Alias != "" && ref.Alias == cr.Table) || ref.Table == cr.Table {
+					if hasCol(i, cr.Column) {
+						return i
+					}
+					return -1
 				}
-				ks[j] = v
-			case k.avg != nil:
-				ks[j] = avgFinal(row[k.avg.sum], row[k.avg.cnt])
-			default:
-				ks[j] = row[k.idx]
+			} else if hasCol(i, cr.Column) {
+				if found >= 0 {
+					return -1
+				}
+				found = i
 			}
 		}
-		keyVals[i] = ks
+		return found
 	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		a, b := keyVals[idx[i]], keyVals[idx[j]]
-		for kI, k := range keys {
-			cmp := sqldb.SortCompare(a[kI], b[kI])
-			if cmp == 0 {
-				continue
+	entry := -1
+	bad := anyExpr(ex, func(x sqlparser.Expr) bool {
+		switch x := x.(type) {
+		case *sqlparser.FuncCall:
+			return e.isAgg(x.Name)
+		case *sqlparser.ColRef:
+			i := resolve(x)
+			if i < 0 || (entry >= 0 && i != entry) {
+				return true
 			}
-			if k.desc {
-				return cmp > 0
-			}
-			return cmp < 0
+			entry = i
 		}
 		return false
 	})
-	sorted := make([][]sqldb.Value, len(rows))
-	for i, p := range idx {
-		sorted[i] = rows[p]
+	if bad {
+		return -1
 	}
-	copy(rows, sorted)
-	return nil
-}
-
-//
-// Gather fallback
-//
-
-// gatherExec materializes every table the query references into a
-// transient in-memory sqldb (pulling each shard's rows through this
-// connection's sessions) and executes the statement there. Correct for
-// every query shape the embedded DBMS supports — including cross-shard
-// joins — at the price of moving the tables; the scatter paths above keep
-// the common shapes off it.
-func (c *Conn) gatherExec(s *sqlparser.SelectStmt, params []sqldb.Value) (*sqldb.Result, error) {
-	e := c.eng
-	tmp := sqldb.New()
-	e.udfMu.RLock()
-	for name, fn := range e.udfs {
-		tmp.RegisterUDF(name, fn)
-	}
-	for name, fn := range e.aggUDFs {
-		tmp.RegisterAggUDF(name, fn)
-	}
-	e.udfMu.RUnlock()
-
-	seen := make(map[string]bool)
-	for _, ref := range s.From {
-		if seen[ref.Table] {
-			continue
-		}
-		seen[ref.Table] = true
-		cols := e.tableCols(ref.Table)
-		if cols == nil {
-			return nil, fmt.Errorf("sqldb: no table %s", ref.Table)
-		}
-		ct := &sqlparser.CreateTableStmt{Name: ref.Table}
-		for _, col := range cols {
-			// No PRIMARY KEY / UNIQUE here: uniqueness was enforced at
-			// insert time per shard; re-checking a gathered copy could
-			// only reject rows that already exist.
-			ct.Cols = append(ct.Cols, sqlparser.ColumnDef{Name: col.Name, Type: col.Type})
-		}
-		if _, err := tmp.Exec(ct); err != nil {
-			return nil, err
-		}
-		sel := &sqlparser.SelectStmt{
-			Exprs: []sqlparser.SelectExpr{{Star: true}},
-			From:  []sqlparser.TableRef{{Table: ref.Table}},
-		}
-		shardRows, err := c.scatter(sel, nil)
-		if err != nil {
-			return nil, err
-		}
-		ins := &sqlparser.InsertStmt{Table: ref.Table}
-		for _, r := range shardRows {
-			for _, row := range r.Rows {
-				exprRow := make([]sqlparser.Expr, len(row))
-				for j, v := range row {
-					exprRow[j] = exprFromValue(v)
-				}
-				ins.Rows = append(ins.Rows, exprRow)
-			}
-		}
-		if len(ins.Rows) > 0 {
-			if _, err := tmp.Exec(ins); err != nil {
-				return nil, err
-			}
-		}
-		// Recreate the shard tables' indexes (after the bulk load, so they
-		// build in one pass, and in parallel across indexes — each build
-		// is an independent table scan): a central join or grouped scan
-		// over the gathered copy probes and prunes the same way it would
-		// per shard, instead of degrading to nested loops. Uniqueness is
-		// still not re-checked, per the note above.
-		if t := e.shards[0].Table(ref.Table); t != nil {
-			infos := t.Indexes()
-			for i := range infos {
-				infos[i].Unique = false
-			}
-			if err := tmp.BuildIndexesParallel(ref.Table, infos); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return tmp.Exec(s, params...)
+	return entry
 }

@@ -11,7 +11,8 @@
 //   - store/sharded: N sqldb instances, each with its own data directory,
 //     write-ahead log and group-commit cohort; rows are routed by hash of
 //     the hidden row id, DDL and sealed proxy metadata broadcast to every
-//     shard, and reads scatter-gather with an ordered merge.
+//     shard, and a read that spans shards runs a per-shard statement on
+//     each and one coordinator statement over their rows.
 //
 // The split mirrors the paper's §8.4.1 observation that the DBMS — not the
 // cryptography — bounds steady-state throughput: once queries are
@@ -129,8 +130,8 @@ type Replica interface {
 // re-applying the UDF to per-shard partial results must produce the same
 // final value as one pass over all rows (true for hom_sum — a product of
 // partial Paillier products is the total product — and for any
-// commutative-monoid aggregate). A sharded engine relies on this to
-// recombine scatter-gather aggregates.
+// commutative-monoid aggregate). A sharded engine relies on this to merge
+// per-shard partial aggregates.
 type Engine interface {
 	Executor
 
