@@ -80,15 +80,20 @@ func fig13() error {
 
 	// SEARCH over one word.
 	sc := search.New(key)
-	var blob []byte
 	encS, _ := timeOp(20000, func() error {
-		var err error
-		blob, err = sc.EncryptText("confidential")
+		_, err := sc.EncryptText("confidential")
 		return err
 	})
-	tok := sc.TokenFor("confidential")
-	matchS, _ := timeOp(20000, func() error { search.Match(blob, tok); return nil })
-	fmt.Printf("%-22s %12v %12s %14s   %s\n", "SEARCH (1 word)", encS, "-", fmt.Sprintf("match: %v", matchS), "0.01 / 0.004 ms, match 0.001")
+	// The paper's match cost is per stored word. The server builds one
+	// Matcher per LIKE and scans every row with it, so time a scan of a
+	// 12-word blob (the analytic workload's shape) and divide.
+	blob, err := sc.EncryptText("w01 w02 w03 w04 w05 w06 w07 w08 w09 w10 w11 confidential")
+	if err != nil {
+		return err
+	}
+	m := search.NewMatcher(sc.TokenFor("confidential"))
+	matchS, _ := timeOp(20000, func() error { m.Match(blob); return nil })
+	fmt.Printf("%-22s %12v %12s %14s   %s\n", "SEARCH (1 word)", encS, "-", fmt.Sprintf("match: %v", matchS/12), "0.01 / 0.004 ms, match 0.001")
 
 	// HOM (Paillier, 1024-bit n -> 2048-bit ciphertexts).
 	hk, err := hom.GenerateKey(hom.DefaultBits)

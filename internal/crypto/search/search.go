@@ -13,7 +13,9 @@ package search
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"crypto/subtle"
+	"encoding"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -121,20 +123,81 @@ func (c *Cipher) TokenFor(word string) Token {
 
 // Match reports whether the encrypted blob contains the word behind token.
 // This is the computation CryptDB's searchSWP UDF performs on the server;
-// note it needs no key.
+// note it needs no key. A caller testing many blobs against one token
+// builds the Matcher once instead.
 func Match(blob []byte, token Token) bool {
-	if len(blob)%EntrySize != 0 {
+	return NewMatcher(token).Match(blob)
+}
+
+// Matcher tests blobs against one token. A stored entry is salt ||
+// prf.Sum(token, salt), an HMAC-SHA256 keyed by the token, so the
+// token's HMAC key schedule — the SHA-256 states after the ipad and opad
+// key blocks — is derived once here, and each entry then costs two
+// compressions: the inner hash's one message block and the outer hash's.
+// A Matcher is immutable and safe for concurrent use.
+type Matcher struct {
+	inner, outer []byte // marshaled SHA-256 midstates
+}
+
+// NewMatcher derives the HMAC midstates of token.
+func NewMatcher(token Token) *Matcher {
+	var k [sha256.BlockSize]byte
+	if len(token) > sha256.BlockSize {
+		sum := sha256.Sum256(token)
+		copy(k[:], sum[:])
+	} else {
+		copy(k[:], token)
+	}
+	midstate := func(pad byte) []byte {
+		var block [sha256.BlockSize]byte
+		for i := range block {
+			block[i] = k[i] ^ pad
+		}
+		h := sha256.New()
+		h.Write(block[:])
+		st, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			panic("search: sha256 state: " + err.Error()) // impossible: sha256 digests marshal
+		}
+		return st
+	}
+	return &Matcher{inner: midstate(0x36), outer: midstate(0x5c)}
+}
+
+// Match reports whether blob contains the word behind the Matcher's token.
+// It scans every entry; the allocations are per call, not per entry.
+func (m *Matcher) Match(blob []byte) bool {
+	if len(blob)%EntrySize != 0 || len(blob) == 0 {
 		return false
 	}
+	h := sha256.New()
+	st := h.(encoding.BinaryUnmarshaler)
+	// buf holds the inner message — prf.Sum's 8-byte length prefix and the
+	// salt — then the inner digest, then the outer one.
+	const msgLen = 8 + saltSize
+	buf := make([]byte, msgLen+2*sha256.Size)
+	binary.BigEndian.PutUint64(buf, saltSize)
 	found := 0
-	for off := 0; off+EntrySize <= len(blob); off += EntrySize {
-		salt := blob[off : off+saltSize]
-		mac := blob[off+saltSize : off+EntrySize]
-		want := prf.Sum(token, salt)[:WordSize]
-		// Constant-time per entry; scan all entries regardless.
-		found |= subtle.ConstantTimeCompare(mac, want)
+	for off := 0; off < len(blob); off += EntrySize {
+		copy(buf[8:msgLen], blob[off:off+saltSize])
+		restore(st, m.inner)
+		h.Write(buf[:msgLen])
+		in := h.Sum(buf[msgLen:msgLen])
+		restore(st, m.outer)
+		h.Write(in)
+		want := h.Sum(buf[msgLen+sha256.Size : msgLen+sha256.Size])[:WordSize]
+		// The server holds both token and blob, so a constant-time
+		// comparison hides nothing from it; it costs the same as
+		// bytes.Equal and keeps the scan's timing data-independent.
+		found |= subtle.ConstantTimeCompare(blob[off+saltSize:off+EntrySize], want)
 	}
 	return found == 1
+}
+
+func restore(st encoding.BinaryUnmarshaler, state []byte) {
+	if err := st.UnmarshalBinary(state); err != nil {
+		panic("search: sha256 state: " + err.Error()) // impossible: the state came from MarshalBinary
+	}
 }
 
 // WordCount reports the number of keywords stored in a blob — exactly the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/crypto/search"
 	"repro/internal/onion"
 	"repro/internal/sqldb"
 	"repro/internal/sqlparser"
@@ -261,7 +262,7 @@ func (p *Proxy) analyzePredicate(e sqlparser.Expr, qs *qscope, params []sqldb.Va
 		}
 		word, ok := likeWord(valueToPatternString(pat))
 		if !ok {
-			an.fail(cm, "LIKE pattern is not a full-word search")
+			an.fail(cm, "unsupported LIKE pattern: not one full-word search keyword")
 			return
 		}
 		if cm.Type != sqlparser.TypeText {
@@ -324,17 +325,17 @@ func valueToPatternString(v sqldb.Value) string {
 }
 
 // likeWord extracts the single search word from a LIKE pattern of the form
-// %word%, word%, %word or word. Patterns with interior wildcards are not
-// full-word searches (§3.1).
+// %word%, word%, %word or word. The word must be exactly one stored SEARCH
+// keyword (search.Keywords: ASCII letters and digits): a pattern spanning
+// words ("hello world", "e-mail"), holding other characters ("café") or an
+// interior wildcard is not a full-word search (§3.1), and a token for it
+// would silently match nothing.
 func likeWord(pat string) (string, bool) {
-	trimmed := strings.Trim(pat, "%")
-	if trimmed == "" {
+	word := strings.ToLower(strings.Trim(pat, "%"))
+	if kw := search.Keywords(word); len(kw) != 1 || kw[0] != word {
 		return "", false
 	}
-	if strings.ContainsAny(trimmed, "%_") {
-		return "", false
-	}
-	return strings.ToLower(trimmed), true
+	return word, true
 }
 
 // analyzeSelect derives all requirements of a SELECT.

@@ -386,7 +386,10 @@ func (p *Proxy) registerUDFs() {
 		return sqldb.Blob(out), nil
 	})
 
-	// searchswp(blob, token) implements encrypted LIKE (§3.1).
+	// searchswp(blob, token) implements encrypted LIKE (§3.1). A statement
+	// passes the same token for every row, so the token's HMAC key
+	// schedule is derived once and reused.
+	var matchers matcherCache
 	p.db.RegisterUDF("searchswp", func(args []sqldb.Value) (sqldb.Value, error) {
 		if len(args) != 2 {
 			return sqldb.Value{}, fmt.Errorf("searchswp: want 2 args")
@@ -394,12 +397,13 @@ func (p *Proxy) registerUDFs() {
 		if args[0].IsNull() {
 			return sqldb.Bool(false), nil
 		}
-		return sqldb.Bool(search.Match(args[0].B, search.Token(args[1].B))), nil
+		return sqldb.Bool(matchers.get(args[1].B).Match(args[0].B)), nil
 	})
 
 	// hom_add(ct1, ct2) multiplies Paillier ciphertexts: the UPDATE
 	// ... SET x = x + k path (§3.3).
 	n2 := new(big.Int).Set(p.homKey.N2)
+	products := sync.Pool{New: func() any { return new(homProduct) }}
 	p.db.RegisterUDF("hom_add", func(args []sqldb.Value) (sqldb.Value, error) {
 		if len(args) != 2 {
 			return sqldb.Value{}, fmt.Errorf("hom_add: want 2 args")
@@ -407,25 +411,67 @@ func (p *Proxy) registerUDFs() {
 		if args[0].IsNull() || args[1].IsNull() {
 			return sqldb.Null(), nil
 		}
-		a := new(big.Int).SetBytes(args[0].B)
-		b := new(big.Int).SetBytes(args[1].B)
-		a.Mul(a, b).Mod(a, n2)
-		return sqldb.Blob(fixedBytes(a, n2)), nil
+		h := products.Get().(*homProduct)
+		defer products.Put(h)
+		h.acc.SetBytes(args[0].B)
+		h.mul(args[1].B, n2)
+		return sqldb.Blob(fixedBytes(&h.acc, n2)), nil
 	})
 
 	// hom_sum(ct) aggregates a HOM column by ciphertext multiplication:
 	// the server-side SUM replacement (§3.1).
 	p.db.RegisterAggUDF("hom_sum", func() sqldb.AggState {
-		return &homSumState{acc: big.NewInt(1), n2: n2}
+		s := &homSumState{n2: n2}
+		s.acc.SetInt64(1)
+		return s
 	})
+}
+
+// matcherCache maps a SEARCH token to its search.Matcher for the
+// searchswp UDF, so a LIKE derives its token's key schedule once rather
+// than once per row. Sessions and shards share it; it is cleared when it
+// reaches matcherCacheSize tokens.
+type matcherCache struct {
+	mu sync.Mutex
+	m  map[string]*search.Matcher
+}
+
+const matcherCacheSize = 64
+
+func (c *matcherCache) get(token []byte) *search.Matcher {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m, ok := c.m[string(token)]; ok {
+		return m
+	}
+	if c.m == nil || len(c.m) >= matcherCacheSize {
+		c.m = make(map[string]*search.Matcher, matcherCacheSize)
+	}
+	m := search.NewMatcher(token)
+	c.m[string(token)] = m
+	return m
 }
 
 func fixedBytes(v, n2 *big.Int) []byte {
 	return v.FillBytes(make([]byte, (n2.BitLen()+7)/8))
 }
 
+// homProduct multiplies Paillier ciphertexts into acc modulo n². Its
+// temporaries are reused, so once they have grown to the modulus a
+// product allocates nothing.
+type homProduct struct {
+	acc, c, prod, quo big.Int
+}
+
+// mul sets acc = acc · ct mod n2.
+func (h *homProduct) mul(ct []byte, n2 *big.Int) {
+	h.c.SetBytes(ct)
+	h.prod.Mul(&h.acc, &h.c)
+	h.quo.QuoRem(&h.prod, n2, &h.acc)
+}
+
 type homSumState struct {
-	acc *big.Int
+	homProduct
 	n2  *big.Int
 	any bool
 }
@@ -437,8 +483,7 @@ func (s *homSumState) Step(args []sqldb.Value) error {
 	if args[0].IsNull() {
 		return nil
 	}
-	c := new(big.Int).SetBytes(args[0].B)
-	s.acc.Mul(s.acc, c).Mod(s.acc, s.n2)
+	s.mul(args[0].B, s.n2)
 	s.any = true
 	return nil
 }
@@ -447,7 +492,7 @@ func (s *homSumState) Final() (sqldb.Value, error) {
 	if !s.any {
 		return sqldb.Null(), nil
 	}
-	return sqldb.Blob(fixedBytes(s.acc, s.n2)), nil
+	return sqldb.Blob(fixedBytes(&s.acc, s.n2)), nil
 }
 
 func udfDecryptRND(args []sqldb.Value) (sqldb.Value, error) {

@@ -1,9 +1,12 @@
 package proxy
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/crypto/search"
 	"repro/internal/onion"
 	"repro/internal/sqldb"
 )
@@ -224,6 +227,79 @@ func TestLikeSearch(t *testing.T) {
 	res = mustExec(t, p, "SELECT id FROM messages WHERE msg NOT LIKE '%alice%'")
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 2 {
 		t.Fatalf("not-like rows = %v", res.Rows)
+	}
+}
+
+// TestLikeRefusesMultiKeywordPattern: stored SEARCH blobs hold
+// search.Keywords tokens, so a LIKE whose word is not one such token can
+// match nothing through the proxy while plaintext LIKE finds rows. The
+// proxy must refuse it, not answer wrongly, in normal and training mode.
+func TestLikeRefusesMultiKeywordPattern(t *testing.T) {
+	const ddl = "CREATE TABLE notes (id INT, body TEXT)"
+	const load = "INSERT INTO notes (id, body) VALUES (1, 'hello world from alice'), (2, 'café au lait'), (3, 'e-mail me'), (4, 'kw0042 kw0007')"
+	p := newTestProxy(t)
+	plain := sqldb.New()
+	for _, sql := range []string{ddl, load} {
+		mustExec(t, p, sql)
+		if _, err := plain.ExecSQL(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trainer, err := New(sqldb.New(), Options{HOMBits: 256, Training: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, trainer, ddl)
+
+	for _, q := range []string{
+		"SELECT id FROM notes WHERE body LIKE '%hello world%'",
+		"SELECT id FROM notes WHERE body LIKE '%café%'",
+		"SELECT id FROM notes WHERE body LIKE '%e-mail%'",
+		"SELECT id FROM notes WHERE body NOT LIKE '%hello world%'",
+	} {
+		if res, err := plain.ExecSQL(q); err != nil || len(res.Rows) == 0 {
+			t.Fatalf("plaintext %q = %v, %v: the case no longer shows a wrong answer", q, res, err)
+		}
+		res, err := p.Execute(q)
+		if err == nil || !strings.Contains(err.Error(), "unsupported LIKE pattern") {
+			t.Errorf("%q = %v, %v; want the unsupported LIKE pattern error", q, res, err)
+		}
+		before := len(trainer.TrainingLog())
+		mustExec(t, trainer, q)
+		warned := false
+		for _, ev := range trainer.TrainingLog()[before:] {
+			warned = warned || strings.Contains(ev.Warning, "unsupported LIKE pattern")
+		}
+		if !warned {
+			t.Errorf("training %q logged no unsupported LIKE pattern warning", q)
+		}
+	}
+
+	// One-keyword patterns keep working, in any case and wildcard form.
+	for q, want := range map[string]int{
+		"SELECT id FROM notes WHERE body LIKE '%kw0042%'": 1,
+		"SELECT id FROM notes WHERE body LIKE '%HELLO%'":  1,
+		"SELECT id FROM notes WHERE body LIKE 'mail%'":    1,
+		"SELECT id FROM notes WHERE body LIKE '%lait'":    1,
+		"SELECT id FROM notes WHERE body LIKE 'au'":       1,
+		"SELECT id FROM notes WHERE body NOT LIKE '%me%'": 3,
+	} {
+		if res := mustExec(t, p, q); len(res.Rows) != want {
+			t.Errorf("%q = %v, want %d rows", q, res.Rows, want)
+		}
+	}
+}
+
+func TestLikeWord(t *testing.T) {
+	for pat, want := range map[string]string{
+		"%alice%": "alice", "Alice%": "alice", "%KW0042": "kw0042", "42": "42",
+		"%hello world%": "", "%café%": "", "%e-mail%": "", "%a_b%": "", "%a%b%": "",
+		"%_abc%": "", "%%": "", "": "", "% %": "",
+	} {
+		got, ok := likeWord(pat)
+		if ok != (want != "") || got != want {
+			t.Errorf("likeWord(%q) = %q, %v; want %q", pat, got, ok, want)
+		}
 	}
 }
 
@@ -588,4 +664,66 @@ func TestServerPlanCounters(t *testing.T) {
 	if st.HashJoins == 0 {
 		t.Fatalf("encrypted equi-join did not hash-join: %+v", st)
 	}
+}
+
+// TestHomSumStepAllocs: once hom_sum's temporaries have grown to the
+// modulus, a step multiplies into the accumulator without allocating, and
+// the product still decrypts to the sum.
+func TestHomSumStepAllocs(t *testing.T) {
+	p := newTestProxy(t)
+	k := p.HOMKey()
+	ct, err := k.EncryptInt64(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []sqldb.Value{sqldb.Blob(k.CiphertextBytes(ct))}
+	s := &homSumState{n2: k.N2}
+	s.acc.SetInt64(1)
+	if err := s.Step(args); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(99, func() { s.Step(args) }); n != 0 && !raceEnabled {
+		t.Fatalf("hom_sum step allocates %v times", n)
+	}
+	out, err := s.Final()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun makes one warm-up call besides its 99.
+	if sum, err := k.DecryptInt64(k.CiphertextFromBytes(out.B)); err != nil || sum != 7*101 {
+		t.Fatalf("hom_sum of 101 sevens decrypts to %d, %v", sum, err)
+	}
+}
+
+// TestMatcherCacheConcurrent: searchswp's token cache is shared by every
+// session and shard. Goroutines look up more tokens than it holds, so it
+// is also cleared while others read it; every lookup must still match.
+func TestMatcherCacheConcurrent(t *testing.T) {
+	c := search.New([]byte("key"))
+	var blobs [][]byte
+	var tokens []search.Token
+	for i := 0; i < 2*matcherCacheSize; i++ {
+		w := fmt.Sprintf("kw%04d", i)
+		blob, err := c.EncryptText(w + " other")
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs, tokens = append(blobs, blob), append(tokens, c.TokenFor(w))
+	}
+	var cache matcherCache
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range tokens {
+				j := (i + g*matcherCacheSize/2) % len(tokens)
+				if !cache.get(tokens[j]).Match(blobs[j]) {
+					t.Errorf("token %d did not match its blob", j)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
