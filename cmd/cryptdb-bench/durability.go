@@ -10,9 +10,9 @@ import (
 )
 
 // figDurability measures the write-path cost of the durability subsystem
-// (WAL + snapshots, PR 3) against the in-memory baseline, and the recovery
-// path: time to reopen a data dir from snapshot + WAL and serve the first
-// query. The interesting numbers are the fsync column (the true cost of
+// (WAL + checkpoints) against the in-memory baseline, and the recovery
+// path: time to reopen a data dir from manifest + page segments + WAL and
+// serve the first query. The interesting numbers are the fsync column (the true cost of
 // commit-durable writes; amortized by transactions) and the recovery time
 // (bounded by the auto-checkpoint threshold).
 func figDurability() error {
@@ -80,7 +80,7 @@ func figDurability() error {
 	}
 
 	// Recovery: a full encrypted stack (proxy + DBMS) reopened from disk,
-	// first with pure WAL replay, then from a snapshot.
+	// first with pure WAL replay, then from a checkpoint.
 	dir, err := os.MkdirTemp("", "cryptdb-recovery")
 	if err != nil {
 		return err
@@ -146,5 +146,5 @@ func figDurability() error {
 	if err := dbc.Close(); err != nil {
 		return err
 	}
-	return reopen("recover: snapshot")
+	return reopen("recover: checkpoint")
 }

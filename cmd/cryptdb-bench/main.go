@@ -37,7 +37,7 @@ var figures = []struct {
 	{"ablation", "design-choice ablations (OPE cache, HOM pool, indexes)", figAblation},
 	{"bulkload", "batched, parallel multi-row INSERT pipeline (§3.1)", figBulkLoad},
 	{"rangescan", "ordered OPE indexes vs full scans (§3.3)", figRangeScan},
-	{"durability", "WAL/snapshot write-path overhead & recovery", figDurability},
+	{"durability", "WAL/checkpoint write-path overhead & recovery", figDurability},
 	{"groupcommit", "concurrent sessions + WAL group commit", figGroupCommit},
 	{"shardscale", "sharded store write scaling (1/2/4/8 shards)", figShardScale},
 	{"joins", "compiled-pipeline joins and GROUP BY, single vs 4-shard", figJoins},

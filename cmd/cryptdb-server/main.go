@@ -35,7 +35,7 @@
 // §4.2's per-user (not per-connection) key model.
 //
 // With -data-dir the instance is durable: the embedded DBMS keeps a
-// write-ahead log and snapshots under DIR, and the proxy persists its key
+// write-ahead log and checkpointed page segments under DIR, and the proxy persists its key
 // material and sealed onion metadata there too, so a restarted server —
 // even one killed with SIGKILL — serves exactly the rows and onion levels
 // it had before. SIGINT/SIGTERM trigger a graceful shutdown: the listener
@@ -103,12 +103,12 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 	fs := flag.NewFlagSet("cryptdb-server", flag.ExitOnError)
 	fs.StringVar(&cfg.addr, "addr", ":7432", "listen address")
 	fs.BoolVar(&cfg.multi, "multi", false, "enable multi-principal mode (§4)")
-	fs.StringVar(&cfg.dataDir, "data-dir", "", "directory for durable state (WAL, snapshots, proxy keys); empty runs in-memory")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "directory for durable state (WAL, page segments, proxy keys); empty runs in-memory")
 	fs.IntVar(&cfg.shards, "shards", 1, "number of store shards (hash-partitioned by hidden row id); a durable directory fixes the count at creation")
 	fs.BoolVar(&cfg.noFsync, "wal-nofsync", false, "skip fsync after each commit (faster; a machine crash may lose recent commits)")
-	fs.Int64Var(&cfg.checkpointMB, "checkpoint-mb", 4, "WAL size in MiB that triggers an automatic snapshot; 0 disables")
-	fs.BoolVar(&cfg.paged, "paged", false, "store rows in on-disk page segments behind a byte-budgeted buffer cache, so data may exceed RAM (requires -data-dir); an existing directory's layout always wins")
-	fs.Int64Var(&cfg.cacheMB, "cache-mb", 64, "paged-mode buffer-cache budget in MiB, split evenly across shards; ignored without -paged (or a paged directory)")
+	fs.Int64Var(&cfg.checkpointMB, "checkpoint-mb", 4, "WAL size in MiB that triggers an automatic checkpoint (dirty pages written, log truncated); 0 disables")
+	fs.BoolVar(&cfg.paged, "paged", false, "bound the buffer cache at -cache-mb, so data may exceed RAM: pages beyond the budget are evicted and fault back from their segments (requires -data-dir); without it every page stays in memory. Kept because the benchmark sets it; a benchmark change can fold it into -cache-mb")
+	fs.Int64Var(&cfg.cacheMB, "cache-mb", 64, "buffer-cache budget in MiB with -paged, split evenly across shards; ignored without -paged")
 	fs.IntVar(&cfg.maxSessions, "max-sessions", 0, "maximum concurrent client sessions; 0 = unlimited")
 	fs.StringVar(&cfg.replicateTo, "replicate-to", "", "also listen on this address for replication followers and ship the WAL to them (requires -data-dir)")
 	fs.StringVar(&cfg.replicaOf, "replica-of", "", "run as a read-only follower of the primary at this address (requires -data-dir with the primary's proxy-keys.json)")

@@ -1,5 +1,7 @@
-// The buffer cache for paged tables: a two-tier page cache under a byte
-// budget.
+// The buffer cache every table's pages live in: a two-tier page cache under
+// a byte budget. A database without a budget (New, or Open without
+// DurabilityOptions.Paged) runs the same cache with the budget at
+// unbounded, so nothing is ever evicted and no page ever faults.
 //
 //   - L2 is the bulk of the cache: every materialized page is registered in
 //     a clock ring and evicted second-chance when the budget is exceeded.
@@ -24,8 +26,7 @@
 package sqldb
 
 import (
-	"fmt"
-	"os"
+	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -35,18 +36,20 @@ import (
 // must be re-hit this many times between two clock sweeps.
 const hotPromoteHits = 8
 
-// defaultCacheBytes is the paged-mode cache budget when the caller leaves
-// DurabilityOptions.CacheBytes zero (64 MiB).
+// defaultCacheBytes is the cache budget of a database opened with
+// DurabilityOptions.Paged and CacheBytes left zero (64 MiB).
 const defaultCacheBytes = 64 << 20
 
-// CacheStats reports buffer-cache activity for a paged database (all zero
-// for resident databases).
+// unbounded is the budget of a cache that never evicts.
+const unbounded = math.MaxInt64
+
+// CacheStats reports buffer-cache activity.
 type CacheStats struct {
 	Hits          int64 // page accesses served by a materialized page
 	Misses        int64 // page faults (segment reads)
 	Evictions     int64 // clean pages dropped by the clock sweep
 	ResidentBytes int64 // bytes currently charged against the cache budget
-	BudgetBytes   int64 // the configured budget
+	BudgetBytes   int64 // the configured budget; 0 when the cache has none
 	ResidentPages int64 // materialized pages
 	HotPages      int64 // L1 (clock-pinned) pages
 	DirtyPages    int64 // pages modified since the last checkpoint
@@ -58,9 +61,9 @@ type pageRef struct {
 	id int
 }
 
-// pager is the buffer cache shared by every paged table of one DB.
+// pager is the buffer cache shared by every table of one DB.
 type pager struct {
-	dir    string // the pages/ directory holding segment files
+	dir    string // the pages/ directory holding segment files ("" in memory)
 	budget int64
 	l1Max  int64
 
@@ -86,9 +89,6 @@ type pager struct {
 }
 
 func newPager(dir string, budget int64) *pager {
-	if budget <= 0 {
-		budget = defaultCacheBytes
-	}
 	pg := &pager{dir: dir, budget: budget, segFiles: make(map[string]int64)}
 	// L1 holds at most ~1/8 of the budget's worth of pages.
 	pg.l1Max = budget / 8 / pageOverhead
@@ -98,13 +98,24 @@ func newPager(dir string, budget int64) *pager {
 	return pg
 }
 
+// memPager returns an unbounded cache with no directory: an in-memory
+// database's (New), and the private one of each table that lives for one
+// statement — a transaction's merged view, a feed's column names — whose
+// pages must stay out of the database's clock ring, since only eviction
+// and DROP TABLE prune its entries.
+func memPager() *pager { return newPager("", unbounded) }
+
 func (pg *pager) stats() CacheStats {
+	budget := pg.budget
+	if budget == unbounded {
+		budget = 0 // sharded stores sum budgets; MaxInt64 would overflow
+	}
 	return CacheStats{
 		Hits:          pg.hits.Load(),
 		Misses:        pg.misses.Load(),
 		Evictions:     pg.evictions.Load(),
 		ResidentBytes: pg.resident.Load(),
-		BudgetBytes:   pg.budget,
+		BudgetBytes:   budget,
 		ResidentPages: pg.pages.Load(),
 		HotPages:      pg.hotPages.Load(),
 		DirtyPages:    pg.dirtyPages.Load(),
@@ -146,8 +157,9 @@ func (pg *pager) forget(p *rowPage) {
 }
 
 // forgetTable uncharges every resident page of a table being dropped or
-// swapped out and marks the table so stale ring entries self-prune.
-// Callers hold db.mu's write side.
+// swapped out, removes its ring entries (an unbounded cache never sweeps,
+// so a stale entry would pin the table in memory) and marks it dropped for
+// a checkpoint still writing its pages. Callers hold db.mu's write side.
 func (pg *pager) forgetTable(t *Table) {
 	t.dropped = true
 	for i := range t.pages {
@@ -155,6 +167,18 @@ func (pg *pager) forgetTable(t *Table) {
 			pg.forget(p)
 		}
 	}
+	pg.mu.Lock()
+	defer pg.mu.Unlock()
+	kept := pg.ring[:0]
+	for i, ref := range pg.ring {
+		if ref.t != t {
+			kept = append(kept, ref)
+		} else if i < pg.hand {
+			pg.hand--
+		}
+	}
+	clear(pg.ring[len(kept):])
+	pg.ring = kept
 }
 
 // evictToBudget sweeps the clock until resident bytes fit the budget or
@@ -202,7 +226,7 @@ func (pg *pager) evictToBudgetExcept(except *rowPage) {
 		}
 		ref := pg.ring[pg.hand]
 		p := ref.t.pages[ref.id].Load()
-		if p == nil || ref.t.dropped {
+		if p == nil {
 			pg.removeRingAt(pg.hand)
 			progress++
 			continue
@@ -251,10 +275,6 @@ func (pg *pager) removeRingAt(i int) {
 // (recovered at statement entry — row accessors have no error returns).
 func (t *Table) faultPage(id int) *rowPage {
 	pg := t.pager
-	if pg == nil {
-		// Resident mode materializes pages eagerly; a nil entry is a bug.
-		panic(fmt.Sprintf("sqldb: nil page %d of resident table %s", id, t.Name))
-	}
 	pg.misses.Add(1)
 	var p *rowPage
 	if rec := t.disk[id]; rec.file == "" {
@@ -285,7 +305,7 @@ func (t *Table) faultPage(id int) *rowPage {
 // backpressure of a write working set larger than the cache.
 func (db *DB) cachePressure() {
 	pg := db.pager
-	if pg == nil || pg.resident.Load() <= pg.budget {
+	if pg.resident.Load() <= pg.budget {
 		return
 	}
 	db.mu.RLock()
@@ -301,32 +321,20 @@ func (db *DB) cachePressure() {
 	}
 }
 
-// CacheStats reports buffer-cache counters (zero for a resident database).
-func (db *DB) CacheStats() CacheStats {
-	if db.pager == nil {
-		return CacheStats{}
-	}
-	return db.pager.stats()
-}
+// CacheStats reports buffer-cache counters.
+func (db *DB) CacheStats() CacheStats { return db.pager.stats() }
 
-// Paged reports whether this database pages rows to per-page segments.
-func (db *DB) Paged() bool { return db.pager != nil }
+// Paged reports whether rows are checkpointed to per-page segment files:
+// true for every database Open returns, false for New's in-memory one.
+func (db *DB) Paged() bool { return db.pager.dir != "" }
 
 // DiskSizeBytes reports the database's on-disk footprint: page segments
-// plus the live WAL for a paged database; snapshot plus WAL otherwise.
-// Zero for an in-memory database.
+// plus the live WAL. Zero for an in-memory database.
 func (db *DB) DiskSizeBytes() int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.wal == nil {
 		return 0
 	}
-	total := atomic.LoadInt64(&db.wal.size)
-	if db.pager != nil {
-		return total + db.pager.diskBytes.Load()
-	}
-	if fi, err := os.Stat(filepath.Join(db.dir, snapFileName)); err == nil {
-		total += fi.Size()
-	}
-	return total
+	return atomic.LoadInt64(&db.wal.size) + db.pager.diskBytes.Load()
 }

@@ -1,17 +1,17 @@
-// Incremental checkpoints for paged databases, and the background
-// checkpointer both layouts share.
+// Incremental checkpoints, recovery from them, and the background
+// checkpointer.
 //
-// On-disk layout of a paged database directory:
+// On-disk layout of a durable database directory:
 //
-//	LOCK, wal.log        as before (same WAL format, same group commit)
+//	LOCK                 flock held for the database's lifetime
+//	wal.log              CRC-framed redo batches (see wal.go)
 //	MANIFEST             walSeq-gated root: schema ops + page directory
 //	pages/seg-*.pg       one slotted segment file per checkpointed page
 //
-// The MANIFEST plays the role snapshot.db plays for the resident layout:
-// it records the WAL sequence S it covers, the schema (as a WAL-op
-// stream), and for every non-empty page the segment file holding its rows
-// as of S. Recovery is unchanged in shape: load the manifest, then replay
-// WAL batches with seq > S.
+// The MANIFEST records the WAL sequence S it covers, the schema (as a
+// WAL-op stream), and for every non-empty page the segment file holding its
+// rows as of S. Recovery is: load the manifest, then replay WAL batches with
+// seq > S.
 //
 // A checkpoint writes only the pages dirtied since the last one — pause is
 // proportional to churn, not data size — in three phases:
@@ -95,7 +95,7 @@ func buildSegFile(table string, id int, p *rowPage) []byte {
 }
 
 // parseSegFile verifies and decodes one segment file, invoking fn for each
-// stored row with its local slot.
+// stored row with its local slot, in ascending order.
 func parseSegFile(data []byte, fn func(local int, row []Value) error) (table string, id int, err error) {
 	if len(data) < len(segMagic)+frameHdrLen || string(data[:len(segMagic)]) != segMagic {
 		return "", 0, fmt.Errorf("sqldb: not a page segment file")
@@ -113,21 +113,24 @@ func parseSegFile(data []byte, fn func(local int, row []Value) error) (table str
 	if table, err = d.string(); err != nil {
 		return "", 0, err
 	}
-	pid, err := d.uvarint()
-	if err != nil {
+	if id, err = d.index(maxSlot >> pageShift); err != nil {
 		return "", 0, err
 	}
-	id = int(pid)
 	count, err := d.uvarint()
 	if err != nil {
 		return "", 0, err
 	}
+	prev := -1
 	for n := uint64(0); n < count; n++ {
 		local, err := d.byte()
 		if err != nil {
 			return table, id, err
 		}
-		ncells, err := d.uvarint()
+		if int(local) <= prev {
+			return table, id, fmt.Errorf("sqldb: page segment slot %d follows slot %d", local, prev)
+		}
+		prev = int(local)
+		ncells, err := d.count(1)
 		if err != nil {
 			return table, id, err
 		}
@@ -150,8 +153,17 @@ func loadSegment(path string, t *Table, id int) (*rowPage, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeSegment(data, t, id)
+}
+
+// decodeSegment parses a segment file into a clean page, checking that it
+// holds page id of t and rows of t's width.
+func decodeSegment(data []byte, t *Table, id int) (*rowPage, error) {
 	p := &rowPage{}
 	table, gotID, err := parseSegFile(data, func(local int, row []Value) error {
+		if len(row) != len(t.Cols) {
+			return fmt.Errorf("sqldb: segment row has %d values for the %d columns of %s", len(row), len(t.Cols), t.Name)
+		}
 		p.rows[local] = row
 		p.live++
 		p.bytes += rowBytes(row)
@@ -203,9 +215,9 @@ func buildManifest(walSeq, fileSeq uint64, schemaOps []byte, entries []manEntry)
 	return append(buf, payload...)
 }
 
-// parseManifest verifies a manifest and returns its fields. Like a damaged
-// snapshot, a damaged manifest is fatal: it is installed atomically, so
-// damage means real corruption.
+// parseManifest verifies a manifest and returns its fields. A damaged
+// manifest is fatal: it is installed atomically, so damage means real
+// corruption.
 func parseManifest(data []byte, path string) (walSeq, fileSeq uint64, schemaOps []byte, entries []manEntry, err error) {
 	if len(data) < manHeaderLen+frameHdrLen || string(data[:8]) != manMagic {
 		return 0, 0, nil, nil, fmt.Errorf("sqldb: %s is not a manifest file", path)
@@ -232,21 +244,19 @@ func parseManifest(data []byte, path string) (walSeq, fileSeq uint64, schemaOps 
 	if schemaOps, err = d.bytes(slen); err != nil {
 		return 0, 0, nil, nil, err
 	}
-	n, err := d.uvarint()
+	n, err := d.count(4) // table length, page id, file length, size
 	if err != nil {
 		return 0, 0, nil, nil, err
 	}
 	entries = make([]manEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var e manEntry
 		if e.table, err = d.string(); err != nil {
 			return 0, 0, nil, nil, err
 		}
-		id, err := d.uvarint()
-		if err != nil {
+		if e.id, err = d.index(maxSlot >> pageShift); err != nil {
 			return 0, 0, nil, nil, err
 		}
-		e.id = int(id)
 		if e.file, err = d.string(); err != nil {
 			return 0, 0, nil, nil, err
 		}
@@ -435,10 +445,16 @@ func (db *DB) ckptAbort(segs []pendingSeg) {
 	}
 }
 
-// checkpointPaged runs one incremental checkpoint with commits flowing
-// concurrently during the write phase. Only the capture and install phases
-// pause the database; their time is what CheckpointPauseNanos reports.
-func (db *DB) checkpointPaged() error {
+// Checkpoint writes every page dirtied since the last checkpoint to a fresh
+// segment file, installs a manifest covering the current sequence number and
+// truncates the WAL, bounding recovery time and disk usage. Open
+// transactions do not block it: their writes live in private buffers, so the
+// shared tables always hold exactly the committed state. Commits flow
+// concurrently during the write phase — their batches carry sequence numbers
+// past the manifest's and replay on top — so only the capture and install
+// phases pause the database; their time is what CheckpointPauseNanos
+// reports. A no-op on an in-memory database.
+func (db *DB) Checkpoint() error {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
 
@@ -476,11 +492,11 @@ func (db *DB) checkpointPaged() error {
 	return err
 }
 
-// checkpointPagedLocked runs all three phases with db.mu already held: the
-// Open-time layout conversion and ResetFromSnapshot need the checkpoint
-// inside their critical section. Callers that can race another checkpoint
-// hold db.ckptMu (acquired before db.mu).
-func (db *DB) checkpointPagedLocked() error {
+// checkpointHeld runs all three phases with db.mu already held: Open (when
+// it writes a directory's first manifest) and ResetFromSnapshot need the
+// checkpoint inside their critical section. Callers that can race another
+// checkpoint hold db.ckptMu (acquired before db.mu).
+func (db *DB) checkpointHeld() error {
 	start := time.Now()
 	seq, segs, entries, schemaOps := db.ckptCapture()
 	written, err := db.ckptWrite(seq, segs, entries, schemaOps)
@@ -504,14 +520,16 @@ func (db *DB) removeSegFiles(names []string) {
 }
 
 //
-// Paged recovery (Open with a MANIFEST present)
+// Recovery (Open with a MANIFEST present)
 //
 
-// loadPaged rebuilds state from the manifest and its segments: schema and
-// indexes become resident, row pages stay on disk (they fault in on
-// demand). Index rebuilding streams every segment once without retaining
-// rows, so recovery memory stays bounded by the cache budget plus the
-// index size. Returns the WAL sequence the manifest covers.
+// loadPaged rebuilds state from the manifest and its segments. Every
+// segment is decoded once to rebuild the indexes. An unbounded cache keeps
+// each decoded page, so it reopens fully in memory and never faults. A
+// bounded one starts cold and fills with the pages statements touch —
+// installing in manifest order would spend the budget on the first tables'
+// first pages — so its recovery memory is the index size. Returns the WAL
+// sequence the manifest covers.
 func (db *DB) loadPaged(path string) (uint64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -521,7 +539,9 @@ func (db *DB) loadPaged(path string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	db.pager.fileSeq = fileSeq
+	pg := db.pager
+	pg.fileSeq = fileSeq
+	keep := pg.budget == unbounded
 	d := &walDecoder{buf: schemaOps}
 	for !d.done() {
 		op, err := d.op()
@@ -533,8 +553,8 @@ func (db *DB) loadPaged(path string) (uint64, error) {
 		}
 	}
 	// Occupancy per table, to rebuild slot-space bounds and free lists with
-	// exactly the semantics snapshot loading has: trailing free slots are
-	// dropped, interior gaps enter the free list in ascending order.
+	// exactly the semantics replaying a snapshot stream has: trailing free
+	// slots are dropped, interior gaps enter the free list in ascending order.
 	type occ struct {
 		max  int
 		bits []uint64
@@ -546,16 +566,23 @@ func (db *DB) loadPaged(path string) (uint64, error) {
 		if t == nil {
 			return 0, fmt.Errorf("sqldb: manifest references unknown table %s", e.table)
 		}
-		seg, err := os.ReadFile(filepath.Join(db.pager.dir, e.file))
+		seg, err := os.ReadFile(filepath.Join(pg.dir, e.file))
 		if err != nil {
 			return 0, fmt.Errorf("sqldb: reading page segment: %w", err)
+		}
+		p, err := decodeSegment(seg, t, e.id)
+		if err != nil {
+			return 0, fmt.Errorf("sqldb: page segment %s: %w", e.file, err)
 		}
 		o := occs[e.table]
 		if o == nil {
 			o = &occ{max: -1}
 			occs[e.table] = o
 		}
-		table, id, err := parseSegFile(seg, func(local int, row []Value) error {
+		for local, row := range p.rows {
+			if row == nil {
+				continue
+			}
 			slot := e.id<<pageShift + local
 			for _, idx := range t.indexes {
 				idx.addSlot(row[idx.pos].Key(), slot)
@@ -563,8 +590,6 @@ func (db *DB) loadPaged(path string) (uint64, error) {
 			for _, ix := range t.ordIndexes {
 				ix.insert(row[ix.pos], slot)
 			}
-			t.dataBytes += rowBytes(row)
-			t.live++
 			if slot > o.max {
 				o.max = slot
 			}
@@ -572,19 +597,21 @@ func (db *DB) loadPaged(path string) (uint64, error) {
 				o.bits = append(o.bits, 0)
 			}
 			o.bits[slot/64] |= 1 << (slot % 64)
-			return nil
-		})
-		if err != nil {
-			return 0, fmt.Errorf("sqldb: page segment %s: %w", e.file, err)
 		}
-		if table != e.table || id != e.id {
-			return 0, fmt.Errorf("sqldb: segment %s holds page %d of %s, manifest says %d of %s", e.file, id, table, e.id, e.table)
+		t.dataBytes += p.bytes
+		t.live += p.live
+		for len(t.pages) <= e.id {
+			t.pages = append(t.pages, atomic.Pointer[rowPage]{})
 		}
 		for len(t.disk) <= e.id {
 			t.disk = append(t.disk, pageDiskRec{})
 		}
 		t.disk[e.id] = pageDiskRec{file: e.file, bytes: e.bytes}
-		db.pager.segFiles[e.file] = e.bytes
+		if keep {
+			t.pages[e.id].Store(p)
+			pg.admit(t, e.id, p)
+		}
+		pg.segFiles[e.file] = e.bytes
 		diskTotal += e.bytes
 	}
 	for name, o := range occs {
@@ -592,10 +619,18 @@ func (db *DB) loadPaged(path string) (uint64, error) {
 		t.nslots = o.max + 1
 		want := (t.nslots + pageMask) >> pageShift
 		for len(t.pages) < want {
-			t.pages = append(t.pages, atomic.Pointer[rowPage]{}) // stays on disk
+			t.pages = append(t.pages, atomic.Pointer[rowPage]{})
 		}
 		for len(t.disk) < want {
 			t.disk = append(t.disk, pageDiskRec{})
+		}
+		// Pages with no segment were empty at the checkpoint.
+		for id := range t.pages {
+			if keep && t.pages[id].Load() == nil {
+				p := &rowPage{}
+				t.pages[id].Store(p)
+				pg.admit(t, id, p)
+			}
 		}
 		for s := 0; s < t.nslots; s++ {
 			if o.bits[s/64]&(1<<(s%64)) == 0 {
@@ -603,7 +638,7 @@ func (db *DB) loadPaged(path string) (uint64, error) {
 			}
 		}
 	}
-	db.pager.diskBytes.Store(diskTotal)
+	pg.diskBytes.Store(diskTotal)
 	db.sweepOrphanSegments()
 	return walSeq, nil
 }
@@ -627,37 +662,21 @@ func (db *DB) sweepOrphanSegments() {
 	}
 }
 
-//
-// Table adoption (layout conversion and snapshot resets)
-//
-
-// adoptTable attaches a freshly created table to this database's pager (a
-// no-op for resident databases). Called wherever tables are born: CREATE
-// TABLE, WAL replay, snapshot load.
-func (db *DB) adoptTable(t *Table) {
-	if db.pager != nil {
-		t.pager = db.pager
-	}
-}
-
-// adoptResidentTable wires a table built without a pager (a scratch
-// database from ResetFromSnapshot) into this database's cache: every
+// adoptStagedTable moves a table built on a scratch database (the staging
+// copy ResetFromSnapshot decodes into) onto this database's cache: every
 // materialized page is admitted, charged, and marked dirty so the next
 // checkpoint persists it. Callers hold db.mu's write side.
-func (db *DB) adoptResidentTable(t *Table) {
+func (db *DB) adoptStagedTable(t *Table) {
 	t.pager = db.pager
 	t.disk = make([]pageDiskRec, len(t.pages))
 	for id := range t.pages {
 		p := t.pages[id].Load()
-		if p == nil {
-			continue
-		}
+		// Clear the staging cache's marks: this cache never counted them.
+		p.dirty = false
+		p.hot.Store(false)
+		p.ref.Store(0)
 		db.pager.admit(t, id, p)
-		if p.dirty {
-			db.pager.dirtyPages.Add(1)
-		} else {
-			t.markDirty(p)
-		}
+		t.markDirty(p)
 	}
 }
 
@@ -667,9 +686,8 @@ func (db *DB) adoptResidentTable(t *Table) {
 
 // startCheckpointLoop launches the background auto-checkpoint goroutine
 // for a durable database. The WAL-size probe on the commit path only kicks
-// this loop (a non-blocking channel send); the snapshot/segment writing —
-// formerly a full-state rewrite paid by whichever committer tripped the
-// threshold — happens here, off every commit path.
+// this loop (a non-blocking channel send); the segment writing happens
+// here, off every commit path.
 func (db *DB) startCheckpointLoop() {
 	db.ckptKick = make(chan struct{}, 1)
 	db.ckptStop = make(chan struct{})
@@ -704,13 +722,12 @@ func (db *DB) stopCheckpointLoop() {
 }
 
 // CheckpointPauseNanos reports cumulative wall time checkpoints have held
-// the database lock: full pauses for the resident layout, capture+install
-// only for the paged one (segment writing overlaps commits).
+// the database lock: capture and install only, since segment writing
+// overlaps commits.
 func (db *DB) CheckpointPauseNanos() int64 { return atomic.LoadInt64(&db.ckptPauseNanos) }
 
-// LastCheckpointBytes reports the bytes written by the most recent
-// checkpoint: the whole snapshot for the resident layout, only the dirty
-// segments for the paged one.
+// LastCheckpointBytes reports the bytes the most recent checkpoint wrote:
+// the dirty pages' segments plus the manifest.
 func (db *DB) LastCheckpointBytes() int64 { return atomic.LoadInt64(&db.lastCkptBytes) }
 
 // ckptErrBox wraps a background-checkpoint error for atomic.Value (whose

@@ -70,8 +70,9 @@ type DB struct {
 	stmtBuf     []byte
 	checkpoints int64
 
-	// pager is the buffer cache of a paged database (nil for resident and
-	// in-memory databases); set once in Open, immutable afterwards.
+	// pager is the buffer cache every table of this database belongs to;
+	// set at construction, immutable afterwards. Its budget is unbounded
+	// unless Open was asked to bound it (DurabilityOptions.Paged).
 	pager *pager
 
 	// Background checkpointer (started by Open). ckptMu single-flights
@@ -90,7 +91,7 @@ type DB struct {
 	// boxed so concrete error types may vary (see LastCheckpointError).
 	ckptBgErr atomic.Value
 
-	// snapSeq is the WAL sequence number the on-disk snapshot covers;
+	// snapSeq is the WAL sequence number the on-disk manifest covers;
 	// frames at or below it are no longer in the log. Replication taps
 	// consult it to decide between log-tail catch-up and a full snapshot
 	// resync (see replication.go). Guarded by mu.
@@ -98,7 +99,7 @@ type DB struct {
 
 	// meta is the last committed application-metadata blob (the CryptDB
 	// proxy's sealed state; see ExecWithMeta). It rides the WAL and the
-	// snapshot so it commits atomically with the writes it describes.
+	// manifest so it commits atomically with the writes it describes.
 	meta []byte
 	// metaVer counts committed meta transitions (atomic; see MetaVersion).
 	metaVer uint64
@@ -188,13 +189,17 @@ func (db *DB) trackBusy(start time.Time) {
 	atomic.AddInt64(&db.busyNanos, int64(time.Since(start)))
 }
 
-// New creates an empty database.
-func New() *DB {
+// New creates an empty in-memory database: its cache has no budget and no
+// directory, so every page stays resident.
+func New() *DB { return newDB(memPager()) }
+
+func newDB(pg *pager) *DB {
 	return &DB{
 		tables:   make(map[string]*Table),
 		udfs:     make(map[string]UDF),
 		aggUDFs:  make(map[string]AggUDF),
 		openTxns: make(map[*Txn]struct{}),
+		pager:    pg,
 	}
 }
 
@@ -354,9 +359,7 @@ func (db *DB) execDropTable(s *sqlparser.DropTableStmt) (*Result, error) {
 			return nil, fmt.Errorf("sqldb: cannot drop %s: written by an open transaction", s.Name)
 		}
 	}
-	if db.pager != nil {
-		db.pager.forgetTable(db.tables[s.Name])
-	}
+	db.pager.forgetTable(db.tables[s.Name])
 	delete(db.tables, s.Name)
 	db.redoDropTable(s.Name)
 	return &Result{}, nil
@@ -560,8 +563,7 @@ func (db *DB) execCreateTable(s *sqlparser.CreateTableStmt) (*Result, error) {
 		seen[c.Name] = true
 		cols[i] = Column{Name: c.Name, Type: c.Type, Primary: c.Primary}
 	}
-	t := newTable(s.Name, cols)
-	db.adoptTable(t)
+	t := newTable(s.Name, cols, db.pager)
 	for _, c := range s.Cols {
 		if c.Primary {
 			if err := t.addIndex(c.Name, true); err != nil {

@@ -37,7 +37,7 @@ func (s *scope) addFeed(ref sqlparser.TableRef, f *Feed) {
 	for i, name := range f.Columns {
 		cols[i] = Column{Name: name}
 	}
-	s.addTable(ref.Alias, newTable(ref.Table, cols))
+	s.addTable(ref.Alias, newTable(ref.Table, cols, memPager()))
 	s.tabs[len(s.tabs)-1].feed = f
 }
 

@@ -1,13 +1,11 @@
 // Page-grouped row storage. A table's slot space is split into fixed-size
 // groups of pageSlots rows ("pages"); slot s lives in page s>>pageShift at
-// local index s&pageMask. Both storage modes share this layout:
-//
-//   - Resident (pager == nil): every page is always materialized. This is
-//     the seed's semantics — and the equivalence oracle the paged engine is
-//     tested against — at the cost of one extra pointer hop per row access.
-//   - Paged (pager != nil): a page may be evicted to its on-disk segment
-//     (see ckpt_incremental.go) and faulted back on demand, under the byte
-//     budget the buffer cache enforces (see bufpool.go).
+// local index s&pageMask. Every table belongs to one buffer cache (its
+// pager, see bufpool.go), and a durable database checkpoints its pages to
+// per-page segment files (see ckpt_incremental.go). What a cache budget
+// changes is only residency: under a budget a clean page may be evicted and
+// faulted back from its segment on demand; without one (New, and Open
+// without DurabilityOptions.Paged) every page stays materialized.
 //
 // Concurrency contract, inherited from DB: all mutation happens under
 // db.mu's write side; reads run under the read side. Faulting a page in is
@@ -108,11 +106,9 @@ func (t *Table) slotCount() int { return t.nslots }
 func (t *Table) page(id int) *rowPage {
 	p := t.pages[id].Load()
 	if p != nil {
-		if pg := t.pager; pg != nil {
-			pg.hits.Add(1)
-			if p.ref.Add(1) == hotPromoteHits {
-				pg.promote(p)
-			}
+		t.pager.hits.Add(1)
+		if p.ref.Add(1) == hotPromoteHits {
+			t.pager.promote(p)
 		}
 		return p
 	}
@@ -136,14 +132,10 @@ func (t *Table) growTo(n int) {
 		t.pages = append(t.pages, atomic.Pointer[rowPage]{})
 		p := &rowPage{}
 		t.pages[len(t.pages)-1].Store(p)
-		if t.pager != nil {
-			t.pager.admit(t, len(t.pages)-1, p)
-		}
+		t.pager.admit(t, len(t.pages)-1, p)
 	}
-	if t.pager != nil {
-		for len(t.disk) < len(t.pages) {
-			t.disk = append(t.disk, pageDiskRec{})
-		}
+	for len(t.disk) < len(t.pages) {
+		t.disk = append(t.disk, pageDiskRec{})
 	}
 }
 
@@ -152,9 +144,7 @@ func (t *Table) growTo(n int) {
 func (t *Table) markDirty(p *rowPage) {
 	if !p.dirty {
 		p.dirty = true
-		if t.pager != nil {
-			t.pager.dirtyPages.Add(1)
-		}
+		t.pager.dirtyPages.Add(1)
 	}
 }
 
@@ -170,9 +160,7 @@ func (t *Table) putRow(slot int, row []Value) {
 	p.bytes += sz
 	t.dataBytes += sz
 	t.markDirty(p)
-	if t.pager != nil {
-		t.pager.resident.Add(int64(sz))
-	}
+	t.pager.resident.Add(int64(sz))
 }
 
 // clearRow removes the row in slot from its page (which must be resident),
@@ -185,9 +173,7 @@ func (t *Table) clearRow(p *rowPage, slot int) {
 	p.bytes -= sz
 	t.dataBytes -= sz
 	t.markDirty(p)
-	if t.pager != nil {
-		t.pager.resident.Add(int64(-sz))
-	}
+	t.pager.resident.Add(int64(-sz))
 }
 
 // rowBytes is the payload size of one row, the unit of all byte accounting.

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sqlparser"
 )
 
 // pagedTestOpts returns durability options that force the buffer cache to
@@ -334,26 +336,59 @@ func TestPagedIncrementalCheckpointBytes(t *testing.T) {
 	}
 }
 
-// TestPagedLayoutConversion opens an existing snapshot-layout directory
-// with Paged set and expects an in-place conversion: MANIFEST + segments
-// appear, snapshot.db disappears, and the data survives both the
+// snapshotDirDigest is the StateDigest of testdata/snapshot_datadir, a
+// directory in the snapshot.db layout (snapshot plus a WAL tail of inserts,
+// updates, deletes, DDL and a meta blob; hash and ordered indexes; interior
+// free-list gaps) written by the last version that wrote that layout, and
+// recorded by that version after replaying it. snapshotDirTailDigest is the
+// digest that version recorded after checkpointing, reopening and running
+// snapshotDirTail: it pins the recovered free list, which no digest sees.
+const (
+	snapshotDirDigest     = "80e9b038dda25e671cefe29ed62aab67584e99b50d8809acd3458fa2d0b4ece9"
+	snapshotDirTailDigest = "1ed99fd040aaf719c34097cd47dcfe5689980c1b2409dcb22a1afcae1e334714"
+)
+
+// snapshotDirTail inserts more rows than the fixture has free slots.
+func snapshotDirTail(t *testing.T, db *DB) {
+	t.Helper()
+	for i := 0; i < 7; i++ {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO users (id, name, score, avatar) VALUES (%d, 'tail%d', %d, NULL)", 5000+i, i, i*3))
+	}
+}
+
+// copySnapshotDir copies testdata/snapshot_datadir into a fresh directory.
+func copySnapshotDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range []string{snapFileName, walFileName} {
+		data, err := os.ReadFile(filepath.Join("testdata", "snapshot_datadir", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// assertConverted checks that a directory holds the manifest layout only.
+func assertConverted(t *testing.T, dir string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
+		t.Fatalf("conversion left no MANIFEST: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapFileName)); !os.IsNotExist(err) {
+		t.Fatalf("conversion left snapshot.db behind: %v", err)
+	}
+}
+
+// TestPagedLayoutConversion opens the snapshot-layout fixture with a cache
+// budget far below its size and expects an in-place conversion: MANIFEST +
+// segments appear, snapshot.db disappears, and the data survives both the
 // conversion and a subsequent flag-less reopen.
 func TestPagedLayoutConversion(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir, DurabilityOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, db, "CREATE TABLE t (id INT PRIMARY KEY, name TEXT)")
-	mustExec(t, db, "CREATE INDEX t_name ON t (name)")
-	mustExec(t, db, "INSERT INTO t (id, name) VALUES (1, 'a'), (2, 'b'), (3, 'c')")
-	if err := db.Checkpoint(); err != nil { // ensure snapshot.db exists
-		t.Fatal(err)
-	}
-	mustExec(t, db, "DELETE FROM t WHERE id = 2") // plus a WAL tail
-	want := dump(t, db)
-	db.Close()
-
+	dir := copySnapshotDir(t)
 	db2, err := Open(dir, pagedTestOpts(32<<10))
 	if err != nil {
 		t.Fatalf("conversion open: %v", err)
@@ -361,16 +396,11 @@ func TestPagedLayoutConversion(t *testing.T) {
 	if !db2.Paged() {
 		t.Fatal("conversion did not produce a paged database")
 	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("conversion left no MANIFEST: %v", err)
+	assertConverted(t, dir)
+	if got := db2.StateDigest(); got != snapshotDirDigest {
+		t.Fatalf("conversion changed the state: digest %s", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapFileName)); !os.IsNotExist(err) {
-		t.Fatalf("conversion left snapshot.db behind: %v", err)
-	}
-	if got := dump(t, db2); got != want {
-		t.Fatalf("conversion lost data:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	mustExec(t, db2, "INSERT INTO t (id, name) VALUES (4, 'd')")
+	mustExec(t, db2, "INSERT INTO later (k, v) VALUES ('d', 4)")
 	want2 := dump(t, db2)
 	db2.Close()
 
@@ -385,6 +415,157 @@ func TestPagedLayoutConversion(t *testing.T) {
 	if got := dump(t, db3); got != want2 {
 		t.Fatalf("post-conversion reopen lost data:\ngot:\n%s\nwant:\n%s", got, want2)
 	}
+}
+
+// TestRecoverySnapshotLayoutParentDir opens the snapshot-layout fixture the
+// default way (no cache budget): the state must replay to the digest the
+// writing version recorded, the directory must come out in the manifest
+// layout, and a reopen — now from the manifest — must agree, down to the
+// free list the next inserts draw from.
+func TestRecoverySnapshotLayoutParentDir(t *testing.T) {
+	dir := copySnapshotDir(t)
+	db, err := Open(dir, DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.StateDigest(); got != snapshotDirDigest {
+		t.Fatalf("snapshot-layout recovery: digest %s, want %s", got, snapshotDirDigest)
+	}
+	if string(db.Meta()) != "meta-in-tail" {
+		t.Fatalf("meta blob %q", db.Meta())
+	}
+	assertConverted(t, dir)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(dir, DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := db.StateDigest(); got != snapshotDirDigest {
+		t.Fatalf("reopen from the manifest: digest %s, want %s", got, snapshotDirDigest)
+	}
+	if cs := db.CacheStats(); cs.Misses != 0 {
+		t.Fatalf("an unbounded cache faulted after reopen: %+v", cs)
+	}
+	snapshotDirTail(t, db)
+	if got := db.StateDigest(); got != snapshotDirTailDigest {
+		t.Fatalf("inserts after reopen landed in other slots: digest %s, want %s", got, snapshotDirTailDigest)
+	}
+}
+
+// TestOpenNeverWritesSnapshot runs a database through load, checkpoint,
+// close and reopen and checks that no snapshot.db ever appears: a durable
+// directory is MANIFEST + pages/ whatever the cache budget.
+func TestOpenNeverWritesSnapshot(t *testing.T) {
+	for _, opts := range []DurabilityOptions{{}, pagedTestOpts(16 << 10)} {
+		dir := t.TempDir()
+		db, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, db, "CREATE TABLE t (id INT PRIMARY KEY, pad TEXT)")
+		for i := 0; i < 600; i++ {
+			mustExec(t, db, fmt.Sprintf("INSERT INTO t (id, pad) VALUES (%d, '%s')", i, strings.Repeat("p", 40)))
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, db, "DELETE FROM t WHERE id < 100")
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertConverted(t, dir)
+		if db, err = Open(dir, opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertConverted(t, dir)
+		if ents, err := os.ReadDir(filepath.Join(dir, pagesDirName)); err != nil || len(ents) == 0 {
+			t.Fatalf("no page segments after a checkpoint of 500 rows: %v %v", ents, err)
+		}
+	}
+}
+
+// TestScratchTablesStayOutOfCache runs the statements that build tables
+// for one statement only — transactional SELECTs over a written table (a
+// merged view each) and SelectFeeds (a column-naming table per feed) —
+// and checks the database's cache still holds exactly the stored tables'
+// pages: no resident page and no clock-ring entry per statement.
+func TestScratchTablesStayOutOfCache(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE a (id INT PRIMARY KEY, v INT)")
+	mustExec(t, db, "CREATE TABLE b (id INT PRIMARY KEY, w TEXT)")
+	for i := 0; i < 700; i++ {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO a (id, v) VALUES (%d, %d)", i, i%13))
+	}
+	mustExec(t, db, "INSERT INTO b (id, w) VALUES (1, 'x'), (2, 'y')")
+	stored := func() int64 {
+		n := 0
+		for _, name := range db.TableNames() {
+			n += len(db.Table(name).pages)
+		}
+		return int64(n)
+	}
+	check := func(when string) {
+		t.Helper()
+		db.pager.mu.Lock()
+		ring := len(db.pager.ring)
+		db.pager.mu.Unlock()
+		want := stored()
+		if cs := db.CacheStats(); cs.ResidentPages != want || int64(ring) != want {
+			t.Fatalf("%s: %d resident pages, %d ring entries; the stored tables have %d pages", when, cs.ResidentPages, ring, want)
+		}
+	}
+	check("after load")
+
+	sess := db.NewSession()
+	defer sess.Close()
+	if _, err := sess.ExecSQL("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.ExecSQL("UPDATE a SET v = 99 WHERE id = 3"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		res, err := sess.ExecSQL("SELECT COUNT(*) FROM a WHERE v = 99")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows[0][0].I != 1 {
+			t.Fatalf("transactional read missed its own write: %v", res.Rows)
+		}
+	}
+	check("after 500 transactional SELECTs")
+	if _, err := sess.ExecSQL("ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
+
+	st := mustParse(t, "SELECT x.k, y.w FROM x JOIN y ON x.k = y.id")
+	feeds := []Feed{
+		{Columns: []string{"k"}, Rows: [][]Value{{Int(1)}, {Int(2)}, {Int(3)}}},
+		{Columns: []string{"id", "w"}, Rows: [][]Value{{Int(1), Text("x")}, {Int(2), Text("y")}}},
+	}
+	for i := 0; i < 500; i++ {
+		res, err := db.SelectFeeds(st.(*sqlparser.SelectStmt), feeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 2 {
+			t.Fatalf("feed join: %v", res.Rows)
+		}
+	}
+	check("after 500 SelectFeeds statements")
+
+	mustExec(t, db, "DROP TABLE b")
+	check("after DROP TABLE")
 }
 
 // TestBackgroundAutoCheckpoint verifies that auto-checkpoints run off the

@@ -42,7 +42,7 @@ import (
 var (
 	// ErrSeqTruncated reports that the frames after the requested sequence
 	// number are no longer in the log (a checkpoint folded them into the
-	// snapshot). The caller must fall back to a full snapshot resync.
+	// page segments). The caller must fall back to a full snapshot resync.
 	ErrSeqTruncated = errors.New("sqldb: requested WAL sequence has been checkpointed away")
 	// ErrTapLagged reports that a tap's subscriber fell so far behind that
 	// its buffer overflowed; the tap is dead and the subscriber must
@@ -383,24 +383,23 @@ func (db *DB) ResetFromSnapshot(ops []byte, seq uint64) error {
 		}
 	}
 
-	if db.pager != nil {
-		// The checkpoint below runs with db.mu held; take the single-flight
-		// lock first (ckptMu before db.mu, always) so a concurrent
-		// background checkpoint cannot interleave.
-		db.ckptMu.Lock()
-		defer db.ckptMu.Unlock()
-	}
+	// The checkpoint below runs with db.mu held; take the single-flight lock
+	// first (ckptMu before db.mu, always) so a concurrent background
+	// checkpoint cannot interleave.
+	db.ckptMu.Lock()
+	defer db.ckptMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if len(db.openTxns) > 0 {
 		return fmt.Errorf("sqldb: cannot reset state with %d open transactions", len(db.openTxns))
 	}
-	if db.pager != nil {
-		// Swap the cache's accounting over to the scratch tables: uncharge
-		// the old state, adopt the new (fully resident, all dirty).
-		for _, t := range db.tables {
-			db.pager.forgetTable(t)
-		}
+	// Swap the cache's accounting over to the staged tables: uncharge the
+	// old state, adopt the new (fully resident, all dirty).
+	for _, t := range db.tables {
+		db.pager.forgetTable(t)
+	}
+	for _, t := range scratch.tables {
+		db.adoptStagedTable(t)
 	}
 	db.tables = scratch.tables
 	db.meta = scratch.meta
@@ -414,21 +413,11 @@ func (db *DB) ResetFromSnapshot(ops []byte, seq uint64) error {
 	// new state and truncate. Any taps on this database may now have a gap,
 	// so they are invalidated (a chained subscriber must resync).
 	db.wal.invalidateTaps()
-	if db.pager != nil {
-		for _, t := range db.tables {
-			db.adoptResidentTable(t)
-		}
-		//cryptdb:vet-ok lockorder: a snapshot reset installs a frozen state; db.mu must span segment write + manifest install
-		if err := db.checkpointPagedLocked(); err != nil {
-			return &DurabilityError{Err: err}
-		}
-		db.pager.evictToBudget()
-		return nil
-	}
-	//cryptdb:vet-ok lockorder: a snapshot reset installs a frozen state; db.mu must span snapshot write + WAL reset
-	if err := db.checkpointLocked(); err != nil {
+	//cryptdb:vet-ok lockorder: a snapshot reset installs a frozen state; db.mu must span segment write + manifest install
+	if err := db.checkpointHeld(); err != nil {
 		return &DurabilityError{Err: err}
 	}
+	db.pager.evictToBudget()
 	return nil
 }
 

@@ -36,10 +36,10 @@ type Table struct {
 	live       int
 	dataBytes  int // live row payload bytes, independent of residency
 
-	// Paged-mode state (see bufpool.go / ckpt_incremental.go): pager is the
-	// shared buffer cache (nil keeps every page resident), disk locates each
-	// page's current on-disk segment, and dropped tells the cache ring its
-	// entries for this table are stale.
+	// Cache state (see bufpool.go / ckpt_incremental.go): pager is the
+	// buffer cache the table's pages are charged to, fixed at creation;
+	// disk locates each page's current on-disk segment, and dropped tells a
+	// checkpoint still writing this table's pages not to install them.
 	pager   *pager
 	disk    []pageDiskRec
 	dropped bool
@@ -157,7 +157,7 @@ func (idx *hashIndex) eqSlots(v Value) ([]int, bool) {
 	return idx.m[cv.Key()], true
 }
 
-func newTable(name string, cols []Column) *Table {
+func newTable(name string, cols []Column, pg *pager) *Table {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	t := &Table{
@@ -166,6 +166,7 @@ func newTable(name string, cols []Column) *Table {
 		colIdx:     make(map[string]int, len(cols)),
 		indexes:    make(map[string]*hashIndex),
 		ordIndexes: make(map[string]*ordIndex),
+		pager:      pg,
 		lockSeed:   h.Sum64(),
 	}
 	for i, c := range cols {
@@ -363,9 +364,7 @@ func (t *Table) updateCellUnchecked(slot, pos int, v Value) {
 	t.dataBytes += delta
 	p.bytes += delta
 	t.markDirty(p)
-	if t.pager != nil {
-		t.pager.resident.Add(int64(delta))
-	}
+	t.pager.resident.Add(int64(delta))
 }
 
 // indexByPos returns the hash index over the column at pos, if any. The

@@ -300,7 +300,7 @@ func (txn *Txn) mergedTable(t *Table) (*Table, map[int]*txnRow) {
 // buildMerged copies t with tt's overlay applied. Split out so execInsert
 // can force a private staging copy even while the overlay is still empty.
 func (txn *Txn) buildMerged(t *Table, tt *txnTable) (*Table, map[int]*txnRow) {
-	mt := newTable(t.Name, t.Cols)
+	mt := newTable(t.Name, t.Cols, memPager())
 	for col, idx := range t.indexes {
 		// Unique enforcement is deferred to commit; the merged view only
 		// needs the access paths, so uniqueness is dropped here (the
@@ -350,6 +350,7 @@ func (txn *Txn) viewDB() *DB {
 		tables:  make(map[string]*Table, len(txn.db.tables)),
 		udfs:    txn.db.udfs,
 		aggUDFs: txn.db.aggUDFs,
+		pager:   txn.db.pager,
 	}
 	for name, t := range txn.db.tables {
 		if tt := txn.tables[name]; tt != nil && (len(tt.mods) > 0 || len(tt.ins) > 0) {

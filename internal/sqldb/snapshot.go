@@ -1,17 +1,14 @@
-// Snapshots and the durable-database lifecycle: Open, Close, Checkpoint.
+// The durable-database lifecycle (Open, Close), the full-state op stream
+// (snapshotOps) and the reader for the snapshot.db layout older versions
+// wrote.
 //
-// A snapshot is a self-contained WAL-op stream (create-table, create-index
-// and insert records, plus the latest meta blob) that rebuilds the entire
-// database, written atomically via a temp file + rename. Its header
-// records the WAL sequence number it covers, so recovery is simply:
-//
-//	load snapshot (if any)            -> state as of seq S
-//	replay wal batches with seq > S   -> state as of the last commit
-//
-// Checkpoint writes a snapshot at the current sequence number and then
-// truncates the log. Because batches carry their sequence numbers, a crash
-// between those two steps is harmless: replay of the stale log skips every
-// batch the new snapshot already covers.
+// A durable directory is always MANIFEST + pages/ + wal.log (see
+// ckpt_incremental.go); recovery loads the manifest and replays the WAL
+// batches past the sequence number it covers. A directory that still holds
+// a snapshot.db — a self-contained WAL-op stream with the sequence number
+// it covers in its header — is converted the first time it is opened: the
+// snapshot loads, the WAL tail replays on top, a checkpoint writes the
+// first manifest, and the snapshot is deleted.
 package sqldb
 
 import (
@@ -23,7 +20,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"repro/internal/fsutil"
 )
@@ -50,9 +46,9 @@ type DurabilityOptions struct {
 	NoFsync bool
 
 	// CheckpointBytes is the WAL size that triggers an automatic
-	// checkpoint (snapshot + log truncation) after a commit. 0 uses the
-	// default (4 MiB); a negative value disables automatic checkpoints
-	// (Checkpoint can still be called explicitly).
+	// checkpoint (dirty pages written + log truncation) after a commit. 0
+	// uses the default (4 MiB); a negative value disables automatic
+	// checkpoints (Checkpoint can still be called explicitly).
 	CheckpointBytes int64
 
 	// NoGroupCommit disables WAL group commit: every committer pays its
@@ -60,16 +56,16 @@ type DurabilityOptions struct {
 	// groupcommit benchmark ablation; leave it off in production.
 	NoGroupCommit bool
 
-	// Paged stores rows in per-page segment files behind a byte-budgeted
-	// buffer cache instead of keeping every row resident, so the database
-	// can exceed RAM. Checkpoints become incremental: only pages dirtied
-	// since the last one are rewritten. Opening an existing directory
-	// auto-detects its layout (a MANIFEST wins over snapshot.db), and
-	// opening a snapshot-layout directory with Paged set converts it.
+	// Paged bounds the buffer cache at CacheBytes, so the database can
+	// exceed RAM: clean pages beyond the budget are evicted and fault back
+	// from their segment files. Without it the cache has no budget and
+	// every page stays in memory. The on-disk layout is the same either
+	// way. The option exists only because the benchmark sets it; a
+	// benchmark change can fold it into CacheBytes > 0.
 	Paged bool
 
-	// CacheBytes is the paged-mode buffer-cache budget in bytes; 0 uses
-	// the default (64 MiB). Ignored unless the database is paged.
+	// CacheBytes is the buffer-cache budget in bytes when Paged is set; 0
+	// uses the default (64 MiB). Ignored without Paged.
 	CacheBytes int64
 }
 
@@ -79,7 +75,7 @@ type WALStats struct {
 	Batches     int64 // committed batches appended
 	Bytes       int64 // framed bytes appended
 	Syncs       int64 // fsyncs issued
-	Checkpoints int64 // snapshots written
+	Checkpoints int64 // checkpoints installed
 }
 
 // WALStats returns a snapshot of the durability counters (zero for a pure
@@ -99,7 +95,7 @@ func (db *DB) WALStats() WALStats {
 }
 
 // Open creates or reopens a durable database rooted at dir. It loads the
-// snapshot (if one exists), replays committed WAL batches past it — cutting
+// manifest (if one exists), replays committed WAL batches past it — cutting
 // off any torn tail left by a crash — and attaches a write-ahead log so
 // every subsequent committed write is durable. The directory is created if
 // missing and locked (flock) for the lifetime of the database: a second
@@ -122,33 +118,33 @@ func Open(dir string, opts DurabilityOptions) (*DB, error) {
 			lock.release()
 		}
 	}()
-	db := New()
+	pagesDir := filepath.Join(dir, pagesDirName)
+	if err := os.MkdirAll(pagesDir, 0o700); err != nil {
+		return nil, fmt.Errorf("sqldb: creating pages dir: %w", err)
+	}
+	budget := int64(unbounded)
+	if opts.Paged {
+		budget = opts.CacheBytes
+		if budget <= 0 {
+			budget = defaultCacheBytes
+		}
+	}
+	db := newDB(newPager(pagesDir, budget))
 	db.dir = dir
 	db.dopts = opts
 	db.lock = lock
 
-	// Layout detection: a MANIFEST marks the paged layout regardless of
-	// opts.Paged, so directories written by a paged instance reopen
-	// correctly even if the caller forgets the flag.
 	manPath := filepath.Join(dir, manifestName)
+	snapPath := filepath.Join(dir, snapFileName)
 	_, manErr := os.Stat(manPath)
 	hasManifest := manErr == nil
-	if opts.Paged || hasManifest {
-		pagesDir := filepath.Join(dir, pagesDirName)
-		if err := os.MkdirAll(pagesDir, 0o700); err != nil {
-			return nil, fmt.Errorf("sqldb: creating pages dir: %w", err)
-		}
-		db.pager = newPager(pagesDir, opts.CacheBytes)
-	}
-
 	var snapSeq uint64
 	if hasManifest {
 		snapSeq, err = db.loadPaged(manPath)
 	} else {
-		// Resident snapshot, or an empty directory. With Paged set this is
-		// a layout conversion: the snapshot loads with every page dirty and
-		// the checkpoint below writes it all out as segments.
-		snapSeq, err = db.loadSnapshot(filepath.Join(dir, snapFileName))
+		// An empty directory, or one in the snapshot.db layout: either way
+		// the checkpoint below writes the first manifest.
+		snapSeq, err = db.loadSnapshot(snapPath)
 	}
 	if err != nil {
 		return nil, err
@@ -164,7 +160,7 @@ func Open(dir string, opts DurabilityOptions) (*DB, error) {
 		}
 		for _, b := range batches {
 			if b.seq <= snapSeq {
-				continue // already in the snapshot
+				continue // already in the manifest
 			}
 			for _, op := range b.ops {
 				if err := db.applyOp(op); err != nil {
@@ -196,20 +192,20 @@ func Open(dir string, opts DurabilityOptions) (*DB, error) {
 		}
 		db.wal = w
 	}
-	if db.pager != nil && !hasManifest {
-		// Convert the loaded state to the paged layout now, so the manifest
-		// exists from the first moment and the old snapshot can be retired.
-		if err := db.checkpointPagedLocked(); err != nil {
+	if !hasManifest {
+		if err := db.checkpointHeld(); err != nil {
 			return nil, err
 		}
-		if err := os.Remove(filepath.Join(dir, snapFileName)); err == nil && !opts.NoFsync {
-			if err := fsutil.SyncDir(dir); err != nil {
-				return nil, err
-			}
-		}
-		// The conversion loaded everything resident; settle to the budget.
-		db.pager.evictToBudget()
 	}
+	// With a manifest durable, a snapshot.db is redundant: either just
+	// converted, or left by a conversion that crashed before deleting it.
+	if err := os.Remove(snapPath); err == nil && !opts.NoFsync {
+		if err := fsutil.SyncDir(dir); err != nil {
+			return nil, err
+		}
+	}
+	// Replay (and a conversion) may have materialized past a budget.
+	db.pager.evictToBudget()
 	db.startCheckpointLoop()
 	ok = true
 	return db, nil
@@ -262,44 +258,10 @@ func (l *dirLock) release() {
 	l.f.Close()
 }
 
-// Checkpoint writes a snapshot of the current state and truncates the WAL,
-// bounding recovery time and disk usage. Open transactions do not block it:
-// their writes live in private buffers, so the shared tables always hold
-// exactly the committed state, and a commit racing the checkpoint is
-// ordered by the database lock — its batch carries a sequence number past
-// the snapshot's and replays on top. A no-op on an in-memory database.
-func (db *DB) Checkpoint() error {
-	if db.pager != nil {
-		return db.checkpointPaged()
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.wal == nil {
-		return nil
-	}
-	//cryptdb:vet-ok lockorder: a checkpoint snapshots a frozen state; db.mu must span snapshot write + WAL reset
-	return db.checkpointLocked()
-}
-
-// checkpointLocked snapshots and truncates under an exclusive db.mu.
-func (db *DB) checkpointLocked() error {
-	start := time.Now()
-	if err := db.writeSnapshot(); err != nil {
-		return err
-	}
-	if err := db.wal.reset(); err != nil {
-		return err
-	}
-	db.snapSeq = db.walSeq
-	db.checkpoints++
-	atomic.AddInt64(&db.ckptPauseNanos, int64(time.Since(start)))
-	return nil
-}
-
 // maybeAutoCheckpoint kicks the background checkpointer when the WAL has
 // outgrown the configured threshold. Called after a commit; the cheap size
-// probe is the only work left on the commit path — the snapshot or segment
-// writing happens on the checkpoint goroutine, so no committer ever pays
+// probe is the only work left on the commit path — the segment writing
+// happens on the checkpoint goroutine, so no committer ever pays
 // for it in-line.
 func (db *DB) maybeAutoCheckpoint() {
 	if db.wal == nil || db.dopts.CheckpointBytes < 0 {
@@ -320,9 +282,9 @@ func (db *DB) maybeAutoCheckpoint() {
 
 // snapshotOps serializes the whole database — schema, indexes, rows (with
 // their slots), and the committed meta blob — as one self-contained WAL-op
-// stream, in a deterministic order. Shared by snapshot writing, snapshot
-// shipping to a catching-up follower (TapWithSnapshot), and the state
-// digest replication tests compare. Callers hold db.mu (either side).
+// stream, in a deterministic order: the stream shipped to a catching-up
+// follower (TapWithSnapshot), and the input of StateDigest. Callers hold
+// db.mu (either side).
 func (db *DB) snapshotOps() []byte {
 	names := make([]string, 0, len(db.tables))
 	for n := range db.tables {
@@ -377,8 +339,8 @@ func appendTableSchemaOps(ops []byte, name string, t *Table) []byte {
 }
 
 // schemaOps serializes every table's schema plus the committed meta blob —
-// the row-free counterpart of snapshotOps, embedded in the paged layout's
-// manifest (rows live in page segments). Callers hold db.mu (either side).
+// the row-free counterpart of snapshotOps, embedded in the manifest (rows
+// live in page segments). Callers hold db.mu (either side).
 func (db *DB) schemaOps() []byte {
 	names := make([]string, 0, len(db.tables))
 	for n := range db.tables {
@@ -395,61 +357,11 @@ func (db *DB) schemaOps() []byte {
 	return ops
 }
 
-// writeSnapshot serializes the whole database to <dir>/snapshot.db
-// atomically (temp file + rename + directory sync).
-func (db *DB) writeSnapshot() error {
-	ops := db.snapshotOps()
-
-	payload := make([]byte, 8+len(ops))
-	binary.BigEndian.PutUint64(payload, db.walSeq)
-	copy(payload[8:], ops)
-
-	buf := make([]byte, snapHeaderLen, snapHeaderLen+frameHdrLen+len(payload))
-	copy(buf, snapMagic)
-	binary.BigEndian.PutUint32(buf[8:], snapVersion)
-	binary.BigEndian.PutUint64(buf[16:], db.walSeq)
-	var frame [frameHdrLen]byte
-	binary.BigEndian.PutUint32(frame[:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, frame[:]...)
-	buf = append(buf, payload...)
-
-	final := filepath.Join(db.dir, snapFileName)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return fmt.Errorf("sqldb: snapshot: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("sqldb: snapshot write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("sqldb: snapshot sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("sqldb: snapshot rename: %w", err)
-	}
-	atomic.StoreInt64(&db.lastCkptBytes, int64(len(buf)))
-	// The rename is only durable once the directory entry is synced; a
-	// failure here is a real durability error, not a best-effort detail —
-	// the previous snapshot may be gone while the new name is not yet
-	// persistent.
-	return fsutil.SyncDir(db.dir)
-}
-
-// loadSnapshot rebuilds state from a snapshot file, returning the WAL
-// sequence number it covers (0 when no snapshot exists). Unlike a torn WAL
-// tail, a damaged snapshot is fatal: it is written atomically, so damage
-// means real corruption, and silently starting empty would discard data.
+// loadSnapshot rebuilds state from a snapshot.db file written by an older
+// version, returning the WAL sequence number it covers (0 when no snapshot
+// exists). Unlike a torn WAL tail, a damaged snapshot is fatal: it was
+// written atomically, so damage means real corruption, and silently
+// starting empty would discard data.
 func (db *DB) loadSnapshot(path string) (uint64, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {

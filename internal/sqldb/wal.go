@@ -20,7 +20,7 @@
 // file inside the last frame, and replay stops at the first frame whose
 // length or CRC does not check out, discarding the torn tail. Batch
 // sequence numbers are strictly increasing; replay skips batches already
-// covered by the snapshot (see snapshot.go).
+// covered by the manifest (see ckpt_incremental.go).
 package sqldb
 
 import (
@@ -209,6 +209,37 @@ func (d *walDecoder) uvarint() (uint64, error) {
 	return u, nil
 }
 
+// count reads an element count and rejects one the bytes left could not
+// hold at minSize bytes an element, so a corrupt count (CRCs only catch
+// damage, not a writer's lies) cannot make the decoder allocate more than
+// its input.
+func (d *walDecoder) count(minSize int) (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if left := len(d.buf) - d.off; n > uint64(left/minSize) {
+		return 0, fmt.Errorf("sqldb: decode: count %d exceeds the %d bytes left", n, left)
+	}
+	return int(n), nil
+}
+
+// maxSlot bounds every decoded slot, page id and cell position: a larger
+// one is corruption, and would wrap negative as an int.
+const maxSlot = 1<<31 - 1
+
+// index reads a slot, page id or cell position no larger than max.
+func (d *walDecoder) index(max int) (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(max) {
+		return 0, fmt.Errorf("sqldb: decode: index %d out of range", n)
+	}
+	return int(n), nil
+}
+
 func (d *walDecoder) bytes(n uint64) ([]byte, error) {
 	if n > uint64(len(d.buf)-d.off) {
 		return nil, io.ErrUnexpectedEOF
@@ -269,12 +300,10 @@ func (d *walDecoder) op() (walOp, error) {
 		if op.table, err = d.string(); err != nil {
 			return op, err
 		}
-		slot, err := d.uvarint()
-		if err != nil {
+		if op.slot, err = d.index(maxSlot); err != nil {
 			return op, err
 		}
-		op.slot = int(slot)
-		n, err := d.uvarint()
+		n, err := d.count(1) // a value is at least its kind byte
 		if err != nil {
 			return op, err
 		}
@@ -288,24 +317,19 @@ func (d *walDecoder) op() (walOp, error) {
 		if op.table, err = d.string(); err != nil {
 			return op, err
 		}
-		slot, err := d.uvarint()
-		if err != nil {
+		if op.slot, err = d.index(maxSlot); err != nil {
 			return op, err
 		}
-		op.slot = int(slot)
 	case walOpUpdate:
 		if op.table, err = d.string(); err != nil {
 			return op, err
 		}
-		slot, err := d.uvarint()
-		if err != nil {
+		if op.slot, err = d.index(maxSlot); err != nil {
 			return op, err
 		}
-		pos, err := d.uvarint()
-		if err != nil {
+		if op.pos, err = d.index(maxSlot); err != nil {
 			return op, err
 		}
-		op.slot, op.pos = int(slot), int(pos)
 		if op.val, err = d.value(); err != nil {
 			return op, err
 		}
@@ -313,7 +337,7 @@ func (d *walDecoder) op() (walOp, error) {
 		if op.table, err = d.string(); err != nil {
 			return op, err
 		}
-		n, err := d.uvarint()
+		n, err := d.count(3) // name length, type, primary flag
 		if err != nil {
 			return op, err
 		}
@@ -367,10 +391,12 @@ func (d *walDecoder) op() (walOp, error) {
 }
 
 //
-// Replay: apply a decoded op to the database. Used both for WAL recovery
-// and for loading snapshots (a snapshot is a self-contained op stream that
-// rebuilds the whole database). Ops bypass the SQL layer: the original
-// execution already validated them, so constraint checks are skipped.
+// Replay: apply a decoded op to the database. Used for WAL recovery, for
+// replicated frames, and for loading snapshot streams (a self-contained op
+// stream that rebuilds the whole database). Ops bypass the SQL layer: the
+// original execution already validated them, so constraint checks are
+// skipped — but an op naming a column or slot the table cannot have is
+// refused, never allowed to index out of range.
 //
 
 func (db *DB) applyOp(op walOp) error {
@@ -383,8 +409,7 @@ func (db *DB) applyOp(op walOp) error {
 		for i, c := range op.cols {
 			cols[i] = Column{Name: c.name, Type: c.typ, Primary: c.primary}
 		}
-		t := newTable(op.table, cols)
-		db.adoptTable(t)
+		t := newTable(op.table, cols, db.pager)
 		for _, c := range op.cols {
 			if c.primary {
 				if err := t.addIndex(c.name, true); err != nil {
@@ -408,15 +433,16 @@ func (db *DB) applyOp(op walOp) error {
 		if !ok {
 			return fmt.Errorf("sqldb: wal replay: no table %s", op.table)
 		}
-		if db.pager != nil {
-			db.pager.forgetTable(t)
-		}
+		db.pager.forgetTable(t)
 		delete(db.tables, op.table)
 		return nil
 	case walOpInsert:
 		t, ok := db.tables[op.table]
 		if !ok {
 			return fmt.Errorf("sqldb: wal replay: no table %s", op.table)
+		}
+		if len(op.row) != len(t.Cols) {
+			return fmt.Errorf("sqldb: wal replay: %d values for the %d columns of %s", len(op.row), len(t.Cols), op.table)
 		}
 		return t.placeRow(op.slot, op.row)
 	case walOpDelete:
@@ -433,6 +459,9 @@ func (db *DB) applyOp(op walOp) error {
 		}
 		if op.slot >= t.slotCount() || t.rowAt(op.slot) == nil {
 			return fmt.Errorf("sqldb: wal replay: update of empty slot %d in %s", op.slot, op.table)
+		}
+		if op.pos >= len(t.Cols) {
+			return fmt.Errorf("sqldb: wal replay: update of column %d in %d-column %s", op.pos, len(t.Cols), op.table)
 		}
 		t.updateCellUnchecked(op.slot, op.pos, op.val)
 		return nil
@@ -499,8 +528,8 @@ type walWriter struct {
 	// file may hold a torn frame at an unknown offset, and appending past
 	// it would let recovery silently discard later acknowledged commits
 	// (replay cuts at the first damaged frame). Every subsequent commit
-	// fails fast instead. A successful reset (checkpoint) clears it: the
-	// snapshot captured the state and the truncated log is whole again.
+	// fails fast instead. A successful checkpoint clears it: the manifest
+	// captured the state and the truncated log is whole again.
 	failed error
 
 	// announced counts committers currently inside the commit path
@@ -776,50 +805,16 @@ func (w *walWriter) drainLocked() {
 	}
 }
 
-// reset truncates the log back to an empty header (after a checkpoint made
-// its contents redundant). Any cohort staged before the reset is flushed
-// first so its waiters still get a verdict; replay would skip those batches
-// anyway because the snapshot's sequence number covers them.
-func (w *walWriter) reset() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.drainLocked()
-	if err := w.f.Truncate(walHeaderLen); err != nil {
-		return fmt.Errorf("sqldb: wal truncate: %w", err)
-	}
-	if _, err := w.f.Seek(walHeaderLen, io.SeekStart); err != nil {
-		return fmt.Errorf("sqldb: wal seek: %w", err)
-	}
-	atomic.StoreInt64(&w.size, walHeaderLen)
-	if w.fsync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("sqldb: wal sync: %w", err)
-		}
-		atomic.AddInt64(&w.syncs, 1)
-	}
-	// The truncated log is whole again and the checkpoint that called us
-	// captured the full state, so a write failure that poisoned the
-	// writer is cured. Commits that failed during the poisoned window
-	// applied in memory without ever reaching a tap, so any subscriber now
-	// has a gap: invalidate them (they must resync via snapshot).
-	if w.failed != nil {
-		for _, t := range w.taps {
-			t.invalidate()
-		}
-	}
-	w.failed = nil
-	return nil
-}
-
 // truncateTo rewrites the log keeping only frames with seq > keep, after an
-// incremental checkpoint whose manifest covers everything up to keep. Unlike
-// reset, commits may have landed since the checkpoint captured its state —
-// their frames must survive the truncation, and in one contiguous log so
+// incremental checkpoint whose manifest covers everything up to keep.
+// Commits may have landed since the checkpoint captured its state — their
+// frames must survive the truncation, and in one contiguous log so
 // replication backfill (readFrames on this same path) keeps working. The
 // rewrite is atomic: temp file + rename, so a crash leaves either log, both
-// correct to replay against the new manifest. As with reset, a successful
-// truncation cures a poisoned writer — the manifest captured every state the
-// damaged frames described — but subscribers must resync.
+// correct to replay against the new manifest. A successful truncation cures
+// a poisoned writer — the manifest captured every state the damaged frames
+// described — but commits that failed during the poisoned window applied in
+// memory without ever reaching a tap, so subscribers must resync.
 func (w *walWriter) truncateTo(keep uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

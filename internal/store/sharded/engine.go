@@ -136,7 +136,7 @@ func DirShards(dir string) (n int, ok bool) {
 // sqldb data directory per shard (shard-000/, shard-001/, ...). n is the
 // shard count for a fresh directory; reopening an existing one requires n
 // to match the directory's manifest (pass 0 to accept whatever it says).
-// Every shard recovers independently — snapshot load, WAL replay, torn
+// Every shard recovers independently — manifest load, WAL replay, torn
 // tail truncation — then schemas are reconciled: a shard that crashed
 // before a broadcast CREATE TABLE/INDEX reached it gets the missing DDL
 // re-applied (its torn rows stay lost, exactly like a torn tail in the

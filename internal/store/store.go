@@ -68,18 +68,17 @@ type Stats struct {
 	WAL       sqldb.WALStats
 	SizeBytes int
 	BusyNanos int64
-	// Cache aggregates buffer-cache activity when the engine runs the
-	// paged layout (all zero for resident engines). Resident bytes and
-	// on-disk bytes are reported separately on purpose: the former is
-	// bounded by the cache budget, the latter grows with the data.
+	// Cache aggregates buffer-cache activity (BudgetBytes is 0 when the
+	// cache has no budget). Resident bytes and on-disk bytes are reported
+	// separately on purpose: under a budget the former is bounded by it,
+	// the latter grows with the data.
 	Cache sqldb.CacheStats
-	// DiskBytes is the on-disk footprint: page segments (or snapshot)
-	// plus the live WAL, summed across shards.
+	// DiskBytes is the on-disk footprint: page segments plus the live WAL,
+	// summed across shards.
 	DiskBytes int64
 	// CheckpointPauseNanos is cumulative time commits were stalled by
-	// checkpoints (capture+install phases for the paged layout, the whole
-	// snapshot write for the resident one); LastCheckpointBytes is what
-	// the most recent checkpoint wrote.
+	// checkpoints (their capture and install phases); LastCheckpointBytes
+	// is what the most recent checkpoint wrote.
 	CheckpointPauseNanos int64
 	LastCheckpointBytes  int64
 	// Followers lists per-follower replication progress when this engine
@@ -175,7 +174,7 @@ type Engine interface {
 	// ResetBusyNanos zeroes the server-time counter on every instance.
 	ResetBusyNanos()
 
-	// Checkpoint snapshots and truncates every instance's WAL.
+	// Checkpoint writes every instance's dirty pages and truncates its WAL.
 	Checkpoint() error
 	// Close flushes and closes every instance.
 	Close() error
