@@ -83,11 +83,8 @@ func (p *Proxy) RaiseOnion(table, col string, o onion.Onion) error {
 // per row in the same order (nil leaves a row alone), and writes them back
 // by rid. Each row's UPDATE commits by itself, outside any client
 // transaction: like a layer adjustment the rewrite must survive a client
-// ROLLBACK, a sharded engine's transactions are single-shard, and the
-// embedded engine rebuilds a transaction's merged view of the table on every
-// statement after its first write, which makes N single-row UPDATEs in one
-// transaction quadratic (measured: 4.7 s against 1.1 s of set-up on the
-// paged benchmark workload). Callers therefore keep their completion mark
+// ROLLBACK, and a sharded engine's transactions are single-shard. Callers
+// therefore keep their completion mark
 // (deferred bit, staleness flag) set until this returns nil and are
 // idempotent when re-run. The statements carry rids and ciphertexts only.
 func (p *Proxy) rewriteColumn(tm *TableMeta, read, write []string, compute func(rows [][]sqldb.Value) ([][]sqldb.Value, error)) error {

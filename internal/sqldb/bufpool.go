@@ -99,10 +99,10 @@ func newPager(dir string, budget int64) *pager {
 }
 
 // memPager returns an unbounded cache with no directory: an in-memory
-// database's (New), and the private one of each table that lives for one
-// statement — a transaction's merged view, a feed's column names — whose
-// pages must stay out of the database's clock ring, since only eviction
-// and DROP TABLE prune its entries.
+// database's (New), and the private one of the table that names a feed's
+// columns for one statement (scope.addFeed), whose pages must stay out of
+// the database's clock ring, since only eviction and DROP TABLE prune its
+// entries.
 func memPager() *pager { return newPager("", unbounded) }
 
 func (pg *pager) stats() CacheStats {

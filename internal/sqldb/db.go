@@ -38,7 +38,7 @@ type Result struct {
 // the internal lock contention the paper observes in MySQL (§8.4.1) —
 // bounds multi-core scaling for write-heavy mixes. Transactions are scoped
 // to sessions (NewSession): any number of sessions may hold open
-// transactions concurrently, writing into private buffers that commit
+// transactions concurrently, writing into private write sets that commit
 // atomically (see session.go). The DB-level Exec methods run on an
 // implicit default session, preserving the seed's single-connection API.
 type DB struct {
@@ -60,8 +60,8 @@ type DB struct {
 	defSess *Session // lazy default session behind DB.Exec
 
 	// Durability state (nil/zero for a pure in-memory database). stmtBuf
-	// accumulates the redo records of the statement being executed, under
-	// mu; it holds pre-encoded WAL ops (see wal.go).
+	// accumulates the redo records of the DDL statement being executed,
+	// under mu; it holds pre-encoded WAL ops (see wal.go).
 	wal         *walWriter
 	lock        *dirLock
 	dir         string
@@ -162,21 +162,6 @@ func (db *DB) PlanCounters() PlanCounters {
 		HashJoins:    atomic.LoadInt64(&db.hashJoins),
 		NestedLoops:  atomic.LoadInt64(&db.nestedLoops),
 	}
-}
-
-// absorbCounters adds a throwaway view database's planner tallies into db.
-// Transactional SELECTs execute against a per-statement viewDB copy
-// (session.go); without this their access-path decisions would vanish with
-// the copy.
-func (db *DB) absorbCounters(view *DB) {
-	atomic.AddInt64(&db.fullScans, atomic.LoadInt64(&view.fullScans))
-	atomic.AddInt64(&db.eqScans, atomic.LoadInt64(&view.eqScans))
-	atomic.AddInt64(&db.rangeScans, atomic.LoadInt64(&view.rangeScans))
-	atomic.AddInt64(&db.orderedScans, atomic.LoadInt64(&view.orderedScans))
-	atomic.AddInt64(&db.minMaxFast, atomic.LoadInt64(&view.minMaxFast))
-	atomic.AddInt64(&db.compiledSel, atomic.LoadInt64(&view.compiledSel))
-	atomic.AddInt64(&db.hashJoins, atomic.LoadInt64(&view.hashJoins))
-	atomic.AddInt64(&db.nestedLoops, atomic.LoadInt64(&view.nestedLoops))
 }
 
 // BusyNanos reports cumulative statement execution time.
@@ -304,20 +289,16 @@ func (db *DB) execStateless(st sqlparser.Statement, meta []byte, params []Value)
 		return db.readStatement(func() (*Result, error) {
 			db.mu.RLock()
 			defer db.mu.RUnlock()
-			return db.execSelect(s, params)
+			return db.execSelect(nil, s, params)
 		})
-	case *sqlparser.InsertStmt:
-		return db.autocommit(meta, func() (*Result, error) { return db.execInsert(s, params) })
-	case *sqlparser.UpdateStmt:
-		return db.autocommit(meta, func() (*Result, error) { return db.execUpdate(s, params) })
-	case *sqlparser.DeleteStmt:
-		return db.autocommit(meta, func() (*Result, error) { return db.execDelete(s, params) })
+	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
+		return db.autocommitWrite(st, meta, params)
 	case *sqlparser.CreateTableStmt:
-		return db.autocommit(meta, func() (*Result, error) { return db.execCreateTable(s) })
+		return db.autocommitDDL(meta, func() (*Result, error) { return db.execCreateTable(s) })
 	case *sqlparser.CreateIndexStmt:
-		return db.autocommit(meta, func() (*Result, error) { return db.execCreateIndex(s) })
+		return db.autocommitDDL(meta, func() (*Result, error) { return db.execCreateIndex(s) })
 	case *sqlparser.DropTableStmt:
-		return db.autocommit(meta, func() (*Result, error) { return db.execDropTable(s) })
+		return db.autocommitDDL(meta, func() (*Result, error) { return db.execDropTable(s) })
 	case *sqlparser.BeginStmt, *sqlparser.CommitStmt, *sqlparser.RollbackStmt:
 		return nil, fmt.Errorf("sqldb: transaction statements require a session")
 	case *sqlparser.PrincTypeStmt:
@@ -340,7 +321,7 @@ func (db *DB) CanDropTable(name string) error {
 		return fmt.Errorf("sqldb: no table %s", name)
 	}
 	for txn := range db.openTxns {
-		if tt := txn.tables[name]; tt != nil && (len(tt.mods) > 0 || len(tt.ins) > 0) {
+		if txn.writes(name) {
 			return fmt.Errorf("sqldb: cannot drop %s: written by an open transaction", name)
 		}
 	}
@@ -355,7 +336,7 @@ func (db *DB) execDropTable(s *sqlparser.DropTableStmt) (*Result, error) {
 	// table: its commit would otherwise apply to an orphaned Table and
 	// write redo records for a name replay cannot resolve.
 	for txn := range db.openTxns {
-		if tt := txn.tables[s.Name]; tt != nil && (len(tt.mods) > 0 || len(tt.ins) > 0) {
+		if txn.writes(s.Name) {
 			return nil, fmt.Errorf("sqldb: cannot drop %s: written by an open transaction", s.Name)
 		}
 	}
@@ -423,108 +404,12 @@ func (e *DurabilityError) Error() string {
 // Unwrap exposes the underlying I/O error.
 func (e *DurabilityError) Unwrap() error { return e.Err }
 
-// autocommit runs one write statement under the database write lock with
-// redo capture, then commits the captured ops to the WAL *after* releasing
-// the lock: the batch is staged into the current group-commit cohort while
-// the lock is still held (so the log stays in dependency order) and the
-// fsync is paid off-lock, shared with every concurrent committer. On error
-// the capture is discarded: write statements are statement-atomic, so an
-// error means the in-memory state did not change — except for
-// *DurabilityError, see above.
-func (db *DB) autocommit(meta []byte, fn func() (*Result, error)) (*Result, error) {
-	if db.wal != nil {
-		// Announce before taking the lock, so a flushing leader knows to
-		// hold its cohort open for this statement's frame.
-		db.wal.announce()
-		defer db.wal.retire()
-	}
-	db.mu.Lock()
-	db.stmtBuf = db.stmtBuf[:0]
-	res, err := func() (r *Result, e error) {
-		// A paged table can fail to fault a page back in mid-statement; the
-		// panic must not escape with db.mu held. Effects applied before the
-		// fault stay in stmtBuf and are still committed below, keeping the
-		// log in lockstep with memory (cf. DurabilityError semantics).
-		defer catchPageFault(&e)
-		return fn()
-	}()
-	if err != nil {
-		if _, faulted := err.(*PageFaultError); faulted && db.wal != nil && len(db.stmtBuf) > 0 {
-			db.walSeq++
-			cohort := db.wal.enqueue(db.walSeq, db.stmtBuf)
-			db.stmtBuf = db.stmtBuf[:0]
-			db.mu.Unlock()
-			if werr := db.wal.waitFlush(cohort); werr != nil {
-				return res, &DurabilityError{Err: werr}
-			}
-			return res, err
-		}
-		db.stmtBuf = db.stmtBuf[:0]
-		db.mu.Unlock()
-		return res, err
-	}
-	if db.wal == nil {
-		if meta != nil {
-			db.meta = append([]byte(nil), meta...)
-			atomic.AddUint64(&db.metaVer, 1)
-		}
-		db.stmtBuf = db.stmtBuf[:0]
-		db.mu.Unlock()
-		return res, nil
-	}
-	if meta != nil {
-		db.stmtBuf = appendMetaOp(db.stmtBuf, meta)
-	}
-	if len(db.stmtBuf) == 0 {
-		db.mu.Unlock()
-		return res, nil
-	}
-	db.walSeq++
-	cohort := db.wal.enqueue(db.walSeq, db.stmtBuf)
-	db.stmtBuf = db.stmtBuf[:0]
-	if meta != nil {
-		db.meta = append([]byte(nil), meta...)
-		atomic.AddUint64(&db.metaVer, 1)
-	}
-	db.mu.Unlock()
-
-	if err := db.wal.waitFlush(cohort); err != nil {
-		// The in-memory state already applied; surface the durability
-		// failure to the caller rather than pretending the write is safe.
-		return res, &DurabilityError{Err: err}
-	}
-	db.maybeAutoCheckpoint()
-	db.cachePressure()
-	return res, nil
-}
-
 // readStatement runs a read under page-fault protection: a paged table may
 // fail to fault a row page back in, and the panic the accessors raise must
 // come back as this statement's error.
 func (db *DB) readStatement(fn func() (*Result, error)) (res *Result, err error) {
 	defer catchPageFault(&err)
 	return fn()
-}
-
-// Redo-capture helpers, called from the exec layer after each in-memory
-// mutation succeeds. No-ops on an in-memory database.
-
-func (db *DB) redoInsert(t *Table, slot int, row []Value) {
-	if db.wal != nil {
-		db.stmtBuf = appendInsertOp(db.stmtBuf, t.Name, slot, row)
-	}
-}
-
-func (db *DB) redoDelete(t *Table, slot int) {
-	if db.wal != nil {
-		db.stmtBuf = appendDeleteOp(db.stmtBuf, t.Name, slot)
-	}
-}
-
-func (db *DB) redoUpdate(t *Table, slot, pos int, v Value) {
-	if db.wal != nil {
-		db.stmtBuf = appendUpdateOp(db.stmtBuf, t.Name, slot, pos, v)
-	}
 }
 
 func (db *DB) redoCreateTable(s *sqlparser.CreateTableStmt) {

@@ -14,6 +14,10 @@ type scopeTable struct {
 	// feed, when set, supplies the entry's rows (SelectFeeds); t is then a
 	// rowless, unindexed table that only names the columns.
 	feed *Feed
+	// ws, when set, is the reading transaction's write set for t: the
+	// entry's rows are t's as that transaction sees them (see
+	// access.iterate).
+	ws *txnTable
 }
 
 // scope resolves column references for a query over one or more tables.
@@ -29,6 +33,12 @@ func (s *scope) addTable(alias string, t *Table) {
 		alias = t.Name
 	}
 	s.tabs = append(s.tabs, scopeTable{alias: alias, t: t})
+}
+
+// addTxnTable binds t as txn sees it (txn may be nil: committed rows).
+func (s *scope) addTxnTable(alias string, t *Table, txn *Txn) {
+	s.addTable(alias, t)
+	s.tabs[len(s.tabs)-1].ws = txn.writeSet(t)
 }
 
 // addFeed binds a FROM entry to supplied rows.

@@ -188,8 +188,9 @@ func (h *hashJoinSource) prepare() *builtTable {
 	// and that column already has a hash index, the index *is* the build
 	// table: probe it directly instead of rebuilding the same map per
 	// statement. (A pruned access path can't use this: the index covers
-	// rows the plan's sargs exclude.)
-	if len(h.keys) == 1 && h.acc.kind == accessScan {
+	// rows the plan's sargs exclude; nor can a table the reading
+	// transaction has written: the index covers committed rows only.)
+	if len(h.keys) == 1 && h.acc.kind == accessScan && h.acc.ws == nil {
 		if idx := h.t.indexByPos(h.keys[0].buildPos); idx != nil {
 			kind, homog := idx.soleKind()
 			if homog {

@@ -25,7 +25,7 @@ func interpretSelect(db *DB, s *sqlparser.SelectStmt, params []Value) (*Result, 
 	return db.readStatement(func() (*Result, error) {
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		sc, aggCalls, err := db.selectScope(s, nil)
+		sc, aggCalls, err := db.selectScope(nil, s, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -21,8 +21,8 @@ import "sync"
 const lockStripes = 64
 
 // slotKey identifies one lockable row slot. The table pointer (not the
-// name) is the identity: merged overlay copies share the base table's name
-// but must never alias its locks.
+// name) is the identity: a table dropped and re-created under the same name
+// must never alias the old one's locks.
 type slotKey struct {
 	t    *Table
 	slot int

@@ -69,8 +69,9 @@ type pageDiskRec struct {
 // PageFaultError reports that a row page could not be read back from its
 // on-disk segment. It is raised as a panic inside row access paths (which
 // have no error returns) and converted back into an ordinary error at
-// statement entry; like DurabilityError, a write statement that observes
-// one may have applied some of its effects in memory.
+// statement entry. A write that faults while staging applied nothing; like
+// DurabilityError, a commit that faults while applying may have applied
+// some of its effects in memory, and their redo is logged.
 type PageFaultError struct {
 	Table string
 	Page  int

@@ -494,11 +494,12 @@ func TestOpenNeverWritesSnapshot(t *testing.T) {
 	}
 }
 
-// TestScratchTablesStayOutOfCache runs the statements that build tables
-// for one statement only — transactional SELECTs over a written table (a
-// merged view each) and SelectFeeds (a column-naming table per feed) —
-// and checks the database's cache still holds exactly the stored tables'
-// pages: no resident page and no clock-ring entry per statement.
+// TestScratchTablesStayOutOfCache runs SelectFeeds, which builds a
+// column-naming table per feed for one statement only, and transactional
+// SELECTs over a written table, which read the write set in place and must
+// build nothing. It checks the database's cache still holds exactly the
+// stored tables' pages: no resident page and no clock-ring entry per
+// statement.
 func TestScratchTablesStayOutOfCache(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE a (id INT PRIMARY KEY, v INT)")

@@ -257,40 +257,90 @@ type access struct {
 	idx   *ordIndex // accessRange
 	rng   ordRange
 	rows  [][]Value // accessFeed
+	// pos is the column the index path was chosen on (accessEq,
+	// accessRange); ws is the reading transaction's non-empty write set for
+	// the table, or nil.
+	pos int
+	ws  *txnTable
 }
 
-// iterate visits the candidate rows of t under the access path.
+// iterate visits the candidate rows of t under the access path. With a
+// write set it visits the transaction's view of the table: a committed row
+// the write set replaced is visited as the replacement, one it deleted not
+// at all, and afterwards come the rows the index path could have missed —
+// replacements whose value in the path's column moved, and pending inserts
+// at slots nslots+i (i indexing ws.ins). That is a superset of the matches,
+// which is all the planner promises: the full WHERE is re-applied.
 func (a access) iterate(t *Table, fn func(slot int, row []Value) bool) {
 	switch a.kind {
 	case accessEmpty:
+		return
 	case accessFeed:
 		for i, row := range a.rows {
 			if !fn(i, row) {
 				return
 			}
 		}
+		return
+	}
+	ws := a.ws
+	if ws == nil {
+		a.committed(t, fn)
+		return
+	}
+	indexed := a.kind != accessScan
+	more := a.committed(t, func(slot int, row []Value) bool {
+		if m := ws.mods[slot]; m != nil {
+			if m.deleted || (indexed && ws.movedAt(a.pos, slot)) {
+				return true
+			}
+			row = m.row
+		}
+		return fn(slot, row)
+	})
+	if !more {
+		return
+	}
+	if indexed {
+		for _, slot := range ws.movedSlots(a.pos) {
+			if !fn(slot, ws.mods[slot].row) {
+				return
+			}
+		}
+	}
+	n := t.slotCount()
+	for i, tr := range ws.ins {
+		if !tr.deleted && !fn(n+i, tr.row) {
+			return
+		}
+	}
+}
+
+// committed visits the committed rows of t that the path selects, and
+// reports false if fn stopped the walk.
+func (a access) committed(t *Table, fn func(slot int, row []Value) bool) bool {
+	more := true
+	switch a.kind {
 	case accessEq:
 		for _, slot := range a.slots {
-			if row := t.rowAt(slot); row != nil {
-				if !fn(slot, row) {
-					return
-				}
+			if row := t.rowAt(slot); row != nil && !fn(slot, row) {
+				return false
 			}
 		}
 	case accessRange:
 		a.idx.ascendRange(a.rng, func(n *ordNode) bool {
 			for _, slot := range n.slots {
-				if row := t.rowAt(slot); row != nil {
-					if !fn(slot, row) {
-						return false
-					}
+				if row := t.rowAt(slot); row != nil && !fn(slot, row) {
+					more = false
+					return false
 				}
 			}
 			return true
 		})
 	default:
-		t.scan(fn)
+		return t.scan(fn)
 	}
+	return more
 }
 
 // count tallies the access in the DB's planner counters.
@@ -308,7 +358,8 @@ func (db *DB) countAccess(a access) {
 // bestAccess picks the cheapest access path for scope table ti given the
 // WHERE conjuncts: hash-index equality, ordered-index range, or full scan —
 // or, for a fed entry (which has no indexes), its rows unless a conjunct
-// can never match.
+// can never match. Costs are the committed table's; the entry's write set
+// rides along for iterate.
 func (db *DB) bestAccess(t *Table, sc *scope, ti int, conj []sqlparser.Expr, params []Value) access {
 	best := access{kind: accessScan, cost: t.live}
 	if f := sc.tabs[ti].feed; f != nil {
@@ -326,7 +377,7 @@ func (db *DB) bestAccess(t *Table, sc *scope, ti int, conj []sqlparser.Expr, par
 			if idx, ok := t.indexes[col]; ok {
 				if slots, usable := idx.eqSlots(*b.eq); usable {
 					if len(slots) < best.cost {
-						best = access{kind: accessEq, cost: len(slots), slots: slots}
+						best = access{kind: accessEq, cost: len(slots), slots: slots, pos: idx.pos}
 					}
 					continue
 				}
@@ -347,9 +398,10 @@ func (db *DB) bestAccess(t *Table, sc *scope, ti int, conj []sqlparser.Expr, par
 		}
 		cost := ix.countRange(rng, best.cost)
 		if cost < best.cost {
-			best = access{kind: accessRange, cost: cost, idx: ix, rng: rng}
+			best = access{kind: accessRange, cost: cost, idx: ix, rng: rng, pos: ix.pos}
 		}
 	}
+	best.ws = sc.tabs[ti].ws
 	return best
 }
 

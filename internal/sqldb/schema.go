@@ -394,8 +394,8 @@ func (t *Table) lookup(column string, v Value) ([]int, bool) {
 }
 
 // scan invokes fn for every live row until fn returns false, faulting
-// evicted pages in as it goes.
-func (t *Table) scan(fn func(slot int, row []Value) bool) {
+// evicted pages in as it goes, and reports whether it reached the end.
+func (t *Table) scan(fn func(slot int, row []Value) bool) bool {
 	for id := 0; id<<pageShift < t.nslots; id++ {
 		p := t.page(id)
 		base := id << pageShift
@@ -406,11 +406,12 @@ func (t *Table) scan(fn func(slot int, row []Value) bool) {
 		for i := 0; i < n; i++ {
 			if row := p.rows[i]; row != nil {
 				if !fn(base+i, row) {
-					return
+					return false
 				}
 			}
 		}
 	}
+	return true
 }
 
 // SizeBytes reports the table's live data size (payload bytes of live

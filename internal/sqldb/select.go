@@ -30,7 +30,7 @@ func (db *DB) SelectFeeds(s *sqlparser.SelectStmt, feeds []Feed, params ...Value
 	// into the plan: the run reads the caller's rows, so writers to this
 	// database do not wait for it.
 	db.mu.RLock()
-	sc, aggCalls, err := db.selectScope(s, feeds)
+	sc, aggCalls, err := db.selectScope(nil, s, feeds)
 	var cp *compiledSelect
 	if err == nil {
 		cp, err = db.compileSelect(s, sc, aggCalls, params)
@@ -43,10 +43,11 @@ func (db *DB) SelectFeeds(s *sqlparser.SelectStmt, feeds []Feed, params ...Value
 	return cp.run()
 }
 
-// selectScope binds the FROM tables (or feeds, when given) into a scope and
-// collects the aggregate calls of the projection, HAVING and ORDER BY — what
-// makes a SELECT grouped, which the index fast paths need to know up front.
-func (db *DB) selectScope(s *sqlparser.SelectStmt, feeds []Feed) (*scope, []*sqlparser.FuncCall, error) {
+// selectScope binds the FROM tables as txn sees them (txn may be nil), or
+// the feeds when given, into a scope and collects the aggregate calls of the
+// projection, HAVING and ORDER BY — what makes a SELECT grouped, which the
+// index fast paths need to know up front.
+func (db *DB) selectScope(txn *Txn, s *sqlparser.SelectStmt, feeds []Feed) (*scope, []*sqlparser.FuncCall, error) {
 	sc := &scope{}
 	for i, ref := range s.From {
 		if feeds != nil {
@@ -57,7 +58,7 @@ func (db *DB) selectScope(s *sqlparser.SelectStmt, feeds []Feed) (*scope, []*sql
 		if !ok {
 			return nil, nil, fmt.Errorf("sqldb: no table %s", ref.Table)
 		}
-		sc.addTable(ref.Alias, t)
+		sc.addTxnTable(ref.Alias, t, txn)
 	}
 	var aggCalls []*sqlparser.FuncCall
 	for _, se := range s.Exprs {
@@ -74,8 +75,10 @@ func (db *DB) selectScope(s *sqlparser.SelectStmt, feeds []Feed) (*scope, []*sql
 	return sc, aggCalls, nil
 }
 
-func (db *DB) execSelect(s *sqlparser.SelectStmt, params []Value) (*Result, error) {
-	sc, aggCalls, err := db.selectScope(s, nil)
+// execSelect runs s over the tables as txn sees them; txn is nil outside a
+// transaction. Callers hold db.mu's read side.
+func (db *DB) execSelect(txn *Txn, s *sqlparser.SelectStmt, params []Value) (*Result, error) {
+	sc, aggCalls, err := db.selectScope(txn, s, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -106,9 +109,10 @@ func (db *DB) execSelect(s *sqlparser.SelectStmt, params []Value) (*Result, erro
 // in index order (no materialize-then-sort), a sargable range on the same
 // column bounds the walk, and a LIMIT terminates it early (§3.3: ORDER BY,
 // LIMIT run on OPE ciphertexts using ordinary ordered indexes). Returns
-// ok=false to fall back to the general path.
+// ok=false to fall back to the general path, as it does for a table the
+// reading transaction has written: the index orders committed rows only.
 func (db *DB) tryOrderedSelect(s *sqlparser.SelectStmt, sc *scope, params []Value) (*Result, bool, error) {
-	if len(sc.tabs) != 1 || s.Having != nil || len(s.OrderBy) != 1 {
+	if len(sc.tabs) != 1 || sc.tabs[0].ws != nil || s.Having != nil || len(s.OrderBy) != 1 {
 		return nil, false, nil
 	}
 	items := db.resolveOrderBy(s)
@@ -220,9 +224,10 @@ func (db *DB) tryOrderedSelect(s *sqlparser.SelectStmt, sc *scope, params []Valu
 
 // tryIndexMinMax answers `SELECT MIN(col) / MAX(col) FROM t` projections
 // from the endpoints of ordered indexes without touching any row (§3.3:
-// MIN/MAX run on OPE ciphertexts). Returns ok=false to fall back.
+// MIN/MAX run on OPE ciphertexts). Returns ok=false to fall back, as it does
+// for a table the reading transaction has written.
 func (db *DB) tryIndexMinMax(s *sqlparser.SelectStmt, sc *scope) (*Result, bool, error) {
-	if len(sc.tabs) != 1 || s.Where != nil || s.Having != nil || len(s.OrderBy) != 0 {
+	if len(sc.tabs) != 1 || sc.tabs[0].ws != nil || s.Where != nil || s.Having != nil || len(s.OrderBy) != 0 {
 		return nil, false, nil
 	}
 	t := sc.tabs[0].t

@@ -213,7 +213,7 @@ func TestSessionTxnReadYourWrites(t *testing.T) {
 			t.Fatalf("row %d = %v, want %v", i, res.Rows[i], w)
 		}
 	}
-	// Aggregates through the merged view too.
+	// Aggregates read through the write set too.
 	if res := mustSess(t, s, "SELECT SUM(v) FROM t"); res.Rows[0][0].I != 315 {
 		t.Fatalf("sum = %v, want 315", res.Rows[0][0])
 	}
