@@ -198,8 +198,7 @@ func splitCache(dopts sqldb.DurabilityOptions, n int) sqldb.DurabilityOptions {
 // transaction scope follows the connection.
 type server struct {
 	ln  net.Listener
-	ex  workload.Executor
-	px  *proxy.Proxy // nil in multi-principal mode
+	px  *proxy.Proxy // also behind mp in multi-principal mode
 	mp  *mp.Manager  // nil in single-principal mode
 	eng store.Engine
 
@@ -245,13 +244,9 @@ func newServer(cfg config) (*server, error) {
 		eng.Close()
 		return nil, err
 	}
-	var ex workload.Executor = p
-	px := p
 	var mpm *mp.Manager
 	if cfg.multi {
 		mpm = mp.New(p, mp.Options{})
-		ex = mpm
-		px = nil // connections get mp sessions instead
 	}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
@@ -260,8 +255,7 @@ func newServer(cfg config) (*server, error) {
 	}
 	return &server{
 		ln:          ln,
-		ex:          ex,
-		px:          px,
+		px:          p,
 		mp:          mpm,
 		eng:         eng,
 		maxSessions: cfg.maxSessions,
@@ -337,14 +331,13 @@ func (s *server) run() error {
 			// One session per connection: transaction scope follows the
 			// connection, and closing the session rolls back anything the
 			// client left open (disconnect mid-transaction included).
-			ex := s.ex
-			switch {
-			case s.px != nil:
-				sess := s.px.NewSession()
+			var ex workload.Executor
+			if s.mp != nil {
+				sess := s.mp.NewSession()
 				defer sess.Close()
 				ex = sess
-			case s.mp != nil:
-				sess := s.mp.NewSession()
+			} else {
+				sess := s.px.NewSession()
 				defer sess.Close()
 				ex = sess
 			}
@@ -373,7 +366,11 @@ func (s *server) run() error {
 	}
 
 	// Report engine-wide work before closing: counters sum across every
-	// shard (reading shard 0 alone would under-report).
+	// shard (reading shard 0 alone would under-report). Counts only: no
+	// statement text or value reaches the log.
+	ps := s.px.Stats()
+	log.Printf("cryptdb-server: proxy stats: queries=%d ast-cache hits=%d misses=%d hom-memo hits=%d decrypts=%d",
+		ps.Queries, ps.ASTCacheHits, ps.ASTCacheMisses, ps.HOMMemoHits, ps.HOMDecrypts)
 	st := s.eng.Stats()
 	log.Printf("cryptdb-server: store stats: shards=%d wal-batches=%d wal-syncs=%d checkpoints=%d size=%dB busy=%dms",
 		st.Shards, st.WAL.Batches, st.WAL.Syncs, st.WAL.Checkpoints, st.SizeBytes, st.BusyNanos/1e6)

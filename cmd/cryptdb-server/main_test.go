@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"log"
 	"net"
 	"os"
 	"os/exec"
@@ -155,8 +156,14 @@ func sendLine(t *testing.T, conn net.Conn, r *bufio.Reader, sql string) []string
 }
 
 // TestGracefulShutdownDrains: shutdown must stop accepting, let connected
-// clients' in-flight work finish, flush the WAL and return.
+// clients' in-flight work finish, flush the WAL and return. Its log names
+// the proxy's counters: two identical SUMs decrypt once and hit the memo
+// once.
 func TestGracefulShutdownDrains(t *testing.T) {
+	var logged strings.Builder
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
 	dir := t.TempDir()
 	srv, err := newServer(config{addr: "127.0.0.1:0", dataDir: dir})
 	if err != nil {
@@ -173,6 +180,11 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	r := bufio.NewReader(conn)
 	sendLine(t, conn, r, "CREATE TABLE t (a INT)")
 	sendLine(t, conn, r, "INSERT INTO t (a) VALUES (42)")
+	for i := 0; i < 2; i++ {
+		if got := sendLine(t, conn, r, "SELECT SUM(a) FROM t"); got[0] != "ROW 42" {
+			t.Fatalf("sum: %v", got)
+		}
+	}
 
 	done := make(chan struct{})
 	go func() {
@@ -186,6 +198,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	if err := <-runErr; err != nil {
 		t.Fatalf("run returned %v", err)
+	}
+	if want := "proxy stats: queries=4 ast-cache hits=1 misses=3 hom-memo hits=1 decrypts=1\n"; !strings.Contains(logged.String(), want) {
+		t.Fatalf("shutdown log lacks %q:\n%s", want, logged.String())
 	}
 	// New connections must be refused.
 	if c, err := net.DialTimeout("tcp", srv.ln.Addr().String(), time.Second); err == nil {

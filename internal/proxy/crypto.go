@@ -271,13 +271,14 @@ func (p *Proxy) decryptEq(cm *ColumnMeta, ct, iv sqldb.Value) (sqldb.Value, erro
 	return sqldb.Blob(pt), nil
 }
 
-// decryptAdd recovers plaintext from the Add onion (used when other onions
-// are stale after an increment — §3.3).
+// decryptAdd recovers plaintext from the Add onion: SUM and AVG results,
+// and the column itself when other onions are stale after an increment
+// (§3.3). A ciphertext decrypted before is answered from p.homMemo.
 func (p *Proxy) decryptAdd(cm *ColumnMeta, ct sqldb.Value) (sqldb.Value, error) {
 	if ct.IsNull() {
 		return sqldb.Null(), nil
 	}
-	v, err := p.homKey.DecryptInt64(p.homKey.CiphertextFromBytes(ct.B))
+	v, err := p.homMemo.decrypt(ct.B)
 	if err != nil {
 		return sqldb.Value{}, err
 	}

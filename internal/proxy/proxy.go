@@ -94,6 +94,10 @@ type Stats struct {
 	InProxySorts     int64
 	ASTCacheHits     int64
 	ASTCacheMisses   int64
+	// HOMDecrypts counts Add-onion decryptions that ran Paillier (memo
+	// misses, failed ones included); HOMMemoHits those the memo answered.
+	HOMDecrypts int64
+	HOMMemoHits int64
 	// Server reports how the storage engine executed the proxy's rewritten
 	// statements (access paths, join strategy, grouped scatter pushdowns),
 	// summed across shards.
@@ -116,7 +120,8 @@ type Proxy struct {
 	nTab   int
 
 	homKey  *hom.Key
-	joinPRF []byte // K0 shared by all JOIN-ADJ columns (§3.4)
+	homMemo *homMemo // decryptions of homKey ciphertexts, by their bytes
+	joinPRF []byte   // K0 shared by all JOIN-ADJ columns (§3.4)
 
 	opts     Options
 	stats    Stats
@@ -287,6 +292,7 @@ func newProxy(db store.Engine, mk *keys.Master, hk *hom.Key, opts Options) (*Pro
 		mk:       mk,
 		tables:   make(map[string]*TableMeta),
 		homKey:   hk,
+		homMemo:  newHOMMemo(hk),
 		joinPRF:  mk.DeriveLabel("joinadj-shared-prf"),
 		opts:     opts,
 		sessions: make(map[*Session]struct{}),
@@ -327,17 +333,20 @@ func (p *Proxy) SetPrincipalCrypto(pc PrincipalCrypto) {
 	p.princ = pc
 }
 
-// Stats returns a snapshot of the proxy's counters.
+// Stats returns a snapshot of the proxy's counters. It takes no proxy lock:
+// every counter is atomic or behind its own cache's mutex, and astCache and
+// homMemo are fixed at construction, so reading stats never waits for (or
+// stalls) a query.
 func (p *Proxy) Stats() Stats {
 	out := Stats{
 		Queries:          atomic.LoadInt64(&p.stats.Queries),
 		OnionAdjustments: atomic.LoadInt64(&p.stats.OnionAdjustments),
 		Resyncs:          atomic.LoadInt64(&p.stats.Resyncs),
 		InProxySorts:     atomic.LoadInt64(&p.stats.InProxySorts),
+		HOMDecrypts:      p.homMemo.decrypts.Load(),
+		HOMMemoHits:      p.homMemo.hits.Load(),
 	}
 	out.Server = p.db.Stats().Plan
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.astCache != nil {
 		out.ASTCacheHits, out.ASTCacheMisses = p.astCache.counters()
 	}
@@ -450,6 +459,77 @@ func (c *matcherCache) get(token []byte) *search.Matcher {
 	m := search.NewMatcher(token)
 	c.m[string(token)] = m
 	return m
+}
+
+// homMemo maps an Add-onion ciphertext's exact bytes to its plaintext, so
+// the proxy runs Paillier decryption once per distinct ciphertext. The
+// server's hom_sum of a group is a product mod n², the same bytes in any
+// row order, on one store or across shards, until a write lands in the
+// group; without the memo every GROUP BY … SUM would decrypt each group
+// again. Decryption is a pure function of the bytes under the proxy's one
+// key, so an answer from the memo is the answer DecryptInt64 gives.
+//
+// It holds two generations of at most homMemoGen entries: a hit in the old
+// one is copied into the current one, and a full current generation
+// becomes the old one, dropping the previous old. Only successful
+// decryptions of blobs no wider than a ciphertext are stored, so an error
+// is recomputed (and returned) on every call and a full memo is 2.5 MB at
+// 1024 bits. Sessions, shards and forEachRow workers share one memo.
+type homMemo struct {
+	key   *hom.Key
+	width int // bytes of a ciphertext, (bits of n²)/8
+
+	mu       sync.Mutex
+	cur, old map[string]int64
+
+	decrypts, hits atomic.Int64
+}
+
+const homMemoGen = 4096
+
+func newHOMMemo(k *hom.Key) *homMemo {
+	return &homMemo{
+		key:   k,
+		width: (k.N2.BitLen() + 7) / 8,
+		cur:   make(map[string]int64),
+	}
+}
+
+// decrypt returns DecryptInt64 of the ciphertext blob b.
+func (m *homMemo) decrypt(b []byte) (int64, error) {
+	if v, ok := m.lookup(b); ok {
+		m.hits.Add(1)
+		return v, nil
+	}
+	m.decrypts.Add(1)
+	v, err := m.key.DecryptInt64(m.key.CiphertextFromBytes(b))
+	if err == nil && len(b) <= m.width {
+		m.mu.Lock()
+		m.store(string(b), v)
+		m.mu.Unlock()
+	}
+	return v, err
+}
+
+func (m *homMemo) lookup(b []byte) (int64, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if v, ok := m.cur[string(b)]; ok {
+		return v, true
+	}
+	v, ok := m.old[string(b)]
+	if ok {
+		m.store(string(b), v)
+	}
+	return v, ok
+}
+
+// store adds an entry to the current generation; m.mu must be held.
+func (m *homMemo) store(k string, v int64) {
+	if len(m.cur) >= homMemoGen {
+		m.old, m.cur = m.cur, make(map[string]int64, homMemoGen)
+	}
+	m.cur[k] = v
 }
 
 func fixedBytes(v, n2 *big.Int) []byte {
