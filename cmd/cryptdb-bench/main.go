@@ -6,8 +6,8 @@
 //	cryptdb-bench -fig all      every figure, in the order of the table
 //	cryptdb-bench -h            the names, from the table in this file
 //
-// With -json, each figure also writes BENCH_<fig>.json (ns/op, rows/s and
-// GOMAXPROCS per arm) for plotting and trend tracking.
+// The repository's benchmark of record is bench/ (bash bench/run.sh); this
+// command prints the paper's figures and a few arms bench/ does not run yet.
 package main
 
 import (
@@ -40,7 +40,6 @@ var figures = []struct {
 	{"durability", "WAL/checkpoint write-path overhead & recovery", figDurability},
 	{"groupcommit", "concurrent sessions + WAL group commit", figGroupCommit},
 	{"shardscale", "sharded store write scaling (1/2/4/8 shards)", figShardScale},
-	{"joins", "compiled-pipeline joins and GROUP BY, single vs 4-shard", figJoins},
 	{"replication", "WAL shipping: primary-only vs primary+follower, snapshot resync", figReplication},
 }
 
@@ -51,9 +50,7 @@ func main() {
 		fmt.Fprintf(&help, "  %-13s %s\n", f.name, f.blurb)
 	}
 	fig := flag.String("fig", "all", strings.TrimSuffix(help.String(), "\n"))
-	jsonFlag := flag.Bool("json", false, "also write BENCH_<fig>.json per figure")
 	flag.Parse()
-	jsonEnabled = *jsonFlag
 
 	ran := false
 	for _, f := range figures {
@@ -62,11 +59,7 @@ func main() {
 		}
 		ran = true
 		header(f.name)
-		err := f.fn()
-		if err == nil {
-			err = flushJSON(f.name)
-		}
-		if err != nil {
+		if err := f.fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "figure %s: %v\n", f.name, err)
 			os.Exit(1)
 		}

@@ -408,8 +408,7 @@ type workloadExecutor interface {
 func figRangeScan() error {
 	fmt.Println("ordered indexes vs full scans (§3.3 range queries over OPE)")
 
-	// 1. DBMS substrate: 100k rows, indexed vs unindexed, loaded through
-	// the same shared fixture the go-test benchmarks use.
+	// 1. DBMS substrate: 100k rows, indexed vs unindexed.
 	const rows = 100_000
 	build := func(indexed bool) (*sqldb.DB, error) {
 		db := sqldb.New()

@@ -734,7 +734,7 @@ func TestREADMEFlagsAreDefined(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flags the README names that belong to other commands.
-	elsewhere := map[string]bool{"json": true} // cryptdb-vet, cryptdb-bench
+	elsewhere := map[string]bool{"json": true} // cryptdb-vet
 	fs := newFlagSet(new(config))
 	named := 0
 	check := func(line int, name string) {

@@ -6,7 +6,8 @@
 //
 // Instantiations per the paper:
 //   - 64-bit integers: a 64-bit-block PRP (Blowfish in the paper, the
-//     feistel package here — see DESIGN.md §2).
+//     feistel package here — see ARCHITECTURE.md, "§3 — onions of
+//     encryption").
 //   - byte strings: AES with a zero IV in the CMC wide-block variant so that
 //     long values do not leak prefix equality.
 package det

@@ -7,7 +7,7 @@
 // function is AES-based. Four Feistel rounds with independent PRF round
 // keys are a strong PRP (Luby & Rackoff 1988), giving the same security
 // property (PRP over 64-bit blocks) and the same ciphertext size the paper
-// relies on. See DESIGN.md §2.
+// relies on. See ARCHITECTURE.md, "§3 — onions of encryption".
 package feistel
 
 import (

@@ -179,13 +179,6 @@ func (k *Key) Precompute(count int) error {
 	return nil
 }
 
-// PoolSize reports how many precomputed r^n values remain.
-func (k *Key) PoolSize() int {
-	k.mu2.Lock()
-	defer k.mu2.Unlock()
-	return len(k.pool)
-}
-
 // freshRN returns a fresh n-th residue mod n². With the factorization it
 // comes from the fixed-base kernel, at about a tenth of the cost; without
 // (StripFactors), from the textbook exponentiation. Both decrypt to zero

@@ -164,15 +164,20 @@ func TestPrecomputePool(t *testing.T) {
 	if err := k.Precompute(5); err != nil {
 		t.Fatal(err)
 	}
-	if n := k.PoolSize(); n < 5 {
+	poolSize := func() int {
+		k.mu2.Lock()
+		defer k.mu2.Unlock()
+		return len(k.pool)
+	}
+	if n := poolSize(); n < 5 {
 		t.Fatalf("pool size %d, want >= 5", n)
 	}
-	before := k.PoolSize()
+	before := poolSize()
 	if _, err := k.EncryptInt64(9); err != nil {
 		t.Fatal(err)
 	}
-	if k.PoolSize() != before-1 {
-		t.Fatalf("encrypt did not consume pool: %d -> %d", before, k.PoolSize())
+	if poolSize() != before-1 {
+		t.Fatalf("encrypt did not consume pool: %d -> %d", before, poolSize())
 	}
 }
 

@@ -18,7 +18,8 @@ type Onion string
 // The four onions of Figure 2. JAdj carries the JOIN-ADJ component of the
 // merged DET+JOIN layer; storing it beside Eq (rather than concatenated
 // inside it) preserves the construction JOIN(v) = JOIN-ADJ(v) ‖ DET(v)
-// while letting the DBMS index each component (see DESIGN.md §2).
+// while letting the DBMS index each component (see ARCHITECTURE.md, "§3 —
+// onions of encryption").
 const (
 	Eq     Onion = "Eq"
 	JAdj   Onion = "JAdj"

@@ -373,7 +373,7 @@ func (p *Proxy) analyzeSelect(s *sqlparser.SelectStmt, qs *qscope, params []sqld
 		p.analyzeHaving(s.Having, qs, params, an)
 	}
 
-	inProxySort := !p.opts.DisableInProxySort && s.Limit == nil
+	inProxySort := s.Limit == nil
 	for _, o := range s.OrderBy {
 		cm, ok := pureCol(o.Expr, qs)
 		if !ok {

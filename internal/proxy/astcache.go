@@ -26,6 +26,9 @@ type astEntry struct {
 	st  sqlparser.Statement
 }
 
+// astCacheSize is how many parsed statements a proxy keeps.
+const astCacheSize = 1024
+
 // astCacheMaxSQL bounds the text length of cacheable statements. The hot,
 // repeated shapes are short parameterized statements; one-shot multi-row
 // INSERT texts can run to megabytes and would pin memory for zero hits.

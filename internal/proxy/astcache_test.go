@@ -75,18 +75,6 @@ func TestExecuteUsesASTCache(t *testing.T) {
 	if st.ASTCacheMisses != 3 {
 		t.Fatalf("expected 3 distinct texts, got %+v", st)
 	}
-
-	// Disabled cache keeps working and reports nothing.
-	p2, err := New(sqldb.New(), Options{HOMBits: 256, ASTCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Execute("CREATE TABLE t (a INT)"); err != nil {
-		t.Fatal(err)
-	}
-	if s := p2.Stats(); s.ASTCacheHits != 0 || s.ASTCacheMisses != 0 {
-		t.Fatalf("disabled cache counted: %+v", s)
-	}
 }
 
 func TestASTCacheConcurrentReuse(t *testing.T) {

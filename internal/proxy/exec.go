@@ -26,7 +26,7 @@ func (p *Proxy) Execute(sql string, params ...sqldb.Value) (*sqldb.Result, error
 // shared read-only across concurrent Execute calls; nothing in the proxy or
 // the DBMS mutates a parsed statement.
 func (p *Proxy) parse(sql string) (sqlparser.Statement, error) {
-	if p.astCache == nil || len(sql) > astCacheMaxSQL {
+	if len(sql) > astCacheMaxSQL {
 		return sqlparser.Parse(sql)
 	}
 	if st, ok := p.astCache.get(sql); ok {
@@ -297,7 +297,7 @@ func (p *Proxy) buildSelect(s *sqlparser.SelectStmt, qs *qscope, params []sqldb.
 	}
 
 	// ORDER BY: in-proxy when possible (§3.5.1), on OPE otherwise.
-	inProxySort := !p.opts.DisableInProxySort && s.Limit == nil
+	inProxySort := s.Limit == nil
 	for _, o := range s.OrderBy {
 		cm, alias, isCol := resolvePure(o.Expr, qs)
 		if isCol && cm.Plain && !inProxySort {

@@ -40,15 +40,6 @@ type Options struct {
 	// INSERT independent of this knob (disable it with DisableOPECache);
 	// ciphertexts and row order are identical on every setting.
 	BatchWorkers int
-	// DisableInProxySort sends ORDER BY without LIMIT to the server
-	// (revealing OPE) instead of sorting decrypted results in the proxy
-	// (§3.5.1). In-proxy sorting is the default, as in the paper's
-	// analysis.
-	DisableInProxySort bool
-	// ASTCacheSize bounds the LRU cache of parsed statements keyed by SQL
-	// text, so repeated statements skip the parser. 0 uses the default
-	// (1024 entries); a negative value disables caching.
-	ASTCacheSize int
 	// Training makes the proxy analyze and record onion adjustments
 	// without encrypting or executing anything (§3.5.1 training mode).
 	Training bool
@@ -125,7 +116,7 @@ type Proxy struct {
 
 	opts     Options
 	stats    Stats
-	astCache *astCache // nil when disabled
+	astCache *astCache
 
 	// sessions tracks every live Session (guarded by sessMu) so onion
 	// adjustments can detect conflicts with open transactions; defSess is
@@ -295,14 +286,8 @@ func newProxy(db store.Engine, mk *keys.Master, hk *hom.Key, opts Options) (*Pro
 		homMemo:  newHOMMemo(hk),
 		joinPRF:  mk.DeriveLabel("joinadj-shared-prf"),
 		opts:     opts,
+		astCache: newASTCache(astCacheSize),
 		sessions: make(map[*Session]struct{}),
-	}
-	if opts.ASTCacheSize >= 0 {
-		size := opts.ASTCacheSize
-		if size == 0 {
-			size = 1024
-		}
-		p.astCache = newASTCache(size)
 	}
 	p.registerUDFs()
 	return p, nil
@@ -347,9 +332,7 @@ func (p *Proxy) Stats() Stats {
 		HOMMemoHits:      p.homMemo.hits.Load(),
 	}
 	out.Server = p.db.Stats().Plan
-	if p.astCache != nil {
-		out.ASTCacheHits, out.ASTCacheMisses = p.astCache.counters()
-	}
+	out.ASTCacheHits, out.ASTCacheMisses = p.astCache.counters()
 	return out
 }
 

@@ -4,8 +4,8 @@
 // on is the *distribution of computation classes per column* (equality,
 // order, search, sums, and operations CryptDB cannot support), which this
 // generator reproduces: each column is assigned an operation profile and
-// the generator emits queries exercising exactly that profile. See
-// DESIGN.md §2.
+// the generator emits queries exercising exactly that profile. See the
+// paper's §8.1.
 package trace
 
 import (

@@ -42,10 +42,8 @@ func (p Passthrough) Execute(sql string, params ...sqldb.Value) (*sqldb.Result, 
 	return p.DB.Exec(st2, params...)
 }
 
-// RangeTableKey scatters row ordinal i over a 2^30 key domain; the range
-// benchmarks and the cryptdb-bench rangescan figure share it so both
-// measure the same data distribution.
-func RangeTableKey(i int) int64 { return int64(uint32(i) * 2654435761 % (1 << 30)) }
+// rangeTableKey scatters row ordinal i over a 2^30 key domain.
+func rangeTableKey(i int) int64 { return int64(uint32(i) * 2654435761 % (1 << 30)) }
 
 // LoadRangeTable creates table r(k INT, v INT) with rows scattered keys,
 // optionally under the default (hash + ordered) index on k. Rows load
@@ -68,7 +66,7 @@ func LoadRangeTable(db *sqldb.DB, rows int, indexed bool) error {
 		st := &sqlparser.InsertStmt{Table: "r", Columns: []string{"k", "v"}}
 		for i := 0; i < n; i++ {
 			st.Rows = append(st.Rows, []sqlparser.Expr{
-				&sqlparser.IntLit{V: RangeTableKey(base + i)},
+				&sqlparser.IntLit{V: rangeTableKey(base + i)},
 				&sqlparser.IntLit{V: int64(base + i)},
 			})
 		}
