@@ -4,6 +4,8 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+
+	"repro/internal/crypto/mont"
 )
 
 // Encryption randomness with the factorization (see ARCHITECTURE.md,
@@ -23,7 +25,7 @@ import (
 // decryptor, and it is uniform over <b_p> × <b_q>: every n-th residue when
 // b_p and b_q generate their subgroups, which newRNKernel all but ensures. The
 // bases being fixed, each power is a table walk (fixedBase) of at most
-// ceil(bits/16) half-width multiplications.
+// ceil(bits/16) half-width Montgomery multiplications (package mont).
 
 // combWindow is the exponent digit width of the fixed-base tables.
 const combWindow = 8
@@ -33,34 +35,53 @@ const combWindow = 8
 // Read-only once built, so any number of goroutines may use it at once.
 type fixedBase struct {
 	mod, ord *big.Int
-	windows  int // digits in an exponent
-	words    int // big.Words in an entry
+	m        *mont.Modulus // mod, for Montgomery multiplication
+	windows  int           // digits in an exponent
+	words    int           // big.Words in an entry
 	// Entry i<<combWindow|d is b^(d·2^(combWindow·i)) mod mod, as `words`
 	// little-endian big.Words. The table is key material (it fixes the base
 	// of ρ's discrete logarithm) and exists only in memory: 2 MiB per
 	// prime at 1024 bits.
 	tab []big.Word
+	// Entry k is R^k mod mod (R of m), k = 0..windows: where a walk over k
+	// nonzero digits starts, so that its k Montgomery multiplications by
+	// plain entries, each a factor R⁻¹, end on the plain power.
+	start []big.Word
 }
 
-func newFixedBase(b, mod, ord *big.Int) *fixedBase {
+func newFixedBase(b, mod, ord *big.Int) (*fixedBase, error) {
+	m, err := mont.NewModulus(mod)
+	if err != nil {
+		return nil, fmt.Errorf("hom: %w", err)
+	}
+	w := m.Len()
 	f := &fixedBase{
-		mod: mod, ord: ord,
+		mod: mod, ord: ord, m: m,
 		windows: (ord.BitLen() + combWindow - 1) / combWindow,
-		words:   len(mod.Bits()),
+		words:   w,
 	}
-	f.tab = make([]big.Word, f.windows<<combWindow*f.words)
-	var cur, prod, quo big.Int
-	step := new(big.Int).Set(b) // b^(2^(combWindow·i))
+	f.tab = make([]big.Word, f.windows<<combWindow*w)
+	f.start = make([]big.Word, (f.windows+1)*w)
+	f.start[0] = 1
+	for k := 1; k <= f.windows; k++ {
+		m.ToMont(f.start[k*w:(k+1)*w], f.start[(k-1)*w:k*w])
+	}
+	// A plain value times a Montgomery form is plain: cur walks the row's
+	// powers of step, held in Montgomery form, and each row ends on the
+	// next row's step.
+	cur, step := make([]big.Word, w), make([]big.Word, w)
+	copy(cur, b.Bits())
+	m.ToMont(step, cur) // b^(2^(combWindow·i)), Montgomery form
 	for i := 0; i < f.windows; i++ {
-		cur.Set(one)
+		clear(cur)
+		cur[0] = 1
 		for d := 0; d < 1<<combWindow; d++ {
-			copy(f.tab[(i<<combWindow|d)*f.words:], cur.Bits())
-			prod.Mul(&cur, step)
-			quo.QuoRem(&prod, mod, &cur)
+			copy(f.tab[(i<<combWindow|d)*w:], cur)
+			m.Mul(cur, cur, step)
 		}
-		step.Set(&cur) // step^(2^combWindow)
+		m.ToMont(step, cur) // step^(2^combWindow)
 	}
-	return f
+	return f, nil
 }
 
 // random returns b^x mod mod for a fresh uniform x in [0, ord).
@@ -73,19 +94,25 @@ func (f *fixedBase) random() (*big.Int, error) {
 }
 
 // pow returns b^x mod mod for 0 <= x < 2^(combWindow·windows): one table
-// entry and one modular multiplication per nonzero digit of x.
+// entry and one Montgomery multiplication per nonzero digit of x, starting
+// from R^k for the k nonzero digits.
 func (f *fixedBase) pow(x *big.Int) *big.Int {
 	digits := x.FillBytes(make([]byte, f.windows)) // big-endian
-	acc := new(big.Int).Set(one)
-	var entry, prod, quo big.Int // reused: the loop allocates nothing once grown
+	k := 0
+	for _, d := range digits {
+		if d != 0 {
+			k++
+		}
+	}
+	acc := make([]big.Word, f.words)
+	copy(acc, f.start[k*f.words:])
 	for i := 0; i < f.windows; i++ {
 		if d := int(digits[f.windows-1-i]); d != 0 {
 			j := (i<<combWindow | d) * f.words
-			prod.Mul(acc, entry.SetBits(f.tab[j:j+f.words]))
-			quo.QuoRem(&prod, f.mod, acc)
+			f.m.Mul(acc, acc, f.tab[j:j+f.words])
 		}
 	}
-	return acc
+	return new(big.Int).SetBits(acc)
 }
 
 // smallPrimeBound bounds the primes newRNKernel screens a base for: a base is
@@ -101,7 +128,8 @@ func smallPrimeFactors(m *big.Int) []*big.Int {
 		if composite[i] {
 			continue
 		}
-		for j := i * i; j < smallPrimeBound; j += i {
+		// From 2i, not i²: i² overflows a 32-bit int.
+		for j := 2 * i; j < smallPrimeBound; j += i {
 			composite[j] = true
 		}
 		if r.Mod(m, l.SetInt64(int64(i))).Sign() == 0 {
@@ -159,11 +187,15 @@ func (k *Key) newRNKernel() (*rnKernel, error) {
 		if !k.baseOK(h, pFactors, qFactors) {
 			continue
 		}
-		return &rnKernel{
-			p:       newFixedBase(new(big.Int).Exp(h, k.N, k.p2), k.p2, k.pm1),
-			q:       newFixedBase(new(big.Int).Exp(h, k.N, k.q2), k.q2, k.qm1),
-			p2InvQ2: new(big.Int).ModInverse(k.p2, k.q2),
-		}, nil
+		p, err := newFixedBase(new(big.Int).Exp(h, k.N, k.p2), k.p2, k.pm1)
+		if err != nil {
+			return nil, err
+		}
+		q, err := newFixedBase(new(big.Int).Exp(h, k.N, k.q2), k.q2, k.qm1)
+		if err != nil {
+			return nil, err
+		}
+		return &rnKernel{p: p, q: q, p2InvQ2: new(big.Int).ModInverse(k.p2, k.q2)}, nil
 	}
 }
 

@@ -7,9 +7,12 @@
 // Ciphertexts are 2048 bits (n is 1024 bits), matching the paper. Paillier
 // encryption's dominant cost is the fresh n-th residue r^n mod n^2. A key
 // that holds its factorization — the proxy's always does — draws it from
-// fixed-base tables mod p² and q² at about a tenth of the textbook cost (see
-// fixedbase.go); the package also keeps the paper's §3.5.2 optimization of
-// precomputing a pool of such values off the critical path; see Precompute.
+// fixed-base tables mod p² and q² at about a twenty-fifth of the textbook
+// cost (see fixedbase.go); the package also keeps the paper's §3.5.2
+// optimization of precomputing a pool of such values off the critical path;
+// see Precompute. The table walk and the server's ciphertext product
+// (Product) multiply with package mont's Montgomery kernel, not big.Int's
+// Mul and QuoRem.
 package hom
 
 import (
@@ -180,7 +183,7 @@ func (k *Key) Precompute(count int) error {
 }
 
 // freshRN returns a fresh n-th residue mod n². With the factorization it
-// comes from the fixed-base kernel, at about a tenth of the cost; without
+// comes from the fixed-base kernel, at a small fraction of the cost; without
 // (StripFactors), from the textbook exponentiation. Both decrypt to zero
 // under either kind of key and mix freely under Add.
 func (k *Key) freshRN() (*big.Int, error) {

@@ -320,6 +320,25 @@ func BenchmarkDecryptCRT(b *testing.B) {
 	}
 }
 
+// BenchmarkEncrypt: EncryptInt64 at the paper's 1024-bit modulus with an
+// empty pool, after the first encryption has built the fixed-base tables:
+// the cost of an INSERT's or an increment's Add onion.
+func BenchmarkEncrypt(b *testing.B) {
+	k, err := GenerateKey(DefaultBits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := k.EncryptInt64(1); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := k.EncryptInt64(int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDecryptNoCRT(b *testing.B) {
 	_, slow := benchKeyPair(b)
 	fast, _ := benchKeyPair(b)

@@ -1,0 +1,33 @@
+// Copyright 2009 The Go Authors. All rights reserved.
+// Use of this source code is governed by a BSD-style
+// license that can be found in the LICENSE file.
+
+package mont
+
+import (
+	"math/big"
+	"math/bits"
+)
+
+// addMulVVW's implementations, in the order a CPU may support them; kernel
+// (set per GOARCH) holds the one in use. arith_amd64.s compares kernel
+// with these values.
+const (
+	kernelGo = iota
+	kernelMULQ
+	kernelADX
+)
+
+// addMulVVWGo sets z += x·y and returns the carry word: one row of a
+// pen-and-paper column multiplication. z and x have the same length.
+func addMulVVWGo(z, x []big.Word, y big.Word) (c big.Word) {
+	for i := 0; i < len(z) && i < len(x); i++ {
+		hi, lo := bits.Mul(uint(x[i]), uint(y))
+		var cc uint
+		lo, cc = bits.Add(lo, uint(z[i]), 0)
+		hi += cc
+		lo, cc = bits.Add(lo, uint(c), 0)
+		c, z[i] = big.Word(hi+cc), big.Word(lo)
+	}
+	return
+}

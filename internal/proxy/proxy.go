@@ -289,7 +289,9 @@ func newProxy(db store.Engine, mk *keys.Master, hk *hom.Key, opts Options) (*Pro
 		astCache: newASTCache(astCacheSize),
 		sessions: make(map[*Session]struct{}),
 	}
-	p.registerUDFs()
+	if err := p.registerUDFs(); err != nil {
+		return nil, fmt.Errorf("proxy: %w", err)
+	}
 	return p, nil
 }
 
@@ -357,7 +359,7 @@ func (p *Proxy) Table(logical string) *TableMeta {
 // UDFs and server-side tables").
 //
 
-func (p *Proxy) registerUDFs() {
+func (p *Proxy) registerUDFs() error {
 	// decrypt_rnd(key, ct, iv) strips one RND layer; works for both the
 	// 64-bit integer form and the byte form based on argument kind.
 	p.db.RegisterUDF("decrypt_rnd", udfDecryptRND)
@@ -393,31 +395,49 @@ func (p *Proxy) registerUDFs() {
 	})
 
 	// hom_add(ct1, ct2) multiplies Paillier ciphertexts: the UPDATE
-	// ... SET x = x + k path (§3.3).
-	n2 := new(big.Int).Set(p.homKey.N2)
-	products := sync.Pool{New: func() any { return new(homProduct) }}
-	p.db.RegisterUDF("hom_add", func(args []sqldb.Value) (sqldb.Value, error) {
-		if len(args) != 2 {
-			return sqldb.Value{}, fmt.Errorf("hom_add: want 2 args")
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return sqldb.Null(), nil
-		}
-		h := products.Get().(*homProduct)
-		defer products.Put(h)
-		h.acc.SetBytes(args[0].B)
-		h.mul(args[1].B, n2)
-		return sqldb.Blob(fixedBytes(&h.acc, n2)), nil
-	})
-
-	// hom_sum(ct) aggregates a HOM column by ciphertext multiplication:
-	// the server-side SUM replacement (§3.1).
-	p.db.RegisterAggUDF("hom_sum", func() sqldb.AggState {
-		s := &homSumState{n2: n2}
-		s.acc.SetInt64(1)
-		return s
-	})
+	// ... SET x = x + k path (§3.3). hom_sum(ct) aggregates a HOM column by
+	// ciphertext multiplication: the server-side SUM replacement (§3.1).
+	h, err := newHOMUDFs(p.homKey.N2)
+	if err != nil {
+		return err
+	}
+	p.db.RegisterUDF("hom_add", h.add)
+	p.db.RegisterAggUDF("hom_sum", h.sum)
+	return nil
 }
+
+// homUDFs are the server's Paillier UDFs. They use only the public n².
+type homUDFs struct {
+	mod      *hom.ProductModulus
+	products sync.Pool // *hom.Product, for hom_add
+}
+
+func newHOMUDFs(n2 *big.Int) (*homUDFs, error) {
+	mod, err := hom.NewProductModulus(new(big.Int).Set(n2))
+	if err != nil {
+		return nil, err
+	}
+	h := &homUDFs{mod: mod}
+	h.products.New = func() any { return mod.NewProduct() }
+	return h, nil
+}
+
+func (h *homUDFs) add(args []sqldb.Value) (sqldb.Value, error) {
+	if len(args) != 2 {
+		return sqldb.Value{}, fmt.Errorf("hom_add: want 2 args")
+	}
+	if args[0].IsNull() || args[1].IsNull() {
+		return sqldb.Null(), nil
+	}
+	prod := h.products.Get().(*hom.Product)
+	defer h.products.Put(prod)
+	prod.Reset()
+	prod.Mul(args[0].B)
+	prod.Mul(args[1].B)
+	return sqldb.Blob(prod.Bytes()), nil
+}
+
+func (h *homUDFs) sum() sqldb.AggState { return &homSumState{prod: h.mod.NewProduct()} }
 
 // matcherCache maps a SEARCH token to its search.Matcher for the
 // searchswp UDF, so a LIKE derives its token's key schedule once rather
@@ -515,47 +535,27 @@ func (m *homMemo) store(k string, v int64) {
 	m.cur[k] = v
 }
 
-func fixedBytes(v, n2 *big.Int) []byte {
-	return v.FillBytes(make([]byte, (n2.BitLen()+7)/8))
-}
-
-// homProduct multiplies Paillier ciphertexts into acc modulo n². Its
-// temporaries are reused, so once they have grown to the modulus a
-// product allocates nothing.
-type homProduct struct {
-	acc, c, prod, quo big.Int
-}
-
-// mul sets acc = acc · ct mod n2.
-func (h *homProduct) mul(ct []byte, n2 *big.Int) {
-	h.c.SetBytes(ct)
-	h.prod.Mul(&h.acc, &h.c)
-	h.quo.QuoRem(&h.prod, n2, &h.acc)
-}
-
+// homSumState is one group's hom_sum: the product of its non-NULL
+// ciphertexts, NULL when there are none.
 type homSumState struct {
-	homProduct
-	n2  *big.Int
-	any bool
+	prod *hom.Product
 }
 
 func (s *homSumState) Step(args []sqldb.Value) error {
 	if len(args) != 1 {
 		return fmt.Errorf("hom_sum: want 1 arg")
 	}
-	if args[0].IsNull() {
-		return nil
+	if !args[0].IsNull() {
+		s.prod.Mul(args[0].B)
 	}
-	s.mul(args[0].B, s.n2)
-	s.any = true
 	return nil
 }
 
 func (s *homSumState) Final() (sqldb.Value, error) {
-	if !s.any {
+	if s.prod.Len() == 0 {
 		return sqldb.Null(), nil
 	}
-	return sqldb.Blob(fixedBytes(&s.acc, s.n2)), nil
+	return sqldb.Blob(s.prod.Bytes()), nil
 }
 
 func udfDecryptRND(args []sqldb.Value) (sqldb.Value, error) {

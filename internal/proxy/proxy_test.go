@@ -666,9 +666,8 @@ func TestServerPlanCounters(t *testing.T) {
 	}
 }
 
-// TestHomSumStepAllocs: once hom_sum's temporaries have grown to the
-// modulus, a step multiplies into the accumulator without allocating, and
-// the product still decrypts to the sum.
+// TestHomSumStepAllocs: a hom_sum step multiplies into the accumulator
+// without allocating, and the product still decrypts to the sum.
 func TestHomSumStepAllocs(t *testing.T) {
 	p := newTestProxy(t)
 	k := p.HOMKey()
@@ -677,8 +676,11 @@ func TestHomSumStepAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := []sqldb.Value{sqldb.Blob(k.CiphertextBytes(ct))}
-	s := &homSumState{n2: k.N2}
-	s.acc.SetInt64(1)
+	udfs, err := newHOMUDFs(k.N2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := udfs.sum()
 	if err := s.Step(args); err != nil {
 		t.Fatal(err)
 	}
