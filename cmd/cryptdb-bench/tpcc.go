@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,6 +86,12 @@ func fig10() error {
 	fmt.Printf("%10s %14s %14s %9s\n", "GOMAXPROCS", "MySQL q/s", "CryptDB q/s", "ratio")
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
+	// The arms' live heap is a few MB. At the default GOGC, on 2 vCPU, the
+	// 2-core plaintext arm after the 1-core CryptDB arm runs at either ~65k
+	// or ~20k q/s, the slow mode spending most of its CPU in the background
+	// sweeper at ~300 collections a second; a larger heap target removes
+	// the slow mode.
+	defer debug.SetGCPercent(debug.SetGCPercent(fig10GCPercent))
 
 	for _, cores := range coreSteps {
 		if cores > maxCores {
@@ -121,6 +128,9 @@ func fig10() error {
 // tens of thousands of queries a second; a shorter sample leaves the ratio
 // to scheduler noise.
 const fig10Arm = time.Second
+
+// fig10GCPercent is the GOGC every Figure 10 arm runs under.
+const fig10GCPercent = 400
 
 // runClients drives `clients` goroutines through the mix for d, returning
 // completed queries/second.

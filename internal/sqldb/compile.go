@@ -1,18 +1,21 @@
 package sqldb
 
-// This file lowers expressions and whole SELECT plans into closures, so the
-// operator pipeline in exec.go evaluates rows without re-walking the
-// sqlparser AST: column references resolve to (table, column) positions
-// once, operators dispatch once, and aggregate references become slot
-// indexes. Lowering is also where a statement is resolved: an unknown or
-// ambiguous column, an unknown function or operator, an aggregate in row
-// context — each is returned as an error here, once, before any row is
-// read, so it never depends on what the tables hold. The compiled forms
-// must evaluate exactly like evalCtx.eval (which writes and the planner's
-// constant folding still use, and which the test-only AST interpreter in
-// interp_test.go is built on) — NULL comparisons, text<->int coercion,
-// AND/OR short-circuit, integer division by zero — so each case below
-// mirrors the corresponding branch of it, error texts included.
+// This file lowers expressions and whole SELECT plans into closures, so
+// rows are evaluated without re-walking the sqlparser AST: column
+// references resolve to (table, column) positions once, operators dispatch
+// once, and aggregate references become slot indexes. exprCompiler is the
+// only expression evaluator: SELECT, the write path (VALUES, SET and
+// UPDATE/DELETE predicates), the planner's constant folding and standalone
+// evaluation (EvalExpr) all lower through it, so NULL comparisons,
+// text<->int coercion, AND/OR short-circuit and integer division by zero
+// mean one thing everywhere. Lowering is also where a statement is
+// resolved: an unknown or ambiguous column, an unknown function or
+// operator, an aggregate in row context — each is returned as an error
+// here, once, before any row is read, so it never depends on what the
+// tables hold. Errors that depend on a value (a comparison that cannot
+// coerce, negating text) still surface per row. The reference expression
+// evaluator, an AST walker kept in interp_test.go, is what these semantics
+// are held to, by the equivalence tests and FuzzExprEval.
 
 import (
 	"fmt"
@@ -27,6 +30,8 @@ type execEnv struct {
 	tup    tuple
 	params []Value
 	aggs   []Value
+	// lookup resolves column references in standalone mode (see EvalExpr).
+	lookup func(table, col string) (Value, error)
 }
 
 // compiledExpr evaluates one lowered expression against an environment.
@@ -71,6 +76,9 @@ func andChain(cs []compiledExpr) compiledExpr {
 // exprCompiler lowers expressions against one query scope. aggIdx is nil in
 // row context; in grouped output context (projection, HAVING, ORDER BY over
 // groups) it maps an aggregate call's printed form to its execEnv.aggs slot.
+// Without a scope, column references call execEnv.lookup at run time;
+// without a db, function calls are rejected. A compiler with neither is
+// standalone mode (EvalExpr).
 type exprCompiler struct {
 	db     *DB
 	sc     *scope
@@ -97,11 +105,15 @@ func (c *exprCompiler) compile(e sqlparser.Expr) (compiledExpr, error) {
 		idx := x.Index
 		return func(ev *execEnv) (Value, error) {
 			if idx >= len(ev.params) {
-				return Value{}, errMissingParam(idx)
+				return Value{}, fmt.Errorf("sqldb: missing parameter %d", idx+1)
 			}
 			return ev.params[idx], nil
 		}, nil
 	case *sqlparser.ColRef:
+		if c.sc == nil {
+			table, col := x.Table, x.Column
+			return func(ev *execEnv) (Value, error) { return ev.lookup(table, col) }, nil
+		}
 		ti, ci, err := c.sc.resolve(x.Table, x.Column)
 		if err != nil {
 			return nil, err
@@ -273,6 +285,9 @@ func (c *exprCompiler) compileFuncCall(x *sqlparser.FuncCall) (compiledExpr, err
 	// aggregate's argument.
 	if isBuiltinAgg(x.Name) {
 		return nil, fmt.Errorf("sqldb: aggregate %s in a non-aggregate context", x.Name)
+	}
+	if c.db == nil {
+		return nil, fmt.Errorf("sqldb: no function %s in standalone evaluation", x.Name)
 	}
 	// The registries are stable for the duration of a statement (Exec holds
 	// db.mu, RegisterUDF takes the write side), so resolving here is safe.

@@ -413,6 +413,13 @@ func TestCompileResolveErrors(t *testing.T) {
 		{"bad projection", "SELECT z.* FROM %s", "sqldb: no table z for z.*"},
 		{"resolve error beats row error", "SELECT a FROM %s WHERE -b = 1 AND nosuch = 1", "sqldb: no column nosuch"},
 		{"resolve error beats row error in projection", "SELECT -b, nofunc(a) FROM %s", "sqldb: unknown function nofunc"},
+		// Writes lower through the same compiler, so they reject the same
+		// mistakes whatever the table holds.
+		{"unknown column in DELETE", "DELETE FROM %s WHERE nosuch = 1", "sqldb: no column nosuch"},
+		{"unknown function in SET", "UPDATE %s SET a = nofunc(a)", "sqldb: unknown function nofunc"},
+		{"aggregate in UPDATE WHERE", "UPDATE %s SET a = 1 WHERE SUM(a) > 1", "sqldb: aggregate SUM in a non-aggregate context"},
+		{"unknown column behind a false conjunct", "DELETE FROM %s WHERE a = 99 AND nosuch = 1", "sqldb: no column nosuch"},
+		{"column reference in VALUES", "INSERT INTO %s (a) VALUES (b)", "sqldb: no column b"},
 	} {
 		for _, tbl := range []string{"e", "p"} {
 			sql := fmt.Sprintf(tc.sql, tbl)

@@ -9,7 +9,6 @@ package sqldb
 // interpreter in interp_test.go.
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 )
@@ -382,8 +381,8 @@ func (h *hashJoinSource) run(emit func([]tuple) error) error {
 }
 
 // pairKeyEqual evaluates the multi-column key equality for one (probe,
-// build) pair in conjunct order with AND short-circuit, mirroring
-// evalCtx.eval on the original equality conjuncts.
+// build) pair in conjunct order with AND short-circuit: what the compiled
+// `=` closures of the original conjuncts, chained by AND, would return.
 func (h *hashJoinSource) pairKeyEqual(probeVals []Value, brow []Value) (bool, error) {
 	for i, k := range h.keys {
 		bv := brow[k.buildPos]
@@ -943,7 +942,3 @@ func (a *cUDFAcc) step(ev *execEnv) error {
 	return a.state.Step(vals)
 }
 func (a *cUDFAcc) final() (Value, error) { return a.state.Final() }
-
-func errMissingParam(idx int) error {
-	return fmt.Errorf("sqldb: missing parameter %d", idx+1)
-}

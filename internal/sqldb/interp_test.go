@@ -1,12 +1,16 @@
 package sqldb
 
-// This file is the reference executor the equivalence tests compare the
-// compiled pipeline (compile.go / exec.go) against: a row-at-a-time AST
-// interpreter built on evalCtx.eval, with none of the pipeline's machinery —
-// no lowering, no batches, no hash joins beyond a single-column index probe,
-// no index fast paths. It was the production fallback until the compiler
-// covered every statement shape; it lives under _test so the server binary
-// carries one SELECT engine. Tests reach it through interpretSelect only.
+// This file is the reference the compiled code is held to. Its SELECT
+// executor is what the equivalence tests compare the compiled pipeline
+// (compile.go / exec.go) against: a row-at-a-time AST interpreter with none
+// of the pipeline's machinery — no lowering, no batches, no hash joins
+// beyond a single-column index probe, no index fast paths. Tests reach it
+// through interpretSelect only. Beneath it, at the end of the file, is the
+// reference expression evaluator, evalCtx.eval: an AST walker that
+// FuzzExprEval holds exprCompiler to, value and error text. Both were
+// production code until the compiler covered every statement shape and
+// every expression caller; they live under _test so the server binary
+// carries one SELECT engine and one expression evaluator.
 
 import (
 	"fmt"
@@ -767,3 +771,277 @@ func (a *udfAcc) step(ctx *evalCtx) error {
 	return a.state.Step(args)
 }
 func (a *udfAcc) final() (Value, error) { return a.state.Final() }
+
+//
+// Reference expression evaluator.
+//
+
+// evalCtx is the reference expression evaluator: it walks the AST on every
+// evaluation, resolving names as it reaches them. Writes, the planner's
+// constant folding and standalone evaluation ran on it until they moved to
+// exprCompiler; its code is unchanged since, and what it returns (value or
+// error text) is what the compiled closures must return on any expression
+// lowering accepts. The interpreter above and FuzzExprEval use it.
+type evalCtx struct {
+	db     *DB
+	scope  *scope
+	tup    tuple
+	params []Value
+	// lookup, when set, resolves column references instead of scope/tup
+	// (standalone evaluation — see EvalExpr).
+	lookup func(table, col string) (Value, error)
+}
+
+func (c *evalCtx) eval(e sqlparser.Expr) (Value, error) {
+	switch x := e.(type) {
+	case *sqlparser.IntLit:
+		return Int(x.V), nil
+	case *sqlparser.StrLit:
+		return Text(x.V), nil
+	case *sqlparser.BytesLit:
+		return Blob(x.V), nil
+	case *sqlparser.NullLit:
+		return Null(), nil
+	case *sqlparser.BoolLit:
+		return Bool(x.V), nil
+	case *sqlparser.Param:
+		if x.Index >= len(c.params) {
+			return Value{}, fmt.Errorf("sqldb: missing parameter %d", x.Index+1)
+		}
+		return c.params[x.Index], nil
+	case *sqlparser.ColRef:
+		if c.lookup != nil {
+			return c.lookup(x.Table, x.Column)
+		}
+		ti, ci, err := c.scope.resolve(x.Table, x.Column)
+		if err != nil {
+			return Value{}, err
+		}
+		if c.tup == nil || c.tup[ti] == nil {
+			return Null(), nil
+		}
+		return c.tup[ti][ci], nil
+	case *sqlparser.BinaryExpr:
+		return c.evalBinary(x)
+	case *sqlparser.UnaryExpr:
+		v, err := c.eval(x.E)
+		if err != nil {
+			return Value{}, err
+		}
+		switch x.Op {
+		case "NOT":
+			if v.IsNull() {
+				return Null(), nil
+			}
+			return Bool(!v.Truthy()), nil
+		case "-":
+			n, err := v.AsInt()
+			if err != nil {
+				return Value{}, err
+			}
+			return Int(-n), nil
+		}
+		return Value{}, fmt.Errorf("sqldb: unknown unary operator %q", x.Op)
+	case *sqlparser.InExpr:
+		v, err := c.eval(x.E)
+		if err != nil {
+			return Value{}, err
+		}
+		if v.IsNull() {
+			return Bool(x.Not), nil
+		}
+		for _, item := range x.List {
+			iv, err := c.eval(item)
+			if err != nil {
+				return Value{}, err
+			}
+			if v.Equal(iv) {
+				return Bool(!x.Not), nil
+			}
+		}
+		return Bool(x.Not), nil
+	case *sqlparser.LikeExpr:
+		v, err := c.eval(x.E)
+		if err != nil {
+			return Value{}, err
+		}
+		p, err := c.eval(x.Pattern)
+		if err != nil {
+			return Value{}, err
+		}
+		if v.IsNull() || p.IsNull() {
+			return Bool(false), nil
+		}
+		matched := likeMatch(valueText(v), valueText(p))
+		return Bool(matched != x.Not), nil
+	case *sqlparser.BetweenExpr:
+		v, err := c.eval(x.E)
+		if err != nil {
+			return Value{}, err
+		}
+		lo, err := c.eval(x.Lo)
+		if err != nil {
+			return Value{}, err
+		}
+		hi, err := c.eval(x.Hi)
+		if err != nil {
+			return Value{}, err
+		}
+		if v.IsNull() || lo.IsNull() || hi.IsNull() {
+			return Bool(false), nil
+		}
+		cl, err := v.Compare(lo)
+		if err != nil {
+			return Value{}, err
+		}
+		ch, err := v.Compare(hi)
+		if err != nil {
+			return Value{}, err
+		}
+		in := cl >= 0 && ch <= 0
+		return Bool(in != x.Not), nil
+	case *sqlparser.IsNullExpr:
+		v, err := c.eval(x.E)
+		if err != nil {
+			return Value{}, err
+		}
+		return Bool(v.IsNull() != x.Not), nil
+	case *sqlparser.FuncCall:
+		if isBuiltinAgg(x.Name) {
+			return Value{}, fmt.Errorf("sqldb: aggregate %s in a non-aggregate context", x.Name)
+		}
+		if c.db == nil {
+			return Value{}, fmt.Errorf("sqldb: no function %s in standalone evaluation", x.Name)
+		}
+		// Exec holds db.mu (read or write) for the whole statement, and
+		// RegisterUDF takes the write lock, so reading the registries
+		// here without additional locking is race-free.
+		_, isAgg := c.db.aggUDFs[x.Name]
+		fn, ok := c.db.udfs[x.Name]
+		if isAgg && !ok {
+			return Value{}, fmt.Errorf("sqldb: aggregate UDF %s in a non-aggregate context", x.Name)
+		}
+		if !ok {
+			return Value{}, fmt.Errorf("sqldb: unknown function %s", x.Name)
+		}
+		args := make([]Value, len(x.Args))
+		for i, a := range x.Args {
+			v, err := c.eval(a)
+			if err != nil {
+				return Value{}, err
+			}
+			args[i] = v
+		}
+		return fn(args)
+	}
+	return Value{}, fmt.Errorf("sqldb: cannot evaluate %T", e)
+}
+
+func (c *evalCtx) evalBinary(x *sqlparser.BinaryExpr) (Value, error) {
+	switch x.Op {
+	case "AND":
+		l, err := c.eval(x.L)
+		if err != nil {
+			return Value{}, err
+		}
+		if !l.IsNull() && !l.Truthy() {
+			return Bool(false), nil
+		}
+		r, err := c.eval(x.R)
+		if err != nil {
+			return Value{}, err
+		}
+		return Bool(l.Truthy() && r.Truthy()), nil
+	case "OR":
+		l, err := c.eval(x.L)
+		if err != nil {
+			return Value{}, err
+		}
+		if l.Truthy() {
+			return Bool(true), nil
+		}
+		r, err := c.eval(x.R)
+		if err != nil {
+			return Value{}, err
+		}
+		return Bool(r.Truthy()), nil
+	}
+
+	l, err := c.eval(x.L)
+	if err != nil {
+		return Value{}, err
+	}
+	r, err := c.eval(x.R)
+	if err != nil {
+		return Value{}, err
+	}
+
+	switch x.Op {
+	case "=", "!=", "<", "<=", ">", ">=":
+		if l.IsNull() || r.IsNull() {
+			return Bool(false), nil
+		}
+		cmp, err := l.Compare(r)
+		if err != nil {
+			return Value{}, err
+		}
+		var out bool
+		switch x.Op {
+		case "=":
+			out = cmp == 0
+		case "!=":
+			out = cmp != 0
+		case "<":
+			out = cmp < 0
+		case "<=":
+			out = cmp <= 0
+		case ">":
+			out = cmp > 0
+		case ">=":
+			out = cmp >= 0
+		}
+		return Bool(out), nil
+	case "||":
+		if l.IsNull() || r.IsNull() {
+			return Null(), nil
+		}
+		return Text(valueText(l) + valueText(r)), nil
+	case "+", "-", "*", "/", "%", "&", "|", "^":
+		if l.IsNull() || r.IsNull() {
+			return Null(), nil
+		}
+		a, err := l.AsInt()
+		if err != nil {
+			return Value{}, err
+		}
+		b, err := r.AsInt()
+		if err != nil {
+			return Value{}, err
+		}
+		switch x.Op {
+		case "+":
+			return Int(a + b), nil
+		case "-":
+			return Int(a - b), nil
+		case "*":
+			return Int(a * b), nil
+		case "/":
+			if b == 0 {
+				return Null(), nil
+			}
+			return Int(a / b), nil
+		case "%":
+			if b == 0 {
+				return Null(), nil
+			}
+			return Int(a % b), nil
+		case "&":
+			return Int(a & b), nil
+		case "|":
+			return Int(a | b), nil
+		case "^":
+			return Int(a ^ b), nil
+		}
+	}
+	return Value{}, fmt.Errorf("sqldb: unknown operator %q", x.Op)
+}

@@ -179,8 +179,11 @@ func (db *DB) evalConstOperand(e sqlparser.Expr, params []Value) (Value, bool) {
 	if !isConstant(e) {
 		return Value{}, false
 	}
-	ctx := &evalCtx{db: db, scope: nil, tup: nil, params: params}
-	v, err := ctx.eval(e)
+	ce, err := (&exprCompiler{db: db, sc: &scope{}}).compile(e)
+	if err != nil {
+		return Value{}, false
+	}
+	v, err := ce(&execEnv{params: params})
 	if err != nil {
 		return Value{}, false
 	}

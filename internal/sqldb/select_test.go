@@ -102,6 +102,34 @@ func TestEvalConstAndExpr(t *testing.T) {
 	if _, err := EvalConst(sum, nil); err == nil {
 		t.Fatal("EvalConst over columns should fail")
 	}
+
+	// Standalone mode: a column reference reaches lookup only when
+	// evaluation gets to it, and a function call is rejected before
+	// anything is evaluated.
+	parse := func(sql string) sqlparser.Expr {
+		st, err := sqlparser.Parse("SELECT " + sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.(*sqlparser.SelectStmt).Exprs[0].Expr
+	}
+	if v, err := EvalConst(parse("FALSE AND col"), nil); err != nil || v.Truthy() {
+		t.Errorf("FALSE AND col = %v, %v; want false", v, err)
+	}
+	var nc *NotConstError
+	if _, err := EvalConst(parse("col"), nil); !errors.As(err, &nc) || nc.Ref != "col" {
+		t.Errorf("col: err = %v, want a NotConstError for col", err)
+	}
+	for _, tc := range []struct{ sql, want string }{
+		{"? + ?", "sqldb: missing parameter 2"},
+		{"nofn(1)", "sqldb: no function nofn in standalone evaluation"},
+		{"FALSE AND nofn(1)", "sqldb: no function nofn in standalone evaluation"},
+		{"SUM(a)", "sqldb: aggregate SUM in a non-aggregate context"},
+	} {
+		if _, err := EvalConst(parse(tc.sql), []Value{Int(1)}); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.sql, err, tc.want)
+		}
+	}
 }
 
 func TestExecAutonomousSurvivesRollback(t *testing.T) {

@@ -6,10 +6,14 @@ import "repro/internal/sqlparser"
 // references through lookup. The CryptDB proxy uses it for in-proxy
 // processing (§3.5.1): evaluating projections, sorts and update expressions
 // over values it has already decrypted. Aggregates and UDFs are not
-// available in this mode.
+// available in this mode: a call to either is rejected before anything is
+// evaluated.
 func EvalExpr(e sqlparser.Expr, lookup func(table, col string) (Value, error), params []Value) (Value, error) {
-	ctx := &evalCtx{lookup: lookup, params: params}
-	return ctx.eval(e)
+	ce, err := (&exprCompiler{}).compile(e)
+	if err != nil {
+		return Value{}, err
+	}
+	return ce(&execEnv{params: params, lookup: lookup})
 }
 
 // EvalConst evaluates a constant expression (literals, parameters,

@@ -162,26 +162,37 @@ func (txn *Txn) stageInsert(s *sqlparser.InsertStmt, params []Value) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	tt := txn.table(t)
-	probes := tt.uniqueProbes()
-	sc := &scope{}
-	sc.addTable("", t)
-	ctx := &evalCtx{db: db, scope: sc, params: params}
-	staged := make([]*txnRow, 0, len(s.Rows))
+	// VALUES lower against an empty scope, so a column reference there is
+	// an error; every row lowers before any is evaluated.
+	c := &exprCompiler{db: db, sc: &scope{}}
+	vals := make([]compiledExpr, 0, len(s.Rows)*len(positions))
 	for _, exprRow := range s.Rows {
 		if len(exprRow) != len(positions) {
 			return nil, fmt.Errorf("sqldb: INSERT has %d values for %d columns", len(exprRow), len(positions))
 		}
+		for _, e := range exprRow {
+			ce, err := c.compile(e)
+			if err != nil {
+				return nil, err
+			}
+			vals = append(vals, ce)
+		}
+	}
+	tt := txn.table(t)
+	probes := tt.uniqueProbes()
+	ev := &execEnv{params: params}
+	staged := make([]*txnRow, 0, len(s.Rows))
+	for r := range s.Rows {
 		row := make([]Value, len(t.Cols))
 		for i := range row {
 			row[i] = Null()
 		}
-		for i, e := range exprRow {
-			v, err := ctx.eval(e)
+		for i, pos := range positions {
+			v, err := vals[r*len(positions)+i](ev)
 			if err != nil {
 				return nil, err
 			}
-			row[positions[i]] = v
+			row[pos] = v
 		}
 		for _, p := range probes {
 			if err := p.claim(tt, row); err != nil {
@@ -251,17 +262,27 @@ func (txn *Txn) stageUpdate(s *sqlparser.UpdateStmt, params []Value) (*Result, e
 	if !ok {
 		return nil, fmt.Errorf("sqldb: no table %s", s.Table)
 	}
-	targets := make([]int, len(s.Assignments))
+	sc := &scope{}
+	sc.addTxnTable("", t, txn)
+	c := &exprCompiler{db: db, sc: sc}
+	type assignment struct {
+		pos int
+		val compiledExpr
+	}
+	sets := make([]assignment, len(s.Assignments))
 	for i, a := range s.Assignments {
 		pos := t.ColumnIndex(a.Column)
 		if pos < 0 {
 			return nil, fmt.Errorf("sqldb: no column %s.%s", s.Table, a.Column)
 		}
-		targets[i] = pos
+		val, err := c.compile(a.Value)
+		if err != nil {
+			return nil, err
+		}
+		sets[i] = assignment{pos: pos, val: val}
 	}
-	sc := &scope{}
-	sc.addTxnTable("", t, txn)
-	matched, err := db.matchRows(sc, s.Where, params)
+	ev := oneTableEnv(params)
+	matched, err := db.matchRows(c, ev, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -270,17 +291,15 @@ func (txn *Txn) stageUpdate(s *sqlparser.UpdateStmt, params []Value) (*Result, e
 	nslots := t.slotCount()
 	type staged struct{ base, row []Value }
 	rows := make([]staged, len(matched))
-	tup := make(tuple, 1)
-	ctx := &evalCtx{db: db, scope: sc, tup: tup, params: params}
 	for i, m := range matched {
-		tup[0] = m.row
+		ev.tup[0] = m.row
 		newRow := append([]Value(nil), m.row...)
-		for j, a := range s.Assignments {
-			v, err := ctx.eval(a.Value)
+		for _, set := range sets {
+			v, err := set.val(ev)
 			if err != nil {
 				return nil, err
 			}
-			newRow[targets[j]] = v
+			newRow[set.pos] = v
 		}
 		rows[i].row = newRow
 		if m.slot < nslots {
@@ -309,7 +328,7 @@ func (txn *Txn) stageDelete(s *sqlparser.DeleteStmt, params []Value) (*Result, e
 	}
 	sc := &scope{}
 	sc.addTxnTable("", t, txn)
-	matched, err := db.matchRows(sc, s.Where, params)
+	matched, err := db.matchRows(&exprCompiler{db: db, sc: sc}, oneTableEnv(params), s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -336,20 +355,39 @@ type matchedRow struct {
 	row  []Value
 }
 
-// matchRows returns the rows of the scope's one table that satisfy where,
-// planned through the same access paths as SELECT.
-func (db *DB) matchRows(sc *scope, where sqlparser.Expr, params []Value) ([]matchedRow, error) {
-	t := sc.tabs[0].t
-	acc := db.bestAccess(t, sc, 0, conjuncts(where), params)
+// oneTableEnv returns an environment for a one-table scope. The tuple
+// shares the environment's allocation: a write statement pays for one, not
+// two.
+func oneTableEnv(params []Value) *execEnv {
+	e := &struct {
+		ev  execEnv
+		tup [1][]Value
+	}{}
+	e.ev = execEnv{tup: e.tup[:], params: params}
+	return &e.ev
+}
+
+// matchRows returns the rows of c's one-table scope that satisfy where,
+// planned through the same access paths as SELECT. where lowers through c
+// before any row is read; each row is evaluated in ev, whose one-entry
+// tuple it overwrites.
+func (db *DB) matchRows(c *exprCompiler, ev *execEnv, where sqlparser.Expr) ([]matchedRow, error) {
+	var pred compiledExpr
+	if where != nil {
+		var err error
+		if pred, err = c.compile(where); err != nil {
+			return nil, err
+		}
+	}
+	t := c.sc.tabs[0].t
+	acc := db.bestAccess(t, c.sc, 0, conjuncts(where), ev.params)
 	db.countAccess(acc)
 	var out []matchedRow
 	var err error
-	tup := make(tuple, 1)
-	ctx := &evalCtx{db: db, scope: sc, tup: tup, params: params}
 	acc.iterate(t, func(slot int, row []Value) bool {
-		if where != nil {
-			tup[0] = row
-			v, e := ctx.eval(where)
+		if pred != nil {
+			ev.tup[0] = row
+			v, e := pred(ev)
 			if e != nil {
 				err = e
 				return false
