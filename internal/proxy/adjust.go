@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/onion"
 	"repro/internal/sqldb"
@@ -179,7 +178,7 @@ func (p *Proxy) lowerTo(cm *ColumnMeta, o onion.Onion, target onion.Layer) error
 			return fmt.Errorf("proxy: onion adjustment: %w", err)
 		}
 		p.metaMu.Unlock()
-		atomic.AddInt64(&p.stats.OnionAdjustments, 1)
+		p.stats.onionAdjustments.Add(1)
 	}
 	return p.materializeIndexes(cm)
 }
@@ -277,7 +276,7 @@ func (p *Proxy) adjustJoin(a, b *ColumnMeta) error {
 			return fmt.Errorf("proxy: join adjustment: %w", err)
 		}
 		p.metaMu.Unlock()
-		atomic.AddInt64(&p.stats.OnionAdjustments, 1)
+		p.stats.onionAdjustments.Add(1)
 		if err := p.materializeIndexes(cm); err != nil {
 			return err
 		}
@@ -366,7 +365,7 @@ func (p *Proxy) materialise(cm *ColumnMeta, o onion.Onion) error {
 		return fmt.Errorf("proxy: materialising %s onion of %s.%s: %w", o, cm.Table.Logical, cm.Logical, err)
 	}
 	st.Deferred = false
-	atomic.AddInt64(&p.stats.OnionAdjustments, 1)
+	p.stats.onionAdjustments.Add(1)
 	return p.persistMetaLocked()
 }
 
@@ -420,7 +419,7 @@ func (p *Proxy) maybeResync(cm *ColumnMeta) error {
 		return fmt.Errorf("proxy: resync of %s.%s: %w", cm.Table.Logical, cm.Logical, err)
 	}
 	cm.Stale = make(map[onion.Onion]bool)
-	atomic.AddInt64(&p.stats.Resyncs, 1)
+	p.stats.resyncs.Add(1)
 	// Persist the cleared staleness. A crash before this point leaves the
 	// stale flags set, which only costs a redundant (idempotent) resync
 	// on the next restart — never a stale answer.

@@ -22,8 +22,8 @@ func (p *Proxy) createTable(st *sqlparser.CreateTableStmt) error {
 		Anon:      fmt.Sprintf("table%d", p.nTab),
 		byName:    make(map[string]*ColumnMeta),
 		SpeaksFor: st.SpeaksFor,
-		nextRid:   1,
 	}
+	tm.nextRid.Store(1)
 
 	anon := &sqlparser.CreateTableStmt{Name: tm.Anon}
 	anon.Cols = append(anon.Cols, sqlparser.ColumnDef{

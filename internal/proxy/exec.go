@@ -3,7 +3,6 @@ package proxy
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/onion"
 	"repro/internal/sqldb"
@@ -336,7 +335,7 @@ func (p *Proxy) buildSelect(s *sqlparser.SelectStmt, qs *qscope, params []sqldb.
 			return nil, nil, err
 		}
 		plan.sortKeys = append(plan.sortKeys, sortKeyPlan{dec: dec, desc: o.Desc})
-		atomic.AddInt64(&p.stats.InProxySorts, 1)
+		p.stats.inProxySorts.Add(1)
 	}
 
 	// LIMIT/OFFSET stay on the server only when no proxy-side filtering
@@ -471,13 +470,13 @@ func (p *Proxy) decodeResult(res *sqldb.Result, plan *selectPlan) (*sqldb.Result
 	}
 
 	if plan.offset != nil {
-		if int(*plan.offset) >= len(rows) {
+		if *plan.offset >= int64(len(rows)) {
 			rows = nil
 		} else {
 			rows = rows[*plan.offset:]
 		}
 	}
-	if plan.limit != nil && int(*plan.limit) < len(rows) {
+	if plan.limit != nil && *plan.limit < int64(len(rows)) {
 		rows = rows[:*plan.limit]
 	}
 
@@ -589,7 +588,7 @@ func (sess *Session) execInsert(s *sqlparser.InsertStmt, params []sqldb.Value) (
 			logical[i] = v
 		}
 		logicalRows[r] = logical
-		rids[r] = atomic.AddInt64(&tm.nextRid, 1)
+		rids[r] = tm.nextRid.Add(1)
 	}
 
 	// §3.1 batch optimization: encrypt each column's Ord plaintexts in one

@@ -8,6 +8,7 @@ package proxy
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/crypto/det"
 	"repro/internal/crypto/joinadj"
@@ -29,7 +30,7 @@ type TableMeta struct {
 	// SpeaksFor annotations (multi-principal mode) declared on this table.
 	SpeaksFor []sqlparser.SpeaksForAnnot
 
-	nextRid int64
+	nextRid atomic.Int64
 }
 
 // Col looks up a column by logical name.

@@ -39,7 +39,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/crypto/joinadj"
 	"repro/internal/fsutil"
@@ -345,8 +344,8 @@ func (p *Proxy) restoreState(sealed []byte) error {
 			Logical: mt.Logical,
 			Anon:    mt.Anon,
 			byName:  make(map[string]*ColumnMeta),
-			nextRid: 1,
 		}
+		tm.nextRid.Store(1)
 		for _, msf := range mt.SpeaksFor {
 			sf := sqlparser.SpeaksForAnnot{
 				AColumn: msf.AColumn, AConst: msf.AConst, AType: msf.AType,
@@ -447,10 +446,10 @@ func (p *Proxy) restoreState(sealed []byte) error {
 			return fmt.Errorf("proxy: recovering row-id counter for %s: %w", tm.Logical, err)
 		}
 		if len(res.Rows) == 1 && !res.Rows[0][0].IsNull() {
-			// Stored atomically: inserts bump the counter with
-			// atomic.AddInt64, and restore can overlap a warm-up query on
-			// another connection.
-			atomic.StoreInt64(&tm.nextRid, res.Rows[0][0].I+1)
+			// Stored atomically: inserts bump the counter concurrently,
+			// and restore can overlap a warm-up query on another
+			// connection.
+			tm.nextRid.Store(res.Rows[0][0].I + 1)
 		}
 	}
 	return nil

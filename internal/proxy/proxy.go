@@ -95,6 +95,11 @@ type Stats struct {
 	Server sqldb.PlanCounters
 }
 
+// counters are the proxy's own tallies behind Stats.
+type counters struct {
+	queries, onionAdjustments, resyncs, inProxySorts atomic.Int64
+}
+
 // Proxy is a single-principal CryptDB proxy bound to one storage engine —
 // a single embedded DBMS (store/single) or a hash-partitioned set of them
 // (store/sharded); the proxy speaks only the store.Engine/Conn surface
@@ -115,7 +120,7 @@ type Proxy struct {
 	joinPRF []byte   // K0 shared by all JOIN-ADJ columns (§3.4)
 
 	opts     Options
-	stats    Stats
+	stats    counters
 	astCache *astCache
 
 	// sessions tracks every live Session (guarded by sessMu) so onion
@@ -137,7 +142,7 @@ type Proxy struct {
 	// replicated stream (see replica.go). replicaGen is the engine
 	// MetaGeneration the current p.tables was unsealed from (atomic).
 	replica    store.Replica
-	replicaGen uint64
+	replicaGen atomic.Uint64
 
 	// training-mode log of would-be adjustments.
 	trainLog []TrainEvent
@@ -266,7 +271,7 @@ func openPersistent(db store.Engine, opts Options) (*Proxy, error) {
 		// between the two reads leaves replicaGen stale, so the first
 		// query reloads — never the reverse.
 		p.replica = rep
-		atomic.StoreUint64(&p.replicaGen, rep.MetaGeneration())
+		p.replicaGen.Store(rep.MetaGeneration())
 	}
 	if sealed := db.Meta(); sealed != nil {
 		if err := p.restoreState(sealed); err != nil {
@@ -326,10 +331,10 @@ func (p *Proxy) SetPrincipalCrypto(pc PrincipalCrypto) {
 // stalls) a query.
 func (p *Proxy) Stats() Stats {
 	out := Stats{
-		Queries:          atomic.LoadInt64(&p.stats.Queries),
-		OnionAdjustments: atomic.LoadInt64(&p.stats.OnionAdjustments),
-		Resyncs:          atomic.LoadInt64(&p.stats.Resyncs),
-		InProxySorts:     atomic.LoadInt64(&p.stats.InProxySorts),
+		Queries:          p.stats.queries.Load(),
+		OnionAdjustments: p.stats.onionAdjustments.Load(),
+		Resyncs:          p.stats.resyncs.Load(),
+		InProxySorts:     p.stats.inProxySorts.Load(),
 		HOMDecrypts:      p.homMemo.decrypts.Load(),
 		HOMMemoHits:      p.homMemo.hits.Load(),
 	}

@@ -17,7 +17,6 @@ package proxy
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/store"
 )
@@ -57,13 +56,13 @@ func (p *Proxy) replicaReadOnly() error {
 // blob).
 func (p *Proxy) maybeReloadReplicaMeta() error {
 	gen := p.replica.MetaGeneration()
-	if gen == atomic.LoadUint64(&p.replicaGen) {
+	if gen == p.replicaGen.Load() {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	gen = p.replica.MetaGeneration()
-	if gen == atomic.LoadUint64(&p.replicaGen) {
+	if gen == p.replicaGen.Load() {
 		return nil
 	}
 	sealed := p.db.Meta()
@@ -82,6 +81,6 @@ func (p *Proxy) maybeReloadReplicaMeta() error {
 		p.tables, p.nTab = oldTables, oldNTab
 		return fmt.Errorf("proxy: reloading replicated metadata: %w", err)
 	}
-	atomic.StoreUint64(&p.replicaGen, gen)
+	p.replicaGen.Store(gen)
 	return nil
 }

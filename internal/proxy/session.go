@@ -13,7 +13,6 @@ package proxy
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sqldb"
 	"repro/internal/sqlparser"
@@ -123,7 +122,7 @@ func (p *Proxy) defaultSession() *Session {
 // ExecuteStmt runs a pre-parsed statement on this session.
 func (s *Session) ExecuteStmt(st sqlparser.Statement, params ...sqldb.Value) (*sqldb.Result, error) {
 	p := s.p
-	atomic.AddInt64(&p.stats.Queries, 1)
+	p.stats.queries.Add(1)
 	if p.replica != nil {
 		// A replica proxy serves reads only; anything else redirects to
 		// the primary. Refresh the onion metadata first when the

@@ -39,7 +39,7 @@ type Follower struct {
 
 	// connects counts established streams (atomic); tests use it to wait
 	// for a reconnect.
-	connects uint64
+	connects atomic.Uint64
 
 	mu      sync.Mutex
 	lastErr error
@@ -76,7 +76,7 @@ func Probe(addr string) (shards int, flags uint32, err error) {
 func (f *Follower) Seq() uint64 { return f.db.Seq() }
 
 // Connects returns how many times a stream has been established.
-func (f *Follower) Connects() uint64 { return atomic.LoadUint64(&f.connects) }
+func (f *Follower) Connects() uint64 { return f.connects.Load() }
 
 // LastErr returns the most recent stream error (nil when none).
 func (f *Follower) LastErr() error {
@@ -121,7 +121,7 @@ func (f *Follower) run() {
 			return
 		default:
 		}
-		before := atomic.LoadUint64(&f.connects)
+		before := f.connects.Load()
 		err := f.stream()
 		select {
 		case <-f.closed:
@@ -133,7 +133,7 @@ func (f *Follower) run() {
 			f.lastErr = err
 			f.mu.Unlock()
 		}
-		if atomic.LoadUint64(&f.connects) > before {
+		if f.connects.Load() > before {
 			backoff = 5 * time.Millisecond // the stream was established; start fresh
 		}
 		time.Sleep(backoff)
@@ -179,7 +179,7 @@ func (f *Follower) stream() error {
 	if f.shard >= shards {
 		return fmt.Errorf("repl: primary has %d shards, wanted shard %d", shards, f.shard)
 	}
-	atomic.AddUint64(&f.connects, 1)
+	f.connects.Add(1)
 
 	for {
 		typ, payload, err := readMsg(conn)

@@ -75,8 +75,8 @@ type followerConn struct {
 	conn   net.Conn
 	shard  int
 	remote string
-	sent   uint64 // atomic
-	acked  uint64 // atomic
+	sent   atomic.Uint64
+	acked  atomic.Uint64
 }
 
 // NewPrimary starts serving the given per-shard databases on addr
@@ -127,8 +127,8 @@ func (p *Primary) FollowerStats() []FollowerStat {
 		stats = append(stats, FollowerStat{
 			Remote:     fc.remote,
 			Shard:      fc.shard,
-			SentSeq:    atomic.LoadUint64(&fc.sent),
-			AckedSeq:   atomic.LoadUint64(&fc.acked),
+			SentSeq:    fc.sent.Load(),
+			AckedSeq:   fc.acked.Load(),
 			PrimarySeq: p.dbs[fc.shard].Seq(),
 		})
 	}
@@ -245,7 +245,7 @@ func (p *Primary) serveConn(conn net.Conn) {
 				tap.Close()
 				return
 			}
-			atomic.StoreUint64(&fc.acked, seq)
+			fc.acked.Store(seq)
 		}
 	}()
 
@@ -287,7 +287,7 @@ func (p *Primary) sendFrames(fc *followerConn, blob []byte) bool {
 		if _, err := fc.conn.Write(encodeMsg(msgFrames, blob)); err != nil {
 			return false
 		}
-		atomic.StoreUint64(&fc.sent, last)
+		fc.sent.Store(last)
 		return true
 	}
 	frames, err := sqldb.SplitFrames(blob)
@@ -336,7 +336,7 @@ func (p *Primary) sendMsg(fc *followerConn, typ byte, payload []byte, seq uint64
 	if _, err := fc.conn.Write(wire); err != nil {
 		return false
 	}
-	atomic.StoreUint64(&fc.sent, seq)
+	fc.sent.Store(seq)
 	return true
 }
 

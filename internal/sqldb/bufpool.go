@@ -336,5 +336,5 @@ func (db *DB) DiskSizeBytes() int64 {
 	if db.wal == nil {
 		return 0
 	}
-	return atomic.LoadInt64(&db.wal.size) + db.pager.diskBytes.Load()
+	return db.wal.size.Load() + db.pager.diskBytes.Load()
 }

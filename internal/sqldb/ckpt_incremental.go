@@ -421,7 +421,7 @@ func (db *DB) ckptInstall(seq uint64, segs []pendingSeg, entries []manEntry, wri
 	db.pager.diskBytes.Store(diskTotal)
 	db.snapSeq = seq
 	db.checkpoints++
-	atomic.StoreInt64(&db.lastCkptBytes, written)
+	db.lastCkptBytes.Store(written)
 	return obsolete
 }
 
@@ -481,7 +481,7 @@ func (db *DB) Checkpoint() error {
 	obsolete := db.ckptInstall(seq, segs, entries, written)
 	pause += int64(time.Since(start))
 	db.mu.Unlock()
-	atomic.AddInt64(&db.ckptPauseNanos, pause)
+	db.ckptPauseNanos.Add(pause)
 
 	// Truncate the WAL off db.mu: the manifest now covers seq, so the only
 	// ordering that matters (install before truncate) already holds, and
@@ -506,7 +506,7 @@ func (db *DB) checkpointHeld() error {
 	}
 	obsolete := db.ckptInstall(seq, segs, entries, written)
 	err = db.wal.truncateTo(seq)
-	atomic.AddInt64(&db.ckptPauseNanos, int64(time.Since(start)))
+	db.ckptPauseNanos.Add(int64(time.Since(start)))
 	db.removeSegFiles(obsolete)
 	return err
 }
@@ -724,11 +724,11 @@ func (db *DB) stopCheckpointLoop() {
 // CheckpointPauseNanos reports cumulative wall time checkpoints have held
 // the database lock: capture and install only, since segment writing
 // overlaps commits.
-func (db *DB) CheckpointPauseNanos() int64 { return atomic.LoadInt64(&db.ckptPauseNanos) }
+func (db *DB) CheckpointPauseNanos() int64 { return db.ckptPauseNanos.Load() }
 
 // LastCheckpointBytes reports the bytes the most recent checkpoint wrote:
 // the dirty pages' segments plus the manifest.
-func (db *DB) LastCheckpointBytes() int64 { return atomic.LoadInt64(&db.lastCkptBytes) }
+func (db *DB) LastCheckpointBytes() int64 { return db.lastCkptBytes.Load() }
 
 // ckptErrBox wraps a background-checkpoint error for atomic.Value (whose
 // stored concrete type must never change).

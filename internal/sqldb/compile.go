@@ -55,24 +55,6 @@ func bareColSlot(sc *scope, e sqlparser.Expr) colSlot {
 	return colSlot{}
 }
 
-// andChain combines filter conjuncts with AND short-circuit semantics:
-// evaluation stops at the first non-truthy conjunct, exactly as evaluating
-// the original left-associated AND tree does.
-func andChain(cs []compiledExpr) compiledExpr {
-	return func(ev *execEnv) (Value, error) {
-		for _, c := range cs {
-			v, err := c(ev)
-			if err != nil {
-				return Value{}, err
-			}
-			if !v.Truthy() {
-				return Bool(false), nil
-			}
-		}
-		return Bool(true), nil
-	}
-}
-
 // exprCompiler lowers expressions against one query scope. aggIdx is nil in
 // row context; in grouped output context (projection, HAVING, ORDER BY over
 // groups) it maps an aggregate call's printed form to its execEnv.aggs slot.
@@ -544,27 +526,23 @@ func (db *DB) compileSelect(s *sqlparser.SelectStmt, sc *scope, aggCalls []*sqlp
 		return nil, err
 	}
 
-	if s.Where != nil {
-		// Conjuncts consumed as hash-join keys are already enforced on
-		// every joined tuple; filter on the rest, in their left-to-right
-		// AND order.
-		var remaining []compiledExpr
+	// Conjuncts consumed as hash-join keys are already enforced on every
+	// joined tuple; filter on the rest, in their left-to-right AND order.
+	// With none consumed the filter is the WHERE clause as written.
+	where := s.Where
+	if len(cp.usedWhere) > 0 {
+		var remaining []sqlparser.Expr
 		for _, pred := range conjuncts(s.Where) {
-			if cp.usedWhere[pred] {
-				continue
+			if !cp.usedWhere[pred] {
+				remaining = append(remaining, pred)
 			}
-			ce, err := rowc.compile(pred)
-			if err != nil {
-				return nil, err
-			}
-			remaining = append(remaining, ce)
 		}
-		switch len(remaining) {
-		case 0:
-		case 1:
-			cp.where = remaining[0]
-		default:
-			cp.where = andChain(remaining)
+		where = andOf(remaining)
+	}
+	if where != nil {
+		var err error
+		if cp.where, err = rowc.compile(where); err != nil {
+			return nil, err
 		}
 	}
 
@@ -608,9 +586,17 @@ func (db *DB) compileSelect(s *sqlparser.SelectStmt, sc *scope, aggCalls []*sqlp
 		return nil, fmt.Errorf("sqldb: HAVING requires GROUP BY or an aggregate")
 	}
 
-	var err error
-	if cp.cols, cp.proj, err = outc.compileProjection(s); err != nil {
+	cols, exprs, err := db.projectionPlan(s, sc)
+	if err != nil {
 		return nil, err
+	}
+	cp.cols = cols
+	for _, e := range exprs {
+		pe, err := outc.compile(e)
+		if err != nil {
+			return nil, err
+		}
+		cp.proj = append(cp.proj, pe)
 	}
 	for _, item := range db.resolveOrderBy(s) {
 		ke, err := outc.compile(item.Expr)
@@ -620,22 +606,6 @@ func (db *DB) compileSelect(s *sqlparser.SelectStmt, sc *scope, aggCalls []*sqlp
 		cp.orderBy = append(cp.orderBy, compiledOrder{key: ke, desc: item.Desc})
 	}
 	return cp, nil
-}
-
-// compileProjection expands the select list (projectionPlan) and lowers
-// each output expression.
-func (c *exprCompiler) compileProjection(s *sqlparser.SelectStmt) ([]string, []compiledExpr, error) {
-	cols, exprs, err := c.db.projectionPlan(s, c.sc)
-	if err != nil {
-		return nil, nil, err
-	}
-	proj := make([]compiledExpr, len(exprs))
-	for i, e := range exprs {
-		if proj[i], err = c.compile(e); err != nil {
-			return nil, nil, err
-		}
-	}
-	return cols, proj, nil
 }
 
 // compileAgg lowers one aggregate call into an accumulator factory.
@@ -696,8 +666,12 @@ func (cp *compiledSelect) compileSource(rowc *exprCompiler) error {
 
 	conj := conjuncts(s.Where)
 	accesses := make([]access, len(sc.tabs))
-	for ti := range sc.tabs {
-		accesses[ti] = db.bestAccess(sc.tabs[ti].t, sc, ti, conj, params)
+	if a, ok := cp.orderedAccess(conj); ok {
+		accesses[0] = a
+	} else {
+		for ti := range sc.tabs {
+			accesses[ti] = db.bestAccess(sc.tabs[ti].t, sc, ti, conj, params)
+		}
 	}
 	commaJoin := len(sc.tabs) > 1
 	for _, ref := range s.From {
@@ -758,6 +732,53 @@ func (cp *compiledSelect) compileSource(rowc *exprCompiler) error {
 	}
 	cp.src = src
 	return nil
+}
+
+// orderedAccess walks the ordered index of the ORDER BY column of a
+// single-table, ungrouped SELECT whose one ORDER BY item (aliases resolved)
+// is a column with a kind-homogeneous ordered index, bounded by the
+// column's sargable bounds: rows come out in result order, so runPlain
+// sorts nothing and stops at the LIMIT (§3.3: ORDER BY and LIMIT run on OPE
+// ciphertexts over ordinary ordered indexes). ok=false leaves the table to
+// bestAccess, as for a table the reading transaction has written (the index
+// orders committed rows only) and for bounds the index cannot serve (a scan
+// preserves their evaluation errors). Nothing is costed: counting a wide
+// range would walk it.
+func (cp *compiledSelect) orderedAccess(conj []sqlparser.Expr) (access, bool) {
+	s, sc := cp.s, cp.sc
+	if cp.grouped || len(sc.tabs) != 1 || sc.tabs[0].ws != nil || len(s.OrderBy) != 1 {
+		return access{}, false
+	}
+	cr, ok := cp.db.resolveOrderBy(s)[0].Expr.(*sqlparser.ColRef)
+	if !ok {
+		return access{}, false
+	}
+	_, pos, err := sc.resolve(cr.Table, cr.Column)
+	if err != nil {
+		return access{}, false
+	}
+	col := sc.tabs[0].t.Cols[pos].Name
+	ix := sc.tabs[0].t.ordIndexes[col]
+	if ix == nil {
+		return access{}, false
+	}
+	if _, homogeneous := ix.soleKind(); !homogeneous {
+		return access{}, false
+	}
+	a := access{kind: accessOrdered, idx: ix, rng: ordRange{all: true}, desc: s.OrderBy[0].Desc, pos: pos}
+	if b := cp.db.sargBounds(conj, sc, 0, cp.params)[col]; b != nil {
+		switch {
+		case b.bad:
+			return access{}, false
+		case b.impossible:
+			a.rng = ordRange{empty: true}
+		default:
+			if a.rng, ok = ix.rangeFor(b); !ok {
+				return access{}, false
+			}
+		}
+	}
+	return a, true
 }
 
 // joinKeys extracts the multi-column equi-key for joining table ti: ON
@@ -841,17 +862,26 @@ func (cp *compiledSelect) joinKeys(rowc *exprCompiler, on sqlparser.Expr, whereC
 
 	var resExpr compiledExpr
 	if len(residual) > 0 {
-		e := residual[0]
-		for _, r := range residual[1:] {
-			e = &sqlparser.BinaryExpr{Op: "AND", L: e, R: r}
-		}
-		re, err := rowc.compile(e)
+		re, err := rowc.compile(andOf(residual))
 		if err != nil {
 			return nil, nil, err
 		}
 		resExpr = re
 	}
 	return keys, resExpr, nil
+}
+
+// andOf joins conjuncts into a left-associated AND tree, nil for none.
+func andOf(conj []sqlparser.Expr) sqlparser.Expr {
+	var e sqlparser.Expr
+	for _, c := range conj {
+		if e == nil {
+			e = c
+		} else {
+			e = &sqlparser.BinaryExpr{Op: "AND", L: e, R: c}
+		}
+	}
+	return e
 }
 
 // exprOverPlaced reports whether every column reference in e resolves to an

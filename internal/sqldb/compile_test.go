@@ -174,6 +174,16 @@ func TestCompiledEquivalence(t *testing.T) {
 		{"SELECT grp, COUNT(*) AS n FROM t1 WHERE grp IS NOT NULL GROUP BY grp ORDER BY n DESC, grp", true, nil},
 		{"SELECT id, grp FROM t1 WHERE grp LIKE 'g%' ORDER BY a DESC, id", true, nil},
 		{"SELECT t2.fk, COUNT(*), SUM(t3.d) FROM t2 JOIN t3 ON t2.c = t3.k2 GROUP BY t2.fk ORDER BY t2.fk", true, nil},
+		// Index-ordered walks over t1_a, whose keys include NULLs: an ORDER
+		// BY alias, DESC with OFFSET, DISTINCT under a LIMIT, a bound that
+		// coerces, one that cannot (both executors fail), and an impossible
+		// one.
+		{"SELECT id, a AS x FROM t1 WHERE b < ? ORDER BY x LIMIT 12", true, one(25)},
+		{"SELECT id, a FROM t1 WHERE a < ? ORDER BY a DESC LIMIT 6 OFFSET 3", true, one(40)},
+		{"SELECT DISTINCT a FROM t1 ORDER BY a DESC LIMIT 7", true, nil},
+		{"SELECT id, a FROM t1 WHERE a >= '30' ORDER BY a LIMIT 5", true, nil},
+		{"SELECT id, a FROM t1 WHERE a >= 'abc' ORDER BY a LIMIT 5", true, nil},
+		{"SELECT id, a FROM t1 WHERE a = ? AND a = 41 ORDER BY a", true, one(40)},
 	}
 
 	for step := 0; step < 400; step++ {
@@ -196,13 +206,13 @@ func TestCompiledEquivalence(t *testing.T) {
 	t.Logf("compiled arm: %+v", pc)
 }
 
-// TestCompiledEquivalenceScatterShapes holds the compiled pipeline and the
-// two index fast paths to the reference interpreter on the statement shapes
-// of the sharded store's cross-shard workload (store/sharded compares
-// topologies, and can no longer compare executors): multi-key ORDER BY with
-// LIMIT/OFFSET, DISTINCT under a hidden sort key, expressions over
-// aggregates, AVG in HAVING and ORDER BY, plus index-ordered and
-// index-endpoint reads.
+// TestCompiledEquivalenceScatterShapes holds the compiled pipeline (its
+// index-ordered walks included) and the MIN/MAX endpoint shortcut to the
+// reference interpreter on the statement shapes of the sharded store's
+// cross-shard workload (store/sharded compares topologies, and can no
+// longer compare executors): multi-key ORDER BY with LIMIT/OFFSET, DISTINCT
+// under a hidden sort key, expressions over aggregates, AVG in HAVING and
+// ORDER BY, plus index-ordered and index-endpoint reads.
 func TestCompiledEquivalenceScatterShapes(t *testing.T) {
 	db := New()
 	for _, ddl := range []string{
@@ -239,9 +249,11 @@ func TestCompiledEquivalenceScatterShapes(t *testing.T) {
 		{"SELECT grp, AVG(val) - 1 FROM t GROUP BY grp HAVING SUM(val) + COUNT(*) > 20", false, nil},
 		{"SELECT COUNT(*) FROM t WHERE grp = ?", true, func() []Value { return []Value{Text(groups[r.Intn(len(groups))])} }},
 		{"SELECT t.id, t2.id FROM t, t2 WHERE t.id = t2.ref", false, nil},
-		// The index fast paths: an ordered walk with early termination, and
-		// MIN/MAX from the index endpoints.
+		// Index-ordered walks with early termination (an ORDER BY alias among
+		// them), and MIN/MAX from the index endpoints.
 		{"SELECT id, val + 1 FROM t WHERE val > ? ORDER BY id DESC LIMIT 4 OFFSET 1", true, func() []Value { return []Value{Int(int64(r.Intn(600)))} }},
+		{"SELECT id, val AS v FROM t ORDER BY v DESC LIMIT 6 OFFSET 2", true, nil},
+		{"SELECT DISTINCT grp FROM t WHERE val >= ? ORDER BY val LIMIT 3", true, func() []Value { return []Value{Int(int64(r.Intn(900)))} }},
 		{"SELECT MIN(val), MAX(val), MAX(id) FROM t", true, nil},
 	}
 	next := int64(0)
@@ -506,6 +518,7 @@ func TestCompiledTxnView(t *testing.T) {
 	db, twin := New(), New()
 	for _, sql := range []string{
 		"CREATE TABLE t (id INT PRIMARY KEY, g INT, v INT)",
+		"CREATE INDEX t_v ON t (v) USING BTREE",
 		"INSERT INTO t (id, g, v) VALUES (1, 1, 10), (2, 1, 20), (3, 2, 30)",
 	} {
 		mustExec(t, db, sql)
@@ -538,5 +551,18 @@ func TestCompiledTxnView(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRows(t, "txn view", q, res, ref, true)
+
+	// The index orders committed rows only: a table the transaction wrote
+	// is read through its write set and sorted, never walked in index order.
+	const oq = "SELECT id, v FROM t ORDER BY v DESC LIMIT 3"
+	before := db.PlanCounters().OrderedScans
+	res = mustExecSQL(oq)
+	if db.PlanCounters().OrderedScans != before {
+		t.Fatalf("%s walked the ordered index inside a transaction that wrote t", oq)
+	}
+	if ref, err = interpretSQL(t, twin, oq); err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "txn view", oq, res, ref, true)
 	mustExecSQL("ROLLBACK")
 }

@@ -85,8 +85,8 @@ type DB struct {
 	ckptWG   sync.WaitGroup
 	// ckptPauseNanos is cumulative lock-hold time of checkpoints;
 	// lastCkptBytes is the bytes the most recent one wrote (atomics).
-	ckptPauseNanos int64
-	lastCkptBytes  int64
+	ckptPauseNanos atomic.Int64
+	lastCkptBytes  atomic.Int64
 	// ckptBgErr records the most recent background-checkpoint failure,
 	// boxed so concrete error types may vary (see LastCheckpointError).
 	ckptBgErr atomic.Value
@@ -102,26 +102,27 @@ type DB struct {
 	// manifest so it commits atomically with the writes it describes.
 	meta []byte
 	// metaVer counts committed meta transitions (atomic; see MetaVersion).
-	metaVer uint64
+	metaVer atomic.Uint64
 
 	// busyNanos accumulates wall time spent executing statements — the
 	// "server-side" cost the paper's throughput figures measure (the
 	// proxy ran on a separate machine in their testbed).
-	busyNanos int64
+	busyNanos atomic.Int64
 
 	// Planner counters (atomics; see PlanCounters).
-	fullScans, eqScans, rangeScans, orderedScans, minMaxFast int64
-	compiledSel, hashJoins, nestedLoops                      int64
+	fullScans, eqScans, rangeScans, orderedScans, minMaxFast atomic.Int64
+	compiledSel, hashJoins, nestedLoops                      atomic.Int64
 }
 
 // PlanCounters tallies the scan planner's access-path decisions: how many
-// statements seeded from a full scan, a hash-index equality lookup, or an
-// ordered-index range scan, and how many SELECTs were answered in index
-// order (ORDER BY ... LIMIT) or from index endpoints (MIN/MAX). It also
-// tallies the execution layer's choices: SELECTs run by the compiled
-// operator pipeline, hash-join vs. nested-loop operators, and (summed in by
-// a sharded store) GROUP BYs executed per-shard with partial-aggregate
-// recombination.
+// statements seeded from a full scan, a hash-index equality lookup, an
+// ordered-index range scan or an index-ordered walk (ORDER BY ... LIMIT),
+// and how many SELECTs were answered from index endpoints (MIN/MAX). It
+// also tallies the execution layer's choices: SELECTs run by the compiled
+// operator pipeline (Compiled; every SELECT but the MIN/MAX endpoint
+// answers, index-ordered walks included), hash-join vs. nested-loop
+// operators, and (summed in by a sharded store) GROUP BYs executed
+// per-shard with partial-aggregate recombination.
 type PlanCounters struct {
 	FullScans    int64
 	EqScans      int64
@@ -153,25 +154,25 @@ type PlanCounters struct {
 // PlanCounters returns a snapshot of the planner's access-path tallies.
 func (db *DB) PlanCounters() PlanCounters {
 	return PlanCounters{
-		FullScans:    atomic.LoadInt64(&db.fullScans),
-		EqScans:      atomic.LoadInt64(&db.eqScans),
-		RangeScans:   atomic.LoadInt64(&db.rangeScans),
-		OrderedScans: atomic.LoadInt64(&db.orderedScans),
-		MinMaxIndex:  atomic.LoadInt64(&db.minMaxFast),
-		Compiled:     atomic.LoadInt64(&db.compiledSel),
-		HashJoins:    atomic.LoadInt64(&db.hashJoins),
-		NestedLoops:  atomic.LoadInt64(&db.nestedLoops),
+		FullScans:    db.fullScans.Load(),
+		EqScans:      db.eqScans.Load(),
+		RangeScans:   db.rangeScans.Load(),
+		OrderedScans: db.orderedScans.Load(),
+		MinMaxIndex:  db.minMaxFast.Load(),
+		Compiled:     db.compiledSel.Load(),
+		HashJoins:    db.hashJoins.Load(),
+		NestedLoops:  db.nestedLoops.Load(),
 	}
 }
 
 // BusyNanos reports cumulative statement execution time.
-func (db *DB) BusyNanos() int64 { return atomic.LoadInt64(&db.busyNanos) }
+func (db *DB) BusyNanos() int64 { return db.busyNanos.Load() }
 
 // ResetBusyNanos zeroes the server-time counter.
-func (db *DB) ResetBusyNanos() { atomic.StoreInt64(&db.busyNanos, 0) }
+func (db *DB) ResetBusyNanos() { db.busyNanos.Store(0) }
 
 func (db *DB) trackBusy(start time.Time) {
-	atomic.AddInt64(&db.busyNanos, int64(time.Since(start)))
+	db.busyNanos.Add(int64(time.Since(start)))
 }
 
 // New creates an empty in-memory database: its cache has no budget and no
@@ -359,7 +360,7 @@ func (db *DB) SetMeta(meta []byte) error {
 	db.mu.Lock()
 	if db.wal == nil {
 		db.meta = append([]byte(nil), meta...)
-		atomic.AddUint64(&db.metaVer, 1)
+		db.metaVer.Add(1)
 		db.mu.Unlock()
 		return nil
 	}
@@ -369,7 +370,7 @@ func (db *DB) SetMeta(meta []byte) error {
 	db.walSeq++
 	cohort := db.wal.enqueue(db.walSeq, appendMetaOp(nil, meta))
 	db.meta = append([]byte(nil), meta...)
-	atomic.AddUint64(&db.metaVer, 1)
+	db.metaVer.Add(1)
 	db.mu.Unlock()
 
 	if err := db.wal.waitFlush(cohort); err != nil {

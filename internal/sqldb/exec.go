@@ -4,13 +4,17 @@ package sqldb
 // lowered SELECT (compile.go) runs through. Rows flow in batches of ~256
 // tuples from a scan source through hash-join / nested-loop operators into
 // a consumer that filters, groups, sorts and projects with compiled
-// closures — no AST walking per row. It is the only SELECT executor in the
-// binary; the equivalence tests hold it to the row-at-a-time reference
-// interpreter in interp_test.go.
+// closures — no AST walking per row. A single-table plan skips the batches:
+// its access path feeds the consumer one row at a time (eachTuple), which
+// is how an index-ordered walk stops at its LIMIT. It is the only SELECT
+// executor in the binary, index-ordered reads included; the equivalence
+// tests hold it to the row-at-a-time reference interpreter in
+// interp_test.go.
 
 import (
+	"errors"
+	"math"
 	"sort"
-	"sync/atomic"
 )
 
 // batchSize is the number of tuples per pipeline batch: small enough to
@@ -104,13 +108,8 @@ type joinKey struct {
 
 // hashJoinSource joins the inner stream against table ti: the table's rows
 // (bounded by its own sarg-pruned access path) are hashed once on the equi
-// key, then each probe tuple's key values are hashed once and matched.
-// Coercion semantics are preserved the same way the hash indexes do it
-// (eqSlots): the key lookup is only trusted when each build column holds a
-// single value kind and the probe value coerces into it; otherwise the
-// probe row falls back to comparing against every build row, which
-// reproduces a nested loop's per-pair `=` behavior — including NULL
-// never matching and cross-kind comparison errors.
+// key, then each probe tuple's key values are hashed once and matched, with
+// the coercion semantics probeTuple describes.
 type hashJoinSource struct {
 	db       *DB
 	inner    rowSource
@@ -193,9 +192,9 @@ func (h *hashJoinSource) prepare() *builtTable {
 		if idx := h.t.indexByPos(h.keys[0].buildPos); idx != nil {
 			kind, homog := idx.soleKind()
 			if homog {
-				atomic.AddInt64(&h.db.hashJoins, 1)
+				h.db.hashJoins.Add(1)
 			} else {
-				atomic.AddInt64(&h.db.nestedLoops, 1)
+				h.db.nestedLoops.Add(1)
 			}
 			return &builtTable{idx: idx, idxKind: kind, idxHomog: homog, total: h.t.RowCount()}
 		}
@@ -238,9 +237,9 @@ func (h *hashJoinSource) prepare() *builtTable {
 		bt.buildKinds[i] = k
 	}
 	if bt.homogeneous {
-		atomic.AddInt64(&h.db.hashJoins, 1)
+		h.db.hashJoins.Add(1)
 	} else {
-		atomic.AddInt64(&h.db.nestedLoops, 1)
+		h.db.nestedLoops.Add(1)
 	}
 	return bt
 }
@@ -415,7 +414,7 @@ type loopJoinSource struct {
 }
 
 func (l *loopJoinSource) run(emit func([]tuple) error) error {
-	atomic.AddInt64(&l.db.nestedLoops, 1)
+	l.db.nestedLoops.Add(1)
 	out := newBatcher(l.ntabs, emit)
 	ev := &execEnv{params: l.params}
 	err := l.inner.run(func(batch []tuple) error {
@@ -541,82 +540,132 @@ func (p *compiledSelect) projectInto(ev *execEnv, tup tuple, aggs []Value) ([]Va
 	}
 	row := p.projMem[:n:n]
 	p.projMem = p.projMem[n:]
-	if err := evalProjection(p.proj, ev, row); err != nil {
-		return nil, err
+	for i, pe := range p.proj {
+		v, err := pe(ev)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
 	}
 	return row, nil
 }
 
-// evalProjection evaluates a lowered select list against ev into row.
-func evalProjection(proj []compiledExpr, ev *execEnv, row []Value) error {
-	for i, pe := range proj {
-		v, err := pe(ev)
-		if err != nil {
-			return err
-		}
-		row[i] = v
+// errStopWalk ends eachTuple early from inside its callback; eachTuple does
+// not report it.
+var errStopWalk = errors.New("sqldb: walk stopped")
+
+// eachTuple feeds fn every tuple of the source until fn fails. A
+// single-table source is fused: the access path's rows pass through one
+// reused tuple (volatile: fn copies what it keeps), skipping the batcher,
+// so the walk reads no row past the one fn stops at.
+func (p *compiledSelect) eachTuple(fn func(tup tuple, volatile bool) error) error {
+	var err error
+	if ss, ok := p.src.(*scanSource); ok {
+		scratch := make(tuple, ss.ntabs)
+		ss.acc.iterate(ss.t, func(_ int, row []Value) bool {
+			scratch[ss.ti] = row
+			err = fn(scratch, true)
+			return err == nil
+		})
+	} else {
+		err = p.src.run(func(batch []tuple) error {
+			for _, tup := range batch {
+				if err := fn(tup, false); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}
-	return nil
+	if errors.Is(err, errStopWalk) {
+		return nil
+	}
+	return err
+}
+
+// keep points ev at tup and applies the WHERE filter to it.
+func (p *compiledSelect) keep(ev *execEnv, tup tuple) (bool, error) {
+	ev.tup, ev.aggs = tup, nil
+	if p.where == nil {
+		return true, nil
+	}
+	v, err := p.where(ev)
+	return err == nil && v.Truthy(), err
 }
 
 func (p *compiledSelect) runPlain() (*Result, error) {
 	res := &Result{Columns: p.cols}
 	ev := &execEnv{params: p.params}
-	if len(p.orderBy) == 0 {
-		err := p.src.run(func(batch []tuple) error {
-			for _, tup := range batch {
-				if p.where != nil {
-					ev.tup, ev.aggs = tup, nil
-					v, err := p.where(ev)
-					if err != nil {
-						return err
-					}
-					if !v.Truthy() {
-						continue
-					}
-				}
-				row, err := p.projectInto(ev, tup, nil)
-				if err != nil {
-					return err
-				}
-				res.Rows = append(res.Rows, row)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
+	ordered := p.seedAcc.kind == accessOrdered
+	if !ordered && len(p.orderBy) > 0 {
 		var items []sortItem
 		err := p.src.run(func(batch []tuple) error {
 			for _, tup := range batch {
-				if p.where != nil {
-					ev.tup, ev.aggs = tup, nil
-					v, err := p.where(ev)
-					if err != nil {
-						return err
-					}
-					if !v.Truthy() {
-						continue
-					}
+				ok, err := p.keep(ev, tup)
+				if err != nil {
+					return err
 				}
-				items = append(items, sortItem{tup: tup})
+				if ok {
+					items = append(items, sortItem{tup: tup})
+				}
 			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
+		return p.output(ev, res, items)
+	}
+
+	// Rows arrive in result order: project each as it passes. An
+	// index-ordered walk with a LIMIT (and no DISTINCT collapsing rows
+	// afterwards) stops as soon as offset+limit rows matched; the sum
+	// saturates, and a short walk gets a projection chunk its size.
+	want := int64(-1)
+	if ordered && p.s.Limit != nil && !p.s.Distinct {
+		want = *p.s.Limit
+		if off := p.s.Offset; off != nil {
+			want = min(want, math.MaxInt64-*off) + *off
+		}
+		if want < batchSize {
+			p.projMem = make([]Value, len(p.proj)*int(max(want, 1)))
+		}
+	}
+	err := p.eachTuple(func(tup tuple, _ bool) error {
+		if ok, err := p.keep(ev, tup); !ok {
+			return err
+		}
+		row, err := p.projectInto(ev, tup, nil)
+		if err != nil {
+			return err
+		}
+		res.Rows = append(res.Rows, row)
+		if want >= 0 && int64(len(res.Rows)) >= want {
+			return errStopWalk
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p.output(ev, res, nil)
+}
+
+// output sorts items by the ORDER BY, projects them onto res and applies
+// DISTINCT and LIMIT to all of res. A plan whose rows arrived in result
+// order passes them already projected in res, and no items.
+func (p *compiledSelect) output(ev *execEnv, res *Result, items []sortItem) (*Result, error) {
+	if len(items) > 0 && len(p.orderBy) > 0 {
 		if err := p.sortItems(items); err != nil {
 			return nil, err
 		}
-		for i := range items {
-			row, err := p.projectInto(ev, items[i].tup, nil)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, row)
+	}
+	for i := range items {
+		row, err := p.projectInto(ev, items[i].tup, items[i].aggs)
+		if err != nil {
+			return nil, err
 		}
+		res.Rows = append(res.Rows, row)
 	}
 	if p.s.Distinct {
 		res.Rows = dedupRows(res.Rows)
@@ -650,15 +699,8 @@ func (p *compiledSelect) runGrouped() (*Result, error) {
 	// backing slice is reused by the caller; the group's retained first
 	// tuple is copied then.
 	step := func(tup tuple, volatile bool) error {
-		ev.tup, ev.aggs = tup, nil
-		if p.where != nil {
-			v, err := p.where(ev)
-			if err != nil {
-				return err
-			}
-			if !v.Truthy() {
-				return nil
-			}
+		if ok, err := p.keep(ev, tup); !ok {
+			return err
 		}
 		keyBuf = keyBuf[:0]
 		for gi, gk := range p.groupKeys {
@@ -693,30 +735,7 @@ func (p *compiledSelect) runGrouped() (*Result, error) {
 		return nil
 	}
 
-	var err error
-	if ss, ok := p.src.(*scanSource); ok {
-		// Single-table grouping: feed the scan straight into the hash
-		// aggregation through one reused tuple, skipping the batcher.
-		scratch := make(tuple, ss.ntabs)
-		ss.acc.iterate(ss.t, func(_ int, row []Value) bool {
-			scratch[ss.ti] = row
-			if e := step(scratch, true); e != nil {
-				err = e
-				return false
-			}
-			return true
-		})
-	} else {
-		err = p.src.run(func(batch []tuple) error {
-			for _, tup := range batch {
-				if e := step(tup, false); e != nil {
-					return e
-				}
-			}
-			return nil
-		})
-	}
-	if err != nil {
+	if err := p.eachTuple(step); err != nil {
 		return nil, err
 	}
 
@@ -748,25 +767,7 @@ func (p *compiledSelect) runGrouped() (*Result, error) {
 		items = append(items, sortItem{tup: gr.first, aggs: aggs})
 	}
 
-	if len(p.orderBy) > 0 {
-		if err := p.sortItems(items); err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{Columns: p.cols}
-	for i := range items {
-		row, err := p.projectInto(ev, items[i].tup, items[i].aggs)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if p.s.Distinct {
-		res.Rows = dedupRows(res.Rows)
-	}
-	res.Rows = applyLimit(res.Rows, p.s.Limit, p.s.Offset)
-	return res, nil
+	return p.output(ev, &Result{Columns: p.cols}, items)
 }
 
 //

@@ -81,6 +81,51 @@ func TestOrderedIndexOrderByLimitDesc(t *testing.T) {
 	}
 }
 
+// TestOrderedWalkPageAccesses pins what an index-ordered walk reads: each
+// row read is one page access (a cache hit or miss), and under a LIMIT the
+// walk reads exactly the rows up to its offset+limit-th match, none ahead.
+func TestOrderedWalkPageAccesses(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE w (id INT PRIMARY KEY, k INT, v INT)")
+	mustExec(t, db, "CREATE INDEX w_k ON w (k) USING BTREE")
+	for i := 0; i < 2000; i++ {
+		k := i * 7 % 2000 // slot order is not k order
+		v := 0
+		if k%5 == 1 || k%5 == 2 {
+			v = 1
+		}
+		mustExec(t, db, "INSERT INTO w (id, k, v) VALUES (?, ?, ?)", Int(int64(i)), Int(int64(k)), Int(int64(v)))
+	}
+	for _, tc := range []struct {
+		sql   string
+		keys  []int64
+		reads int64
+	}{
+		{"SELECT id, k FROM w ORDER BY k LIMIT 5", []int64{0, 1, 2, 3, 4}, 5},
+		{"SELECT id, k FROM w WHERE k >= 1000 ORDER BY k DESC LIMIT 5", []int64{1999, 1998, 1997, 1996, 1995}, 5},
+		{"SELECT id, k FROM w WHERE v = 1 ORDER BY k LIMIT 5", []int64{1, 2, 6, 7, 11}, 12},
+		{"SELECT id, k FROM w ORDER BY k LIMIT 5 OFFSET 3", []int64{3, 4, 5, 6, 7}, 8},
+	} {
+		cs, pc := db.CacheStats(), db.PlanCounters()
+		res := mustExec(t, db, tc.sql)
+		after := db.CacheStats()
+		if got := after.Hits + after.Misses - cs.Hits - cs.Misses; got != tc.reads {
+			t.Errorf("%s: %d page accesses, want %d", tc.sql, got, tc.reads)
+		}
+		if got := db.PlanCounters().OrderedScans - pc.OrderedScans; got != 1 {
+			t.Errorf("%s: OrderedScans +%d, want +1", tc.sql, got)
+		}
+		if len(res.Rows) != len(tc.keys) {
+			t.Fatalf("%s: %d rows, want %d", tc.sql, len(res.Rows), len(tc.keys))
+		}
+		for i, k := range tc.keys {
+			if res.Rows[i][1].I != k {
+				t.Errorf("%s: row %d has k=%d, want %d", tc.sql, i, res.Rows[i][1].I, k)
+			}
+		}
+	}
+}
+
 func TestOrderedIndexMinMax(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE r (k INT)")

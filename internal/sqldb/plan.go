@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/sqlparser"
 )
@@ -248,6 +247,7 @@ const (
 	accessScan = iota
 	accessEq
 	accessRange
+	accessOrdered
 	accessEmpty
 	accessFeed
 )
@@ -257,12 +257,13 @@ type access struct {
 	kind  int
 	cost  int
 	slots []int     // accessEq
-	idx   *ordIndex // accessRange
+	idx   *ordIndex // accessRange, accessOrdered
 	rng   ordRange
+	desc  bool      // accessOrdered: walk the index in descending order
 	rows  [][]Value // accessFeed
 	// pos is the column the index path was chosen on (accessEq,
-	// accessRange); ws is the reading transaction's non-empty write set for
-	// the table, or nil.
+	// accessRange, accessOrdered); ws is the reading transaction's
+	// non-empty write set for the table, or nil.
 	pos int
 	ws  *txnTable
 }
@@ -330,8 +331,8 @@ func (a access) committed(t *Table, fn func(slot int, row []Value) bool) bool {
 				return false
 			}
 		}
-	case accessRange:
-		a.idx.ascendRange(a.rng, func(n *ordNode) bool {
+	case accessRange, accessOrdered:
+		visit := func(n *ordNode) bool {
 			for _, slot := range n.slots {
 				if row := t.rowAt(slot); row != nil && !fn(slot, row) {
 					more = false
@@ -339,7 +340,12 @@ func (a access) committed(t *Table, fn func(slot int, row []Value) bool) bool {
 				}
 			}
 			return true
-		})
+		}
+		if a.desc {
+			a.idx.descendRange(a.rng, visit)
+		} else {
+			a.idx.ascendRange(a.rng, visit)
+		}
 	default:
 		return t.scan(fn)
 	}
@@ -350,11 +356,13 @@ func (a access) committed(t *Table, fn func(slot int, row []Value) bool) bool {
 func (db *DB) countAccess(a access) {
 	switch a.kind {
 	case accessEq:
-		atomic.AddInt64(&db.eqScans, 1)
+		db.eqScans.Add(1)
 	case accessRange:
-		atomic.AddInt64(&db.rangeScans, 1)
+		db.rangeScans.Add(1)
+	case accessOrdered:
+		db.orderedScans.Add(1)
 	case accessScan:
-		atomic.AddInt64(&db.fullScans, 1)
+		db.fullScans.Add(1)
 	}
 }
 

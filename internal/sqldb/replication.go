@@ -36,7 +36,6 @@ import (
 	"hash/crc32"
 	"os"
 	"sync"
-	"sync/atomic"
 )
 
 var (
@@ -162,7 +161,7 @@ func (db *DB) Seq() uint64 {
 // MetaVersion counts committed application-metadata transitions (including
 // those replayed from the WAL or a replicated stream). A follower-side
 // proxy polls it cheaply to decide when to re-load its sealed metadata.
-func (db *DB) MetaVersion() uint64 { return atomic.LoadUint64(&db.metaVer) }
+func (db *DB) MetaVersion() uint64 { return db.metaVer.Load() }
 
 // TapWAL subscribes to committed WAL frames with sequence numbers greater
 // than fromSeq. The returned tap first yields every such frame already in
@@ -403,7 +402,7 @@ func (db *DB) ResetFromSnapshot(ops []byte, seq uint64) error {
 	}
 	db.tables = scratch.tables
 	db.meta = scratch.meta
-	atomic.AddUint64(&db.metaVer, 1)
+	db.metaVer.Add(1)
 	db.walSeq = seq
 	db.snapSeq = seq
 	if db.wal == nil {

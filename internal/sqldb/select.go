@@ -2,11 +2,19 @@ package sqldb
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sqlparser"
 )
+
+// This file is where a SELECT enters: execSelect and SelectFeeds bind the
+// FROM entries into a scope and hand the statement to the compiled
+// pipeline (compile.go, exec.go), which runs every SELECT — an
+// index-ordered ORDER BY ... LIMIT too, as one of its access paths. The one
+// shortcut beside it is tryIndexMinMax, which answers MIN/MAX from
+// ordered-index endpoints without reading a row. The helpers the pipeline
+// and the test interpreter share (projection expansion, ORDER BY aliases,
+// DISTINCT, LIMIT) live here as well.
 
 // Feed is a row set bound to one FROM entry in place of a stored table:
 // Columns names the positions of every row.
@@ -39,14 +47,14 @@ func (db *DB) SelectFeeds(s *sqlparser.SelectStmt, feeds []Feed, params ...Value
 	if err != nil {
 		return nil, err
 	}
-	atomic.AddInt64(&db.compiledSel, 1)
+	db.compiledSel.Add(1)
 	return cp.run()
 }
 
 // selectScope binds the FROM tables as txn sees them (txn may be nil), or
 // the feeds when given, into a scope and collects the aggregate calls of the
 // projection, HAVING and ORDER BY — what makes a SELECT grouped, which the
-// index fast paths need to know up front.
+// MIN/MAX endpoint shortcut needs to know up front.
 func (db *DB) selectScope(txn *Txn, s *sqlparser.SelectStmt, feeds []Feed) (*scope, []*sqlparser.FuncCall, error) {
 	sc := &scope{}
 	for i, ref := range s.From {
@@ -83,143 +91,21 @@ func (db *DB) execSelect(txn *Txn, s *sqlparser.SelectStmt, params []Value) (*Re
 		return nil, err
 	}
 
-	if len(s.GroupBy) == 0 {
-		if len(aggCalls) > 0 {
-			if res, ok, err := db.tryIndexMinMax(s, sc); ok {
-				return res, err
-			}
-		} else if res, ok, err := db.tryOrderedSelect(s, sc, params); ok {
+	if len(s.GroupBy) == 0 && len(aggCalls) > 0 {
+		if res, ok, err := db.tryIndexMinMax(s, sc); ok {
 			return res, err
 		}
 	}
 
-	// General path: resolve and lower the statement into the compiled
-	// operator pipeline (compile.go / exec.go). The index fast paths above
-	// count separately (orderedScans / minMaxFast).
+	// Resolve and lower the statement into the compiled operator pipeline
+	// (compile.go / exec.go); an index-ordered walk is one of its access
+	// paths. The endpoint shortcut above counts separately (minMaxFast).
 	cp, err := db.compileSelect(s, sc, aggCalls, params)
 	if err != nil {
 		return nil, err
 	}
-	atomic.AddInt64(&db.compiledSel, 1)
+	db.compiledSel.Add(1)
 	return cp.run()
-}
-
-// tryOrderedSelect serves single-table, non-aggregate SELECTs whose ORDER
-// BY is one indexed column straight from the ordered index: rows stream out
-// in index order (no materialize-then-sort), a sargable range on the same
-// column bounds the walk, and a LIMIT terminates it early (§3.3: ORDER BY,
-// LIMIT run on OPE ciphertexts using ordinary ordered indexes). Returns
-// ok=false to fall back to the general path, as it does for a table the
-// reading transaction has written: the index orders committed rows only.
-func (db *DB) tryOrderedSelect(s *sqlparser.SelectStmt, sc *scope, params []Value) (*Result, bool, error) {
-	if len(sc.tabs) != 1 || sc.tabs[0].ws != nil || s.Having != nil || len(s.OrderBy) != 1 {
-		return nil, false, nil
-	}
-	items := db.resolveOrderBy(s)
-	cr, ok := items[0].Expr.(*sqlparser.ColRef)
-	if !ok {
-		return nil, false, nil
-	}
-	ti, pos, err := sc.resolve(cr.Table, cr.Column)
-	if err != nil || ti != 0 {
-		return nil, false, nil
-	}
-	t := sc.tabs[0].t
-	col := t.Cols[pos].Name
-	ix := t.ordIndexes[col]
-	if ix == nil {
-		return nil, false, nil
-	}
-	if _, homogeneous := ix.soleKind(); !homogeneous {
-		return nil, false, nil
-	}
-
-	// Bound the walk with any sargable constraints on the ORDER BY column;
-	// other conjuncts filter row by row below.
-	conj := conjuncts(s.Where)
-	rng := ordRange{all: true}
-	if b := db.sargBounds(conj, sc, 0, params)[col]; b != nil {
-		if b.bad {
-			return nil, false, nil // a scan preserves evaluation errors
-		}
-		if b.impossible {
-			rng = ordRange{empty: true}
-		} else if r, ok := ix.rangeFor(b); ok {
-			rng = r
-		} else {
-			return nil, false, nil
-		}
-	}
-
-	rowc := &exprCompiler{db: db, sc: sc}
-	var where compiledExpr
-	if s.Where != nil {
-		if where, err = rowc.compile(s.Where); err != nil {
-			return nil, true, err
-		}
-	}
-	cols, proj, err := rowc.compileProjection(s)
-	if err != nil {
-		return nil, true, err
-	}
-
-	// With a LIMIT (and no DISTINCT collapsing rows afterwards), stop as
-	// soon as offset+limit rows matched.
-	want := -1
-	if s.Limit != nil && !s.Distinct {
-		want = int(*s.Limit)
-		if s.Offset != nil {
-			want += int(*s.Offset)
-		}
-	}
-
-	res := &Result{Columns: cols}
-	tup := make(tuple, 1)
-	ev := &execEnv{tup: tup, params: params}
-	var walkErr error
-	visit := func(n *ordNode) bool {
-		for _, slot := range n.slots {
-			row := t.rowAt(slot)
-			if row == nil {
-				continue
-			}
-			tup[0] = row
-			if where != nil {
-				v, err := where(ev)
-				if err != nil {
-					walkErr = err
-					return false
-				}
-				if !v.Truthy() {
-					continue
-				}
-			}
-			out := make([]Value, len(proj))
-			if err := evalProjection(proj, ev, out); err != nil {
-				walkErr = err
-				return false
-			}
-			res.Rows = append(res.Rows, out)
-			if want >= 0 && len(res.Rows) >= want {
-				return false
-			}
-		}
-		return true
-	}
-	if items[0].Desc {
-		ix.descendRange(rng, visit)
-	} else {
-		ix.ascendRange(rng, visit)
-	}
-	if walkErr != nil {
-		return nil, true, walkErr
-	}
-	atomic.AddInt64(&db.orderedScans, 1)
-	if s.Distinct {
-		res.Rows = dedupRows(res.Rows)
-	}
-	res.Rows = applyLimit(res.Rows, s.Limit, s.Offset)
-	return res, true, nil
 }
 
 // tryIndexMinMax answers `SELECT MIN(col) / MAX(col) FROM t` projections
@@ -274,7 +160,7 @@ func (db *DB) tryIndexMinMax(s *sqlparser.SelectStmt, sc *scope) (*Result, bool,
 	if err != nil {
 		return nil, true, err
 	}
-	atomic.AddInt64(&db.minMaxFast, 1)
+	db.minMaxFast.Add(1)
 	res := &Result{Columns: cols, Rows: [][]Value{row}}
 	if s.Distinct {
 		res.Rows = dedupRows(res.Rows)
@@ -409,14 +295,16 @@ func dedupRows(rows [][]Value) [][]Value {
 	return out
 }
 
+// applyLimit cuts rows to the LIMIT/OFFSET window, comparing in int64 so a
+// bound past the int range of a 32-bit build is not truncated.
 func applyLimit(rows [][]Value, limit, offset *int64) [][]Value {
 	if offset != nil {
-		if int(*offset) >= len(rows) {
+		if *offset >= int64(len(rows)) {
 			return nil
 		}
 		rows = rows[*offset:]
 	}
-	if limit != nil && int(*limit) < len(rows) {
+	if limit != nil && *limit < int64(len(rows)) {
 		rows = rows[:*limit]
 	}
 	return rows

@@ -44,6 +44,30 @@ func TestLimitEdgeCases(t *testing.T) {
 	if res := mustExec(t, db, "SELECT a FROM t LIMIT 2 OFFSET 99"); len(res.Rows) != 0 {
 		t.Fatalf("big OFFSET rows = %v", res.Rows)
 	}
+	// Bounds past the int range of a 32-bit build, and a LIMIT whose sum
+	// with its OFFSET overflows int64, through a scan and an ordered walk.
+	mustExec(t, db, "CREATE INDEX t_a ON t (a) USING BTREE")
+	for _, tc := range []struct {
+		sql  string
+		want []int64
+	}{
+		{"SELECT a FROM t LIMIT 9223372036854775807 OFFSET 1", []int64{2, 3}},
+		{"SELECT a FROM t ORDER BY a DESC LIMIT 9223372036854775807 OFFSET 1", []int64{2, 1}},
+		{"SELECT a FROM t LIMIT 4294967296", []int64{1, 2, 3}},
+		{"SELECT a FROM t ORDER BY a LIMIT 4294967296", []int64{1, 2, 3}},
+		{"SELECT a FROM t OFFSET 4294967296", nil},
+		{"SELECT a FROM t ORDER BY a LIMIT 1 OFFSET 4294967296", nil},
+	} {
+		res := mustExec(t, db, tc.sql)
+		if len(res.Rows) != len(tc.want) {
+			t.Fatalf("%s: rows = %v, want %v", tc.sql, res.Rows, tc.want)
+		}
+		for i, w := range tc.want {
+			if res.Rows[i][0].I != w {
+				t.Fatalf("%s: rows = %v, want %v", tc.sql, res.Rows, tc.want)
+			}
+		}
+	}
 }
 
 func TestSelfJoinAliases(t *testing.T) {

@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"syscall"
 
 	"repro/internal/fsutil"
@@ -87,9 +86,9 @@ func (db *DB) WALStats() WALStats {
 		return WALStats{}
 	}
 	return WALStats{
-		Batches:     atomic.LoadInt64(&db.wal.batches),
-		Bytes:       atomic.LoadInt64(&db.wal.bytes),
-		Syncs:       atomic.LoadInt64(&db.wal.syncs),
+		Batches:     db.wal.batches.Load(),
+		Bytes:       db.wal.bytes.Load(),
+		Syncs:       db.wal.syncs.Load(),
 		Checkpoints: db.checkpoints,
 	}
 }
@@ -271,7 +270,7 @@ func (db *DB) maybeAutoCheckpoint() {
 	if limit == 0 {
 		limit = defaultCheckpointBytes
 	}
-	if atomic.LoadInt64(&db.wal.size) < limit {
+	if db.wal.size.Load() < limit {
 		return
 	}
 	select {

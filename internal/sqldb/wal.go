@@ -467,7 +467,7 @@ func (db *DB) applyOp(op walOp) error {
 		return nil
 	case walOpMeta:
 		db.meta = op.meta
-		atomic.AddUint64(&db.metaVer, 1)
+		db.metaVer.Add(1)
 		return nil
 	}
 	return fmt.Errorf("sqldb: wal replay: unknown op kind %d", op.kind)
@@ -536,8 +536,8 @@ type walWriter struct {
 	// (announce..retire); staged counts frames sitting in the queue.
 	// announced > staged means more committers are on their way and a
 	// leader should give them a moment to join the cohort.
-	announced int64
-	staged    int64
+	announced atomic.Int64
+	staged    atomic.Int64
 
 	// taps are live replication subscribers (guarded by mu). A cohort's
 	// frames are handed to every tap after — never before — its
@@ -546,16 +546,16 @@ type walWriter struct {
 	taps []*LogTap
 
 	// stats (atomics: read by WALStats without the writer lock)
-	size    int64
-	batches int64
-	bytes   int64
-	syncs   int64
+	size    atomic.Int64
+	batches atomic.Int64
+	bytes   atomic.Int64
+	syncs   atomic.Int64
 }
 
 // announce registers an in-flight committer; retire must follow once its
 // batch is durable (or its statement failed before producing one).
-func (w *walWriter) announce() { atomic.AddInt64(&w.announced, 1) }
-func (w *walWriter) retire()   { atomic.AddInt64(&w.announced, -1) }
+func (w *walWriter) announce() { w.announced.Add(1) }
+func (w *walWriter) retire()   { w.announced.Add(-1) }
 
 func newWALHeader() []byte {
 	h := make([]byte, walHeaderLen)
@@ -585,7 +585,8 @@ func createWAL(path string, fsync, noGroup bool) (*walWriter, error) {
 }
 
 func newWALWriter(f *os.File, path string, size int64, fsync, noGroup bool) *walWriter {
-	w := &walWriter{f: f, path: path, size: size, fsync: fsync, noGroup: noGroup}
+	w := &walWriter{f: f, path: path, fsync: fsync, noGroup: noGroup}
+	w.size.Store(size)
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
@@ -631,7 +632,7 @@ func (w *walWriter) enqueue(seq uint64, ops []byte) *walCohort {
 	c := w.queue[len(w.queue)-1]
 	c.frames = append(c.frames, frame...)
 	c.n++
-	atomic.AddInt64(&w.staged, 1)
+	w.staged.Add(1)
 	return c
 }
 
@@ -696,7 +697,7 @@ func (w *walWriter) leadUntilDone(c *walCohort) error {
 func (w *walWriter) flushHeadLocked() {
 	cohort := w.queue[0]
 	w.queue = w.queue[1:]
-	atomic.AddInt64(&w.staged, -cohort.n)
+	w.staged.Add(-cohort.n)
 	if w.failed != nil {
 		cohort.err = fmt.Errorf("sqldb: wal disabled by earlier write failure: %w", w.failed)
 		close(cohort.done)
@@ -758,7 +759,7 @@ func (w *walWriter) awaitStragglers() {
 	// this yield is the only thing that lets cohorts form at all.
 	runtime.Gosched()
 	deadline := time.Now().Add(groupCommitWindow)
-	for atomic.LoadInt64(&w.announced) > atomic.LoadInt64(&w.staged) {
+	for w.announced.Load() > w.staged.Load() {
 		runtime.Gosched()
 		if time.Now().After(deadline) {
 			break
@@ -778,13 +779,13 @@ func (w *walWriter) flushCohort(c *walCohort) {
 		if serr := w.f.Sync(); serr != nil {
 			err = fmt.Errorf("sqldb: wal sync: %w", serr)
 		} else {
-			atomic.AddInt64(&w.syncs, 1)
+			w.syncs.Add(1)
 		}
 	}
 	if err == nil {
-		atomic.AddInt64(&w.size, int64(len(c.frames)))
-		atomic.AddInt64(&w.batches, c.n)
-		atomic.AddInt64(&w.bytes, int64(len(c.frames)))
+		w.size.Add(int64(len(c.frames)))
+		w.batches.Add(c.n)
+		w.bytes.Add(int64(len(c.frames)))
 	}
 	c.err = err
 	close(c.done)
@@ -855,13 +856,13 @@ func (w *walWriter) truncateTo(keep uint64) error {
 			f.Close()
 			return err
 		}
-		atomic.AddInt64(&w.syncs, 1)
+		w.syncs.Add(1)
 	}
 	old := w.f
 	w.f = f
 	//cryptdb:vet-ok durabilityerr: old descriptor is fully synced and replaced; nothing left to flush
 	old.Close()
-	atomic.StoreInt64(&w.size, int64(walHeaderLen+len(frames)))
+	w.size.Store(int64(walHeaderLen + len(frames)))
 	if w.failed != nil {
 		for _, t := range w.taps {
 			t.invalidate()

@@ -83,27 +83,33 @@ func mixedWorkload(t *testing.T, db *DB, steps int, r *rand.Rand) {
 		return func() []Value { return []Value{Int(int64(r.Intn(n)))} }
 	}
 	type tmpl struct {
-		sql    string
-		params func() []Value
+		sql     string
+		params  func() []Value
+		ordered bool // compare row order, not just the multiset
 	}
 	// No hash index on the join columns: every equi join builds its
 	// transient table.
 	queries := []tmpl{
-		{"SELECT * FROM t1 WHERE a < ?", one(40)},
-		{"SELECT id, a + b * 2, -a FROM t1 WHERE (a > ? OR b < 5) AND grp != 'g3' ORDER BY id", one(40)},
-		{"SELECT t1.id, t2.id, t2.c FROM t1, t2 WHERE t1.id = t2.fk AND t2.c > ?", one(15)},
-		{"SELECT t1.grp, COUNT(*), SUM(t2.c) FROM t1 JOIN t2 ON t1.id = t2.fk WHERE t1.a > ? GROUP BY t1.grp HAVING COUNT(*) > 1 ORDER BY t1.grp", one(40)},
-		{"SELECT t3.d, t2.c FROM t2 JOIN t3 ON t2.fk = t3.k1 AND t2.c = t3.k2", nil},
-		{"SELECT DISTINCT grp FROM t1", nil},
-		{"SELECT t1.grp, t3.d FROM t1, t2, t3 WHERE t1.id = t2.fk AND t2.c = t3.k1 AND t1.b > ?", one(25)},
-		{"SELECT grp, SUM(a) + COUNT(b), AVG(a) FROM t1 GROUP BY grp", nil},
-		{"SELECT grp, COUNT(DISTINCT a), MIN(a), MAX(b) FROM t1 GROUP BY grp ORDER BY grp", nil},
-		{"SELECT id FROM t1 WHERE a BETWEEN ? AND 30 ORDER BY a DESC, id", one(20)},
-		{"SELECT COUNT(DISTINCT t1.grp), MIN(t2.c), MAX(t2.c) FROM t1 JOIN t2 ON t1.id = t2.fk", nil},
-		{"SELECT COUNT(*), SUM(a) FROM t1 WHERE a > 99999", nil},
-		{"SELECT grp, COUNT(*) AS n FROM t1 WHERE grp IS NOT NULL GROUP BY grp ORDER BY n DESC, grp", nil},
-		{"SELECT t2.fk, COUNT(*), SUM(t3.d) FROM t2 JOIN t3 ON t2.c = t3.k2 GROUP BY t2.fk", nil},
-		{"SELECT grp, MIN(grp), MAX(grp) FROM t1 GROUP BY grp", nil},
+		{"SELECT * FROM t1 WHERE a < ?", one(40), false},
+		{"SELECT id, a + b * 2, -a FROM t1 WHERE (a > ? OR b < 5) AND grp != 'g3' ORDER BY id", one(40), false},
+		{"SELECT t1.id, t2.id, t2.c FROM t1, t2 WHERE t1.id = t2.fk AND t2.c > ?", one(15), false},
+		{"SELECT t1.grp, COUNT(*), SUM(t2.c) FROM t1 JOIN t2 ON t1.id = t2.fk WHERE t1.a > ? GROUP BY t1.grp HAVING COUNT(*) > 1 ORDER BY t1.grp", one(40), false},
+		{"SELECT t3.d, t2.c FROM t2 JOIN t3 ON t2.fk = t3.k1 AND t2.c = t3.k2", nil, false},
+		{"SELECT DISTINCT grp FROM t1", nil, false},
+		{"SELECT t1.grp, t3.d FROM t1, t2, t3 WHERE t1.id = t2.fk AND t2.c = t3.k1 AND t1.b > ?", one(25), false},
+		{"SELECT grp, SUM(a) + COUNT(b), AVG(a) FROM t1 GROUP BY grp", nil, false},
+		{"SELECT grp, COUNT(DISTINCT a), MIN(a), MAX(b) FROM t1 GROUP BY grp ORDER BY grp", nil, false},
+		{"SELECT id FROM t1 WHERE a BETWEEN ? AND 30 ORDER BY a DESC, id", one(20), false},
+		{"SELECT COUNT(DISTINCT t1.grp), MIN(t2.c), MAX(t2.c) FROM t1 JOIN t2 ON t1.id = t2.fk", nil, false},
+		{"SELECT COUNT(*), SUM(a) FROM t1 WHERE a > 99999", nil, false},
+		{"SELECT grp, COUNT(*) AS n FROM t1 WHERE grp IS NOT NULL GROUP BY grp ORDER BY n DESC, grp", nil, false},
+		{"SELECT t2.fk, COUNT(*), SUM(t3.d) FROM t2 JOIN t3 ON t2.c = t3.k2 GROUP BY t2.fk", nil, false},
+		{"SELECT grp, MIN(grp), MAX(grp) FROM t1 GROUP BY grp", nil, false},
+		// Index-ordered walks over t1's ordered index on a (NULL keys
+		// included), one row at a time through the buffer pool.
+		{"SELECT id, a AS x FROM t1 WHERE b > ? ORDER BY x LIMIT 9", one(25), true},
+		{"SELECT id, a, b FROM t1 WHERE a <= ? ORDER BY a DESC LIMIT 5 OFFSET 2", one(40), true},
+		{"SELECT DISTINCT a FROM t1 ORDER BY a LIMIT 6", nil, true},
 	}
 
 	for step := 0; step < steps; step++ {
@@ -122,8 +128,9 @@ func mixedWorkload(t *testing.T, db *DB, steps int, r *rand.Rand) {
 		}
 		rc, ro := selectBoth(t, db, q.sql, params...)
 		if rc != nil && ro != nil {
-			// As a multiset: the two executors share no scan order.
-			sameRows(t, fmt.Sprintf("step %d", step), q.sql, rc, ro, false)
+			// As a multiset unless ordered: the two executors share no
+			// scan order.
+			sameRows(t, fmt.Sprintf("step %d", step), q.sql, rc, ro, q.ordered)
 		}
 	}
 }
@@ -157,12 +164,16 @@ func TestCompiledWorkloadPagedEquivalence(t *testing.T) {
 	defer db.Close()
 	for _, ddl := range []string{
 		"CREATE TABLE t1 (id INT PRIMARY KEY, grp TEXT, a INT, b INT)",
+		"CREATE INDEX t1_a ON t1 (a) USING BTREE",
 		"CREATE TABLE t2 (id INT PRIMARY KEY, fk INT, c INT)",
 		"CREATE TABLE t3 (id INT PRIMARY KEY, k1 INT, k2 INT, d INT)",
 	} {
 		mustExec(t, db, ddl)
 	}
 	mixedWorkload(t, db, 150, rand.New(rand.NewSource(13)))
+	if pc := db.PlanCounters(); pc.OrderedScans == 0 {
+		t.Fatalf("no index-ordered walk ran on the paged database: %+v", pc)
+	}
 }
 
 // TestCompiledMinMaxMixedKinds holds MIN/MAX over a column that mixes INT

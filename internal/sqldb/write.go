@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/sqlparser"
 )
@@ -568,7 +567,7 @@ func (db *DB) commit(meta []byte, apply func() ([]byte, error), release func()) 
 			ops = appendMetaOp(ops, meta)
 		}
 		db.meta = append([]byte(nil), meta...)
-		atomic.AddUint64(&db.metaVer, 1)
+		db.metaVer.Add(1)
 	}
 	if _, faulted := err.(*PageFaultError); err != nil && !faulted {
 		ops = nil

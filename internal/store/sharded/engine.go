@@ -67,7 +67,7 @@ type Engine struct {
 	// partials merged by the coordinator (as opposed to feeding the table's
 	// rows). Engine-level because the decision is made here, not in any one
 	// shard's planner.
-	groupPushdowns int64
+	groupPushdowns atomic.Int64
 
 	// metaMu serializes metadata-carrying commits so the sequence
 	// envelope order matches WAL order on every shard.
@@ -892,7 +892,7 @@ func (e *Engine) Stats() store.Stats {
 		out.CheckpointPauseNanos += sh.CheckpointPauseNanos()
 		out.LastCheckpointBytes += sh.LastCheckpointBytes()
 	}
-	out.Plan.GroupPushdowns += atomic.LoadInt64(&e.groupPushdowns)
+	out.Plan.GroupPushdowns += e.groupPushdowns.Load()
 	return out
 }
 

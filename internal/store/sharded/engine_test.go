@@ -10,6 +10,7 @@ import (
 	"repro/internal/sqldb"
 	"repro/internal/sqlparser"
 	"repro/internal/store"
+	"repro/internal/store/single"
 )
 
 func mustExec(t *testing.T, ex store.Executor, sql string, params ...sqldb.Value) *sqldb.Result {
@@ -401,5 +402,38 @@ func TestDirShardsDetection(t *testing.T) {
 	}
 	if _, err := Open(dir, 0, sqldb.DurabilityOptions{}); err == nil {
 		t.Fatal("Open accepted a corrupt manifest")
+	}
+}
+
+// TestScatterLimitBounds runs LIMIT/OFFSET bounds at the edges of int64 and
+// past the int range of a 32-bit build on two shards and on one store. The
+// per-shard LIMIT is the sum of LIMIT and OFFSET; it must saturate, not wrap
+// negative, and every engine must return the single store's rows.
+func TestScatterLimitBounds(t *testing.T) {
+	eng, ref := New(2), single.New(sqldb.New())
+	for _, e := range []store.Engine{eng, ref} {
+		mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+		mustExec(t, e, "INSERT INTO t (id, v) VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50)")
+	}
+	for _, tc := range []struct {
+		sql     string
+		ordered bool
+	}{
+		{"SELECT id FROM t LIMIT 9223372036854775807 OFFSET 1", false},
+		{"SELECT id FROM t ORDER BY id LIMIT 9223372036854775807 OFFSET 1", true},
+		{"SELECT id, v FROM t ORDER BY v DESC LIMIT 9223372036854775807 OFFSET 9223372036854775807", true},
+		{"SELECT id FROM t LIMIT 4294967296", false},
+		{"SELECT id FROM t ORDER BY id LIMIT 4294967296 OFFSET 2", true},
+		{"SELECT id FROM t OFFSET 4294967296", true},
+	} {
+		want := mustExec(t, ref, tc.sql)
+		got := mustExec(t, eng, tc.sql)
+		if tc.ordered {
+			compareResults(t, tc.sql, want, got, true)
+		} else if len(got.Rows) != len(want.Rows) {
+			// Without an ORDER BY, which rows an OFFSET skips depends on
+			// scan order, which shards do not share with one store.
+			t.Fatalf("%s: %d rows on 2 shards, %d on one store", tc.sql, len(got.Rows), len(want.Rows))
+		}
 	}
 }

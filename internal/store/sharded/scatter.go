@@ -36,9 +36,9 @@
 package sharded
 
 import (
+	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sqldb"
 	"repro/internal/sqlparser"
@@ -278,7 +278,8 @@ func (e *Engine) planPlain(s *sqlparser.SelectStmt) (*partialPlan, bool) {
 	if s.Limit != nil && !(s.Distinct && len(per.Exprs) > len(s.Exprs)) {
 		lim := *s.Limit
 		if s.Offset != nil {
-			lim += *s.Offset
+			// Saturate: a wrapped sum would be a negative per-shard LIMIT.
+			lim = min(lim, math.MaxInt64-*s.Offset) + *s.Offset
 		}
 		per.Limit = &lim
 	} else {
@@ -327,7 +328,7 @@ func (e *Engine) planAgg(s *sqlparser.SelectStmt) (*partialPlan, bool) {
 		merge.OrderBy = append(merge.OrderBy, sqlparser.OrderItem{Expr: ex, Desc: o.Desc})
 	}
 	if len(s.GroupBy) > 0 {
-		atomic.AddInt64(&e.groupPushdowns, 1)
+		e.groupPushdowns.Add(1)
 	}
 	per := &sqlparser.SelectStmt{Exprs: p.items, From: s.From, Where: s.Where, GroupBy: s.GroupBy}
 	return &partialPlan{perShard: per, merge: merge}, true
