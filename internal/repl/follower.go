@@ -186,43 +186,52 @@ func (f *Follower) stream() error {
 		if err != nil {
 			return err // disconnect (or tear): reconnect and resume
 		}
-		switch typ {
-		case msgSnap:
-			if len(payload) < 8 {
-				return fmt.Errorf("repl: short snapshot message")
-			}
-			seq := binary.BigEndian.Uint64(payload)
-			if err := f.db.ResetFromSnapshot(payload[8:], seq); err != nil {
-				if isDurability(err) {
-					break // state installed; only local disk persistence failed
-				}
-				atomic.StoreUint32(&f.forceSnap, 1)
-				return fmt.Errorf("repl: snapshot resync: %w", err)
-			}
-		case msgFrames:
-			frames, err := sqldb.SplitFrames(payload)
-			if err != nil {
-				return fmt.Errorf("repl: frame blob: %w", err)
-			}
-			for _, frame := range frames {
-				if err := f.db.ApplyReplicatedFrame(frame); err != nil {
-					if isDurability(err) {
-						continue // applied in memory; local disk lagged
-					}
-					// Replay failure means divergence: full resync next.
-					atomic.StoreUint32(&f.forceSnap, 1)
-					return fmt.Errorf("repl: replay: %w", err)
-				}
-			}
-		case msgErr:
-			return fmt.Errorf("repl: primary: %s", string(payload))
-		default:
-			return fmt.Errorf("repl: unknown message type %d", typ)
+		if err := f.apply(typ, payload); err != nil {
+			return err
 		}
 		if err := writeAck(conn, f.db.Seq()); err != nil {
 			return err
 		}
 	}
+}
+
+// apply replays one whole stream message into the local database. An error
+// ends the stream; one that means local state diverged also makes the next
+// handshake ask for a full snapshot.
+func (f *Follower) apply(typ byte, payload []byte) error {
+	switch typ {
+	case msgSnap:
+		if len(payload) < 8 {
+			return fmt.Errorf("repl: short snapshot message")
+		}
+		seq := binary.BigEndian.Uint64(payload)
+		// A durability error means the state installed and only local
+		// disk persistence failed.
+		if err := f.db.ResetFromSnapshot(payload[8:], seq); err != nil && !isDurability(err) {
+			atomic.StoreUint32(&f.forceSnap, 1)
+			return fmt.Errorf("repl: snapshot resync: %w", err)
+		}
+	case msgFrames:
+		frames, err := sqldb.SplitFrames(payload)
+		if err != nil {
+			return fmt.Errorf("repl: frame blob: %w", err)
+		}
+		for _, frame := range frames {
+			if err := f.db.ApplyReplicatedFrame(frame); err != nil {
+				if isDurability(err) {
+					continue // applied in memory; local disk lagged
+				}
+				// Replay failure means divergence: full resync next.
+				atomic.StoreUint32(&f.forceSnap, 1)
+				return fmt.Errorf("repl: replay: %w", err)
+			}
+		}
+	case msgErr:
+		return fmt.Errorf("repl: primary: %s", string(payload))
+	default:
+		return fmt.Errorf("repl: unknown message type %d", typ)
+	}
+	return nil
 }
 
 func isDurability(err error) bool {

@@ -115,6 +115,9 @@ func encodeMsg(typ byte, payload []byte) []byte {
 	return buf
 }
 
+// readMsg reads one stream message. The payload buffer grows with the
+// bytes that arrive, not with the length the header claims, so a header
+// without its payload costs nothing.
 func readMsg(r io.Reader) (typ byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -124,9 +127,11 @@ func readMsg(r io.Reader) (typ byte, payload []byte, err error) {
 	if n > maxMsgLen {
 		return 0, nil, fmt.Errorf("repl: message length %d exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if payload, err = io.ReadAll(io.LimitReader(r, int64(n))); err != nil {
 		return 0, nil, err
+	}
+	if len(payload) < int(n) {
+		return 0, nil, io.ErrUnexpectedEOF
 	}
 	return hdr[0], payload, nil
 }

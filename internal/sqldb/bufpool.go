@@ -14,9 +14,11 @@
 //
 // Policy is no-steal: only checkpoints write pages (ckpt_incremental.go),
 // so eviction is just dropping the reference to a clean page — the segment
-// on disk already holds its exact contents. Dirty (and flushing) pages are
-// never evicted; when dirt alone exceeds the budget, the post-commit
-// pressure path runs a checkpoint to clean them (see DB.cachePressure).
+// on disk already holds its exact contents, and a fault that cannot read it
+// returns a *PageFaultError to the statement that met it. Dirty (and
+// flushing) pages are never evicted; when dirt alone exceeds the budget,
+// the post-commit pressure path runs a checkpoint to clean them (see
+// DB.cachePressure).
 //
 // Locking: pager.mu guards only the clock ring and the hot set. It is
 // acquired with db.mu already held (either side), never the reverse, and —
@@ -271,9 +273,9 @@ func (pg *pager) removeRingAt(i int) {
 }
 
 // faultPage materializes an evicted page from its on-disk segment. Callers
-// hold db.mu (either side); a read failure panics with *PageFaultError
-// (recovered at statement entry — row accessors have no error returns).
-func (t *Table) faultPage(id int) *rowPage {
+// hold db.mu (either side); a read failure returns a *PageFaultError and
+// installs nothing.
+func (t *Table) faultPage(id int) (*rowPage, error) {
 	pg := t.pager
 	pg.misses.Add(1)
 	var p *rowPage
@@ -282,7 +284,7 @@ func (t *Table) faultPage(id int) *rowPage {
 	} else {
 		loaded, err := loadSegment(filepath.Join(pg.dir, rec.file), t, id)
 		if err != nil {
-			panic(&PageFaultError{Table: t.Name, Page: id, Err: err})
+			return nil, &PageFaultError{Table: t.Name, Page: id, Err: err}
 		}
 		p = loaded
 	}
@@ -291,12 +293,12 @@ func (t *Table) faultPage(id int) *rowPage {
 		// already evicted it again, in which case install ours after all (it
 		// is still exact: nothing mutates a page while a reader holds db.mu).
 		if w := t.pages[id].Load(); w != nil {
-			return w
+			return w, nil
 		}
 	}
 	pg.admit(t, id, p)
 	pg.evictToBudgetExcept(p)
-	return p
+	return p, nil
 }
 
 // cachePressure bounds resident bytes after a commit: evict what is clean;

@@ -287,11 +287,9 @@ func (db *DB) execStateless(st sqlparser.Statement, meta []byte, params []Value)
 	defer db.trackBusy(time.Now())
 	switch s := st.(type) {
 	case *sqlparser.SelectStmt:
-		return db.readStatement(func() (*Result, error) {
-			db.mu.RLock()
-			defer db.mu.RUnlock()
-			return db.execSelect(nil, s, params)
-		})
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		return db.execSelect(nil, s, params)
 	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
 		return db.autocommitWrite(st, meta, params)
 	case *sqlparser.CreateTableStmt:
@@ -404,14 +402,6 @@ func (e *DurabilityError) Error() string {
 
 // Unwrap exposes the underlying I/O error.
 func (e *DurabilityError) Unwrap() error { return e.Err }
-
-// readStatement runs a read under page-fault protection: a paged table may
-// fail to fault a row page back in, and the panic the accessors raise must
-// come back as this statement's error.
-func (db *DB) readStatement(fn func() (*Result, error)) (res *Result, err error) {
-	defer catchPageFault(&err)
-	return fn()
-}
 
 func (db *DB) redoCreateTable(s *sqlparser.CreateTableStmt) {
 	if db.wal == nil {

@@ -83,15 +83,10 @@ type scanSource struct {
 
 func (s *scanSource) run(emit func([]tuple) error) error {
 	b := newBatcher(s.ntabs, emit)
-	var err error
-	s.acc.iterate(s.t, func(_ int, row []Value) bool {
+	err := s.acc.iterate(s.t, func(_ int, row []Value) error {
 		tup := b.newTuple()
 		tup[s.ti] = row
-		if e := b.add(tup); e != nil {
-			err = e
-			return false
-		}
-		return true
+		return b.add(tup)
 	})
 	if err != nil {
 		return err
@@ -181,7 +176,7 @@ func (h *hashJoinSource) newProbeScratch() *probeScratch {
 // prepare runs the build phase once and tallies the join in the planner
 // counters (hashJoins for a trusted-key build, nestedLoops for a
 // heterogeneous one that degrades to per-pair comparison).
-func (h *hashJoinSource) prepare() *builtTable {
+func (h *hashJoinSource) prepare() (*builtTable, error) {
 	// When the key is one column, the build side is an unpruned full scan
 	// and that column already has a hash index, the index *is* the build
 	// table: probe it directly instead of rebuilding the same map per
@@ -196,7 +191,7 @@ func (h *hashJoinSource) prepare() *builtTable {
 			} else {
 				h.db.nestedLoops.Add(1)
 			}
-			return &builtTable{idx: idx, idxKind: kind, idxHomog: homog, total: h.t.RowCount()}
+			return &builtTable{idx: idx, idxKind: kind, idxHomog: homog, total: h.t.RowCount()}, nil
 		}
 	}
 
@@ -205,12 +200,12 @@ func (h *hashJoinSource) prepare() *builtTable {
 	kinds := make([][4]int, len(h.keys))
 	vals := make([]Value, len(h.keys))
 	var keyBuf []byte
-	h.acc.iterate(h.t, func(_ int, row []Value) bool {
+	err := h.acc.iterate(h.t, func(_ int, row []Value) error {
 		bt.total++
 		for i, k := range h.keys {
 			v := row[k.buildPos]
 			if v.IsNull() {
-				return true // NULL joins nothing; keep the row out of the table
+				return nil // NULL joins nothing; keep the row out of the table
 			}
 			vals[i] = v
 		}
@@ -222,8 +217,11 @@ func (h *hashJoinSource) prepare() *builtTable {
 		}
 		bt.m[string(keyBuf)] = append(bt.m[string(keyBuf)], row)
 		bt.rows = append(bt.rows, row)
-		return true
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	// The per-column build kinds decide the trusted-key vs per-pair probe
 	// mode.
@@ -241,7 +239,7 @@ func (h *hashJoinSource) prepare() *builtTable {
 	} else {
 		h.db.nestedLoops.Add(1)
 	}
-	return bt
+	return bt, nil
 }
 
 // probeTuple matches one probe tuple against the prepared build table and
@@ -335,7 +333,11 @@ func (h *hashJoinSource) probeIndex(bt *builtTable, s *probeScratch, tup tuple, 
 		if cv, ok := coerceOrdBound(v, bt.idxKind); ok {
 			s.keyBuf = cv.appendKey(s.keyBuf[:0])
 			for _, slot := range bt.idx.m[string(s.keyBuf)] {
-				if err := pair(tup, h.t.rowAt(slot)); err != nil {
+				brow, err := h.t.rowAt(slot)
+				if err != nil {
+					return err
+				}
+				if err := pair(tup, brow); err != nil {
 					return err
 				}
 			}
@@ -345,27 +347,24 @@ func (h *hashJoinSource) probeIndex(bt *builtTable, s *probeScratch, tup tuple, 
 	// Mixed build kinds or an incoercible probe value: per-row coercing
 	// comparison, as a nested loop over a scan does.
 	s.probeVals[0] = v
-	perr := error(nil)
-	h.t.scan(func(_ int, brow []Value) bool {
+	return h.t.scan(func(_ int, brow []Value) error {
 		match, err := h.pairKeyEqual(s.probeVals[:1], brow)
-		if err == nil && match {
-			err = pair(tup, brow)
+		if err != nil || !match {
+			return err
 		}
-		if err != nil {
-			perr = err
-			return false
-		}
-		return true
+		return pair(tup, brow)
 	})
-	return perr
 }
 
 func (h *hashJoinSource) run(emit func([]tuple) error) error {
-	bt := h.prepare()
+	bt, err := h.prepare()
+	if err != nil {
+		return err
+	}
 	out := newBatcher(h.ntabs, emit)
 	s := h.newProbeScratch()
 	pair := h.pairFunc(out, &s.rev)
-	err := h.inner.run(func(batch []tuple) error {
+	err = h.inner.run(func(batch []tuple) error {
 		for _, tup := range batch {
 			if err := h.probeTuple(bt, s, tup, pair); err != nil {
 				return err
@@ -419,30 +418,21 @@ func (l *loopJoinSource) run(emit func([]tuple) error) error {
 	ev := &execEnv{params: l.params}
 	err := l.inner.run(func(batch []tuple) error {
 		for _, tup := range batch {
-			var iterErr error
-			l.acc.iterate(l.t, func(_ int, row []Value) bool {
+			err := l.acc.iterate(l.t, func(_ int, row []Value) error {
 				nt := out.newTuple()
 				copy(nt, tup)
 				nt[l.ti] = row
 				if l.on != nil {
 					ev.tup = nt
 					v, err := l.on(ev)
-					if err != nil {
-						iterErr = err
-						return false
-					}
-					if !v.Truthy() {
-						return true
+					if err != nil || !v.Truthy() {
+						return err
 					}
 				}
-				if err := out.add(nt); err != nil {
-					iterErr = err
-					return false
-				}
-				return true
+				return out.add(nt)
 			})
-			if iterErr != nil {
-				return iterErr
+			if err != nil {
+				return err
 			}
 		}
 		return nil
@@ -550,8 +540,9 @@ func (p *compiledSelect) projectInto(ev *execEnv, tup tuple, aggs []Value) ([]Va
 	return row, nil
 }
 
-// errStopWalk ends eachTuple early from inside its callback; eachTuple does
-// not report it.
+// errStopWalk is the one early-stop value of a row or index walk: a visitor
+// returns it to end the walk, and the code that started the walk does not
+// report it.
 var errStopWalk = errors.New("sqldb: walk stopped")
 
 // eachTuple feeds fn every tuple of the source until fn fails. A
@@ -562,10 +553,9 @@ func (p *compiledSelect) eachTuple(fn func(tup tuple, volatile bool) error) erro
 	var err error
 	if ss, ok := p.src.(*scanSource); ok {
 		scratch := make(tuple, ss.ntabs)
-		ss.acc.iterate(ss.t, func(_ int, row []Value) bool {
+		err = ss.acc.iterate(ss.t, func(_ int, row []Value) error {
 			scratch[ss.ti] = row
-			err = fn(scratch, true)
-			return err == nil
+			return fn(scratch, true)
 		})
 	} else {
 		err = p.src.run(func(batch []tuple) error {

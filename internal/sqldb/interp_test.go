@@ -26,22 +26,20 @@ import (
 // rejects them up front; on well-formed statements the two must agree row
 // for row.
 func interpretSelect(db *DB, s *sqlparser.SelectStmt, params []Value) (*Result, error) {
-	return db.readStatement(func() (*Result, error) {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		sc, aggCalls, err := db.selectScope(nil, s, nil)
-		if err != nil {
-			return nil, err
-		}
-		tuples, err := db.produceTuples(s, sc, params)
-		if err != nil {
-			return nil, err
-		}
-		if len(s.GroupBy) > 0 || len(aggCalls) > 0 {
-			return db.selectGrouped(s, sc, tuples, aggCalls, params)
-		}
-		return db.selectPlain(s, sc, tuples, params)
-	})
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	sc, aggCalls, err := db.selectScope(nil, s, nil)
+	if err != nil {
+		return nil, err
+	}
+	tuples, err := db.produceTuples(s, sc, params)
+	if err != nil {
+		return nil, err
+	}
+	if len(s.GroupBy) > 0 || len(aggCalls) > 0 {
+		return db.selectGrouped(s, sc, tuples, aggCalls, params)
+	}
+	return db.selectPlain(s, sc, tuples, params)
 }
 
 // interpretSQL parses a SELECT and runs it through interpretSelect.
@@ -151,12 +149,15 @@ func (db *DB) produceTuples(s *sqlparser.SelectStmt, sc *scope, params []Value) 
 	// Seed from the first table in join order.
 	seed := order[0]
 	var tuples []tuple
-	accessFor(seed).iterate(sc.tabs[seed].t, func(_ int, row []Value) bool {
+	err := accessFor(seed).iterate(sc.tabs[seed].t, func(_ int, row []Value) error {
 		tup := make(tuple, len(sc.tabs))
 		tup[seed] = row
 		tuples = append(tuples, tup)
-		return true
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	// Join each remaining table in join order.
 	placed := make([]bool, len(sc.tabs))
@@ -200,7 +201,9 @@ func (db *DB) produceTuples(s *sqlparser.SelectStmt, sc *scope, params []Value) 
 				if slots, has := st.t.lookup(probeCol, v); has {
 					for _, slot := range slots {
 						nt := cloneTuple(tup)
-						nt[ti] = st.t.rowAt(slot)
+						if nt[ti], err = st.t.rowAt(slot); err != nil {
+							return nil, err
+						}
 						if !probeIsOn {
 							keep, err := onFilter(nt)
 							if err != nil {
@@ -217,22 +220,17 @@ func (db *DB) produceTuples(s *sqlparser.SelectStmt, sc *scope, params []Value) 
 			}
 			// Fall back to a nested loop over the table's own access path
 			// (its sargable predicates, or a scan) with the ON filter.
-			var scanErr error
-			accessFor(ti).iterate(st.t, func(_ int, row []Value) bool {
+			err := accessFor(ti).iterate(st.t, func(_ int, row []Value) error {
 				nt := cloneTuple(tup)
 				nt[ti] = row
 				keep, err := onFilter(nt)
-				if err != nil {
-					scanErr = err
-					return false
-				}
 				if keep {
 					next = append(next, nt)
 				}
-				return true
+				return err
 			})
-			if scanErr != nil {
-				return nil, scanErr
+			if err != nil {
+				return nil, err
 			}
 		}
 		tuples = next

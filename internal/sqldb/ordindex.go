@@ -222,10 +222,11 @@ type ordRange struct {
 	empty bool
 }
 
-// ascendRange visits nodes in ascending key order within r.
-func (ix *ordIndex) ascendRange(r ordRange, fn func(*ordNode) bool) {
+// ascendRange visits nodes in ascending key order within r, stopping at
+// the first error fn returns.
+func (ix *ordIndex) ascendRange(r ordRange, fn func(*ordNode) error) error {
 	if r.empty {
-		return
+		return nil
 	}
 	var n *ordNode
 	switch {
@@ -247,19 +248,21 @@ func (ix *ordIndex) ascendRange(r ordRange, fn func(*ordNode) bool) {
 	for ; n != nil; n = n.next[0] {
 		if r.hasHi {
 			if c := strings.Compare(n.key, r.hi); c > 0 || (c == 0 && !r.hiInc) {
-				return
+				return nil
 			}
 		}
-		if !fn(n) {
-			return
+		if err := fn(n); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// descendRange visits nodes in descending key order within r.
-func (ix *ordIndex) descendRange(r ordRange, fn func(*ordNode) bool) {
+// descendRange visits nodes in descending key order within r, stopping at
+// the first error fn returns.
+func (ix *ordIndex) descendRange(r ordRange, fn func(*ordNode) error) error {
 	if r.empty {
-		return
+		return nil
 	}
 	var n *ordNode
 	switch {
@@ -276,26 +279,29 @@ func (ix *ordIndex) descendRange(r ordRange, fn func(*ordNode) bool) {
 	}
 	for ; n != nil; n = ix.prevNode(n) {
 		if !r.all && n.key == nullOrdKey {
-			return // bounded walks exclude NULLs
+			return nil // bounded walks exclude NULLs
 		}
 		if r.hasLo {
 			if c := strings.Compare(n.key, r.lo); c < 0 || (c == 0 && !r.loInc) {
-				return
+				return nil
 			}
 		}
-		if !fn(n) {
-			return
+		if err := fn(n); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // countRange counts entries inside r, stopping at cap (the planner caps the
 // walk at the best cost found so far, so planning never outweighs running).
 func (ix *ordIndex) countRange(r ordRange, cap int) int {
 	total := 0
-	ix.ascendRange(r, func(n *ordNode) bool {
-		total += len(n.slots)
-		return total < cap
+	ix.ascendRange(r, func(n *ordNode) error { //nolint:errcheck // its only error is errStopWalk, at cap
+		if total += len(n.slots); total >= cap {
+			return errStopWalk
+		}
+		return nil
 	})
 	return total
 }

@@ -5,7 +5,10 @@
 // per-page segment files (see ckpt_incremental.go). What a cache budget
 // changes is only residency: under a budget a clean page may be evicted and
 // faulted back from its segment on demand; without one (New, and Open
-// without DurabilityOptions.Paged) every page stays materialized.
+// without DurabilityOptions.Paged) every page stays materialized. A fault
+// that cannot read its segment is an ordinary error: page, rowAt, the row
+// mutators and every row visitor return the *PageFaultError, and the
+// statement that met it fails with it.
 //
 // Concurrency contract, inherited from DB: all mutation happens under
 // db.mu's write side; reads run under the read side. Faulting a page in is
@@ -67,11 +70,10 @@ type pageDiskRec struct {
 }
 
 // PageFaultError reports that a row page could not be read back from its
-// on-disk segment. It is raised as a panic inside row access paths (which
-// have no error returns) and converted back into an ordinary error at
-// statement entry. A write that faults while staging applied nothing; like
-// DurabilityError, a commit that faults while applying may have applied
-// some of its effects in memory, and their redo is logged.
+// on-disk segment. Every row accessor that can fault returns it, and the
+// statement that met it fails with it. A write that faults while staging
+// applied nothing; like DurabilityError, a commit that faults while applying
+// may have applied some of its effects in memory, and their redo is logged.
 type PageFaultError struct {
 	Table string
 	Page  int
@@ -86,40 +88,32 @@ func (e *PageFaultError) Error() string {
 // Unwrap exposes the underlying I/O error.
 func (e *PageFaultError) Unwrap() error { return e.Err }
 
-// catchPageFault converts a PageFaultError panic raised by a row accessor
-// into the deferred caller's error return. Any other panic propagates.
-func catchPageFault(err *error) {
-	if r := recover(); r != nil {
-		pf, ok := r.(*PageFaultError)
-		if !ok {
-			panic(r)
-		}
-		*err = pf
-	}
-}
-
-// slotCount is the table's slot-space size: every live row has slot <
-// slotCount. (The last page may extend past it; those cells are unused.)
-func (t *Table) slotCount() int { return t.nslots }
-
 // page returns the materialized page id, faulting it in from disk when
 // evicted. Callers hold db.mu (either side).
-func (t *Table) page(id int) *rowPage {
+func (t *Table) page(id int) (*rowPage, error) {
 	p := t.pages[id].Load()
 	if p != nil {
 		t.pager.hits.Add(1)
 		if p.ref.Add(1) == hotPromoteHits {
 			t.pager.promote(p)
 		}
-		return p
+		return p, nil
 	}
 	return t.faultPage(id)
 }
 
-// rowAt returns the row in slot (nil for an empty slot), faulting its page
-// in if needed. Callers hold db.mu (either side).
-func (t *Table) rowAt(slot int) []Value {
-	return t.page(slot >> pageShift).rows[slot&pageMask]
+// rowAt returns the row in slot (nil for an empty slot or one past the
+// slot space), faulting its page in if needed. Callers hold db.mu (either
+// side).
+func (t *Table) rowAt(slot int) ([]Value, error) {
+	if slot >= t.nslots {
+		return nil, nil
+	}
+	p, err := t.page(slot >> pageShift)
+	if err != nil {
+		return nil, err
+	}
+	return p.rows[slot&pageMask], nil
 }
 
 // growTo extends the slot space to at least n slots, materializing fresh
@@ -150,11 +144,14 @@ func (t *Table) markDirty(p *rowPage) {
 }
 
 // putRow stores a row into slot (which must be empty), growing the slot
-// space as needed and maintaining size accounting and the dirty flag.
-// Index maintenance is the caller's job. Callers hold db.mu's write side.
-func (t *Table) putRow(slot int, row []Value) {
+// space as needed and maintaining size accounting, the dirty flag, the
+// indexes and the live count. Callers hold db.mu's write side.
+func (t *Table) putRow(slot int, row []Value) error {
 	t.growTo(slot + 1)
-	p := t.page(slot >> pageShift)
+	p, err := t.page(slot >> pageShift)
+	if err != nil {
+		return err
+	}
 	p.rows[slot&pageMask] = row
 	p.live++
 	sz := rowBytes(row)
@@ -162,6 +159,14 @@ func (t *Table) putRow(slot int, row []Value) {
 	t.dataBytes += sz
 	t.markDirty(p)
 	t.pager.resident.Add(int64(sz))
+	for _, idx := range t.indexes {
+		idx.addSlot(row[idx.pos].Key(), slot)
+	}
+	for _, ix := range t.ordIndexes {
+		ix.insert(row[ix.pos], slot)
+	}
+	t.live++
+	return nil
 }
 
 // clearRow removes the row in slot from its page (which must be resident),

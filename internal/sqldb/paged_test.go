@@ -676,14 +676,19 @@ func TestPagedFaultInstallRace(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 60000; i++ {
 				paged.mu.RLock()
-				p := pt.faultPage(0)
+				p, err := pt.faultPage(0)
 				paged.mu.RUnlock()
-				if p == nil {
-					t.Errorf("fault %d: faultPage returned a nil page", i)
+				if err != nil || p == nil {
+					t.Errorf("fault %d: faultPage returned page %p, err %v", i, p, err)
 					return
 				}
 				slot := i % rows
-				got, want := p.rows[slot], rt.rowAt(slot)
+				want, err := rt.rowAt(slot)
+				if err != nil {
+					t.Errorf("fault %d: %v", i, err)
+					return
+				}
+				got := p.rows[slot]
 				if len(got) != 2 || got[0].I != want[0].I || got[1].I != want[1].I {
 					t.Errorf("fault %d: slot %d = %v, want %v", i, slot, got, want)
 					return

@@ -274,82 +274,90 @@ type access struct {
 // at all, and afterwards come the rows the index path could have missed —
 // replacements whose value in the path's column moved, and pending inserts
 // at slots nslots+i (i indexing ws.ins). That is a superset of the matches,
-// which is all the planner promises: the full WHERE is re-applied.
-func (a access) iterate(t *Table, fn func(slot int, row []Value) bool) {
+// which is all the planner promises: the full WHERE is re-applied. The walk
+// stops at the first error fn or a page fault returns.
+func (a access) iterate(t *Table, fn func(slot int, row []Value) error) error {
 	switch a.kind {
 	case accessEmpty:
-		return
+		return nil
 	case accessFeed:
 		for i, row := range a.rows {
-			if !fn(i, row) {
-				return
+			if err := fn(i, row); err != nil {
+				return err
 			}
 		}
-		return
+		return nil
 	}
 	ws := a.ws
 	if ws == nil {
-		a.committed(t, fn)
-		return
+		return a.committed(t, fn)
 	}
 	indexed := a.kind != accessScan
-	more := a.committed(t, func(slot int, row []Value) bool {
+	err := a.committed(t, func(slot int, row []Value) error {
 		if m := ws.mods[slot]; m != nil {
 			if m.deleted || (indexed && ws.movedAt(a.pos, slot)) {
-				return true
+				return nil
 			}
 			row = m.row
 		}
 		return fn(slot, row)
 	})
-	if !more {
-		return
+	if err != nil {
+		return err
 	}
 	if indexed {
 		for _, slot := range ws.movedSlots(a.pos) {
-			if !fn(slot, ws.mods[slot].row) {
-				return
+			if err := fn(slot, ws.mods[slot].row); err != nil {
+				return err
 			}
 		}
 	}
-	n := t.slotCount()
+	n := t.nslots
 	for i, tr := range ws.ins {
-		if !tr.deleted && !fn(n+i, tr.row) {
-			return
+		if tr.deleted {
+			continue
+		}
+		if err := fn(n+i, tr.row); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// committed visits the committed rows of t that the path selects, and
-// reports false if fn stopped the walk.
-func (a access) committed(t *Table, fn func(slot int, row []Value) bool) bool {
-	more := true
+// committed visits the committed rows of t that the path selects.
+func (a access) committed(t *Table, fn func(slot int, row []Value) error) error {
 	switch a.kind {
 	case accessEq:
 		for _, slot := range a.slots {
-			if row := t.rowAt(slot); row != nil && !fn(slot, row) {
-				return false
+			if err := visitSlot(t, slot, fn); err != nil {
+				return err
 			}
 		}
+		return nil
 	case accessRange, accessOrdered:
-		visit := func(n *ordNode) bool {
+		visit := func(n *ordNode) error {
 			for _, slot := range n.slots {
-				if row := t.rowAt(slot); row != nil && !fn(slot, row) {
-					more = false
-					return false
+				if err := visitSlot(t, slot, fn); err != nil {
+					return err
 				}
 			}
-			return true
+			return nil
 		}
 		if a.desc {
-			a.idx.descendRange(a.rng, visit)
-		} else {
-			a.idx.ascendRange(a.rng, visit)
+			return a.idx.descendRange(a.rng, visit)
 		}
-	default:
-		return t.scan(fn)
+		return a.idx.ascendRange(a.rng, visit)
 	}
-	return more
+	return t.scan(fn)
+}
+
+// visitSlot passes the row in slot to fn unless the slot is empty.
+func visitSlot(t *Table, slot int, fn func(slot int, row []Value) error) error {
+	row, err := t.rowAt(slot)
+	if err != nil || row == nil {
+		return err
+	}
+	return fn(slot, row)
 }
 
 // count tallies the access in the DB's planner counters.

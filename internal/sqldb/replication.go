@@ -213,11 +213,12 @@ func (db *DB) TapWAL(fromSeq uint64) (*LogTap, error) {
 func (db *DB) TapWithSnapshot() (ops []byte, seq uint64, tap *LogTap, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	defer catchPageFault(&err)
 	if db.wal == nil {
 		return nil, 0, nil, fmt.Errorf("sqldb: cannot tap an in-memory database")
 	}
-	ops = db.snapshotOps()
+	if ops, err = db.snapshotOps(); err != nil {
+		return nil, 0, nil, err
+	}
 	seq = db.walSeq
 	w := db.wal
 	w.mu.Lock()
@@ -329,22 +330,14 @@ func (db *DB) ApplyReplicatedFrame(frame []byte) error {
 		db.mu.Unlock()
 		return nil // already applied (redelivery after a reconnect)
 	}
-	applyErr := func() (err error) {
-		// Applying to a paged follower can fault pages in; the panic must
-		// not escape with db.mu held.
-		defer catchPageFault(&err)
-		for i, op := range ops {
-			if err := db.applyOp(op); err != nil {
-				// A mid-batch apply failure means the follower's state has
-				// diverged from the primary's; the caller must full-resync.
-				return fmt.Errorf("sqldb: replicated frame %d apply (op %d): %w", seq, i, err)
-			}
+	for i, op := range ops {
+		if err := db.applyOp(op); err != nil {
+			// A mid-batch apply failure (a page fault on a paged follower
+			// among them) means the follower's state has diverged from the
+			// primary's; the caller must full-resync.
+			db.mu.Unlock()
+			return fmt.Errorf("sqldb: replicated frame %d apply (op %d): %w", seq, i, err)
 		}
-		return nil
-	}()
-	if applyErr != nil {
-		db.mu.Unlock()
-		return applyErr
 	}
 	db.walSeq = seq
 	var cohort *walCohort
@@ -423,13 +416,17 @@ func (db *DB) ResetFromSnapshot(ops []byte, seq uint64) error {
 // StateDigest returns a deterministic digest of the full logical state —
 // schema, indexes, rows (by slot), and the committed metadata blob. Two
 // databases with equal digests hold byte-identical state; replication
-// tests use it as their equivalence oracle.
+// tests use it as their equivalence oracle. Digesting scans every row,
+// faulting evicted pages through the cache, and it panics with the
+// *PageFaultError of a page it cannot read: digests back oracles and
+// tests, which want loud failure.
 func (db *DB) StateDigest() string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	// Digesting scans every row, faulting evicted pages through the cache;
-	// an I/O failure surfaces as a panic from the accessors and is allowed
-	// to propagate (digests back oracles and tests, which want loud failure).
-	sum := sha256.Sum256(db.snapshotOps())
+	ops, err := db.snapshotOps()
+	if err != nil {
+		panic(err)
+	}
+	sum := sha256.Sum256(ops)
 	return hex.EncodeToString(sum[:])
 }

@@ -285,8 +285,11 @@ func TestResetFromSnapshotAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.mu.RLock()
-	ops := src.snapshotOps()
+	ops, err := src.snapshotOps()
 	src.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := db.ResetFromSnapshot(ops, 100); err == nil {
 		t.Fatal("reset succeeded with an open transaction")
 	}

@@ -29,7 +29,7 @@ type Table struct {
 	Cols       []Column
 	colIdx     map[string]int
 	pages      []atomic.Pointer[rowPage] // slot s lives in pages[s>>pageShift]
-	nslots     int                       // slot-space size (live rows have slot < nslots)
+	nslots     int                       // slot-space size: live rows have slot < nslots (the last page may extend past it)
 	free       []int
 	indexes    map[string]*hashIndex // column name -> equality index
 	ordIndexes map[string]*ordIndex  // column name -> ordered index
@@ -196,18 +196,16 @@ func (t *Table) addIndex(column string, unique bool) error {
 		return fmt.Errorf("sqldb: no column %s.%s to index", t.Name, column)
 	}
 	idx := &hashIndex{column: column, pos: pos, unique: unique, m: make(map[string][]int)}
-	var dup error
-	t.scan(func(slot int, row []Value) bool {
+	err := t.scan(func(slot int, row []Value) error {
 		key := row[pos].Key()
 		if unique && len(idx.m[key]) > 0 {
-			dup = fmt.Errorf("sqldb: duplicate value for unique index on %s.%s", t.Name, column)
-			return false
+			return fmt.Errorf("sqldb: duplicate value for unique index on %s.%s", t.Name, column)
 		}
 		idx.addSlot(key, slot)
-		return true
+		return nil
 	})
-	if dup != nil {
-		return dup
+	if err != nil {
+		return err
 	}
 	t.indexes[column] = idx
 	return nil
@@ -223,10 +221,13 @@ func (t *Table) addOrdIndex(column string) error {
 		return fmt.Errorf("sqldb: no column %s.%s to index", t.Name, column)
 	}
 	ix := newOrdIndex(column, pos)
-	t.scan(func(slot int, row []Value) bool {
+	err := t.scan(func(slot int, row []Value) error {
 		ix.insert(row[pos], slot)
-		return true
+		return nil
 	})
+	if err != nil {
+		return err
+	}
 	t.ordIndexes[column] = ix
 	return nil
 }
@@ -234,29 +235,30 @@ func (t *Table) addOrdIndex(column string) error {
 // ordIndex returns the ordered index on column, or nil.
 func (t *Table) ordIndex(column string) *ordIndex { return t.ordIndexes[column] }
 
-// insertRow places a row into a slot and maintains indexes, returning the
-// slot number.
-func (t *Table) insertRow(row []Value) (int, error) {
+// checkInsertUnique reports whether inserting row would violate a UNIQUE
+// index.
+func (t *Table) checkInsertUnique(row []Value) error {
 	for _, idx := range t.indexes {
 		if idx.unique && len(idx.m[row[idx.pos].Key()]) > 0 {
-			return 0, fmt.Errorf("sqldb: unique index violation on %s.%s", t.Name, idx.column)
+			return fmt.Errorf("sqldb: unique index violation on %s.%s", t.Name, idx.column)
 		}
 	}
-	var slot int
-	if n := len(t.free); n > 0 {
+	return nil
+}
+
+// insertRow places a row into a free slot, returning the slot number.
+// Uniqueness is the caller's check (checkInsertUnique).
+func (t *Table) insertRow(row []Value) (int, error) {
+	slot, n := t.nslots, len(t.free)
+	if n > 0 {
 		slot = t.free[n-1]
+	}
+	if err := t.putRow(slot, row); err != nil {
+		return 0, err
+	}
+	if n > 0 {
 		t.free = t.free[:n-1]
-	} else {
-		slot = t.nslots
 	}
-	t.putRow(slot, row)
-	for _, idx := range t.indexes {
-		idx.addSlot(row[idx.pos].Key(), slot)
-	}
-	for _, ix := range t.ordIndexes {
-		ix.insert(row[ix.pos], slot)
-	}
-	t.live++
 	return slot, nil
 }
 
@@ -268,7 +270,11 @@ func (t *Table) placeRow(slot int, row []Value) error {
 	for s := t.nslots; s < slot; s++ {
 		t.free = append(t.free, s) // interior gap: reusable
 	}
-	if slot < t.nslots && t.rowAt(slot) != nil {
+	old, err := t.rowAt(slot)
+	if err != nil {
+		return err
+	}
+	if old != nil {
 		return fmt.Errorf("sqldb: replay places row into occupied slot %d of %s", slot, t.Name)
 	}
 	for i, s := range t.free {
@@ -278,26 +284,22 @@ func (t *Table) placeRow(slot int, row []Value) error {
 			break
 		}
 	}
-	t.putRow(slot, row)
-	for _, idx := range t.indexes {
-		idx.addSlot(row[idx.pos].Key(), slot)
-	}
-	for _, ix := range t.ordIndexes {
-		ix.insert(row[ix.pos], slot)
-	}
-	t.live++
-	return nil
+	return t.putRow(slot, row)
 }
 
-// deleteRow removes the row in slot, maintaining indexes.
-func (t *Table) deleteRow(slot int) []Value {
+// deleteRow removes the row in slot, maintaining indexes, and returns it
+// (nil for an empty slot).
+func (t *Table) deleteRow(slot int) ([]Value, error) {
 	if slot >= t.nslots {
-		return nil
+		return nil, nil
 	}
-	p := t.page(slot >> pageShift)
+	p, err := t.page(slot >> pageShift)
+	if err != nil {
+		return nil, err
+	}
 	row := p.rows[slot&pageMask]
 	if row == nil {
-		return nil
+		return nil, nil
 	}
 	for _, idx := range t.indexes {
 		idx.removeSlot(row[idx.pos].Key(), slot)
@@ -308,18 +310,7 @@ func (t *Table) deleteRow(slot int) []Value {
 	t.clearRow(p, slot)
 	t.free = append(t.free, slot)
 	t.live--
-	return row
-}
-
-// updateCell replaces one cell, maintaining indexes on that column. It
-// rejects values that would duplicate another row's under a UNIQUE index,
-// mirroring insertRow (an UPDATE must not silently break uniqueness).
-func (t *Table) updateCell(slot, pos int, v Value) error {
-	if err := t.checkUpdateUnique(slot, pos, v); err != nil {
-		return err
-	}
-	t.updateCellUnchecked(slot, pos, v)
-	return nil
+	return row, nil
 }
 
 // checkUpdateUnique reports whether writing v into (slot, pos) would
@@ -338,11 +329,15 @@ func (t *Table) checkUpdateUnique(slot, pos int, v Value) error {
 	return nil
 }
 
-// updateCellUnchecked replaces one cell without uniqueness checks; the
-// rollback path uses it directly because undo records restore values that
-// were valid when logged.
-func (t *Table) updateCellUnchecked(slot, pos int, v Value) {
-	p := t.page(slot >> pageShift)
+// updateCellUnchecked replaces one cell, maintaining indexes on that
+// column, without uniqueness checks: applyLocked checks first
+// (checkUpdateUnique), and undo records and replay restore values that were
+// valid when logged.
+func (t *Table) updateCellUnchecked(slot, pos int, v Value) error {
+	p, err := t.page(slot >> pageShift)
+	if err != nil {
+		return err
+	}
 	row := p.rows[slot&pageMask]
 	old := row[pos]
 	for _, idx := range t.indexes {
@@ -365,6 +360,7 @@ func (t *Table) updateCellUnchecked(slot, pos int, v Value) {
 	p.bytes += delta
 	t.markDirty(p)
 	t.pager.resident.Add(int64(delta))
+	return nil
 }
 
 // indexByPos returns the hash index over the column at pos, if any. The
@@ -393,11 +389,14 @@ func (t *Table) lookup(column string, v Value) ([]int, bool) {
 	return idx.eqSlots(v)
 }
 
-// scan invokes fn for every live row until fn returns false, faulting
-// evicted pages in as it goes, and reports whether it reached the end.
-func (t *Table) scan(fn func(slot int, row []Value) bool) bool {
+// scan invokes fn for every live row, faulting evicted pages in as it goes,
+// and stops at the first error fn or a fault returns.
+func (t *Table) scan(fn func(slot int, row []Value) error) error {
 	for id := 0; id<<pageShift < t.nslots; id++ {
-		p := t.page(id)
+		p, err := t.page(id)
+		if err != nil {
+			return err
+		}
 		base := id << pageShift
 		n := t.nslots - base
 		if n > pageSlots {
@@ -405,13 +404,13 @@ func (t *Table) scan(fn func(slot int, row []Value) bool) bool {
 		}
 		for i := 0; i < n; i++ {
 			if row := p.rows[i]; row != nil {
-				if !fn(base+i, row) {
-					return false
+				if err := fn(base+i, row); err != nil {
+					return err
 				}
 			}
 		}
 	}
-	return true
+	return nil
 }
 
 // SizeBytes reports the table's live data size (payload bytes of live

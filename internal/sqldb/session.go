@@ -230,12 +230,10 @@ func (txn *Txn) exec(st sqlparser.Statement, params []Value) (*Result, error) {
 	defer db.trackBusy(time.Now())
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.readStatement(func() (*Result, error) {
-		if s, ok := st.(*sqlparser.SelectStmt); ok {
-			return db.execSelect(txn, s, params)
-		}
-		return txn.stageWrite(st, params)
-	})
+	if s, ok := st.(*sqlparser.SelectStmt); ok {
+		return db.execSelect(txn, s, params)
+	}
+	return txn.stageWrite(st, params)
 }
 
 //

@@ -284,7 +284,7 @@ func (db *DB) maybeAutoCheckpoint() {
 // stream, in a deterministic order: the stream shipped to a catching-up
 // follower (TapWithSnapshot), and the input of StateDigest. Callers hold
 // db.mu (either side).
-func (db *DB) snapshotOps() []byte {
+func (db *DB) snapshotOps() ([]byte, error) {
 	names := make([]string, 0, len(db.tables))
 	for n := range db.tables {
 		names = append(names, n)
@@ -297,15 +297,18 @@ func (db *DB) snapshotOps() []byte {
 		ops = appendTableSchemaOps(ops, name, t)
 		// Rows keep their slots: WAL records appended after this snapshot
 		// address rows by slot, so the snapshot must preserve them.
-		t.scan(func(slot int, row []Value) bool {
+		err := t.scan(func(slot int, row []Value) error {
 			ops = appendInsertOp(ops, name, slot, row)
-			return true
+			return nil
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	if db.meta != nil {
 		ops = appendMetaOp(ops, db.meta)
 	}
-	return ops
+	return ops, nil
 }
 
 // appendTableSchemaOps emits the ops that recreate one table's schema and

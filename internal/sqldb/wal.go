@@ -419,56 +419,45 @@ func (db *DB) applyOp(op walOp) error {
 		}
 		db.tables[op.table] = t
 		return nil
+	case walOpMeta:
+		db.meta = op.meta
+		db.metaVer.Add(1)
+		return nil
+	}
+	t, ok := db.tables[op.table]
+	if !ok {
+		return fmt.Errorf("sqldb: wal replay: no table %s", op.table)
+	}
+	switch op.kind {
 	case walOpCreateIndex:
-		t, ok := db.tables[op.table]
-		if !ok {
-			return fmt.Errorf("sqldb: wal replay: no table %s", op.table)
-		}
 		if op.ordered {
 			return t.addOrdIndex(op.column)
 		}
 		return t.addIndex(op.column, op.unique)
 	case walOpDropTable:
-		t, ok := db.tables[op.table]
-		if !ok {
-			return fmt.Errorf("sqldb: wal replay: no table %s", op.table)
-		}
 		db.pager.forgetTable(t)
 		delete(db.tables, op.table)
 		return nil
 	case walOpInsert:
-		t, ok := db.tables[op.table]
-		if !ok {
-			return fmt.Errorf("sqldb: wal replay: no table %s", op.table)
-		}
 		if len(op.row) != len(t.Cols) {
 			return fmt.Errorf("sqldb: wal replay: %d values for the %d columns of %s", len(op.row), len(t.Cols), op.table)
 		}
 		return t.placeRow(op.slot, op.row)
 	case walOpDelete:
-		t, ok := db.tables[op.table]
-		if !ok {
-			return fmt.Errorf("sqldb: wal replay: no table %s", op.table)
-		}
-		t.deleteRow(op.slot)
-		return nil
+		_, err := t.deleteRow(op.slot)
+		return err
 	case walOpUpdate:
-		t, ok := db.tables[op.table]
-		if !ok {
-			return fmt.Errorf("sqldb: wal replay: no table %s", op.table)
+		row, err := t.rowAt(op.slot)
+		if err != nil {
+			return err
 		}
-		if op.slot >= t.slotCount() || t.rowAt(op.slot) == nil {
+		if row == nil {
 			return fmt.Errorf("sqldb: wal replay: update of empty slot %d in %s", op.slot, op.table)
 		}
 		if op.pos >= len(t.Cols) {
 			return fmt.Errorf("sqldb: wal replay: update of column %d in %d-column %s", op.pos, len(t.Cols), op.table)
 		}
-		t.updateCellUnchecked(op.slot, op.pos, op.val)
-		return nil
-	case walOpMeta:
-		db.meta = op.meta
-		db.metaVer.Add(1)
-		return nil
+		return t.updateCellUnchecked(op.slot, op.pos, op.val)
 	}
 	return fmt.Errorf("sqldb: wal replay: unknown op kind %d", op.kind)
 }
@@ -767,7 +756,6 @@ func (w *walWriter) awaitStragglers() {
 	}
 	w.mu.Lock()
 }
-
 
 // flushCohort writes one cohort to the file and syncs it. Runs outside
 // w.mu; the flushing flag guarantees a single writer.

@@ -287,7 +287,7 @@ func (txn *Txn) stageUpdate(s *sqlparser.UpdateStmt, params []Value) (*Result, e
 	}
 	// Evaluate every new row, and read every committed one, before changing
 	// anything. Assignments read the pre-update row, so `a = b, b = a` swaps.
-	nslots := t.slotCount()
+	nslots := t.nslots
 	type staged struct{ base, row []Value }
 	rows := make([]staged, len(matched))
 	for i, m := range matched {
@@ -301,8 +301,8 @@ func (txn *Txn) stageUpdate(s *sqlparser.UpdateStmt, params []Value) (*Result, e
 			newRow[set.pos] = v
 		}
 		rows[i].row = newRow
-		if m.slot < nslots {
-			rows[i].base = t.rowAt(m.slot)
+		if rows[i].base, err = t.rowAt(m.slot); err != nil {
+			return nil, err
 		}
 	}
 	if err := txn.lockSlots(t, matched); err != nil {
@@ -335,7 +335,7 @@ func (txn *Txn) stageDelete(s *sqlparser.DeleteStmt, params []Value) (*Result, e
 		return nil, err
 	}
 	tt := txn.table(t)
-	nslots := t.slotCount()
+	nslots := t.nslots
 	for _, m := range matched {
 		if m.slot >= nslots {
 			tt.ins[m.slot-nslots].deleted = true
@@ -382,21 +382,16 @@ func (db *DB) matchRows(c *exprCompiler, ev *execEnv, where sqlparser.Expr) ([]m
 	acc := db.bestAccess(t, c.sc, 0, conjuncts(where), ev.params)
 	db.countAccess(acc)
 	var out []matchedRow
-	var err error
-	acc.iterate(t, func(slot int, row []Value) bool {
+	err := acc.iterate(t, func(slot int, row []Value) error {
 		if pred != nil {
 			ev.tup[0] = row
-			v, e := pred(ev)
-			if e != nil {
-				err = e
-				return false
-			}
-			if !v.Truthy() {
-				return true
+			v, err := pred(ev)
+			if err != nil || !v.Truthy() {
+				return err
 			}
 		}
 		out = append(out, matchedRow{slot: slot, row: row})
-		return true
+		return nil
 	})
 	return out, err
 }
@@ -412,7 +407,7 @@ func (txn *Txn) lockSlots(t *Table, rows []matchedRow) error {
 	if txn.oneShot && len(db.openTxns) == 0 {
 		return nil
 	}
-	nslots := t.slotCount()
+	nslots := t.nslots
 	var acquired []int
 	for _, r := range rows {
 		if r.slot >= nslots {
@@ -447,12 +442,11 @@ func (txn *Txn) lockSlots(t *Table, rows []matchedRow) error {
 // then modifications, then inserts, each in slot order — so a transaction
 // that deletes a unique key and re-inserts it commits cleanly). On a
 // constraint violation everything already applied is undone and an error
-// returned; the shared state is then exactly as before. Callers hold db.mu's
-// write side.
-func (txn *Txn) applyLocked() (ops []byte, err error) {
-	// A page fault mid-apply is not reverted (reverting may fault again):
-	// ops holds the redo of what was applied, for DB.commit to log.
-	defer catchPageFault(&err)
+// returned; the shared state is then exactly as before. A page fault
+// midway is not reverted (reverting may fault again): the ops returned
+// with it hold the redo of what was applied, for DB.commit to log. Callers
+// hold db.mu's write side.
+func (txn *Txn) applyLocked() ([]byte, error) {
 	type undoRec struct {
 		kind int // 0 = re-place deleted row, 1 = revert cell, 2 = remove inserted row
 		t    *Table
@@ -462,20 +456,23 @@ func (txn *Txn) applyLocked() (ops []byte, err error) {
 		old  Value
 	}
 	var undo []undoRec
+	// revert undoes what was applied. Every page it touches was written
+	// by this apply and is dirty, so resident: it cannot fault.
 	revert := func() {
 		for i := len(undo) - 1; i >= 0; i-- {
 			u := undo[i]
 			switch u.kind {
 			case 0:
-				u.t.placeRow(u.slot, u.row) //nolint:errcheck // slot was just freed
+				_ = u.t.placeRow(u.slot, u.row) // the slot was just freed
 			case 1:
-				u.t.updateCellUnchecked(u.slot, u.pos, u.old)
+				_ = u.t.updateCellUnchecked(u.slot, u.pos, u.old)
 			case 2:
-				u.t.deleteRow(u.slot)
+				_, _ = u.t.deleteRow(u.slot)
 			}
 		}
 	}
 	logged := txn.db.wal != nil
+	var ops []byte
 
 	slices.SortFunc(txn.tables, func(a, b *txnTable) int { return cmp.Compare(a.t.Name, b.t.Name) })
 	for _, tt := range txn.tables {
@@ -496,7 +493,11 @@ func (txn *Txn) applyLocked() (ops []byte, err error) {
 			if !tt.mods[slot].deleted {
 				continue
 			}
-			if row := t.deleteRow(slot); row != nil {
+			row, err := t.deleteRow(slot)
+			if err != nil {
+				return ops, err
+			}
+			if row != nil {
 				undo = append(undo, undoRec{kind: 0, t: t, slot: slot, row: row})
 				if logged {
 					ops = appendDeleteOp(ops, t.Name, slot)
@@ -508,17 +509,22 @@ func (txn *Txn) applyLocked() (ops []byte, err error) {
 			if m.deleted {
 				continue
 			}
-			row := t.rowAt(slot)
+			row, err := t.rowAt(slot)
+			if err != nil {
+				return ops, err
+			}
 			for pos := range m.row {
 				old := row[pos]
 				if equalValue(old, m.row[pos]) {
 					continue
 				}
-				if cerr := t.checkUpdateUnique(slot, pos, m.row[pos]); cerr != nil {
+				if err := t.checkUpdateUnique(slot, pos, m.row[pos]); err != nil {
 					revert()
-					return nil, cerr
+					return nil, err
 				}
-				t.updateCellUnchecked(slot, pos, m.row[pos])
+				if err := t.updateCellUnchecked(slot, pos, m.row[pos]); err != nil {
+					return ops, err
+				}
 				undo = append(undo, undoRec{kind: 1, t: t, slot: slot, pos: pos, old: old})
 				if logged {
 					ops = appendUpdateOp(ops, t.Name, slot, pos, m.row[pos])
@@ -529,10 +535,13 @@ func (txn *Txn) applyLocked() (ops []byte, err error) {
 			if tr.deleted {
 				continue
 			}
-			slot, ierr := t.insertRow(tr.row)
-			if ierr != nil {
+			if err := t.checkInsertUnique(tr.row); err != nil {
 				revert()
-				return nil, ierr
+				return nil, err
+			}
+			slot, err := t.insertRow(tr.row)
+			if err != nil {
+				return ops, err
 			}
 			undo = append(undo, undoRec{kind: 2, t: t, slot: slot})
 			if logged {
@@ -604,7 +613,7 @@ func (db *DB) autocommitWrite(st sqlparser.Statement, meta []byte, params []Valu
 	txn := &Txn{db: db, oneShot: true}
 	var res *Result
 	err := db.commit(meta, func() ([]byte, error) {
-		r, err := db.readStatement(func() (*Result, error) { return txn.stageWrite(st, params) })
+		r, err := txn.stageWrite(st, params)
 		if err != nil {
 			return nil, err
 		}
@@ -623,10 +632,8 @@ func (db *DB) autocommitDDL(meta []byte, fn func() (*Result, error)) (*Result, e
 	var res *Result
 	err := db.commit(meta, func() (ops []byte, err error) {
 		db.stmtBuf = db.stmtBuf[:0]
-		defer func() { ops = db.stmtBuf }()
-		defer catchPageFault(&err)
 		res, err = fn()
-		return nil, err
+		return db.stmtBuf, err
 	}, nil)
 	return res, err
 }

@@ -176,7 +176,9 @@ func TestTxnReadsSeeOtherCommits(t *testing.T) {
 // cannot read back: an autocommit UPDATE whose staging faults must apply
 // nothing, and a COMMIT that faults midway through applying must commit the
 // redo of what it applied. Both return *PageFaultError, and a reopen must
-// reproduce the in-memory state, which shows the WAL tracked memory.
+// reproduce the in-memory state, which shows the WAL tracked memory. The
+// reads, the DDL and the replication paths that meet the same pages must
+// return *PageFaultError too and apply nothing.
 func TestWriteSetPageFault(t *testing.T) {
 	dir := t.TempDir()
 	opts := DurabilityOptions{NoFsync: true, Paged: true, CacheBytes: 1 << 20, CheckpointBytes: -1}
@@ -241,6 +243,48 @@ func TestWriteSetPageFault(t *testing.T) {
 	if sess.InTxn() {
 		t.Fatal("the faulted COMMIT left its transaction open")
 	}
+	farID := 2*pageSlots + 20
+	seq := db.Seq()
+	reader := db.NewSession()
+	defer reader.Close()
+	for _, in := range []struct {
+		name string
+		run  func() error
+	}{
+		{"autocommit scan", func() error { _, err := db.ExecSQL("SELECT * FROM b"); return err }},
+		{"autocommit point read", func() error {
+			_, err := db.ExecSQL(fmt.Sprintf("SELECT v FROM b WHERE id = %d", farID))
+			return err
+		}},
+		{"SELECT inside BEGIN", func() error {
+			if _, err := reader.ExecSQL("BEGIN"); err != nil {
+				t.Fatal(err)
+			}
+			defer reader.ExecSQL("ROLLBACK") //nolint:errcheck // the transaction wrote nothing
+			_, err := reader.ExecSQL("SELECT * FROM b WHERE v >= 0")
+			return err
+		}},
+		{"CREATE INDEX", func() error { _, err := db.ExecSQL("CREATE INDEX bv ON b (v)"); return err }},
+		{"TapWithSnapshot", func() error { _, _, _, err := db.TapWithSnapshot(); return err }},
+		{"replicated UPDATE frame", func() error {
+			return db.ApplyReplicatedFrame(buildFrame(seq+1, appendUpdateOp(nil, "b", farID, 1, Int(-9))))
+		}},
+	} {
+		if err := in.run(); !errors.As(err, &pf) {
+			t.Fatalf("%s over an unreadable page: err = %v, want a *PageFaultError", in.name, err)
+		}
+	}
+	if db.Seq() != seq {
+		t.Fatalf("faulted frame moved the sequence from %d to %d", seq, db.Seq())
+	}
+	db.mu.RLock()
+	bt := db.tables["b"]
+	indexed := bt.indexes["v"] != nil || bt.ordIndexes["v"] != nil
+	taps := len(db.wal.taps)
+	db.mu.RUnlock()
+	if indexed || taps != 0 {
+		t.Fatalf("faulted CREATE INDEX or TapWithSnapshot applied: index on v %v, %d taps", indexed, taps)
+	}
 
 	if err := os.Rename(aside, pages); err != nil {
 		t.Fatal(err)
@@ -250,6 +294,9 @@ func TestWriteSetPageFault(t *testing.T) {
 	sameRows(t, "after the faults", readB, mustExec(t, db, readB), wantB, true)
 	if res := mustExec(t, db, "SELECT v FROM a WHERE id = 1"); res.Rows[0][0].I != 11 {
 		t.Fatalf("a's write before the fault was not applied: %v", res.Rows)
+	}
+	if res := mustExec(t, db, fmt.Sprintf("SELECT v FROM b WHERE id = %d", farID)); res.Rows[0][0].I != int64(farID) {
+		t.Fatalf("point read after the faults: %v, want %d", res.Rows, farID)
 	}
 	want := db.StateDigest()
 	if err := db.Close(); err != nil {
