@@ -216,16 +216,16 @@ func printFig9Row(r analysis.Fig9Row, paper [8]int) {
 // Figure 14; fig15 the per-request latency of Figure 15. Both live in
 // forum.go.
 
-// mpForum builds an annotated-forum CryptDB stack with pre-generated
-// principal keypairs (the precompute philosophy of §3.5.2).
+// mpForum builds an annotated-forum CryptDB stack in multi-principal
+// mode; every principal it creates pays its X25519 key generation inline.
 func mpForum() (*mp.Manager, *sqldb.DB, error) {
 	db := sqldb.New()
 	p, err := proxy.New(db, proxy.Options{HOMBits: 512})
 	if err != nil {
 		return nil, nil, err
 	}
-	m := mp.New(p, mp.Options{RSABits: 1024})
-	if err := m.PrecomputeKeypairs(350); err != nil {
+	m, err := mp.New(p)
+	if err != nil {
 		return nil, nil, err
 	}
 	return m, db, nil

@@ -246,7 +246,10 @@ func newServer(cfg config) (*server, error) {
 	}
 	var mpm *mp.Manager
 	if cfg.multi {
-		mpm = mp.New(p, mp.Options{})
+		if mpm, err = mp.New(p); err != nil {
+			eng.Close()
+			return nil, err
+		}
 	}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mp"
 	"repro/internal/proxy"
 	"repro/internal/sqldb"
 	"repro/internal/sqlparser"
@@ -537,6 +539,57 @@ func TestMultiModeDisconnectMidTxn(t *testing.T) {
 	got := sendLine(t, c0, r0, "SELECT COUNT(*) FROM t")
 	if len(got) != 2 || got[0] != "ROW 1" {
 		t.Fatalf("ghost insert leaked or commit lost: %v", got)
+	}
+}
+
+// TestMultiRestartRefused: the PRINCTYPE and SPEAKS FOR annotations live
+// only in the multi-principal manager's memory, so a second -multi start on
+// the same data directory is refused with an error rather than serving
+// without its access rules. The refusal releases the directory: a
+// single-principal start on it still serves.
+func TestMultiRestartRefused(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := newServer(config{addr: "127.0.0.1:0", dataDir: dir, multi: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- srv.run() }()
+	conn, err := net.Dial("tcp", srv.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	for _, q := range []string{"PRINCTYPE physical_user EXTERNAL", "CREATE TABLE t (a INT)"} {
+		if got := sendLine(t, conn, r, q); got[0] != "OK 0" {
+			t.Fatalf("%s: %v", q, got)
+		}
+	}
+	conn.Close()
+	srv.shutdown()
+	if err := <-runErr; err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := newServer(config{addr: "127.0.0.1:0", dataDir: dir, multi: true}); !errors.Is(err, mp.ErrKeyTablesExist) {
+		t.Fatalf("second -multi start: err = %v, want %v", err, mp.ErrKeyTablesExist)
+	}
+	srv, err = newServer(config{addr: "127.0.0.1:0", dataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { runErr <- srv.run() }()
+	conn, err = net.Dial("tcp", srv.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if got := sendLine(t, conn, bufio.NewReader(conn), "SELECT COUNT(*) FROM t"); got[0] != "ROW 0" {
+		t.Fatalf("single-principal reopen: %v", got)
+	}
+	srv.shutdown()
+	if err := <-runErr; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -336,7 +336,10 @@ func TestThreatModel2EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mp.New(p, mp.Options{RSABits: 1024})
+	m, err := mp.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	script := []string{
 		"PRINCTYPE physical_user EXTERNAL",
 		"PRINCTYPE acct",

@@ -22,7 +22,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := mp.New(p, mp.Options{})
+	m, err := mp.New(p)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	run := func(sql string) *sqldb.Result {
 		res, err := m.Execute(sql)

@@ -21,7 +21,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := mp.New(p, mp.Options{})
+	m, err := mp.New(p)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// NoConflict is the SQL function of Figure 6, implemented as a
 	// proxy-side predicate over the PaperConflict table.

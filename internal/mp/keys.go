@@ -11,18 +11,20 @@ package mp
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/ecdh"
 	"crypto/rand"
-	"crypto/rsa"
-	"crypto/sha256"
-	"crypto/x509"
 	"errors"
 	"fmt"
 
 	"repro/internal/crypto/prf"
 )
 
-// symKeySize is the size of every principal's symmetric key.
-const symKeySize = 32
+const (
+	// symKeySize is the size of every principal's symmetric key.
+	symKeySize = 32
+	// x25519Size is the size of an X25519 public or private key.
+	x25519Size = 32
+)
 
 // kdf derives a key-wrapping key from an external user's password (§4.2:
 // external principals' keys are encrypted with the principal's password).
@@ -72,27 +74,50 @@ func unwrapSym(key, blob []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// wrapAsym encrypts a principal key under another principal's RSA public
-// key — used when the grantee is offline at grant time (§4.2: "CryptDB
-// looks up the public key of the principal ... and encrypts message 5's key
-// using user 1's public key").
-func wrapAsym(pub *rsa.PublicKey, payload []byte) ([]byte, error) {
-	return rsa.EncryptOAEP(sha256.New(), rand.Reader, pub, payload, []byte("cryptdb-asym"))
+// wrapAsym seals payload to a principal's X25519 public key — used when
+// the grantee is offline at grant time (§4.2: "CryptDB looks up the public
+// key of the principal ... and encrypts message 5's key using user 1's
+// public key"). The blob is ephPub ‖ wrapSym(sealKey(...), payload).
+func wrapAsym(pub *ecdh.PublicKey, payload []byte) ([]byte, error) {
+	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
+	if err != nil {
+		return nil, err
+	}
+	shared, err := eph.ECDH(pub)
+	if err != nil {
+		return nil, err
+	}
+	ephPub := eph.PublicKey().Bytes()
+	sealed, err := wrapSym(sealKey(shared, ephPub, pub.Bytes()), payload)
+	if err != nil {
+		return nil, err
+	}
+	return append(ephPub, sealed...), nil
 }
 
-func unwrapAsym(priv *rsa.PrivateKey, blob []byte) ([]byte, error) {
-	pt, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, priv, blob, []byte("cryptdb-asym"))
+// unwrapAsym inverts wrapAsym. ECDH fails on a low-order ephemeral key
+// (the shared secret would be all zeros), so such a blob is an error.
+func unwrapAsym(priv *ecdh.PrivateKey, blob []byte) ([]byte, error) {
+	if len(blob) < x25519Size {
+		return nil, errors.New("mp: sealed blob too short")
+	}
+	ephPub := blob[:x25519Size]
+	eph, err := ecdh.X25519().NewPublicKey(ephPub)
 	if err != nil {
 		return nil, fmt.Errorf("mp: asymmetric unwrap failed: %w", err)
 	}
-	return pt, nil
+	shared, err := priv.ECDH(eph)
+	if err != nil {
+		return nil, fmt.Errorf("mp: asymmetric unwrap failed: %w", err)
+	}
+	return unwrapSym(sealKey(shared, ephPub, priv.PublicKey().Bytes()), blob[x25519Size:])
 }
 
-func marshalPub(pub *rsa.PublicKey) []byte    { return x509.MarshalPKCS1PublicKey(pub) }
-func marshalPriv(priv *rsa.PrivateKey) []byte { return x509.MarshalPKCS1PrivateKey(priv) }
-
-func parsePub(b []byte) (*rsa.PublicKey, error)   { return x509.ParsePKCS1PublicKey(b) }
-func parsePriv(b []byte) (*rsa.PrivateKey, error) { return x509.ParsePKCS1PrivateKey(b) }
+// sealKey derives a sealed box's wrapping key from the ephemeral-static
+// ECDH secret, bound to both public keys.
+func sealKey(shared, ephPub, recipientPub []byte) []byte {
+	return prf.Sum(shared, ephPub, recipientPub, []byte("cryptdb-asym"))
+}
 
 func newSymKey() ([]byte, error) {
 	k := make([]byte, symKeySize)

@@ -1,9 +1,10 @@
 package mp
 
 import (
+	"crypto/ecdh"
 	cryptorand "crypto/rand"
-	"crypto/rsa"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -13,14 +14,6 @@ import (
 	"repro/internal/sqlparser"
 	"repro/internal/store"
 )
-
-// RSABits sizes principal RSA key pairs; tests may shrink it via Options.
-const RSABits = 2048
-
-// Options configures a Manager.
-type Options struct {
-	RSABits int
-}
 
 // Predicate is an application-registered SQL predicate usable in SPEAKS FOR
 // ... IF annotations (like HotCRP's NoConflict, Figure 6). It receives the
@@ -40,9 +33,8 @@ func (p pid) String() string { return p.ptype + ":" + p.name }
 type Manager struct {
 	mu sync.Mutex
 
-	p    *proxy.Proxy
-	db   store.Engine
-	opts Options
+	p  *proxy.Proxy
+	db store.Engine
 
 	princTypes map[string]bool // declared types
 	external   map[string]bool // types declared EXTERNAL
@@ -59,11 +51,6 @@ type Manager struct {
 	// key-erasure guarantee.
 	keyCache map[pid][]byte
 
-	// rsaPool holds pre-generated keypairs so creating a principal does
-	// not pay keygen on the critical path (the precompute philosophy of
-	// §3.5.2 applied to principal creation).
-	rsaPool []*rsa.PrivateKey
-
 	predicates map[string]Predicate
 
 	// annotations by table, plus reverse references for A = "T2.col"
@@ -77,16 +64,17 @@ type reverseRule struct {
 	annot sqlparser.SpeaksForAnnot
 }
 
-// New creates a Manager over a proxy and installs itself as the proxy's
-// PrincipalCrypto hook.
-func New(p *proxy.Proxy, opts Options) *Manager {
-	if opts.RSABits == 0 {
-		opts.RSABits = RSABits
-	}
+// ErrKeyTablesExist is returned by New when the engine already holds the
+// key tables: the PRINCTYPE and SPEAKS FOR annotations live only in a
+// Manager's memory, so reopening them would silently drop access rules.
+var ErrKeyTablesExist = errors.New("mp: key tables already exist; multi-principal state does not survive a restart")
+
+// New creates a Manager over a proxy, creates the key tables in its
+// engine, and installs itself as the proxy's PrincipalCrypto hook.
+func New(p *proxy.Proxy) (*Manager, error) {
 	m := &Manager{
 		p:          p,
 		db:         p.Engine(),
-		opts:       opts,
 		princTypes: make(map[string]bool),
 		external:   make(map[string]bool),
 		online:     make(map[pid][]byte),
@@ -95,27 +83,11 @@ func New(p *proxy.Proxy, opts Options) *Manager {
 		speaksFor:  make(map[string][]sqlparser.SpeaksForAnnot),
 		reverse:    make(map[string][]reverseRule),
 	}
-	p.SetPrincipalCrypto(m)
-	m.initTables()
-	return m
-}
-
-// PrecomputeKeypairs fills the RSA pool with n keypairs off the critical
-// path, so principal creation (every new message, forum, user) does not pay
-// key generation inline.
-func (m *Manager) PrecomputeKeypairs(n int) error {
-	pairs := make([]*rsa.PrivateKey, 0, n)
-	for i := 0; i < n; i++ {
-		priv, err := rsa.GenerateKey(cryptorand.Reader, m.opts.RSABits)
-		if err != nil {
-			return err
-		}
-		pairs = append(pairs, priv)
+	if err := m.initTables(); err != nil {
+		return nil, err
 	}
-	m.mu.Lock()
-	m.rsaPool = append(m.rsaPool, pairs...)
-	m.mu.Unlock()
-	return nil
+	p.SetPrincipalCrypto(m)
+	return m, nil
 }
 
 // RegisterPredicate installs a named predicate for SPEAKS FOR ... IF
@@ -128,7 +100,10 @@ func (m *Manager) RegisterPredicate(name string, fn Predicate) {
 
 // initTables creates the server-side key tables of §4.2. They live beside
 // the application's anonymized tables and contain only wrapped keys.
-func (m *Manager) initTables() {
+func (m *Manager) initTables() error {
+	if m.db.Table("cryptdb_access_keys") != nil {
+		return ErrKeyTablesExist
+	}
 	ddl := []string{
 		"CREATE TABLE cryptdb_access_keys (grantee_type TEXT, grantee TEXT, target_type TEXT, target TEXT, asym INT, wrapped BLOB)",
 		"CREATE TABLE cryptdb_public_keys (ptype TEXT, name TEXT, pub BLOB, wrapped_priv BLOB)",
@@ -136,7 +111,7 @@ func (m *Manager) initTables() {
 	}
 	for _, q := range ddl {
 		if _, err := m.db.ExecSQL(q); err != nil {
-			panic("mp: creating key tables: " + err.Error()) // fresh DB only
+			return fmt.Errorf("mp: creating key tables: %w", err)
 		}
 	}
 	for _, idx := range []string{
@@ -146,9 +121,10 @@ func (m *Manager) initTables() {
 		"CREATE INDEX cek_name ON cryptdb_external_keys (name)",
 	} {
 		if _, err := m.db.ExecSQL(idx); err != nil {
-			panic("mp: indexing key tables: " + err.Error())
+			return fmt.Errorf("mp: indexing key tables: %w", err)
 		}
 	}
+	return nil
 }
 
 //
@@ -156,17 +132,17 @@ func (m *Manager) initTables() {
 //
 
 // ensurePrincipal returns the principal's symmetric key if it already
-// exists and is resolvable, creating the principal (fresh random key + RSA
-// pair) if it does not exist. For existing-but-unreachable principals it
-// returns only the public key.
-func (m *Manager) ensurePrincipal(id pid) (sym []byte, pub *rsa.PublicKey, err error) {
+// exists and is resolvable, creating the principal (fresh random key +
+// X25519 pair) if it does not exist. For existing-but-unreachable principals
+// it returns only the public key.
+func (m *Manager) ensurePrincipal(id pid) (sym []byte, pub *ecdh.PublicKey, err error) {
 	res, err := m.db.ExecSQL("SELECT pub FROM cryptdb_public_keys WHERE ptype = ? AND name = ?",
 		sqldb.Text(id.ptype), sqldb.Text(id.name))
 	if err != nil {
 		return nil, nil, err
 	}
 	if len(res.Rows) > 0 {
-		pub, err := parsePub(res.Rows[0][0].B)
+		pub, err := ecdh.X25519().NewPublicKey(res.Rows[0][0].B)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -174,32 +150,26 @@ func (m *Manager) ensurePrincipal(id pid) (sym []byte, pub *rsa.PublicKey, err e
 		return sym, pub, nil
 	}
 
-	// Create the principal: random symmetric key, RSA pair, private key
-	// wrapped under the symmetric key.
+	// Create the principal: random symmetric key, X25519 pair, private
+	// key wrapped under the symmetric key.
 	sym, err = newSymKey()
 	if err != nil {
 		return nil, nil, err
 	}
-	var priv *rsa.PrivateKey
-	if n := len(m.rsaPool); n > 0 {
-		priv = m.rsaPool[n-1]
-		m.rsaPool = m.rsaPool[:n-1]
-	} else {
-		priv, err = rsa.GenerateKey(cryptorand.Reader, m.opts.RSABits)
-		if err != nil {
-			return nil, nil, err
-		}
+	priv, err := ecdh.X25519().GenerateKey(cryptorand.Reader)
+	if err != nil {
+		return nil, nil, err
 	}
-	wrappedPriv, err := wrapSym(sym, marshalPriv(priv))
+	wrappedPriv, err := wrapSym(sym, priv.Bytes())
 	if err != nil {
 		return nil, nil, err
 	}
 	_, err = m.db.ExecSQL("INSERT INTO cryptdb_public_keys (ptype, name, pub, wrapped_priv) VALUES (?, ?, ?, ?)",
-		sqldb.Text(id.ptype), sqldb.Text(id.name), sqldb.Blob(marshalPub(&priv.PublicKey)), sqldb.Blob(wrappedPriv))
+		sqldb.Text(id.ptype), sqldb.Text(id.name), sqldb.Blob(priv.PublicKey().Bytes()), sqldb.Blob(wrappedPriv))
 	if err != nil {
 		return nil, nil, err
 	}
-	return sym, &priv.PublicKey, nil
+	return sym, priv.PublicKey(), nil
 }
 
 // Login gives the proxy a user's password, unlocking the external
@@ -359,8 +329,9 @@ func (m *Manager) resolveKey(target pid) ([]byte, error) {
 				}
 				var key []byte
 				if row[2].I == 1 {
-					// Asymmetric wrap: need the grantee's RSA private
-					// key, itself wrapped under the grantee's sym key.
+					// Asymmetric wrap: need the grantee's X25519
+					// private key, itself wrapped under the grantee's
+					// sym key.
 					priv, err := m.privateKey(grantee, gkey)
 					if err != nil {
 						continue
@@ -401,7 +372,7 @@ func (m *Manager) resolveKey(target pid) ([]byte, error) {
 	}
 }
 
-func (m *Manager) privateKey(id pid, sym []byte) (*rsa.PrivateKey, error) {
+func (m *Manager) privateKey(id pid, sym []byte) (*ecdh.PrivateKey, error) {
 	res, err := m.db.ExecSQL("SELECT wrapped_priv FROM cryptdb_public_keys WHERE ptype = ? AND name = ?",
 		sqldb.Text(id.ptype), sqldb.Text(id.name))
 	if err != nil {
@@ -414,7 +385,7 @@ func (m *Manager) privateKey(id pid, sym []byte) (*rsa.PrivateKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parsePriv(raw)
+	return ecdh.X25519().NewPrivateKey(raw)
 }
 
 // grant records that grantee speaks for target: target's key is wrapped

@@ -15,7 +15,11 @@ func newManager(t *testing.T) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(p, Options{RSABits: 1024})
+	m, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func mustExec(t *testing.T, m *Manager, sql string, params ...sqldb.Value) *sqldb.Result {
@@ -107,12 +111,40 @@ func TestOfflineRecipientPublicKeyPath(t *testing.T) {
 	mustExec(t, m, "INSERT INTO privmsgs (msgid, subject, msgtext) VALUES (5, 's', 'for alice eyes')")
 	mustExec(t, m, "DELETE FROM cryptdb_active WHERE username = 'Bob'")
 
-	// Alice logs back in and reads it via her RSA private key.
+	// The user 1 -> msg 5 edge is a sealed box: the ephemeral public key
+	// in front of a wrapSym blob of msg 5's key.
+	symBlob, err := wrapSym(make([]byte, symKeySize), make([]byte, symKeySize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	asym, wrapped := aliceMsg5Edge(t, m)
+	if asym != 1 || len(wrapped) != len(symBlob)+x25519Size {
+		t.Fatalf("offline edge: asym = %d, %d bytes; want 1, %d", asym, len(wrapped), len(symBlob)+x25519Size)
+	}
+
+	// Alice logs back in and reads it via her X25519 private key.
 	mustExec(t, m, "INSERT INTO cryptdb_active (username, password) VALUES ('Alice', 'alicepw')")
 	res := mustExec(t, m, "SELECT msgtext FROM privmsgs WHERE msgid = 5")
 	if len(res.Rows) != 1 || res.Rows[0][0].S != "for alice eyes" {
 		t.Fatalf("rows = %v", res.Rows)
 	}
+	// The first unwrap re-wrapped the edge under her symmetric key.
+	if asym, wrapped := aliceMsg5Edge(t, m); asym != 0 || len(wrapped) != len(symBlob) {
+		t.Fatalf("after login: asym = %d, %d bytes; want 0, %d", asym, len(wrapped), len(symBlob))
+	}
+}
+
+// aliceMsg5Edge reads the stored user 1 -> msg 5 access key.
+func aliceMsg5Edge(t *testing.T, m *Manager) (asym int64, wrapped []byte) {
+	t.Helper()
+	res, err := m.db.ExecSQL("SELECT asym, wrapped FROM cryptdb_access_keys WHERE grantee_type = 'user' AND grantee = '1' AND target_type = 'msg' AND target = '5'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("user 1 -> msg 5 edges: %v", res.Rows)
+	}
+	return res.Rows[0][0].I, res.Rows[0][1].B
 }
 
 func TestWrongPassword(t *testing.T) {

@@ -53,20 +53,3 @@ func TestKeyCacheErasedOnLogout(t *testing.T) {
 		t.Fatal("cached key survived logout")
 	}
 }
-
-func TestPrecomputeKeypairs(t *testing.T) {
-	m := setupPhpBB(t)
-	if err := m.PrecomputeKeypairs(3); err != nil {
-		t.Fatal(err)
-	}
-	// Creating principals consumes the pool and still works beyond it.
-	for i := 0; i < 5; i++ {
-		name := string(rune('a' + i))
-		if err := m.Login(name, "pw-"+name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(m.OnlineUsers()) != 5 {
-		t.Fatalf("online = %v", m.OnlineUsers())
-	}
-}

@@ -52,7 +52,10 @@ func TestAnnotatedForumMultiPrincipal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mp.New(p, mp.Options{RSABits: 1024})
+	m, err := mp.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := smallCfg
 	cfg.Annotated = true
 	if err := Load(m, cfg, m.Login); err != nil {
