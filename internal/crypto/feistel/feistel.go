@@ -40,28 +40,33 @@ func New(key []byte) *Cipher {
 }
 
 // round computes the PRF round function F_i(x): AES_rk[i](x || pad)
-// truncated to 32 bits.
-func (c *Cipher) round(i int, x uint32) uint32 {
-	var in, out [aes.BlockSize]byte
-	binary.BigEndian.PutUint32(in[:4], x)
-	c.rk[i].Encrypt(out[:], in[:])
-	return binary.BigEndian.Uint32(out[:4])
+// truncated to 32 bits. buf is the caller's zeroed scratch: its first
+// aes.BlockSize bytes are the input block, whose pad no round writes, and
+// the rest the output block. Scratch passed to cipher.Block escapes, so
+// Encrypt and Decrypt allocate one and share it across their rounds.
+func (c *Cipher) round(buf *[2 * aes.BlockSize]byte, i int, x uint32) uint32 {
+	in, out := buf[:aes.BlockSize], buf[aes.BlockSize:]
+	binary.BigEndian.PutUint32(in, x)
+	c.rk[i].Encrypt(out, in)
+	return binary.BigEndian.Uint32(out)
 }
 
 // Encrypt applies the permutation to a 64-bit block.
 func (c *Cipher) Encrypt(v uint64) uint64 {
+	var buf [2 * aes.BlockSize]byte
 	l, r := uint32(v>>32), uint32(v)
 	for i := 0; i < rounds; i++ {
-		l, r = r, l^c.round(i, r)
+		l, r = r, l^c.round(&buf, i, r)
 	}
 	return uint64(l)<<32 | uint64(r)
 }
 
 // Decrypt inverts Encrypt.
 func (c *Cipher) Decrypt(v uint64) uint64 {
+	var buf [2 * aes.BlockSize]byte
 	l, r := uint32(v>>32), uint32(v)
 	for i := rounds - 1; i >= 0; i-- {
-		l, r = r^c.round(i, l), l
+		l, r = r^c.round(&buf, i, l), l
 	}
 	return uint64(l)<<32 | uint64(r)
 }

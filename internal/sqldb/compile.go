@@ -500,10 +500,11 @@ type compiledSelect struct {
 	aggs          []aggSpec
 	having        compiledExpr // nil when absent
 
-	cols    []string
-	proj    []compiledExpr
-	orderBy []compiledOrder
-	projMem []Value // chunk result rows are carved from (projectInto)
+	cols     []string
+	proj     []compiledExpr
+	orderBy  []compiledOrder
+	projMem  []Value // chunk result rows are carved from (projectInto)
+	projRows int     // rows in the last chunk carved into projMem
 }
 
 // aggSpec builds one aggregate accumulator per group.

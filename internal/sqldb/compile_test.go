@@ -566,3 +566,82 @@ func TestCompiledTxnView(t *testing.T) {
 	sameRows(t, "txn view", oq, res, ref, true)
 	mustExecSQL("ROLLBACK")
 }
+
+// TestCompiledChunkBoundaries runs result sizes on both sides of every
+// chunk boundary (result rows and pipeline tuples are carved from chunks of
+// 1, 2, 4, ... batchSize rows, and batches flush at batchSize) through each
+// compiled path, and holds each to the reference interpreter. Every result
+// row must be capped at its length, so that appending to one row can never
+// write into the next row of its chunk.
+func TestCompiledChunkBoundaries(t *testing.T) {
+	const nrows = 1100
+	db := New()
+	for _, ddl := range []string{
+		// k is id, unindexed, so a filter on it prunes no access path; v
+		// permutes id under a BTREE index for the index-ordered walks; g
+		// pairs rows into groups.
+		"CREATE TABLE c (id INT PRIMARY KEY, k INT, v INT, g INT, pad TEXT)",
+		"CREATE INDEX c_v ON c (v) USING BTREE",
+		"CREATE TABLE d (id INT PRIMARY KEY, cid INT, g INT, w INT)",
+		"CREATE INDEX d_cid ON d (cid) USING HASH",
+		"CREATE TABLE e (x INT)",
+		"INSERT INTO e (x) VALUES (-1)",
+	} {
+		mustExec(t, db, ddl)
+	}
+	for i := 0; i < nrows; i++ {
+		mustExec(t, db, "INSERT INTO c (id, k, v, g, pad) VALUES (?, ?, ?, ?, ?)",
+			Int(int64(i)), Int(int64(i)), Int(int64(i*7919%nrows)), Int(int64(i/2)), Text(fmt.Sprintf("p%d", i)))
+		mustExec(t, db, "INSERT INTO d (id, cid, g, w) VALUES (?, ?, ?, ?)",
+			Int(int64(i)), Int(int64(i)), Int(int64(i/2)), Int(int64(i%13)))
+	}
+
+	type shape struct {
+		name    string
+		sql     string // one parameter: the number of rows it returns
+		ordered bool
+		counter func(PlanCounters) int64 // must grow on each statement
+		limit   int                      // caps the result size; 0 for none
+	}
+	compiled := func(pc PlanCounters) int64 { return pc.Compiled }
+	shapes := []shape{
+		{"projection", "SELECT id, v, pad FROM c WHERE k < ?", false, compiled, 0},
+		{"sort", "SELECT id, v, pad FROM c WHERE k < ? ORDER BY g DESC, id", true, compiled, 0},
+		{"group", "SELECT g, COUNT(*), SUM(v) FROM c WHERE g < ? GROUP BY g", false, compiled, 0},
+		{"hash join", "SELECT c.id, d.id, d.w FROM c JOIN d ON c.id = d.cid WHERE c.k < ?", false,
+			func(pc PlanCounters) int64 { return pc.HashJoins }, 0},
+		{"hash join, two keys", "SELECT c.id, d.w FROM c JOIN d ON c.id = d.cid AND c.g = d.g WHERE c.k < ? ORDER BY c.id", true,
+			func(pc PlanCounters) int64 { return pc.HashJoins }, 0},
+		{"nested loop", "SELECT c.id, e.x, c.pad FROM c JOIN e ON c.v > e.x WHERE c.k < ?", false,
+			func(pc PlanCounters) int64 { return pc.NestedLoops }, 0},
+	}
+	for _, k := range []int{1, 10, 300} {
+		shapes = append(shapes, shape{fmt.Sprintf("ordered limit %d", k),
+			fmt.Sprintf("SELECT id, v, pad FROM c WHERE k < ? ORDER BY v LIMIT %d", k), true,
+			func(pc PlanCounters) int64 { return pc.OrderedScans }, k})
+	}
+
+	for _, sh := range shapes {
+		for _, n := range []int{0, 1, 2, 3, 4, 7, 8, 9, 255, 256, 257, 513} {
+			before := sh.counter(db.PlanCounters())
+			rc, ro := selectBoth(t, db, sh.sql, Int(int64(n)))
+			if got := sh.counter(db.PlanCounters()); got <= before {
+				t.Fatalf("%s: the statement did not take its path (counter %d -> %d)", sh.name, before, got)
+			}
+			label := fmt.Sprintf("%s, %d rows", sh.name, n)
+			sameRows(t, label, sh.sql, rc, ro, sh.ordered)
+			want := n
+			if sh.limit > 0 {
+				want = min(n, sh.limit)
+			}
+			if len(rc.Rows) != want {
+				t.Fatalf("%s: %d rows, want %d", label, len(rc.Rows), want)
+			}
+			for i, row := range rc.Rows {
+				if cap(row) != len(row) {
+					t.Fatalf("%s: row %d has len %d, cap %d", label, i, len(row), cap(row))
+				}
+			}
+		}
+	}
+}

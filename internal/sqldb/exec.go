@@ -1,9 +1,9 @@
 package sqldb
 
 // This file is the compiled execution pipeline: the operator chain a
-// lowered SELECT (compile.go) runs through. Rows flow in batches of ~256
-// tuples from a scan source through hash-join / nested-loop operators into
-// a consumer that filters, groups, sorts and projects with compiled
+// lowered SELECT (compile.go) runs through. Rows flow in batches of up to
+// 256 tuples from a scan source through hash-join / nested-loop operators
+// into a consumer that filters, groups, sorts and projects with compiled
 // closures — no AST walking per row. A single-table plan skips the batches:
 // its access path feeds the consumer one row at a time (eachTuple), which
 // is how an index-ordered walk stops at its LIMIT. It is the only SELECT
@@ -21,6 +21,12 @@ import (
 // stay cache-resident, large enough to amortize per-batch overhead.
 const batchSize = 256
 
+// nextChunk sizes the next chunk that tuples or result rows are carved
+// from, in rows, after one of prev rows: one row first, then double the
+// last, up to batchSize. A statement allocates in proportion to the rows
+// that arrive, and a long one still pays one allocation per batchSize rows.
+func nextChunk(prev int) int { return min(max(2*prev, 1), batchSize) }
+
 // rowSource produces joined tuples in batches. The emit callback must not
 // retain the batch slice (it is reused), though it may retain the tuples.
 type rowSource interface {
@@ -32,24 +38,28 @@ type constSource struct{}
 
 func (constSource) run(emit func([]tuple) error) error { return emit([]tuple{nil}) }
 
-// batcher accumulates tuples and flushes them downstream in batches. Tuple
-// backing storage is carved from chunks so a batch costs two allocations,
-// not one per row.
+// batcher accumulates tuples and flushes them downstream in batches of at
+// most batchSize. Both buffers are sized by the tuples that arrive: the
+// batch slice grows by append and keeps its capacity across flushes, and
+// tuple backing storage is carved from chunks sized by nextChunk, so a
+// statement that joins a few rows allocates for a few rows.
 type batcher struct {
 	ntabs int
 	emit  func([]tuple) error
 	buf   []tuple
 	mem   [][]Value
+	chunk int // tuples in the last chunk carved into mem
 }
 
 func newBatcher(ntabs int, emit func([]tuple) error) *batcher {
-	return &batcher{ntabs: ntabs, emit: emit, buf: make([]tuple, 0, batchSize)}
+	return &batcher{ntabs: ntabs, emit: emit}
 }
 
 // newTuple allocates an ntabs-wide tuple from the current chunk.
 func (b *batcher) newTuple() tuple {
 	if len(b.mem) < b.ntabs {
-		b.mem = make([][]Value, b.ntabs*batchSize)
+		b.chunk = nextChunk(b.chunk)
+		b.mem = make([][]Value, b.ntabs*b.chunk)
 	}
 	t := b.mem[:b.ntabs:b.ntabs]
 	b.mem = b.mem[b.ntabs:]
@@ -522,11 +532,14 @@ func (p *compiledSelect) sortItems(items []sortItem) error {
 
 func (p *compiledSelect) projectInto(ev *execEnv, tup tuple, aggs []Value) ([]Value, error) {
 	ev.tup, ev.aggs = tup, aggs
-	// Result rows are carved from chunks: one allocation per batchSize rows
-	// instead of one per row.
+	// Result rows are carved from chunks sized by nextChunk: a point read
+	// allocates one row, and the unused tail of the last chunk is always
+	// smaller than the rows projected. Each row is capped at its length, so
+	// appending to one cannot reach the next.
 	n := len(p.proj)
 	if len(p.projMem) < n {
-		p.projMem = make([]Value, n*batchSize)
+		p.projRows = nextChunk(p.projRows)
+		p.projMem = make([]Value, n*p.projRows)
 	}
 	row := p.projMem[:n:n]
 	p.projMem = p.projMem[n:]
@@ -610,15 +623,12 @@ func (p *compiledSelect) runPlain() (*Result, error) {
 	// Rows arrive in result order: project each as it passes. An
 	// index-ordered walk with a LIMIT (and no DISTINCT collapsing rows
 	// afterwards) stops as soon as offset+limit rows matched; the sum
-	// saturates, and a short walk gets a projection chunk its size.
+	// saturates.
 	want := int64(-1)
 	if ordered && p.s.Limit != nil && !p.s.Distinct {
 		want = *p.s.Limit
 		if off := p.s.Offset; off != nil {
 			want = min(want, math.MaxInt64-*off) + *off
-		}
-		if want < batchSize {
-			p.projMem = make([]Value, len(p.proj)*int(max(want, 1)))
 		}
 	}
 	err := p.eachTuple(func(tup tuple, _ bool) error {
