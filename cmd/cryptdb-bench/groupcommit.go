@@ -66,7 +66,7 @@ func figGroupCommit() error {
 		for err := range errCh {
 			return 0, 0, err
 		}
-		stats := db.WALStats()
+		stats := db.Stats().WAL
 		return per, float64(stats.Syncs) / float64(stats.Batches), nil
 	}
 

@@ -456,7 +456,7 @@ func figRangeScan() error {
 		fmt.Printf("  %-20s ordered index %10v   full scan %10v   (%.0fx)\n",
 			q.name, tIdx, tScan, float64(tScan)/float64(tIdx))
 	}
-	pc := idx.PlanCounters()
+	pc := idx.Stats().Plan
 	fmt.Printf("  planner: %d range scans, %d index-ordered walks, %d endpoint MIN/MAX, %d full scans\n",
 		pc.RangeScans, pc.OrderedScans, pc.MinMaxIndex, pc.FullScans)
 

@@ -224,14 +224,14 @@ func classServerThroughput(ex workload.Executor, db *sqldb.DB, class tpcc.Class,
 	if _, err := ex.Execute(sql, params...); err != nil {
 		return 0, err
 	}
-	db.ResetBusyNanos()
+	busy0 := db.Stats().BusyNanos
 	for i := 0; i < n; i++ {
 		sql, params := g.ForClass(class)
 		if _, err := ex.Execute(sql, params...); err != nil {
 			return 0, err
 		}
 	}
-	busy := db.BusyNanos()
+	busy := db.Stats().BusyNanos - busy0
 	if busy == 0 {
 		busy = 1
 	}
@@ -296,7 +296,7 @@ func classLatency(p *proxy.Proxy, db *sqldb.DB, class tpcc.Class, n int) (server
 	if _, err := p.Execute(sql, params...); err != nil {
 		return 0, 0, err
 	}
-	db.ResetBusyNanos()
+	busy0 := db.Stats().BusyNanos
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		sql, params := g.ForClass(class)
@@ -305,7 +305,7 @@ func classLatency(p *proxy.Proxy, db *sqldb.DB, class tpcc.Class, n int) (server
 		}
 	}
 	total := time.Since(start)
-	busy := time.Duration(db.BusyNanos())
+	busy := time.Duration(db.Stats().BusyNanos - busy0)
 	return busy / time.Duration(n), (total - busy) / time.Duration(n), nil
 }
 

@@ -159,9 +159,10 @@ func sendLine(t *testing.T, conn net.Conn, r *bufio.Reader, sql string) []string
 
 // TestGracefulShutdownDrains: shutdown must stop accepting, let connected
 // clients' in-flight work finish, flush the WAL and return. Its log names
-// the proxy's counters: two identical SUMs decrypt once and hit the memo
-// once.
+// the proxy's counters (two identical SUMs decrypt once and hit the memo
+// once) and the store's whole counter snapshot, and no stored value.
 func TestGracefulShutdownDrains(t *testing.T) {
+	const secret = "plaintext-canary-5e1f"
 	var logged strings.Builder
 	log.SetOutput(&logged)
 	defer log.SetOutput(os.Stderr)
@@ -180,8 +181,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	sendLine(t, conn, r, "CREATE TABLE t (a INT)")
-	sendLine(t, conn, r, "INSERT INTO t (a) VALUES (42)")
+	sendLine(t, conn, r, "CREATE TABLE t (a INT, s TEXT)")
+	sendLine(t, conn, r, "INSERT INTO t (a, s) VALUES (42, '"+secret+"')")
 	for i := 0; i < 2; i++ {
 		if got := sendLine(t, conn, r, "SELECT SUM(a) FROM t"); got[0] != "ROW 42" {
 			t.Fatalf("sum: %v", got)
@@ -203,6 +204,13 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	if want := "proxy stats: queries=4 ast-cache hits=1 misses=3 hom-memo hits=1 decrypts=1\n"; !strings.Contains(logged.String(), want) {
 		t.Fatalf("shutdown log lacks %q:\n%s", want, logged.String())
+	}
+	storeLine := regexp.MustCompile(`store stats: shards=1 \{Plan:\{.*Compiled:([0-9]+).*WAL:\{Batches:([0-9]+).*Cache:\{.*DiskBytes:.*LastCheckpointBytes:[0-9]+\}\n`)
+	if m := storeLine.FindStringSubmatch(logged.String()); m == nil || m[1] == "0" || m[2] == "0" {
+		t.Fatalf("shutdown log lacks a store stats line with compiled SELECTs and WAL batches (match %q):\n%s", m, logged.String())
+	}
+	if strings.Contains(logged.String(), secret) {
+		t.Fatalf("shutdown log carries a stored value:\n%s", logged.String())
 	}
 	// New connections must be refused.
 	if c, err := net.DialTimeout("tcp", srv.ln.Addr().String(), time.Second); err == nil {

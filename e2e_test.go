@@ -490,11 +490,11 @@ func TestOPERangeIndexEquivalence(t *testing.T) {
 
 	// The indexed server must have used its ordered index; the plain one
 	// cannot have.
-	pci := indexed.DB().PlanCounters()
+	pci := indexed.DB().Stats().Plan
 	if pci.RangeScans == 0 || pci.OrderedScans == 0 || pci.MinMaxIndex == 0 {
 		t.Fatalf("indexed server did not use ordered-index paths: %+v", pci)
 	}
-	pcs := scan.DB().PlanCounters()
+	pcs := scan.DB().Stats().Plan
 	if pcs.RangeScans != 0 || pcs.OrderedScans != 0 || pcs.MinMaxIndex != 0 {
 		t.Fatalf("unindexed server claims index use: %+v", pcs)
 	}

@@ -571,14 +571,14 @@ func TestDeferredParentDataDirNotRematerialised(t *testing.T) {
 	}
 	l := &lifecycle{t: t, p: p, orc: orc}
 
-	batches := db.WALStats().Batches
+	batches := db.Stats().WAL.Batches
 	l.check("SELECT SUM(age) FROM emp")
 	l.check("SELECT id FROM emp WHERE name LIKE '%n3%'")
 	if n := p.Stats().OnionAdjustments; n != 0 {
 		t.Fatalf("first SUM and LIKE on the parent's directory adjusted %d onions", n)
 	}
 	// One commit each: the UsedSum and UsedSearch flags. No row was rewritten.
-	if got := db.WALStats().Batches - batches; got != 2 {
+	if got := db.Stats().WAL.Batches - batches; got != 2 {
 		t.Fatalf("first SUM and LIKE appended %d WAL batches, want 2 (usage flags only)", got)
 	}
 	l.check("SELECT a.name, b.name FROM emp a JOIN emp b ON a.age = b.id")

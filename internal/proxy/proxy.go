@@ -89,10 +89,6 @@ type Stats struct {
 	// misses, failed ones included); HOMMemoHits those the memo answered.
 	HOMDecrypts int64
 	HOMMemoHits int64
-	// Server reports how the storage engine executed the proxy's rewritten
-	// statements (access paths, join strategy, grouped scatter pushdowns),
-	// summed across shards.
-	Server sqldb.PlanCounters
 }
 
 // counters are the proxy's own tallies behind Stats.
@@ -338,7 +334,6 @@ func (p *Proxy) Stats() Stats {
 		HOMDecrypts:      p.homMemo.decrypts.Load(),
 		HOMMemoHits:      p.homMemo.hits.Load(),
 	}
-	out.Server = p.db.Stats().Plan
 	out.ASTCacheHits, out.ASTCacheMisses = p.astCache.counters()
 	return out
 }

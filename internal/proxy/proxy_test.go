@@ -642,8 +642,8 @@ func TestGroupByIntKey(t *testing.T) {
 	}
 }
 
-// TestServerPlanCounters checks that proxy stats surface how the server
-// executed the rewritten queries: in the default configuration every
+// TestServerPlanCounters checks that the proxy's engine reports how the
+// server executed the rewritten queries: in the default configuration every
 // SELECT the proxy emits runs on the compiled pipeline, and an encrypted
 // equi-join (DET onions on both sides) executes as a hash join.
 func TestServerPlanCounters(t *testing.T) {
@@ -657,7 +657,7 @@ func TestServerPlanCounters(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("join rows = %d, want 5", len(res.Rows))
 	}
-	st := p.Stats().Server
+	st := p.Engine().Stats().Plan
 	if st.Compiled == 0 {
 		t.Fatalf("no compiled executions surfaced: %+v", st)
 	}

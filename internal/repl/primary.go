@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/sqldb"
+	"repro/internal/store"
 )
 
 // FaultAction is a fault injector's verdict on one outbound message.
@@ -41,15 +42,6 @@ type FaultDecision struct {
 type FaultInjector interface {
 	OnFrame(shard int, seq uint64, wireLen int) FaultDecision
 	OnSnapshot(shard int, seq uint64, wireLen int) FaultDecision
-}
-
-// FollowerStat describes one connected follower's replication progress.
-type FollowerStat struct {
-	Remote     string // follower's address
-	Shard      int
-	SentSeq    uint64 // last sequence written to the connection
-	AckedSeq   uint64 // last sequence the follower confirmed applying
-	PrimarySeq uint64 // the shard's current commit sequence (lag = PrimarySeq - AckedSeq)
 }
 
 // Primary accepts follower connections and ships each shard's WAL to them.
@@ -119,12 +111,12 @@ func (p *Primary) injector() FaultInjector {
 }
 
 // FollowerStats reports every connected follower's progress.
-func (p *Primary) FollowerStats() []FollowerStat {
+func (p *Primary) FollowerStats() []store.FollowerStat {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	stats := make([]FollowerStat, 0, len(p.followers))
+	stats := make([]store.FollowerStat, 0, len(p.followers))
 	for fc := range p.followers {
-		stats = append(stats, FollowerStat{
+		stats = append(stats, store.FollowerStat{
 			Remote:     fc.remote,
 			Shard:      fc.shard,
 			SentSeq:    fc.sent.Load(),

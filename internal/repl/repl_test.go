@@ -232,7 +232,7 @@ func TestReplicationFaultSchedule(t *testing.T) {
 				if !fol.Paged() {
 					t.Fatal("paged arm ran a resident follower")
 				}
-				if cs := fol.CacheStats(); cs.Misses == 0 {
+				if cs := fol.Stats().Cache; cs.Misses == 0 {
 					t.Fatalf("paged follower never faulted a page: %+v", cs)
 				}
 			}

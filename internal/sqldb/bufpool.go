@@ -53,8 +53,6 @@ type CacheStats struct {
 	ResidentBytes int64 // bytes currently charged against the cache budget
 	BudgetBytes   int64 // the configured budget; 0 when the cache has none
 	ResidentPages int64 // materialized pages
-	HotPages      int64 // L1 (clock-pinned) pages
-	DirtyPages    int64 // pages modified since the last checkpoint
 }
 
 // pageRef is one clock-ring entry.
@@ -73,13 +71,12 @@ type pager struct {
 	ring []pageRef
 	hand int
 
-	resident   atomic.Int64
-	pages      atomic.Int64
-	hotPages   atomic.Int64
-	dirtyPages atomic.Int64
-	hits       atomic.Int64
-	misses     atomic.Int64
-	evictions  atomic.Int64
+	resident  atomic.Int64
+	pages     atomic.Int64
+	hotPages  atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
 
 	// fileSeq numbers segment files; segFiles maps every file the current
 	// manifest references to its size, and diskBytes is their sum. All
@@ -110,7 +107,7 @@ func memPager() *pager { return newPager("", unbounded) }
 func (pg *pager) stats() CacheStats {
 	budget := pg.budget
 	if budget == unbounded {
-		budget = 0 // sharded stores sum budgets; MaxInt64 would overflow
+		budget = 0 // 0 means no budget: the cache never evicts
 	}
 	return CacheStats{
 		Hits:          pg.hits.Load(),
@@ -119,8 +116,6 @@ func (pg *pager) stats() CacheStats {
 		ResidentBytes: pg.resident.Load(),
 		BudgetBytes:   budget,
 		ResidentPages: pg.pages.Load(),
-		HotPages:      pg.hotPages.Load(),
-		DirtyPages:    pg.dirtyPages.Load(),
 	}
 }
 
@@ -152,10 +147,7 @@ func (pg *pager) forget(p *rowPage) {
 		p.hot.Store(false)
 		pg.hotPages.Add(-1)
 	}
-	if p.dirty {
-		p.dirty = false
-		pg.dirtyPages.Add(-1)
-	}
+	p.dirty = false
 }
 
 // forgetTable uncharges every resident page of a table being dropped or
@@ -323,20 +315,6 @@ func (db *DB) cachePressure() {
 	}
 }
 
-// CacheStats reports buffer-cache counters.
-func (db *DB) CacheStats() CacheStats { return db.pager.stats() }
-
 // Paged reports whether rows are checkpointed to per-page segment files:
 // true for every database Open returns, false for New's in-memory one.
 func (db *DB) Paged() bool { return db.pager.dir != "" }
-
-// DiskSizeBytes reports the database's on-disk footprint: page segments
-// plus the live WAL. Zero for an in-memory database.
-func (db *DB) DiskSizeBytes() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.wal == nil {
-		return 0
-	}
-	return db.wal.size.Load() + db.pager.diskBytes.Load()
-}

@@ -301,7 +301,6 @@ func (db *DB) ckptCapture() (seq uint64, segs []pendingSeg, entries []manEntry, 
 			p := t.pages[id].Load()
 			if p != nil && p.dirty {
 				p.dirty = false
-				db.pager.dirtyPages.Add(-1)
 				p.flushing = true
 				if p.live > 0 {
 					file := segFileName(db.pager.fileSeq)
@@ -431,10 +430,7 @@ func (db *DB) ckptInstall(seq uint64, segs []pendingSeg, entries []manEntry, wri
 func (db *DB) ckptAbort(segs []pendingSeg) {
 	for _, s := range segs {
 		s.p.flushing = false
-		if !s.p.dirty {
-			s.p.dirty = true
-			db.pager.dirtyPages.Add(1)
-		}
+		s.p.dirty = true
 	}
 	// Any segments already written are unreferenced; best-effort removal
 	// (the Open-time orphan sweep catches leftovers).
@@ -676,7 +672,7 @@ func (db *DB) adoptStagedTable(t *Table) {
 		p.hot.Store(false)
 		p.ref.Store(0)
 		db.pager.admit(t, id, p)
-		t.markDirty(p)
+		p.dirty = true
 	}
 }
 
@@ -720,15 +716,6 @@ func (db *DB) stopCheckpointLoop() {
 		}
 	})
 }
-
-// CheckpointPauseNanos reports cumulative wall time checkpoints have held
-// the database lock: capture and install only, since segment writing
-// overlaps commits.
-func (db *DB) CheckpointPauseNanos() int64 { return db.ckptPauseNanos.Load() }
-
-// LastCheckpointBytes reports the bytes the most recent checkpoint wrote:
-// the dirty pages' segments plus the manifest.
-func (db *DB) LastCheckpointBytes() int64 { return db.lastCkptBytes.Load() }
 
 // ckptErrBox wraps a background-checkpoint error for atomic.Value (whose
 // stored concrete type must never change).

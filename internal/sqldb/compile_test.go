@@ -199,7 +199,7 @@ func TestCompiledEquivalence(t *testing.T) {
 		}
 	}
 
-	pc := db.PlanCounters()
+	pc := db.Stats().Plan
 	if pc.Compiled == 0 || pc.HashJoins == 0 {
 		t.Fatalf("compiled path never engaged: %+v", pc)
 	}
@@ -281,7 +281,7 @@ func TestCompiledEquivalenceScatterShapes(t *testing.T) {
 			sameRows(t, fmt.Sprintf("round %d", round), q.sql, rc, ro, q.ordered)
 		}
 	}
-	if pc := db.PlanCounters(); pc.OrderedScans == 0 || pc.MinMaxIndex == 0 || pc.Compiled == 0 {
+	if pc := db.Stats().Plan; pc.OrderedScans == 0 || pc.MinMaxIndex == 0 || pc.Compiled == 0 {
 		t.Fatalf("workload missed a SELECT path: %+v", pc)
 	}
 }
@@ -320,7 +320,7 @@ func TestCompiledJoinSemantics(t *testing.T) {
 		rc, ro := selectBoth(t, db, q)
 		sameRows(t, "join", q, rc, ro, false)
 	}
-	if pc := db.PlanCounters(); pc.HashJoins+pc.NestedLoops == 0 {
+	if pc := db.Stats().Plan; pc.HashJoins+pc.NestedLoops == 0 {
 		t.Fatalf("no join operators ran: %+v", pc)
 	}
 }
@@ -368,9 +368,9 @@ func TestSelectFeeds(t *testing.T) {
 		{"SELECT t1.id FROM t1, t2 WHERE t1.id = t2.nope", false},
 	} {
 		rs, errS := db.ExecSQL(q.sql)
-		before := db.PlanCounters().HashJoins
+		before := db.Stats().Plan.HashJoins
 		rf, errF := fed(q.sql)
-		fedJoins += db.PlanCounters().HashJoins - before
+		fedJoins += db.Stats().Plan.HashJoins - before
 		if (errS == nil) != (errF == nil) {
 			t.Fatalf("%q: stored err=%v, fed err=%v", q.sql, errS, errF)
 		}
@@ -454,13 +454,13 @@ func TestCompileResolveErrors(t *testing.T) {
 		}
 		return Int(2 * n), nil
 	})
-	before := db.PlanCounters().Compiled
+	before := db.Stats().Plan.Compiled
 	res := mustExec(t, db, "SELECT twice(a) FROM p ORDER BY id")
 	if len(res.Rows) != 2 || res.Rows[0][0].I != 20 || res.Rows[1][0].I != 40 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	if db.PlanCounters().Compiled != before+1 {
-		t.Fatalf("UDF select did not run compiled: %+v", db.PlanCounters())
+	if db.Stats().Plan.Compiled != before+1 {
+		t.Fatalf("UDF select did not run compiled: %+v", db.Stats().Plan)
 	}
 }
 
@@ -506,7 +506,7 @@ func TestCompiledConcurrentSelects(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if pc := db.PlanCounters(); pc.Compiled == 0 || pc.HashJoins == 0 {
+	if pc := db.Stats().Plan; pc.Compiled == 0 || pc.HashJoins == 0 {
 		t.Fatalf("compiled path unused under concurrency: %+v", pc)
 	}
 }
@@ -555,9 +555,9 @@ func TestCompiledTxnView(t *testing.T) {
 	// The index orders committed rows only: a table the transaction wrote
 	// is read through its write set and sorted, never walked in index order.
 	const oq = "SELECT id, v FROM t ORDER BY v DESC LIMIT 3"
-	before := db.PlanCounters().OrderedScans
+	before := db.Stats().Plan.OrderedScans
 	res = mustExecSQL(oq)
-	if db.PlanCounters().OrderedScans != before {
+	if db.Stats().Plan.OrderedScans != before {
 		t.Fatalf("%s walked the ordered index inside a transaction that wrote t", oq)
 	}
 	if ref, err = interpretSQL(t, twin, oq); err != nil {
@@ -623,9 +623,9 @@ func TestCompiledChunkBoundaries(t *testing.T) {
 
 	for _, sh := range shapes {
 		for _, n := range []int{0, 1, 2, 3, 4, 7, 8, 9, 255, 256, 257, 513} {
-			before := sh.counter(db.PlanCounters())
+			before := sh.counter(db.Stats().Plan)
 			rc, ro := selectBoth(t, db, sh.sql, Int(int64(n)))
-			if got := sh.counter(db.PlanCounters()); got <= before {
+			if got := sh.counter(db.Stats().Plan); got <= before {
 				t.Fatalf("%s: the statement did not take its path (counter %d -> %d)", sh.name, before, got)
 			}
 			label := fmt.Sprintf("%s, %d rows", sh.name, n)

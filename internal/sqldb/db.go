@@ -109,7 +109,7 @@ type DB struct {
 	// proxy ran on a separate machine in their testbed).
 	busyNanos atomic.Int64
 
-	// Planner counters (atomics; see PlanCounters).
+	// Planner counters (atomics; see Stats).
 	fullScans, eqScans, rangeScans, orderedScans, minMaxFast atomic.Int64
 	compiledSel, hashJoins, nestedLoops                      atomic.Int64
 }
@@ -151,25 +151,100 @@ type PlanCounters struct {
 	Morsels           int64
 }
 
-// PlanCounters returns a snapshot of the planner's access-path tallies.
-func (db *DB) PlanCounters() PlanCounters {
-	return PlanCounters{
-		FullScans:    db.fullScans.Load(),
-		EqScans:      db.eqScans.Load(),
-		RangeScans:   db.rangeScans.Load(),
-		OrderedScans: db.orderedScans.Load(),
-		MinMaxIndex:  db.minMaxFast.Load(),
-		Compiled:     db.compiledSel.Load(),
-		HashJoins:    db.hashJoins.Load(),
-		NestedLoops:  db.nestedLoops.Load(),
-	}
+// Stats is one snapshot of a database's counters and sizes. The counters
+// (Plan, WAL, cache hits, misses and evictions, BusyNanos,
+// CheckpointPauseNanos) accumulate from the database's creation or opening
+// and nothing resets them: readers take the difference of two snapshots.
+type Stats struct {
+	Plan PlanCounters
+	WAL  WALStats // zero for an in-memory database
+	// Cache is buffer-cache activity. Resident bytes and on-disk bytes are
+	// reported separately on purpose: under a budget the former is bounded
+	// by it, the latter grows with the data.
+	Cache     CacheStats
+	SizeBytes int // the tables' approximate storage footprint
+	// BusyNanos is wall time spent executing statements: the server-side
+	// cost of the paper's proxy/server split (§8).
+	BusyNanos int64
+	// DiskBytes is the on-disk footprint: page segments plus the live WAL
+	// (zero for an in-memory database).
+	DiskBytes int64
+	// CheckpointPauseNanos is the time checkpoints held the database lock
+	// (capture and install; segment writing overlaps commits), and
+	// LastCheckpointBytes what the most recent one wrote: the dirty pages'
+	// segments plus the manifest.
+	CheckpointPauseNanos int64
+	LastCheckpointBytes  int64
 }
 
-// BusyNanos reports cumulative statement execution time.
-func (db *DB) BusyNanos() int64 { return db.busyNanos.Load() }
+// Add sums o into s, field by field. It is the only place the counters of
+// several databases (a sharded store's shards) are summed.
+func (s *Stats) Add(o Stats) {
+	s.Plan.FullScans += o.Plan.FullScans
+	s.Plan.EqScans += o.Plan.EqScans
+	s.Plan.RangeScans += o.Plan.RangeScans
+	s.Plan.OrderedScans += o.Plan.OrderedScans
+	s.Plan.MinMaxIndex += o.Plan.MinMaxIndex
+	s.Plan.Compiled += o.Plan.Compiled
+	s.Plan.HashJoins += o.Plan.HashJoins
+	s.Plan.NestedLoops += o.Plan.NestedLoops
+	s.Plan.Interpreted += o.Plan.Interpreted
+	s.Plan.DegradedJoins += o.Plan.DegradedJoins
+	s.Plan.GroupPushdowns += o.Plan.GroupPushdowns
+	s.Plan.ParallelPipelines += o.Plan.ParallelPipelines
+	s.Plan.Morsels += o.Plan.Morsels
+	s.WAL.Batches += o.WAL.Batches
+	s.WAL.Bytes += o.WAL.Bytes
+	s.WAL.Syncs += o.WAL.Syncs
+	s.WAL.Checkpoints += o.WAL.Checkpoints
+	s.Cache.Hits += o.Cache.Hits
+	s.Cache.Misses += o.Cache.Misses
+	s.Cache.Evictions += o.Cache.Evictions
+	s.Cache.ResidentBytes += o.Cache.ResidentBytes
+	s.Cache.BudgetBytes += o.Cache.BudgetBytes
+	s.Cache.ResidentPages += o.Cache.ResidentPages
+	s.SizeBytes += o.SizeBytes
+	s.BusyNanos += o.BusyNanos
+	s.DiskBytes += o.DiskBytes
+	s.CheckpointPauseNanos += o.CheckpointPauseNanos
+	s.LastCheckpointBytes += o.LastCheckpointBytes
+}
 
-// ResetBusyNanos zeroes the server-time counter.
-func (db *DB) ResetBusyNanos() { db.busyNanos.Store(0) }
+// Stats returns a snapshot of the database's counters, read under one
+// hold of the read lock.
+func (db *DB) Stats() Stats {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	st := Stats{
+		Plan: PlanCounters{
+			FullScans:    db.fullScans.Load(),
+			EqScans:      db.eqScans.Load(),
+			RangeScans:   db.rangeScans.Load(),
+			OrderedScans: db.orderedScans.Load(),
+			MinMaxIndex:  db.minMaxFast.Load(),
+			Compiled:     db.compiledSel.Load(),
+			HashJoins:    db.hashJoins.Load(),
+			NestedLoops:  db.nestedLoops.Load(),
+		},
+		Cache:                db.pager.stats(),
+		BusyNanos:            db.busyNanos.Load(),
+		CheckpointPauseNanos: db.ckptPauseNanos.Load(),
+		LastCheckpointBytes:  db.lastCkptBytes.Load(),
+	}
+	for _, t := range db.tables {
+		st.SizeBytes += t.SizeBytes()
+	}
+	if db.wal != nil {
+		st.WAL = WALStats{
+			Batches:     db.wal.batches.Load(),
+			Bytes:       db.wal.bytes.Load(),
+			Syncs:       db.wal.syncs.Load(),
+			Checkpoints: db.checkpoints,
+		}
+		st.DiskBytes = db.wal.size.Load() + db.pager.diskBytes.Load()
+	}
+	return st
+}
 
 func (db *DB) trackBusy(start time.Time) {
 	db.busyNanos.Add(int64(time.Since(start)))
@@ -239,15 +314,7 @@ func (db *DB) TableNames() []string {
 }
 
 // SizeBytes approximates the whole database's storage footprint.
-func (db *DB) SizeBytes() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	total := 0
-	for _, t := range db.tables {
-		total += t.SizeBytes()
-	}
-	return total
-}
+func (db *DB) SizeBytes() int { return db.Stats().SizeBytes }
 
 // ExecSQL parses and executes a single statement.
 func (db *DB) ExecSQL(sql string, params ...Value) (*Result, error) {

@@ -32,9 +32,9 @@ func TestOrderedIndexRangeScan(t *testing.T) {
 		mustExec(t, db, "INSERT INTO r (k, v) VALUES (?, ?)",
 			Int(int64((i*37)%100)), Text(fmt.Sprintf("v%d", i)))
 	}
-	before := db.PlanCounters()
+	before := db.Stats().Plan
 	res := mustExec(t, db, "SELECT k FROM r WHERE k >= 10 AND k < 20 ORDER BY k")
-	after := db.PlanCounters()
+	after := db.Stats().Plan
 	if len(res.Rows) != 10 {
 		t.Fatalf("got %d rows, want 10", len(res.Rows))
 	}
@@ -48,9 +48,9 @@ func TestOrderedIndexRangeScan(t *testing.T) {
 	}
 
 	// BETWEEN drives the range access path in produceTuples (no ORDER BY).
-	before = db.PlanCounters()
+	before = db.Stats().Plan
 	res = mustExec(t, db, "SELECT k FROM r WHERE k BETWEEN 95 AND 99")
-	after = db.PlanCounters()
+	after = db.Stats().Plan
 	if len(res.Rows) != 5 {
 		t.Fatalf("BETWEEN: got %d rows, want 5", len(res.Rows))
 	}
@@ -76,7 +76,7 @@ func TestOrderedIndexOrderByLimitDesc(t *testing.T) {
 			t.Fatalf("row %d: got %d want %d", i, res.Rows[i][0].I, w)
 		}
 	}
-	if db.PlanCounters().OrderedScans == 0 {
+	if db.Stats().Plan.OrderedScans == 0 {
 		t.Fatal("ordered-scan fast path not used")
 	}
 }
@@ -106,13 +106,13 @@ func TestOrderedWalkPageAccesses(t *testing.T) {
 		{"SELECT id, k FROM w WHERE v = 1 ORDER BY k LIMIT 5", []int64{1, 2, 6, 7, 11}, 12},
 		{"SELECT id, k FROM w ORDER BY k LIMIT 5 OFFSET 3", []int64{3, 4, 5, 6, 7}, 8},
 	} {
-		cs, pc := db.CacheStats(), db.PlanCounters()
+		cs, pc := db.Stats().Cache, db.Stats().Plan
 		res := mustExec(t, db, tc.sql)
-		after := db.CacheStats()
+		after := db.Stats().Cache
 		if got := after.Hits + after.Misses - cs.Hits - cs.Misses; got != tc.reads {
 			t.Errorf("%s: %d page accesses, want %d", tc.sql, got, tc.reads)
 		}
-		if got := db.PlanCounters().OrderedScans - pc.OrderedScans; got != 1 {
+		if got := db.Stats().Plan.OrderedScans - pc.OrderedScans; got != 1 {
 			t.Errorf("%s: OrderedScans +%d, want +1", tc.sql, got)
 		}
 		if len(res.Rows) != len(tc.keys) {
@@ -139,7 +139,7 @@ func TestOrderedIndexMinMax(t *testing.T) {
 	if res.Rows[0][0].I != -3 || res.Rows[0][1].I != 12 {
 		t.Fatalf("got %v", res.Rows[0])
 	}
-	if db.PlanCounters().MinMaxIndex == 0 {
+	if db.Stats().Plan.MinMaxIndex == 0 {
 		t.Fatal("MIN/MAX fast path not used")
 	}
 }
@@ -376,7 +376,7 @@ func TestOrderedIndexChurn(t *testing.T) {
 		sameMultiset("MIN/MAX", r1, r2)
 	}
 
-	pc := idx.PlanCounters()
+	pc := idx.Stats().Plan
 	if pc.RangeScans == 0 || pc.OrderedScans == 0 || pc.MinMaxIndex == 0 {
 		t.Fatalf("index paths unused under churn: %+v", pc)
 	}

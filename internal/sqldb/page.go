@@ -134,15 +134,6 @@ func (t *Table) growTo(n int) {
 	}
 }
 
-// markDirty flags a page as modified since the last checkpoint. Callers
-// hold db.mu's write side.
-func (t *Table) markDirty(p *rowPage) {
-	if !p.dirty {
-		p.dirty = true
-		t.pager.dirtyPages.Add(1)
-	}
-}
-
 // putRow stores a row into slot (which must be empty), growing the slot
 // space as needed and maintaining size accounting, the dirty flag, the
 // indexes and the live count. Callers hold db.mu's write side.
@@ -157,7 +148,7 @@ func (t *Table) putRow(slot int, row []Value) error {
 	sz := rowBytes(row)
 	p.bytes += sz
 	t.dataBytes += sz
-	t.markDirty(p)
+	p.dirty = true
 	t.pager.resident.Add(int64(sz))
 	for _, idx := range t.indexes {
 		idx.addSlot(row[idx.pos].Key(), slot)
@@ -178,7 +169,7 @@ func (t *Table) clearRow(p *rowPage, slot int) {
 	sz := rowBytes(row)
 	p.bytes -= sz
 	t.dataBytes -= sz
-	t.markDirty(p)
+	p.dirty = true
 	t.pager.resident.Add(int64(-sz))
 }
 

@@ -107,7 +107,7 @@ func TestPagedChurnProperty(t *testing.T) {
 	var seenCkpts int64
 	syncCkpt := func() {
 		t.Helper()
-		if n := paged.WALStats().Checkpoints; n > seenCkpts {
+		if n := paged.Stats().WAL.Checkpoints; n > seenCkpts {
 			if err := oracle.Checkpoint(); err != nil {
 				t.Fatalf("oracle lockstep checkpoint: %v", err)
 			}
@@ -220,7 +220,7 @@ func TestPagedChurnProperty(t *testing.T) {
 	if dp, do := paged.StateDigest(), oracle.StateDigest(); dp != do {
 		t.Fatalf("final digest diverged")
 	}
-	cs := paged.CacheStats()
+	cs := paged.Stats().Cache
 	if cs.Misses == 0 || cs.Evictions == 0 {
 		t.Fatalf("cache never thrashed (misses=%d evictions=%d): budget too generous for the test to mean anything", cs.Misses, cs.Evictions)
 	}
@@ -253,7 +253,7 @@ func TestPagedCacheBounded(t *testing.T) {
 			fmt.Fprintf(&sb, "(%d, 'r%d-%s')", base+i, base+i, pad)
 		}
 		mustExec(t, db, sb.String())
-		if cs := db.CacheStats(); cs.ResidentBytes > budget+budget/2 {
+		if cs := db.Stats().Cache; cs.ResidentBytes > budget+budget/2 {
 			t.Fatalf("resident %d exceeds budget %d + slack during load", cs.ResidentBytes, budget)
 		}
 	}
@@ -270,7 +270,7 @@ func TestPagedCacheBounded(t *testing.T) {
 		if len(res.Rows) != 1 || !strings.HasPrefix(res.Rows[0][0].S, fmt.Sprintf("r%d-", id)) {
 			t.Fatalf("point read %d: %+v", id, res.Rows)
 		}
-		if cs := db.CacheStats(); cs.ResidentBytes > budget+budget/2 {
+		if cs := db.Stats().Cache; cs.ResidentBytes > budget+budget/2 {
 			t.Fatalf("resident %d exceeds budget %d + slack during reads", cs.ResidentBytes, budget)
 		}
 	}
@@ -280,14 +280,14 @@ func TestPagedCacheBounded(t *testing.T) {
 	if len(res.Rows) != rows {
 		t.Fatalf("full scan: got %d rows, want %d", len(res.Rows), rows)
 	}
-	cs := db.CacheStats()
+	cs := db.Stats().Cache
 	if cs.Misses == 0 || cs.Evictions == 0 || cs.Hits == 0 {
 		t.Fatalf("cache counters implausible: %+v", cs)
 	}
 	if cs.BudgetBytes != budget {
 		t.Fatalf("budget reported %d, want %d", cs.BudgetBytes, budget)
 	}
-	if db.DiskSizeBytes() <= 0 {
+	if db.Stats().DiskBytes <= 0 {
 		t.Fatal("DiskSizeBytes reported nothing on a checkpointed paged database")
 	}
 }
@@ -318,7 +318,7 @@ func TestPagedIncrementalCheckpointBytes(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	full := db.LastCheckpointBytes()
+	full := db.Stats().LastCheckpointBytes
 	if full <= 0 {
 		t.Fatalf("bulk checkpoint wrote %d bytes", full)
 	}
@@ -327,11 +327,11 @@ func TestPagedIncrementalCheckpointBytes(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	incr := db.LastCheckpointBytes()
+	incr := db.Stats().LastCheckpointBytes
 	if incr <= 0 || incr >= full/4 {
 		t.Fatalf("one-row churn checkpoint wrote %d bytes vs %d for the bulk load: not incremental", incr, full)
 	}
-	if db.CheckpointPauseNanos() <= 0 {
+	if db.Stats().CheckpointPauseNanos <= 0 {
 		t.Fatal("checkpoint pause counter never advanced")
 	}
 }
@@ -447,7 +447,7 @@ func TestRecoverySnapshotLayoutParentDir(t *testing.T) {
 	if got := db.StateDigest(); got != snapshotDirDigest {
 		t.Fatalf("reopen from the manifest: digest %s, want %s", got, snapshotDirDigest)
 	}
-	if cs := db.CacheStats(); cs.Misses != 0 {
+	if cs := db.Stats().Cache; cs.Misses != 0 {
 		t.Fatalf("an unbounded cache faulted after reopen: %+v", cs)
 	}
 	snapshotDirTail(t, db)
@@ -521,7 +521,7 @@ func TestScratchTablesStayOutOfCache(t *testing.T) {
 		ring := len(db.pager.ring)
 		db.pager.mu.Unlock()
 		want := stored()
-		if cs := db.CacheStats(); cs.ResidentPages != want || int64(ring) != want {
+		if cs := db.Stats().Cache; cs.ResidentPages != want || int64(ring) != want {
 			t.Fatalf("%s: %d resident pages, %d ring entries; the stored tables have %d pages", when, cs.ResidentPages, ring, want)
 		}
 	}
@@ -587,7 +587,7 @@ func TestBackgroundAutoCheckpoint(t *testing.T) {
 			ckpted := false
 			for i := 0; i < 4096 && !ckpted; i++ {
 				mustExec(t, db, fmt.Sprintf("INSERT INTO t (id, pad) VALUES (%d, '%s')", i, pad))
-				if db.WALStats().Checkpoints > 0 {
+				if db.Stats().WAL.Checkpoints > 0 {
 					ckpted = true
 				}
 				if time.Now().After(deadline) {
@@ -597,7 +597,7 @@ func TestBackgroundAutoCheckpoint(t *testing.T) {
 			// The kick is asynchronous; give the goroutine a moment even
 			// after the writes stop.
 			for !ckpted && time.Now().Before(deadline) {
-				if db.WALStats().Checkpoints > 0 {
+				if db.Stats().WAL.Checkpoints > 0 {
 					ckpted = true
 					break
 				}
@@ -609,10 +609,10 @@ func TestBackgroundAutoCheckpoint(t *testing.T) {
 			if err := db.LastCheckpointError(); err != nil {
 				t.Fatalf("background checkpoint failed: %v", err)
 			}
-			if db.LastCheckpointBytes() <= 0 {
+			if db.Stats().LastCheckpointBytes <= 0 {
 				t.Fatal("LastCheckpointBytes not surfaced")
 			}
-			if db.CheckpointPauseNanos() <= 0 {
+			if db.Stats().CheckpointPauseNanos <= 0 {
 				t.Fatal("CheckpointPauseNanos not surfaced")
 			}
 		})
@@ -699,7 +699,7 @@ func TestPagedFaultInstallRace(t *testing.T) {
 	readers.Wait()
 	close(done)
 	sweeper.Wait()
-	if cs := paged.CacheStats(); cs.Evictions == 0 {
+	if cs := paged.Stats().Cache; cs.Evictions == 0 {
 		t.Fatalf("the sweep never evicted a page: %+v", cs)
 	}
 }

@@ -358,7 +358,7 @@ func (t *Table) updateCellUnchecked(slot, pos int, v Value) error {
 	delta := v.SizeBytes() - old.SizeBytes()
 	t.dataBytes += delta
 	p.bytes += delta
-	t.markDirty(p)
+	p.dirty = true
 	t.pager.resident.Add(int64(delta))
 	return nil
 }

@@ -435,7 +435,7 @@ func TestGroupCommitConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats := db.WALStats()
+	stats := db.Stats().WAL
 	if stats.Syncs >= stats.Batches {
 		t.Errorf("no fsync sharing: syncs=%d batches=%d (cohorts never formed)", stats.Syncs, stats.Batches)
 	}

@@ -77,22 +77,6 @@ type WALStats struct {
 	Checkpoints int64 // checkpoints installed
 }
 
-// WALStats returns a snapshot of the durability counters (zero for a pure
-// in-memory database).
-func (db *DB) WALStats() WALStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.wal == nil {
-		return WALStats{}
-	}
-	return WALStats{
-		Batches:     db.wal.batches.Load(),
-		Bytes:       db.wal.bytes.Load(),
-		Syncs:       db.wal.syncs.Load(),
-		Checkpoints: db.checkpoints,
-	}
-}
-
 // Open creates or reopens a durable database rooted at dir. It loads the
 // manifest (if one exists), replays committed WAL batches past it — cutting
 // off any torn tail left by a crash — and attaches a write-ahead log so

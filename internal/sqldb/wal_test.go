@@ -102,7 +102,7 @@ func TestDurableRecoveryBasics(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("range after recovery: got %d rows, want 3", len(res.Rows))
 	}
-	if c := db2.PlanCounters(); c.RangeScans == 0 && c.OrderedScans == 0 {
+	if c := db2.Stats().Plan; c.RangeScans == 0 && c.OrderedScans == 0 {
 		t.Fatalf("recovered ordered index unused: %+v", c)
 	}
 	// And the recovered database must remain writable with constraints.

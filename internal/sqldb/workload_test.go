@@ -148,7 +148,7 @@ func TestCompiledWorkloadEquivalence(t *testing.T) {
 		mustExec(t, db, ddl)
 	}
 	mixedWorkload(t, db, 400, rand.New(rand.NewSource(11)))
-	if pc := db.PlanCounters(); pc.Compiled == 0 || pc.HashJoins == 0 {
+	if pc := db.Stats().Plan; pc.Compiled == 0 || pc.HashJoins == 0 {
 		t.Fatalf("compiled path never engaged: %+v", pc)
 	}
 }
@@ -171,7 +171,7 @@ func TestCompiledWorkloadPagedEquivalence(t *testing.T) {
 		mustExec(t, db, ddl)
 	}
 	mixedWorkload(t, db, 150, rand.New(rand.NewSource(13)))
-	if pc := db.PlanCounters(); pc.OrderedScans == 0 {
+	if pc := db.Stats().Plan; pc.OrderedScans == 0 {
 		t.Fatalf("no index-ordered walk ran on the paged database: %+v", pc)
 	}
 }

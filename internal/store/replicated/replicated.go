@@ -79,15 +79,7 @@ func (p *PrimaryEngine) Replication() *repl.Primary { return p.repl }
 // Stats implements store.Engine, adding per-follower progress.
 func (p *PrimaryEngine) Stats() store.Stats {
 	st := p.Engine.Stats()
-	for _, f := range p.repl.FollowerStats() {
-		st.Followers = append(st.Followers, store.FollowerStat{
-			Remote:     f.Remote,
-			Shard:      f.Shard,
-			SentSeq:    f.SentSeq,
-			AckedSeq:   f.AckedSeq,
-			PrimarySeq: f.PrimarySeq,
-		})
-	}
+	st.Followers = p.repl.FollowerStats()
 	return st
 }
 
@@ -305,9 +297,6 @@ func (f *FollowerEngine) Shards() int { return f.eng.Shards() }
 
 // Stats implements store.Engine.
 func (f *FollowerEngine) Stats() store.Stats { return f.eng.Stats() }
-
-// ResetBusyNanos implements store.Engine.
-func (f *FollowerEngine) ResetBusyNanos() { f.eng.ResetBusyNanos() }
 
 // Checkpoint implements store.Engine: checkpointing local replayed state
 // is a maintenance write, not a logical one, and stays allowed.

@@ -858,49 +858,12 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // callers (cryptdb-server reporting, cryptdb-bench) never silently read
 // shard 0 only.
 func (e *Engine) Stats() store.Stats {
-	out := store.Stats{Shards: len(e.shards)}
+	var out store.Stats
 	for _, sh := range e.shards {
-		pc := sh.PlanCounters()
-		out.Plan.FullScans += pc.FullScans
-		out.Plan.EqScans += pc.EqScans
-		out.Plan.RangeScans += pc.RangeScans
-		out.Plan.OrderedScans += pc.OrderedScans
-		out.Plan.MinMaxIndex += pc.MinMaxIndex
-		out.Plan.Compiled += pc.Compiled
-		out.Plan.Interpreted += pc.Interpreted
-		out.Plan.HashJoins += pc.HashJoins
-		out.Plan.NestedLoops += pc.NestedLoops
-		out.Plan.DegradedJoins += pc.DegradedJoins
-		out.Plan.GroupPushdowns += pc.GroupPushdowns
-		ws := sh.WALStats()
-		out.WAL.Batches += ws.Batches
-		out.WAL.Bytes += ws.Bytes
-		out.WAL.Syncs += ws.Syncs
-		out.WAL.Checkpoints += ws.Checkpoints
-		out.SizeBytes += sh.SizeBytes()
-		out.BusyNanos += sh.BusyNanos()
-		cs := sh.CacheStats()
-		out.Cache.Hits += cs.Hits
-		out.Cache.Misses += cs.Misses
-		out.Cache.Evictions += cs.Evictions
-		out.Cache.ResidentBytes += cs.ResidentBytes
-		out.Cache.BudgetBytes += cs.BudgetBytes
-		out.Cache.ResidentPages += cs.ResidentPages
-		out.Cache.HotPages += cs.HotPages
-		out.Cache.DirtyPages += cs.DirtyPages
-		out.DiskBytes += sh.DiskSizeBytes()
-		out.CheckpointPauseNanos += sh.CheckpointPauseNanos()
-		out.LastCheckpointBytes += sh.LastCheckpointBytes()
+		out.Add(sh.Stats())
 	}
 	out.Plan.GroupPushdowns += e.groupPushdowns.Load()
 	return out
-}
-
-// ResetBusyNanos implements store.Engine.
-func (e *Engine) ResetBusyNanos() {
-	for _, sh := range e.shards {
-		sh.ResetBusyNanos()
-	}
 }
 
 // Checkpoint implements store.Engine.

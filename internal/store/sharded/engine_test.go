@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,12 +79,12 @@ func TestRoutedPlacement(t *testing.T) {
 	// A routed UPDATE must not touch other shards' planner counters.
 	before := make([]sqldb.PlanCounters, 3)
 	for s := 0; s < 3; s++ {
-		before[s] = e.Shard(s).PlanCounters()
+		before[s] = e.Shard(s).Stats().Plan
 	}
 	mustExec(t, e, "UPDATE t SET v = 999 WHERE id = 7")
 	home := e.ShardOf("t", sqldb.Int(7))
 	for s := 0; s < 3; s++ {
-		after := e.Shard(s).PlanCounters()
+		after := e.Shard(s).Stats().Plan
 		touched := after != before[s]
 		if s == home && !touched {
 			t.Fatalf("home shard %d saw no work", s)
@@ -193,40 +194,34 @@ func TestSingleShardTxn(t *testing.T) {
 	}
 }
 
-// TestStatsAggregation: Stats sums across shards rather than reading
-// shard 0.
+// TestStatsAggregation: the engine's snapshot is its shards' snapshots
+// summed, plus the grouped scatters only the engine counts; it never reads
+// shard 0 alone.
 func TestStatsAggregation(t *testing.T) {
 	e := New(4)
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
 	for i := 1; i <= 40; i++ {
 		mustExec(t, e, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, %d)", i, i))
 	}
-	mustExec(t, e, "SELECT * FROM t") // scatter: every shard scans
+	mustExec(t, e, "SELECT * FROM t")                              // scatter: every shard scans
+	mustExec(t, e, "SELECT v % 3, COUNT(*) FROM t GROUP BY v % 3") // one GROUP BY pushdown
 	st := e.Stats()
-	if st.Shards != 4 {
-		t.Fatalf("Shards = %d", st.Shards)
+	var want store.Stats
+	for i := 0; i < e.Shards(); i++ {
+		want.Add(e.Shard(i).Stats())
 	}
-	var wantSize int
-	var wantScans int64
-	for i := 0; i < 4; i++ {
-		wantSize += e.Shard(i).SizeBytes()
-		wantScans += e.Shard(i).PlanCounters().FullScans
+	if got := st.Plan.GroupPushdowns - want.Plan.GroupPushdowns; got != 1 {
+		t.Fatalf("engine counted %d group pushdowns, want 1", got)
 	}
-	if st.SizeBytes != wantSize {
-		t.Fatalf("SizeBytes = %d, want %d", st.SizeBytes, wantSize)
+	want.Plan.GroupPushdowns++
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("Stats = %+v\nshards sum to %+v", st, want)
 	}
-	if st.Plan.FullScans != wantScans || wantScans < 4 {
-		t.Fatalf("FullScans = %d (per-shard sum %d): aggregation reads one shard only?", st.Plan.FullScans, wantScans)
+	if st.Plan.FullScans < 4 || st.SizeBytes <= e.Shard(0).SizeBytes() || st.BusyNanos <= 0 {
+		t.Fatalf("Stats = %+v: aggregation reads one shard only?", st)
 	}
 	if ti := e.Table("t"); ti == nil || ti.RowCount() != 40 {
 		t.Fatalf("Table introspection did not sum row counts: %+v", ti)
-	}
-	if got := e.Stats().BusyNanos; got <= 0 {
-		t.Fatalf("BusyNanos = %d", got)
-	}
-	e.ResetBusyNanos()
-	if got := e.Stats().BusyNanos; got != 0 {
-		t.Fatalf("ResetBusyNanos left %d", got)
 	}
 }
 

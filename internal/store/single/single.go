@@ -90,22 +90,7 @@ func (e *Engine) InTxn() bool { return e.db.InTxn() }
 func (e *Engine) Shards() int { return 1 }
 
 // Stats implements store.Engine.
-func (e *Engine) Stats() store.Stats {
-	return store.Stats{
-		Shards:               1,
-		Plan:                 e.db.PlanCounters(),
-		WAL:                  e.db.WALStats(),
-		SizeBytes:            e.db.SizeBytes(),
-		BusyNanos:            e.db.BusyNanos(),
-		Cache:                e.db.CacheStats(),
-		DiskBytes:            e.db.DiskSizeBytes(),
-		CheckpointPauseNanos: e.db.CheckpointPauseNanos(),
-		LastCheckpointBytes:  e.db.LastCheckpointBytes(),
-	}
-}
-
-// ResetBusyNanos implements store.Engine.
-func (e *Engine) ResetBusyNanos() { e.db.ResetBusyNanos() }
+func (e *Engine) Stats() store.Stats { return store.Stats{Stats: e.db.Stats()} }
 
 // Checkpoint implements store.Engine.
 func (e *Engine) Checkpoint() error { return e.db.Checkpoint() }

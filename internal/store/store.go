@@ -59,28 +59,11 @@ type TableInfo interface {
 	SizeBytes() int
 }
 
-// Stats aggregates engine-wide counters. For a sharded engine every field
-// sums (or concatenates) across shards — reading shard 0 alone would
-// under-report by a factor of the shard count.
+// Stats is an engine's counters: its database's snapshot, which a sharded
+// engine sums across shards with sqldb.(*Stats).Add (reading shard 0 alone
+// would under-report by a factor of the shard count).
 type Stats struct {
-	Shards    int
-	Plan      sqldb.PlanCounters
-	WAL       sqldb.WALStats
-	SizeBytes int
-	BusyNanos int64
-	// Cache aggregates buffer-cache activity (BudgetBytes is 0 when the
-	// cache has no budget). Resident bytes and on-disk bytes are reported
-	// separately on purpose: under a budget the former is bounded by it,
-	// the latter grows with the data.
-	Cache sqldb.CacheStats
-	// DiskBytes is the on-disk footprint: page segments plus the live WAL,
-	// summed across shards.
-	DiskBytes int64
-	// CheckpointPauseNanos is cumulative time commits were stalled by
-	// checkpoints (their capture and install phases); LastCheckpointBytes
-	// is what the most recent checkpoint wrote.
-	CheckpointPauseNanos int64
-	LastCheckpointBytes  int64
+	sqldb.Stats
 	// Followers lists per-follower replication progress when this engine
 	// is a replicating primary (empty otherwise).
 	Followers []FollowerStat
@@ -89,11 +72,11 @@ type Stats struct {
 // FollowerStat is one connected follower's replication progress, as seen
 // by the primary. Lag is PrimarySeq - AckedSeq, in commit batches.
 type FollowerStat struct {
-	Remote     string
+	Remote     string // follower's address
 	Shard      int
-	SentSeq    uint64
-	AckedSeq   uint64
-	PrimarySeq uint64
+	SentSeq    uint64 // last sequence written to the connection
+	AckedSeq   uint64 // last sequence the follower confirmed applying
+	PrimarySeq uint64 // the shard's current commit sequence
 }
 
 // ReadOnlyError reports that a statement tried to write through a
@@ -171,8 +154,6 @@ type Engine interface {
 
 	// Stats sums counters across every underlying instance.
 	Stats() Stats
-	// ResetBusyNanos zeroes the server-time counter on every instance.
-	ResetBusyNanos()
 
 	// Checkpoint writes every instance's dirty pages and truncates its WAL.
 	Checkpoint() error
