@@ -1,8 +1,8 @@
 // Package analysis reproduces the paper's functional and security analyses
 // (§8.2, §8.3): it feeds application schemas and query sets through a
-// CryptDB proxy in training mode and tabulates, per column, whether CryptDB
-// can support the queries, which onions they require, and the steady-state
-// MinEnc level — the machinery behind Figures 7 and 9.
+// CryptDB proxy in training mode (proxy.NewTrainer) and tabulates, per
+// column, whether CryptDB can support the queries, which onions they
+// require, and the steady-state MinEnc level — the machinery behind Figures 7 and 9.
 package analysis
 
 import (
@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/onion"
 	"repro/internal/proxy"
-	"repro/internal/sqldb"
 	"repro/internal/workload/trace"
 )
 
@@ -33,11 +32,10 @@ type Fig9Row struct {
 	Onions, Deferred int
 }
 
-// AnalyzeApp runs one app's queries through a training-mode proxy and
+// AnalyzeApp runs one app's queries through a trainer (proxy.NewTrainer) and
 // summarizes the steady-state onion levels.
 func AnalyzeApp(app trace.App) (Fig9Row, error) {
-	db := sqldb.New()
-	p, err := proxy.New(db, proxy.Options{HOMBits: 256, Training: true})
+	p, err := proxy.NewTrainer()
 	if err != nil {
 		return Fig9Row{}, err
 	}
@@ -47,8 +45,8 @@ func AnalyzeApp(app trace.App) (Fig9Row, error) {
 		}
 	}
 	for _, q := range app.Queries {
-		// Training mode records adjustments and warnings; execution
-		// errors beyond analysis are not expected.
+		// A trainer logs unsupported queries as warnings; errors beyond
+		// analysis are not expected.
 		if _, err := p.Execute(q.SQL, q.Params...); err != nil {
 			return Fig9Row{}, fmt.Errorf("analysis: %s query %q: %w", app.Name, q.SQL, err)
 		}

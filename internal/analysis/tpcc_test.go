@@ -1,47 +1,68 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/onion"
+	"repro/internal/proxy"
 	"repro/internal/sqldb"
 	"repro/internal/workload/tpcc"
 	"repro/internal/workload/trace"
 )
 
 // TestAnalyzeTPCC runs the actual TPC-C query classes through the analysis
-// pipeline (the Figure 9 TPC-C row).
+// pipeline (the Figure 9 TPC-C row) and through TrainPlan, and pins both.
 func TestAnalyzeTPCC(t *testing.T) {
 	app := trace.App{Name: "TPC-C", Schema: tpcc.Schema()}
+	var queries []proxy.TrainQuery
 	g := tpcc.NewGenerator(tpcc.Config{Seed: 1})
 	for _, c := range tpcc.Classes() {
 		sql, params := g.ForClass(c)
 		app.Queries = append(app.Queries, trace.Query{SQL: sql, Params: params})
+		queries = append(queries, proxy.TrainQuery{SQL: sql, Params: params})
 	}
 	row, err := AnalyzeApp(app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.ConsiderEnc != tpcc.ColumnCount {
-		t.Fatalf("considered = %d, want %d", row.ConsiderEnc, tpcc.ColumnCount)
+	// The mix sums ol_amount and increments d_ytd (HOM), ranges over
+	// s_quantity (OPE), and looks up and joins by key (DET/JOIN); RND
+	// dominates (paper: 65/92).
+	want := Fig9Row{App: "TPC-C", TotalCols: tpcc.ColumnCount, ConsiderEnc: tpcc.ColumnCount, NeedsHOM: 2,
+		AtRND: 85, AtDET: 6, AtOPE: 1, HighSensitive: 85, Onions: 276, Deferred: 271}
+	if row != want {
+		t.Errorf("\n got %+v\nwant %+v", row, want)
 	}
-	if row.NeedsPlain != 0 {
-		t.Fatalf("TPC-C should be fully supported, %d columns need plaintext", row.NeedsPlain)
+
+	plan, err := proxy.TrainPlan(tpcc.Schema(), queries)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The mix sums ol_amount and increments d_ytd: both use HOM.
-	if row.NeedsHOM < 2 {
-		t.Fatalf("needs-HOM = %d, want >= 2", row.NeedsHOM)
+	// Every other column keeps its Eq onion only.
+	beyondEq := map[string][]onion.Onion{
+		"customer.c_id":        {onion.Eq, onion.JAdj},
+		"district.d_ytd":       {onion.Eq, onion.Add},
+		"order_line.ol_amount": {onion.Eq, onion.Add},
+		"orders.o_c_id":        {onion.Eq, onion.JAdj},
+		"stock.s_quantity":     {onion.Eq, onion.Ord},
 	}
-	// Range on s_quantity: at least one OPE column.
-	if row.AtOPE < 1 {
-		t.Fatalf("at-OPE = %d, want >= 1", row.AtOPE)
+	if len(plan) != tpcc.ColumnCount {
+		t.Errorf("plan has %d columns, want %d", len(plan), tpcc.ColumnCount)
 	}
-	// Equality and join lookups produce DET/JOIN columns.
-	if row.AtDET < 3 {
-		t.Fatalf("at-DET = %d, want >= 3", row.AtDET)
+	for col := range beyondEq {
+		if _, ok := plan[col]; !ok {
+			t.Errorf("plan has no entry for %s", col)
+		}
 	}
-	// Most columns are only inserted/fetched: RND dominates (paper: 65/92).
-	if row.AtRND <= row.AtDET+row.AtOPE {
-		t.Fatalf("RND (%d) should dominate DET (%d) + OPE (%d)", row.AtRND, row.AtDET, row.AtOPE)
+	for col, got := range plan {
+		want, ok := beyondEq[col]
+		if !ok {
+			want = []onion.Onion{onion.Eq}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("plan[%s] = %v, want %v", col, got, want)
+		}
 	}
 }
 

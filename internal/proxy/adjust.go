@@ -3,21 +3,23 @@ package proxy
 import (
 	"fmt"
 
+	"repro/internal/crypto/joinadj"
 	"repro/internal/onion"
 	"repro/internal/sqldb"
 	"repro/internal/sqlparser"
 )
 
 // applyRequirements performs every onion adjustment a query needs before it
-// can execute (§3.2, step 2 of query processing). In training mode it only
-// records what would happen.
+// can execute (§3.2, step 2 of query processing). A trainer (NewTrainer)
+// runs the same adjustments over its empty store, but logs a requirement it
+// cannot meet as a warning instead of refusing the query.
 func (p *Proxy) applyRequirements(an *analysis) error {
-	if len(an.unsupported) > 0 && !p.opts.Training {
+	if len(an.unsupported) > 0 && !p.training {
 		return fmt.Errorf("proxy: query not executable over encrypted data: %s", an.unsupported[0])
 	}
 	for _, req := range an.reqs {
 		if err := p.applyRequirement(req); err != nil {
-			if p.opts.Training {
+			if p.training {
 				p.trainLog = append(p.trainLog, TrainEvent{
 					Table: req.cm.Table.Logical, Column: req.cm.Logical,
 					Warning: err.Error(),
@@ -27,7 +29,7 @@ func (p *Proxy) applyRequirements(an *analysis) error {
 			return err
 		}
 	}
-	if p.opts.Training {
+	if p.training {
 		for _, reason := range an.unsupported {
 			p.trainLog = append(p.trainLog, TrainEvent{Warning: reason})
 		}
@@ -111,16 +113,6 @@ func (p *Proxy) lowerTo(cm *ColumnMeta, o onion.Onion, target onion.Layer) error
 	if err != nil {
 		return err
 	}
-	if p.opts.Training {
-		p.trainLog = append(p.trainLog, TrainEvent{
-			Table: cm.Table.Logical, Column: cm.Logical, Onion: o, Layer: target,
-		})
-		st.Deferred = false
-		for range layers {
-			st.Descend()
-		}
-		return nil
-	}
 	// A deferred onion has no ciphertexts to strip a layer from yet.
 	if err := p.materialise(cm, o); err != nil {
 		return err
@@ -160,25 +152,23 @@ func (p *Proxy) lowerTo(cm *ColumnMeta, o onion.Onion, target onion.Layer) error
 				},
 			}},
 		}
-		p.metaMu.Lock()
-		st.Descend()
-		sealed, err := p.sealedMetaLocked()
-		if err == nil {
+		err := p.transition(st.Descend, func() { st.Cur-- }, func(sealed []byte) error {
 			// The UPDATE carries the peeled layer's key: shipping it to
 			// the DBMS for an in-place re-encryption is the paper's
 			// adjustable-onion protocol (§3.1) — the key reveals only the
 			// layer being given up, never an inner one.
-			_, err = p.db.ExecAutonomousWithMeta(upd, sealed) //cryptdb:sink-ok onion layer key ships to the DBMS to peel RND in place (§3.1)
-		}
+			_, err := p.db.ExecAutonomousWithMeta(upd, sealed) //cryptdb:sink-ok onion layer key ships to the DBMS to peel RND in place (§3.1)
+			return err
+		})
 		if err != nil {
-			if !stmtApplied(err) {
-				st.Cur-- // the layer really was not stripped
-			}
-			p.metaMu.Unlock()
 			return fmt.Errorf("proxy: onion adjustment: %w", err)
 		}
-		p.metaMu.Unlock()
 		p.stats.onionAdjustments.Add(1)
+	}
+	if p.training {
+		p.trainLog = append(p.trainLog, TrainEvent{
+			Table: cm.Table.Logical, Column: cm.Logical, Onion: o, Layer: target,
+		})
 	}
 	return p.materializeIndexes(cm)
 }
@@ -209,12 +199,11 @@ func (p *Proxy) adjustJoin(a, b *ColumnMeta) error {
 	// write side of p.mu; groupRoot itself never writes).
 	a.joinGroup, b.joinGroup = base, base
 
-	if p.opts.Training {
+	if p.training {
 		p.trainLog = append(p.trainLog, TrainEvent{
 			Table: b.Table.Logical, Column: b.Logical,
 			Onion: onion.JAdj, Layer: onion.JOIN,
 		})
-		return nil
 	}
 
 	// Re-key the two queried columns to the group's base key. Deltas are
@@ -251,31 +240,25 @@ func (p *Proxy) adjustJoin(a, b *ColumnMeta) error {
 		// The re-keying UPDATE and the metadata naming the new effective
 		// key (by reference to the base column, never by value) commit in
 		// one WAL batch.
-		p.metaMu.Lock()
-		cm.mu.Lock()
-		oldKey := cm.joinKey
 		oldRefT, oldRefC := cm.joinRefT, cm.joinRefC
-		cm.joinKey = baseKey
-		cm.joinRefT, cm.joinRefC = base.joinRefT, base.joinRefC
-		cm.mu.Unlock()
-		sealed, err := p.sealedMetaLocked()
-		if err == nil {
-			// JOIN-ADJ adjustment sends the delta that re-keys one
-			// column's ciphertexts onto the other's key (§3.4); the delta
-			// exposes neither column's key.
-			_, err = p.db.ExecAutonomousWithMeta(upd, sealed) //cryptdb:sink-ok join-adjustment delta ships to the DBMS to re-key ciphertexts in place (§3.4)
-		}
-		if err != nil {
-			if !stmtApplied(err) {
+		setKey := func(key *joinadj.Key, refT, refC string) func() {
+			return func() {
 				cm.mu.Lock()
-				cm.joinKey = oldKey
-				cm.joinRefT, cm.joinRefC = oldRefT, oldRefC
+				cm.joinKey, cm.joinRefT, cm.joinRefC = key, refT, refC
 				cm.mu.Unlock()
 			}
-			p.metaMu.Unlock()
+		}
+		err = p.transition(setKey(baseKey, base.joinRefT, base.joinRefC), setKey(cur, oldRefT, oldRefC),
+			func(sealed []byte) error {
+				// JOIN-ADJ adjustment sends the delta that re-keys one
+				// column's ciphertexts onto the other's key (§3.4); the
+				// delta exposes neither column's key.
+				_, err := p.db.ExecAutonomousWithMeta(upd, sealed) //cryptdb:sink-ok join-adjustment delta ships to the DBMS to re-key ciphertexts in place (§3.4)
+				return err
+			})
+		if err != nil {
 			return fmt.Errorf("proxy: join adjustment: %w", err)
 		}
-		p.metaMu.Unlock()
 		p.stats.onionAdjustments.Add(1)
 		if err := p.materializeIndexes(cm); err != nil {
 			return err
@@ -321,10 +304,6 @@ func (p *Proxy) adjustRangeJoin(a, b *ColumnMeta) error {
 func (p *Proxy) materialise(cm *ColumnMeta, o onion.Onion) error {
 	st := cm.Onions[o]
 	if st == nil || !st.Deferred {
-		return nil
-	}
-	if p.opts.Training {
-		st.Deferred = false
 		return nil
 	}
 	if p.replica != nil {
@@ -374,10 +353,6 @@ func (p *Proxy) materialise(cm *ColumnMeta, o onion.Onion) error {
 // applied lazily at column granularity. Deferred onions stay deferred.
 func (p *Proxy) maybeResync(cm *ColumnMeta) error {
 	if cm == nil || !cm.Stale[onion.Eq] {
-		return nil
-	}
-	if p.opts.Training {
-		cm.Stale = make(map[onion.Onion]bool)
 		return nil
 	}
 	// Rows buffered by an open transaction would be skipped by the rewrite

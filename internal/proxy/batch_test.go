@@ -9,13 +9,14 @@ import (
 	"repro/internal/crypto/keys"
 	"repro/internal/onion"
 	"repro/internal/sqldb"
+	"repro/internal/store/single"
 )
 
 // mkKeyedProxy builds a proxy over a fresh embedded DB with explicit master
 // key material, so two proxies can be compared ciphertext-for-ciphertext.
 func mkKeyedProxy(t *testing.T, mk *keys.Master, workers int) *Proxy {
 	t.Helper()
-	p, err := NewWithMaster(sqldb.New(), mk, Options{HOMBits: 256, BatchWorkers: workers})
+	p, err := newWithMaster(single.New(sqldb.New()), mk, Options{HOMBits: 256, BatchWorkers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

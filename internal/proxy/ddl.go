@@ -91,24 +91,16 @@ func (p *Proxy) createTable(st *sqlparser.CreateTableStmt) error {
 	// Register first so the sealed metadata snapshot includes the new
 	// table, then create it at the DBMS with the snapshot attached: table
 	// and metadata become durable in one WAL batch, or not at all.
-	p.tables[st.Name] = tm
-	p.metaMu.Lock()
-	defer p.metaMu.Unlock()
-	sealed, err := p.sealedMetaLocked()
-	if err != nil {
-		delete(p.tables, st.Name)
-		p.nTab--
-		return err
-	}
-	//cryptdb:sink-ok anon is the rewritten CREATE TABLE: anonymized identifiers and onion column defs only, no data literals
-	if _, err := p.db.ExecAutonomousWithMeta(anon, sealed); err != nil {
-		if !stmtApplied(err) {
-			delete(p.tables, st.Name)
-			p.nTab--
-		}
-		return fmt.Errorf("proxy: creating anonymized table: %w", err)
-	}
-	return nil
+	return p.transition(
+		func() { p.tables[st.Name] = tm },
+		func() { delete(p.tables, st.Name); p.nTab-- },
+		func(sealed []byte) error {
+			//cryptdb:sink-ok anon is the rewritten CREATE TABLE: anonymized identifiers and onion column defs only, no data literals
+			if _, err := p.db.ExecAutonomousWithMeta(anon, sealed); err != nil {
+				return fmt.Errorf("proxy: creating anonymized table: %w", err)
+			}
+			return nil
+		})
 }
 
 // createIndex remembers the application's index request and materializes
@@ -172,17 +164,11 @@ func (p *Proxy) materializeIndexes(cm *ColumnMeta) error {
 	// already records it as materialized, so a crash cannot leave the
 	// index built but forgotten (or vice versa).
 	createWithMeta := func(stmt *sqlparser.CreateIndexStmt, done *bool) error {
-		p.metaMu.Lock()
-		defer p.metaMu.Unlock()
-		*done = true
-		sealed, err := p.sealedMetaLocked()
-		if err == nil {
-			_, err = p.db.ExecWithMeta(stmt, sealed)
-		}
-		if err != nil && !stmtApplied(err) {
-			*done = false
-		}
-		return err
+		return p.transition(func() { *done = true }, func() { *done = false },
+			func(sealed []byte) error {
+				_, err := p.db.ExecAutonomousWithMeta(stmt, sealed)
+				return err
+			})
 	}
 	if st := cm.Onions[onion.Eq]; st != nil && st.Current() == onion.DET && !cm.idxEq &&
 		(cm.wantUsing != "BTREE" || cm.wantUnique) {

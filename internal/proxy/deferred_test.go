@@ -412,11 +412,16 @@ func TestDeferredFirstUseBlockedByOpenTxn(t *testing.T) {
 }
 
 // faultyEngine fails the failAt-th autonomous write (1-based) and, while
-// failMeta is set, every metadata commit.
+// failMeta is set, every metadata commit. It also fails the metaFailAt-th
+// statement that carries a metadata blob with metaFault: a plain error
+// leaves the statement unapplied, a *sqldb.DurabilityError applies it first,
+// as a failed WAL write does.
 type faultyEngine struct {
 	store.Engine
-	writes, failAt int
-	failMeta       bool
+	writes, failAt         int
+	failMeta               bool
+	metaWrites, metaFailAt int
+	metaFault              error
 }
 
 var errInjected = errors.New("injected engine fault")
@@ -427,6 +432,28 @@ func (f *faultyEngine) ExecAutonomous(st sqlparser.Statement, params ...sqldb.Va
 		return nil, errInjected
 	}
 	return f.Engine.ExecAutonomous(st, params...)
+}
+
+func (f *faultyEngine) ExecWithMeta(st sqlparser.Statement, meta []byte, params ...sqldb.Value) (*sqldb.Result, error) {
+	return f.withMeta(func() (*sqldb.Result, error) { return f.Engine.ExecWithMeta(st, meta, params...) })
+}
+
+func (f *faultyEngine) ExecAutonomousWithMeta(st sqlparser.Statement, meta []byte, params ...sqldb.Value) (*sqldb.Result, error) {
+	return f.withMeta(func() (*sqldb.Result, error) { return f.Engine.ExecAutonomousWithMeta(st, meta, params...) })
+}
+
+func (f *faultyEngine) withMeta(exec func() (*sqldb.Result, error)) (*sqldb.Result, error) {
+	f.metaWrites++
+	if f.metaWrites != f.metaFailAt {
+		return exec()
+	}
+	var de *sqldb.DurabilityError
+	if errors.As(f.metaFault, &de) {
+		if _, err := exec(); err != nil {
+			return nil, err
+		}
+	}
+	return nil, f.metaFault
 }
 
 func (f *faultyEngine) SetMeta(meta []byte) error {

@@ -50,7 +50,7 @@ func (p *Proxy) ExecuteStmt(st sqlparser.Statement, params ...sqldb.Value) (*sql
 // server-side parallelism (§8.4.1's "no server-side decryptions in the
 // steady state").
 func (p *Proxy) adjNeeded(an *analysis) bool {
-	if len(an.unsupported) > 0 && p.opts.Training {
+	if len(an.unsupported) > 0 && p.training {
 		return true
 	}
 	// atOrBelow treats a discarded onion (nil state) as needing the slow
@@ -119,7 +119,7 @@ func (p *Proxy) prepare(analyze func() (*analysis, error)) (release func(), err 
 		return nil, err
 	}
 	if !p.adjNeeded(an) {
-		if len(an.unsupported) > 0 && !p.opts.Training {
+		if len(an.unsupported) > 0 && !p.training {
 			p.mu.RUnlock()
 			return nil, fmt.Errorf("proxy: query not executable over encrypted data: %s", an.unsupported[0])
 		}
@@ -172,7 +172,7 @@ func (sess *Session) execSelect(s *sqlparser.SelectStmt, params []sqldb.Value) (
 	}
 	defer release()
 
-	if p.opts.Training {
+	if p.training {
 		return &sqldb.Result{}, nil
 	}
 
@@ -534,7 +534,7 @@ func (sess *Session) execInsert(s *sqlparser.InsertStmt, params []sqldb.Value) (
 	if !ok {
 		return nil, fmt.Errorf("proxy: no table %s", s.Table)
 	}
-	if p.opts.Training {
+	if p.training {
 		return &sqldb.Result{}, nil
 	}
 
@@ -719,7 +719,7 @@ func (sess *Session) execUpdate(s *sqlparser.UpdateStmt, params []sqldb.Value) (
 		return nil, err
 	}
 	defer release()
-	if p.opts.Training {
+	if p.training {
 		return &sqldb.Result{}, nil
 	}
 
@@ -1002,7 +1002,7 @@ func (sess *Session) execDelete(s *sqlparser.DeleteStmt, params []sqldb.Value) (
 		return nil, err
 	}
 	defer release()
-	if p.opts.Training {
+	if p.training {
 		return &sqldb.Result{}, nil
 	}
 

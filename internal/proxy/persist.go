@@ -300,8 +300,8 @@ func (p *Proxy) sealedMetaLocked() ([]byte, error) {
 
 // persistMetaLocked durably commits the current metadata in its own WAL
 // batch. Used for transitions with no accompanying server statement (usage
-// flags, OPE-JOIN declarations, resync and materialisation completion,
-// group-root moves).
+// flags, OPE-JOIN declarations, completion of a whole-column rewrite —
+// resync, materialisation, RaiseOnion — and group-root moves).
 // Callers hold p.mu.
 func (p *Proxy) persistMetaLocked() error {
 	if !p.persistent() {
@@ -314,6 +314,28 @@ func (p *Proxy) persistMetaLocked() error {
 		return err
 	}
 	return p.db.SetMeta(sealed)
+}
+
+// transition commits one metadata transition together with the server
+// statement that makes it true (a CREATE or DROP, an index build, a layer
+// peel, a join re-key): under metaMu it applies the change in memory, seals
+// the result and hands the blob to run, which executes the statement with
+// it attached, so both land in one WAL batch or neither does. If sealing or
+// run fails, undo reverts the change — unless the statement applied anyway
+// (stmtApplied), when the kept change is the one that matches the data.
+// Callers hold the write side of p.mu.
+func (p *Proxy) transition(apply, undo func(), run func(sealed []byte) error) error {
+	p.metaMu.Lock()
+	defer p.metaMu.Unlock()
+	apply()
+	sealed, err := p.sealedMetaLocked()
+	if err == nil {
+		err = run(sealed)
+	}
+	if err != nil && !stmtApplied(err) {
+		undo()
+	}
+	return err
 }
 
 //

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/onion"
 	"repro/internal/sqldb"
+	"repro/internal/store/single"
 )
 
 // openDurable opens (or reopens) a durable DBMS+proxy pair rooted at dir.
@@ -255,4 +257,83 @@ func mustExecP(t *testing.T, p *Proxy, sql string) *sqldb.Result {
 		t.Fatalf("%s: %v", sql, err)
 	}
 	return res
+}
+
+// TestTransitionFailureReverts drives each metadata transition that commits
+// with a server statement into a failing statement. A plain error leaves
+// the proxy's metadata as it was and a retry succeeds; a durability error
+// means the statement applied, so the change is kept. Either way the
+// answers afterwards match the plaintext oracle.
+func TestTransitionFailureReverts(t *testing.T) {
+	joinRef := func(p *Proxy) string {
+		cm := p.Table("owner").Col("oid")
+		return cm.joinRefT + "." + cm.joinRefC
+	}
+	cases := []struct {
+		name   string
+		setup  []string // run on proxy and oracle before the fault
+		stmt   string   // the statement whose transition fails
+		failAt int      // which blob-carrying statement of stmt fails
+		state  func(p *Proxy) string
+		then   []string // run on both once stmt has applied
+		query  string   // checked against the oracle at the end
+	}{
+		{name: "create table", stmt: "CREATE TABLE extra (id INT PRIMARY KEY, v TEXT)", failAt: 1,
+			state: func(p *Proxy) string { return fmt.Sprint(p.Table("extra") != nil) },
+			then:  []string{"INSERT INTO extra (id, v) VALUES (1, 'a'), (2, 'b')"},
+			query: "SELECT id FROM extra WHERE v = 'b'"},
+		{name: "drop table", stmt: "DROP TABLE owner", failAt: 1,
+			state: func(p *Proxy) string { return fmt.Sprint(p.Table("owner") != nil) },
+			then: []string{"CREATE TABLE owner (oid INT PRIMARY KEY, name TEXT)",
+				"INSERT INTO owner (oid, name) VALUES (1, 'new')"},
+			query: "SELECT name FROM owner WHERE oid = 1"},
+		{name: "index", setup: []string{"SELECT id FROM acct WHERE memo = 'kw01 kw11'"},
+			stmt: "CREATE INDEX memo_idx ON acct (memo)", failAt: 1,
+			state: func(p *Proxy) string { return fmt.Sprint(p.Table("acct").Col("memo").idxEq) },
+			query: "SELECT id FROM acct WHERE memo = 'kw02 kw12'"},
+		{name: "rnd peel", stmt: "SELECT id FROM acct WHERE memo = 'kw01 kw11'", failAt: 1,
+			state: func(p *Proxy) string { return fmt.Sprint(p.Table("acct").Col("memo").Onions[onion.Eq].Cur) },
+			query: "SELECT id FROM acct WHERE memo = 'kw03 kw13'"},
+		// Two JAdj peels, then owner.oid re-keys onto acct.holder's key.
+		{name: "join rekey", stmt: "SELECT a.id, o.name FROM acct a JOIN owner o ON a.holder = o.oid", failAt: 3,
+			state: joinRef,
+			query: "SELECT o.name, a.bal FROM owner o JOIN acct a ON o.oid = a.holder"},
+	}
+	for _, tc := range cases {
+		for _, fault := range []error{errInjected, &sqldb.DurabilityError{Err: errInjected}} {
+			_, durable := fault.(*sqldb.DurabilityError)
+			t.Run(fmt.Sprintf("%s/durable=%v", tc.name, durable), func(t *testing.T) {
+				fe := &faultyEngine{Engine: single.New(sqldb.New())}
+				l := newLifecycle(t, fe, Options{})
+				l.load(5, 20)
+				for _, s := range tc.setup {
+					l.both(s)
+				}
+				before := tc.state(l.p)
+				fe.metaWrites, fe.metaFailAt, fe.metaFault = 0, tc.failAt, fault
+				_, err := l.p.Execute(tc.stmt)
+				fe.metaFailAt = 0
+				var de *sqldb.DurabilityError
+				switch after := tc.state(l.p); {
+				case !errors.Is(err, errInjected) || errors.As(err, &de) != durable:
+					t.Fatalf("%s: err = %v, want the injected fault", tc.stmt, err)
+				case durable && after == before:
+					t.Fatalf("an applied statement's transition was undone: state %s", after)
+				case !durable && after != before:
+					t.Fatalf("a failed statement's transition was kept: state %s, was %s", after, before)
+				}
+				if durable {
+					if _, err := l.orc.ExecSQL(tc.stmt); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					l.both(tc.stmt)
+				}
+				for _, s := range tc.then {
+					l.both(s)
+				}
+				l.check(tc.query)
+			})
+		}
+	}
 }

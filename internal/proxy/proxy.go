@@ -40,9 +40,6 @@ type Options struct {
 	// INSERT independent of this knob (disable it with DisableOPECache);
 	// ciphertexts and row order are identical on every setting.
 	BatchWorkers int
-	// Training makes the proxy analyze and record onion adjustments
-	// without encrypting or executing anything (§3.5.1 training mode).
-	Training bool
 	// Plan is the developer's a-priori statement of the query set (§3.5.2
 	// "known query set"), per column: an onion the column's entry lists is
 	// present from the first row, an onion it omits is discarded and a
@@ -140,7 +137,9 @@ type Proxy struct {
 	replica    store.Replica
 	replicaGen atomic.Uint64
 
-	// training-mode log of would-be adjustments.
+	// training is set on a trainer (NewTrainer); trainLog is its record
+	// of adjustments and warnings.
+	training bool
 	trainLog []TrainEvent
 
 	princ PrincipalCrypto
@@ -181,12 +180,6 @@ func NewOnEngine(eng store.Engine, opts Options) (*Proxy, error) {
 	return openPersistent(eng, opts)
 }
 
-// NewWithMaster creates an in-memory proxy with explicit master key
-// material (multi-principal mode derives sub-proxies this way).
-func NewWithMaster(db *sqldb.DB, mk *keys.Master, opts Options) (*Proxy, error) {
-	return newWithMaster(single.New(db), mk, opts)
-}
-
 func newWithMaster(eng store.Engine, mk *keys.Master, opts Options) (*Proxy, error) {
 	if opts.HOMBits == 0 {
 		opts.HOMBits = hom.DefaultBits
@@ -224,24 +217,15 @@ func openPersistent(db store.Engine, opts Options) (*Proxy, error) {
 		if err != nil {
 			return nil, err
 		}
-		bits := opts.HOMBits
-		if bits == 0 {
-			bits = hom.DefaultBits
-		}
-		hk, err := hom.GenerateKey(bits)
+		p, err := newWithMaster(db, mk, opts)
 		if err != nil {
-			return nil, fmt.Errorf("proxy: %w", err)
-		}
-		hp, hq, _ := hk.Primes()
-		if err := writeKeyFile(dir, &keyFile{
-			Version: 1, MasterKey: mk.Bytes(), HomBits: bits,
-			HomP: hp.Bytes(), HomQ: hq.Bytes(),
-		}); err != nil {
 			return nil, err
 		}
-		opts.HOMBits = bits
-		p, err := newProxy(db, mk, hk, opts)
-		if err != nil {
+		hp, hq, _ := p.homKey.Primes()
+		if err := writeKeyFile(dir, &keyFile{
+			Version: 1, MasterKey: mk.Bytes(), HomBits: p.opts.HOMBits,
+			HomP: hp.Bytes(), HomQ: hq.Bytes(),
+		}); err != nil {
 			return nil, err
 		}
 		p.dataDir = dir
@@ -338,7 +322,7 @@ func (p *Proxy) Stats() Stats {
 	return out
 }
 
-// TrainingLog returns the events recorded in training mode.
+// TrainingLog returns the events a trainer (NewTrainer) recorded.
 func (p *Proxy) TrainingLog() []TrainEvent {
 	p.mu.Lock()
 	defer p.mu.Unlock()

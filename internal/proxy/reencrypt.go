@@ -14,7 +14,12 @@ import (
 // to re-encrypt onions back to a higher layer after the infrequent query
 // finishes"). The proxy reads every ciphertext in the column, applies the
 // RND wrap under the column's stored per-row IVs, and restores the onion
-// state, shrinking the leak window of the lower layer.
+// state, shrinking the leak window of the lower layer. It is a whole-column
+// rewrite like materialise, with the same refusals (on a replica, and while
+// an open transaction has written the table) and the same order: rows
+// first, then the raised layer is persisted. The rows commit one by one, so
+// a crash in the middle of a raise leaves the column with mixed layers
+// under metadata that still names the lower one.
 func (p *Proxy) RaiseOnion(table, col string, o onion.Onion) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -34,9 +39,13 @@ func (p *Proxy) RaiseOnion(table, col string, o onion.Onion) error {
 	if above != onion.RND {
 		return fmt.Errorf("proxy: cannot re-wrap non-RND layer %s", above)
 	}
-	if p.opts.Training {
-		st.Cur--
-		return nil
+	if p.replica != nil {
+		return p.replicaReadOnly()
+	}
+	// Rows buffered by an open transaction were encrypted at the lower
+	// layer and would commit under the raised one.
+	if err := p.adjustBlocked(cm.Table); err != nil {
+		return err
 	}
 
 	c := p.rndCipher(cm, o)
@@ -73,7 +82,8 @@ func (p *Proxy) RaiseOnion(table, col string, o onion.Onion) error {
 	if o == onion.JAdj && cm.idxJadj {
 		cm.idxJadj = false
 	}
-	return nil
+	p.stats.onionAdjustments.Add(1)
+	return p.persistMetaLocked()
 }
 
 // rewriteColumn is the one whole-column rewrite loop, shared by onion

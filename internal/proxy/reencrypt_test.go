@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/onion"
@@ -33,6 +34,65 @@ func TestRaiseOnionEq(t *testing.T) {
 	res = mustExec(t, p, "SELECT name FROM employees WHERE id = 3")
 	if res.Rows[0][0].S != "Carol" {
 		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
+// TestRaiseOnionSurvivesRestart: the raised layer is persisted, so a
+// reopened proxy knows the column is back at RND and peels it again for the
+// next equality query instead of comparing DET tokens against RND data.
+func TestRaiseOnionSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	db, p := openDurable(t, dir)
+	seedEmployees(t, p)
+	mustExec(t, p, "SELECT id FROM employees WHERE name = 'Alice'")
+	if err := p.RaiseOnion("employees", "name", onion.Eq); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.Stats().OnionAdjustments; n != 2 {
+		t.Errorf("OnionAdjustments = %d after a peel and a raise, want 2", n)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, p2 := openDurable(t, dir)
+	if st := p2.Table("employees").Col("name").Onions[onion.Eq]; st.Current() != onion.RND {
+		t.Errorf("reopened proxy has name Eq at %s, want RND", st.Current())
+	}
+	res := mustExec(t, p2, "SELECT id FROM employees WHERE name = 'Bob'")
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 2 {
+		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
+// TestRaiseOnionRefusedWhileTxnWrites: rows buffered by an open transaction
+// were encrypted at DET and would commit under the raised RND layer, so the
+// raise is refused with the retryable conflict, as an adjustment is.
+func TestRaiseOnionRefusedWhileTxnWrites(t *testing.T) {
+	p := newTestProxy(t)
+	seedEmployees(t, p)
+	mustExec(t, p, "SELECT id FROM employees WHERE name = 'Alice'")
+	s := p.NewSession()
+	defer s.Close() //nolint:errcheck // test teardown
+	mustSess(t, s, "BEGIN")
+	mustSess(t, s, "INSERT INTO employees (id, name, dept, salary) VALUES (9, 'Zed', 'ops', 1)")
+	err := p.RaiseOnion("employees", "name", onion.Eq)
+	if err == nil || !strings.Contains(err.Error(), "conflicts with an open transaction; retry") {
+		t.Fatalf("raise with a writer's transaction open: %v", err)
+	}
+	mustSess(t, s, "COMMIT")
+	for name, id := range map[string]int64{"Zed": 9, "Bob": 2} {
+		res := mustExec(t, p, "SELECT id FROM employees WHERE name = '"+name+"'")
+		if len(res.Rows) != 1 || res.Rows[0][0].I != id {
+			t.Fatalf("%s: rows = %v", name, res.Rows)
+		}
+	}
+	// With the transaction over, the raise goes ahead.
+	if err := p.RaiseOnion("employees", "name", onion.Eq); err != nil {
+		t.Fatal(err)
+	}
+	res := mustExec(t, p, "SELECT id FROM employees WHERE name = 'Zed'")
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 9 {
+		t.Fatalf("rows after raise = %v", res.Rows)
 	}
 }
 

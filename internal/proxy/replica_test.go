@@ -119,6 +119,14 @@ func TestReplicaProxyServesReads(t *testing.T) {
 			t.Fatalf("%s: redirect names %q, want %q", w, ro.Primary, pe.Addr())
 		}
 	}
+	// Raising a layer rewrites the column: a write, like the statements.
+	var ro *store.ReadOnlyError
+	if err := fp.RaiseOnion("emp", "salary", onion.Ord); !errors.As(err, &ro) {
+		t.Fatalf("RaiseOnion on replica: got %v, want ReadOnlyError", err)
+	}
+	if st := fp.Table("emp").Col("salary").Onions[onion.Ord]; st.Current() != onion.OPE {
+		t.Fatalf("refused raise left salary Ord at %s, want OPE", st.Current())
+	}
 }
 
 // TestReplicaProxyMetaRefresh: schema and onion transitions made on the

@@ -152,23 +152,15 @@ func (s *Session) ExecuteStmt(st sqlparser.Statement, params ...sqldb.Value) (*s
 		if !ok {
 			return nil, fmt.Errorf("proxy: no table %s", x.Name)
 		}
-		delete(p.tables, x.Name)
-		p.metaMu.Lock()
-		defer p.metaMu.Unlock()
-		sealed, err := p.sealedMetaLocked()
-		if err != nil {
-			p.tables[x.Name] = tm
-			return nil, err
-		}
-		res, err := p.db.ExecWithMeta(&sqlparser.DropTableStmt{Name: tm.Anon}, sealed)
-		if err != nil && !stmtApplied(err) {
-			p.tables[x.Name] = tm
-		}
-		return res, err
+		return &sqldb.Result{}, p.transition(func() { delete(p.tables, x.Name) }, func() { p.tables[x.Name] = tm },
+			func(sealed []byte) error {
+				_, err := p.db.ExecAutonomousWithMeta(&sqlparser.DropTableStmt{Name: tm.Anon}, sealed)
+				return err
+			})
 	case *sqlparser.BeginStmt, *sqlparser.CommitStmt, *sqlparser.RollbackStmt:
 		// Transactions pass through unchanged (§3.3), scoped to this
 		// session's DBMS session.
-		if p.opts.Training {
+		if p.training {
 			return &sqldb.Result{}, nil
 		}
 		var res *sqldb.Result

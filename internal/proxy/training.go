@@ -22,7 +22,7 @@ type OnionPlan map[string][]onion.Onion
 // planKey builds the plan map key.
 func planKey(table, col string) string { return table + "." + col }
 
-// DerivePlan inspects the proxy's (typically training-mode) state and
+// DerivePlan inspects the proxy's (typically a trainer's) state and
 // returns the minimal onion set each column needs: Eq always, JAdj only if
 // a join adjusted it, Ord only if an order query exposed OPE, Add/Search
 // only if a query used them.
@@ -60,14 +60,27 @@ type TrainQuery struct {
 	Params []sqldb.Value
 }
 
-// TrainPlan runs schema DDL plus a query trace through a fresh
-// training-mode proxy and derives the onion plan — the developer workflow
-// of §3.5.1/§3.5.2: "the developer can use the training mode ... to adjust
-// onions to the correct layer a priori ... CryptDB can also discard onions
-// that are not needed".
+// NewTrainer returns a proxy in training mode (§3.5.1) over its own empty
+// in-memory store, with a small Paillier key. It runs every onion adjustment
+// a query needs exactly as a production proxy does — over zero rows — and
+// records each layer descent and join in TrainingLog; it logs a query it
+// cannot support as a warning instead of refusing it, and executes no client
+// statement. Report and DerivePlan then read the layers the trace reached.
+func NewTrainer() (*Proxy, error) {
+	p, err := New(sqldb.New(), Options{HOMBits: 256})
+	if err != nil {
+		return nil, err
+	}
+	p.training = true
+	return p, nil
+}
+
+// TrainPlan runs schema DDL plus a query trace through a fresh trainer and
+// derives the onion plan — the developer workflow of §3.5.1/§3.5.2: "the
+// developer can use the training mode ... to adjust onions to the correct
+// layer a priori ... CryptDB can also discard onions that are not needed".
 func TrainPlan(ddl []string, queries []TrainQuery) (OnionPlan, error) {
-	db := sqldb.New()
-	p, err := New(db, Options{HOMBits: 256, Training: true})
+	p, err := NewTrainer()
 	if err != nil {
 		return nil, err
 	}

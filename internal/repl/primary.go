@@ -319,7 +319,7 @@ func (p *Primary) sendMsg(fc *followerConn, typ byte, payload []byte, seq uint64
 				cut = len(wire)
 			}
 			fc.conn.Write(wire[:cut]) //cryptdb:vet-ok durabilityerr: injected tear; the partial write IS the fault under test
-			fc.conn.Close() //cryptdb:vet-ok durabilityerr: injected fault; tearing the socket IS the test
+			fc.conn.Close()           //cryptdb:vet-ok durabilityerr: injected fault; tearing the socket IS the test
 			return false
 		case Delay:
 			time.Sleep(time.Duration(d.Arg) * time.Millisecond)

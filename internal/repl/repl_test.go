@@ -259,9 +259,9 @@ func TestTornStreamEveryBoundary(t *testing.T) {
 		name string
 		arg  int
 	}{
-		{"header", 3},      // tear inside the 5-byte message header
-		{"lastbyte", -1},   // one byte short of a complete frame
-		{"firstbyte", 1},   // almost nothing arrives
+		{"header", 3},    // tear inside the 5-byte message header
+		{"lastbyte", -1}, // one byte short of a complete frame
+		{"firstbyte", 1}, // almost nothing arrives
 	} {
 		for boundary := 1; boundary <= workloadSteps+2; boundary++ {
 			boundary := boundary

@@ -24,8 +24,8 @@ import (
 // attempted-message count (1-based) equals AtMessage and, if Shard >= 0,
 // the message belongs to that shard.
 type Step struct {
-	AtMessage int         // which send attempt triggers the fault (1-based)
-	Shard     int         // restrict to one shard; -1 matches any
+	AtMessage int // which send attempt triggers the fault (1-based)
+	Shard     int // restrict to one shard; -1 matches any
 	Action    repl.FaultAction
 	Arg       int // Truncate: bytes of the wire message to send; Delay: milliseconds
 }

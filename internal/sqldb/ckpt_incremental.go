@@ -16,16 +16,15 @@
 // A checkpoint writes only the pages dirtied since the last one — pause is
 // proportional to churn, not data size — in three phases:
 //
-//	1. capture  (db.mu held)   encode every dirty page; clear dirty, set
-//	                           flushing so eviction keeps its hands off;
-//	                           snapshot the manifest directory at S.
-//	2. write    (no db.mu)     segment files + new MANIFEST, each synced
-//	                           and the manifest installed atomically
-//	                           (temp + fsync + rename + dir sync).
-//	                           Commits proceed concurrently; their frames
-//	                           carry seq > S and replay on top.
-//	3. install  (db.mu held)   point pages at their new segments, advance
-//	                           snapSeq, truncate the WAL to frames > S.
+//  1. Capture, with db.mu held: encode every dirty page, clear dirty and
+//     set flushing so eviction keeps its hands off, and snapshot the
+//     manifest directory at S.
+//  2. Write, without db.mu: segment files and a new MANIFEST, each synced,
+//     the manifest installed atomically (temp + fsync + rename + dir
+//     sync). Commits proceed concurrently; their frames carry seq > S and
+//     replay on top.
+//  3. Install, with db.mu held: point pages at their new segments, advance
+//     snapSeq, and truncate the WAL to frames > S.
 //
 // Crash safety: segment files are never overwritten — every checkpoint
 // writes fresh names and the manifest references exactly the files that
