@@ -14,8 +14,8 @@ import (
 // runs the same adjustments over its empty store, but logs a requirement it
 // cannot meet as a warning instead of refusing the query.
 func (p *Proxy) applyRequirements(an *analysis) error {
-	if len(an.unsupported) > 0 && !p.training {
-		return fmt.Errorf("proxy: query not executable over encrypted data: %s", an.unsupported[0])
+	if err := an.refusal(); err != nil && !p.training {
+		return err
 	}
 	for _, req := range an.reqs {
 		if err := p.applyRequirement(req); err != nil {
@@ -79,11 +79,9 @@ func (p *Proxy) applyRequirement(req requirement) error {
 
 // firstUse serves the single-layer onions (Add, Search), which have nothing
 // to strip: the first requirement on one materialises it if it was deferred
-// and records the usage flag of the §8.3 analysis.
+// and records the usage flag of the §8.3 analysis. The build that recorded
+// the requirement has checked that the plan kept the onion.
 func (p *Proxy) firstUse(cm *ColumnMeta, o onion.Onion, used *bool) error {
-	if !cm.HasOnion(o) {
-		return fmt.Errorf("proxy: %s.%s has no %s onion", cm.Table.Logical, cm.Logical, o)
-	}
 	if err := p.materialise(cm, o); err != nil {
 		return err
 	}

@@ -11,8 +11,8 @@ import (
 // Applications issue the same statement shapes over and over (TPC-C's five
 // classes, a forum's page queries), so Execute would otherwise re-lex and
 // re-parse identical text on every call. Cached ASTs are shared across
-// goroutines; the analyzer and rewriter never mutate a parsed statement
-// (they build fresh server-side trees), so sharing is safe.
+// goroutines; the statement build never mutates a parsed statement (it
+// builds fresh server-side trees), so sharing is safe.
 type astCache struct {
 	mu           sync.Mutex
 	max          int

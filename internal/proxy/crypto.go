@@ -304,7 +304,7 @@ func (p *Proxy) decryptOrd(cm *ColumnMeta, ct sqldb.Value) (sqldb.Value, error) 
 
 // encryptConstEq encrypts a query constant for an equality comparison
 // against cm: the "successively apply remaining Eq layers" step of §3.3.
-// The column must already be at DET (the analyzer guarantees this).
+// The column must already be at DET (the build's requirement lowers it).
 func (p *Proxy) encryptConstEq(cm *ColumnMeta, v sqldb.Value) (sqldb.Value, error) {
 	if v.IsNull() {
 		return sqldb.Null(), nil

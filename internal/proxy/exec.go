@@ -10,8 +10,8 @@ import (
 )
 
 // Execute parses and runs one logical SQL statement through the proxy:
-// analyze -> adjust onions -> rewrite -> run on the DBMS -> decrypt (§3,
-// steps 1-4). Parsed statements are memoized in a bounded LRU keyed by the
+// build (rewrite and record onion requirements) -> adjust onions -> run on
+// the DBMS -> decrypt (§3, steps 1-4). Parsed statements are memoized in a bounded LRU keyed by the
 // SQL text, so repeated statement shapes (the common case for parameterized
 // workloads) skip the parser entirely.
 //
@@ -44,11 +44,11 @@ func (p *Proxy) ExecuteStmt(st sqlparser.Statement, params ...sqldb.Value) (*sql
 	return p.defaultSession().ExecuteStmt(st, params...)
 }
 
-// adjNeeded reports whether applying the analysis would mutate proxy state
-// (onion layers, join groups, stale resync). In the trained steady state
-// this returns false and queries proceed under the read lock, preserving
-// server-side parallelism (§8.4.1's "no server-side decryptions in the
-// steady state").
+// adjNeeded reports whether applying a build's requirements would mutate
+// proxy state (onion layers, join groups, stale resync). In the trained
+// steady state this returns false and queries proceed under the read lock,
+// preserving server-side parallelism (§8.4.1's "no server-side decryptions
+// in the steady state").
 func (p *Proxy) adjNeeded(an *analysis) bool {
 	if len(an.unsupported) > 0 && p.training {
 		return true
@@ -108,33 +108,38 @@ func (p *Proxy) adjNeeded(an *analysis) bool {
 	return false
 }
 
-// prepare analyzes a statement and applies adjustments, choosing between
-// the read-locked fast path and the write-locked adjustment path.
-// The returned function releases the lock it acquired.
-func (p *Proxy) prepare(analyze func() (*analysis, error)) (release func(), err error) {
+// prepare builds a statement and makes the onion adjustments its build
+// recorded (§3.2), choosing between the read-locked fast path and the
+// write-locked adjustment path. A build error or an unsupported clause
+// refuses the statement before any adjustment is made. Under the write lock
+// it builds again (state may have moved), applies the requirements, and
+// builds once more: the decoders a build hands out read layer state. The
+// statement the last build produced is the one that runs. The returned
+// function releases the lock it acquired.
+func (p *Proxy) prepare(build func() (*analysis, error)) (release func(), err error) {
 	p.mu.RLock()
-	an, err := analyze()
+	an, err := build()
+	if err == nil && !p.training {
+		err = an.refusal()
+	}
 	if err != nil {
 		p.mu.RUnlock()
 		return nil, err
 	}
 	if !p.adjNeeded(an) {
-		if len(an.unsupported) > 0 && !p.training {
-			p.mu.RUnlock()
-			return nil, fmt.Errorf("proxy: query not executable over encrypted data: %s", an.unsupported[0])
-		}
 		return p.mu.RUnlock, nil
 	}
 	p.mu.RUnlock()
 
 	p.mu.Lock()
-	// Re-analyze under the write lock: state may have moved.
-	an, err = analyze()
-	if err != nil {
-		p.mu.Unlock()
-		return nil, err
+	an, err = build()
+	if err == nil {
+		err = p.applyRequirements(an)
 	}
-	if err := p.applyRequirements(an); err != nil {
+	if err == nil {
+		_, err = build()
+	}
+	if err != nil {
 		p.mu.Unlock()
 		return nil, err
 	}
@@ -147,25 +152,16 @@ func (p *Proxy) prepare(analyze func() (*analysis, error)) (release func(), err 
 
 func (sess *Session) execSelect(s *sqlparser.SelectStmt, params []sqldb.Value) (*sqldb.Result, error) {
 	p := sess.p
-	var qs *qscope
+	var server *sqlparser.SelectStmt
+	var plan *selectPlan
 	release, err := p.prepare(func() (*analysis, error) {
-		var err error
-		qs, err = p.buildScope(s.From)
+		qs, err := p.buildScope(s.From)
 		if err != nil {
 			return nil, err
 		}
-		an := p.analyzeSelect(s, qs, params)
-		if s.Distinct {
-			for _, se := range s.Exprs {
-				if se.Star {
-					continue
-				}
-				if cm, ok := pureCol(se.Expr, qs); ok {
-					an.addReq(cm, onion.ClassEquality)
-				}
-			}
-		}
-		return an, nil
+		b := newPlanBuilder(p, qs, params)
+		server, plan, err = b.buildSelect(s)
+		return &b.an, err
 	})
 	if err != nil {
 		return nil, err
@@ -175,11 +171,7 @@ func (sess *Session) execSelect(s *sqlparser.SelectStmt, params []sqldb.Value) (
 	if p.training {
 		return &sqldb.Result{}, nil
 	}
-
-	server, plan, err := p.buildSelect(s, qs, params)
-	if err != nil {
-		return nil, err
-	}
+	p.stats.inProxySorts.Add(int64(len(plan.sortKeys)))
 	res, err := sess.db.Exec(server)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: server error: %w", err)
@@ -187,47 +179,37 @@ func (sess *Session) execSelect(s *sqlparser.SelectStmt, params []sqldb.Value) (
 	return p.decodeResult(res, plan)
 }
 
-// buildSelect constructs the server-side SELECT and the decryption plan.
-func (p *Proxy) buildSelect(s *sqlparser.SelectStmt, qs *qscope, params []sqldb.Value) (*sqlparser.SelectStmt, *selectPlan, error) {
-	b := newPlanBuilder(p, qs, params)
+// buildSelect constructs the server-side SELECT and the decryption plan. It
+// records requirements clause by clause: JOIN ON, WHERE, select list, GROUP
+// BY, HAVING, ORDER BY, DISTINCT.
+func (b *planBuilder) buildSelect(s *sqlparser.SelectStmt) (*sqlparser.SelectStmt, *selectPlan, error) {
+	qs := b.qs
 	plan := &selectPlan{}
 	server := &sqlparser.SelectStmt{Distinct: s.Distinct}
 
-	hasFrom := len(s.From) > 0
-	useAlias := hasFrom
-
 	// FROM with anonymized tables and aliases a1..aN.
 	for i, ref := range s.From {
-		tm := qs.entries[i].tm
-		srvRef := sqlparser.TableRef{Table: tm.Anon, Alias: anonAlias(i)}
-		if ref.JoinOn != nil {
-			on, err := p.rewritePredicate(ref.JoinOn, qs, params, true)
-			if err != nil {
-				return nil, nil, err
-			}
-			srvRef.JoinOn = on
+		srvRef := sqlparser.TableRef{Table: qs.entries[i].tm.Anon, Alias: anonAlias(i)}
+		on, err := b.rewritePredicate(ref.JoinOn, true)
+		if err != nil {
+			return nil, nil, err
 		}
+		srvRef.JoinOn = on
 		server.From = append(server.From, srvRef)
 	}
 
+	where, err := b.rewritePredicate(s.Where, len(s.From) > 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	server.Where = where
+
 	// Projection.
 	for _, se := range s.Exprs {
-		if se.Star {
+		star, isStar := se.Expr.(*sqlparser.ColRef)
+		if se.Star || isStar && star.Column == "*" {
 			for i, e := range qs.entries {
-				for _, cm := range e.tm.Cols {
-					dec, err := b.fetchCol(cm, anonAlias(i))
-					if err != nil {
-						return nil, nil, err
-					}
-					plan.names = append(plan.names, cm.Logical)
-					plan.decs = append(plan.decs, dec)
-				}
-			}
-			continue
-		}
-		if cr, ok := se.Expr.(*sqlparser.ColRef); ok && cr.Column == "*" {
-			for i, e := range qs.entries {
-				if e.alias != cr.Table && e.tm.Logical != cr.Table {
+				if !se.Star && e.alias != star.Table && e.tm.Logical != star.Table {
 					continue
 				}
 				for _, cm := range e.tm.Cols {
@@ -257,35 +239,28 @@ func (p *Proxy) buildSelect(s *sqlparser.SelectStmt, qs *qscope, params []sqldb.
 		plan.decs = append(plan.decs, dec)
 	}
 
-	// WHERE.
-	where, err := p.rewritePredicate(s.Where, qs, params, useAlias)
-	if err != nil {
-		return nil, nil, err
-	}
-	server.Where = where
-
 	// GROUP BY on Eq onions (DET) or plain columns.
 	for _, g := range s.GroupBy {
-		cm, alias, ok := resolvePure(g, qs)
+		cm, alias, ok, err := b.column(g, true)
+		if err != nil {
+			return nil, nil, err
+		}
 		if !ok {
-			return nil, nil, fmt.Errorf("proxy: GROUP BY over non-column")
+			b.failCols(g, "GROUP BY over computed expression")
+			continue
 		}
-		col := cm.onionCol(onion.Eq)
-		if cm.Plain {
-			col = cm.Anon
+		col, err := b.need(cm, alias, onion.ClassEquality)
+		if err != nil {
+			return nil, nil, err
 		}
-		server.GroupBy = append(server.GroupBy, &sqlparser.ColRef{Table: alias, Column: col})
+		server.GroupBy = append(server.GroupBy, col)
 	}
 
 	// HAVING: COUNT-only conditions run on the server; anything touching
 	// SUM/MIN/MAX/AVG filters at the proxy after decryption.
 	if s.Having != nil {
 		if havingServerSafe(s.Having) {
-			hv, err := p.rewriteHavingServer(s.Having, qs)
-			if err != nil {
-				return nil, nil, err
-			}
-			server.Having = hv
+			server.Having = s.Having
 		} else {
 			dec, err := b.exprDecoder(s.Having)
 			if err != nil {
@@ -298,44 +273,53 @@ func (p *Proxy) buildSelect(s *sqlparser.SelectStmt, qs *qscope, params []sqldb.
 	// ORDER BY: in-proxy when possible (§3.5.1), on OPE otherwise.
 	inProxySort := s.Limit == nil
 	for _, o := range s.OrderBy {
-		cm, alias, isCol := resolvePure(o.Expr, qs)
-		if isCol && cm.Plain && !inProxySort {
-			server.OrderBy = append(server.OrderBy, sqlparser.OrderItem{
-				Expr: &sqlparser.ColRef{Table: alias, Column: cm.Anon}, Desc: o.Desc,
-			})
+		// Resolve aliases of select items first.
+		expr := o.Expr
+		if aliased := isColAlias(o.Expr, s); aliased != nil {
+			expr = aliased
+		}
+		if inProxySort {
+			// Sorted at the proxy, nothing revealed.
+			dec, err := b.exprDecoder(expr)
+			if err != nil {
+				return nil, nil, err
+			}
+			plan.sortKeys = append(plan.sortKeys, sortKeyPlan{dec: dec, desc: o.Desc})
 			continue
 		}
-		if !inProxySort {
-			if isCol {
-				server.OrderBy = append(server.OrderBy, sqlparser.OrderItem{
-					Expr: &sqlparser.ColRef{Table: alias, Column: cm.onionCol(onion.Ord)},
-					Desc: o.Desc,
-				})
-				continue
-			}
-			if fc, okFC := o.Expr.(*sqlparser.FuncCall); okFC && fc.Name == "COUNT" {
-				dec, err := b.aggDecoder(fc)
-				if err != nil {
-					return nil, nil, err
-				}
-				_ = dec // count already in server list; order server-side
-				srvFC := &sqlparser.FuncCall{Name: "COUNT", Star: fc.Star}
-				server.OrderBy = append(server.OrderBy, sqlparser.OrderItem{Expr: srvFC, Desc: o.Desc})
-				continue
-			}
-			return nil, nil, fmt.Errorf("proxy: ORDER BY expression with LIMIT not supported")
-		}
-		// In-proxy sort: resolve aliases of select items first.
-		expr := o.Expr
-		if isColAlias(o.Expr, s) != nil {
-			expr = isColAlias(o.Expr, s)
-		}
-		dec, err := b.exprDecoder(expr)
+		cm, alias, isCol, err := b.column(expr, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		plan.sortKeys = append(plan.sortKeys, sortKeyPlan{dec: dec, desc: o.Desc})
-		p.stats.inProxySorts.Add(1)
+		if isCol {
+			col, err := b.need(cm, alias, onion.ClassOrder)
+			if err != nil {
+				return nil, nil, err
+			}
+			server.OrderBy = append(server.OrderBy, sqlparser.OrderItem{Expr: col, Desc: o.Desc})
+			continue
+		}
+		if fc, ok := expr.(*sqlparser.FuncCall); ok && fc.Name == "COUNT" {
+			// The server computes COUNT over any layer: it sorts by it too.
+			n := len(b.srv)
+			if _, err := b.aggDecoder(fc); err != nil {
+				return nil, nil, err
+			}
+			if len(b.srv) > n {
+				server.OrderBy = append(server.OrderBy, sqlparser.OrderItem{Expr: b.srv[n].Expr, Desc: o.Desc})
+			}
+			continue
+		}
+		b.failCols(expr, "ORDER BY expression with LIMIT")
+	}
+
+	// SELECT DISTINCT compares the projected columns on the server.
+	if s.Distinct {
+		for _, se := range s.Exprs {
+			if cm, _, ok, _ := b.column(se.Expr, true); ok {
+				b.an.addReq(cm, onion.ClassEquality)
+			}
+		}
 	}
 
 	// LIMIT/OFFSET stay on the server only when no proxy-side filtering
@@ -386,29 +370,6 @@ func havingServerSafe(e sqlparser.Expr) bool {
 		return true
 	}
 	return false
-}
-
-func (p *Proxy) rewriteHavingServer(e sqlparser.Expr, qs *qscope) (sqlparser.Expr, error) {
-	switch x := e.(type) {
-	case *sqlparser.BinaryExpr:
-		l, err := p.rewriteHavingServer(x.L, qs)
-		if err != nil {
-			return nil, err
-		}
-		r, err := p.rewriteHavingServer(x.R, qs)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparser.BinaryExpr{Op: x.Op, L: l, R: r}, nil
-	case *sqlparser.UnaryExpr:
-		in, err := p.rewriteHavingServer(x.E, qs)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparser.UnaryExpr{Op: x.Op, E: in}, nil
-	default:
-		return e, nil
-	}
 }
 
 // decodeResult applies the plan: filter (proxy HAVING), sort, limit, then
@@ -698,22 +659,38 @@ func (p *Proxy) encryptRowValue(cm *ColumnMeta, v sqldb.Value) ([]sqlparser.Expr
 // UPDATE
 //
 
+// updatePlan is an UPDATE's build: the one server statement of the direct
+// path, or the SELECT and per-row assignments of the two-query strategy
+// (§3.3).
+type updatePlan struct {
+	tm     *TableMeta
+	server *sqlparser.UpdateStmt // direct path
+	incs   []*ColumnMeta         // columns a HOM increment leaves stale
+
+	sel    *sqlparser.SelectStmt // two-query path; nil on the direct one
+	ridIdx int
+	rows   []assignPlan
+}
+
+// assignPlan computes one assignment of the two-query strategy per row.
+type assignPlan struct {
+	cm       *ColumnMeta
+	valDec   decoder      // nil for const
+	constVal *sqldb.Value // for updConst
+	ownerDec decoder      // for ENC FOR targets
+}
+
 func (sess *Session) execUpdate(s *sqlparser.UpdateStmt, params []sqldb.Value) (*sqldb.Result, error) {
 	p := sess.p
-	var qs *qscope
-	var assigns []updateAssign
+	var up *updatePlan
 	release, err := p.prepare(func() (*analysis, error) {
-		var err error
-		qs, err = p.buildScope([]sqlparser.TableRef{{Table: s.Table}})
+		qs, err := p.buildScope([]sqlparser.TableRef{{Table: s.Table}})
 		if err != nil {
 			return nil, err
 		}
-		an, as, err := p.analyzeUpdate(s, qs, params)
-		if err != nil {
-			return nil, err
-		}
-		assigns = as
-		return an, nil
+		b := newPlanBuilder(p, qs, params)
+		up, err = b.buildUpdate(s)
+		return &b.an, err
 	})
 	if err != nil {
 		return nil, err
@@ -722,85 +699,23 @@ func (sess *Session) execUpdate(s *sqlparser.UpdateStmt, params []sqldb.Value) (
 	if p.training {
 		return &sqldb.Result{}, nil
 	}
-
-	tm := qs.entries[0].tm
-
-	// Any two-query or ENC FOR assignment forces the read-modify-write
-	// strategy (§3.3).
-	needTwoQuery := false
-	for _, a := range assigns {
-		if a.kind == updTwoQuery || (a.kind == updConst && a.cm.EncFor != nil) {
-			needTwoQuery = true
-		}
-	}
-	if needTwoQuery {
-		return sess.execTwoQueryUpdate(s, tm, qs, assigns, params)
+	if up.sel != nil {
+		return sess.execTwoQueryUpdate(up)
 	}
 
-	where, err := p.rewritePredicate(s.Where, qs, params, false)
-	if err != nil {
-		return nil, err
-	}
-	server := &sqlparser.UpdateStmt{Table: tm.Anon, Where: where}
-
+	// The other onions of an incremented column are now stale (§3.3).
 	madeStale := false
-	for _, a := range assigns {
-		switch a.kind {
-		case updPassthrough:
-			val, err := p.renamePlain(a.value, qs, false)
-			if err != nil {
-				return nil, err
-			}
-			server.Assignments = append(server.Assignments,
-				sqlparser.Assignment{Column: a.cm.Anon, Value: val})
-
-		case updConst:
-			v, err := sqldb.EvalConst(a.value, params)
-			if err != nil {
-				return nil, err
-			}
-			if a.cm.Plain {
-				server.Assignments = append(server.Assignments,
-					sqlparser.Assignment{Column: a.cm.Anon, Value: valueToExpr(v)})
-				continue
-			}
-			exprs, err := p.encryptRowValue(a.cm, v)
-			if err != nil {
-				return nil, err
-			}
-			names := onionColNames(a.cm)
-			for i, name := range names {
-				server.Assignments = append(server.Assignments,
-					sqlparser.Assignment{Column: name, Value: exprs[i]})
-			}
-
-		case updIncrement:
-			ct, err := p.homKey.EncryptInt64(a.delta)
-			if err != nil {
-				return nil, err
-			}
-			server.Assignments = append(server.Assignments, sqlparser.Assignment{
-				Column: a.cm.onionCol(onion.Add),
-				Value: &sqlparser.FuncCall{
-					Name: "hom_add",
-					Args: []sqlparser.Expr{
-						&sqlparser.ColRef{Column: a.cm.onionCol(onion.Add)},
-						&sqlparser.BytesLit{V: p.homKey.CiphertextBytes(ct)},
-					},
-				},
-			})
-			// The other onions of this column are now stale (§3.3).
-			a.cm.mu.Lock()
-			if !a.cm.Stale[onion.Eq] {
-				madeStale = true
-			}
-			a.cm.Stale[onion.Eq] = true
-			a.cm.Stale[onion.JAdj] = true
-			a.cm.Stale[onion.Ord] = true
-			a.cm.mu.Unlock()
+	for _, cm := range up.incs {
+		cm.mu.Lock()
+		if !cm.Stale[onion.Eq] {
+			madeStale = true
 		}
+		cm.Stale[onion.Eq] = true
+		cm.Stale[onion.JAdj] = true
+		cm.Stale[onion.Ord] = true
+		cm.mu.Unlock()
 	}
-	sess.markTouched(tm.Logical)
+	sess.markTouched(up.tm.Logical)
 	if madeStale && p.persistent() {
 		// First increment against a clean column: commit the staleness
 		// flags in the same WAL batch as the hom_add UPDATE. Inside a
@@ -812,9 +727,82 @@ func (sess *Session) execUpdate(s *sqlparser.UpdateStmt, params []sqldb.Value) (
 		if err != nil {
 			return nil, err
 		}
-		return sess.db.ExecWithMeta(server, sealed)
+		return sess.db.ExecWithMeta(up.server, sealed)
 	}
-	return sess.db.Exec(server)
+	return sess.db.Exec(up.server)
+}
+
+// buildUpdate rewrites the WHERE, classifies the SET clauses and builds
+// whichever strategy they need.
+func (b *planBuilder) buildUpdate(s *sqlparser.UpdateStmt) (*updatePlan, error) {
+	p := b.p
+	up := &updatePlan{tm: b.qs.entries[0].tm}
+	where, err := b.rewritePredicate(s.Where, false)
+	if err != nil {
+		return nil, err
+	}
+	assigns, err := b.classifySet(s)
+	if err != nil {
+		return nil, err
+	}
+
+	// Any two-query or ENC FOR assignment forces the read-modify-write
+	// strategy (§3.3).
+	for _, a := range assigns {
+		if a.kind == updTwoQuery || (a.kind == updConst && a.cm.EncFor != nil) {
+			return up, b.buildTwoQuery(up, assigns, where)
+		}
+	}
+
+	up.server = &sqlparser.UpdateStmt{Table: up.tm.Anon, Where: where}
+	for _, a := range assigns {
+		switch a.kind {
+		case updPassthrough:
+			val, err := b.renamePlain(a.value, false, "")
+			if err != nil {
+				return nil, err
+			}
+			up.server.Assignments = append(up.server.Assignments,
+				sqlparser.Assignment{Column: a.cm.Anon, Value: val})
+
+		case updConst:
+			v, err := sqldb.EvalConst(a.value, b.params)
+			if err != nil {
+				return nil, err
+			}
+			if a.cm.Plain {
+				up.server.Assignments = append(up.server.Assignments,
+					sqlparser.Assignment{Column: a.cm.Anon, Value: valueToExpr(v)})
+				continue
+			}
+			exprs, err := p.encryptRowValue(a.cm, v)
+			if err != nil {
+				return nil, err
+			}
+			for i, name := range onionColNames(a.cm) {
+				up.server.Assignments = append(up.server.Assignments,
+					sqlparser.Assignment{Column: name, Value: exprs[i]})
+			}
+
+		case updIncrement:
+			ct, err := p.homKey.EncryptInt64(a.delta)
+			if err != nil {
+				return nil, err
+			}
+			up.server.Assignments = append(up.server.Assignments, sqlparser.Assignment{
+				Column: a.cm.onionCol(onion.Add),
+				Value: &sqlparser.FuncCall{
+					Name: "hom_add",
+					Args: []sqlparser.Expr{
+						&sqlparser.ColRef{Column: a.cm.onionCol(onion.Add)},
+						&sqlparser.BytesLit{V: p.homKey.CiphertextBytes(ct)},
+					},
+				},
+			})
+			up.incs = append(up.incs, a.cm)
+		}
+	}
+	return up, nil
 }
 
 // onionColNames lists the server columns written by encryptRowValue, in the
@@ -828,60 +816,49 @@ func onionColNames(cm *ColumnMeta) []string {
 	return names
 }
 
-// execTwoQueryUpdate implements §3.3's strategy for updates the server
-// cannot compute: SELECT the old rows, compute new values at the proxy,
-// then UPDATE each row by hidden row id.
-func (sess *Session) execTwoQueryUpdate(s *sqlparser.UpdateStmt, tm *TableMeta, qs *qscope, assigns []updateAssign, params []sqldb.Value) (*sqldb.Result, error) {
-	p := sess.p
-	b := newPlanBuilder(p, qs, params)
-	ridIdx := b.addServer(&sqlparser.ColRef{Column: "rid"})
-
-	// Decoders for every column referenced by any assignment expression,
-	// plus owner columns for ENC FOR targets.
-	type assignPlan struct {
-		a        updateAssign
-		valDec   decoder      // nil for const
-		constVal *sqldb.Value // for updConst
-		ownerDec decoder      // for ENC FOR targets
-	}
-	var plans []assignPlan
+// buildTwoQuery plans §3.3's strategy for updates the server cannot
+// compute: SELECT the old rows (decoders for every column an assignment
+// reads, plus owner columns of ENC FOR targets), compute new values at the
+// proxy, then UPDATE each row by hidden row id.
+func (b *planBuilder) buildTwoQuery(up *updatePlan, assigns []updateAssign, where sqlparser.Expr) error {
+	up.ridIdx = b.addServer(&sqlparser.ColRef{Column: "rid"})
 	for _, a := range assigns {
-		ap := assignPlan{a: a}
-		switch a.kind {
-		case updConst:
-			v, err := sqldb.EvalConst(a.value, params)
+		ap := assignPlan{cm: a.cm}
+		if a.kind == updConst {
+			v, err := sqldb.EvalConst(a.value, b.params)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ap.constVal = &v
-		default:
+		} else {
 			dec, err := b.exprDecoder(a.value)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ap.valDec = dec
 		}
 		if a.cm.EncFor != nil {
-			owner := tm.Col(a.cm.EncFor.OwnerColumn)
-			dec, err := b.fetchCol(owner, anonAlias(0))
+			dec, err := b.fetchCol(up.tm.Col(a.cm.EncFor.OwnerColumn), anonAlias(0))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ap.ownerDec = dec
 		}
-		plans = append(plans, ap)
+		up.rows = append(up.rows, ap)
 	}
-
-	where, err := p.rewritePredicate(s.Where, qs, params, true)
-	if err != nil {
-		return nil, err
-	}
-	sel := &sqlparser.SelectStmt{
+	up.sel = &sqlparser.SelectStmt{
 		Exprs: b.srv,
-		From:  []sqlparser.TableRef{{Table: tm.Anon, Alias: anonAlias(0)}},
+		From:  []sqlparser.TableRef{{Table: up.tm.Anon, Alias: anonAlias(0)}},
 		Where: where,
 	}
-	res, err := sess.db.Exec(sel)
+	return nil
+}
+
+// execTwoQueryUpdate runs the two-query strategy buildTwoQuery planned.
+func (sess *Session) execTwoQueryUpdate(up *updatePlan) (*sqldb.Result, error) {
+	p := sess.p
+	tm := up.tm
+	res, err := sess.db.Exec(up.sel)
 	if err != nil {
 		return nil, err
 	}
@@ -923,9 +900,9 @@ func (sess *Session) execTwoQueryUpdate(s *sqlparser.UpdateStmt, tm *TableMeta, 
 			Table: tm.Anon,
 			Where: &sqlparser.BinaryExpr{Op: "=",
 				L: &sqlparser.ColRef{Column: "rid"},
-				R: &sqlparser.IntLit{V: row[ridIdx].I}},
+				R: &sqlparser.IntLit{V: row[up.ridIdx].I}},
 		}
-		for _, ap := range plans {
+		for _, ap := range up.rows {
 			var newVal sqldb.Value
 			if ap.constVal != nil {
 				newVal = *ap.constVal
@@ -936,7 +913,7 @@ func (sess *Session) execTwoQueryUpdate(s *sqlparser.UpdateStmt, tm *TableMeta, 
 				}
 				newVal = v
 			}
-			cm := ap.a.cm
+			cm := ap.cm
 			switch {
 			case cm.Plain:
 				upd.Assignments = append(upd.Assignments,
@@ -987,16 +964,17 @@ func (sess *Session) execTwoQueryUpdate(s *sqlparser.UpdateStmt, tm *TableMeta, 
 
 func (sess *Session) execDelete(s *sqlparser.DeleteStmt, params []sqldb.Value) (*sqldb.Result, error) {
 	p := sess.p
-	var qs *qscope
+	var tm *TableMeta
+	var where sqlparser.Expr
 	release, err := p.prepare(func() (*analysis, error) {
-		var err error
-		qs, err = p.buildScope([]sqlparser.TableRef{{Table: s.Table}})
+		qs, err := p.buildScope([]sqlparser.TableRef{{Table: s.Table}})
 		if err != nil {
 			return nil, err
 		}
-		an := &analysis{}
-		p.analyzePredicate(s.Where, qs, params, an)
-		return an, nil
+		b := newPlanBuilder(p, qs, params)
+		tm = qs.entries[0].tm
+		where, err = b.rewritePredicate(s.Where, false)
+		return &b.an, err
 	})
 	if err != nil {
 		return nil, err
@@ -1005,11 +983,6 @@ func (sess *Session) execDelete(s *sqlparser.DeleteStmt, params []sqldb.Value) (
 	if p.training {
 		return &sqldb.Result{}, nil
 	}
-
-	where, err := p.rewritePredicate(s.Where, qs, params, false)
-	if err != nil {
-		return nil, err
-	}
-	sess.markTouched(qs.entries[0].tm.Logical)
-	return sess.db.Exec(&sqlparser.DeleteStmt{Table: qs.entries[0].tm.Anon, Where: where})
+	sess.markTouched(tm.Logical)
+	return sess.db.Exec(&sqlparser.DeleteStmt{Table: tm.Anon, Where: where})
 }

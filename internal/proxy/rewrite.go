@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/onion"
@@ -10,6 +11,12 @@ import (
 
 // decoder turns one server result row into one logical output value.
 type decoder func(row []sqldb.Value) (sqldb.Value, error)
+
+// refusedDec stands in for the decoder of a clause the build refused: a
+// statement with an unsupported clause never runs, so it is never called.
+func refusedDec([]sqldb.Value) (sqldb.Value, error) {
+	return sqldb.Value{}, errors.New("proxy: decoding a refused clause")
+}
 
 // selectPlan describes how to post-process and decrypt a server result.
 type selectPlan struct {
@@ -26,18 +33,24 @@ type sortKeyPlan struct {
 	desc bool
 }
 
-// planBuilder accumulates the server-side select list while handing out
-// decoders that reference it by index.
+// planBuilder is the one walk over a statement (§3.2). It emits the server
+// form of each clause and, where it picks the onion column that serves the
+// clause, records in its analysis the requirement that onion must meet. A
+// clause CryptDB cannot run over ciphertext records an unsupported reason
+// instead of failing, so the walk sees the whole statement and its
+// requirements come out in clause order. The server select list it
+// accumulates is referenced by index from the decoders it hands out.
 type planBuilder struct {
 	p      *Proxy
 	qs     *qscope
 	params []sqldb.Value
+	an     analysis
 	srv    []sqlparser.SelectExpr
 	cache  map[string]decoder // logical "alias.col" -> fetch decoder
 }
 
 func newPlanBuilder(p *Proxy, qs *qscope, params []sqldb.Value) *planBuilder {
-	return &planBuilder{p: p, qs: qs, params: params, cache: map[string]decoder{}}
+	return &planBuilder{p: p, qs: qs, params: params}
 }
 
 func (b *planBuilder) addServer(e sqlparser.Expr) int {
@@ -51,7 +64,68 @@ func (b *planBuilder) colRef(alias, col string) sqlparser.Expr {
 	return &sqlparser.ColRef{Table: alias, Column: col}
 }
 
+// column resolves e when it is exactly a column reference, with the alias
+// the server statement qualifies it by ("" without useAlias).
+func (b *planBuilder) column(e sqlparser.Expr, useAlias bool) (cm *ColumnMeta, alias string, ok bool, err error) {
+	cr, isRef := e.(*sqlparser.ColRef)
+	if !isRef || cr.Column == "*" {
+		return nil, "", false, nil
+	}
+	cm, alias, err = b.qs.resolve(cr.Table, cr.Column)
+	if err != nil {
+		return nil, "", false, err
+	}
+	if !useAlias {
+		alias = ""
+	}
+	return cm, alias, true, nil
+}
+
+// classOnion is the onion that serves each computation class.
+var classOnion = map[onion.Class]onion.Onion{
+	onion.ClassEquality:  onion.Eq,
+	onion.ClassJoin:      onion.JAdj,
+	onion.ClassOrder:     onion.Ord,
+	onion.ClassRangeJoin: onion.Ord,
+	onion.ClassSum:       onion.Add,
+	onion.ClassSearch:    onion.Search,
+}
+
+// need records that the statement computes class over cm and names the
+// server column that serves it: the onion's column, or the plain column. A
+// plan may have discarded the onion, and the statement is then refused here,
+// before any requirement is applied.
+func (b *planBuilder) need(cm *ColumnMeta, alias string, class onion.Class) (sqlparser.Expr, error) {
+	b.an.addReq(cm, class)
+	return onionRef(cm, alias, classOnion[class])
+}
+
+func onionRef(cm *ColumnMeta, alias string, o onion.Onion) (sqlparser.Expr, error) {
+	if cm.Plain {
+		return &sqlparser.ColRef{Table: alias, Column: cm.Anon}, nil
+	}
+	if !cm.HasOnion(o) {
+		return nil, fmt.Errorf("proxy: %s.%s has no %s onion", cm.Table.Logical, cm.Logical, o)
+	}
+	return &sqlparser.ColRef{Table: alias, Column: cm.onionCol(o)}, nil
+}
+
+// failCols records reason against every column e references, or against
+// the statement when it references none.
+func (b *planBuilder) failCols(e sqlparser.Expr, reason string) {
+	var cols []*ColumnMeta
+	collectCols(e, b.qs, &cols)
+	for _, cm := range cols {
+		b.an.fail(cm, reason)
+	}
+	if len(cols) == 0 {
+		b.an.fail(nil, reason)
+	}
+}
+
 // fetchCol returns a decoder producing the plaintext of one logical column.
+// Projection reveals nothing, so it records no requirement; what it fetches
+// depends on the layer (the IV only while Eq is at RND).
 func (b *planBuilder) fetchCol(cm *ColumnMeta, alias string) (decoder, error) {
 	key := alias + "\x00" + cm.Logical
 	if dec, ok := b.cache[key]; ok {
@@ -107,50 +181,63 @@ func (b *planBuilder) fetchCol(cm *ColumnMeta, alias string) (decoder, error) {
 			return b.p.decryptEq(cm, row[si], iv)
 		}
 	}
+	if b.cache == nil {
+		b.cache = map[string]decoder{}
+	}
 	b.cache[key] = dec
 	return dec, nil
 }
 
 // aggDecoder plans one aggregate call server-side and returns its decoder.
 func (b *planBuilder) aggDecoder(fc *sqlparser.FuncCall) (decoder, error) {
-	if fc.Name == "COUNT" {
-		srvFC := &sqlparser.FuncCall{Name: "COUNT", Star: fc.Star, Distinct: fc.Distinct}
-		if !fc.Star {
-			if len(fc.Args) != 1 {
-				return nil, fmt.Errorf("proxy: COUNT takes one argument")
-			}
-			cm, alias, err := b.resolveArg(fc.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			if cm.Plain {
-				srvFC.Args = []sqlparser.Expr{b.colRef(alias, cm.Anon)}
-			} else {
-				srvFC.Args = []sqlparser.Expr{b.colRef(alias, cm.onionCol(onion.Eq))}
-			}
-		}
-		si := b.addServer(srvFC)
+	if fc.Star {
+		si := b.addServer(&sqlparser.FuncCall{Name: "COUNT", Star: true})
 		return func(row []sqldb.Value) (sqldb.Value, error) { return row[si], nil }, nil
 	}
-
 	if len(fc.Args) != 1 {
 		return nil, fmt.Errorf("proxy: %s takes one argument", fc.Name)
 	}
-	cm, alias, err := b.resolveArg(fc.Args[0])
+	cm, alias, isCol, err := b.column(fc.Args[0], true)
 	if err != nil {
 		return nil, err
 	}
+	if !isCol {
+		b.failCols(fc, fc.Name+" over computed expression")
+		return refusedDec, nil
+	}
 
-	if cm.Plain {
+	var arg sqlparser.Expr
+	switch {
+	case fc.Name == "COUNT":
+		// COUNT(c) counts non-NULL values, which the server sees at any
+		// layer; COUNT(DISTINCT c) compares them, which needs DET.
+		if fc.Distinct {
+			b.an.addReq(cm, onion.ClassEquality)
+		}
+		if arg, err = onionRef(cm, alias, onion.Eq); err != nil {
+			return nil, err
+		}
+		si := b.addServer(&sqlparser.FuncCall{Name: "COUNT", Distinct: fc.Distinct, Args: []sqlparser.Expr{arg}})
+		return func(row []sqldb.Value) (sqldb.Value, error) { return row[si], nil }, nil
+	case cm.Plain:
 		si := b.addServer(&sqlparser.FuncCall{Name: fc.Name,
 			Args: []sqlparser.Expr{b.colRef(alias, cm.Anon)}})
 		return func(row []sqldb.Value) (sqldb.Value, error) { return row[si], nil }, nil
+	case cm.Type != sqlparser.TypeInt:
+		if fc.Name == "MIN" || fc.Name == "MAX" {
+			b.an.fail(cm, fc.Name+" over non-integer column (OPE not invertible)")
+		} else {
+			b.an.fail(cm, fc.Name+" over non-integer column")
+		}
+		return refusedDec, nil
 	}
 
 	switch fc.Name {
 	case "SUM":
-		si := b.addServer(&sqlparser.FuncCall{Name: "hom_sum",
-			Args: []sqlparser.Expr{b.colRef(alias, cm.onionCol(onion.Add))}})
+		if arg, err = b.need(cm, alias, onion.ClassSum); err != nil {
+			return nil, err
+		}
+		si := b.addServer(&sqlparser.FuncCall{Name: "hom_sum", Args: []sqlparser.Expr{arg}})
 		return func(row []sqldb.Value) (sqldb.Value, error) {
 			return b.p.decryptAdd(cm, row[si])
 		}, nil
@@ -159,10 +246,11 @@ func (b *planBuilder) aggDecoder(fc *sqlparser.FuncCall) (decoder, error) {
 		// (§3.1: "HOM can also be used for computing averages by
 		// having the DBMS server return the sum and the count
 		// separately").
-		sumIdx := b.addServer(&sqlparser.FuncCall{Name: "hom_sum",
-			Args: []sqlparser.Expr{b.colRef(alias, cm.onionCol(onion.Add))}})
-		cntIdx := b.addServer(&sqlparser.FuncCall{Name: "COUNT",
-			Args: []sqlparser.Expr{b.colRef(alias, cm.onionCol(onion.Add))}})
+		if arg, err = b.need(cm, alias, onion.ClassSum); err != nil {
+			return nil, err
+		}
+		sumIdx := b.addServer(&sqlparser.FuncCall{Name: "hom_sum", Args: []sqlparser.Expr{arg}})
+		cntIdx := b.addServer(&sqlparser.FuncCall{Name: "COUNT", Args: []sqlparser.Expr{arg}})
 		return func(row []sqldb.Value) (sqldb.Value, error) {
 			sum, err := b.p.decryptAdd(cm, row[sumIdx])
 			if err != nil {
@@ -173,22 +261,15 @@ func (b *planBuilder) aggDecoder(fc *sqlparser.FuncCall) (decoder, error) {
 			}
 			return sqldb.Int(sum.I / row[cntIdx].I), nil
 		}, nil
-	case "MIN", "MAX":
-		si := b.addServer(&sqlparser.FuncCall{Name: fc.Name,
-			Args: []sqlparser.Expr{b.colRef(alias, cm.onionCol(onion.Ord))}})
+	default: // MIN, MAX
+		if arg, err = b.need(cm, alias, onion.ClassOrder); err != nil {
+			return nil, err
+		}
+		si := b.addServer(&sqlparser.FuncCall{Name: fc.Name, Args: []sqlparser.Expr{arg}})
 		return func(row []sqldb.Value) (sqldb.Value, error) {
 			return b.p.decryptOrd(cm, row[si])
 		}, nil
 	}
-	return nil, fmt.Errorf("proxy: unsupported aggregate %s", fc.Name)
-}
-
-func (b *planBuilder) resolveArg(e sqlparser.Expr) (*ColumnMeta, string, error) {
-	cr, ok := e.(*sqlparser.ColRef)
-	if !ok {
-		return nil, "", fmt.Errorf("proxy: aggregate over computed expression")
-	}
-	return b.qs.resolve(cr.Table, cr.Column)
 }
 
 // exprDecoder plans an arbitrary logical expression: columns are fetched
@@ -196,11 +277,11 @@ func (b *planBuilder) resolveArg(e sqlparser.Expr) (*ColumnMeta, string, error) 
 // arithmetic evaluated at the proxy (in-proxy processing, §3.5.1).
 func (b *planBuilder) exprDecoder(e sqlparser.Expr) (decoder, error) {
 	// Fast path: a bare column.
-	if cr, ok := e.(*sqlparser.ColRef); ok && cr.Column != "*" {
-		cm, alias, err := b.qs.resolve(cr.Table, cr.Column)
-		if err != nil {
-			return nil, err
-		}
+	cm, alias, isCol, err := b.column(e, true)
+	if err != nil {
+		return nil, err
+	}
+	if isCol {
 		return b.fetchCol(cm, alias)
 	}
 	if fc, ok := e.(*sqlparser.FuncCall); ok && isAggName(fc.Name) {
@@ -261,7 +342,8 @@ func (b *planBuilder) substitute(e sqlparser.Expr, subs map[string]decoder) (sql
 			}
 			return mkPlaceholder(dec), nil
 		}
-		return nil, fmt.Errorf("proxy: function %s not computable", x.Name)
+		b.an.fail(nil, "function "+x.Name+" not computable")
+		return e, nil
 	case *sqlparser.BinaryExpr:
 		l, err := b.substitute(x.L, subs)
 		if err != nil {
@@ -288,298 +370,315 @@ func (b *planBuilder) substitute(e sqlparser.Expr, subs map[string]decoder) (sql
 		*sqlparser.NullLit, *sqlparser.BoolLit, *sqlparser.Param:
 		return e, nil
 	}
-	return nil, fmt.Errorf("proxy: cannot post-process %T", e)
+	b.an.fail(nil, fmt.Sprintf("cannot post-process %T", e))
+	return e, nil
 }
 
 //
 // Predicate rewriting.
 //
 
-// rewritePredicate transforms a logical predicate into its server-side
-// form: onion column references and encrypted constants (§3.3).
-func (p *Proxy) rewritePredicate(e sqlparser.Expr, qs *qscope, params []sqldb.Value, useAlias bool) (sqlparser.Expr, error) {
+// rewritePredicate transforms a logical WHERE/HAVING/ON predicate into its
+// server-side form: onion column references and encrypted constants
+// (§3.3). Each comparison records the onion it reads. Anything CryptDB
+// cannot run over ciphertext (§6) — computation combined with comparison,
+// functions and bitwise operators over encrypted columns, LIKE with a
+// column pattern — is recorded as unsupported.
+func (b *planBuilder) rewritePredicate(e sqlparser.Expr, useAlias bool) (sqlparser.Expr, error) {
 	if e == nil {
 		return nil, nil
 	}
-	ref := func(cm *ColumnMeta, alias string, o onion.Onion) sqlparser.Expr {
-		col := cm.onionCol(o)
-		if cm.Plain {
-			col = cm.Anon
-		}
-		if !useAlias {
-			alias = ""
-		}
-		return &sqlparser.ColRef{Table: alias, Column: col}
-	}
-
+	an := &b.an
 	switch x := e.(type) {
 	case *sqlparser.BinaryExpr:
-		if x.Op == "AND" || x.Op == "OR" {
-			l, err := p.rewritePredicate(x.L, qs, params, useAlias)
+		switch x.Op {
+		case "AND", "OR":
+			l, err := b.rewritePredicate(x.L, useAlias)
 			if err != nil {
 				return nil, err
 			}
-			r, err := p.rewritePredicate(x.R, qs, params, useAlias)
+			r, err := b.rewritePredicate(x.R, useAlias)
 			if err != nil {
 				return nil, err
 			}
 			return &sqlparser.BinaryExpr{Op: x.Op, L: l, R: r}, nil
+		case "=", "!=", "<", "<=", ">", ">=":
+			return b.rewriteCmp(x, useAlias)
+		case "&", "|", "^", "+", "-", "*", "/", "%":
+			// A bare arithmetic/bitwise expression used as a predicate
+			// (e.g. WHERE perms & 4). Fig. 9's bitwise columns.
+			return b.renamePlain(e, useAlias, "bitwise/arithmetic predicate over encrypted column")
 		}
-		if isCmp(x.Op) {
-			lc, lAlias, lIsCol := resolvePure(x.L, qs)
-			rc, rAlias, rIsCol := resolvePure(x.R, qs)
-			switch {
-			case lIsCol && rIsCol:
-				if lc.Plain && rc.Plain {
-					return &sqlparser.BinaryExpr{Op: x.Op,
-						L: ref(lc, lAlias, ""), R: ref(rc, rAlias, "")}, nil
-				}
-				if lc.Plain != rc.Plain {
-					return nil, fmt.Errorf("proxy: cannot compare plain %s with encrypted column", x.Op)
-				}
-				if x.Op == "=" || x.Op == "!=" {
-					if lc == rc {
-						return &sqlparser.BinaryExpr{Op: x.Op,
-							L: ref(lc, lAlias, onion.Eq), R: ref(rc, rAlias, onion.Eq)}, nil
-					}
-					return &sqlparser.BinaryExpr{Op: x.Op,
-						L: ref(lc, lAlias, onion.JAdj), R: ref(rc, rAlias, onion.JAdj)}, nil
-				}
-				return &sqlparser.BinaryExpr{Op: x.Op,
-					L: ref(lc, lAlias, onion.Ord), R: ref(rc, rAlias, onion.Ord)}, nil
-
-			case lIsCol:
-				return p.rewriteColConst(lc, lAlias, x.Op, x.R, qs, params, useAlias, false)
-			case rIsCol:
-				return p.rewriteColConst(rc, rAlias, x.Op, x.L, qs, params, useAlias, true)
-			case isConstExpr(x.L, params) && isConstExpr(x.R, params):
-				// constant comparison; pass through
-				return e, nil
-			default:
-				// Computed comparison: only legal over plain columns
-				// (the analyzer rejects encrypted ones); rename refs.
-				return p.renamePlain(e, qs, useAlias)
-			}
-		}
-		// Arithmetic/bitwise over plain columns only (analysis rejects
-		// the encrypted case).
-		return p.renamePlain(e, qs, useAlias)
+		an.fail(nil, "unsupported operator "+x.Op)
+		return e, nil
 
 	case *sqlparser.UnaryExpr:
-		in, err := p.rewritePredicate(x.E, qs, params, useAlias)
+		in, err := b.rewritePredicate(x.E, useAlias)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparser.UnaryExpr{Op: x.Op, E: in}, nil
 
 	case *sqlparser.InExpr:
-		cm, alias, ok := resolvePure(x.E, qs)
+		cm, alias, ok, err := b.column(x.E, useAlias)
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
-			return nil, fmt.Errorf("proxy: IN over non-column")
+			an.fail(nil, "IN over non-column expression")
+			return e, nil
 		}
-		if cm.Plain {
-			return p.renamePlain(e, qs, useAlias)
+		vals := make([]sqldb.Value, len(x.List))
+		for i, item := range x.List {
+			if vals[i], err = sqldb.EvalConst(item, b.params); err != nil {
+				an.fail(cm, "IN list with non-constant item")
+				return e, nil
+			}
 		}
-		out := &sqlparser.InExpr{E: ref(cm, alias, onion.Eq), Not: x.Not}
-		for _, item := range x.List {
-			v, err := sqldb.EvalConst(item, params)
-			if err != nil {
-				return nil, err
+		col, err := b.need(cm, alias, onion.ClassEquality)
+		if err != nil {
+			return nil, err
+		}
+		out := &sqlparser.InExpr{E: col, Not: x.Not}
+		for _, v := range vals {
+			if !cm.Plain {
+				if v, err = b.p.encryptConstEq(cm, v); err != nil {
+					return nil, err
+				}
 			}
-			ct, err := p.encryptConstEq(cm, v)
-			if err != nil {
-				return nil, err
-			}
-			out.List = append(out.List, valueToExpr(ct))
+			out.List = append(out.List, valueToExpr(v))
 		}
 		return out, nil
 
 	case *sqlparser.LikeExpr:
-		cm, alias, ok := resolvePure(x.E, qs)
-		if !ok {
-			return nil, fmt.Errorf("proxy: LIKE over non-column")
-		}
-		if cm.Plain {
-			return p.renamePlain(e, qs, useAlias)
-		}
-		pat, err := sqldb.EvalConst(x.Pattern, params)
+		cm, alias, ok, err := b.column(x.E, useAlias)
 		if err != nil {
 			return nil, err
 		}
+		if !ok {
+			an.fail(nil, "LIKE over non-column expression")
+			return e, nil
+		}
+		if cm.Plain {
+			return b.renamePlain(e, useAlias, "LIKE with column pattern")
+		}
+		pat, err := sqldb.EvalConst(x.Pattern, b.params)
+		if err != nil {
+			// LIKE with a column reference for the pattern — the 41
+			// columns of §8.2.
+			an.fail(cm, "LIKE with column pattern")
+			return e, nil
+		}
 		word, ok := likeWord(valueToPatternString(pat))
 		if !ok {
-			return nil, fmt.Errorf("proxy: unsupported LIKE pattern")
+			an.fail(cm, "unsupported LIKE pattern: not one full-word search keyword")
+			return e, nil
 		}
-		token := p.searchCipher(cm).TokenFor(word)
-		call := &sqlparser.FuncCall{
-			Name: "searchswp",
-			Args: []sqlparser.Expr{ref(cm, alias, onion.Search), &sqlparser.BytesLit{V: token}},
+		if cm.Type != sqlparser.TypeText {
+			an.fail(cm, "LIKE on non-text column")
+			return e, nil
 		}
+		col, err := b.need(cm, alias, onion.ClassSearch)
+		if err != nil {
+			return nil, err
+		}
+		token := b.p.searchCipher(cm).TokenFor(word)
+		call := &sqlparser.FuncCall{Name: "searchswp", Args: []sqlparser.Expr{col, &sqlparser.BytesLit{V: token}}}
 		if x.Not {
 			return &sqlparser.UnaryExpr{Op: "NOT", E: call}, nil
 		}
 		return call, nil
 
 	case *sqlparser.BetweenExpr:
-		cm, alias, ok := resolvePure(x.E, qs)
-		if !ok {
-			return nil, fmt.Errorf("proxy: BETWEEN over non-column")
-		}
-		if cm.Plain {
-			return p.renamePlain(e, qs, useAlias)
-		}
-		lo, err := sqldb.EvalConst(x.Lo, params)
+		cm, alias, ok, err := b.column(x.E, useAlias)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := sqldb.EvalConst(x.Hi, params)
-		if err != nil {
-			return nil, err
+		lo, loErr := sqldb.EvalConst(x.Lo, b.params)
+		hi, hiErr := sqldb.EvalConst(x.Hi, b.params)
+		if !ok || loErr != nil || hiErr != nil {
+			b.failCols(x, "BETWEEN over computed operands")
+			return e, nil
 		}
-		loCt, err := p.encryptConstOrd(cm, lo)
-		if err != nil {
-			return nil, err
-		}
-		hiCt, err := p.encryptConstOrd(cm, hi)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparser.BetweenExpr{
-			E: ref(cm, alias, onion.Ord), Lo: valueToExpr(loCt), Hi: valueToExpr(hiCt), Not: x.Not,
-		}, nil
-
-	case *sqlparser.IsNullExpr:
-		cm, alias, ok := resolvePure(x.E, qs)
-		if !ok {
-			return nil, fmt.Errorf("proxy: IS NULL over non-column")
-		}
-		var col sqlparser.Expr
-		switch {
-		case cm.Plain:
-			col = ref(cm, alias, "")
-		case cm.EncFor != nil:
-			a := alias
-			if !useAlias {
-				a = ""
-			}
-			col = &sqlparser.ColRef{Table: a, Column: cm.mpCol()}
-		default:
-			col = ref(cm, alias, onion.Eq)
-		}
-		return &sqlparser.IsNullExpr{E: col, Not: x.Not}, nil
-
-	case *sqlparser.IntLit, *sqlparser.StrLit, *sqlparser.BytesLit,
-		*sqlparser.NullLit, *sqlparser.BoolLit, *sqlparser.Param:
-		return e, nil
-	}
-	return nil, fmt.Errorf("proxy: cannot rewrite predicate %T", e)
-}
-
-func isCmp(op string) bool {
-	switch op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		return true
-	}
-	return false
-}
-
-func resolvePure(e sqlparser.Expr, qs *qscope) (*ColumnMeta, string, bool) {
-	cr, ok := e.(*sqlparser.ColRef)
-	if !ok || cr.Column == "*" {
-		return nil, "", false
-	}
-	cm, alias, err := qs.resolve(cr.Table, cr.Column)
-	if err != nil {
-		return nil, "", false
-	}
-	return cm, alias, true
-}
-
-// rewriteColConst encrypts the constant side of a comparison under the
-// column's appropriate onion. flipped means the constant was on the left.
-func (p *Proxy) rewriteColConst(cm *ColumnMeta, alias, op string, constE sqlparser.Expr, qs *qscope, params []sqldb.Value, useAlias, flipped bool) (sqlparser.Expr, error) {
-	v, err := sqldb.EvalConst(constE, params)
-	if err != nil {
-		return nil, err
-	}
-	if !useAlias {
-		alias = ""
-	}
-	if cm.Plain {
-		l := sqlparser.Expr(&sqlparser.ColRef{Table: alias, Column: cm.Anon})
-		r := valueToExpr(v)
-		if flipped {
-			l, r = r, l
-		}
-		return &sqlparser.BinaryExpr{Op: op, L: l, R: r}, nil
-	}
-	var colE, constCt sqlparser.Expr
-	switch op {
-	case "=", "!=":
-		ct, err := p.encryptConstEq(cm, v)
-		if err != nil {
-			return nil, err
-		}
-		colE = &sqlparser.ColRef{Table: alias, Column: cm.onionCol(onion.Eq)}
-		constCt = valueToExpr(ct)
-	default:
-		ct, err := p.encryptConstOrd(cm, v)
-		if err != nil {
-			return nil, err
-		}
-		colE = &sqlparser.ColRef{Table: alias, Column: cm.onionCol(onion.Ord)}
-		constCt = valueToExpr(ct)
-	}
-	l, r := colE, constCt
-	if flipped {
-		// `const < col` must stay flipped to preserve semantics.
-		l, r = constCt, colE
-	}
-	return &sqlparser.BinaryExpr{Op: op, L: l, R: r}, nil
-}
-
-// renamePlain rewrites an expression that touches only plain columns,
-// renaming references to their anonymized server names.
-func (p *Proxy) renamePlain(e sqlparser.Expr, qs *qscope, useAlias bool) (sqlparser.Expr, error) {
-	switch x := e.(type) {
-	case *sqlparser.ColRef:
-		cm, alias, err := qs.resolve(x.Table, x.Column)
+		col, err := b.need(cm, alias, onion.ClassOrder)
 		if err != nil {
 			return nil, err
 		}
 		if !cm.Plain {
-			return nil, fmt.Errorf("proxy: encrypted column %s.%s in unsupported position",
-				cm.Table.Logical, cm.Logical)
+			if lo, err = b.p.encryptConstOrd(cm, lo); err != nil {
+				return nil, err
+			}
+			if hi, err = b.p.encryptConstOrd(cm, hi); err != nil {
+				return nil, err
+			}
+		}
+		return &sqlparser.BetweenExpr{E: col, Lo: valueToExpr(lo), Hi: valueToExpr(hi), Not: x.Not}, nil
+
+	case *sqlparser.IsNullExpr:
+		// NULLs are visible to the server (§3.3); no requirement.
+		cm, alias, ok, err := b.column(x.E, useAlias)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return b.renamePlain(e, useAlias, "IS NULL over computed expression")
+		}
+		var col sqlparser.Expr
+		if cm.EncFor != nil {
+			col = &sqlparser.ColRef{Table: alias, Column: cm.mpCol()}
+		} else if col, err = onionRef(cm, alias, onion.Eq); err != nil {
+			return nil, err
+		}
+		return &sqlparser.IsNullExpr{E: col, Not: x.Not}, nil
+
+	case *sqlparser.ColRef:
+		// WHERE boolcol — truthiness of a ciphertext is meaningless.
+		return b.renamePlain(e, useAlias, "bare column used as predicate")
+
+	case *sqlparser.FuncCall:
+		// String/date manipulation inside a predicate (LOWER, MONTH,
+		// SUBSTRING, ...): Fig. 9's "needs plaintext" class.
+		return b.renamePlain(e, useAlias, "function "+x.Name+" over encrypted column in predicate")
+
+	case *sqlparser.IntLit, *sqlparser.StrLit, *sqlparser.BytesLit,
+		*sqlparser.NullLit, *sqlparser.BoolLit, *sqlparser.Param:
+		return b.renamePlain(e, useAlias, "")
+	}
+	an.fail(nil, fmt.Sprintf("unsupported predicate %T", e))
+	return e, nil
+}
+
+// rewriteCmp rewrites one comparison.
+func (b *planBuilder) rewriteCmp(x *sqlparser.BinaryExpr, useAlias bool) (sqlparser.Expr, error) {
+	lc, lAlias, lIsCol, err := b.column(x.L, useAlias)
+	if err != nil {
+		return nil, err
+	}
+	rc, rAlias, rIsCol, err := b.column(x.R, useAlias)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case lIsCol && rIsCol:
+		return b.rewriteColCol(x.Op, lc, lAlias, rc, rAlias)
+	case lIsCol && isConstExpr(x.R, b.params):
+		return b.rewriteColConst(lc, lAlias, x.Op, x.R, false)
+	case rIsCol && isConstExpr(x.L, b.params):
+		return b.rewriteColConst(rc, rAlias, x.Op, x.L, true)
+	}
+	// A constant comparison, or computation combined with comparison (e.g.
+	// WHERE salary > age*2+10): the server computes it over plain columns
+	// only (§6).
+	return b.renamePlain(x, useAlias, "computation combined with comparison in WHERE")
+}
+
+// rewriteColCol compares two columns: on the Eq onion for a column against
+// itself, on JAdj for an equi-join, on Ord for a range join (§3.4).
+func (b *planBuilder) rewriteColCol(op string, lc *ColumnMeta, lAlias string, rc *ColumnMeta, rAlias string) (sqlparser.Expr, error) {
+	if lc.Plain != rc.Plain {
+		enc, plain := lc, rc
+		if lc.Plain {
+			enc, plain = rc, lc
+		}
+		b.an.fail(enc, fmt.Sprintf("comparison with plain column %s.%s", plain.Table.Logical, plain.Logical))
+		return &sqlparser.BoolLit{}, nil
+	}
+	var class onion.Class
+	switch {
+	case (op == "=" || op == "!=") && lc == rc:
+		b.an.addReq(lc, onion.ClassEquality)
+		class = onion.ClassEquality
+	case op == "=" || op == "!=":
+		class = onion.ClassJoin
+		b.an.addJoin(lc, rc, class)
+	default:
+		class = onion.ClassRangeJoin
+		b.an.addJoin(lc, rc, class)
+	}
+	l, err := onionRef(lc, lAlias, classOnion[class])
+	if err != nil {
+		return nil, err
+	}
+	r, err := onionRef(rc, rAlias, classOnion[class])
+	if err != nil {
+		return nil, err
+	}
+	return &sqlparser.BinaryExpr{Op: op, L: l, R: r}, nil
+}
+
+// rewriteColConst encrypts the constant side of a comparison under the
+// column's appropriate onion. flipped means the constant was on the left.
+func (b *planBuilder) rewriteColConst(cm *ColumnMeta, alias, op string, constE sqlparser.Expr, flipped bool) (sqlparser.Expr, error) {
+	v, err := sqldb.EvalConst(constE, b.params)
+	if err != nil {
+		return nil, err
+	}
+	class, encrypt := onion.ClassOrder, b.p.encryptConstOrd
+	if op == "=" || op == "!=" {
+		class, encrypt = onion.ClassEquality, b.p.encryptConstEq
+	}
+	colE, err := b.need(cm, alias, class)
+	if err != nil {
+		return nil, err
+	}
+	if !cm.Plain {
+		if v, err = encrypt(cm, v); err != nil {
+			return nil, err
+		}
+	}
+	l, r := colE, valueToExpr(v)
+	if flipped {
+		// `const < col` must stay flipped to preserve semantics.
+		l, r = r, l
+	}
+	return &sqlparser.BinaryExpr{Op: op, L: l, R: r}, nil
+}
+
+// renamePlain rewrites an expression the server computes as written,
+// renaming column references to their anonymized server names and binding
+// parameters. Over an encrypted column the server cannot compute it: each
+// such column is recorded as unsupported with reason. The server has no
+// scalar functions, so a function over plain columns is unsupported too.
+func (b *planBuilder) renamePlain(e sqlparser.Expr, useAlias bool, reason string) (sqlparser.Expr, error) {
+	rename := func(e sqlparser.Expr) (sqlparser.Expr, error) { return b.renamePlain(e, useAlias, reason) }
+	switch x := e.(type) {
+	case *sqlparser.ColRef:
+		cm, alias, err := b.qs.resolve(x.Table, x.Column)
+		if err != nil {
+			return nil, err
+		}
+		if !cm.Plain {
+			b.an.fail(cm, reason)
+			return e, nil
 		}
 		if !useAlias {
 			alias = ""
 		}
 		return &sqlparser.ColRef{Table: alias, Column: cm.Anon}, nil
 	case *sqlparser.BinaryExpr:
-		l, err := p.renamePlain(x.L, qs, useAlias)
+		l, err := rename(x.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := p.renamePlain(x.R, qs, useAlias)
+		r, err := rename(x.R)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparser.BinaryExpr{Op: x.Op, L: l, R: r}, nil
 	case *sqlparser.UnaryExpr:
-		in, err := p.renamePlain(x.E, qs, useAlias)
+		in, err := rename(x.E)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparser.UnaryExpr{Op: x.Op, E: in}, nil
 	case *sqlparser.InExpr:
-		out := &sqlparser.InExpr{Not: x.Not}
-		in, err := p.renamePlain(x.E, qs, useAlias)
+		in, err := rename(x.E)
 		if err != nil {
 			return nil, err
 		}
-		out.E = in
+		out := &sqlparser.InExpr{E: in, Not: x.Not}
 		for _, item := range x.List {
-			ri, err := p.renamePlain(item, qs, useAlias)
+			ri, err := rename(item)
 			if err != nil {
 				return nil, err
 			}
@@ -587,38 +686,57 @@ func (p *Proxy) renamePlain(e sqlparser.Expr, qs *qscope, useAlias bool) (sqlpar
 		}
 		return out, nil
 	case *sqlparser.LikeExpr:
-		in, err := p.renamePlain(x.E, qs, useAlias)
+		in, err := rename(x.E)
 		if err != nil {
 			return nil, err
 		}
-		pat, err := p.renamePlain(x.Pattern, qs, useAlias)
+		pat, err := rename(x.Pattern)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparser.LikeExpr{E: in, Pattern: pat, Not: x.Not}, nil
 	case *sqlparser.BetweenExpr:
-		in, err := p.renamePlain(x.E, qs, useAlias)
+		in, err := rename(x.E)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := p.renamePlain(x.Lo, qs, useAlias)
+		lo, err := rename(x.Lo)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := p.renamePlain(x.Hi, qs, useAlias)
+		hi, err := rename(x.Hi)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparser.BetweenExpr{E: in, Lo: lo, Hi: hi, Not: x.Not}, nil
 	case *sqlparser.IsNullExpr:
-		in, err := p.renamePlain(x.E, qs, useAlias)
+		in, err := rename(x.E)
 		if err != nil {
 			return nil, err
 		}
 		return &sqlparser.IsNullExpr{E: in, Not: x.Not}, nil
+	case *sqlparser.FuncCall:
+		n := len(b.an.unsupported)
+		for _, a := range x.Args {
+			if _, err := rename(a); err != nil {
+				return nil, err
+			}
+		}
+		if len(b.an.unsupported) == n {
+			b.an.fail(nil, "function "+x.Name+" not computable")
+		}
+		return e, nil
+	case *sqlparser.Param:
+		// The server statement runs without the client's parameters.
+		v, err := sqldb.EvalConst(x, b.params)
+		if err != nil {
+			return nil, err
+		}
+		return valueToExpr(v), nil
 	case *sqlparser.IntLit, *sqlparser.StrLit, *sqlparser.BytesLit,
-		*sqlparser.NullLit, *sqlparser.BoolLit, *sqlparser.Param:
+		*sqlparser.NullLit, *sqlparser.BoolLit:
 		return e, nil
 	}
-	return nil, fmt.Errorf("proxy: cannot rename %T", e)
+	b.an.fail(nil, fmt.Sprintf("unsupported predicate %T", e))
+	return e, nil
 }
