@@ -57,7 +57,7 @@ var Analyzer = &vet.Analyzer{
 // store.Engine/store.Conn and the underlying sqldb types.
 var engineSinkMethods = map[string]bool{
 	"Exec": true, "ExecSQL": true, "ExecWithMeta": true,
-	"ExecAutonomous": true, "ExecAutonomousWithMeta": true,
+	"ExecAutonomous": true, "ExecAutonomousWithMeta": true, "ExecAutonomousListWithMeta": true,
 	"SetMeta": true,
 }
 

@@ -57,7 +57,7 @@ func (key *Key) Compute(k0, v []byte) []byte {
 		e.SetInt64(1) // negligible-probability degenerate case
 	}
 	x, y := curve.ScalarBaseMult(e.Bytes())
-	return compress(x, y)
+	return elliptic.MarshalCompressed(curve, x, y)
 }
 
 // Delta computes ΔK = K / K' mod N: the adjustment token the proxy sends to
@@ -73,48 +73,14 @@ func (key *Key) Delta(old *Key) (*big.Int, error) {
 
 // Adjust re-keys one stored JOIN-ADJ value by ΔK. This is the computation
 // CryptDB's server-side UDF performs during an onion-layer join adjustment;
-// note it requires neither plaintext nor column keys.
+// note it requires neither plaintext nor column keys. The value must be a
+// SEC1 compressed P-256 point: elliptic.UnmarshalCompressed checks that x
+// is below p and the point is on the curve.
 func Adjust(val []byte, delta *big.Int) ([]byte, error) {
-	x, y, err := decompress(val)
-	if err != nil {
-		return nil, err
+	x, y := elliptic.UnmarshalCompressed(curve, val)
+	if x == nil {
+		return nil, fmt.Errorf("joinadj: bad point encoding (%d bytes)", len(val))
 	}
 	nx, ny := curve.ScalarMult(x, y, delta.Bytes())
-	return compress(nx, ny), nil
-}
-
-// compress serializes a point in SEC1 compressed form.
-func compress(x, y *big.Int) []byte {
-	out := make([]byte, Size)
-	out[0] = 2 + byte(y.Bit(0))
-	x.FillBytes(out[1:])
-	return out
-}
-
-// decompress parses a SEC1 compressed P-256 point.
-func decompress(b []byte) (*big.Int, *big.Int, error) {
-	if len(b) != Size || (b[0] != 2 && b[0] != 3) {
-		return nil, nil, fmt.Errorf("joinadj: bad point encoding (%d bytes)", len(b))
-	}
-	p := curve.Params().P
-	x := new(big.Int).SetBytes(b[1:])
-	if x.Cmp(p) >= 0 {
-		return nil, nil, errors.New("joinadj: x out of range")
-	}
-	// y² = x³ - 3x + b mod p
-	y2 := new(big.Int).Mul(x, x)
-	y2.Mul(y2, x)
-	three := new(big.Int).Lsh(x, 1)
-	three.Add(three, x)
-	y2.Sub(y2, three)
-	y2.Add(y2, curve.Params().B)
-	y2.Mod(y2, p)
-	y := new(big.Int).ModSqrt(y2, p)
-	if y == nil {
-		return nil, nil, errors.New("joinadj: not a curve point")
-	}
-	if y.Bit(0) != uint(b[0]&1) {
-		y.Sub(p, y)
-	}
-	return x, y, nil
+	return elliptic.MarshalCompressed(curve, nx, ny), nil
 }

@@ -2,6 +2,10 @@ package joinadj
 
 import (
 	"bytes"
+	"crypto/elliptic"
+	"errors"
+	"fmt"
+	"math/big"
 	"testing"
 )
 
@@ -127,11 +131,113 @@ func TestAdjustRejectsGarbage(t *testing.T) {
 func TestCompressRoundTrip(t *testing.T) {
 	k := DeriveKey([]byte("col"))
 	val := k.Compute(k0, []byte("data"))
-	x, y, err := decompress(val)
-	if err != nil {
-		t.Fatal(err)
+	x, y := elliptic.UnmarshalCompressed(curve, val)
+	if x == nil {
+		t.Fatal("a Compute value did not decode")
 	}
-	if !bytes.Equal(compress(x, y), val) {
+	if !bytes.Equal(elliptic.MarshalCompressed(curve, x, y), val) {
 		t.Fatal("compress/decompress round trip failed")
+	}
+}
+
+// referenceDecompress is the SEC1 decoder Adjust used before it called
+// elliptic.UnmarshalCompressed, verbatim: a big.Int square root mod p. It
+// is the oracle the standard decoder is held to.
+func referenceDecompress(b []byte) (*big.Int, *big.Int, error) {
+	if len(b) != Size || (b[0] != 2 && b[0] != 3) {
+		return nil, nil, fmt.Errorf("joinadj: bad point encoding (%d bytes)", len(b))
+	}
+	p := curve.Params().P
+	x := new(big.Int).SetBytes(b[1:])
+	if x.Cmp(p) >= 0 {
+		return nil, nil, errors.New("joinadj: x out of range")
+	}
+	// y² = x³ - 3x + b mod p
+	y2 := new(big.Int).Mul(x, x)
+	y2.Mul(y2, x)
+	three := new(big.Int).Lsh(x, 1)
+	three.Add(three, x)
+	y2.Sub(y2, three)
+	y2.Add(y2, curve.Params().B)
+	y2.Mod(y2, p)
+	y := new(big.Int).ModSqrt(y2, p)
+	if y == nil {
+		return nil, nil, errors.New("joinadj: not a curve point")
+	}
+	if y.Bit(0) != uint(b[0]&1) {
+		y.Sub(p, y)
+	}
+	return x, y, nil
+}
+
+// TestDecompressDifferential: elliptic.UnmarshalCompressed accepts exactly
+// the encodings the reference decoder accepts, with the same point: Compute
+// values of both parities, x at and above p, x whose right-hand side is no
+// square, every other prefix byte and wrong lengths.
+func TestDecompressDifferential(t *testing.T) {
+	var inputs [][]byte
+	k := DeriveKey([]byte("col"))
+	for i := 0; i < 64; i++ {
+		inputs = append(inputs, k.Compute(k0, []byte(fmt.Sprint(i))))
+	}
+	p := curve.Params().P
+	for _, x := range []*big.Int{
+		p, new(big.Int).Add(p, big.NewInt(1)),
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1)),
+		new(big.Int).Sub(p, big.NewInt(1)), big.NewInt(0),
+	} {
+		for _, prefix := range []byte{2, 3} {
+			b := make([]byte, Size)
+			b[0] = prefix
+			x.FillBytes(b[1:])
+			inputs = append(inputs, b)
+		}
+	}
+	for x := int64(1); x <= 64; x++ { // about half have no square root
+		b := make([]byte, Size)
+		b[0] = byte(2 + x%2)
+		big.NewInt(x).FillBytes(b[1:])
+		inputs = append(inputs, b)
+	}
+	valid := inputs[0]
+	for prefix := 0; prefix < 256; prefix++ {
+		b := append([]byte{byte(prefix)}, valid[1:]...)
+		inputs = append(inputs, b)
+	}
+	inputs = append(inputs, nil, valid[:Size-1], append(append([]byte{}, valid...), 0))
+
+	accepted, rejected := 0, 0
+	for _, b := range inputs {
+		wx, wy, err := referenceDecompress(b)
+		gx, gy := elliptic.UnmarshalCompressed(curve, b)
+		switch {
+		case err != nil && gx != nil:
+			t.Errorf("%x: accepted, the reference refused it (%v)", b, err)
+		case err == nil && gx == nil:
+			t.Errorf("%x: refused, the reference decoded it", b)
+		case err == nil && (gx.Cmp(wx) != 0 || gy.Cmp(wy) != 0):
+			t.Errorf("%x: decoded to another point", b)
+		case err == nil:
+			accepted++
+		default:
+			rejected++
+		}
+	}
+	if accepted < 64+20 || rejected < 20 {
+		t.Fatalf("%d accepted, %d rejected: the inputs lost their spread", accepted, rejected)
+	}
+}
+
+func BenchmarkAdjust(b *testing.B) {
+	kA, kB := DeriveKey([]byte("col-A")), DeriveKey([]byte("col-B"))
+	delta, err := kA.Delta(kB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := kB.Compute(k0, []byte("v"))
+	for i := 0; i < b.N; i++ {
+		if _, err := Adjust(val, delta); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

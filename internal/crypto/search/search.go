@@ -75,20 +75,11 @@ func (c *Cipher) EncryptText(text string) ([]byte, error) {
 // EncryptWords encrypts an explicit keyword list (for schemas that disable
 // duplicate removal / reordering, the caller controls the list).
 func (c *Cipher) EncryptWords(words []string) ([]byte, error) {
-	// Random permutation of positions: sort by a keyed hash of the word
-	// plus fresh randomness so the stored order reveals nothing.
-	perm := make([]string, len(words))
-	copy(perm, words)
 	var shuffleSeed [8]byte
 	if _, err := rand.Read(shuffleSeed[:]); err != nil {
 		return nil, fmt.Errorf("search: %w", err)
 	}
-	sort.Slice(perm, func(i, j int) bool {
-		hi := prf.SumUint64(c.key, []byte("perm"), shuffleSeed[:], []byte(perm[i]))
-		hj := prf.SumUint64(c.key, []byte("perm"), shuffleSeed[:], []byte(perm[j]))
-		return hi < hj
-	})
-
+	perm := c.permute(words, shuffleSeed[:])
 	buf := make([]byte, 0, len(perm)*EntrySize)
 	for _, w := range perm {
 		entry, err := c.encryptWord(w)
@@ -98,6 +89,27 @@ func (c *Cipher) EncryptWords(words []string) ([]byte, error) {
 		buf = append(buf, entry...)
 	}
 	return buf, nil
+}
+
+// permute is the random permutation of positions: words sorted by a keyed
+// hash of the word plus fresh randomness (seed), so the stored order
+// reveals nothing. Each word's hash is computed once, not once per
+// comparison.
+func (c *Cipher) permute(words []string, seed []byte) []string {
+	type keyed struct {
+		h uint64
+		w string
+	}
+	ks := make([]keyed, len(words))
+	for i, w := range words {
+		ks[i] = keyed{prf.SumUint64(c.key, []byte("perm"), seed, []byte(w)), w}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].h < ks[j].h })
+	perm := make([]string, len(ks))
+	for i, k := range ks {
+		perm[i] = k.w
+	}
+	return perm
 }
 
 // encryptWord produces salt || MAC(token(w), salt), padded-word-keyed. The

@@ -1,8 +1,14 @@
 package search
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/crypto/prf"
 )
 
 func TestMatchPresentWord(t *testing.T) {
@@ -154,5 +160,54 @@ func TestEncryptWordsExplicitOrderDisabled(t *testing.T) {
 	}
 	if WordCount(blob) != 3 {
 		t.Fatalf("WordCount = %d, want 3", WordCount(blob))
+	}
+}
+
+// referencePermute is EncryptWords' permutation as it was before permute,
+// verbatim: two keyed hashes per comparison. It is the oracle permute is
+// held to.
+func referencePermute(c *Cipher, words []string, shuffleSeed [8]byte) []string {
+	perm := make([]string, len(words))
+	copy(perm, words)
+	sort.Slice(perm, func(i, j int) bool {
+		hi := prf.SumUint64(c.key, []byte("perm"), shuffleSeed[:], []byte(perm[i]))
+		hj := prf.SumUint64(c.key, []byte("perm"), shuffleSeed[:], []byte(perm[j]))
+		return hi < hj
+	})
+	return perm
+}
+
+// TestPermuteDifferential: for fixed seeds, permute orders every word list
+// as the per-comparison comparator did, duplicates included (an explicit
+// list may repeat a word), from empty lists to lists longer than the
+// insertion-sort cutoff.
+func TestPermuteDifferential(t *testing.T) {
+	c := New([]byte("key"))
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		words := make([]string, rng.Intn(40))
+		for i := range words {
+			words[i] = fmt.Sprintf("w%d", rng.Intn(30))
+		}
+		var seed [8]byte
+		rng.Read(seed[:])
+		want := referencePermute(c, words, seed)
+		if got := c.permute(words, seed[:]); !slices.Equal(got, want) {
+			t.Fatalf("seed %x, words %v:\n got %v\nwant %v", seed, words, got, want)
+		}
+	}
+}
+
+func BenchmarkEncryptWords(b *testing.B) {
+	c := New([]byte("key"))
+	words := make([]string, 20)
+	for i := range words {
+		words[i] = fmt.Sprintf("word%02d", i)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.EncryptWords(words); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -52,12 +52,12 @@ func (p *Proxy) applyRequirement(req requirement) error {
 		if err := p.maybeResync(req.cm); err != nil {
 			return err
 		}
-		return p.lowerTo(req.cm, onion.Eq, onion.DET)
+		return p.lowerTo(req.cm, onion.Eq, onion.DET, nil)
 	case onion.ClassOrder:
 		if err := p.maybeResync(req.cm); err != nil {
 			return err
 		}
-		return p.lowerTo(req.cm, onion.Ord, onion.OPE)
+		return p.lowerTo(req.cm, onion.Ord, onion.OPE, nil)
 	case onion.ClassSearch:
 		// Search onion starts (and stays) at SEARCH; nothing to strip.
 		return p.firstUse(req.cm, onion.Search, &req.cm.UsedSearch)
@@ -79,11 +79,16 @@ func (p *Proxy) applyRequirement(req requirement) error {
 
 // firstUse serves the single-layer onions (Add, Search), which have nothing
 // to strip: the first requirement on one materialises it if it was deferred
-// and records the usage flag of the §8.3 analysis. The build that recorded
-// the requirement has checked that the plan kept the onion.
+// and records the usage flag of the §8.3 analysis, in the same commit. The
+// build that recorded the requirement has checked that the plan kept the
+// onion.
 func (p *Proxy) firstUse(cm *ColumnMeta, o onion.Onion, used *bool) error {
-	if err := p.materialise(cm, o); err != nil {
-		return err
+	if st := cm.Onions[o]; st != nil && st.Deferred {
+		was := *used
+		return p.materialise(cm, o, func() func() {
+			*used = true
+			return func() { *used = was }
+		})
 	}
 	if !*used {
 		*used = true
@@ -92,10 +97,13 @@ func (p *Proxy) firstUse(cm *ColumnMeta, o onion.Onion, used *bool) error {
 	return nil
 }
 
-// lowerTo peels onion o of column cm down to layer target by issuing
-// server-side DECRYPT_RND UPDATEs inside a transaction (§3.2). A no-op if
-// already there.
-func (p *Proxy) lowerTo(cm *ColumnMeta, o onion.Onion, target onion.Layer) error {
+// lowerTo brings onion o of column cm down to layer target (§3.2). A no-op
+// if already there. A present onion is peeled by server-side DECRYPT_RND
+// UPDATEs, one layer per commit. A deferred onion holds no ciphertexts to
+// peel: it descends in memory and is materialised once, at target, together
+// with with (if non-nil: a join's choice of key), so the server never holds
+// it at a layer above the one the statement needs.
+func (p *Proxy) lowerTo(cm *ColumnMeta, o onion.Onion, target onion.Layer, with change) error {
 	st := cm.Onions[o]
 	if st == nil {
 		return fmt.Errorf("proxy: %s.%s has no %s onion (type %s)",
@@ -111,11 +119,39 @@ func (p *Proxy) lowerTo(cm *ColumnMeta, o onion.Onion, target onion.Layer) error
 	if err != nil {
 		return err
 	}
-	// A deferred onion has no ciphertexts to strip a layer from yet.
-	if err := p.materialise(cm, o); err != nil {
+	for _, layer := range layers {
+		if layer != onion.RND {
+			return fmt.Errorf("proxy: cannot strip non-RND layer %s of %s onion", layer, o)
+		}
+	}
+	if st.Deferred {
+		from := st.Cur
+		err := p.materialise(cm, o, func() func() {
+			st.Cur += len(layers)
+			undo := func() {}
+			if with != nil {
+				undo = with()
+			}
+			return func() { undo(); st.Cur = from }
+		})
+		if err != nil {
+			return err
+		}
+		p.stats.onionAdjustments.Add(int64(len(layers)))
+	} else if err := p.peel(cm, o, layers); err != nil {
 		return err
 	}
+	if p.training {
+		p.trainLog = append(p.trainLog, TrainEvent{
+			Table: cm.Table.Logical, Column: cm.Logical, Onion: o, Layer: target,
+		})
+	}
+	return p.materializeIndexes(cm)
+}
 
+// peel strips RND layers off a present onion with server-side DECRYPT_RND
+// UPDATEs, one commit per layer.
+func (p *Proxy) peel(cm *ColumnMeta, o onion.Onion, layers []onion.Layer) error {
 	// Onion decryption executes autonomously — the equivalent of the
 	// paper's separate-transaction adjustment (§3.2): it must not be
 	// undone by a client ROLLBACK, because the proxy's layer metadata
@@ -131,10 +167,8 @@ func (p *Proxy) lowerTo(cm *ColumnMeta, o onion.Onion, target onion.Layer) error
 	if err := p.adjustBlocked(cm.Table); err != nil {
 		return err
 	}
-	for _, layer := range layers {
-		if layer != onion.RND {
-			return fmt.Errorf("proxy: cannot strip non-RND layer %s of %s onion", layer, o)
-		}
+	st := cm.Onions[o]
+	for range layers {
 		key := p.colKey(cm, o, onion.RND)
 		upd := &sqlparser.UpdateStmt{
 			Table: cm.Table.Anon,
@@ -150,7 +184,7 @@ func (p *Proxy) lowerTo(cm *ColumnMeta, o onion.Onion, target onion.Layer) error
 				},
 			}},
 		}
-		err := p.transition(st.Descend, func() { st.Cur-- }, func(sealed []byte) error {
+		err := p.transition(func() func() { st.Descend(); return func() { st.Cur-- } }, func(sealed []byte) error {
 			// The UPDATE carries the peeled layer's key: shipping it to
 			// the DBMS for an in-place re-encryption is the paper's
 			// adjustable-onion protocol (§3.1) — the key reveals only the
@@ -163,39 +197,61 @@ func (p *Proxy) lowerTo(cm *ColumnMeta, o onion.Onion, target onion.Layer) error
 		}
 		p.stats.onionAdjustments.Add(1)
 	}
-	if p.training {
-		p.trainLog = append(p.trainLog, TrainEvent{
-			Table: cm.Table.Logical, Column: cm.Logical, Onion: o, Layer: target,
-		})
-	}
-	return p.materializeIndexes(cm)
+	return nil
 }
 
 // adjustJoin brings both columns' JAdj onions to the JOIN layer and re-keys
 // them to a common join-base: the first column of the transitivity group in
-// lexicographic (table, column) order (§3.4).
+// lexicographic (table, column) order (§3.4). The base is picked before
+// either side is lowered, so a deferred side is written under the base's
+// key at once and needs no re-key.
 func (p *Proxy) adjustJoin(a, b *ColumnMeta) error {
+	ra, rb := a.groupRoot(), b.groupRoot()
+	base := ra
+	if ra != rb && lexAfter(ra, rb) {
+		base = rb
+	}
+	baseKey := p.joinKey(base)
+	// merge records the join in the group structure, with path compression
+	// for the two joined columns (the caller holds the write side of p.mu;
+	// groupRoot itself never writes). It rides the first of this join's
+	// commits; merged says whether the structure records the join already.
+	merged := a.joinGroup == base && b.joinGroup == base && ra.joinGroup == base && rb.joinGroup == base
+	merge := func() (undo func()) {
+		oa, ob, ora, orb := a.joinGroup, b.joinGroup, ra.joinGroup, rb.joinGroup
+		ra.joinGroup, rb.joinGroup, a.joinGroup, b.joinGroup = base, base, base, base
+		merged = true
+		return func() {
+			a.joinGroup, b.joinGroup, ra.joinGroup, rb.joinGroup = oa, ob, ora, orb
+			merged = false
+		}
+	}
+	// rekey gives cm the base's effective key, named in the metadata by
+	// reference to the base's key column, never by value; and the merge,
+	// if no earlier commit of this join carried it.
+	rekey := func(cm *ColumnMeta) change {
+		return func() func() {
+			undoKey := setJoinKey(cm, baseKey, base.joinRefT, base.joinRefC)
+			if merged {
+				return undoKey
+			}
+			undoMerge := merge()
+			return func() { undoMerge(); undoKey() }
+		}
+	}
+
 	for _, cm := range []*ColumnMeta{a, b} {
 		if err := cm.checkMinEnc(onion.JOIN); err != nil {
 			return err
 		}
-		if err := p.lowerTo(cm, onion.JAdj, onion.JOIN); err != nil {
+		var with change
+		if st := cm.Onions[onion.JAdj]; st != nil && st.Deferred {
+			with = rekey(cm)
+		}
+		if err := p.lowerTo(cm, onion.JAdj, onion.JOIN, with); err != nil {
 			return err
 		}
 	}
-
-	ra, rb := a.groupRoot(), b.groupRoot()
-	base := ra
-	if ra != rb {
-		if lexAfter(ra, rb) {
-			base = rb
-		}
-		ra.joinGroup = base
-		rb.joinGroup = base
-	}
-	// Path compression for the two joined columns (the caller holds the
-	// write side of p.mu; groupRoot itself never writes).
-	a.joinGroup, b.joinGroup = base, base
 
 	if p.training {
 		p.trainLog = append(p.trainLog, TrainEvent{
@@ -204,21 +260,19 @@ func (p *Proxy) adjustJoin(a, b *ColumnMeta) error {
 		})
 	}
 
-	// Re-key the two queried columns to the group's base key. Deltas are
-	// computed from each column's *current* effective key, so columns
-	// merged into the group earlier converge lazily the next time they
-	// are joined (the paper bounds total transitions by n(n-1)/2).
-	baseKey := p.joinKey(base)
+	// Re-key the queried columns that hold ciphertexts under another key.
+	// Deltas are computed from each column's *current* effective key, so
+	// columns merged into the group earlier converge lazily the next time
+	// they are joined (the paper bounds total transitions by n(n-1)/2).
 	for _, cm := range []*ColumnMeta{a, b} {
-		cur := p.joinKey(cm)
-		delta, err := baseKey.Delta(cur)
+		delta, err := baseKey.Delta(p.joinKey(cm))
 		if err != nil {
 			return err
 		}
 		if delta.Cmp(bigOne) == 0 {
 			continue // same key already
 		}
-		// Same rule as lowerTo: a buffered write would miss the re-keying.
+		// Same rule as peel: a buffered write would miss the re-keying.
 		if err := p.adjustBlocked(cm.Table); err != nil {
 			return err
 		}
@@ -236,17 +290,8 @@ func (p *Proxy) adjustJoin(a, b *ColumnMeta) error {
 			}},
 		}
 		// The re-keying UPDATE and the metadata naming the new effective
-		// key (by reference to the base column, never by value) commit in
-		// one WAL batch.
-		oldRefT, oldRefC := cm.joinRefT, cm.joinRefC
-		setKey := func(key *joinadj.Key, refT, refC string) func() {
-			return func() {
-				cm.mu.Lock()
-				cm.joinKey, cm.joinRefT, cm.joinRefC = key, refT, refC
-				cm.mu.Unlock()
-			}
-		}
-		err = p.transition(setKey(baseKey, base.joinRefT, base.joinRefC), setKey(cur, oldRefT, oldRefC),
+		// key commit in one WAL batch.
+		err = p.transition(rekey(cm),
 			func(sealed []byte) error {
 				// JOIN-ADJ adjustment sends the delta that re-keys one
 				// column's ciphertexts onto the other's key (§3.4); the
@@ -262,9 +307,23 @@ func (p *Proxy) adjustJoin(a, b *ColumnMeta) error {
 			return err
 		}
 	}
-	// Group-root moves are metadata-only; persist them even when both
-	// deltas were identity.
-	return p.persistMetaLocked()
+	// Group-root moves are metadata-only: a join that rewrote neither side
+	// commits the merge alone.
+	if !merged {
+		merge()
+		return p.persistMetaLocked()
+	}
+	return nil
+}
+
+// setJoinKey gives cm an effective join key, persisted by reference to the
+// column (refT, refC) it derives from, and returns the undo.
+func setJoinKey(cm *ColumnMeta, key *joinadj.Key, refT, refC string) (undo func()) {
+	cm.mu.Lock()
+	defer cm.mu.Unlock()
+	oldKey, oldT, oldC := cm.joinKey, cm.joinRefT, cm.joinRefC
+	cm.joinKey, cm.joinRefT, cm.joinRefC = key, refT, refC
+	return func() { setJoinKey(cm, oldKey, oldT, oldC) }
 }
 
 func lexAfter(a, b *ColumnMeta) bool {
@@ -281,29 +340,29 @@ func (p *Proxy) adjustRangeJoin(a, b *ColumnMeta) error {
 		return fmt.Errorf("proxy: range join between %s.%s and %s.%s requires DeclareOPEJoin before data load (§3.4)",
 			a.Table.Logical, a.Logical, b.Table.Logical, b.Logical)
 	}
-	if err := p.lowerTo(a, onion.Ord, onion.OPE); err != nil {
+	if err := p.lowerTo(a, onion.Ord, onion.OPE, nil); err != nil {
 		return err
 	}
-	return p.lowerTo(b, onion.Ord, onion.OPE)
+	return p.lowerTo(b, onion.Ord, onion.OPE, nil)
 }
 
-// materialise fills a deferred onion: the first statement whose requirement
-// names onion o of cm pays, once and for the whole column, what every INSERT
-// would otherwise have paid for it. Each row's plaintext is read back through
-// the Eq onion and encrypted into o at o's current layer and current
-// effective key, under the row's stored IV. Rows first, bit second: Deferred
-// is cleared and persisted only after every row is written, so a crash in
-// between leaves the bit set and the next use redoes an idempotent rewrite.
-// The caller holds the write side of p.mu and writers hold the read side for
-// a whole statement, so no row can be inserted without the onion after the
-// bit flips; rows buffered in another session's open transaction would be,
-// hence the same retryable refusal as a layer adjustment. A no-op for an
-// onion that is present.
-func (p *Proxy) materialise(cm *ColumnMeta, o onion.Onion) error {
-	st := cm.Onions[o]
-	if st == nil || !st.Deferred {
-		return nil
-	}
+// materialise fills deferred onion o of cm: the first statement whose
+// requirement names it pays, once and for the whole column, what every
+// INSERT would otherwise have paid for it. set (if non-nil) moves the
+// onion's layer, key or usage flag to what that statement needs; each
+// row's plaintext is read back through the Eq onion and encrypted into o
+// at that layer and effective key, under the row's stored IV. Every row's
+// ciphertext and the sealed metadata that clears Deferred (and records
+// set) commit in one WAL batch per shard (rewriteColumn), so a crash or a
+// failed write leaves either the bit set, or the whole column written under
+// a blob that says so. With the bit set, no row was written on one store;
+// on a sharded engine the shards committed before the failure may hold
+// rows, which nothing reads and the next use writes again. The caller
+// holds the write side of p.mu and writers hold the read side for a whole
+// statement, so no row can be inserted without the onion after the bit
+// flips; rows buffered in another session's open transaction would be,
+// hence the same retryable refusal as a layer adjustment.
+func (p *Proxy) materialise(cm *ColumnMeta, o onion.Onion, set change) error {
 	if p.replica != nil {
 		// A write like any adjustment: the primary materialises, the rows
 		// and the blob replicate down.
@@ -316,7 +375,16 @@ func (p *Proxy) materialise(cm *ColumnMeta, o onion.Onion) error {
 	if err := p.adjustBlocked(cm.Table); err != nil {
 		return err
 	}
+	st := cm.Onions[o]
 	err := p.rewriteColumn(cm.Table, []string{cm.onionCol(onion.Eq), cm.ivCol()}, []string{cm.onionCol(o)},
+		func() func() {
+			st.Deferred = false
+			undo := func() {}
+			if set != nil {
+				undo = set()
+			}
+			return func() { undo(); st.Deferred = true }
+		},
 		func(rows [][]sqldb.Value) ([][]sqldb.Value, error) {
 			pts, err := p.mapRows(rows, func(r []sqldb.Value) ([]sqldb.Value, error) {
 				pt, err := p.decryptEq(cm, r[1], r[2])
@@ -341,14 +409,14 @@ func (p *Proxy) materialise(cm *ColumnMeta, o onion.Onion) error {
 	if err != nil {
 		return fmt.Errorf("proxy: materialising %s onion of %s.%s: %w", o, cm.Table.Logical, cm.Logical, err)
 	}
-	st.Deferred = false
 	p.stats.onionAdjustments.Add(1)
-	return p.persistMetaLocked()
+	return nil
 }
 
 // maybeResync re-encrypts a column's Eq/JAdj/Ord onions from its Add onion
 // after HOM increments made them stale — the two-query strategy of §3.3,
-// applied lazily at column granularity. Deferred onions stay deferred.
+// applied lazily at column granularity. Deferred onions stay deferred. The
+// rewritten rows and the cleared staleness commit together.
 func (p *Proxy) maybeResync(cm *ColumnMeta) error {
 	if cm == nil || !cm.Stale[onion.Eq] {
 		return nil
@@ -367,6 +435,11 @@ func (p *Proxy) maybeResync(cm *ColumnMeta) error {
 		}
 	}
 	err := p.rewriteColumn(cm.Table, []string{cm.onionCol(onion.Add)}, write,
+		func() func() {
+			stale := cm.Stale
+			cm.Stale = make(map[onion.Onion]bool)
+			return func() { cm.Stale = stale }
+		},
 		func(rows [][]sqldb.Value) ([][]sqldb.Value, error) {
 			return p.mapRows(rows, func(r []sqldb.Value) ([]sqldb.Value, error) {
 				pt, err := p.decryptAdd(cm, r[1])
@@ -391,12 +464,8 @@ func (p *Proxy) maybeResync(cm *ColumnMeta) error {
 	if err != nil {
 		return fmt.Errorf("proxy: resync of %s.%s: %w", cm.Table.Logical, cm.Logical, err)
 	}
-	cm.Stale = make(map[onion.Onion]bool)
 	p.stats.resyncs.Add(1)
-	// Persist the cleared staleness. A crash before this point leaves the
-	// stale flags set, which only costs a redundant (idempotent) resync
-	// on the next restart — never a stale answer.
-	return p.persistMetaLocked()
+	return nil
 }
 
 // valueToExpr renders a sqldb value as a literal AST node for server

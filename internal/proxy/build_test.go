@@ -166,6 +166,13 @@ func (r recordingEngine) ExecAutonomousWithMeta(st sqlparser.Statement, meta []b
 	return r.Engine.ExecAutonomousWithMeta(st, meta, params...)
 }
 
+func (r recordingEngine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error) {
+	for _, st := range stmts {
+		r.record(st, nil)
+	}
+	return r.Engine.ExecAutonomousListWithMeta(stmts, meta)
+}
+
 func (r recordingEngine) NewConn() store.Conn {
 	return recordingConn{Conn: r.Engine.NewConn(), rec: r}
 }

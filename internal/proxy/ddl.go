@@ -92,8 +92,10 @@ func (p *Proxy) createTable(st *sqlparser.CreateTableStmt) error {
 	// table, then create it at the DBMS with the snapshot attached: table
 	// and metadata become durable in one WAL batch, or not at all.
 	return p.transition(
-		func() { p.tables[st.Name] = tm },
-		func() { delete(p.tables, st.Name); p.nTab-- },
+		func() func() {
+			p.tables[st.Name] = tm
+			return func() { delete(p.tables, st.Name); p.nTab-- }
+		},
 		func(sealed []byte) error {
 			//cryptdb:sink-ok anon is the rewritten CREATE TABLE: anonymized identifiers and onion column defs only, no data literals
 			if _, err := p.db.ExecAutonomousWithMeta(anon, sealed); err != nil {
@@ -164,7 +166,7 @@ func (p *Proxy) materializeIndexes(cm *ColumnMeta) error {
 	// already records it as materialized, so a crash cannot leave the
 	// index built but forgotten (or vice versa).
 	createWithMeta := func(stmt *sqlparser.CreateIndexStmt, done *bool) error {
-		return p.transition(func() { *done = true }, func() { *done = false },
+		return p.transition(func() func() { *done = true; return func() { *done = false } },
 			func(sealed []byte) error {
 				_, err := p.db.ExecAutonomousWithMeta(stmt, sealed)
 				return err

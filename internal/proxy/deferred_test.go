@@ -411,28 +411,21 @@ func TestDeferredFirstUseBlockedByOpenTxn(t *testing.T) {
 	}
 }
 
-// faultyEngine fails the failAt-th autonomous write (1-based) and, while
-// failMeta is set, every metadata commit. It also fails the metaFailAt-th
-// statement that carries a metadata blob with metaFault: a plain error
-// leaves the statement unapplied, a *sqldb.DurabilityError applies it first,
-// as a failed WAL write does.
+// faultyEngine injects faults into the proxy's engine calls. The failAt-th
+// statement (1-based) sent in an autonomous statement list is replaced by
+// an UPDATE of a column that does not exist, so the engine itself refuses
+// the list part-way and must discard what it staged before. Separately,
+// the metaFailAt-th call that carries a metadata blob (a statement or a
+// list) fails with metaFault: a plain error leaves it unapplied, a
+// *sqldb.DurabilityError applies it first, as a failed WAL write does.
 type faultyEngine struct {
 	store.Engine
-	writes, failAt         int
-	failMeta               bool
+	listed, failAt         int
 	metaWrites, metaFailAt int
 	metaFault              error
 }
 
 var errInjected = errors.New("injected engine fault")
-
-func (f *faultyEngine) ExecAutonomous(st sqlparser.Statement, params ...sqldb.Value) (*sqldb.Result, error) {
-	f.writes++
-	if f.writes == f.failAt {
-		return nil, errInjected
-	}
-	return f.Engine.ExecAutonomous(st, params...)
-}
 
 func (f *faultyEngine) ExecWithMeta(st sqlparser.Statement, meta []byte, params ...sqldb.Value) (*sqldb.Result, error) {
 	return f.withMeta(func() (*sqldb.Result, error) { return f.Engine.ExecWithMeta(st, meta, params...) })
@@ -440,6 +433,25 @@ func (f *faultyEngine) ExecWithMeta(st sqlparser.Statement, meta []byte, params 
 
 func (f *faultyEngine) ExecAutonomousWithMeta(st sqlparser.Statement, meta []byte, params ...sqldb.Value) (*sqldb.Result, error) {
 	return f.withMeta(func() (*sqldb.Result, error) { return f.Engine.ExecAutonomousWithMeta(st, meta, params...) })
+}
+
+func (f *faultyEngine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error) {
+	return f.withMeta(func() (*sqldb.Result, error) {
+		k := f.failAt - f.listed - 1
+		f.listed += len(stmts)
+		if k < 0 || k >= len(stmts) {
+			return f.Engine.ExecAutonomousListWithMeta(stmts, meta)
+		}
+		bad := *stmts[k].(*sqlparser.UpdateStmt)
+		bad.Assignments = []sqlparser.Assignment{{Column: "injected_fault", Value: &sqlparser.IntLit{V: 1}}}
+		stmts = append([]sqlparser.Statement(nil), stmts...)
+		stmts[k] = &bad
+		res, err := f.Engine.ExecAutonomousListWithMeta(stmts, meta)
+		if err == nil {
+			return res, errors.New("the engine accepted a list with a refused statement")
+		}
+		return nil, fmt.Errorf("%w: %v", errInjected, err)
+	})
 }
 
 func (f *faultyEngine) withMeta(exec func() (*sqldb.Result, error)) (*sqldb.Result, error) {
@@ -456,16 +468,22 @@ func (f *faultyEngine) withMeta(exec func() (*sqldb.Result, error)) (*sqldb.Resu
 	return nil, f.metaFault
 }
 
-func (f *faultyEngine) SetMeta(meta []byte) error {
-	if f.failMeta {
-		return errInjected
+// onionState renders what a first use changes on each of its columns: the
+// layer, the Deferred bit and the join key's reference.
+func onionState(p *Proxy, o onion.Onion, cols [][2]string) string {
+	var sb strings.Builder
+	for _, c := range cols {
+		cm := p.Table(c[0]).Col(c[1])
+		st := cm.Onions[o]
+		fmt.Fprintf(&sb, "%s.%s:%d/%v/%s.%s ", c[0], c[1], st.Cur, st.Deferred, cm.joinRefT, cm.joinRefC)
 	}
-	return f.Engine.SetMeta(meta)
+	return sb.String()
 }
 
-// TestDeferredMaterialiseFaults: a write-back that fails part-way, and a
-// crash between the write-back and the metadata commit, both leave the bit
-// set; the retry redoes the rewrite and the answers match.
+// TestDeferredMaterialiseFaults: a first use whose batch the engine refuses
+// part-way writes no row and leaves the layer, the key and the bit as they
+// were, and a crash right after it recovers the same; the retry fills the
+// whole column, and the cleared bit is durable.
 func TestDeferredMaterialiseFaults(t *testing.T) {
 	for _, fu := range firstUses {
 		t.Run(fu.name, func(t *testing.T) {
@@ -477,35 +495,36 @@ func TestDeferredMaterialiseFaults(t *testing.T) {
 			fe := &faultyEngine{Engine: single.New(db)}
 			l := newLifecycle(t, fe, Options{DataDir: dir})
 			l.load(30, 300)
-			c := fu.cols[0]
+			before := onionState(l.p, fu.onion, fu.cols)
 
-			fe.writes, fe.failAt = 0, 120
+			fe.listed, fe.failAt = 0, 120
 			if _, err := l.p.Execute(fu.first); !errors.Is(err, errInjected) {
-				t.Fatalf("first use with a failing write-back: %v", err)
+				t.Fatalf("first use with a refused batch: %v", err)
 			}
-			if !l.deferred(c[0], c[1], fu.onion) {
-				t.Fatal("a failed write-back cleared the bit")
+			if got := onionState(l.p, fu.onion, fu.cols); got != before {
+				t.Fatalf("a refused batch changed the metadata: %s, was %s", got, before)
 			}
-			// Rows written before the fault are harmless: writers still skip
-			// the onion, and the redo overwrites them.
+			for _, c := range fu.cols {
+				if n := l.stored(c[0], c[1], fu.onion); n != 0 {
+					t.Fatalf("a refused batch left %d rows of %s.%s %s written", n, c[0], c[1], fu.onion)
+				}
+			}
+			// Writers still skip the onion.
 			l.both("INSERT INTO acct (id, holder, bal, memo) VALUES " + acctRow(300, 30))
 
-			// Every row written, the metadata commit lost: as a kill -9 there.
-			fe.failAt, fe.failMeta = 0, true
-			if _, err := l.p.Execute(fu.first); !errors.Is(err, errInjected) {
-				t.Fatalf("first use with a failing metadata commit: %v", err)
-			}
+			// A kill -9 right after the refused batch.
+			fe.failAt = 0
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
 			db2, p2 := openDurable(t, dir)
 			l.p = p2
-			if !l.deferred(c[0], c[1], fu.onion) {
-				t.Fatal("the bit did not survive the restart set")
+			if got := onionState(l.p, fu.onion, fu.cols); got != before {
+				t.Fatalf("the restart recovered %s, want %s", got, before)
 			}
 			l.check(fu.first)
 			l.check(fu.second)
-			if l.deferred(c[0], c[1], fu.onion) || l.stored(c[0], c[1], fu.onion) != 301 {
+			if l.deferred(fu.cols[0][0], fu.cols[0][1], fu.onion) || l.stored(fu.cols[0][0], fu.cols[0][1], fu.onion) != 301 {
 				t.Fatal("the retry did not materialise the onion")
 			}
 			// And the cleared bit is durable.
@@ -514,7 +533,7 @@ func TestDeferredMaterialiseFaults(t *testing.T) {
 			}
 			_, p3 := openDurable(t, dir)
 			l.p = p3
-			if l.deferred(c[0], c[1], fu.onion) {
+			if l.deferred(fu.cols[0][0], fu.cols[0][1], fu.onion) {
 				t.Fatal("the cleared bit was not persisted")
 			}
 			l.check(fu.first)

@@ -1,0 +1,260 @@
+package proxy
+
+import (
+	"errors"
+	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/crypto/keys"
+	"repro/internal/onion"
+	"repro/internal/sqldb"
+	"repro/internal/sqlparser"
+	"repro/internal/store"
+	"repro/internal/store/sharded"
+	"repro/internal/store/single"
+)
+
+// The first use of a deferred onion writes it once: at the layer and join
+// key its statement needs, in one WAL batch per shard, with no server-side
+// peel or re-key. These tests hold that route to the one a plan-eager
+// onion takes (written at RND from the first row, then peeled and re-keyed
+// on the server) and to its commit and fault contracts.
+
+// serverValues returns onion o of table.col as the engine stores it, by rid.
+func serverValues(t *testing.T, p *Proxy, table, col string, o onion.Onion) map[int64]string {
+	t.Helper()
+	tm := p.Table(table)
+	res, err := p.Engine().ExecSQL("SELECT rid, " + tm.Col(col).onionCol(o) + " FROM " + tm.Anon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[int64]string, len(res.Rows))
+	for _, r := range res.Rows {
+		out[r[0].I] = r[1].String()
+	}
+	return out
+}
+
+// TestFirstUseMatchesPeelRoute: under one master key, a range and a join
+// leave the deferred columns with the same server bytes, layers and join
+// key references as plan-eager columns that the server peeled and re-keyed,
+// and the deferred route sends the server neither an RND key nor a
+// JOIN-ADJ delta.
+func TestFirstUseMatchesPeelRoute(t *testing.T) {
+	mk := keys.MasterFromBytes([]byte("first-use"))
+	eager := OnionPlan{}
+	onions := []struct {
+		table, col string
+		o          onion.Onion
+	}{{"acct", "bal", onion.Ord}, {"acct", "holder", onion.JAdj}, {"owner", "oid", onion.JAdj}}
+	for _, c := range onions {
+		eager[planKey(c.table, c.col)] = onion.Onions(sqlparser.TypeInt)
+	}
+	for _, ec := range engineCases {
+		t.Run(ec.name, func(t *testing.T) {
+			var sent []string
+			open := func(eng store.Engine, plan OnionPlan) *lifecycle {
+				p, err := newWithMaster(eng, mk, Options{HOMBits: 256, Plan: plan})
+				if err != nil {
+					t.Fatal(err)
+				}
+				l := &lifecycle{t: t, p: p, orc: sqldb.New()}
+				l.load(30, 300)
+				return l
+			}
+			lazy := open(recordingEngine{Engine: ec.open(t), sent: &sent}, nil)
+			peeled := open(ec.open(t), eager)
+			loaded := len(sent)
+			for _, sql := range []string{
+				"SELECT id FROM acct WHERE bal BETWEEN 100 AND 500",
+				"SELECT a.id, o.name FROM acct a JOIN owner o ON a.holder = o.oid",
+			} {
+				lazy.check(sql)
+				peeled.check(sql)
+			}
+			for _, s := range sent[loaded:] {
+				if strings.Contains(s, "decrypt_rnd") || strings.Contains(s, "join_adj") {
+					t.Errorf("the deferred route sent a peel or re-key: %s", clipSQL(s))
+				}
+			}
+			for _, c := range onions {
+				if lazy.deferred(c.table, c.col, c.o) {
+					t.Fatalf("%s.%s %s still deferred", c.table, c.col, c.o)
+				}
+				if g, w := onionState(lazy.p, c.o, [][2]string{{c.table, c.col}}), onionState(peeled.p, c.o, [][2]string{{c.table, c.col}}); g != w {
+					t.Errorf("metadata %s, the peeled route's %s", g, w)
+				}
+				got, want := serverValues(t, lazy.p, c.table, c.col, c.o), serverValues(t, peeled.p, c.table, c.col, c.o)
+				if len(got) != map[string]int{"acct": 300, "owner": 30}[c.table] || !maps.Equal(got, want) {
+					t.Errorf("%s.%s %s: %d server values differ from the peeled route's %d", c.table, c.col, c.o, len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
+// TestFirstUseOneBatchPerShard: on disk, each first use appends exactly one
+// WAL batch to every shard per column it fills — its rows, and on the last
+// (or only) shard the sealed metadata that clears the bit — where it used
+// to append one per row plus the metadata.
+func TestFirstUseOneBatchPerShard(t *testing.T) {
+	opts := sqldb.DurabilityOptions{NoFsync: true, CheckpointBytes: -1}
+	paged := opts
+	paged.Paged, paged.CacheBytes = true, 64<<10
+	for _, dc := range []struct {
+		name string
+		open func(dir string) (store.Engine, error)
+	}{
+		{"single", func(dir string) (store.Engine, error) { return single.Open(dir, opts) }},
+		{"sharded2", func(dir string) (store.Engine, error) { return sharded.Open(dir, 2, opts) }},
+		{"sharded4", func(dir string) (store.Engine, error) { return sharded.Open(dir, 4, opts) }},
+		{"paged", func(dir string) (store.Engine, error) { return single.Open(dir, paged) }},
+	} {
+		for _, fu := range firstUses {
+			t.Run(dc.name+"/"+fu.name, func(t *testing.T) {
+				dir := t.TempDir()
+				eng, err := dc.open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { eng.Close() }) //nolint:errcheck // test teardown
+				l := newLifecycle(t, eng, Options{DataDir: dir})
+				l.load(30, 300)
+				before := eng.Stats().WAL.Batches
+				l.check(fu.first)
+				if got, want := eng.Stats().WAL.Batches-before, int64(len(fu.cols)*eng.Shards()); got != want {
+					t.Fatalf("first use appended %d WAL batches, want %d (one per shard per column)", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestFirstUseFaultWritesNothing: on every topology, a first use whose
+// batch one shard refuses part-way leaves no row written on any shard and
+// the metadata as it was; the retry fills the column.
+func TestFirstUseFaultWritesNothing(t *testing.T) {
+	for _, ec := range engineCases {
+		for _, fu := range firstUses {
+			t.Run(ec.name+"/"+fu.name, func(t *testing.T) {
+				fe := &faultyEngine{Engine: ec.open(t)}
+				l := newLifecycle(t, fe, Options{})
+				l.load(30, 300)
+				before := onionState(l.p, fu.onion, fu.cols)
+				fe.failAt = fe.listed + 200
+				if _, err := l.p.Execute(fu.first); !errors.Is(err, errInjected) {
+					t.Fatalf("first use with a refused batch: %v", err)
+				}
+				if got := onionState(l.p, fu.onion, fu.cols); got != before {
+					t.Fatalf("a refused batch changed the metadata: %s, was %s", got, before)
+				}
+				for _, c := range fu.cols {
+					if n := l.stored(c[0], c[1], fu.onion); n != 0 {
+						t.Fatalf("a refused batch left %d rows of %s.%s written", n, c[0], c[1])
+					}
+				}
+				l.check(fu.first)
+				if c := fu.cols[0]; l.stored(c[0], c[1], fu.onion) != 300 {
+					t.Fatal("the retry did not fill the column")
+				}
+			})
+		}
+	}
+}
+
+// crashEngine simulates a kill -9 inside a sharded first use: once armed,
+// it notes the size of the last shard's log, forwards one statement list
+// and reports a crash, so the proxy runs nothing after it. Cutting that log
+// back to the noted size then leaves the state of a crash after every other
+// shard committed its rows and before the last shard committed its rows
+// and the blob.
+type crashEngine struct {
+	store.Engine
+	wal   string
+	armed bool
+	size  int64
+}
+
+var errCrash = errors.New("simulated crash")
+
+func (c *crashEngine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error) {
+	if !c.armed {
+		return c.Engine.ExecAutonomousListWithMeta(stmts, meta)
+	}
+	c.armed = false
+	fi, err := os.Stat(c.wal)
+	if err != nil {
+		return nil, err
+	}
+	c.size = fi.Size()
+	if _, err := c.Engine.ExecAutonomousListWithMeta(stmts, meta); err != nil {
+		return nil, err
+	}
+	return nil, errCrash
+}
+
+// TestFirstUseTornAcrossShards: a crash between the shards' commits of a
+// first use recovers the onion still deferred, over rows that some shards
+// hold and the last does not; the next use writes the whole column again
+// and answers like the oracle.
+func TestFirstUseTornAcrossShards(t *testing.T) {
+	opts := sqldb.DurabilityOptions{NoFsync: true, CheckpointBytes: -1}
+	rows := map[string]int{"owner": 30, "acct": 300}
+	for _, shards := range []int{2, 4} {
+		for _, fu := range firstUses {
+			t.Run(fmt.Sprintf("sharded%d/%s", shards, fu.name), func(t *testing.T) {
+				dir := t.TempDir()
+				eng, err := sharded.Open(dir, shards, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ce := &crashEngine{Engine: eng, wal: filepath.Join(sharded.ShardDir(dir, shards-1), "wal.log")}
+				l := newLifecycle(t, ce, Options{DataDir: dir})
+				l.load(30, 300)
+				before := onionState(l.p, fu.onion, fu.cols)
+
+				ce.armed = true
+				if _, err := l.p.Execute(fu.first); !errors.Is(err, errCrash) {
+					t.Fatalf("first use: %v, want the simulated crash", err)
+				}
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Truncate(ce.wal, ce.size); err != nil {
+					t.Fatal(err)
+				}
+				eng2, err := sharded.Open(dir, shards, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { eng2.Close() }) //nolint:errcheck // test teardown
+				if l.p, err = NewOnEngine(eng2, Options{HOMBits: 256, DataDir: dir}); err != nil {
+					t.Fatal(err)
+				}
+				if got := onionState(l.p, fu.onion, fu.cols); got != before {
+					t.Fatalf("the restart recovered %s, want %s", got, before)
+				}
+				torn := false
+				for _, c := range fu.cols {
+					n := l.stored(c[0], c[1], fu.onion)
+					torn = torn || (n > 0 && n < rows[c[0]])
+				}
+				if !torn {
+					t.Fatal("no column was left partly written: the crash fell outside the first use")
+				}
+
+				l.check(fu.first)
+				l.check(fu.second)
+				for _, c := range fu.cols {
+					if l.deferred(c[0], c[1], fu.onion) || l.stored(c[0], c[1], fu.onion) != rows[c[0]] {
+						t.Fatalf("the next use did not fill %s.%s", c[0], c[1])
+					}
+				}
+			})
+		}
+	}
+}

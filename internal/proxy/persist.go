@@ -316,18 +316,23 @@ func (p *Proxy) persistMetaLocked() error {
 	return p.db.SetMeta(sealed)
 }
 
-// transition commits one metadata transition together with the server
+// A change is a metadata change that commits with a server statement:
+// calling it applies the change in memory and returns its undo.
+type change func() (undo func())
+
+// transition commits one metadata change together with the server
 // statement that makes it true (a CREATE or DROP, an index build, a layer
-// peel, a join re-key): under metaMu it applies the change in memory, seals
-// the result and hands the blob to run, which executes the statement with
-// it attached, so both land in one WAL batch or neither does. If sealing or
-// run fails, undo reverts the change — unless the statement applied anyway
-// (stmtApplied), when the kept change is the one that matches the data.
-// Callers hold the write side of p.mu.
-func (p *Proxy) transition(apply, undo func(), run func(sealed []byte) error) error {
+// peel, a join re-key, a whole-column rewrite): under metaMu it applies the
+// change in memory, seals the result and hands the blob to run, which
+// executes the statement with it attached, so both land in one WAL batch
+// (per shard) or neither does. If sealing or run fails, the change is
+// undone — unless the statement applied anyway (stmtApplied), when the kept
+// change is the one that matches the data. Callers hold the write side of
+// p.mu.
+func (p *Proxy) transition(c change, run func(sealed []byte) error) error {
 	p.metaMu.Lock()
 	defer p.metaMu.Unlock()
-	apply()
+	undo := c()
 	sealed, err := p.sealedMetaLocked()
 	if err == nil {
 		err = run(sealed)

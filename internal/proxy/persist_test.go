@@ -269,8 +269,10 @@ func TestTransitionFailureReverts(t *testing.T) {
 		cm := p.Table("owner").Col("oid")
 		return cm.joinRefT + "." + cm.joinRefC
 	}
+	oidKey := func(p *Proxy) string { return onionState(p, onion.JAdj, [][2]string{{"owner", "oid"}}) }
 	cases := []struct {
 		name   string
+		plan   OnionPlan
 		setup  []string // run on proxy and oracle before the fault
 		stmt   string   // the statement whose transition fails
 		failAt int      // which blob-carrying statement of stmt fails
@@ -294,9 +296,17 @@ func TestTransitionFailureReverts(t *testing.T) {
 		{name: "rnd peel", stmt: "SELECT id FROM acct WHERE memo = 'kw01 kw11'", failAt: 1,
 			state: func(p *Proxy) string { return fmt.Sprint(p.Table("acct").Col("memo").Onions[onion.Eq].Cur) },
 			query: "SELECT id FROM acct WHERE memo = 'kw03 kw13'"},
-		// Two JAdj peels, then owner.oid re-keys onto acct.holder's key.
-		{name: "join rekey", stmt: "SELECT a.id, o.name FROM acct a JOIN owner o ON a.holder = o.oid", failAt: 3,
+		// The plan keeps both JAdj onions present from the first row: two
+		// peels, then owner.oid re-keys onto acct.holder's key.
+		{name: "join rekey", plan: OnionPlan{"acct.holder": {onion.Eq, onion.JAdj}, "owner.oid": {onion.Eq, onion.JAdj}},
+			stmt: "SELECT a.id, o.name FROM acct a JOIN owner o ON a.holder = o.oid", failAt: 3,
 			state: joinRef,
+			query: "SELECT o.name, a.bal FROM owner o JOIN acct a ON o.oid = a.holder"},
+		// Both JAdj onions deferred: acct.holder is written at JOIN under
+		// its own key, then owner.oid under acct.holder's, whose batch
+		// fails. Its layer, key reference and Deferred bit move together.
+		{name: "first-use join", stmt: "SELECT a.id, o.name FROM acct a JOIN owner o ON a.holder = o.oid", failAt: 2,
+			state: oidKey,
 			query: "SELECT o.name, a.bal FROM owner o JOIN acct a ON o.oid = a.holder"},
 	}
 	for _, tc := range cases {
@@ -304,7 +314,7 @@ func TestTransitionFailureReverts(t *testing.T) {
 			_, durable := fault.(*sqldb.DurabilityError)
 			t.Run(fmt.Sprintf("%s/durable=%v", tc.name, durable), func(t *testing.T) {
 				fe := &faultyEngine{Engine: single.New(sqldb.New())}
-				l := newLifecycle(t, fe, Options{})
+				l := newLifecycle(t, fe, Options{Plan: tc.plan})
 				l.load(5, 20)
 				for _, s := range tc.setup {
 					l.both(s)

@@ -16,10 +16,14 @@ import (
 // RND wrap under the column's stored per-row IVs, and restores the onion
 // state, shrinking the leak window of the lower layer. It is a whole-column
 // rewrite like materialise, with the same refusals (on a replica, and while
-// an open transaction has written the table) and the same order: rows
-// first, then the raised layer is persisted. The rows commit one by one, so
-// a crash in the middle of a raise leaves the column with mixed layers
-// under metadata that still names the lower one.
+// an open transaction has written the table) and the same commit: the
+// re-wrapped rows and the raised layer are one WAL batch per shard. On one
+// store, every row therefore sits at the layer the metadata names, before a
+// crash or failed write and after it. On a sharded engine, a crash or a
+// failed COMMIT between two shards' batches leaves the shards before it
+// raised under metadata naming the lower layer: unlike a deferred onion's
+// rows, these are read, so a raise has the torn-broadcast window of any
+// onion adjustment (ARCHITECTURE.md, "Recovery story").
 func (p *Proxy) RaiseOnion(table, col string, o onion.Onion) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -50,6 +54,20 @@ func (p *Proxy) RaiseOnion(table, col string, o onion.Onion) error {
 
 	c := p.rndCipher(cm, o)
 	err = p.rewriteColumn(cm.Table, []string{cm.onionCol(o), cm.ivCol()}, []string{cm.onionCol(o)},
+		func() func() {
+			cur, idxEq, idxJadj := st.Cur, cm.idxEq, cm.idxJadj
+			st.Cur--
+			// A raised Eq onion invalidates any DET index built while
+			// exposed: RND ciphertexts are useless to it (§3.3), and it
+			// would go stale.
+			if o == onion.Eq {
+				cm.idxEq = false
+			}
+			if o == onion.JAdj {
+				cm.idxJadj = false
+			}
+			return func() { st.Cur, cm.idxEq, cm.idxJadj = cur, idxEq, idxJadj }
+		},
 		func(rows [][]sqldb.Value) ([][]sqldb.Value, error) {
 			return p.mapRows(rows, func(r []sqldb.Value) ([]sqldb.Value, error) {
 				val, iv := r[1], r[2]
@@ -73,31 +91,27 @@ func (p *Proxy) RaiseOnion(table, col string, o onion.Onion) error {
 	if err != nil {
 		return fmt.Errorf("proxy: re-encryption: %w", err)
 	}
-	st.Cur--
-	// A raised Eq onion invalidates any DET index built while exposed:
-	// RND ciphertexts are useless to it (§3.3), and it would go stale.
-	if o == onion.Eq && cm.idxEq {
-		cm.idxEq = false
-	}
-	if o == onion.JAdj && cm.idxJadj {
-		cm.idxJadj = false
-	}
 	p.stats.onionAdjustments.Add(1)
-	return p.persistMetaLocked()
+	return nil
 }
 
-// rewriteColumn is the one whole-column rewrite loop, shared by onion
+// rewriteColumn is the one whole-column rewrite, shared by onion
 // materialisation, the stale-onion resync and RaiseOnion. It reads the read
 // columns of every row of tm (each row handed to compute is rid followed by
-// them), lets compute produce the new values of the write columns, one slice
-// per row in the same order (nil leaves a row alone), and writes them back
-// by rid. Each row's UPDATE commits by itself, outside any client
-// transaction: like a layer adjustment the rewrite must survive a client
-// ROLLBACK, and a sharded engine's transactions are single-shard. Callers
-// therefore keep their completion mark
-// (deferred bit, staleness flag) set until this returns nil and are
-// idempotent when re-run. The statements carry rids and ciphertexts only.
-func (p *Proxy) rewriteColumn(tm *TableMeta, read, write []string, compute func(rows [][]sqldb.Value) ([][]sqldb.Value, error)) error {
+// them), applies the caller's metadata change c, lets compute produce the new
+// values of the write columns, one slice per row in the same order (nil
+// leaves a row alone), and writes them back by rid. Every row's UPDATE and
+// the sealed metadata commit in one WAL batch per shard
+// (ExecAutonomousListWithMeta), outside any client transaction: like a
+// layer adjustment the rewrite must survive a client ROLLBACK. If compute
+// or the commit fails, the change is undone (see transition). A sharded
+// engine commits the blob with its last shard's batch, after the others,
+// so a crash or failure between shards leaves the previous metadata over
+// some shards' new rows: harmless where the change clears a mark (Deferred,
+// Stale) that keeps those rows unread until the rewrite is redone. The
+// column's rows are held in memory, as the read returns them. The
+// statements carry rids and ciphertexts only.
+func (p *Proxy) rewriteColumn(tm *TableMeta, read, write []string, c change, compute func(rows [][]sqldb.Value) ([][]sqldb.Value, error)) error {
 	sel := &sqlparser.SelectStmt{
 		Exprs: []sqlparser.SelectExpr{{Expr: &sqlparser.ColRef{Column: "rid"}}},
 		From:  []sqlparser.TableRef{{Table: tm.Anon}},
@@ -109,28 +123,32 @@ func (p *Proxy) rewriteColumn(tm *TableMeta, read, write []string, compute func(
 	if err != nil {
 		return fmt.Errorf("read: %w", err)
 	}
-	out, err := compute(res.Rows)
-	if err != nil {
-		return err
-	}
-	for i, vals := range out {
-		if vals == nil {
-			continue
+	return p.transition(c, func(sealed []byte) error {
+		out, err := compute(res.Rows)
+		if err != nil {
+			return err
 		}
-		upd := &sqlparser.UpdateStmt{
-			Table: tm.Anon,
-			Where: &sqlparser.BinaryExpr{Op: "=",
-				L: &sqlparser.ColRef{Column: "rid"},
-				R: &sqlparser.IntLit{V: res.Rows[i][0].I}},
+		stmts := make([]sqlparser.Statement, 0, len(out))
+		for i, vals := range out {
+			if vals == nil {
+				continue
+			}
+			upd := &sqlparser.UpdateStmt{
+				Table: tm.Anon,
+				Where: &sqlparser.BinaryExpr{Op: "=",
+					L: &sqlparser.ColRef{Column: "rid"},
+					R: &sqlparser.IntLit{V: res.Rows[i][0].I}},
+			}
+			for j, c := range write {
+				upd.Assignments = append(upd.Assignments, sqlparser.Assignment{Column: c, Value: valueToExpr(vals[j])})
+			}
+			stmts = append(stmts, upd)
 		}
-		for j, c := range write {
-			upd.Assignments = append(upd.Assignments, sqlparser.Assignment{Column: c, Value: valueToExpr(vals[j])})
-		}
-		if _, err := p.db.ExecAutonomous(upd); err != nil {
+		if _, err := p.db.ExecAutonomousListWithMeta(stmts, sealed); err != nil {
 			return fmt.Errorf("write: %w", err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // mapRows runs fn over rows on the batch worker pool; results land at their

@@ -1,6 +1,8 @@
 package proxy
 
 import (
+	"errors"
+	"maps"
 	"strings"
 	"testing"
 
@@ -181,5 +183,45 @@ func TestDeclareOPEJoinAfterLoadFails(t *testing.T) {
 	mustExec(t, p, "INSERT INTO a (x) VALUES (1)")
 	if err := p.DeclareOPEJoin("a", "x", "b", "y"); err == nil {
 		t.Fatal("declaring OPE-JOIN after data load should fail")
+	}
+}
+
+// TestRaiseOnionFaultKeepsOneLayer: on every topology, a raise whose batch
+// one shard refuses part-way leaves every row at the layer the metadata
+// still names, byte for byte; the retry re-wraps them all.
+func TestRaiseOnionFaultKeepsOneLayer(t *testing.T) {
+	const q = "SELECT id FROM acct WHERE bal BETWEEN 100 AND 500"
+	for _, ec := range engineCases {
+		t.Run(ec.name, func(t *testing.T) {
+			fe := &faultyEngine{Engine: ec.open(t)}
+			l := newLifecycle(t, fe, Options{})
+			l.load(30, 300)
+			l.check(q)
+			st := l.p.Table("acct").Col("bal").Onions[onion.Ord]
+			before := serverValues(t, l.p, "acct", "bal", onion.Ord)
+
+			fe.failAt = fe.listed + 150
+			if err := l.p.RaiseOnion("acct", "bal", onion.Ord); !errors.Is(err, errInjected) {
+				t.Fatalf("raise with a refused batch: %v", err)
+			}
+			if st.Current() != onion.OPE {
+				t.Fatalf("a refused raise left the metadata at %s", st.Current())
+			}
+			if got := serverValues(t, l.p, "acct", "bal", onion.Ord); !maps.Equal(got, before) {
+				t.Fatal("a refused raise changed stored rows")
+			}
+			l.check(q)
+
+			if err := l.p.RaiseOnion("acct", "bal", onion.Ord); err != nil {
+				t.Fatal(err)
+			}
+			after := serverValues(t, l.p, "acct", "bal", onion.Ord)
+			for rid, v := range before {
+				if after[rid] == v {
+					t.Fatalf("row %d was not re-wrapped", rid)
+				}
+			}
+			l.check(q)
+		})
 	}
 }

@@ -152,7 +152,7 @@ func (s *Session) ExecuteStmt(st sqlparser.Statement, params ...sqldb.Value) (*s
 		if !ok {
 			return nil, fmt.Errorf("proxy: no table %s", x.Name)
 		}
-		return &sqldb.Result{}, p.transition(func() { delete(p.tables, x.Name) }, func() { p.tables[x.Name] = tm },
+		return &sqldb.Result{}, p.transition(func() func() { delete(p.tables, x.Name); return func() { p.tables[x.Name] = tm } },
 			func(sealed []byte) error {
 				_, err := p.db.ExecAutonomousWithMeta(&sqlparser.DropTableStmt{Name: tm.Anon}, sealed)
 				return err

@@ -596,3 +596,35 @@ func (db *DB) ExecAutonomous(st sqlparser.Statement, params ...Value) (*Result, 
 func (db *DB) ExecAutonomousWithMeta(st sqlparser.Statement, meta []byte, params ...Value) (*Result, error) {
 	return db.execStateless(st, meta, params)
 }
+
+// ExecAutonomousListWithMeta is ExecAutonomousWithMeta for a list of
+// INSERT, UPDATE and DELETE statements: they stage in a private
+// transaction, outside any open one, and commit with the metadata blob in
+// one WAL batch, or not at all. The proxy's whole-column rewrites use it,
+// so a column's new ciphertexts and the metadata naming their layer are
+// one commit.
+func (db *DB) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*Result, error) {
+	s := db.NewSession()
+	defer s.Close() //nolint:errcheck // rolls back a transaction a statement refused
+	if _, err := s.Exec(&sqlparser.BeginStmt{}); err != nil {
+		return nil, err
+	}
+	total := &Result{}
+	for _, st := range stmts {
+		switch st.(type) {
+		case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
+		default:
+			// DDL would not wait for the COMMIT.
+			return nil, fmt.Errorf("sqldb: %T in a statement list (writes only)", st)
+		}
+		res, err := s.Exec(st)
+		if err != nil {
+			return nil, err
+		}
+		total.Affected += res.Affected
+	}
+	if _, err := s.ExecWithMeta(&sqlparser.CommitStmt{}, meta); err != nil {
+		return nil, err
+	}
+	return total, nil
+}

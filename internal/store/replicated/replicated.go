@@ -267,6 +267,11 @@ func (f *FollowerEngine) ExecAutonomousWithMeta(st sqlparser.Statement, meta []b
 	return nil, f.readOnly()
 }
 
+// ExecAutonomousListWithMeta implements store.Engine (refused).
+func (f *FollowerEngine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error) {
+	return nil, f.readOnly()
+}
+
 // SetMeta implements store.Engine (refused).
 func (f *FollowerEngine) SetMeta(meta []byte) error { return f.readOnly() }
 

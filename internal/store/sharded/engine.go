@@ -723,17 +723,107 @@ func (e *Engine) shardExecAutonomous(shard int, st sqlparser.Statement, meta []b
 	})
 }
 
-// broadcastAutonomous runs a whole-table rewrite on every shard with
-// runtime all-or-nothing semantics: the statement executes inside a
-// private transaction per shard (buffering, taking slot locks), and only
-// when every shard accepted it do the transactions commit — so a write
-// conflict or constraint violation on one shard refuses the whole
-// statement with no side effects, matching the single store's statement
-// atomicity. (This is runtime atomicity, not crash atomicity: a crash
-// between the per-shard commits leaves some shards on the old version —
-// the documented torn-broadcast window; see ARCHITECTURE.md.) Each shard
-// commits the identically wrapped metadata blob with its own portion.
+// broadcastAutonomous runs a whole-table rewrite on every shard, all or
+// nothing at runtime (acrossShards). Each shard commits the identically
+// wrapped metadata blob with its own portion.
 func (e *Engine) broadcastAutonomous(st sqlparser.Statement, meta []byte, params []sqldb.Value) (*sqldb.Result, error) {
+	return e.acrossShards(meta, false, func(sessions []*sqldb.Session) (*sqldb.Result, error) {
+		total := &sqldb.Result{}
+		for i, s := range sessions {
+			res, err := s.Exec(st, params...)
+			if err != nil {
+				return nil, fmt.Errorf("sharded: shard %d refused the statement (no shard applied it): %w", i, err)
+			}
+			total.Affected += res.Affected
+		}
+		return total, nil
+	})
+}
+
+// ExecAutonomousListWithMeta implements store.Engine: each statement runs
+// in the transactions of the shards it routes to (an UPDATE or DELETE
+// pinned to one row on its shard, any other on every shard; an INSERT's
+// rows on theirs), all or nothing at runtime (acrossShards). The blob
+// commits with the last shard's batch alone, after every other shard has
+// committed, so it is durable only once every shard's rows are. A crash or
+// a failed COMMIT part-way leaves the previous blob in force over the new
+// rows of the shards that committed, and the error then reports the blob
+// unapplied: it is a *sqldb.DurabilityError only when the last shard's
+// commit was one. The proxy's whole-column rewrites rely on this: the rows
+// of a deferred or stale onion are unread until the blob that clears the
+// mark commits, so the next use redoes such a rewrite.
+func (e *Engine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error) {
+	return e.acrossShards(meta, true, func(sessions []*sqldb.Session) (*sqldb.Result, error) {
+		total := &sqldb.Result{}
+		for _, st := range stmts {
+			perShard, err := e.shardStatements(st)
+			if err != nil {
+				return nil, err
+			}
+			for i, sub := range perShard {
+				if sub == nil {
+					continue
+				}
+				res, err := sessions[i].Exec(sub)
+				if err != nil {
+					return nil, fmt.Errorf("sharded: shard %d refused the statement (no shard applied it): %w", i, err)
+				}
+				total.Affected += res.Affected
+			}
+		}
+		return total, nil
+	})
+}
+
+// shardStatements splits one write of an autonomous list by shard (nil
+// where a shard has no part).
+func (e *Engine) shardStatements(st sqlparser.Statement) ([]sqlparser.Statement, error) {
+	out := make([]sqlparser.Statement, len(e.shards))
+	table, where := "", sqlparser.Expr(nil)
+	switch s := st.(type) {
+	case *sqlparser.InsertStmt:
+		if e.routeCol(s.Table) == "" && e.tableCols(s.Table) != nil {
+			return nil, fmt.Errorf("sharded: cannot route autonomous INSERT into %s: table has no primary-key routing column", s.Table)
+		}
+		split, err := e.splitInsert(s, nil)
+		if err != nil {
+			return nil, err
+		}
+		for shard, sub := range split {
+			out[shard] = sub
+		}
+		return out, nil
+	case *sqlparser.UpdateStmt:
+		if e.assignsRouteCol(s) {
+			return nil, fmt.Errorf("sharded: UPDATE must not modify routing column of %s (rows are placed by its hash)", s.Table)
+		}
+		table, where = s.Table, s.Where
+	case *sqlparser.DeleteStmt:
+		table, where = s.Table, s.Where
+	default:
+		return nil, fmt.Errorf("sharded: %T in an autonomous statement list (writes only)", st)
+	}
+	if shard, ok := e.routeWhere(table, where, nil); ok {
+		out[shard] = st
+		return out, nil
+	}
+	for i := range out {
+		out[i] = st
+	}
+	return out, nil
+}
+
+// acrossShards opens a private transaction on every shard, lets stage run
+// statements in them (buffering, taking slot locks), and commits the
+// shards in order only when stage accepted everything — so a write
+// conflict or constraint violation on one shard refuses the whole with no
+// side effects, matching the single store's statement atomicity; the
+// deferred Close rolls back every buffer. (This is runtime atomicity, not
+// crash atomicity: a crash between the per-shard commits leaves some
+// shards on the old version — the documented torn-broadcast window; see
+// ARCHITECTURE.md.) The wrapped blob commits on every shard, or with
+// lastOnly on the last shard alone.
+func (e *Engine) acrossShards(meta []byte, lastOnly bool, stage func(sessions []*sqldb.Session) (*sqldb.Result, error)) (*sqldb.Result, error) {
 	return e.withMeta(meta, func(wrapped []byte) (*sqldb.Result, error) {
 		sessions := make([]*sqldb.Session, len(e.shards))
 		for i, sh := range e.shards {
@@ -745,22 +835,28 @@ func (e *Engine) broadcastAutonomous(st sqlparser.Statement, meta []byte, params
 				s.Close() //nolint:errcheck // rolls back anything uncommitted
 			}
 		}()
-		total := &sqldb.Result{}
-		for i, s := range sessions {
+		for _, s := range sessions {
 			if _, err := s.Exec(&sqlparser.BeginStmt{}); err != nil {
 				return nil, err
 			}
-			res, err := s.ExecWithMeta(st, wrapped, params...)
-			if err != nil {
-				// The deferred Close rolls back every shard's buffer: the
-				// statement refuses as a whole, like the single store.
-				return nil, fmt.Errorf("sharded: shard %d refused the statement (no shard applied it): %w", i, err)
-			}
-			total.Affected += res.Affected
 		}
+		total, err := stage(sessions)
+		if err != nil {
+			return nil, err
+		}
+		last := len(sessions) - 1
 		for i, s := range sessions {
-			if _, err := s.Exec(&sqlparser.CommitStmt{}); err != nil {
-				if i > 0 {
+			blob := wrapped
+			if lastOnly && i < last {
+				blob = nil
+			}
+			if _, err := s.ExecWithMeta(&sqlparser.CommitStmt{}, blob); err != nil {
+				switch {
+				case lastOnly && i < last:
+					// %v, not %w: even a durability failure here leaves
+					// the blob uncommitted everywhere.
+					return nil, fmt.Errorf("sharded: shard %d failed to commit (shards before it committed their rows; the metadata did not commit): %v", i, err)
+				case i > 0:
 					err = fmt.Errorf("sharded: statement committed on shards 0..%d but failed to commit on shard %d: %w", i-1, i, err)
 				}
 				return nil, err

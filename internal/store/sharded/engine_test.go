@@ -153,6 +153,53 @@ func TestExecAutonomousRouting(t *testing.T) {
 	}
 }
 
+// TestExecAutonomousList: a statement list runs each statement on the
+// shards it routes to and commits the blob with the last shard's batch
+// alone; a statement one shard refuses leaves every shard and the blob as
+// they were.
+func TestExecAutonomousList(t *testing.T) {
+	e := New(3)
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	var stmts []sqlparser.Statement
+	for i := 0; i < 30; i++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 0)", i))
+		st, _ := parseOne(fmt.Sprintf("UPDATE t SET v = %d WHERE id = %d", i+1, i))
+		stmts = append(stmts, st)
+	}
+	res, err := e.ExecAutonomousListWithMeta(stmts, []byte("m1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Affected != 30 {
+		t.Fatalf("list affected %d rows, want 30", res.Affected)
+	}
+	for s := 0; s < 3; s++ {
+		got := mustExec(t, e.Shard(s), "SELECT COUNT(*) FROM t WHERE v = id + 1").Rows[0][0].I
+		if want := int64(e.Shard(s).Table("t").RowCount()); want == 0 || got != want {
+			t.Fatalf("shard %d: %d of %d rows updated", s, got, want)
+		}
+		_, blob, ok := unwrapMeta(e.Shard(s).Meta())
+		if last := s == 2; ok != last || (last && string(blob) != "m1") {
+			t.Fatalf("shard %d holds blob %q (present %v); want it on the last shard only", s, blob, ok)
+		}
+	}
+	if string(e.Meta()) != "m1" {
+		t.Fatalf("engine blob %q, want m1", e.Meta())
+	}
+
+	reset, _ := parseOne("UPDATE t SET v = 0 WHERE id = 0")
+	bad, _ := parseOne("UPDATE t SET missing = 1")
+	if _, err := e.ExecAutonomousListWithMeta([]sqlparser.Statement{reset, bad}, []byte("m2")); err == nil {
+		t.Fatal("a list with a refused statement committed")
+	}
+	if n := mustExec(t, e, "SELECT COUNT(*) FROM t WHERE v = id + 1").Rows[0][0].I; n != 30 {
+		t.Fatalf("the refused list changed rows: %d of 30 as before", n)
+	}
+	if string(e.Meta()) != "m1" {
+		t.Fatalf("the refused list moved the blob to %q", e.Meta())
+	}
+}
+
 // TestSingleShardTxn: transactions pin to their first written shard and
 // refuse statements that route elsewhere.
 func TestSingleShardTxn(t *testing.T) {

@@ -60,6 +60,11 @@ func (e *Engine) ExecAutonomousWithMeta(st sqlparser.Statement, meta []byte, par
 	return e.db.ExecAutonomousWithMeta(st, meta, params...)
 }
 
+// ExecAutonomousListWithMeta implements store.Engine.
+func (e *Engine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error) {
+	return e.db.ExecAutonomousListWithMeta(stmts, meta)
+}
+
 // SetMeta implements store.Engine.
 func (e *Engine) SetMeta(meta []byte) error { return e.db.SetMeta(meta) }
 

@@ -127,6 +127,15 @@ type Engine interface {
 	ExecAutonomous(st sqlparser.Statement, params ...sqldb.Value) (*sqldb.Result, error)
 	// ExecAutonomousWithMeta combines ExecAutonomous and ExecWithMeta.
 	ExecAutonomousWithMeta(st sqlparser.Statement, meta []byte, params ...sqldb.Value) (*sqldb.Result, error)
+	// ExecAutonomousListWithMeta is its list form, for INSERT, UPDATE and
+	// DELETE statements: they commit in one WAL batch per underlying
+	// instance, or are all refused. A single store commits the blob in the
+	// same batch. A sharded engine routes each statement to its shard and
+	// commits the blob with the last shard's batch, after every other
+	// shard's: a crash or failure between shards leaves the previous blob
+	// over the new rows of the shards before. The proxy's whole-column
+	// rewrites use it.
+	ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error)
 
 	// SetMeta durably commits a metadata blob in its own commit unit.
 	SetMeta(meta []byte) error
