@@ -15,7 +15,8 @@ import (
 // TestCrossShardEquivalence drives one pseudo-random workload — inserts,
 // routed and broadcast updates, deletes, transactions, range queries,
 // ORDER BY ... LIMIT, aggregates, GROUP BY/HAVING, DISTINCT, COUNT
-// (DISTINCT), an aggregate UDF and joins, one inside a transaction —
+// (DISTINCT), an aggregate UDF and joins, one inside a transaction, and
+// joins whose column references resolve per entry or fail to —
 // against store/single and store/sharded at 2, 3 and 8 shards, and
 // requires identical results throughout: the partitioning must be
 // invisible to SQL. Both sides run sqldb's compiled pipeline (its only
@@ -159,6 +160,13 @@ func runEquivalence(t *testing.T, ref, dut store.Engine) {
 		compareResults(t, sql, r1, r2, ordered)
 		return r2
 	}
+	// checkFails requires both engines to refuse sql.
+	checkFails := func(sql string) {
+		t.Helper()
+		if r1, _ := both(sql); r1 != nil {
+			t.Fatalf("%s: both engines answered; want both to fail", sql)
+		}
+	}
 
 	for _, e := range []store.Engine{ref, dut} {
 		e.RegisterAggUDF("xsum", func() sqldb.AggState { return &xsumState{} })
@@ -202,6 +210,15 @@ func runEquivalence(t *testing.T, ref, dut store.Engine) {
 		checkQuery("SELECT COUNT(DISTINCT grp), COUNT(DISTINCT val) FROM t", true)
 		checkQuery("SELECT grp, COUNT(DISTINCT val) FROM t GROUP BY grp", false)
 		checkQuery("SELECT * FROM t ORDER BY val DESC, id LIMIT 4", true)
+		// Feeds read the columns a reference can resolve to in each entry
+		// (TestFeedColumns), so these resolve, or fail, as on one store.
+		checkFails("SELECT id FROM t JOIN t2 ON t2.ref = t.id")
+		checkQuery("SELECT t.val, b.ref FROM t a JOIN t2 b ON b.ref = a.id", false)
+		checkQuery("SELECT a.grp, b.val FROM t a JOIN t b ON b.id = a.val WHERE a.pad = 'upd'", false)
+		checkFails("SELECT t2.val FROM t JOIN t2 ON t2.ref = t.id")
+		checkQuery("SELECT t.val AS ref FROM t JOIN t2 ON t2.ref = t.id ORDER BY ref, t2.id", true)
+		checkQuery("SELECT COUNT(*) FROM t, t2", true)
+		checkQuery("SELECT * FROM t JOIN t2 ON t2.ref = t.id", false)
 	}
 
 	for step := 0; step < 400; step++ {

@@ -15,7 +15,8 @@ import (
 // both to return the same multiset of rows under the same column names.
 // Each column holds one value kind plus NULLs, as a CryptDB onion column
 // does. The seed corpus (testdata/fuzz) is the statement texts of
-// runEquivalence and of the benchmark's analytic mix.
+// runEquivalence, of the benchmark's analytic mix and of TestFeedColumns'
+// resolution shapes (feed-*).
 func FuzzCrossShardSelect(f *testing.F) {
 	ref, dut := single.New(sqldb.New()), New(3)
 	for _, e := range []store.Engine{ref, dut} {

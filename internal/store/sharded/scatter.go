@@ -22,9 +22,10 @@
 //     BY, expressions over aggregates, DISTINCT and LIMIT are the
 //     coordinator's.
 //   - Everything else — joins, COUNT(DISTINCT), star with ORDER BY — feeds
-//     each FROM entry from a plain read of its table, filtered by the
-//     leading WHERE conjuncts over that entry alone, and the coordinator
-//     runs the statement as written.
+//     each FROM entry from a plain read of its table: SELECT <the columns
+//     the statement names in that entry> (every column under a star),
+//     filtered by the leading WHERE conjuncts over that entry alone. The
+//     coordinator runs the statement as written over the feeds.
 //
 // A per-shard statement that fails sends the SELECT down the feed path,
 // where the coordinator evaluates every expression on exactly the rows one
@@ -412,17 +413,27 @@ func (p *partials) mergeAgg(fc *sqlparser.FuncCall) (sqlparser.Expr, bool) {
 //
 
 // feedExec finishes a cross-shard SELECT exactly as one store would: each
-// FROM entry is fed by a plain read of its table from every shard, and shard
-// 0 runs the statement as written over the feeds. Every feed is read before
-// the statement compiles, so no shard's lock is held while another is read.
+// FROM entry is fed by a read of its table from every shard, projected to
+// the columns the statement names there and filtered by its own leading
+// conjuncts, and shard 0 runs the statement as written over the feeds.
+// Every feed is read before the statement compiles, so no shard's lock is
+// held while another is read.
 func (c *Conn) feedExec(s *sqlparser.SelectStmt, params []sqldb.Value) (*sqldb.Result, error) {
-	own := c.eng.pushdown(s)
+	tabs := c.eng.tablesOf(s.From)
+	own := c.eng.pushdown(s, tabs)
+	cols := feedColumns(s, tabs)
 	feeds := make([]sqldb.Feed, len(s.From))
 	for i, ref := range s.From {
 		read := &sqlparser.SelectStmt{
 			Exprs: []sqlparser.SelectExpr{{Star: true}},
 			From:  []sqlparser.TableRef{{Table: ref.Table, Alias: ref.Alias}},
 			Where: own[i],
+		}
+		if cols != nil {
+			read.Exprs = make([]sqlparser.SelectExpr, len(cols[i]))
+			for j, name := range cols[i] {
+				read.Exprs[j].Expr = &sqlparser.ColRef{Column: name}
+			}
 		}
 		res, err := c.execSelect(read, params)
 		if err != nil && own[i] != nil {
@@ -440,15 +451,103 @@ func (c *Conn) feedExec(s *sqlparser.SelectStmt, params []sqldb.Value) (*sqldb.R
 	return c.eng.shards[0].SelectFeeds(s, feeds, params...)
 }
 
+// feedColumns returns, per FROM entry, the columns its feed reads: those of
+// its table, in table order, that some column reference of s can resolve to
+// in that entry (see resolvesTo). Every reference then resolves, or fails
+// as ambiguous or unknown, over the feeds exactly as over the tables. An
+// entry s never names reads its first column, which keeps its row count.
+// nil (read every column) when the select list has a star, which reads
+// whole rows, or when a table does not exist, which the read reports.
+func feedColumns(s *sqlparser.SelectStmt, tabs []*sqldb.Table) [][]string {
+	for _, se := range s.Exprs {
+		if isStar(se) {
+			return nil
+		}
+	}
+	named := make([][]bool, len(s.From))
+	for i, t := range tabs {
+		if t == nil {
+			return nil
+		}
+		named[i] = make([]bool, len(t.Cols))
+	}
+	mark := func(ex sqlparser.Expr) {
+		anyExpr(ex, func(x sqlparser.Expr) bool {
+			if cr, ok := x.(*sqlparser.ColRef); ok {
+				resolvesTo(s.From, tabs, cr, func(i, ci int) { named[i][ci] = true })
+			}
+			return false
+		})
+	}
+	for _, se := range s.Exprs {
+		mark(se.Expr)
+	}
+	for _, ref := range s.From {
+		mark(ref.JoinOn)
+	}
+	mark(s.Where)
+	for _, g := range s.GroupBy {
+		mark(g)
+	}
+	mark(s.Having)
+	for _, o := range s.OrderBy {
+		mark(o.Expr)
+	}
+	cols := make([][]string, len(s.From))
+	for i, t := range tabs {
+		for ci, col := range t.Cols {
+			if named[i][ci] {
+				cols[i] = append(cols[i], col.Name)
+			}
+		}
+		if cols[i] == nil {
+			cols[i] = []string{t.Cols[0].Name}
+		}
+	}
+	return cols
+}
+
+// tablesOf returns each FROM entry's table schema (nil where the table does
+// not exist).
+func (e *Engine) tablesOf(from []sqlparser.TableRef) []*sqldb.Table {
+	tabs := make([]*sqldb.Table, len(from))
+	for i, ref := range from {
+		tabs[i] = e.shards[0].Table(ref.Table)
+	}
+	return tabs
+}
+
+// resolvesTo calls f with each FROM entry, and the column's index in its
+// table, that cr can resolve to by sqldb's scope rule: a qualified
+// reference in the first entry whose alias or table name is its qualifier,
+// if that table has the column; a bare one in every entry whose table has
+// it (sqldb fails a bare reference with two such entries as ambiguous, and
+// one with none as unknown). A nil table has no columns.
+func resolvesTo(from []sqlparser.TableRef, tabs []*sqldb.Table, cr *sqlparser.ColRef, f func(i, ci int)) {
+	for i, ref := range from {
+		if cr.Table != "" && ref.Alias != cr.Table && ref.Table != cr.Table {
+			continue
+		}
+		if t := tabs[i]; t != nil {
+			if ci := t.ColumnIndex(cr.Column); ci >= 0 {
+				f(i, ci)
+			}
+		}
+		if cr.Table != "" {
+			return
+		}
+	}
+}
+
 // pushdown returns, per FROM entry, the WHERE conjuncts its feed applies
 // (ANDed): the leading run of conjuncts that each read one entry alone. A
 // conjunct that reads several entries, none, or an aggregate ends the run,
 // so a row a feed drops is one the statement's filter rejects before it
 // evaluates anything the feed skipped.
-func (e *Engine) pushdown(s *sqlparser.SelectStmt) []sqlparser.Expr {
+func (e *Engine) pushdown(s *sqlparser.SelectStmt, tabs []*sqldb.Table) []sqlparser.Expr {
 	own := make([]sqlparser.Expr, len(s.From))
 	for _, cj := range conjunctsOf(s.Where) {
-		i := e.entryOf(s.From, cj)
+		i := e.entryOf(s.From, tabs, cj)
 		if i < 0 {
 			break
 		}
@@ -461,41 +560,18 @@ func (e *Engine) pushdown(s *sqlparser.SelectStmt) []sqlparser.Expr {
 	return own
 }
 
-// entryOf returns the FROM entry that every column of ex resolves to, by
-// sqldb's rules (a qualifier names an alias or table, the first match wins;
-// a bare name must be unambiguous), or -1.
-func (e *Engine) entryOf(from []sqlparser.TableRef, ex sqlparser.Expr) int {
-	hasCol := func(i int, col string) bool {
-		t := e.shards[0].Table(from[i].Table)
-		return t != nil && t.ColumnIndex(col) >= 0
-	}
-	resolve := func(cr *sqlparser.ColRef) int {
-		found := -1
-		for i, ref := range from {
-			if cr.Table != "" {
-				if (ref.Alias != "" && ref.Alias == cr.Table) || ref.Table == cr.Table {
-					if hasCol(i, cr.Column) {
-						return i
-					}
-					return -1
-				}
-			} else if hasCol(i, cr.Column) {
-				if found >= 0 {
-					return -1
-				}
-				found = i
-			}
-		}
-		return found
-	}
+// entryOf returns the FROM entry that every column of ex resolves to
+// unambiguously (resolvesTo finds exactly one), or -1.
+func (e *Engine) entryOf(from []sqlparser.TableRef, tabs []*sqldb.Table, ex sqlparser.Expr) int {
 	entry := -1
 	bad := anyExpr(ex, func(x sqlparser.Expr) bool {
 		switch x := x.(type) {
 		case *sqlparser.FuncCall:
 			return e.isAgg(x.Name)
 		case *sqlparser.ColRef:
-			i := resolve(x)
-			if i < 0 || (entry >= 0 && i != entry) {
+			i, n := -1, 0
+			resolvesTo(from, tabs, x, func(j, _ int) { i, n = j, n+1 })
+			if n != 1 || (entry >= 0 && i != entry) {
 				return true
 			}
 			entry = i
