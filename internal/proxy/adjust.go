@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/crypto/joinadj"
 	"repro/internal/onion"
@@ -9,321 +10,395 @@ import (
 	"repro/internal/sqlparser"
 )
 
-// applyRequirements performs every onion adjustment a query needs before it
-// can execute (§3.2, step 2 of query processing). A trainer (NewTrainer)
-// runs the same adjustments over its empty store, but logs a requirement it
-// cannot meet as a warning instead of refusing the query.
+// applyRequirements makes the onion adjustments a statement's build recorded
+// (§3.2, step 2) in two steps. The refusals come first and read only
+// metadata: an unsupported clause, a requirement the build found it cannot
+// meet, and an open transaction that has written a table an adjustment
+// would change each refuse the statement before anything moves. Then every
+// adjustment commits at once (commit). A trainer (NewTrainer) commits each
+// requirement on its own and logs one it cannot meet as a warning instead
+// of refusing the statement.
 func (p *Proxy) applyRequirements(an *analysis) error {
-	if err := an.refusal(); err != nil && !p.training {
+	if p.training {
+		p.train(an)
+		return nil
+	}
+	if err := an.refusal(); err != nil {
 		return err
 	}
-	for _, req := range an.reqs {
-		if err := p.applyRequirement(req); err != nil {
-			if p.training {
-				p.trainLog = append(p.trainLog, TrainEvent{
-					Table: req.cm.Table.Logical, Column: req.cm.Logical,
-					Warning: err.Error(),
-				})
+	for _, r := range an.reqs {
+		if r.refused != nil {
+			return r.refused
+		}
+	}
+	for _, r := range an.reqs {
+		if !p.reqNeeded(r) {
+			continue
+		}
+		for _, cm := range []*ColumnMeta{r.cm, r.joinWith} {
+			if cm == nil {
 				continue
 			}
-			return err
+			if err := p.adjustBlocked(cm.Table); err != nil {
+				return err
+			}
 		}
 	}
-	if p.training {
-		for _, reason := range an.unsupported {
-			p.trainLog = append(p.trainLog, TrainEvent{Warning: reason})
+	return p.commit(an.reqs)
+}
+
+// train meets a trainer's requirements one by one, logging each it cannot
+// meet. Only a trainer records NeedsPlaintext (the §8.3 reporting flag): a
+// live proxy refuses such a statement before it looks at its requirements.
+func (p *Proxy) train(an *analysis) {
+	for _, r := range an.reqs {
+		err := r.refused
+		if r.class == onion.ClassPlaintext {
+			r.cm.NeedsPlaintext = true
+		}
+		if err == nil {
+			err = p.commit([]requirement{r})
+		}
+		if err != nil {
+			p.trainLog = append(p.trainLog, TrainEvent{
+				Table: r.cm.Table.Logical, Column: r.cm.Logical, Warning: err.Error(),
+			})
+		}
+	}
+	for _, reason := range an.unsupported {
+		p.trainLog = append(p.trainLog, TrainEvent{Warning: reason})
+	}
+}
+
+// commit makes the adjustments that meet reqs in one transition (adjust).
+func (p *Proxy) commit(reqs []requirement) error {
+	err := p.adjust(func(a *adjustment) error {
+		for _, r := range reqs {
+			a.column(r.cm)
+			a.column(r.joinWith)
+		}
+		for _, r := range reqs {
+			if err := a.meet(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("proxy: onion adjustment: %w", err)
+	}
+	return nil
+}
+
+// adjust commits the onion adjustments plan records in one transition:
+// plan moves the metadata in memory; the result is sealed once and written
+// with one ExecAutonomousListWithMeta, one WAL batch per shard. The batch
+// holds first the whole-column rewrites (the first use of a deferred onion,
+// the resync of a stale column, RaiseOnion), then the decrypt_rnd peels and
+// join_adj re-keys in the order planned. Those carry the peeled layers'
+// keys and the re-keying deltas: shipping them to the DBMS for an in-place
+// re-encryption is the paper's adjustable-onion protocol (§3.1, §3.4), and
+// neither reveals an inner layer's key or a column's join key. The batch
+// runs outside any client transaction, like the paper's
+// separate-transaction adjustment: a client ROLLBACK must not undo it, since
+// the layer metadata moves with it. A failed batch reverts every
+// adjustment, and one that applied but failed to be durable keeps them all
+// (transition). The indexes a CREATE INDEX asked for on a layer the batch
+// exposed commit after it, each with its own blob: the store refuses DDL in
+// a list.
+func (p *Proxy) adjust(plan func(a *adjustment) error) error {
+	if p.replica != nil {
+		// The primary adjusts; the rows and the blob replicate down.
+		return p.replicaReadOnly()
+	}
+	a := &adjustment{p: p, byCol: make(map[*ColumnMeta]*rewrite)}
+	var planErr error
+	err := p.transition(func() func() {
+		planErr = plan(a)
+		return a.revert
+	}, func(sealed []byte) error {
+		if planErr != nil || len(a.undo) == 0 {
+			return planErr // a failed plan, or nothing moved
+		}
+		stmts, err := a.statements()
+		if err == nil {
+			_, err = p.db.ExecAutonomousListWithMeta(stmts, sealed)
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	p.stats.onionAdjustments.Add(a.adjusted)
+	p.stats.resyncs.Add(a.resynced)
+	p.trainLog = append(p.trainLog, a.events...)
+	for _, cm := range a.lowered {
+		if err := p.materializeIndexes(cm); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (p *Proxy) applyRequirement(req requirement) error {
-	switch req.class {
-	case onion.ClassNone:
-		return nil
-	case onion.ClassPlaintext:
-		if !req.cm.NeedsPlaintext {
-			req.cm.NeedsPlaintext = true
-			p.persistMetaLocked() //nolint:errcheck // §8.3 reporting flag; the query fails below regardless
-		}
-		return fmt.Errorf("proxy: %s.%s requires plaintext computation",
-			req.cm.Table.Logical, req.cm.Logical)
-	case onion.ClassEquality:
-		if err := p.maybeResync(req.cm); err != nil {
-			return err
-		}
-		return p.lowerTo(req.cm, onion.Eq, onion.DET, nil)
-	case onion.ClassOrder:
-		if err := p.maybeResync(req.cm); err != nil {
-			return err
-		}
-		return p.lowerTo(req.cm, onion.Ord, onion.OPE, nil)
-	case onion.ClassSearch:
-		// Search onion starts (and stays) at SEARCH; nothing to strip.
-		return p.firstUse(req.cm, onion.Search, &req.cm.UsedSearch)
-	case onion.ClassSum, onion.ClassIncrement:
-		return p.firstUse(req.cm, onion.Add, &req.cm.UsedSum)
-	case onion.ClassJoin:
-		if err := p.maybeResync(req.cm); err != nil {
-			return err
-		}
-		if err := p.maybeResync(req.joinWith); err != nil {
-			return err
-		}
-		return p.adjustJoin(req.cm, req.joinWith)
-	case onion.ClassRangeJoin:
-		return p.adjustRangeJoin(req.cm, req.joinWith)
-	}
-	return fmt.Errorf("proxy: unknown computation class %v", req.class)
+// adjustment is one statement's onion adjustments, planned in memory.
+type adjustment struct {
+	p        *Proxy
+	rewrites []*rewrite // one per column named, in order; some write nothing
+	byCol    map[*ColumnMeta]*rewrite
+	updates  []sqlparser.Statement // peels and re-keys, in order
+	undo     []func()
+	lowered  []*ColumnMeta // columns whose indexable layers may have moved
+	events   []TrainEvent
+	adjusted int64
+	resynced int64
 }
 
-// firstUse serves the single-layer onions (Add, Search), which have nothing
-// to strip: the first requirement on one materialises it if it was deferred
-// and records the usage flag of the §8.3 analysis, in the same commit. The
-// build that recorded the requirement has checked that the plan kept the
-// onion.
-func (p *Proxy) firstUse(cm *ColumnMeta, o onion.Onion, used *bool) error {
+// onionAt is an onion of a column at a given layer and, for JAdj, join key.
+type onionAt struct {
+	o     onion.Onion
+	layer onion.Layer
+	key   *joinadj.Key
+}
+
+// rewrite is one column's whole-column rewrite: it writes onions, each at
+// the layer and join key given, from each row's Eq plaintext under the
+// row's IV; or, once resync marks the column stale, a fresh IV and every
+// onion of stale first, from the row's Add plaintext (the §3.3 resync after
+// HOM increments).
+type rewrite struct {
+	cm     *ColumnMeta
+	eqRND  bool      // the Eq onion's layer before the statement is RND
+	stale  []onionAt // for a stale column, its present onions but Add
+	resync bool
+	onions []onionAt
+}
+
+// column returns cm's rewrite, made on first sight from cm's state then.
+// It must be made before the statement moves anything of cm: the rewrite
+// reads the rows as the server holds them before the statement, and the
+// statement's peels and re-keys follow it in the batch.
+func (a *adjustment) column(cm *ColumnMeta) *rewrite {
+	if cm == nil || a.byCol[cm] != nil {
+		return a.byCol[cm]
+	}
+	rw := &rewrite{cm: cm}
+	if st := cm.Onions[onion.Eq]; st != nil {
+		rw.eqRND = st.Current() == onion.RND
+	}
+	if cm.Stale[onion.Eq] {
+		for _, o := range cm.onionList() {
+			if o != onion.Add {
+				rw.stale = append(rw.stale, a.at(cm, o))
+			}
+		}
+	}
+	a.byCol[cm] = rw
+	a.rewrites = append(a.rewrites, rw)
+	return rw
+}
+
+// at is onion o of cm at its current layer and join key.
+func (a *adjustment) at(cm *ColumnMeta, o onion.Onion) onionAt {
+	at := onionAt{o: o, layer: cm.Onions[o].Current()}
+	if o == onion.JAdj {
+		at.key = a.p.joinKey(cm)
+	}
+	return at
+}
+
+// setTo sets *ptr to v in memory and records the undo. The caller holds
+// the write side of p.mu, so no statement reads metadata meanwhile.
+func setTo[T any](a *adjustment, ptr *T, v T) {
+	old := *ptr
+	*ptr = v
+	a.undo = append(a.undo, func() { *ptr = old })
+}
+
+// revert undoes every change, last first.
+func (a *adjustment) revert() {
+	for i := len(a.undo) - 1; i >= 0; i-- {
+		a.undo[i]()
+	}
+}
+
+// meet plans the adjustments one requirement needs. Its refusals were
+// decided before (requirement.refused, adjustBlocked).
+func (a *adjustment) meet(r requirement) error {
+	switch r.class {
+	case onion.ClassEquality:
+		a.resync(r.cm)
+		return a.lower(r.cm, onion.Eq, onion.DET)
+	case onion.ClassOrder:
+		a.resync(r.cm)
+		return a.lower(r.cm, onion.Ord, onion.OPE)
+	case onion.ClassSearch:
+		// The Search onion starts (and stays) at SEARCH; nothing to strip.
+		a.use(r.cm, onion.Search, &r.cm.UsedSearch)
+		return nil
+	case onion.ClassSum, onion.ClassIncrement:
+		a.use(r.cm, onion.Add, &r.cm.UsedSum)
+		return nil
+	case onion.ClassJoin:
+		a.resync(r.cm)
+		a.resync(r.joinWith)
+		return a.join(r.cm, r.joinWith)
+	case onion.ClassRangeJoin:
+		// A declared OPE-JOIN pair shares one OPE key: expose both at OPE.
+		if err := a.lower(r.cm, onion.Ord, onion.OPE); err != nil {
+			return err
+		}
+		return a.lower(r.joinWith, onion.Ord, onion.OPE)
+	}
+	return fmt.Errorf("proxy: unknown computation class %v", r.class)
+}
+
+// use serves the single-layer onions (Add, Search), which have nothing to
+// strip: the first requirement on one fills it if it was deferred, and
+// records the usage flag of the §8.3 analysis.
+func (a *adjustment) use(cm *ColumnMeta, o onion.Onion, used *bool) {
 	if st := cm.Onions[o]; st != nil && st.Deferred {
-		was := *used
-		return p.materialise(cm, o, func() func() {
-			*used = true
-			return func() { *used = was }
-		})
+		a.fill(cm, o, st)
 	}
 	if !*used {
-		*used = true
-		return p.persistMetaLocked()
+		setTo(a, used, true)
 	}
-	return nil
 }
 
-// lowerTo brings onion o of column cm down to layer target (§3.2). A no-op
-// if already there. A present onion is peeled by server-side DECRYPT_RND
-// UPDATEs, one layer per commit. A deferred onion holds no ciphertexts to
-// peel: it descends in memory and is materialised once, at target, together
-// with with (if non-nil: a join's choice of key), so the server never holds
-// it at a layer above the one the statement needs.
-func (p *Proxy) lowerTo(cm *ColumnMeta, o onion.Onion, target onion.Layer, with change) error {
+// lower brings onion o of cm down to layer target (§3.2). A present onion
+// is peeled by one server-side DECRYPT_RND UPDATE per layer. A deferred one
+// holds no ciphertexts to peel: it descends in memory and is filled at
+// target, so the server never holds it at a layer above the one the
+// statement needs.
+func (a *adjustment) lower(cm *ColumnMeta, o onion.Onion, target onion.Layer) error {
 	st := cm.Onions[o]
-	if st == nil {
-		return fmt.Errorf("proxy: %s.%s has no %s onion (type %s)",
-			cm.Table.Logical, cm.Logical, o, cm.Type)
-	}
-	if st.AtOrBelow(target) {
+	if st == nil || st.AtOrBelow(target) {
 		return nil
-	}
-	if err := cm.checkMinEnc(target); err != nil {
-		return err
 	}
 	layers, err := st.LayersAbove(target)
 	if err != nil {
 		return err
 	}
-	for _, layer := range layers {
-		if layer != onion.RND {
-			return fmt.Errorf("proxy: cannot strip non-RND layer %s of %s onion", layer, o)
-		}
-	}
+	setTo(a, &st.Cur, st.Cur+len(layers))
 	if st.Deferred {
-		from := st.Cur
-		err := p.materialise(cm, o, func() func() {
-			st.Cur += len(layers)
-			undo := func() {}
-			if with != nil {
-				undo = with()
-			}
-			return func() { undo(); st.Cur = from }
-		})
-		if err != nil {
-			return err
-		}
-		p.stats.onionAdjustments.Add(int64(len(layers)))
-	} else if err := p.peel(cm, o, layers); err != nil {
-		return err
-	}
-	if p.training {
-		p.trainLog = append(p.trainLog, TrainEvent{
-			Table: cm.Table.Logical, Column: cm.Logical, Onion: o, Layer: target,
-		})
-	}
-	return p.materializeIndexes(cm)
-}
-
-// peel strips RND layers off a present onion with server-side DECRYPT_RND
-// UPDATEs, one commit per layer.
-func (p *Proxy) peel(cm *ColumnMeta, o onion.Onion, layers []onion.Layer) error {
-	// Onion decryption executes autonomously — the equivalent of the
-	// paper's separate-transaction adjustment (§3.2): it must not be
-	// undone by a client ROLLBACK, because the proxy's layer metadata
-	// advances with it. Atomicity against concurrent clients comes from
-	// the proxy's write lock (held here) plus the DBMS statement lock.
-	// Atomicity against crashes comes from the WAL: the server-side
-	// UPDATE and the sealed metadata snapshot recording the descended
-	// layer commit in one batch, so recovery always sees a ciphertext
-	// column and a layer pointer that agree. An open transaction that has
-	// written this table blocks the adjustment (conflict error, not a
-	// wait): its buffered rows were encrypted at the current layer and
-	// would bypass the re-encrypting UPDATE below.
-	if err := p.adjustBlocked(cm.Table); err != nil {
-		return err
-	}
-	st := cm.Onions[o]
-	for range layers {
-		key := p.colKey(cm, o, onion.RND)
-		upd := &sqlparser.UpdateStmt{
-			Table: cm.Table.Anon,
-			Assignments: []sqlparser.Assignment{{
-				Column: cm.onionCol(o),
-				Value: &sqlparser.FuncCall{
-					Name: "decrypt_rnd",
-					Args: []sqlparser.Expr{
+		a.fill(cm, o, st)
+	} else {
+		key := a.p.colKey(cm, o, onion.RND)
+		for range layers {
+			a.updates = append(a.updates, &sqlparser.UpdateStmt{
+				Table: cm.Table.Anon,
+				Assignments: []sqlparser.Assignment{{
+					Column: cm.onionCol(o),
+					Value: &sqlparser.FuncCall{Name: "decrypt_rnd", Args: []sqlparser.Expr{
 						&sqlparser.BytesLit{V: key},
 						&sqlparser.ColRef{Column: cm.onionCol(o)},
 						&sqlparser.ColRef{Column: cm.ivCol()},
-					},
-				},
-			}},
+					}},
+				}},
+			})
 		}
-		err := p.transition(func() func() { st.Descend(); return func() { st.Cur-- } }, func(sealed []byte) error {
-			// The UPDATE carries the peeled layer's key: shipping it to
-			// the DBMS for an in-place re-encryption is the paper's
-			// adjustable-onion protocol (§3.1) — the key reveals only the
-			// layer being given up, never an inner one.
-			_, err := p.db.ExecAutonomousWithMeta(upd, sealed) //cryptdb:sink-ok onion layer key ships to the DBMS to peel RND in place (§3.1)
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("proxy: onion adjustment: %w", err)
-		}
-		p.stats.onionAdjustments.Add(1)
 	}
+	a.adjusted += int64(len(layers))
+	if a.p.training {
+		a.events = append(a.events, TrainEvent{
+			Table: cm.Table.Logical, Column: cm.Logical, Onion: o, Layer: target,
+		})
+	}
+	a.lowered = append(a.lowered, cm)
 	return nil
 }
 
-// adjustJoin brings both columns' JAdj onions to the JOIN layer and re-keys
-// them to a common join-base: the first column of the transitivity group in
+// fill materialises deferred onion o of cm at its current layer and join
+// key: the first statement whose requirement names it pays, once and for
+// the whole column, what every INSERT would otherwise have paid for it.
+// Writers hold the read side of p.mu for a whole statement and the caller
+// the write side, so no row is inserted without the onion once the bit is
+// clear; rows buffered in another session's open transaction would be,
+// hence adjustBlocked.
+func (a *adjustment) fill(cm *ColumnMeta, o onion.Onion, st *onion.State) {
+	// The Eq onion is the source; after an increment the Add onion is.
+	a.resync(cm)
+	rw := a.column(cm)
+	rw.onions = append(rw.onions, a.at(cm, o))
+	setTo(a, &st.Deferred, false)
+	a.adjusted++
+}
+
+// resync marks a stale column (HOM increments bypassed its other onions)
+// for re-encryption from its Add onion: the two-query strategy of §3.3,
+// applied lazily at column granularity. Deferred onions stay deferred.
+func (a *adjustment) resync(cm *ColumnMeta) {
+	if cm == nil || !cm.Stale[onion.Eq] {
+		return
+	}
+	a.column(cm).resync = true
+	setTo(a, &cm.Stale, make(map[onion.Onion]bool))
+	a.resynced++
+}
+
+// join brings both columns' JAdj onions to the JOIN layer and re-keys them
+// to a common join-base: the first column of the transitivity group in
 // lexicographic (table, column) order (§3.4). The base is picked before
-// either side is lowered, so a deferred side is written under the base's
-// key at once and needs no re-key.
-func (p *Proxy) adjustJoin(a, b *ColumnMeta) error {
-	ra, rb := a.groupRoot(), b.groupRoot()
-	base := ra
-	if ra != rb && lexAfter(ra, rb) {
-		base = rb
+// either side is lowered, so a deferred side is filled under the base's key
+// at once and needs no re-key.
+func (a *adjustment) join(l, r *ColumnMeta) error {
+	rl, rr := l.groupRoot(), r.groupRoot()
+	base := rl
+	if rl != rr && lexAfter(rl, rr) {
+		base = rr
 	}
-	baseKey := p.joinKey(base)
-	// merge records the join in the group structure, with path compression
-	// for the two joined columns (the caller holds the write side of p.mu;
-	// groupRoot itself never writes). It rides the first of this join's
-	// commits; merged says whether the structure records the join already.
-	merged := a.joinGroup == base && b.joinGroup == base && ra.joinGroup == base && rb.joinGroup == base
-	merge := func() (undo func()) {
-		oa, ob, ora, orb := a.joinGroup, b.joinGroup, ra.joinGroup, rb.joinGroup
-		ra.joinGroup, rb.joinGroup, a.joinGroup, b.joinGroup = base, base, base, base
-		merged = true
-		return func() {
-			a.joinGroup, b.joinGroup, ra.joinGroup, rb.joinGroup = oa, ob, ora, orb
-			merged = false
-		}
-	}
+	baseKey := a.p.joinKey(base)
 	// rekey gives cm the base's effective key, named in the metadata by
-	// reference to the base's key column, never by value; and the merge,
-	// if no earlier commit of this join carried it.
-	rekey := func(cm *ColumnMeta) change {
-		return func() func() {
-			undoKey := setJoinKey(cm, baseKey, base.joinRefT, base.joinRefC)
-			if merged {
-				return undoKey
-			}
-			undoMerge := merge()
-			return func() { undoMerge(); undoKey() }
-		}
+	// reference to the base's key column, never by value.
+	rekey := func(cm *ColumnMeta) {
+		setTo(a, &cm.joinKey, baseKey)
+		setTo(a, &cm.joinRefT, base.joinRefT)
+		setTo(a, &cm.joinRefC, base.joinRefC)
 	}
-
-	for _, cm := range []*ColumnMeta{a, b} {
-		if err := cm.checkMinEnc(onion.JOIN); err != nil {
-			return err
-		}
-		var with change
+	for _, cm := range []*ColumnMeta{l, r} {
 		if st := cm.Onions[onion.JAdj]; st != nil && st.Deferred {
-			with = rekey(cm)
+			rekey(cm)
 		}
-		if err := p.lowerTo(cm, onion.JAdj, onion.JOIN, with); err != nil {
+		if err := a.lower(cm, onion.JAdj, onion.JOIN); err != nil {
 			return err
 		}
 	}
-
-	if p.training {
-		p.trainLog = append(p.trainLog, TrainEvent{
-			Table: b.Table.Logical, Column: b.Logical,
-			Onion: onion.JAdj, Layer: onion.JOIN,
+	if a.p.training {
+		a.events = append(a.events, TrainEvent{
+			Table: r.Table.Logical, Column: r.Logical, Onion: onion.JAdj, Layer: onion.JOIN,
 		})
 	}
-
 	// Re-key the queried columns that hold ciphertexts under another key.
 	// Deltas are computed from each column's *current* effective key, so
 	// columns merged into the group earlier converge lazily the next time
 	// they are joined (the paper bounds total transitions by n(n-1)/2).
-	for _, cm := range []*ColumnMeta{a, b} {
-		delta, err := baseKey.Delta(p.joinKey(cm))
+	for _, cm := range []*ColumnMeta{l, r} {
+		delta, err := baseKey.Delta(a.p.joinKey(cm))
 		if err != nil {
 			return err
 		}
 		if delta.Cmp(bigOne) == 0 {
 			continue // same key already
 		}
-		// Same rule as peel: a buffered write would miss the re-keying.
-		if err := p.adjustBlocked(cm.Table); err != nil {
-			return err
-		}
-		upd := &sqlparser.UpdateStmt{
+		a.updates = append(a.updates, &sqlparser.UpdateStmt{
 			Table: cm.Table.Anon,
 			Assignments: []sqlparser.Assignment{{
 				Column: cm.onionCol(onion.JAdj),
-				Value: &sqlparser.FuncCall{
-					Name: "join_adj",
-					Args: []sqlparser.Expr{
-						&sqlparser.ColRef{Column: cm.onionCol(onion.JAdj)},
-						&sqlparser.BytesLit{V: delta.Bytes()},
-					},
-				},
+				Value: &sqlparser.FuncCall{Name: "join_adj", Args: []sqlparser.Expr{
+					&sqlparser.ColRef{Column: cm.onionCol(onion.JAdj)},
+					&sqlparser.BytesLit{V: delta.Bytes()},
+				}},
 			}},
-		}
-		// The re-keying UPDATE and the metadata naming the new effective
-		// key commit in one WAL batch.
-		err = p.transition(rekey(cm),
-			func(sealed []byte) error {
-				// JOIN-ADJ adjustment sends the delta that re-keys one
-				// column's ciphertexts onto the other's key (§3.4); the
-				// delta exposes neither column's key.
-				_, err := p.db.ExecAutonomousWithMeta(upd, sealed) //cryptdb:sink-ok join-adjustment delta ships to the DBMS to re-key ciphertexts in place (§3.4)
-				return err
-			})
-		if err != nil {
-			return fmt.Errorf("proxy: join adjustment: %w", err)
-		}
-		p.stats.onionAdjustments.Add(1)
-		if err := p.materializeIndexes(cm); err != nil {
-			return err
-		}
+		})
+		rekey(cm)
+		a.adjusted++
+		a.lowered = append(a.lowered, cm)
 	}
-	// Group-root moves are metadata-only: a join that rewrote neither side
-	// commits the merge alone.
-	if !merged {
-		merge()
-		return p.persistMetaLocked()
+	// Record the join in the group structure, with path compression for
+	// the two joined columns (groupRoot itself never writes).
+	for _, g := range []**ColumnMeta{&rl.joinGroup, &rr.joinGroup, &l.joinGroup, &r.joinGroup} {
+		setTo(a, g, base)
 	}
 	return nil
-}
-
-// setJoinKey gives cm an effective join key, persisted by reference to the
-// column (refT, refC) it derives from, and returns the undo.
-func setJoinKey(cm *ColumnMeta, key *joinadj.Key, refT, refC string) (undo func()) {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	oldKey, oldT, oldC := cm.joinKey, cm.joinRefT, cm.joinRefC
-	cm.joinKey, cm.joinRefT, cm.joinRefC = key, refT, refC
-	return func() { setJoinKey(cm, oldKey, oldT, oldC) }
 }
 
 func lexAfter(a, b *ColumnMeta) bool {
@@ -333,139 +408,101 @@ func lexAfter(a, b *ColumnMeta) bool {
 	return a.Logical > b.Logical
 }
 
-// adjustRangeJoin verifies a declared OPE-JOIN pair and exposes both Ord
-// onions at OPE.
-func (p *Proxy) adjustRangeJoin(a, b *ColumnMeta) error {
-	if a.opeShared == nil || b.opeShared == nil || string(a.opeShared) != string(b.opeShared) {
-		return fmt.Errorf("proxy: range join between %s.%s and %s.%s requires DeclareOPEJoin before data load (§3.4)",
-			a.Table.Logical, a.Logical, b.Table.Logical, b.Logical)
+// statements builds the batch: each column's rewrite as UPDATEs by rid,
+// then the peels and re-keys. A rewrite reads every row of its column and
+// holds them in memory, as the read returns them; its UPDATEs carry rids
+// and ciphertexts only.
+func (a *adjustment) statements() ([]sqlparser.Statement, error) {
+	var stmts []sqlparser.Statement
+	for _, rw := range a.rewrites {
+		if !rw.resync && len(rw.onions) == 0 {
+			continue
+		}
+		cm := rw.cm
+		onions, read := rw.onions, []string{cm.onionCol(onion.Eq), cm.ivCol()}
+		if rw.resync {
+			onions, read = append(rw.stale, onions...), []string{cm.onionCol(onion.Add)}
+		}
+		sel := &sqlparser.SelectStmt{
+			Exprs: []sqlparser.SelectExpr{{Expr: &sqlparser.ColRef{Column: "rid"}}},
+			From:  []sqlparser.TableRef{{Table: cm.Table.Anon}},
+		}
+		for _, c := range read {
+			sel.Exprs = append(sel.Exprs, sqlparser.SelectExpr{Expr: &sqlparser.ColRef{Column: c}})
+		}
+		res, err := a.p.db.Exec(sel)
+		var rows []sqlparser.Statement
+		if err == nil {
+			rows, err = a.p.rewriteRows(rw, onions, res.Rows)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("rewriting %s.%s: %w", cm.Table.Logical, cm.Logical, err)
+		}
+		stmts = append(stmts, rows...)
 	}
-	if err := p.lowerTo(a, onion.Ord, onion.OPE, nil); err != nil {
-		return err
-	}
-	return p.lowerTo(b, onion.Ord, onion.OPE, nil)
+	return append(stmts, a.updates...), nil
 }
 
-// materialise fills deferred onion o of cm: the first statement whose
-// requirement names it pays, once and for the whole column, what every
-// INSERT would otherwise have paid for it. set (if non-nil) moves the
-// onion's layer, key or usage flag to what that statement needs; each
-// row's plaintext is read back through the Eq onion and encrypted into o
-// at that layer and effective key, under the row's stored IV. Every row's
-// ciphertext and the sealed metadata that clears Deferred (and records
-// set) commit in one WAL batch per shard (rewriteColumn), so a crash or a
-// failed write leaves either the bit set, or the whole column written under
-// a blob that says so. With the bit set, no row was written on one store;
-// on a sharded engine the shards committed before the failure may hold
-// rows, which nothing reads and the next use writes again. The caller
-// holds the write side of p.mu and writers hold the read side for a whole
-// statement, so no row can be inserted without the onion after the bit
-// flips; rows buffered in another session's open transaction would be,
-// hence the same retryable refusal as a layer adjustment.
-func (p *Proxy) materialise(cm *ColumnMeta, o onion.Onion, set change) error {
-	if p.replica != nil {
-		// A write like any adjustment: the primary materialises, the rows
-		// and the blob replicate down.
-		return p.replicaReadOnly()
-	}
-	// The Eq onion is the source; after an increment the Add onion is.
-	if err := p.maybeResync(cm); err != nil {
-		return err
-	}
-	if err := p.adjustBlocked(cm.Table); err != nil {
-		return err
-	}
-	st := cm.Onions[o]
-	err := p.rewriteColumn(cm.Table, []string{cm.onionCol(onion.Eq), cm.ivCol()}, []string{cm.onionCol(o)},
-		func() func() {
-			st.Deferred = false
-			undo := func() {}
-			if set != nil {
-				undo = set()
-			}
-			return func() { undo(); st.Deferred = true }
-		},
-		func(rows [][]sqldb.Value) ([][]sqldb.Value, error) {
-			pts, err := p.mapRows(rows, func(r []sqldb.Value) ([]sqldb.Value, error) {
-				pt, err := p.decryptEq(cm, r[1], r[2])
-				return []sqldb.Value{pt, r[2]}, err
-			})
+// rewriteRows returns the UPDATEs that write onions of rw's column into
+// rows (rid, then the columns statements read): from the Eq plaintext under
+// the row's IV, or, for a resync, the Add plaintext under a fresh IV written
+// with them.
+func (p *Proxy) rewriteRows(rw *rewrite, onions []onionAt, rows [][]sqldb.Value) ([]sqlparser.Statement, error) {
+	cm := rw.cm
+	// pts holds each row's plaintext and IV.
+	pts, err := p.mapRows(rows, func(r []sqldb.Value) ([]sqldb.Value, error) {
+		if rw.resync {
+			pt, err := p.decryptAdd(cm, r[1])
 			if err != nil {
 				return nil, err
 			}
-			if o == onion.Ord && !p.opts.DisableOPECache {
-				// §3.1 batch optimization, as on a multi-row INSERT.
-				ms := opePlaintexts(cm, len(pts), func(i int) sqldb.Value { return pts[i][0] })
-				_, _ = p.opeCipher(cm).EncryptBatch(ms) // cache warmer; the per-row pass reports errors
-			}
-			return p.mapRows(pts, func(r []sqldb.Value) ([]sqldb.Value, error) {
-				if r[0].IsNull() {
-					return nil, nil // the column is NULL already
-				}
-				ct, err := p.encryptOnion(cm, o, r[0], r[1].B)
-				return []sqldb.Value{ct}, err
-			})
-		})
-	if err != nil {
-		return fmt.Errorf("proxy: materialising %s onion of %s.%s: %w", o, cm.Table.Logical, cm.Logical, err)
-	}
-	p.stats.onionAdjustments.Add(1)
-	return nil
-}
-
-// maybeResync re-encrypts a column's Eq/JAdj/Ord onions from its Add onion
-// after HOM increments made them stale — the two-query strategy of §3.3,
-// applied lazily at column granularity. Deferred onions stay deferred. The
-// rewritten rows and the cleared staleness commit together.
-func (p *Proxy) maybeResync(cm *ColumnMeta) error {
-	if cm == nil || !cm.Stale[onion.Eq] {
-		return nil
-	}
-	// Rows buffered by an open transaction would be skipped by the rewrite
-	// and then committed stale, so refuse (retryable) while one is open.
-	if err := p.adjustBlocked(cm.Table); err != nil {
-		return err
-	}
-	var onions []onion.Onion
-	write := []string{cm.ivCol()}
-	for _, o := range cm.onionList() {
-		if o != onion.Add {
-			onions = append(onions, o)
-			write = append(write, cm.onionCol(o))
+			iv, err := newIV()
+			return []sqldb.Value{pt, sqldb.Blob(iv)}, err
 		}
-	}
-	err := p.rewriteColumn(cm.Table, []string{cm.onionCol(onion.Add)}, write,
-		func() func() {
-			stale := cm.Stale
-			cm.Stale = make(map[onion.Onion]bool)
-			return func() { cm.Stale = stale }
-		},
-		func(rows [][]sqldb.Value) ([][]sqldb.Value, error) {
-			return p.mapRows(rows, func(r []sqldb.Value) ([]sqldb.Value, error) {
-				pt, err := p.decryptAdd(cm, r[1])
-				if err != nil {
-					return nil, err
-				}
-				iv, err := newIV()
-				if err != nil {
-					return nil, err
-				}
-				out := []sqldb.Value{sqldb.Blob(iv)}
-				for _, o := range onions {
-					v, err := p.encryptOnion(cm, o, pt, iv)
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, v)
-				}
-				return out, nil
-			})
-		})
+		pt, err := p.decryptEq(cm, r[1], r[2], rw.eqRND)
+		return []sqldb.Value{pt, r[2]}, err
+	})
 	if err != nil {
-		return fmt.Errorf("proxy: resync of %s.%s: %w", cm.Table.Logical, cm.Logical, err)
+		return nil, err
 	}
-	p.stats.resyncs.Add(1)
-	return nil
+	if slices.ContainsFunc(onions, func(at onionAt) bool { return at.o == onion.Ord }) && !p.opts.DisableOPECache {
+		// §3.1 batch optimization, as on a multi-row INSERT.
+		ms := opePlaintexts(cm, len(pts), func(i int) sqldb.Value { return pts[i][0] })
+		_, _ = p.opeCipher(cm).EncryptBatch(ms) // cache warmer; the per-row pass reports errors
+	}
+	out, err := p.mapRows(pts, func(r []sqldb.Value) ([]sqldb.Value, error) {
+		if r[0].IsNull() && !rw.resync {
+			return nil, nil // the column is NULL already
+		}
+		var out []sqldb.Value
+		for _, at := range onions {
+			ct, err := p.encryptOnion(cm, at, r[0], r[1].B)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, ct)
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var stmts []sqlparser.Statement
+	for i, vals := range out {
+		if vals == nil {
+			continue
+		}
+		upd := &sqlparser.UpdateStmt{Table: cm.Table.Anon, Where: &sqlparser.BinaryExpr{Op: "=",
+			L: &sqlparser.ColRef{Column: "rid"}, R: &sqlparser.IntLit{V: rows[i][0].I}}}
+		if rw.resync {
+			upd.Assignments = append(upd.Assignments, sqlparser.Assignment{Column: cm.ivCol(), Value: valueToExpr(pts[i][1])})
+		}
+		for j, at := range onions {
+			upd.Assignments = append(upd.Assignments, sqlparser.Assignment{Column: cm.onionCol(at.o), Value: valueToExpr(vals[j])})
+		}
+		stmts = append(stmts, upd)
+	}
+	return stmts, nil
 }
 
 // valueToExpr renders a sqldb value as a literal AST node for server

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -75,6 +76,11 @@ type requirement struct {
 	cm       *ColumnMeta
 	class    onion.Class
 	joinWith *ColumnMeta // set for ClassJoin / ClassRangeJoin
+	// refused is why the requirement cannot be met, decided by the build
+	// from metadata alone: a MINENC floor, an undeclared OPE-JOIN, a layer
+	// that is not RND, or a computation no onion supports. The statement is
+	// then refused before its first adjustment (a trainer logs it instead).
+	refused error
 }
 
 // analysis is what a statement's build (planBuilder) records while it
@@ -89,19 +95,59 @@ func (a *analysis) addReq(cm *ColumnMeta, class onion.Class) {
 	if cm.Plain {
 		return
 	}
-	a.reqs = append(a.reqs, requirement{cm: cm, class: class})
+	r := requirement{cm: cm, class: class}
+	if o, l, ok := class.Requirement(); ok {
+		r.refused = lowerRefusal(cm, o, l)
+	}
+	a.reqs = append(a.reqs, r)
 }
 
 func (a *analysis) addJoin(l, r *ColumnMeta, class onion.Class) {
 	if l.Plain && r.Plain {
 		return
 	}
-	a.reqs = append(a.reqs, requirement{cm: l, class: class, joinWith: r})
+	req := requirement{cm: l, class: class, joinWith: r}
+	if class == onion.ClassJoin {
+		req.refused = cmp.Or(l.checkMinEnc(onion.JOIN), lowerRefusal(l, onion.JAdj, onion.JOIN),
+			r.checkMinEnc(onion.JOIN), lowerRefusal(r, onion.JAdj, onion.JOIN))
+	} else {
+		if l.opeShared == nil || r.opeShared == nil || string(l.opeShared) != string(r.opeShared) {
+			req.refused = fmt.Errorf("proxy: range join between %s.%s and %s.%s requires DeclareOPEJoin before data load (§3.4)",
+				l.Table.Logical, l.Logical, r.Table.Logical, r.Logical)
+		}
+		req.refused = cmp.Or(req.refused, lowerRefusal(l, onion.Ord, onion.OPE), lowerRefusal(r, onion.Ord, onion.OPE))
+	}
+	a.reqs = append(a.reqs, req)
+}
+
+// lowerRefusal is why onion o of cm cannot come down to layer target: the
+// schema's MINENC floor (§3.5.1), or a layer above target that is not RND.
+// Nil when the onion is there already, or absent (the build refuses that
+// when it names the onion's column).
+func lowerRefusal(cm *ColumnMeta, o onion.Onion, target onion.Layer) error {
+	st := cm.Onions[o]
+	if st == nil || st.AtOrBelow(target) {
+		return nil
+	}
+	if err := cm.checkMinEnc(target); err != nil {
+		return err
+	}
+	layers, err := st.LayersAbove(target)
+	if err != nil {
+		return err
+	}
+	for _, layer := range layers {
+		if layer != onion.RND {
+			return fmt.Errorf("proxy: cannot strip non-RND layer %s of %s onion", layer, o)
+		}
+	}
+	return nil
 }
 
 func (a *analysis) fail(cm *ColumnMeta, reason string) {
 	if cm != nil {
-		a.reqs = append(a.reqs, requirement{cm: cm, class: onion.ClassPlaintext})
+		a.reqs = append(a.reqs, requirement{cm: cm, class: onion.ClassPlaintext,
+			refused: fmt.Errorf("proxy: %s.%s requires plaintext computation", cm.Table.Logical, cm.Logical)})
 		reason = fmt.Sprintf("%s.%s: %s", cm.Table.Logical, cm.Logical, reason)
 	}
 	a.unsupported = append(a.unsupported, reason)

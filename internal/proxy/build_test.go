@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,7 +28,9 @@ var shapeRows = []string{
 
 // TestRefusedStatementLowersNothing: a statement the proxy refuses is
 // refused before any onion adjustment, so the server sees no layer it did
-// not see before, even when another clause of the statement needs one.
+// not see before, even when another clause of the statement needs one: the
+// report, the adjustment count, the sealed blob and the WAL are as they
+// were.
 func TestRefusedStatementLowersNothing(t *testing.T) {
 	shapes := newTestProxy(t)
 	mustExec(t, shapes, shapeDDL)
@@ -46,6 +49,30 @@ func TestRefusedStatementLowersNothing(t *testing.T) {
 	emp := newTestProxy(t)
 	seedEmployees(t, emp)
 
+	// A persistent proxy per shape, where the parent lowered t.a and
+	// committed a blob before the refusal; u is written by an open
+	// transaction throughout.
+	durable := func() *Proxy {
+		dir := t.TempDir()
+		eng, err := single.Open(dir, sqldb.DurabilityOptions{NoFsync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() }) //nolint:errcheck // test teardown
+		p, err := NewOnEngine(eng, Options{HOMBits: 256, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, p, "CREATE TABLE t (id INT PRIMARY KEY, a TEXT, b TEXT MINENC DET, v INT)")
+		mustExec(t, p, "CREATE TABLE u (id INT PRIMARY KEY, c TEXT MINENC DET, w INT)")
+		mustExec(t, p, "INSERT INTO t (id, a, b, v) VALUES (1, 'x', 'y', 3), (2, 'z', 'x', 9)")
+		mustExec(t, p, "INSERT INTO u (id, c, w) VALUES (1, 'x', 4), (2, 'y', 1)")
+		writer := p.NewSession()
+		mustSess(t, writer, "BEGIN")
+		mustSess(t, writer, "INSERT INTO u (id, c, w) VALUES (3, 'x', 7)")
+		return p
+	}
+
 	for _, c := range []struct {
 		p         *Proxy
 		sql, want string
@@ -57,8 +84,17 @@ func TestRefusedStatementLowersNothing(t *testing.T) {
 		{emp, "SELECT name FROM employees WHERE salary > id * 2 + 10", "employees.salary: computation combined with comparison"},
 		{emp, "SELECT name FROM employees WHERE dept = 'eng' AND salary & 4 = 4", "employees.salary: computation combined with comparison"},
 		{emp, "SELECT name FROM employees WHERE dept = 'eng' AND lower_fn(name) = 'alice'", "employees.name: computation combined with comparison"},
+		{durable(), "SELECT id FROM t WHERE a = 'x' AND b < 'z'",
+			"proxy: query requires layer OPE on t.b but schema pins MINENC DET"},
+		{durable(), "SELECT t.id FROM t JOIN u ON t.a = u.c",
+			"proxy: query requires layer JOIN on u.c but schema pins MINENC DET"},
+		{durable(), "SELECT t.id FROM t, u WHERE t.a = 'x' AND t.v < u.w",
+			"proxy: range join between t.v and u.w requires DeclareOPEJoin before data load (§3.4)"},
+		{durable(), "SELECT t.id FROM t, u WHERE t.a = 'x' AND u.c = 'x'",
+			"proxy: onion adjustment on u conflicts with an open transaction; retry after it ends"},
 	} {
 		report, adjusted := c.p.Report(), c.p.Stats().OnionAdjustments
+		blob, batches := c.p.Engine().Meta(), c.p.Engine().Stats().WAL.Batches
 		_, err := c.p.Execute(c.sql)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", c.sql, err, c.want)
@@ -68,6 +104,12 @@ func TestRefusedStatementLowersNothing(t *testing.T) {
 		}
 		if got := c.p.Report(); !reflect.DeepEqual(got, report) {
 			t.Errorf("%s: refused, but the report moved:\n got %+v\nwant %+v", c.sql, got, report)
+		}
+		if !bytes.Equal(c.p.Engine().Meta(), blob) {
+			t.Errorf("%s: refused, but a new sealed blob committed", c.sql)
+		}
+		if n := c.p.Engine().Stats().WAL.Batches; n != batches {
+			t.Errorf("%s: refused after appending %d WAL batches", c.sql, n-batches)
 		}
 	}
 }

@@ -146,18 +146,14 @@ func opeEncode(v sqldb.Value) (uint64, error) {
 // results, which come back as OPE ciphertexts).
 func opeDecodeInt(u uint64) int64 { return int64(u) - opeOffset }
 
-// encryptOnion encrypts plaintext v into onion o of column cm at the
-// onion's *current* layer, using iv for any RND wrapping.
-func (p *Proxy) encryptOnion(cm *ColumnMeta, o onion.Onion, v sqldb.Value, iv []byte) (sqldb.Value, error) {
+// encryptOnion encrypts plaintext v into onion at.o of column cm at layer
+// at.layer, under join key at.key (the column's current one if nil), using
+// iv for any RND wrapping.
+func (p *Proxy) encryptOnion(cm *ColumnMeta, at onionAt, v sqldb.Value, iv []byte) (sqldb.Value, error) {
 	if v.IsNull() {
 		return sqldb.Null(), nil // NULLs are exposed unencrypted (§3.3)
 	}
-	st := cm.Onions[o]
-	if st == nil {
-		return sqldb.Value{}, fmt.Errorf("proxy: column %s.%s has no %s onion", cm.Table.Logical, cm.Logical, o)
-	}
-	cur := st.Current()
-
+	o, cur := at.o, at.layer
 	switch o {
 	case onion.Eq:
 		if cm.Type == sqlparser.TypeInt {
@@ -182,7 +178,11 @@ func (p *Proxy) encryptOnion(cm *ColumnMeta, o onion.Onion, v sqldb.Value, iv []
 		return sqldb.Blob(detCt), nil
 
 	case onion.JAdj:
-		jv := p.joinKey(cm).Compute(p.joinPRF, plaintextBytes(v))
+		jk := at.key
+		if jk == nil {
+			jk = p.joinKey(cm)
+		}
+		jv := jk.Compute(p.joinPRF, plaintextBytes(v))
 		if cur == onion.RND {
 			wrapped, err := p.rndCipher(cm, onion.JAdj).Bytes(iv, jv)
 			if err != nil {
@@ -227,13 +227,12 @@ func (p *Proxy) encryptOnion(cm *ColumnMeta, o onion.Onion, v sqldb.Value, iv []
 	return sqldb.Value{}, fmt.Errorf("proxy: unknown onion %s", o)
 }
 
-// decryptEq recovers plaintext from a column's Eq onion value and its IV.
-func (p *Proxy) decryptEq(cm *ColumnMeta, ct, iv sqldb.Value) (sqldb.Value, error) {
+// decryptEq recovers plaintext from a column's Eq onion value, stored at
+// RND (under its IV) or at DET.
+func (p *Proxy) decryptEq(cm *ColumnMeta, ct, iv sqldb.Value, atRND bool) (sqldb.Value, error) {
 	if ct.IsNull() {
 		return sqldb.Null(), nil
 	}
-	st := cm.Onions[onion.Eq]
-	atRND := st.Current() == onion.RND
 
 	if cm.Type == sqlparser.TypeInt {
 		u := uint64(ct.I)

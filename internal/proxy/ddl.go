@@ -200,7 +200,7 @@ func (p *Proxy) materializeIndexes(cm *ColumnMeta) error {
 	// OPE ciphertexts preserve plaintext order, so an ordered index over
 	// them serves range predicates, ORDER BY ... LIMIT and MIN/MAX (§3.3).
 	// The Ord onion starts under RND; this materializes lazily after the
-	// first order-class query peels it (lowerTo re-invokes us).
+	// first order-class query peels it (the adjustment re-invokes us).
 	if st := cm.Onions[onion.Ord]; st != nil && st.Current() == onion.OPE && !cm.idxOrd &&
 		cm.wantUsing != "HASH" {
 		stmt := &sqlparser.CreateIndexStmt{

@@ -293,7 +293,7 @@ func TestDeferredFirstUse(t *testing.T) {
 
 // TestDeferredIncrementThenResync: an increment is the first use of a
 // deferred Add onion; the equality, range and join that follow read the
-// incremented values (resync from Add, then materialise from the fresh Eq).
+// incremented values (the resync writes a first-used onion from Add too).
 func TestDeferredIncrementThenResync(t *testing.T) {
 	for _, ec := range engineCases {
 		t.Run(ec.name, func(t *testing.T) {
@@ -322,7 +322,7 @@ func TestDeferredIncrementThenResync(t *testing.T) {
 
 // TestDeferredConcurrentInsertFirstUse: eight sessions insert while a ninth
 // issues the first SUM, range, join and LIKE. Writers hold the read side of
-// Proxy.mu for a whole statement and materialise holds the write side, so
+// Proxy.mu for a whole statement and a first use holds the write side, so
 // every row ends up in every materialised onion exactly once.
 func TestDeferredConcurrentInsertFirstUse(t *testing.T) {
 	l := newLifecycle(t, single.New(sqldb.New()), Options{})

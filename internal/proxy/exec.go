@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/onion"
@@ -53,57 +54,40 @@ func (p *Proxy) adjNeeded(an *analysis) bool {
 	if len(an.unsupported) > 0 && p.training {
 		return true
 	}
+	return slices.ContainsFunc(an.reqs, p.reqNeeded)
+}
+
+// reqNeeded reports whether meeting r would change anything: a layer, a
+// deferred onion, a stale column, a join group or key, a usage flag.
+func (p *Proxy) reqNeeded(r requirement) bool {
 	// atOrBelow treats a discarded onion (nil state) as needing the slow
 	// path, which produces the proper "no such onion" error, and a deferred
 	// one likewise: the slow path materialises it.
 	atOrBelow := func(st *onion.State, l onion.Layer) bool {
 		return st != nil && !st.Deferred && st.AtOrBelow(l)
 	}
-	for _, r := range an.reqs {
-		switch r.class {
-		case onion.ClassEquality:
-			if r.cm.Stale[onion.Eq] || !atOrBelow(r.cm.Onions[onion.Eq], onion.DET) {
-				return true
-			}
-		case onion.ClassOrder:
-			if r.cm.Stale[onion.Eq] || !atOrBelow(r.cm.Onions[onion.Ord], onion.OPE) {
-				return true
-			}
-		case onion.ClassJoin:
-			if r.cm.Stale[onion.Eq] || (r.joinWith != nil && r.joinWith.Stale[onion.Eq]) {
-				return true
-			}
-			if !atOrBelow(r.cm.Onions[onion.JAdj], onion.JOIN) {
-				return true
-			}
-			if r.joinWith != nil && !atOrBelow(r.joinWith.Onions[onion.JAdj], onion.JOIN) {
-				return true
-			}
-			if r.joinWith != nil && r.cm.groupRoot() != r.joinWith.groupRoot() {
-				return true
-			}
+	switch r.class {
+	case onion.ClassEquality:
+		return r.cm.Stale[onion.Eq] || !atOrBelow(r.cm.Onions[onion.Eq], onion.DET)
+	case onion.ClassOrder:
+		return r.cm.Stale[onion.Eq] || !atOrBelow(r.cm.Onions[onion.Ord], onion.OPE)
+	case onion.ClassJoin:
+		return r.cm.Stale[onion.Eq] || r.joinWith.Stale[onion.Eq] ||
+			!atOrBelow(r.cm.Onions[onion.JAdj], onion.JOIN) ||
+			!atOrBelow(r.joinWith.Onions[onion.JAdj], onion.JOIN) ||
+			r.cm.groupRoot() != r.joinWith.groupRoot() ||
 			// Roots match but lazily converging keys may still differ.
-			if r.joinWith != nil && p.joinKey(r.cm) != p.joinKey(r.joinWith) {
-				return true
-			}
-		case onion.ClassRangeJoin:
-			if !atOrBelow(r.cm.Onions[onion.Ord], onion.OPE) ||
-				(r.joinWith != nil && !atOrBelow(r.joinWith.Onions[onion.Ord], onion.OPE)) {
-				return true
-			}
-		case onion.ClassSum, onion.ClassIncrement:
-			// No layer change, but first use materialises a deferred Add
-			// onion and records the usage flag for the §8.3 analysis.
-			if !r.cm.UsedSum || !r.cm.present(onion.Add) {
-				return true
-			}
-		case onion.ClassSearch:
-			if !r.cm.UsedSearch || !r.cm.present(onion.Search) {
-				return true
-			}
-		case onion.ClassPlaintext:
-			return true
-		}
+			p.joinKey(r.cm) != p.joinKey(r.joinWith)
+	case onion.ClassRangeJoin:
+		return !atOrBelow(r.cm.Onions[onion.Ord], onion.OPE) || !atOrBelow(r.joinWith.Onions[onion.Ord], onion.OPE)
+	case onion.ClassSum, onion.ClassIncrement:
+		// No layer change, but first use materialises a deferred Add
+		// onion and records the usage flag for the §8.3 analysis.
+		return !r.cm.UsedSum || !r.cm.present(onion.Add)
+	case onion.ClassSearch:
+		return !r.cm.UsedSearch || !r.cm.present(onion.Search)
+	case onion.ClassPlaintext:
+		return true
 	}
 	return false
 }
@@ -645,7 +629,7 @@ func (p *Proxy) encryptRowValue(cm *ColumnMeta, v sqldb.Value) ([]sqlparser.Expr
 		return nil, err
 	}
 	for _, o := range cm.onionList() {
-		ct, err := p.encryptOnion(cm, o, coerced, iv)
+		ct, err := p.encryptOnion(cm, onionAt{o: o, layer: cm.Onions[o].Current()}, coerced, iv)
 		if err != nil {
 			return nil, err
 		}

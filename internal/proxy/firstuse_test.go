@@ -97,14 +97,37 @@ func TestFirstUseMatchesPeelRoute(t *testing.T) {
 	}
 }
 
-// TestFirstUseOneBatchPerShard: on disk, each first use appends exactly one
-// WAL batch to every shard per column it fills — its rows, and on the last
-// (or only) shard the sealed metadata that clears the bit — where it used
-// to append one per row plus the metadata.
+// adjusting is a statement that adjusts onions, under an onion plan.
+type adjusting struct {
+	name string
+	plan OnionPlan
+	stmt string
+}
+
+// mixedAdjustments adjust several onions at once: peels beside first uses,
+// and a planned join's two peels and re-key.
+var mixedAdjustments = []adjusting{
+	{"eq+range", nil, "SELECT id FROM acct WHERE memo = 'kw01 kw11' AND bal < 5"},
+	{"eq+range/planned", OnionPlan{"acct.bal": {onion.Eq, onion.Ord}},
+		"SELECT id FROM acct WHERE memo = 'kw01 kw11' AND bal < 5"},
+	{"join/planned", OnionPlan{"acct.holder": {onion.Eq, onion.JAdj}, "owner.oid": {onion.Eq, onion.JAdj}},
+		"SELECT a.id, o.name FROM acct a JOIN owner o ON a.holder = o.oid"},
+	{"join+eq", nil, "SELECT a.id FROM acct a JOIN owner o ON a.holder = o.oid WHERE o.name = 'owner-03'"},
+}
+
+// TestFirstUseOneBatchPerShard: on disk, each statement that adjusts onions
+// appends exactly one WAL batch to every shard, whatever it adjusts: the
+// rows of every column it fills, its peels and re-keys, and the sealed
+// metadata. A first use used to append one per row, and each adjustment
+// one of its own.
 func TestFirstUseOneBatchPerShard(t *testing.T) {
 	opts := sqldb.DurabilityOptions{NoFsync: true, CheckpointBytes: -1}
 	paged := opts
 	paged.Paged, paged.CacheBytes = true, 64<<10
+	cases := mixedAdjustments
+	for _, fu := range firstUses {
+		cases = append(cases, adjusting{fu.name, nil, fu.first})
+	}
 	for _, dc := range []struct {
 		name string
 		open func(dir string) (store.Engine, error)
@@ -114,20 +137,20 @@ func TestFirstUseOneBatchPerShard(t *testing.T) {
 		{"sharded4", func(dir string) (store.Engine, error) { return sharded.Open(dir, 4, opts) }},
 		{"paged", func(dir string) (store.Engine, error) { return single.Open(dir, paged) }},
 	} {
-		for _, fu := range firstUses {
-			t.Run(dc.name+"/"+fu.name, func(t *testing.T) {
+		for _, c := range cases {
+			t.Run(dc.name+"/"+c.name, func(t *testing.T) {
 				dir := t.TempDir()
 				eng, err := dc.open(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { eng.Close() }) //nolint:errcheck // test teardown
-				l := newLifecycle(t, eng, Options{DataDir: dir})
+				l := newLifecycle(t, eng, Options{DataDir: dir, Plan: c.plan})
 				l.load(30, 300)
 				before := eng.Stats().WAL.Batches
-				l.check(fu.first)
-				if got, want := eng.Stats().WAL.Batches-before, int64(len(fu.cols)*eng.Shards()); got != want {
-					t.Fatalf("first use appended %d WAL batches, want %d (one per shard per column)", got, want)
+				l.check(c.stmt)
+				if got, want := eng.Stats().WAL.Batches-before, int64(eng.Shards()); got != want {
+					t.Fatalf("the statement appended %d WAL batches, want %d (one per shard)", got, want)
 				}
 			})
 		}
@@ -256,5 +279,35 @@ func TestFirstUseTornAcrossShards(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestOneBatchMatchesPlaintext: statements whose adjustments share one
+// batch answer as a plaintext database does. On one column, a peel of Eq
+// commits with the first use of Ord; after HOM increments, a first use of
+// Ord is written by the resync, from the same Add plaintext and fresh IV as
+// the other onions, and a later peel of Eq follows the resync's rows in the
+// batch.
+func TestOneBatchMatchesPlaintext(t *testing.T) {
+	for _, ec := range engineCases {
+		if ec.name == "sharded4" {
+			continue
+		}
+		t.Run(ec.name, func(t *testing.T) {
+			l := newLifecycle(t, ec.open(t), Options{})
+			l.load(30, 300)
+			l.check("SELECT id FROM acct WHERE bal != 17 AND bal < 100")
+			l.check("SELECT id, bal FROM acct WHERE bal > 400 AND bal != 437")
+
+			l.both("UPDATE acct SET holder = holder + 3 WHERE id < 150")
+			l.check("SELECT id, holder FROM acct WHERE holder BETWEEN 5 AND 20")
+			l.both("UPDATE acct SET holder = holder - 1 WHERE id >= 150")
+			l.check("SELECT id FROM acct WHERE holder = 7")
+			l.check("SELECT a.id, o.name FROM acct a JOIN owner o ON a.holder = o.oid")
+			l.check("SELECT COUNT(*), SUM(holder) FROM acct WHERE holder < 12")
+			if s := l.p.Table("acct").Col("holder").Onions[onion.Ord]; s.Deferred || s.Current() != onion.OPE {
+				t.Fatalf("holder's Ord onion at %s (deferred %v) after the range", s.Current(), s.Deferred)
+			}
+		})
 	}
 }

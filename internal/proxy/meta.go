@@ -55,7 +55,8 @@ type ColumnMeta struct {
 
 	// Usage flags for the §8.3 security analysis: whether queries ever
 	// exercised the Search or Add onions, and whether any query needed
-	// plaintext computation this column cannot support.
+	// plaintext computation this column cannot support (a trainer's flag:
+	// a live proxy refuses such a query; a blob may still carry it).
 	UsedSearch     bool
 	UsedSum        bool
 	NeedsPlaintext bool
@@ -100,8 +101,8 @@ type ColumnMeta struct {
 
 // groupRoot finds the column's join transitivity-group representative. It
 // only reads: adjNeeded calls it under the read side of Proxy.mu from
-// concurrent sessions. adjustJoin, under the write side, is the one place
-// that writes joinGroup, and it shortens the paths it walked.
+// concurrent sessions. A join's adjustment, under the write side, is the one
+// place that writes joinGroup, and it shortens the paths it walked.
 func (c *ColumnMeta) groupRoot() *ColumnMeta {
 	for c.joinGroup != c {
 		c = c.joinGroup
@@ -126,7 +127,7 @@ func (c *ColumnMeta) present(o onion.Onion) bool {
 // onionList is the one writer list: the onions every INSERT, UPDATE and
 // resync encrypts into, in canonical order. It leaves out onions the plan
 // discarded and onions still deferred, whose server column stays NULL until
-// materialise fills it.
+// its first use fills it (adjustment.fill).
 func (c *ColumnMeta) onionList() []onion.Onion {
 	var out []onion.Onion
 	for _, o := range onion.Onions(c.Type) {

@@ -299,10 +299,9 @@ func (p *Proxy) sealedMetaLocked() ([]byte, error) {
 }
 
 // persistMetaLocked durably commits the current metadata in its own WAL
-// batch. Used for transitions with no accompanying server statement (usage
-// flags, OPE-JOIN declarations, completion of a whole-column rewrite —
-// resync, materialisation, RaiseOnion — and group-root moves).
-// Callers hold p.mu.
+// batch, for the metadata no server statement accompanies: a CREATE INDEX
+// on layers that are not exposed yet, and OPE-JOIN declarations. Callers
+// hold p.mu.
 func (p *Proxy) persistMetaLocked() error {
 	if !p.persistent() {
 		return nil
@@ -321,8 +320,8 @@ func (p *Proxy) persistMetaLocked() error {
 type change func() (undo func())
 
 // transition commits one metadata change together with the server
-// statement that makes it true (a CREATE or DROP, an index build, a layer
-// peel, a join re-key, a whole-column rewrite): under metaMu it applies the
+// statement that makes it true (a CREATE or DROP, an index build, the batch
+// of a statement's onion adjustments): under metaMu it applies the
 // change in memory, seals the result and hands the blob to run, which
 // executes the statement with it attached, so both land in one WAL batch
 // (per shard) or neither does. If sealing or run fails, the change is

@@ -265,11 +265,9 @@ func mustExecP(t *testing.T, p *Proxy, sql string) *sqldb.Result {
 // means the statement applied, so the change is kept. Either way the
 // answers afterwards match the plaintext oracle.
 func TestTransitionFailureReverts(t *testing.T) {
-	joinRef := func(p *Proxy) string {
-		cm := p.Table("owner").Col("oid")
-		return cm.joinRefT + "." + cm.joinRefC
+	joined := func(p *Proxy) string {
+		return onionState(p, onion.JAdj, [][2]string{{"acct", "holder"}, {"owner", "oid"}})
 	}
-	oidKey := func(p *Proxy) string { return onionState(p, onion.JAdj, [][2]string{{"owner", "oid"}}) }
 	cases := []struct {
 		name   string
 		plan   OnionPlan
@@ -297,17 +295,24 @@ func TestTransitionFailureReverts(t *testing.T) {
 			state: func(p *Proxy) string { return fmt.Sprint(p.Table("acct").Col("memo").Onions[onion.Eq].Cur) },
 			query: "SELECT id FROM acct WHERE memo = 'kw03 kw13'"},
 		// The plan keeps both JAdj onions present from the first row: two
-		// peels, then owner.oid re-keys onto acct.holder's key.
+		// peels and owner.oid's re-key onto acct.holder's key, in one batch.
 		{name: "join rekey", plan: OnionPlan{"acct.holder": {onion.Eq, onion.JAdj}, "owner.oid": {onion.Eq, onion.JAdj}},
-			stmt: "SELECT a.id, o.name FROM acct a JOIN owner o ON a.holder = o.oid", failAt: 3,
-			state: joinRef,
+			stmt: "SELECT a.id, o.name FROM acct a JOIN owner o ON a.holder = o.oid", failAt: 1,
+			state: joined,
 			query: "SELECT o.name, a.bal FROM owner o JOIN acct a ON o.oid = a.holder"},
 		// Both JAdj onions deferred: acct.holder is written at JOIN under
-		// its own key, then owner.oid under acct.holder's, whose batch
-		// fails. Its layer, key reference and Deferred bit move together.
-		{name: "first-use join", stmt: "SELECT a.id, o.name FROM acct a JOIN owner o ON a.holder = o.oid", failAt: 2,
-			state: oidKey,
+		// its own key and owner.oid under acct.holder's, in one batch.
+		// Both layers, key references and Deferred bits move together.
+		{name: "first-use join", stmt: "SELECT a.id, o.name FROM acct a JOIN owner o ON a.holder = o.oid", failAt: 1,
+			state: joined,
 			query: "SELECT o.name, a.bal FROM owner o JOIN acct a ON o.oid = a.holder"},
+		// One column's Eq onion peeled and its deferred Ord onion written at
+		// OPE, in one batch.
+		{name: "eq + first-use ord", stmt: "SELECT id FROM acct WHERE bal != 17 AND bal < 100", failAt: 1,
+			state: func(p *Proxy) string {
+				return onionState(p, onion.Eq, [][2]string{{"acct", "bal"}}) + onionState(p, onion.Ord, [][2]string{{"acct", "bal"}})
+			},
+			query: "SELECT id FROM acct WHERE bal > 50 AND bal != 137"},
 	}
 	for _, tc := range cases {
 		for _, fault := range []error{errInjected, &sqldb.DurabilityError{Err: errInjected}} {

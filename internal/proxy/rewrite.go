@@ -178,7 +178,7 @@ func (b *planBuilder) fetchCol(cm *ColumnMeta, alias string) (decoder, error) {
 			if ivIdx >= 0 {
 				iv = row[ivIdx]
 			}
-			return b.p.decryptEq(cm, row[si], iv)
+			return b.p.decryptEq(cm, row[si], iv, atRND)
 		}
 	}
 	if b.cache == nil {

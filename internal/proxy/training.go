@@ -15,7 +15,7 @@ import (
 // is refused with the table, column and onion named. A column with no entry
 // gets the default lifecycle instead: every applicable onion is declared,
 // only Eq is written, and each other onion is deferred until the first query
-// that needs it (see materialise). The Eq onion is always kept (it is the
+// that needs it (see adjustment.fill). The Eq onion is always kept (it is the
 // decryption path for projections).
 type OnionPlan map[string][]onion.Onion
 

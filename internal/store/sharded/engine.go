@@ -39,6 +39,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -743,23 +744,33 @@ func (e *Engine) broadcastAutonomous(st sqlparser.Statement, meta []byte, params
 // ExecAutonomousListWithMeta implements store.Engine: each statement runs
 // in the transactions of the shards it routes to (an UPDATE or DELETE
 // pinned to one row on its shard, any other on every shard; an INSERT's
-// rows on theirs), all or nothing at runtime (acrossShards). The blob
-// commits with the last shard's batch alone, after every other shard has
-// committed, so it is durable only once every shard's rows are. A crash or
-// a failed COMMIT part-way leaves the previous blob in force over the new
-// rows of the shards that committed, and the error then reports the blob
-// unapplied: it is a *sqldb.DurabilityError only when the last shard's
-// commit was one. The proxy's whole-column rewrites rely on this: the rows
-// of a deferred or stale onion are unread until the blob that clears the
-// mark commits, so the next use redoes such a rewrite.
+// rows on theirs), all or nothing at runtime (acrossShards), and the shards
+// commit in order. When some statement runs on every shard (the proxy's
+// peels and re-keys), the blob commits on every shard, with a broadcast
+// statement's torn-broadcast window. When every statement is pinned (the
+// proxy's whole-column rewrites), it commits with the last shard's batch
+// alone, durable only once every shard's rows are: a crash or a failed
+// COMMIT part-way leaves the previous blob over the new rows of the shards
+// that committed, and the error reports the blob unapplied (a
+// *sqldb.DurabilityError only when the last shard's commit was one). Those
+// rows belong to a deferred or stale onion, unread until the blob that
+// clears the mark commits, so the next use redoes the rewrite.
 func (e *Engine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error) {
-	return e.acrossShards(meta, true, func(sessions []*sqldb.Session) (*sqldb.Result, error) {
+	parts := make([][]sqlparser.Statement, len(stmts))
+	lastOnly := true
+	for i, st := range stmts {
+		perShard, err := e.shardStatements(st)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Contains(perShard, nil) {
+			lastOnly = false
+		}
+		parts[i] = perShard
+	}
+	return e.acrossShards(meta, lastOnly, func(sessions []*sqldb.Session) (*sqldb.Result, error) {
 		total := &sqldb.Result{}
-		for _, st := range stmts {
-			perShard, err := e.shardStatements(st)
-			if err != nil {
-				return nil, err
-			}
+		for _, perShard := range parts {
 			for i, sub := range perShard {
 				if sub == nil {
 					continue

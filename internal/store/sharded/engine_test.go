@@ -200,6 +200,50 @@ func TestExecAutonomousList(t *testing.T) {
 	}
 }
 
+// TestExecAutonomousListBlobPlacement: where a list commits its blob
+// follows from its routing. A list with a statement that runs on every
+// shard (a peel or re-key beside pinned rows) commits the blob on every
+// shard; a list whose statements are all pinned commits it on the last
+// shard alone, leaving the others at the previous blob.
+func TestExecAutonomousListBlobPlacement(t *testing.T) {
+	e := New(3)
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	for i := 0; i < 30; i++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 0)", i))
+	}
+	pinned, _ := parseOne("UPDATE t SET v = 1 WHERE id = 4")
+	everywhere, _ := parseOne("UPDATE t SET v = v + 10")
+	blobs := func() (out []string) {
+		for s := 0; s < 3; s++ {
+			_, blob, _ := unwrapMeta(e.Shard(s).Meta())
+			out = append(out, string(blob))
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name  string
+		stmts []sqlparser.Statement
+		meta  string
+		want  []string
+	}{
+		{"broadcast", []sqlparser.Statement{pinned, everywhere}, "m1", []string{"m1", "m1", "m1"}},
+		{"pinned", []sqlparser.Statement{pinned}, "m2", []string{"m1", "m1", "m2"}},
+	} {
+		if _, err := e.ExecAutonomousListWithMeta(c.stmts, []byte(c.meta)); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := blobs(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s list: shards hold blobs %q, want %q", c.name, got, c.want)
+		}
+		if string(e.Meta()) != c.meta {
+			t.Errorf("%s list: engine blob %q, want %q", c.name, e.Meta(), c.meta)
+		}
+	}
+	if n := mustExec(t, e, "SELECT COUNT(*) FROM t WHERE v = 10").Rows[0][0].I; n != 29 {
+		t.Fatalf("%d rows at v = 10 after the broadcast list, want 29", n)
+	}
+}
+
 // TestSingleShardTxn: transactions pin to their first written shard and
 // refuse statements that route elsewhere.
 func TestSingleShardTxn(t *testing.T) {

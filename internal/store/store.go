@@ -131,10 +131,9 @@ type Engine interface {
 	// DELETE statements: they commit in one WAL batch per underlying
 	// instance, or are all refused. A single store commits the blob in the
 	// same batch. A sharded engine routes each statement to its shard and
-	// commits the blob with the last shard's batch, after every other
-	// shard's: a crash or failure between shards leaves the previous blob
-	// over the new rows of the shards before. The proxy's whole-column
-	// rewrites use it.
+	// commits the blob on every shard if some statement runs on every
+	// shard, and otherwise with the last shard's batch alone, after every
+	// other shard's. Each of the proxy's onion adjustments uses it.
 	ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error)
 
 	// SetMeta durably commits a metadata blob in its own commit unit.
