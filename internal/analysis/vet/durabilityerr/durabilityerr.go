@@ -5,9 +5,9 @@
 // exactly the bug class the recovery suite cannot catch (the test
 // filesystem never fails).
 //
-// Checks, scoped to internal/sqldb, internal/store, internal/proxy and
-// cmd/ (the durability and serving paths — helper packages like workload
-// generators are exempt):
+// Checks, scoped to internal/fsutil, internal/sqldb, internal/store,
+// internal/proxy, internal/repl and cmd/ (the durability and serving
+// paths — helper packages like workload generators are exempt):
 //
 //  1. Statement-position calls that discard a returned error, when the
 //     callee is durability-relevant by name (Sync, Close, Write,
@@ -16,8 +16,9 @@
 //     (best-effort cleanup on an error path).
 //
 //  2. defer f.Close() where f came from a writing open
-//     (os.Create/OpenFile): the deferred Close's error vanishes, and on
-//     some filesystems Close is where delayed write errors surface.
+//     (os.Create/OpenFile, fsutil's OpenFile/Install): the deferred
+//     Close's error vanishes, and on some filesystems Close is where
+//     delayed write errors surface.
 //     Write-path files must be closed explicitly with the error checked
 //     (or via a named-return wrapper).
 //
@@ -56,7 +57,8 @@ var durabilityNames = map[string]bool{
 }
 
 func inScope(path string) bool {
-	return vet.PathContains(path, "internal/sqldb") ||
+	return vet.PathContains(path, "internal/fsutil") ||
+		vet.PathContains(path, "internal/sqldb") ||
 		vet.PathContains(path, "internal/store") ||
 		vet.PathContains(path, "internal/proxy") ||
 		vet.PathContains(path, "internal/repl") ||
@@ -162,8 +164,8 @@ func inMemoryWriter(pkg *vet.Package, call *ast.CallExpr, fn *types.Func) bool {
 	return false
 }
 
-// writeOpenedFiles finds local *os.File variables produced by a writing
-// open (os.Create, os.OpenFile).
+// writeOpenedFiles finds local file variables produced by a writing open
+// (os.Create, os.OpenFile, and fsutil's FS.OpenFile and Install).
 func writeOpenedFiles(pkg *vet.Package, fd *ast.FuncDecl) map[types.Object]bool {
 	files := make(map[types.Object]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -176,10 +178,13 @@ func writeOpenedFiles(pkg *vet.Package, fd *ast.FuncDecl) map[types.Object]bool 
 			return true
 		}
 		fn := vet.CalleeFunc(pkg.Info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "os" {
+		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
-		if fn.Name() != "Create" && fn.Name() != "OpenFile" {
+		switch path := fn.Pkg().Path(); {
+		case path == "os" && (fn.Name() == "Create" || fn.Name() == "OpenFile"):
+		case vet.PathContains(path, "internal/fsutil") && (fn.Name() == "OpenFile" || fn.Name() == "Install"):
+		default:
 			return true
 		}
 		if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {

@@ -1,13 +1,16 @@
 // Package sqldb holds the seeded durability error-handling bugs for the
 // durabilityerr golden test — a dropped Sync, a deferred Close on a
-// write-opened file, a blank-discarded Marshal, a shadowed error — next
-// to the fixed forms and sanctioned idioms the analyzer must accept.
+// write-opened file (through os and through fsutil), a blank-discarded
+// Marshal, a shadowed error — next to the fixed forms and sanctioned
+// idioms the analyzer must accept.
 package sqldb
 
 import (
 	"encoding/json"
 	"hash/fnv"
 	"os"
+
+	"fixture/internal/fsutil"
 )
 
 type walWriter struct {
@@ -42,6 +45,29 @@ func snapshotDeferred(path string, data []byte) error {
 	if _, err := f.Write(data); err != nil {
 		return err
 	}
+	return f.Sync()
+}
+
+// segmentDeferred is snapshotDeferred behind the file interface.
+func segmentDeferred(fsys fsutil.FS, path string, data []byte) error {
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600)
+	if err != nil {
+		return err
+	}
+	defer f.Close() // want "deferred Close on write-opened file f discards the error"
+	if _, err := f.Write(data); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// logDeferred defers the Close of a file Install left open.
+func logDeferred(fsys fsutil.FS, path string, data []byte) error {
+	f, err := fsutil.Install(fsys, path, data)
+	if err != nil {
+		return err
+	}
+	defer f.Close() // want "deferred Close on write-opened file f discards the error"
 	return f.Sync()
 }
 

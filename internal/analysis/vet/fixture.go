@@ -15,10 +15,11 @@ package vet
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+
+	"repro/internal/fsutil"
 )
 
 var wantRe = regexp.MustCompile(`//\s*want\s+"((?:[^"\\]|\\.)*)"`)
@@ -44,7 +45,7 @@ func CheckFixture(dir string, analyzers ...*Analyzer) ([]string, error) {
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
 			name := m.Fset.Position(f.Pos()).Filename
-			data, err := os.ReadFile(name)
+			data, err := fsutil.OS.ReadFile(name)
 			if err != nil {
 				return nil, err
 			}

@@ -15,11 +15,13 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/fsutil"
 )
 
 // Package is one parsed, type-checked package of the module under
@@ -88,7 +90,7 @@ func Load(root string) (*Module, error) {
 		imports []string
 	}
 	srcs := make(map[string]*src)
-	err = filepath.WalkDir(root, func(p string, d os.DirEntry, werr error) error {
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, werr error) error {
 		if werr != nil {
 			return werr
 		}
@@ -196,7 +198,7 @@ func Load(root string) (*Module, error) {
 }
 
 func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
+	data, err := fsutil.OS.ReadFile(gomod)
 	if err != nil {
 		return "", fmt.Errorf("vet: module root: %w", err)
 	}

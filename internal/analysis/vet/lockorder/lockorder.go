@@ -177,7 +177,7 @@ func lockObj(pkg *vet.Package, call *ast.CallExpr) (obj types.Object, method str
 }
 
 // isSyncCall reports whether a call is a direct fsync or network
-// operation.
+// operation: (*os.File).Sync, or its fsutil seam (File.Sync, FS.SyncDir).
 func isSyncCall(pkg *vet.Package, call *ast.CallExpr) (bool, string) {
 	fn := vet.CalleeFunc(pkg.Info, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -185,10 +185,13 @@ func isSyncCall(pkg *vet.Package, call *ast.CallExpr) (bool, string) {
 	}
 	if recv := vet.RecvNamed(fn); recv != nil {
 		if recv.Obj().Pkg() != nil {
+			path, typ := recv.Obj().Pkg().Path(), recv.Obj().Name()
 			switch {
-			case recv.Obj().Pkg().Path() == "os" && recv.Obj().Name() == "File" && fn.Name() == "Sync":
+			case path == "os" && typ == "File" && fn.Name() == "Sync",
+				vet.PathContains(path, "internal/fsutil") && typ == "File" && fn.Name() == "Sync",
+				vet.PathContains(path, "internal/fsutil") && typ == "FS" && fn.Name() == "SyncDir":
 				return true, "fsync"
-			case recv.Obj().Pkg().Path() == "net" && recv.Obj().Name() == "Conn" &&
+			case path == "net" && typ == "Conn" &&
 				(fn.Name() == "Write" || fn.Name() == "Read"):
 				return true, "network I/O"
 			}

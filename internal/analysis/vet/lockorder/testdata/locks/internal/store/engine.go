@@ -1,13 +1,16 @@
 // Package store holds the seeded locking violations for the lockorder
 // golden test — an acquisition-order cycle, a reader-writer lock held
-// across fsync, by-value mutex copies, a mixed atomic/plain field — next
-// to the fixed and policy-exempt forms the analyzer must stay silent on.
+// across fsync (through os and through fsutil), by-value mutex copies, a
+// mixed atomic/plain field — next to the fixed and policy-exempt forms the
+// analyzer must stay silent on.
 package store
 
 import (
 	"os"
 	"sync"
 	"sync/atomic"
+
+	"fixture/internal/fsutil"
 )
 
 // Engine carries the fixture's locks.
@@ -39,6 +42,20 @@ func (e *Engine) badCommit(f *os.File) error {
 	e.rw.Lock()
 	defer e.rw.Unlock()
 	return f.Sync() // want "lock rw .* held across fsync"
+}
+
+// seamCommit pays the same fsync behind the file interface.
+func (e *Engine) seamCommit(f fsutil.File) error {
+	e.rw.Lock()
+	defer e.rw.Unlock()
+	return f.Sync() // want "lock rw .* held across fsync"
+}
+
+// seamInstall syncs a directory under the shared lock.
+func (e *Engine) seamInstall(fsys fsutil.FS, dir string) error {
+	e.rw.Lock()
+	defer e.rw.Unlock()
+	return fsys.SyncDir(dir) // want "lock rw .* held across fsync"
 }
 
 // stagedCommit is the fixed form: stage under the lock, sync off it.

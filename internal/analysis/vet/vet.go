@@ -29,10 +29,11 @@ package vet
 import (
 	"fmt"
 	"go/token"
-	"os"
 	"regexp"
 	"sort"
 	"strings"
+
+	"repro/internal/fsutil"
 )
 
 // Finding is one diagnostic: a position, the analyzer that produced it,
@@ -126,7 +127,7 @@ func collectSuppressions(m *Module) ([]suppression, []Finding) {
 func standalone(cache map[string][]string, pos token.Position) bool {
 	lines, ok := cache[pos.Filename]
 	if !ok {
-		if data, err := os.ReadFile(pos.Filename); err == nil {
+		if data, err := fsutil.OS.ReadFile(pos.Filename); err == nil {
 			lines = strings.Split(string(data), "\n")
 		}
 		cache[pos.Filename] = lines

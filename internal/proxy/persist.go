@@ -36,7 +36,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 
@@ -144,7 +144,7 @@ func stmtApplied(err error) bool {
 // writing it on first use. homBits is only consulted when generating.
 func loadOrCreateKeyFile(dir string, homBits int) (*keyFile, bool, error) {
 	path := filepath.Join(dir, keyFileName)
-	data, err := os.ReadFile(path)
+	data, err := fsutil.OS.ReadFile(path)
 	if err == nil {
 		var kf keyFile
 		if err := json.Unmarshal(data, &kf); err != nil {
@@ -158,7 +158,7 @@ func loadOrCreateKeyFile(dir string, homBits int) (*keyFile, bool, error) {
 		}
 		return &kf, false, nil
 	}
-	if !os.IsNotExist(err) {
+	if !errors.Is(err, fs.ErrNotExist) {
 		return nil, false, err
 	}
 	return nil, true, nil
@@ -174,7 +174,7 @@ func writeKeyFile(dir string, kf *keyFile) error {
 	if err != nil {
 		return err
 	}
-	if err := fsutil.InstallFile(filepath.Join(dir, keyFileName), data, 0o600); err != nil {
+	if err := fsutil.InstallFile(fsutil.OS, filepath.Join(dir, keyFileName), data, true); err != nil {
 		return fmt.Errorf("proxy: installing key file: %w", err)
 	}
 	return nil

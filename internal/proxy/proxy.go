@@ -3,7 +3,6 @@ package proxy
 import (
 	"fmt"
 	"math/big"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -11,6 +10,7 @@ import (
 	"repro/internal/crypto/joinadj"
 	"repro/internal/crypto/keys"
 	"repro/internal/crypto/search"
+	"repro/internal/fsutil"
 	"repro/internal/onion"
 	"repro/internal/sqldb"
 	"repro/internal/store"
@@ -194,7 +194,7 @@ func newWithMaster(eng store.Engine, mk *keys.Master, opts Options) (*Proxy, err
 // openPersistent builds a durable proxy from (or initializing) a data dir.
 func openPersistent(db store.Engine, opts Options) (*Proxy, error) {
 	dir := opts.DataDir
-	if err := os.MkdirAll(dir, 0o700); err != nil {
+	if err := fsutil.OS.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("proxy: creating data dir: %w", err)
 	}
 	kf, fresh, err := loadOrCreateKeyFile(dir, opts.HOMBits)

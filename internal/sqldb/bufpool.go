@@ -32,6 +32,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/fsutil"
 )
 
 // hotPromoteHits is the referenced count that promotes a page into L1: it
@@ -63,6 +65,7 @@ type pageRef struct {
 
 // pager is the buffer cache shared by every table of one DB.
 type pager struct {
+	fs     fsutil.FS
 	dir    string // the pages/ directory holding segment files ("" in memory)
 	budget int64
 	l1Max  int64
@@ -87,8 +90,8 @@ type pager struct {
 	diskBytes atomic.Int64
 }
 
-func newPager(dir string, budget int64) *pager {
-	pg := &pager{dir: dir, budget: budget, segFiles: make(map[string]int64)}
+func newPager(fsys fsutil.FS, dir string, budget int64) *pager {
+	pg := &pager{fs: fsys, dir: dir, budget: budget, segFiles: make(map[string]int64)}
 	// L1 holds at most ~1/8 of the budget's worth of pages.
 	pg.l1Max = budget / 8 / pageOverhead
 	if pg.l1Max < 4 {
@@ -102,7 +105,7 @@ func newPager(dir string, budget int64) *pager {
 // columns for one statement (scope.addFeed), whose pages must stay out of
 // the database's clock ring, since only eviction and DROP TABLE prune its
 // entries.
-func memPager() *pager { return newPager("", unbounded) }
+func memPager() *pager { return newPager(nil, "", unbounded) }
 
 func (pg *pager) stats() CacheStats {
 	budget := pg.budget
@@ -274,11 +277,13 @@ func (t *Table) faultPage(id int) (*rowPage, error) {
 	if rec := t.disk[id]; rec.file == "" {
 		p = &rowPage{} // never checkpointed with rows: an empty page
 	} else {
-		loaded, err := loadSegment(filepath.Join(pg.dir, rec.file), t, id)
+		data, err := pg.fs.ReadFile(filepath.Join(pg.dir, rec.file))
+		if err == nil {
+			p, err = decodeSegment(data, t, id)
+		}
 		if err != nil {
 			return nil, &PageFaultError{Table: t.Name, Page: id, Err: err}
 		}
-		p = loaded
 	}
 	for !t.pages[id].CompareAndSwap(nil, p) {
 		// Lost an install race: use the winner's page — unless a sweep has

@@ -37,8 +37,6 @@ package sqldb
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -85,28 +83,18 @@ func buildSegFile(table string, id int, p *rowPage) []byte {
 		}
 	}
 	buf := make([]byte, 0, len(segMagic)+frameHdrLen+len(payload))
-	buf = append(buf, segMagic...)
-	var hdr [frameHdrLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	return appendFrame(append(buf, segMagic...), payload)
 }
 
 // parseSegFile verifies and decodes one segment file, invoking fn for each
 // stored row with its local slot, in ascending order.
 func parseSegFile(data []byte, fn func(local int, row []Value) error) (table string, id int, err error) {
-	if len(data) < len(segMagic)+frameHdrLen || string(data[:len(segMagic)]) != segMagic {
+	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 		return "", 0, fmt.Errorf("sqldb: not a page segment file")
 	}
-	rest := data[len(segMagic):]
-	plen := binary.BigEndian.Uint32(rest)
-	if int(plen) != len(rest)-frameHdrLen {
-		return "", 0, fmt.Errorf("sqldb: page segment is truncated")
-	}
-	payload := rest[frameHdrLen:]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rest[4:]) {
-		return "", 0, fmt.Errorf("sqldb: page segment failed CRC check")
+	payload, err := readOneFrame(data[len(segMagic):])
+	if err != nil {
+		return "", 0, fmt.Errorf("sqldb: page segment: %w", err)
 	}
 	d := &walDecoder{buf: payload}
 	if table, err = d.string(); err != nil {
@@ -144,15 +132,6 @@ func parseSegFile(data []byte, fn func(local int, row []Value) error) (table str
 		}
 	}
 	return table, id, nil
-}
-
-// loadSegment materializes one page from its segment file (the fault path).
-func loadSegment(path string, t *Table, id int) (*rowPage, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSegment(data, t, id)
 }
 
 // decodeSegment parses a segment file into a clean page, checking that it
@@ -207,18 +186,14 @@ func buildManifest(walSeq, fileSeq uint64, schemaOps []byte, entries []manEntry)
 	binary.BigEndian.PutUint32(buf[8:], manVersion)
 	binary.BigEndian.PutUint64(buf[16:], walSeq)
 	binary.BigEndian.PutUint64(buf[24:], fileSeq)
-	var hdr [frameHdrLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	return appendFrame(buf, payload)
 }
 
 // parseManifest verifies a manifest and returns its fields. A damaged
 // manifest is fatal: it is installed atomically, so damage means real
 // corruption.
 func parseManifest(data []byte, path string) (walSeq, fileSeq uint64, schemaOps []byte, entries []manEntry, err error) {
-	if len(data) < manHeaderLen+frameHdrLen || string(data[:8]) != manMagic {
+	if len(data) < manHeaderLen || string(data[:8]) != manMagic {
 		return 0, 0, nil, nil, fmt.Errorf("sqldb: %s is not a manifest file", path)
 	}
 	if v := binary.BigEndian.Uint32(data[8:12]); v != manVersion {
@@ -226,14 +201,9 @@ func parseManifest(data []byte, path string) (walSeq, fileSeq uint64, schemaOps 
 	}
 	walSeq = binary.BigEndian.Uint64(data[16:24])
 	fileSeq = binary.BigEndian.Uint64(data[24:32])
-	rest := data[manHeaderLen:]
-	plen := binary.BigEndian.Uint32(rest)
-	if int(plen) > len(rest)-frameHdrLen {
-		return 0, 0, nil, nil, fmt.Errorf("sqldb: manifest %s is truncated", path)
-	}
-	payload := rest[frameHdrLen : frameHdrLen+int(plen)]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rest[4:]) {
-		return 0, 0, nil, nil, fmt.Errorf("sqldb: manifest %s is corrupt (bad checksum)", path)
+	payload, err := readOneFrame(data[manHeaderLen:])
+	if err != nil {
+		return 0, 0, nil, nil, fmt.Errorf("sqldb: manifest %s: %w", path, err)
 	}
 	d := &walDecoder{buf: payload}
 	slen, err := d.uvarint()
@@ -324,66 +294,40 @@ func (db *DB) ckptCapture() (seq uint64, segs []pendingSeg, entries []manEntry, 
 func (db *DB) ckptWrite(seq uint64, segs []pendingSeg, entries []manEntry, schemaOps []byte) (int64, error) {
 	sync := !db.dopts.NoFsync
 	var written int64
+	var err error
 	for _, s := range segs {
 		if s.file == "" {
 			continue
 		}
-		if err := writeFileSynced(filepath.Join(db.pager.dir, s.file), s.data, sync); err != nil {
-			return 0, err
+		if err = fsutil.WriteFile(db.fs, filepath.Join(db.pager.dir, s.file), s.data, sync); err != nil {
+			break
 		}
 		written += int64(len(s.data))
 	}
-	if written > 0 && sync {
+	if err == nil && written > 0 && sync {
 		// Segment directory entries must be durable before the manifest
 		// references them.
-		if err := fsutil.SyncDir(db.pager.dir); err != nil {
-			return 0, err
-		}
+		err = db.fs.SyncDir(db.pager.dir)
 	}
-	man := buildManifest(seq, db.pager.fileSeq, schemaOps, entries)
-	written += int64(len(man))
-	final := filepath.Join(db.dir, manifestName)
-	tmp := final + ".tmp"
-	if err := writeFileSynced(tmp, man, sync); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("sqldb: manifest rename: %w", err)
-	}
-	if sync {
-		// As with snapshots, the rename is only durable once the directory
-		// entry is synced.
-		if err := fsutil.SyncDir(db.dir); err != nil {
-			return 0, err
-		}
-	}
-	return written, nil
-}
-
-// writeFileSynced creates path with data, optionally fsyncing it.
-func writeFileSynced(path string, data []byte, sync bool) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
-		return fmt.Errorf("sqldb: checkpoint: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("sqldb: checkpoint write: %w", err)
-	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(path)
-			return fmt.Errorf("sqldb: checkpoint sync: %w", err)
+		// No manifest names the new segments: remove them, best-effort (the
+		// Open-time orphan sweep catches leftovers).
+		for _, s := range segs {
+			if s.file != "" {
+				db.fs.Remove(filepath.Join(db.pager.dir, s.file))
+			}
 		}
+		return 0, fmt.Errorf("sqldb: checkpoint: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return err
+	// A failed install may have renamed the new manifest into place before
+	// its directory sync failed, so the new segments stay: whichever
+	// manifest a crash leaves must find its files. The Open-time sweep
+	// removes them once no manifest names them.
+	man := buildManifest(seq, db.pager.fileSeq, schemaOps, entries)
+	if err := fsutil.InstallFile(db.fs, filepath.Join(db.dir, manifestName), man, sync); err != nil {
+		return 0, fmt.Errorf("sqldb: checkpoint: %w", err)
 	}
-	return nil
+	return written + int64(len(man)), nil
 }
 
 // ckptInstall is phase 3: point pages at their new segments, advance
@@ -430,13 +374,6 @@ func (db *DB) ckptAbort(segs []pendingSeg) {
 	for _, s := range segs {
 		s.p.flushing = false
 		s.p.dirty = true
-	}
-	// Any segments already written are unreferenced; best-effort removal
-	// (the Open-time orphan sweep catches leftovers).
-	for _, s := range segs {
-		if s.file != "" {
-			os.Remove(filepath.Join(db.pager.dir, s.file))
-		}
 	}
 }
 
@@ -510,7 +447,7 @@ func (db *DB) checkpointHeld() error {
 // an orphan the next Open sweeps.
 func (db *DB) removeSegFiles(names []string) {
 	for _, f := range names {
-		os.Remove(filepath.Join(db.pager.dir, f))
+		db.fs.Remove(filepath.Join(db.pager.dir, f))
 	}
 }
 
@@ -526,7 +463,7 @@ func (db *DB) removeSegFiles(names []string) {
 // first pages — so its recovery memory is the index size. Returns the WAL
 // sequence the manifest covers.
 func (db *DB) loadPaged(path string) (uint64, error) {
-	data, err := os.ReadFile(path)
+	data, err := db.fs.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
@@ -561,7 +498,7 @@ func (db *DB) loadPaged(path string) (uint64, error) {
 		if t == nil {
 			return 0, fmt.Errorf("sqldb: manifest references unknown table %s", e.table)
 		}
-		seg, err := os.ReadFile(filepath.Join(pg.dir, e.file))
+		seg, err := db.fs.ReadFile(filepath.Join(pg.dir, e.file))
 		if err != nil {
 			return 0, fmt.Errorf("sqldb: reading page segment: %w", err)
 		}
@@ -642,7 +579,7 @@ func (db *DB) loadPaged(path string) (uint64, error) {
 // reference: leftovers of checkpoints that crashed before installing, or
 // of deletions that crashed before completing.
 func (db *DB) sweepOrphanSegments() {
-	dents, err := os.ReadDir(db.pager.dir)
+	dents, err := db.fs.ReadDir(db.pager.dir)
 	if err != nil {
 		return
 	}
@@ -652,7 +589,7 @@ func (db *DB) sweepOrphanSegments() {
 			continue
 		}
 		if strings.HasPrefix(name, "seg-") {
-			os.Remove(filepath.Join(db.pager.dir, name))
+			db.fs.Remove(filepath.Join(db.pager.dir, name))
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fsutil"
 	"repro/internal/sqlparser"
 )
 
@@ -61,7 +62,9 @@ type DB struct {
 
 	// Durability state (nil/zero for a pure in-memory database). stmtBuf
 	// accumulates the redo records of the DDL statement being executed,
-	// under mu; it holds pre-encoded WAL ops (see wal.go).
+	// under mu; it holds pre-encoded WAL ops (see wal.go). Every file
+	// call goes through fs.
+	fs          fsutil.FS
 	wal         *walWriter
 	lock        *dirLock
 	dir         string

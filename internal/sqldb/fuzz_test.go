@@ -3,13 +3,14 @@ package sqldb
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"reflect"
 	"testing"
+
+	"repro/internal/fsutil"
 )
 
 // The decoders of bytes this package did not just write: replicated WAL
-// frames (the network), page segments and the manifest (the disk). A CRC
+// frames (the network), the WAL, page segments and the manifest (the disk). A CRC
 // proves only that bytes were not damaged in flight, not that their writer
 // was sane, so each decoder must turn any input into an error, never a
 // panic. Each target feeds the input twice: as is, and reframed with a
@@ -18,20 +19,12 @@ import (
 
 // frameSeg wraps payload as a segment file with a valid CRC.
 func frameSeg(payload []byte) []byte {
-	buf := append([]byte(segMagic), make([]byte, frameHdrLen)...)
-	binary.BigEndian.PutUint32(buf[len(segMagic):], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[len(segMagic)+4:], crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+	return appendFrame([]byte(segMagic), payload)
 }
 
 // frameManifest wraps payload as a manifest with a valid header and CRC.
 func frameManifest(payload []byte) []byte {
-	buf := buildManifest(1, 2, nil, nil)[:manHeaderLen]
-	var hdr [frameHdrLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	return appendFrame(buildManifest(1, 2, nil, nil)[:manHeaderLen], payload)
 }
 
 // hugeInsertFrame is a CRC-valid replicated frame whose one insert op
@@ -132,6 +125,61 @@ func FuzzReplicatedFrame(f *testing.F) {
 			digest := db.StateDigest()
 			if err := db.ApplyReplicatedFrame(frame); err != nil || db.StateDigest() != digest {
 				t.Fatalf("redelivering an applied frame was not a no-op: %v", err)
+			}
+		}
+	})
+}
+
+// walImage is a file system holding one file, for the WAL readers, which
+// only read.
+type walImage struct {
+	fsutil.FS
+	data []byte
+}
+
+func (w walImage) ReadFile(string) ([]byte, error) { return w.data, nil }
+
+// FuzzWALFile feeds the input, after a valid header, to the WAL readers.
+// Recovery must not panic, and the batches it replays must be exactly the
+// frames tap backfill returns: recovery, checkpoint truncation and
+// backfill read the log through one scanner, and cut it at the same frame
+// whatever the damage — a torn tail, a bad CRC, a frame that does not
+// decode (the committed seeds hold one of each).
+func FuzzWALFile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wal := walImage{data: append(newWALHeader(), data...)}
+		batches, _, err := readWAL(wal, walFileName, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backlog, err := readFrames(wal, walFileName, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, err := SplitFrames(backlog)
+		if err != nil {
+			t.Fatalf("backfill returned bytes that do not split into frames: %v", err)
+		}
+		if len(frames) != len(batches) {
+			t.Fatalf("recovery replays %d batches, backfill returns %d frames", len(batches), len(frames))
+		}
+		for i, frame := range frames {
+			if seq, err := FrameSeq(frame); err != nil || seq != batches[i].seq {
+				t.Fatalf("batch %d: recovery has seq %d, backfill %d (%v)", i, batches[i].seq, seq, err)
+			}
+			for _, op := range batches[i].ops {
+				if op.slot > maxFuzzSlot {
+					return
+				}
+			}
+		}
+		// Replay as Open does over a directory with no manifest.
+		db := New()
+		for _, b := range batches {
+			for _, op := range b.ops {
+				if db.applyOp(op) != nil {
+					return
+				}
 			}
 		}
 	})

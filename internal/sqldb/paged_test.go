@@ -336,123 +336,15 @@ func TestPagedIncrementalCheckpointBytes(t *testing.T) {
 	}
 }
 
-// snapshotDirDigest is the StateDigest of testdata/snapshot_datadir, a
-// directory in the snapshot.db layout (snapshot plus a WAL tail of inserts,
-// updates, deletes, DDL and a meta blob; hash and ordered indexes; interior
-// free-list gaps) written by the last version that wrote that layout, and
-// recorded by that version after replaying it. snapshotDirTailDigest is the
-// digest that version recorded after checkpointing, reopening and running
-// snapshotDirTail: it pins the recovered free list, which no digest sees.
-const (
-	snapshotDirDigest     = "80e9b038dda25e671cefe29ed62aab67584e99b50d8809acd3458fa2d0b4ece9"
-	snapshotDirTailDigest = "1ed99fd040aaf719c34097cd47dcfe5689980c1b2409dcb22a1afcae1e334714"
-)
-
-// snapshotDirTail inserts more rows than the fixture has free slots.
-func snapshotDirTail(t *testing.T, db *DB) {
-	t.Helper()
-	for i := 0; i < 7; i++ {
-		mustExec(t, db, fmt.Sprintf("INSERT INTO users (id, name, score, avatar) VALUES (%d, 'tail%d', %d, NULL)", 5000+i, i, i*3))
-	}
-}
-
-// copySnapshotDir copies testdata/snapshot_datadir into a fresh directory.
-func copySnapshotDir(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	for _, name := range []string{snapFileName, walFileName} {
-		data, err := os.ReadFile(filepath.Join("testdata", "snapshot_datadir", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
-
-// assertConverted checks that a directory holds the manifest layout only.
-func assertConverted(t *testing.T, dir string) {
+// assertManifestLayout checks that a directory holds the manifest layout
+// only.
+func assertManifestLayout(t *testing.T, dir string) {
 	t.Helper()
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("conversion left no MANIFEST: %v", err)
+		t.Fatalf("no MANIFEST: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapFileName)); !os.IsNotExist(err) {
-		t.Fatalf("conversion left snapshot.db behind: %v", err)
-	}
-}
-
-// TestPagedLayoutConversion opens the snapshot-layout fixture with a cache
-// budget far below its size and expects an in-place conversion: MANIFEST +
-// segments appear, snapshot.db disappears, and the data survives both the
-// conversion and a subsequent flag-less reopen.
-func TestPagedLayoutConversion(t *testing.T) {
-	dir := copySnapshotDir(t)
-	db2, err := Open(dir, pagedTestOpts(32<<10))
-	if err != nil {
-		t.Fatalf("conversion open: %v", err)
-	}
-	if !db2.Paged() {
-		t.Fatal("conversion did not produce a paged database")
-	}
-	assertConverted(t, dir)
-	if got := db2.StateDigest(); got != snapshotDirDigest {
-		t.Fatalf("conversion changed the state: digest %s", got)
-	}
-	mustExec(t, db2, "INSERT INTO later (k, v) VALUES ('d', 4)")
-	want2 := dump(t, db2)
-	db2.Close()
-
-	db3, err := Open(dir, DurabilityOptions{}) // no flag: auto-detect
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db3.Close()
-	if !db3.Paged() {
-		t.Fatal("converted directory not auto-detected as paged")
-	}
-	if got := dump(t, db3); got != want2 {
-		t.Fatalf("post-conversion reopen lost data:\ngot:\n%s\nwant:\n%s", got, want2)
-	}
-}
-
-// TestRecoverySnapshotLayoutParentDir opens the snapshot-layout fixture the
-// default way (no cache budget): the state must replay to the digest the
-// writing version recorded, the directory must come out in the manifest
-// layout, and a reopen — now from the manifest — must agree, down to the
-// free list the next inserts draw from.
-func TestRecoverySnapshotLayoutParentDir(t *testing.T) {
-	dir := copySnapshotDir(t)
-	db, err := Open(dir, DurabilityOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := db.StateDigest(); got != snapshotDirDigest {
-		t.Fatalf("snapshot-layout recovery: digest %s, want %s", got, snapshotDirDigest)
-	}
-	if string(db.Meta()) != "meta-in-tail" {
-		t.Fatalf("meta blob %q", db.Meta())
-	}
-	assertConverted(t, dir)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err = Open(dir, DurabilityOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if got := db.StateDigest(); got != snapshotDirDigest {
-		t.Fatalf("reopen from the manifest: digest %s, want %s", got, snapshotDirDigest)
-	}
-	if cs := db.Stats().Cache; cs.Misses != 0 {
-		t.Fatalf("an unbounded cache faulted after reopen: %+v", cs)
-	}
-	snapshotDirTail(t, db)
-	if got := db.StateDigest(); got != snapshotDirTailDigest {
-		t.Fatalf("inserts after reopen landed in other slots: digest %s, want %s", got, snapshotDirTailDigest)
+		t.Fatalf("a snapshot.db appeared: %v", err)
 	}
 }
 
@@ -477,7 +369,7 @@ func TestOpenNeverWritesSnapshot(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		assertConverted(t, dir)
+		assertManifestLayout(t, dir)
 		if db, err = Open(dir, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +379,7 @@ func TestOpenNeverWritesSnapshot(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		assertConverted(t, dir)
+		assertManifestLayout(t, dir)
 		if ents, err := os.ReadDir(filepath.Join(dir, pagesDirName)); err != nil || len(ents) == 0 {
 			t.Fatalf("no page segments after a checkpoint of 500 rows: %v %v", ents, err)
 		}

@@ -29,13 +29,12 @@ package sqldb
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"sync"
+
+	"repro/internal/fsutil"
 )
 
 var (
@@ -90,13 +89,12 @@ func (t *LogTap) deliver(frames []byte) {
 	keep := frames
 	// Frames within a cohort are in ascending sequence order, so filtering
 	// is a prefix cut: skip leading frames at or below the floor.
-	for len(keep) >= frameHdrLen+8 {
-		plen := binary.BigEndian.Uint32(keep)
-		seq := binary.BigEndian.Uint64(keep[frameHdrLen:])
-		if seq > t.floor {
+	for len(keep) > 0 {
+		seq, _, rest, err := readBatch(keep)
+		if err != nil || seq > t.floor {
 			break
 		}
-		keep = keep[frameHdrLen+int(plen):]
+		keep = rest
 	}
 	if len(keep) == 0 {
 		return
@@ -194,7 +192,7 @@ func (db *DB) TapWAL(fromSeq uint64) (*LogTap, error) {
 	w.taps = append(w.taps, tap)
 	w.mu.Unlock()
 
-	backlog, err := readFrames(w.path, fromSeq)
+	backlog, err := readFrames(w.fs, w.path, fromSeq)
 	if err != nil {
 		tap.Close()
 		return nil, err
@@ -228,64 +226,35 @@ func (db *DB) TapWithSnapshot() (ops []byte, seq uint64, tap *LogTap, err error)
 	return ops, seq, tap, nil
 }
 
-// readFrames scans a WAL file and returns the raw bytes of every intact
-// frame with sequence number greater than fromSeq, stopping (like
-// recovery) at the first damaged frame.
-func readFrames(path string, fromSeq uint64) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < walHeaderLen || string(data[:8]) != walMagic {
-		return nil, fmt.Errorf("sqldb: %s is not a wal file", path)
-	}
-	var out []byte
-	off := walHeaderLen
-	for {
-		rest := data[off:]
-		if len(rest) < frameHdrLen {
-			return out, nil
-		}
-		plen := binary.BigEndian.Uint32(rest)
-		if plen < 8 || plen > maxFrameLen || int(plen) > len(rest)-frameHdrLen {
-			return out, nil
-		}
-		payload := rest[frameHdrLen : frameHdrLen+int(plen)]
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rest[4:]) {
-			return out, nil
-		}
-		if binary.BigEndian.Uint64(payload) > fromSeq {
-			out = append(out, rest[:frameHdrLen+int(plen)]...)
-		}
-		off += frameHdrLen + int(plen)
-	}
+// readFrames returns the raw bytes of every frame of a WAL file with
+// sequence number greater than fromSeq, up to where recovery would cut
+// the log (see scanWAL).
+func readFrames(fsys fsutil.FS, path string, fromSeq uint64) (out []byte, err error) {
+	_, err = scanWAL(fsys, path, fromSeq, func(_ uint64, _ []walOp, frame []byte) {
+		out = append(out, frame...)
+	})
+	return out, err
 }
 
 // SplitFrames cuts a blob of concatenated frames (as yielded by a LogTap)
-// into individual frames without verifying CRCs. Errors on malformed
-// lengths; the per-frame CRC check happens in ApplyReplicatedFrame.
+// into individual frames, verifying each one's length and CRC.
 func SplitFrames(blob []byte) ([][]byte, error) {
 	var frames [][]byte
 	for len(blob) > 0 {
-		if len(blob) < frameHdrLen {
-			return nil, fmt.Errorf("sqldb: truncated frame header (%d bytes)", len(blob))
+		_, _, rest, err := readBatch(blob)
+		if err != nil {
+			return nil, err
 		}
-		plen := binary.BigEndian.Uint32(blob)
-		if plen < 8 || plen > maxFrameLen || int(plen) > len(blob)-frameHdrLen {
-			return nil, fmt.Errorf("sqldb: frame length %d exceeds blob", plen)
-		}
-		frames = append(frames, blob[:frameHdrLen+int(plen)])
-		blob = blob[frameHdrLen+int(plen):]
+		frames = append(frames, blob[:len(blob)-len(rest)])
+		blob = rest
 	}
 	return frames, nil
 }
 
 // FrameSeq returns the sequence number of one framed batch.
 func FrameSeq(frame []byte) (uint64, error) {
-	if len(frame) < frameHdrLen+8 {
-		return 0, fmt.Errorf("sqldb: frame too short (%d bytes)", len(frame))
-	}
-	return binary.BigEndian.Uint64(frame[frameHdrLen:]), nil
+	seq, _, _, err := readBatch(frame)
+	return seq, err
 }
 
 // ApplyReplicatedFrame replays one shipped WAL frame on a follower. The
@@ -298,27 +267,17 @@ func FrameSeq(frame []byte) (uint64, error) {
 // through the ordinary recovery path. Sequence gaps are tolerated — the
 // primary's stream is the order authority.
 func (db *DB) ApplyReplicatedFrame(frame []byte) error {
-	if len(frame) < frameHdrLen+8 {
-		return fmt.Errorf("sqldb: replicated frame too short (%d bytes)", len(frame))
+	seq, raw, rest, err := readBatch(frame)
+	if err == nil && len(rest) > 0 {
+		err = errTrailingBytes
 	}
-	plen := binary.BigEndian.Uint32(frame)
-	if plen < 8 || int(plen) != len(frame)-frameHdrLen {
-		return fmt.Errorf("sqldb: replicated frame length mismatch (%d vs %d)", plen, len(frame)-frameHdrLen)
+	if err != nil {
+		return fmt.Errorf("sqldb: replicated frame: %w", err)
 	}
-	payload := frame[frameHdrLen:]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(frame[4:]) {
-		return fmt.Errorf("sqldb: replicated frame failed CRC check")
-	}
-	seq := binary.BigEndian.Uint64(payload)
 	// Decode everything up front: an undecodable op must not half-apply.
-	var ops []walOp
-	d := &walDecoder{buf: payload[8:]}
-	for !d.done() {
-		op, err := d.op()
-		if err != nil {
-			return fmt.Errorf("sqldb: replicated frame decode: %w", err)
-		}
-		ops = append(ops, op)
+	ops, err := decodeOps(raw)
+	if err != nil {
+		return fmt.Errorf("sqldb: replicated frame decode: %w", err)
 	}
 
 	if db.wal != nil {
@@ -342,7 +301,7 @@ func (db *DB) ApplyReplicatedFrame(frame []byte) error {
 	db.walSeq = seq
 	var cohort *walCohort
 	if db.wal != nil {
-		cohort = db.wal.enqueue(seq, payload[8:])
+		cohort = db.wal.enqueue(seq, raw)
 	}
 	db.mu.Unlock()
 

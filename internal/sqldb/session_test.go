@@ -670,7 +670,8 @@ func TestTxnMetaNotAttachedOnFailure(t *testing.T) {
 // appending past the damage (recovery cuts at the first bad frame and
 // would silently drop them despite their durability ack).
 func TestWALPoisonedAfterWriteFailure(t *testing.T) {
-	db, err := Open(t.TempDir(), DurabilityOptions{})
+	ffs := newFaultFS()
+	db, err := open(ffs, t.TempDir(), DurabilityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,13 +679,15 @@ func TestWALPoisonedAfterWriteFailure(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE t (a INT)")
 	mustExec(t, db, "INSERT INTO t (a) VALUES (1)")
 
-	// Sabotage the file descriptor: the next cohort write errors.
-	db.wal.f.Close()
+	// The next cohort write errors.
+	ffs.failOn("write", walFileName)
 	var de *DurabilityError
-	if _, err := db.ExecSQL("INSERT INTO t (a) VALUES (2)"); !errors.As(err, &de) {
-		t.Fatalf("write after fd close: err = %v, want DurabilityError", err)
+	if _, err := db.ExecSQL("INSERT INTO t (a) VALUES (2)"); !errors.As(err, &de) || !errors.Is(err, errInjected) {
+		t.Fatalf("write failure: err = %v, want DurabilityError", err)
 	}
-	// And every commit after that fails fast on the poisoned writer.
+	// And every commit after that fails fast on the poisoned writer, though
+	// the file system works again.
+	ffs.failOn("", "")
 	if _, err := db.ExecSQL("INSERT INTO t (a) VALUES (3)"); !errors.As(err, &de) ||
 		!strings.Contains(err.Error(), "disabled by earlier write failure") {
 		t.Fatalf("write on poisoned wal: err = %v, want sticky failure", err)

@@ -1,20 +1,16 @@
-// The durable-database lifecycle (Open, Close), the full-state op stream
-// (snapshotOps) and the reader for the snapshot.db layout older versions
-// wrote.
+// The durable-database lifecycle (Open, Close) and the full-state op
+// stream (snapshotOps).
 //
 // A durable directory is always MANIFEST + pages/ + wal.log (see
 // ckpt_incremental.go); recovery loads the manifest and replays the WAL
-// batches past the sequence number it covers. A directory that still holds
-// a snapshot.db — a self-contained WAL-op stream with the sequence number
-// it covers in its header — is converted the first time it is opened: the
-// snapshot loads, the WAL tail replays on top, a checkpoint writes the
-// first manifest, and the snapshot is deleted.
+// batches past the sequence number it covers. Open refuses a directory
+// that still holds a snapshot.db, the layout older versions wrote.
 package sqldb
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,16 +20,18 @@ import (
 )
 
 const (
-	snapMagic     = "CDBSNP\x00\x01"
-	snapVersion   = 1
-	snapHeaderLen = 24 // magic[8] version[4] reserved[4] seq[8]
-
 	walFileName  = "wal.log"
 	snapFileName = "snapshot.db"
 	lockFileName = "LOCK"
 
 	defaultCheckpointBytes = 4 << 20
 )
+
+// ErrSnapshotLayout is returned by Open for a data directory that holds a
+// snapshot.db: its rows are in a layout this version does not read, and
+// opening without them would lose data silently. The directory is left
+// untouched; an older version that still reads the layout converts it.
+var ErrSnapshotLayout = errors.New("sqldb: data dir holds a snapshot.db, a layout this version does not read")
 
 // DurabilityOptions configures a durable database opened with Open.
 type DurabilityOptions struct {
@@ -86,9 +84,20 @@ type WALStats struct {
 // interleave frames in one log. The returned database must be Closed to
 // release the log file and the lock. The kernel drops the lock
 // automatically when a crashed process dies, so recovery never needs
-// manual lock cleanup.
+// manual lock cleanup. A directory holding a snapshot.db fails with
+// ErrSnapshotLayout before anything in it is touched.
 func Open(dir string, opts DurabilityOptions) (*DB, error) {
-	if err := os.MkdirAll(dir, 0o700); err != nil {
+	return open(fsutil.OS, dir, opts)
+}
+
+// open is Open with every file call made through fsys.
+func open(fsys fsutil.FS, dir string, opts DurabilityOptions) (*DB, error) {
+	if _, err := fsys.Stat(filepath.Join(dir, snapFileName)); err == nil {
+		return nil, fmt.Errorf("%w (%s)", ErrSnapshotLayout, dir)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("sqldb: probing data dir: %w", err)
+	}
+	if err := fsys.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("sqldb: creating data dir: %w", err)
 	}
 	lock, err := acquireDirLock(filepath.Join(dir, lockFileName))
@@ -102,7 +111,7 @@ func Open(dir string, opts DurabilityOptions) (*DB, error) {
 		}
 	}()
 	pagesDir := filepath.Join(dir, pagesDirName)
-	if err := os.MkdirAll(pagesDir, 0o700); err != nil {
+	if err := fsys.MkdirAll(pagesDir, 0o700); err != nil {
 		return nil, fmt.Errorf("sqldb: creating pages dir: %w", err)
 	}
 	budget := int64(unbounded)
@@ -112,82 +121,61 @@ func Open(dir string, opts DurabilityOptions) (*DB, error) {
 			budget = defaultCacheBytes
 		}
 	}
-	db := newDB(newPager(pagesDir, budget))
+	db := newDB(newPager(fsys, pagesDir, budget))
+	db.fs = fsys
 	db.dir = dir
 	db.dopts = opts
 	db.lock = lock
 
 	manPath := filepath.Join(dir, manifestName)
-	snapPath := filepath.Join(dir, snapFileName)
-	_, manErr := os.Stat(manPath)
+	_, manErr := fsys.Stat(manPath)
 	hasManifest := manErr == nil
-	var snapSeq uint64
 	if hasManifest {
-		snapSeq, err = db.loadPaged(manPath)
-	} else {
-		// An empty directory, or one in the snapshot.db layout: either way
-		// the checkpoint below writes the first manifest.
-		snapSeq, err = db.loadSnapshot(snapPath)
+		if db.snapSeq, err = db.loadPaged(manPath); err != nil {
+			return nil, err
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	db.walSeq = snapSeq
-	db.snapSeq = snapSeq
+	db.walSeq = db.snapSeq
 
 	walPath := filepath.Join(dir, walFileName)
-	if _, err := os.Stat(walPath); err == nil {
-		batches, goodOffset, err := readWAL(walPath)
-		if err != nil {
+	var wal fsutil.File
+	end := int64(walHeaderLen)
+	if _, err := fsys.Stat(walPath); err == nil {
+		var batches []walBatch
+		if batches, end, err = readWAL(fsys, walPath, db.snapSeq); err != nil {
 			return nil, err
 		}
 		for _, b := range batches {
-			if b.seq <= snapSeq {
-				continue // already in the manifest
-			}
 			for _, op := range b.ops {
 				if err := db.applyOp(op); err != nil {
 					return nil, fmt.Errorf("sqldb: wal replay (batch %d): %w", b.seq, err)
 				}
 			}
-			if b.seq > db.walSeq {
-				db.walSeq = b.seq
-			}
+			db.walSeq = max(db.walSeq, b.seq)
 		}
 		// Cut the torn tail and reopen for append.
-		f, err := os.OpenFile(walPath, os.O_RDWR, 0o600)
-		if err != nil {
+		if wal, err = fsys.OpenFile(walPath, os.O_RDWR, 0o600); err != nil {
 			return nil, fmt.Errorf("sqldb: reopening wal: %w", err)
 		}
-		if err := f.Truncate(goodOffset); err != nil {
-			f.Close()
+		if err := wal.Truncate(end); err != nil {
+			wal.Close()
 			return nil, fmt.Errorf("sqldb: truncating torn wal tail: %w", err)
 		}
-		if _, err := f.Seek(goodOffset, 0); err != nil {
-			f.Close()
+		if _, err := wal.Seek(end, 0); err != nil {
+			wal.Close()
 			return nil, err
 		}
-		db.wal = newWALWriter(f, walPath, goodOffset, !opts.NoFsync, opts.NoGroupCommit)
-	} else {
-		w, err := createWAL(walPath, !opts.NoFsync, opts.NoGroupCommit)
-		if err != nil {
-			return nil, err
-		}
-		db.wal = w
+	} else if wal, err = fsutil.Install(fsys, walPath, newWALHeader(), !opts.NoFsync); err != nil {
+		return nil, fmt.Errorf("sqldb: creating wal: %w", err)
 	}
+	db.wal = newWALWriter(fsys, wal, walPath, end, !opts.NoFsync, opts.NoGroupCommit)
 	if !hasManifest {
+		// A fresh directory: write its first manifest.
 		if err := db.checkpointHeld(); err != nil {
 			return nil, err
 		}
 	}
-	// With a manifest durable, a snapshot.db is redundant: either just
-	// converted, or left by a conversion that crashed before deleting it.
-	if err := os.Remove(snapPath); err == nil && !opts.NoFsync {
-		if err := fsutil.SyncDir(dir); err != nil {
-			return nil, err
-		}
-	}
-	// Replay (and a conversion) may have materialized past a budget.
+	// Replay may have materialized past a budget.
 	db.pager.evictToBudget()
 	db.startCheckpointLoop()
 	ok = true
@@ -223,6 +211,8 @@ func (db *DB) Close() error {
 // dirLock is an advisory exclusive lock (flock) on a data directory.
 type dirLock struct{ f *os.File }
 
+// acquireDirLock opens the LOCK file with os directly, not through
+// fsutil: the flock needs its descriptor, and the file carries no data.
 func acquireDirLock(path string) (*dirLock, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o600)
 	if err != nil {
@@ -341,46 +331,4 @@ func (db *DB) schemaOps() []byte {
 		ops = appendMetaOp(ops, db.meta)
 	}
 	return ops
-}
-
-// loadSnapshot rebuilds state from a snapshot.db file written by an older
-// version, returning the WAL sequence number it covers (0 when no snapshot
-// exists). Unlike a torn WAL tail, a damaged snapshot is fatal: it was
-// written atomically, so damage means real corruption, and silently
-// starting empty would discard data.
-func (db *DB) loadSnapshot(path string) (uint64, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	if len(data) < snapHeaderLen+frameHdrLen || string(data[:8]) != snapMagic {
-		return 0, fmt.Errorf("sqldb: %s is not a snapshot file", path)
-	}
-	if v := binary.BigEndian.Uint32(data[8:12]); v != snapVersion {
-		return 0, fmt.Errorf("sqldb: snapshot version %d not supported", v)
-	}
-	seq := binary.BigEndian.Uint64(data[16:24])
-	rest := data[snapHeaderLen:]
-	plen := binary.BigEndian.Uint32(rest)
-	if int(plen) > len(rest)-frameHdrLen {
-		return 0, fmt.Errorf("sqldb: snapshot %s is truncated", path)
-	}
-	payload := rest[frameHdrLen : frameHdrLen+int(plen)]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rest[4:]) {
-		return 0, fmt.Errorf("sqldb: snapshot %s is corrupt (bad checksum)", path)
-	}
-	d := &walDecoder{buf: payload[8:]}
-	for !d.done() {
-		op, err := d.op()
-		if err != nil {
-			return 0, fmt.Errorf("sqldb: snapshot decode: %w", err)
-		}
-		if err := db.applyOp(op); err != nil {
-			return 0, fmt.Errorf("sqldb: snapshot load: %w", err)
-		}
-	}
-	return seq, nil
 }

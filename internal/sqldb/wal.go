@@ -16,20 +16,22 @@
 //	frame  := payloadLen[4] crc32(payload)[4] payload
 //	payload:= seq[8] op*
 //
-// A frame is the unit of atomicity: a crash can only ever truncate the
-// file inside the last frame, and replay stops at the first frame whose
-// length or CRC does not check out, discarding the torn tail. Batch
-// sequence numbers are strictly increasing; replay skips batches already
-// covered by the manifest (see ckpt_incremental.go).
+// Page segments and the manifest are one frame each behind their own
+// header; appendFrame and readFrame are the frame's only codec. A frame
+// is the unit of atomicity: a crash can only ever truncate the file inside
+// the last frame, and replay stops at the first frame whose length or CRC
+// does not check out, discarding the torn tail. Batch sequence numbers are
+// strictly increasing; replay skips batches already covered by the
+// manifest (see ckpt_incremental.go). Every file call goes through
+// fsutil.FS.
 package sqldb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -503,7 +505,8 @@ type walCohort struct {
 }
 
 type walWriter struct {
-	f       *os.File
+	fs      fsutil.FS
+	f       fsutil.File
 	path    string
 	fsync   bool
 	noGroup bool // ablation: one private cohort (and one fsync) per commit
@@ -553,43 +556,94 @@ func newWALHeader() []byte {
 	return h
 }
 
-// createWAL creates (or truncates) a WAL file with a fresh header.
-func createWAL(path string, fsync, noGroup bool) (*walWriter, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return nil, fmt.Errorf("sqldb: creating wal: %w", err)
-	}
-	if _, err := f.Write(newWALHeader()); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sqldb: writing wal header: %w", err)
-	}
-	w := newWALWriter(f, path, walHeaderLen, fsync, noGroup)
-	if fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("sqldb: wal sync: %w", err)
-		}
-	}
-	return w, nil
-}
-
-func newWALWriter(f *os.File, path string, size int64, fsync, noGroup bool) *walWriter {
-	w := &walWriter{f: f, path: path, fsync: fsync, noGroup: noGroup}
+func newWALWriter(fsys fsutil.FS, f fsutil.File, path string, size int64, fsync, noGroup bool) *walWriter {
+	w := &walWriter{fs: fsys, f: f, path: path, fsync: fsync, noGroup: noGroup}
 	w.size.Store(size)
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
 
-// buildFrame frames one batch: length, CRC, then seq-prefixed ops.
+// appendFrame appends one frame to dst: the payload's length, its CRC-32,
+// then the payload, given in parts. Every CRC-framed byte the database
+// writes — WAL batches, page segments, the manifest — is framed here.
+func appendFrame(dst []byte, parts ...[]byte) []byte {
+	var n int
+	var crc uint32
+	for _, p := range parts {
+		n += len(p)
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dst = binary.BigEndian.AppendUint32(dst, crc)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
+}
+
+// buildFrame frames one batch: its sequence number, then its ops.
 func buildFrame(seq uint64, ops []byte) []byte {
-	payload := make([]byte, 8+len(ops))
-	binary.BigEndian.PutUint64(payload, seq)
-	copy(payload[8:], ops)
-	frame := make([]byte, frameHdrLen+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHdrLen:], payload)
-	return frame
+	var seqb [8]byte
+	binary.BigEndian.PutUint64(seqb[:], seq)
+	return appendFrame(make([]byte, 0, frameHdrLen+len(seqb)+len(ops)), seqb[:], ops)
+}
+
+// readFrame decodes the frame at the start of data, returning its payload
+// and the bytes after the frame. An error means the bytes there are not a
+// whole frame with a matching CRC: a torn tail, or damage.
+func readFrame(data []byte) (payload, rest []byte, err error) {
+	if len(data) < frameHdrLen {
+		return nil, nil, fmt.Errorf("sqldb: frame header truncated (%d bytes)", len(data))
+	}
+	plen := binary.BigEndian.Uint32(data)
+	if plen > maxFrameLen || int(plen) > len(data)-frameHdrLen {
+		return nil, nil, fmt.Errorf("sqldb: frame length %d exceeds the %d bytes left", plen, len(data)-frameHdrLen)
+	}
+	payload, rest = data[frameHdrLen:frameHdrLen+int(plen)], data[frameHdrLen+int(plen):]
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[4:]) {
+		return nil, nil, fmt.Errorf("sqldb: frame failed CRC check")
+	}
+	return payload, rest, nil
+}
+
+// errTrailingBytes refuses bytes after a frame that must end its input:
+// a page segment, a manifest, a replicated frame.
+var errTrailingBytes = errors.New("sqldb: bytes after the frame")
+
+// readOneFrame is readFrame for an input that is exactly one frame.
+func readOneFrame(data []byte) ([]byte, error) {
+	payload, rest, err := readFrame(data)
+	if err == nil && len(rest) > 0 {
+		err = errTrailingBytes
+	}
+	return payload, err
+}
+
+// readBatch decodes the WAL frame at the start of data into its batch
+// sequence number and its encoded ops.
+func readBatch(data []byte) (seq uint64, ops, rest []byte, err error) {
+	payload, rest, err := readFrame(data)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if len(payload) < 8 {
+		return 0, nil, nil, fmt.Errorf("sqldb: %d-byte frame holds no batch sequence number", len(payload))
+	}
+	return binary.BigEndian.Uint64(payload), payload[8:], rest, nil
+}
+
+// decodeOps decodes a batch's ops.
+func decodeOps(buf []byte) ([]walOp, error) {
+	var ops []walOp
+	d := &walDecoder{buf: buf}
+	for !d.done() {
+		op, err := d.op()
+		if err != nil {
+			return nil, err
+		}
+		ops = append(ops, op)
+	}
+	return ops, nil
 }
 
 // enqueue stages one committed batch into the current cohort and returns a
@@ -799,7 +853,7 @@ func (w *walWriter) drainLocked() {
 // Commits may have landed since the checkpoint captured its state — their
 // frames must survive the truncation, and in one contiguous log so
 // replication backfill (readFrames on this same path) keeps working. The
-// rewrite is atomic: temp file + rename, so a crash leaves either log, both
+// rewrite is atomic (fsutil.Install), so a crash leaves either log, both
 // correct to replay against the new manifest. A successful truncation cures
 // a poisoned writer — the manifest captured every state the damaged frames
 // described — but commits that failed during the poisoned window applied in
@@ -814,36 +868,15 @@ func (w *walWriter) truncateTo(keep uint64) error {
 	// A torn frame left by the poisoning failure decodes as damage and is
 	// dropped here; its batch carries seq <= keep (the checkpoint ran after
 	// it applied), so the manifest already covers it.
-	frames, err := readFrames(w.path, keep)
+	frames, err := readFrames(w.fs, w.path, keep)
 	if err != nil {
 		return fmt.Errorf("sqldb: wal truncate scan: %w", err)
 	}
-	tmp := w.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
+	f, err := fsutil.Install(w.fs, w.path, append(newWALHeader(), frames...), w.fsync)
 	if err != nil {
 		return fmt.Errorf("sqldb: wal truncate: %w", err)
 	}
-	if _, err := f.Write(newWALHeader()); err == nil {
-		_, err = f.Write(frames)
-	}
-	if err == nil && w.fsync {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("sqldb: wal truncate write: %w", err)
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("sqldb: wal truncate rename: %w", err)
-	}
 	if w.fsync {
-		if err := fsutil.SyncDir(filepath.Dir(w.path)); err != nil {
-			f.Close()
-			return err
-		}
 		w.syncs.Add(1)
 	}
 	old := w.f
@@ -884,52 +917,48 @@ type walBatch struct {
 	ops []walOp
 }
 
-// readWAL scans a WAL file, returning every intact committed batch and the
-// byte offset of the first damaged or missing frame. A torn or corrupt
-// tail is expected after a crash and is simply cut off; corruption in the
-// middle of the file cannot be distinguished from a torn tail by the
-// scanner, so everything after the damage is discarded either way.
-func readWAL(path string) (batches []walBatch, goodOffset int64, err error) {
-	data, err := os.ReadFile(path)
+// scanWAL is the one reader of a WAL file: recovery (readWAL), checkpoint
+// truncation and tap backfill (readFrames) all see the log through it, so
+// they agree on where it ends. It checks the header, then calls fn with
+// every batch whose sequence number is above from, decoded, and stops at
+// the first frame that is torn, fails its CRC, or — above from — does not
+// decode: a torn or corrupt tail is expected after a crash and is cut off,
+// and damage in the middle of the file cannot be told from a torn tail,
+// so everything after it is discarded either way. It returns the offset of
+// that frame, the end of the log.
+func scanWAL(fsys fsutil.FS, path string, from uint64, fn func(seq uint64, ops []walOp, frame []byte)) (int64, error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if len(data) < walHeaderLen || string(data[:8]) != walMagic {
-		return nil, 0, fmt.Errorf("sqldb: %s is not a wal file", path)
+		return 0, fmt.Errorf("sqldb: %s is not a wal file", path)
 	}
 	if v := binary.BigEndian.Uint32(data[8:12]); v != walVersion {
-		return nil, 0, fmt.Errorf("sqldb: wal version %d not supported", v)
+		return 0, fmt.Errorf("sqldb: wal version %d not supported", v)
 	}
-	off := int64(walHeaderLen)
+	log := data[walHeaderLen:]
 	for {
-		rest := data[off:]
-		if len(rest) < frameHdrLen {
-			return batches, off, nil
+		seq, raw, rest, err := readBatch(log)
+		if err != nil {
+			return int64(len(data) - len(log)), nil
 		}
-		plen := binary.BigEndian.Uint32(rest)
-		if plen < 8 || plen > maxFrameLen || int(plen) > len(rest)-frameHdrLen {
-			return batches, off, nil
-		}
-		want := binary.BigEndian.Uint32(rest[4:])
-		payload := rest[frameHdrLen : frameHdrLen+int(plen)]
-		if crc32.ChecksumIEEE(payload) != want {
-			return batches, off, nil
-		}
-		b := walBatch{seq: binary.BigEndian.Uint64(payload)}
-		d := &walDecoder{buf: payload[8:]}
-		ok := true
-		for !d.done() {
-			op, err := d.op()
+		if seq > from {
+			ops, err := decodeOps(raw)
 			if err != nil {
-				ok = false // framed but undecodable: treat as damage
-				break
+				return int64(len(data) - len(log)), nil
 			}
-			b.ops = append(b.ops, op)
+			fn(seq, ops, log[:len(log)-len(rest)])
 		}
-		if !ok {
-			return batches, off, nil
-		}
-		batches = append(batches, b)
-		off += int64(frameHdrLen) + int64(plen)
+		log = rest
 	}
+}
+
+// readWAL returns the batches of a WAL file past from, for recovery, and
+// the end of the log.
+func readWAL(fsys fsutil.FS, path string, from uint64) (batches []walBatch, end int64, err error) {
+	end, err = scanWAL(fsys, path, from, func(seq uint64, ops []walOp, _ []byte) {
+		batches = append(batches, walBatch{seq: seq, ops: ops})
+	})
+	return batches, end, err
 }

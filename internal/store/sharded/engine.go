@@ -35,9 +35,10 @@ package sharded
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -110,6 +111,31 @@ func ShardDir(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", shard))
 }
 
+// readManifest reads the shard count dir's manifest pins. With no
+// manifest it returns 0 and a nil error when the directory holds no shard
+// either (a fresh directory), and an error otherwise: the manifest was
+// lost, not never written.
+func readManifest(dir string) (int, error) {
+	mpath := filepath.Join(dir, manifestName)
+	data, err := fsutil.OS.ReadFile(mpath)
+	if errors.Is(err, fs.ErrNotExist) {
+		if _, serr := fsutil.OS.Stat(ShardDir(dir, 0)); serr == nil {
+			// Re-pinning a caller-supplied count here would silently open a
+			// subset of the shards and misroute every row.
+			return 0, fmt.Errorf("sharded: %s has shard directories but no readable %s — restore the manifest (it pins the shard count)", dir, manifestName)
+		}
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil || m.Version != 1 || m.Shards < 1 {
+		return 0, fmt.Errorf("sharded: corrupt manifest %s", mpath)
+	}
+	return m.Shards, nil
+}
+
 // DirShards reports whether a data directory holds a sharded store, and
 // the shard count its manifest pins. Operators' startup code consults it
 // so a sharded directory cannot be reopened as a single store by
@@ -119,18 +145,8 @@ func ShardDir(dir string, shard int) string {
 // callers must then route to Open, which fails loudly instead of letting
 // a single-store open beside the shards silently serve an empty database.
 func DirShards(dir string) (n int, ok bool) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		if _, serr := os.Stat(ShardDir(dir, 0)); serr == nil {
-			return 0, true // shard dirs without a manifest: sharded, count unknown
-		}
-		return 0, false
-	}
-	var m manifest
-	if json.Unmarshal(data, &m) != nil || m.Version != 1 || m.Shards < 1 {
-		return 0, true // present but corrupt: sharded, count unknown
-	}
-	return m.Shards, true
+	n, err := readManifest(dir)
+	return n, err != nil || n > 0
 }
 
 // Open creates or reopens a durable sharded engine rooted at dir, with one
@@ -143,34 +159,16 @@ func DirShards(dir string) (n int, ok bool) {
 // re-applied (its torn rows stay lost, exactly like a torn tail in the
 // single store).
 func Open(dir string, n int, opts sqldb.DurabilityOptions) (*Engine, error) {
-	if err := os.MkdirAll(dir, 0o700); err != nil {
+	if err := fsutil.OS.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("sharded: creating data dir: %w", err)
 	}
-	mpath := filepath.Join(dir, manifestName)
-	if data, err := os.ReadFile(mpath); err == nil {
-		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil || m.Version != 1 || m.Shards < 1 {
-			return nil, fmt.Errorf("sharded: corrupt manifest %s", mpath)
-		}
-		if n == 0 {
-			n = m.Shards
-		}
-		if n != m.Shards {
-			return nil, fmt.Errorf("sharded: data dir has %d shards, requested %d (rows are placed by hash; the count cannot change)", m.Shards, n)
-		}
-	} else if !os.IsNotExist(err) {
+	pinned, err := readManifest(dir)
+	switch {
+	case err != nil:
 		return nil, err
-	} else {
-		if _, serr := os.Stat(ShardDir(dir, 0)); serr == nil {
-			// Shard directories without a manifest: the manifest was lost,
-			// not never written. Re-pinning a caller-supplied count here
-			// would silently open a subset of the shards and misroute
-			// every row; refuse and make the operator restore it.
-			return nil, fmt.Errorf("sharded: %s has shard directories but no readable %s — restore the manifest (it pins the shard count)", dir, manifestName)
-		}
-		if n < 1 {
-			return nil, fmt.Errorf("sharded: shard count must be >= 1 for a fresh data dir")
-		}
+	case pinned == 0 && n < 1:
+		return nil, fmt.Errorf("sharded: shard count must be >= 1 for a fresh data dir")
+	case pinned == 0:
 		data, err := json.MarshalIndent(manifest{Version: 1, Shards: n}, "", "  ")
 		if err != nil {
 			return nil, fmt.Errorf("sharded: encoding manifest: %w", err)
@@ -178,9 +176,13 @@ func Open(dir string, n int, opts sqldb.DurabilityOptions) (*Engine, error) {
 		// Durable install, not just atomic: the manifest pins the shard
 		// count, and a crash that leaves it empty or unsynced misroutes
 		// every row on the next open.
-		if err := fsutil.InstallFile(mpath, data, 0o600); err != nil {
+		if err := fsutil.InstallFile(fsutil.OS, filepath.Join(dir, manifestName), data, true); err != nil {
 			return nil, fmt.Errorf("sharded: installing manifest: %w", err)
 		}
+	case n == 0:
+		n = pinned
+	case n != pinned:
+		return nil, fmt.Errorf("sharded: data dir has %d shards, requested %d (rows are placed by hash; the count cannot change)", pinned, n)
 	}
 
 	e := newEngine(dir, n)
