@@ -21,10 +21,10 @@
 //     decrypted rows.
 //
 // Sinks: arguments of store.Engine/store.Conn/sqldb execution methods
-// (Exec, ExecSQL, ExecWithMeta, ExecAutonomous[WithMeta], SetMeta),
-// fmt/log printing, and net.Conn writes. Encryption chokepoints
-// declassify: a call whose callee name contains "encrypt" or "seal"
-// returns ciphertext. Deliberate exceptions — the onion-adjustment UPDATE
+// (Exec, ExecSQL, ExecWithMeta, ExecAutonomous[WithMeta],
+// ExecAutonomousListWithMeta), fmt/log printing, and net.Conn writes.
+// Encryption chokepoints declassify: a call whose callee name contains
+// "encrypt" or "seal" returns ciphertext. Deliberate exceptions — the onion-adjustment UPDATE
 // that ships a layer key to the DBMS by design, the server writing
 // decrypted rows back to the trusted application side — carry
 // //cryptdb:sink-ok annotations with their justification.
@@ -58,7 +58,6 @@ var Analyzer = &vet.Analyzer{
 var engineSinkMethods = map[string]bool{
 	"Exec": true, "ExecSQL": true, "ExecWithMeta": true,
 	"ExecAutonomous": true, "ExecAutonomousWithMeta": true, "ExecAutonomousListWithMeta": true,
-	"SetMeta": true,
 }
 
 // fmtSinks are fmt functions that emit to a writer or the console;

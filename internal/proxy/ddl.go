@@ -140,16 +140,18 @@ func (p *Proxy) createIndex(st *sqlparser.CreateIndexStmt) error {
 	if cm.EncFor != nil {
 		return fmt.Errorf("proxy: cannot index multi-principal column %s.%s", st.Table, st.Column)
 	}
-	cm.wantIndex = true
-	cm.wantUnique = st.Unique
-	cm.wantUsing = using
-	if err := p.materializeIndexes(cm); err != nil {
+	// The want* flags are metadata even when no index can materialize yet
+	// (every onion still at RND): they commit first, so a restarted proxy
+	// still builds the index once an adjustment exposes an indexable layer.
+	err := p.transition(func() func() {
+		index, unique, was := cm.wantIndex, cm.wantUnique, cm.wantUsing
+		cm.wantIndex, cm.wantUnique, cm.wantUsing = true, st.Unique, using
+		return func() { cm.wantIndex, cm.wantUnique, cm.wantUsing = index, unique, was }
+	}, p.commitMeta)
+	if err != nil {
 		return err
 	}
-	// The want* flags are metadata even when no index materialized yet
-	// (all onions still at RND): persist so a restarted proxy still knows
-	// to build the index once adjustment exposes an indexable layer.
-	return p.persistMetaLocked()
+	return p.materializeIndexes(cm)
 }
 
 // materializeIndexes creates server indexes for onions whose current layer
@@ -243,16 +245,18 @@ func (p *Proxy) DeclareOPEJoin(table1, col1, table2, col2 string) error {
 	}
 	label := "opejoin:" + table1 + "." + col1 + ":" + table2 + "." + col2
 	shared := p.mk.DeriveLabel(label)
-	c1.opeShared = shared
-	c2.opeShared = shared
-	c1.opeSharedLabel = label
-	c2.opeSharedLabel = label
-	c1.opeCipher = nil
-	c2.opeCipher = nil
-	// Persist the declaration (by label; restore re-derives the shared
+	// The declaration is persisted by label (restore re-derives the shared
 	// key): a restarted proxy must keep encrypting both columns under the
 	// same OPE key or range joins silently break.
-	return p.persistMetaLocked()
+	set := func(cm *ColumnMeta, key []byte, label string) {
+		cm.opeShared, cm.opeSharedLabel, cm.opeCipher = key, label, nil
+	}
+	return p.transition(func() func() {
+		k1, l1, k2, l2 := c1.opeShared, c1.opeSharedLabel, c2.opeShared, c2.opeSharedLabel
+		set(c1, shared, label)
+		set(c2, shared, label)
+		return func() { set(c1, k1, l1); set(c2, k2, l2) }
+	}, p.commitMeta)
 }
 
 func (p *Proxy) lookupCol(table, col string) (*ColumnMeta, error) {

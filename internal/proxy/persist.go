@@ -298,23 +298,6 @@ func (p *Proxy) sealedMetaLocked() ([]byte, error) {
 	return p.sealMeta(plain)
 }
 
-// persistMetaLocked durably commits the current metadata in its own WAL
-// batch, for the metadata no server statement accompanies: a CREATE INDEX
-// on layers that are not exposed yet, and OPE-JOIN declarations. Callers
-// hold p.mu.
-func (p *Proxy) persistMetaLocked() error {
-	if !p.persistent() {
-		return nil
-	}
-	p.metaMu.Lock()
-	defer p.metaMu.Unlock()
-	sealed, err := p.sealedMetaLocked()
-	if err != nil {
-		return err
-	}
-	return p.db.SetMeta(sealed)
-}
-
 // A change is a metadata change that commits with a server statement:
 // calling it applies the change in memory and returns its undo.
 type change func() (undo func())
@@ -339,6 +322,18 @@ func (p *Proxy) transition(c change, run func(sealed []byte) error) error {
 	if err != nil && !stmtApplied(err) {
 		undo()
 	}
+	return err
+}
+
+// commitMeta is the run of a transition no server statement accompanies
+// (the indexes a CREATE INDEX wants, an OPE-JOIN declaration): the blob
+// commits alone, as the empty statement list. A proxy without a data
+// directory seals nothing and has nothing to commit.
+func (p *Proxy) commitMeta(sealed []byte) error {
+	if sealed == nil {
+		return nil
+	}
+	_, err := p.db.ExecAutonomousListWithMeta(nil, sealed)
 	return err
 }
 

@@ -107,6 +107,88 @@ func TestProxyRestartRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestartBuildsWantedIndexes: an index build commits after the batch
+// that exposed its layer, so a crash between the two loses the index. A
+// restarted primary builds every index its metadata wants and lacks; a
+// build that fails fails Open, except a UNIQUE index over duplicates,
+// which stays wanted and unbuilt as it does at runtime.
+func TestRestartBuildsWantedIndexes(t *testing.T) {
+	dir := t.TempDir()
+	db, err := sqldb.Open(dir, sqldb.DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := &faultyEngine{Engine: single.New(db)}
+	p, err := NewOnEngine(fe, Options{HOMBits: 256, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExecP(t, p, "CREATE TABLE emp (id INT PRIMARY KEY, name TEXT)")
+	mustExecP(t, p, "CREATE INDEX emp_name ON emp (name)")
+	for i := 1; i <= 8; i++ {
+		mustExecP(t, p, fmt.Sprintf("INSERT INTO emp (id, name) VALUES (%d, 'n%d')", i, i))
+	}
+	// At RND nothing enforces UNIQUE, so the first equality's build meets
+	// the duplicates.
+	mustExecP(t, p, "CREATE TABLE tag (id INT PRIMARY KEY, label TEXT)")
+	mustExecP(t, p, "CREATE UNIQUE INDEX tag_label ON tag (label)")
+	mustExecP(t, p, "INSERT INTO tag (id, label) VALUES (1, 'x'), (2, 'x')")
+	if _, err := p.Execute("SELECT id FROM tag WHERE label = 'x'"); !errors.Is(err, sqldb.ErrUniqueDuplicate) {
+		t.Fatalf("equality over duplicates: err = %v, want ErrUniqueDuplicate", err)
+	}
+	// The first equality peels name's Eq onion to DET in one batch, and
+	// the index build follows with its own blob. Failing the build leaves
+	// what a crash between the two would.
+	fe.metaWrites, fe.metaFailAt, fe.metaFault = 0, 2, errInjected
+	if _, err := p.Execute("SELECT id FROM emp WHERE name = 'n3'"); !errors.Is(err, errInjected) {
+		t.Fatalf("equality: err = %v, want the injected index-build fault", err)
+	}
+	anon, col := p.Table("emp").Anon, p.Table("emp").Col("name").onionCol(onion.Eq)
+	eqIndexed := func(db *sqldb.DB) bool {
+		for _, ix := range db.Table(anon).Indexes() {
+			if ix.Column == col {
+				return true
+			}
+		}
+		return false
+	}
+	if st := p.Table("emp").Col("name").Onions[onion.Eq]; st.Current() != onion.DET || eqIndexed(db) {
+		t.Fatalf("before restart: Eq at %s, indexed %v; want DET without the index", st.Current(), eqIndexed(db))
+	}
+	db.Close()
+
+	dbf, err := sqldb.Open(dir, sqldb.DurabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := &faultyEngine{Engine: single.New(dbf), metaFailAt: 1, metaFault: errInjected}
+	if _, err := NewOnEngine(failing, Options{HOMBits: 256, DataDir: dir}); !errors.Is(err, errInjected) {
+		t.Fatalf("restart whose index build fails: err = %v, want the injected fault", err)
+	}
+	dbf.Close()
+
+	db2, p2 := openDurable(t, dir)
+	if !eqIndexed(db2) || !p2.Table("emp").Col("name").idxEq {
+		t.Fatalf("restart did not build the wanted index (server %v, metadata %v)", eqIndexed(db2), p2.Table("emp").Col("name").idxEq)
+	}
+	if got := resultString(t, p2, "SELECT id FROM emp WHERE name = 'n3'"); got != "3\n" {
+		t.Fatalf("equality after restart: %q", got)
+	}
+	if tc := p2.Table("tag").Col("label"); !tc.wantUnique || tc.idxEq {
+		t.Fatalf("tag.label: wantUnique %v, idxEq %v; want wanted and unbuilt", tc.wantUnique, tc.idxEq)
+	}
+	if got := resultString(t, p2, "SELECT id FROM tag WHERE label = 'x' ORDER BY id"); got != "1\n2\n" {
+		t.Fatalf("equality over duplicates after restart: %q", got)
+	}
+	// The index and the metadata naming it are durable: a second restart
+	// finds both.
+	db2.Close()
+	db3, p3 := openDurable(t, dir)
+	if !eqIndexed(db3) || !p3.Table("emp").Col("name").idxEq {
+		t.Fatal("the rebuilt index did not survive a second restart")
+	}
+}
+
 // TestProxyRestartStaleness: HOM increments mark sibling onions stale in
 // the same WAL batch; a restarted proxy must resync before serving an
 // equality over the incremented column.
@@ -287,9 +369,19 @@ func TestTransitionFailureReverts(t *testing.T) {
 			then: []string{"CREATE TABLE owner (oid INT PRIMARY KEY, name TEXT)",
 				"INSERT INTO owner (oid, name) VALUES (1, 'new')"},
 			query: "SELECT name FROM owner WHERE oid = 1"},
+		// The first blob commits the index request, the second the build.
 		{name: "index", setup: []string{"SELECT id FROM acct WHERE memo = 'kw01 kw11'"},
-			stmt: "CREATE INDEX memo_idx ON acct (memo)", failAt: 1,
+			stmt: "CREATE INDEX memo_idx ON acct (memo)", failAt: 2,
 			state: func(p *Proxy) string { return fmt.Sprint(p.Table("acct").Col("memo").idxEq) },
+			query: "SELECT id FROM acct WHERE memo = 'kw02 kw12'"},
+		// Every onion of memo is still at RND: the request is the only
+		// change, and its blob commits alone, as the empty statement list.
+		{name: "index before exposure", stmt: "CREATE UNIQUE INDEX memo_idx ON acct (memo) USING BTREE", failAt: 1,
+			state: func(p *Proxy) string {
+				cm := p.Table("acct").Col("memo")
+				return fmt.Sprint(cm.wantIndex, cm.wantUnique, cm.wantUsing, cm.idxEq)
+			},
+			then:  []string{"SELECT id FROM acct WHERE memo = 'kw01 kw11'"},
 			query: "SELECT id FROM acct WHERE memo = 'kw02 kw12'"},
 		{name: "rnd peel", stmt: "SELECT id FROM acct WHERE memo = 'kw01 kw11'", failAt: 1,
 			state: func(p *Proxy) string { return fmt.Sprint(p.Table("acct").Col("memo").Onions[onion.Eq].Cur) },
@@ -318,15 +410,23 @@ func TestTransitionFailureReverts(t *testing.T) {
 		for _, fault := range []error{errInjected, &sqldb.DurabilityError{Err: errInjected}} {
 			_, durable := fault.(*sqldb.DurabilityError)
 			t.Run(fmt.Sprintf("%s/durable=%v", tc.name, durable), func(t *testing.T) {
-				fe := &faultyEngine{Engine: single.New(sqldb.New())}
-				l := newLifecycle(t, fe, Options{Plan: tc.plan})
+				// Persistent, so every transition has a blob to commit
+				// (a proxy without a data directory commits no bare one).
+				dir := t.TempDir()
+				db, err := sqldb.Open(dir, sqldb.DurabilityOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { db.Close() })
+				fe := &faultyEngine{Engine: single.New(db)}
+				l := newLifecycle(t, fe, Options{Plan: tc.plan, DataDir: dir})
 				l.load(5, 20)
 				for _, s := range tc.setup {
 					l.both(s)
 				}
 				before := tc.state(l.p)
 				fe.metaWrites, fe.metaFailAt, fe.metaFault = 0, tc.failAt, fault
-				_, err := l.p.Execute(tc.stmt)
+				_, err = l.p.Execute(tc.stmt)
 				fe.metaFailAt = 0
 				var de *sqldb.DurabilityError
 				switch after := tc.state(l.p); {

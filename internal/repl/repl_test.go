@@ -62,8 +62,8 @@ func workloadStep(t *testing.T, db *sqldb.DB, rng *rand.Rand, i int) {
 			t.Fatalf("ExecWithMeta: %v", err)
 		}
 	case 8:
-		if err := db.SetMeta([]byte(fmt.Sprintf("standalone-meta-%d", i))); err != nil {
-			t.Fatalf("SetMeta: %v", err)
+		if _, err := db.ExecAutonomousListWithMeta(nil, []byte(fmt.Sprintf("standalone-meta-%d", i))); err != nil {
+			t.Fatalf("bare blob: %v", err)
 		}
 	case 9:
 		sess := db.NewSession()

@@ -415,38 +415,6 @@ func (db *DB) execDropTable(s *sqlparser.DropTableStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
-// SetMeta durably commits an application-metadata blob in its own WAL
-// batch, independent of any statement. See ExecWithMeta.
-func (db *DB) SetMeta(meta []byte) error {
-	if db.wal != nil {
-		// Announce before taking the lock, so a flushing leader knows to
-		// hold its cohort open for this blob's frame (the same protocol
-		// autocommit follows).
-		db.wal.announce()
-		defer db.wal.retire()
-	}
-	db.mu.Lock()
-	if db.wal == nil {
-		db.meta = append([]byte(nil), meta...)
-		db.metaVer.Add(1)
-		db.mu.Unlock()
-		return nil
-	}
-	// Stage under the lock — sequence numbers and db.meta stay in lockstep
-	// with WAL order — but pay the fsync after releasing it, so a metadata
-	// commit never stalls readers or other committers.
-	db.walSeq++
-	cohort := db.wal.enqueue(db.walSeq, appendMetaOp(nil, meta))
-	db.meta = append([]byte(nil), meta...)
-	db.metaVer.Add(1)
-	db.mu.Unlock()
-
-	if err := db.wal.waitFlush(cohort); err != nil {
-		return &DurabilityError{Err: err}
-	}
-	return nil
-}
-
 // Meta returns the last committed application-metadata blob (nil if none):
 // after Open, the blob recovered from the snapshot and WAL.
 func (db *DB) Meta() []byte {
@@ -605,7 +573,8 @@ func (db *DB) ExecAutonomousWithMeta(st sqlparser.Statement, meta []byte, params
 // transaction, outside any open one, and commit with the metadata blob in
 // one WAL batch, or not at all. The proxy's whole-column rewrites use it,
 // so a column's new ciphertexts and the metadata naming their layer are
-// one commit.
+// one commit. The empty list commits the blob alone, in a batch of its
+// one metadata record.
 func (db *DB) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*Result, error) {
 	s := db.NewSession()
 	defer s.Close() //nolint:errcheck // rolls back a transaction a statement refused

@@ -119,7 +119,7 @@ func diskFormatScript(t *testing.T, db *DB) {
 	mustExec(t, db, "INSERT INTO users (id, name, score, avatar) VALUES (1000, 'late', 5, NULL)")
 	mustExec(t, db, "UPDATE users SET name = 'later' WHERE id = 3")
 	mustExec(t, db, "DELETE FROM users WHERE id = 4")
-	if err := db.SetMeta([]byte("meta-two")); err != nil {
+	if _, err := db.ExecAutonomousListWithMeta(nil, []byte("meta-two")); err != nil {
 		t.Fatal(err)
 	}
 }

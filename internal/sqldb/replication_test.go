@@ -66,7 +66,7 @@ func TestTapBackfillAndLive(t *testing.T) {
 	defer prim.Close()
 	mustExec(t, prim, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
 	mustExec(t, prim, "INSERT INTO t (id, v) VALUES (1, 'a'), (2, 'b')")
-	if err := prim.SetMeta([]byte("meta-1")); err != nil {
+	if _, err := prim.ExecAutonomousListWithMeta(nil, []byte("meta-1")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -321,11 +321,11 @@ func TestMetaVersionAdvances(t *testing.T) {
 	if db.MetaVersion() != v0 {
 		t.Fatal("DDL bumped meta version")
 	}
-	if err := db.SetMeta([]byte("m1")); err != nil {
+	if _, err := db.ExecAutonomousListWithMeta(nil, []byte("m1")); err != nil {
 		t.Fatal(err)
 	}
 	if db.MetaVersion() != v0+1 {
-		t.Fatalf("SetMeta: version %d, want %d", db.MetaVersion(), v0+1)
+		t.Fatalf("bare blob: version %d, want %d", db.MetaVersion(), v0+1)
 	}
 	st := mustParse(t, "INSERT INTO t (id) VALUES (1)")
 	if _, err := db.ExecWithMeta(st, []byte("m2")); err != nil {

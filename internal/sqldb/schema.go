@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -186,6 +187,10 @@ func (t *Table) ColumnIndex(name string) int {
 // RowCount reports the number of live rows.
 func (t *Table) RowCount() int { return t.live }
 
+// ErrUniqueDuplicate is returned by a CREATE UNIQUE INDEX over a column
+// that already holds a value twice; the index is not built.
+var ErrUniqueDuplicate = errors.New("sqldb: duplicate value for unique index")
+
 // addIndex builds a hash index over an existing column.
 func (t *Table) addIndex(column string, unique bool) error {
 	if _, ok := t.indexes[column]; ok {
@@ -199,7 +204,7 @@ func (t *Table) addIndex(column string, unique bool) error {
 	err := t.scan(func(slot int, row []Value) error {
 		key := row[pos].Key()
 		if unique && len(idx.m[key]) > 0 {
-			return fmt.Errorf("sqldb: duplicate value for unique index on %s.%s", t.Name, column)
+			return fmt.Errorf("%w on %s.%s", ErrUniqueDuplicate, t.Name, column)
 		}
 		idx.addSlot(key, slot)
 		return nil

@@ -316,8 +316,8 @@ func TestMetaDurability(t *testing.T) {
 		t.Fatalf("recovered %d rows, want 2", len(res.Rows))
 	}
 
-	// SetMeta commits standalone and survives a checkpoint.
-	if err := db2.SetMeta([]byte("m4")); err != nil {
+	// The empty list commits the blob standalone and survives a checkpoint.
+	if _, err := db2.ExecAutonomousListWithMeta(nil, []byte("m4")); err != nil {
 		t.Fatal(err)
 	}
 	if err := db2.Checkpoint(); err != nil {

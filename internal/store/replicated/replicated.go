@@ -272,9 +272,6 @@ func (f *FollowerEngine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement,
 	return nil, f.readOnly()
 }
 
-// SetMeta implements store.Engine (refused).
-func (f *FollowerEngine) SetMeta(meta []byte) error { return f.readOnly() }
-
 // NewConn implements store.Engine: a read-only connection. Transactions
 // are refused outright (BEGIN is a write-intent statement; bounded-stale
 // reads don't need one).

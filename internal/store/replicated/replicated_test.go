@@ -48,7 +48,7 @@ func TestFollowerReadOnlySingle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.SetMeta([]byte("sealed-proxy-metadata-v1")); err != nil {
+	if _, err := p.ExecAutonomousListWithMeta(nil, []byte("sealed-proxy-metadata-v1")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,8 +87,8 @@ func TestFollowerReadOnlySingle(t *testing.T) {
 			t.Fatalf("%s: redirect names %q, want %q", w, ro.Primary, p.Addr())
 		}
 	}
-	if err := f.SetMeta([]byte("x")); err == nil {
-		t.Fatal("SetMeta on follower succeeded")
+	if _, err := f.ExecAutonomousListWithMeta(nil, []byte("x")); err == nil {
+		t.Fatal("a bare blob on the follower succeeded")
 	}
 
 	// Connections are read-only too.
@@ -146,10 +146,10 @@ func TestFollowerSharded(t *testing.T) {
 	}
 	// Metadata on a sharded engine travels in a sequence envelope; the
 	// follower must unwrap it exactly like sharded recovery does.
-	if err := p.SetMeta([]byte("sharded-meta-A")); err != nil {
+	if _, err := p.ExecAutonomousListWithMeta(nil, []byte("sharded-meta-A")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetMeta([]byte("sharded-meta-B")); err != nil {
+	if _, err := p.ExecAutonomousListWithMeta(nil, []byte("sharded-meta-B")); err != nil {
 		t.Fatal(err)
 	}
 

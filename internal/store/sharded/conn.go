@@ -2,7 +2,6 @@ package sharded
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/sqldb"
@@ -147,23 +146,8 @@ func (c *Conn) exec(st sqlparser.Statement, meta []byte, params []sqldb.Value) (
 	case *sqlparser.SelectStmt:
 		return c.execSelect(s, params)
 
-	case *sqlparser.InsertStmt:
-		return c.execInsert(s, meta, params)
-
-	case *sqlparser.UpdateStmt:
-		if c.eng.assignsRouteCol(s) {
-			return nil, fmt.Errorf("sharded: UPDATE must not modify routing column of %s (rows are placed by its hash)", s.Table)
-		}
-		if shard, ok := c.eng.routeWhere(s.Table, s.Where, params); ok {
-			return c.routedWrite(shard, s, meta, params)
-		}
-		return c.broadcastWrite(s, meta, params)
-
-	case *sqlparser.DeleteStmt:
-		if shard, ok := c.eng.routeWhere(s.Table, s.Where, params); ok {
-			return c.routedWrite(shard, s, meta, params)
-		}
-		return c.broadcastWrite(s, meta, params)
+	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
+		return c.execWrite(st, meta, params)
 
 	default:
 		// DDL and principal declarations broadcast; like sqldb, DDL never
@@ -174,7 +158,7 @@ func (c *Conn) exec(st sqlparser.Statement, meta []byte, params []sqldb.Value) (
 
 // execCommit commits the pinned shard's transaction (with the re-sealed
 // metadata blob, if the caller passed one). An empty transaction — BEGIN
-// with no writes — commits trivially.
+// with no writes — commits its blob alone, as the empty statement list.
 func (c *Conn) execCommit(meta []byte) (*sqldb.Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -187,7 +171,7 @@ func (c *Conn) execCommit(meta []byte) (*sqldb.Result, error) {
 	if pinned < 0 {
 		if meta != nil {
 			c.mu.Unlock()
-			err := c.eng.SetMeta(meta)
+			_, err := c.eng.ExecAutonomousListWithMeta(nil, meta)
 			c.mu.Lock()
 			return &sqldb.Result{}, err
 		}
@@ -199,157 +183,45 @@ func (c *Conn) execCommit(meta []byte) (*sqldb.Result, error) {
 	})
 }
 
-// target pins the open transaction (if any) to shard, opening the
-// shard-side transaction on first write, and returns the session to run
-// on. A statement routing off the pinned shard is refused.
-func (c *Conn) target(shard int) (*sqldb.Session, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.txn {
-		if c.pinned == -1 {
-			if _, err := c.sessionLocked(shard).Exec(&sqlparser.BeginStmt{}); err != nil {
-				return nil, err
-			}
-			c.pinned = shard
-		} else if c.pinned != shard {
-			return nil, fmt.Errorf("sharded: statement routes to shard %d but the open transaction is pinned to shard %d (cross-shard transactions are not supported; COMMIT first)", shard, c.pinned)
-		}
-	}
-	return c.sessionLocked(shard), nil
-}
-
-// routedWrite runs one single-shard write, wrapping any metadata blob.
-func (c *Conn) routedWrite(shard int, st sqlparser.Statement, meta []byte, params []sqldb.Value) (*sqldb.Result, error) {
-	sess, err := c.target(shard)
+// execWrite runs one INSERT, UPDATE or DELETE where route places it.
+// Outside a transaction it commits as an autonomous write does
+// (Engine.write); inside one it runs on the pinned shard (target).
+func (c *Conn) execWrite(st sqlparser.Statement, meta []byte, params []sqldb.Value) (*sqldb.Result, error) {
+	pl, err := c.eng.route(st, params)
 	if err != nil {
 		return nil, err
+	}
+	sess, err := c.target(pl)
+	switch {
+	case err != nil:
+		return nil, err
+	case sess == nil:
+		return c.eng.write(st, pl, meta, params)
 	}
 	return c.eng.withMeta(meta, func(wrapped []byte) (*sqldb.Result, error) {
 		return sess.ExecWithMeta(st, wrapped, params...)
 	})
 }
 
-// execInsert routes each row by its routing-column value. Outside a
-// transaction the per-shard statements autocommit one by one, with a
-// best-effort undo if a later shard rejects its rows; inside a transaction
-// all rows must land on the pinned shard.
-func (c *Conn) execInsert(s *sqlparser.InsertStmt, meta []byte, params []sqldb.Value) (*sqldb.Result, error) {
-	// Fast path: the dominant single-row shape routes without building the
-	// per-shard split.
-	if shard, ok, err := c.eng.routeSingleInsert(s, params); err != nil {
-		return nil, err
-	} else if ok {
-		return c.routedWrite(shard, s, meta, params)
-	}
-	split, err := c.eng.splitInsert(s, params)
-	if err != nil {
-		return nil, err
-	}
-	if len(split) == 0 {
-		return &sqldb.Result{}, nil
-	}
-	if len(split) == 1 {
-		for shard, st := range split {
-			return c.routedWrite(shard, st, meta, params)
-		}
-	}
-	if c.InTxn() {
-		return nil, fmt.Errorf("sharded: INSERT into %s spans %d shards inside a transaction (transactions are single-shard; split the statement)", s.Table, len(split))
-	}
-
-	// Multi-shard autocommit INSERT: execute shard by shard. Cross-shard
-	// statement atomicity has no distributed commit behind it; if a later
-	// shard fails, rows already inserted are deleted again by routing key
-	// (best effort — a crash in between leaves the prefix, like a torn
-	// broadcast).
-	shards := make([]int, 0, len(split))
-	for shard := range split {
-		shards = append(shards, shard)
-	}
-	sort.Ints(shards)
-	col := c.eng.routeCol(s.Table)
-	total := &sqldb.Result{}
-	for i, shard := range shards {
-		sess, terr := c.target(shard)
-		if terr != nil {
-			return nil, terr
-		}
-		res, err := sess.Exec(split[shard], params...)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				c.undoInsert(shards[j], split[shards[j]], col, params)
-			}
+// target returns the session an open transaction runs a write on, nil
+// outside a transaction. The one check: a write that spans shards is
+// refused, and any other must route to the shard the transaction pinned on
+// its first write (opening the shard-side transaction then).
+func (c *Conn) target(pl placement) (*sqldb.Session, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case !c.txn:
+		return nil, nil
+	case pl.parts != nil:
+		return nil, fmt.Errorf("sharded: statement writes rows on several shards inside a transaction (transactions are single-shard; pin it with an equality on the routing column, split it, or run it outside the transaction)")
+	case c.pinned == -1:
+		if _, err := c.sessionLocked(pl.shard).Exec(&sqlparser.BeginStmt{}); err != nil {
 			return nil, err
 		}
-		total.Affected += res.Affected
+		c.pinned = pl.shard
+	case c.pinned != pl.shard:
+		return nil, fmt.Errorf("sharded: statement routes to shard %d but the open transaction is pinned to shard %d (cross-shard transactions are not supported; COMMIT first)", pl.shard, c.pinned)
 	}
-	if meta != nil {
-		// The blob did not ride a single statement; commit it in its own
-		// batch so it is durable no later than the rows it describes.
-		if err := c.eng.SetMeta(meta); err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// undoInsert best-effort deletes the rows a partially applied multi-shard
-// INSERT placed on one shard.
-func (c *Conn) undoInsert(shard int, st *sqlparser.InsertStmt, routeCol string, params []sqldb.Value) {
-	if routeCol == "" {
-		return // whole-row-hashed tables cannot address rows for undo
-	}
-	pos := c.eng.routePos(st, c.eng.tableCols(st.Table), routeCol)
-	if pos < 0 {
-		return
-	}
-	for _, row := range st.Rows {
-		if pos >= len(row) {
-			continue
-		}
-		v, err := sqldb.EvalConst(row[pos], params)
-		if err != nil {
-			continue
-		}
-		del := &sqlparser.DeleteStmt{
-			Table: st.Table,
-			Where: &sqlparser.BinaryExpr{Op: "=",
-				L: &sqlparser.ColRef{Column: routeCol},
-				R: exprFromValue(v)},
-		}
-		c.eng.shards[shard].ExecAutonomous(del) //nolint:errcheck // best-effort undo
-	}
-}
-
-// broadcastWrite runs an unroutable UPDATE/DELETE on every shard: each
-// shard applies it to its own rows, so the union equals the single-store
-// statement. Refused inside a transaction (it would have to span shards);
-// outside one it shares the engine's all-or-nothing broadcast, so one
-// shard's write conflict refuses the whole statement with no side effects
-// (a retry then applies exactly once, as on the single store).
-func (c *Conn) broadcastWrite(st sqlparser.Statement, meta []byte, params []sqldb.Value) (*sqldb.Result, error) {
-	if c.InTxn() {
-		var table string
-		switch s := st.(type) {
-		case *sqlparser.UpdateStmt:
-			table = s.Table
-		case *sqlparser.DeleteStmt:
-			table = s.Table
-		}
-		return nil, fmt.Errorf("sharded: statement on %s matches rows on multiple shards inside a transaction (transactions are single-shard; pin the statement with an equality on the routing column, or run it outside the transaction)", table)
-	}
-	return c.eng.broadcastAutonomous(st, meta, params)
-}
-
-// exprFromValue renders a value as a literal AST node.
-func exprFromValue(v sqldb.Value) sqlparser.Expr {
-	switch v.Kind {
-	case sqldb.KindInt:
-		return &sqlparser.IntLit{V: v.I}
-	case sqldb.KindText:
-		return &sqlparser.StrLit{V: v.S}
-	case sqldb.KindBlob:
-		return &sqlparser.BytesLit{V: v.B}
-	}
-	return &sqlparser.NullLit{}
+	return c.sessionLocked(pl.shard), nil
 }

@@ -9,14 +9,27 @@
 // first PRIMARY KEY column, which for every proxy-created table is the
 // hidden rid (Figure 3's data layout). A table with no primary key is
 // unroutable: its rows hash over their whole content, reads always
-// scatter, and autonomous single-row writes are refused rather than
-// guessed.
+// scatter, and the engine's autonomous INSERTs into it are refused rather
+// than guessed.
 //
-// DDL and schema are broadcast to every shard; sealed proxy metadata rides
-// each shard's WAL exactly as in the single store, wrapped in a sequence
-// envelope so recovery can pick the newest blob across shards (a routed
-// write commits its blob only on its own shard, leaving the others one
-// version behind).
+// Writes: one router (route) places every INSERT, UPDATE and DELETE — on
+// one shard when all its rows live there, otherwise in per-shard parts (an
+// INSERT's rows split by shard, an unpinned UPDATE or DELETE on every
+// shard). Outside a transaction a one-shard write autocommits on its
+// shard, and anything else — a client's autocommit, an autonomous write or
+// a statement list — commits all or nothing through one commit
+// (acrossShards). Inside a transaction a write that spans shards is
+// refused: a transaction pins itself to the first shard it writes, and a
+// statement that routes elsewhere fails with a clear error instead of
+// silently spanning shards without atomicity.
+//
+// DDL and schema are broadcast to every shard. Sealed proxy metadata rides
+// the WAL batches of the writes it describes, wrapped in a sequence
+// envelope so recovery can pick the newest blob across shards: a one-shard
+// write commits it on its shard, and a spanning write or list on every
+// shard when some statement runs on every shard, else with the last
+// shard's batch alone. A blob with no statement is the empty list, and it
+// commits on every shard.
 //
 // A read that cannot be routed runs a per-shard statement on every shard in
 // parallel, and shard 0's compiled pipeline runs a coordinator statement
@@ -26,10 +39,6 @@
 // re-applied to its partials, which is exactly a product of partial
 // products), and joins run over each table's filtered rows. The SQL
 // semantics of a cross-shard read are therefore sqldb's own.
-//
-// Transactions are single-shard: a transaction pins itself to the first
-// shard it writes, and a statement that routes elsewhere fails with a
-// clear error instead of silently spanning shards without atomicity.
 package sharded
 
 import (
@@ -355,21 +364,6 @@ func (e *Engine) withMeta(meta []byte, run func(wrapped []byte) (*sqldb.Result, 
 	return res, err
 }
 
-// SetMeta implements store.Engine: the blob commits durably on every
-// shard, each in its own WAL batch, under one envelope sequence.
-func (e *Engine) SetMeta(meta []byte) error {
-	e.metaMu.Lock()
-	defer e.metaMu.Unlock()
-	wrapped := e.wrapNext(meta)
-	for i, sh := range e.shards {
-		if err := sh.SetMeta(wrapped); err != nil {
-			return fmt.Errorf("sharded: shard %d: %w", i, err)
-		}
-	}
-	e.meta = append([]byte(nil), meta...)
-	return nil
-}
-
 // Meta implements store.Engine.
 func (e *Engine) Meta() []byte {
 	e.metaMu.Lock()
@@ -520,45 +514,104 @@ func (e *Engine) routeRow(s *sqlparser.InsertStmt, row []sqlparser.Expr, pos int
 	return e.shardForKey(key), nil
 }
 
-// routeSingleInsert is the allocation-free fast path for the dominant
-// one-row INSERT shape: it returns the target shard without building the
-// per-shard split. ok=false means the statement has 0 or 2+ rows.
-func (e *Engine) routeSingleInsert(s *sqlparser.InsertStmt, params []sqldb.Value) (int, bool, error) {
-	if len(s.Rows) != 1 {
-		return 0, false, nil
-	}
-	cols := e.tableCols(s.Table)
-	if cols == nil {
-		return 0, false, fmt.Errorf("sqldb: no table %s", s.Table)
-	}
-	col := e.routeCol(s.Table)
-	shard, err := e.routeRow(s, s.Rows[0], e.routePos(s, cols, col), col, params)
-	return shard, true, err
+// A placement is where one write runs: on one shard (parts nil), or as
+// parts[i] on each shard i that has a part (nil where it has none).
+type placement struct {
+	shard int
+	parts []sqlparser.Statement
 }
 
-// splitInsert partitions an INSERT's rows by shard. Row order within each
-// shard statement is preserved.
-func (e *Engine) splitInsert(s *sqlparser.InsertStmt, params []sqldb.Value) (map[int]*sqlparser.InsertStmt, error) {
+// on returns the part of st that runs on shard i, nil if none does.
+func (pl placement) on(i int, st sqlparser.Statement) sqlparser.Statement {
+	switch {
+	case pl.parts != nil:
+		return pl.parts[i]
+	case i == pl.shard:
+		return st
+	}
+	return nil
+}
+
+// everywhere reports whether the write has a part on every shard.
+func (pl placement) everywhere() bool {
+	return pl.parts != nil && !slices.Contains(pl.parts, nil)
+}
+
+// route places one INSERT, UPDATE or DELETE. A statement whose rows all
+// live on one shard gets that shard, without allocating: an INSERT whose
+// rows route alike, an UPDATE or DELETE whose WHERE pins the routing
+// column. Any other gets its per-shard parts: an INSERT's rows split by
+// shard (in order), an unpinned UPDATE or DELETE on every shard.
+func (e *Engine) route(st sqlparser.Statement, params []sqldb.Value) (placement, error) {
+	var table string
+	var where sqlparser.Expr
+	switch s := st.(type) {
+	case *sqlparser.InsertStmt:
+		return e.routeInsert(s, params)
+	case *sqlparser.UpdateStmt:
+		if e.assignsRouteCol(s) {
+			return placement{}, fmt.Errorf("sharded: UPDATE must not modify routing column of %s (rows are placed by its hash)", s.Table)
+		}
+		table, where = s.Table, s.Where
+	case *sqlparser.DeleteStmt:
+		table, where = s.Table, s.Where
+	default:
+		return placement{}, fmt.Errorf("sharded: %T is not a write", st)
+	}
+	if shard, ok := e.routeWhere(table, where, params); ok || len(e.shards) == 1 {
+		return placement{shard: shard}, nil
+	}
+	parts := make([]sqlparser.Statement, len(e.shards))
+	for i := range parts {
+		parts[i] = st
+	}
+	return placement{parts: parts}, nil
+}
+
+// routeInsert places an INSERT's rows by routeRow.
+func (e *Engine) routeInsert(s *sqlparser.InsertStmt, params []sqldb.Value) (placement, error) {
 	cols := e.tableCols(s.Table)
 	if cols == nil {
-		return nil, fmt.Errorf("sqldb: no table %s", s.Table)
+		return placement{}, fmt.Errorf("sqldb: no table %s", s.Table)
 	}
 	col := e.routeCol(s.Table)
 	pos := e.routePos(s, cols, col)
-	out := make(map[int]*sqlparser.InsertStmt)
-	for _, row := range s.Rows {
+	var pl placement
+	for i, row := range s.Rows {
 		shard, err := e.routeRow(s, row, pos, col, params)
 		if err != nil {
-			return nil, err
+			return placement{}, err
 		}
-		st := out[shard]
-		if st == nil {
-			st = &sqlparser.InsertStmt{Table: s.Table, Columns: s.Columns}
-			out[shard] = st
+		if i == 0 {
+			pl.shard = shard
+			continue
 		}
-		st.Rows = append(st.Rows, row)
+		if pl.parts == nil {
+			if shard == pl.shard {
+				continue
+			}
+			// The first row off the first row's shard: split from here.
+			pl.parts = make([]sqlparser.Statement, len(e.shards))
+			pl.parts[pl.shard] = &sqlparser.InsertStmt{Table: s.Table, Columns: s.Columns, Rows: slices.Clip(s.Rows[:i])}
+		}
+		part, _ := pl.parts[shard].(*sqlparser.InsertStmt)
+		if part == nil {
+			part = &sqlparser.InsertStmt{Table: s.Table, Columns: s.Columns}
+			pl.parts[shard] = part
+		}
+		part.Rows = append(part.Rows, row)
 	}
-	return out, nil
+	return pl, nil
+}
+
+// routeAutonomous is route for the engine's autonomous writes, which
+// refuse an INSERT into a table with no primary key rather than place its
+// rows by a hash of their content.
+func (e *Engine) routeAutonomous(st sqlparser.Statement, params []sqldb.Value) (placement, error) {
+	if s, ok := st.(*sqlparser.InsertStmt); ok && e.routeCol(s.Table) == "" && e.tableCols(s.Table) != nil {
+		return placement{}, fmt.Errorf("sharded: cannot route autonomous INSERT into %s: table has no primary-key routing column", s.Table)
+	}
+	return e.route(st, params)
 }
 
 // assignsRouteCol reports whether an UPDATE writes the routing column —
@@ -666,11 +719,9 @@ func (e *Engine) ExecWithMeta(st sqlparser.Statement, meta []byte, params ...sql
 	return e.defaultConn().ExecWithMeta(st, meta, params...)
 }
 
-// ExecAutonomous implements store.Engine. Routing is strict here (the
-// satellite contract): a single-row statement goes to exactly the shard
-// owning its row; whole-table rewrites (the proxy's onion adjustments)
-// broadcast; an INSERT whose placement cannot be derived is refused with a
-// clear error rather than written to an arbitrary shard.
+// ExecAutonomous implements store.Engine: a write commits outside any
+// transaction (write), DDL broadcasts (execDDL), and an INSERT into a table
+// with no primary key is refused rather than placed by a content hash.
 func (e *Engine) ExecAutonomous(st sqlparser.Statement, params ...sqldb.Value) (*sqldb.Result, error) {
 	return e.execAutonomous(st, nil, params)
 }
@@ -682,34 +733,12 @@ func (e *Engine) ExecAutonomousWithMeta(st sqlparser.Statement, meta []byte, par
 
 func (e *Engine) execAutonomous(st sqlparser.Statement, meta []byte, params []sqldb.Value) (*sqldb.Result, error) {
 	switch s := st.(type) {
-	case *sqlparser.InsertStmt:
-		if e.routeCol(s.Table) == "" && e.tableCols(s.Table) != nil {
-			return nil, fmt.Errorf("sharded: cannot route autonomous INSERT into %s: table has no primary-key routing column", s.Table)
-		}
-		split, err := e.splitInsert(s, params)
+	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
+		pl, err := e.routeAutonomous(st, params)
 		if err != nil {
 			return nil, err
 		}
-		if len(split) > 1 {
-			return nil, fmt.Errorf("sharded: autonomous multi-row INSERT into %s spans %d shards; split it per row", s.Table, len(split))
-		}
-		for shard, st := range split {
-			return e.shardExecAutonomous(shard, st, meta, params)
-		}
-		return &sqldb.Result{}, nil // zero rows
-	case *sqlparser.UpdateStmt:
-		if e.assignsRouteCol(s) {
-			return nil, fmt.Errorf("sharded: UPDATE must not modify routing column of %s (rows are placed by its hash)", s.Table)
-		}
-		if shard, ok := e.routeWhere(s.Table, s.Where, params); ok {
-			return e.shardExecAutonomous(shard, st, meta, params)
-		}
-		return e.broadcastAutonomous(st, meta, params)
-	case *sqlparser.DeleteStmt:
-		if shard, ok := e.routeWhere(s.Table, s.Where, params); ok {
-			return e.shardExecAutonomous(shard, st, meta, params)
-		}
-		return e.broadcastAutonomous(st, meta, params)
+		return e.write(st, pl, meta, params)
 	case *sqlparser.SelectStmt:
 		return e.defaultConn().execSelect(s, params)
 	case *sqlparser.CreateTableStmt, *sqlparser.CreateIndexStmt, *sqlparser.DropTableStmt, *sqlparser.PrincTypeStmt:
@@ -718,125 +747,57 @@ func (e *Engine) execAutonomous(st sqlparser.Statement, meta []byte, params []sq
 	return nil, fmt.Errorf("sharded: unsupported autonomous statement %T", st)
 }
 
-// shardExecAutonomous runs one autonomous statement on one shard, with the
-// metadata blob (if any) wrapped and committed in the same WAL batch.
-func (e *Engine) shardExecAutonomous(shard int, st sqlparser.Statement, meta []byte, params []sqldb.Value) (*sqldb.Result, error) {
-	return e.withMeta(meta, func(wrapped []byte) (*sqldb.Result, error) {
-		return e.shards[shard].ExecAutonomousWithMeta(st, wrapped, params...)
-	})
-}
-
-// broadcastAutonomous runs a whole-table rewrite on every shard, all or
-// nothing at runtime (acrossShards). Each shard commits the identically
-// wrapped metadata blob with its own portion.
-func (e *Engine) broadcastAutonomous(st sqlparser.Statement, meta []byte, params []sqldb.Value) (*sqldb.Result, error) {
-	return e.acrossShards(meta, false, func(sessions []*sqldb.Session) (*sqldb.Result, error) {
-		total := &sqldb.Result{}
-		for i, s := range sessions {
-			res, err := s.Exec(st, params...)
-			if err != nil {
-				return nil, fmt.Errorf("sharded: shard %d refused the statement (no shard applied it): %w", i, err)
-			}
-			total.Affected += res.Affected
-		}
-		return total, nil
-	})
+// write commits one routed write outside any transaction: on its one
+// shard, in one WAL batch with the wrapped blob, or all or nothing across
+// the shards it spans (acrossShards).
+func (e *Engine) write(st sqlparser.Statement, pl placement, meta []byte, params []sqldb.Value) (*sqldb.Result, error) {
+	if pl.parts == nil {
+		return e.withMeta(meta, func(wrapped []byte) (*sqldb.Result, error) {
+			return e.shards[pl.shard].ExecAutonomousWithMeta(st, wrapped, params...)
+		})
+	}
+	return e.acrossShards([]sqlparser.Statement{st}, []placement{pl}, meta, params)
 }
 
 // ExecAutonomousListWithMeta implements store.Engine: each statement runs
-// in the transactions of the shards it routes to (an UPDATE or DELETE
-// pinned to one row on its shard, any other on every shard; an INSERT's
-// rows on theirs), all or nothing at runtime (acrossShards), and the shards
-// commit in order. When some statement runs on every shard (the proxy's
-// peels and re-keys), the blob commits on every shard, with a broadcast
-// statement's torn-broadcast window. When every statement is pinned (the
-// proxy's whole-column rewrites), it commits with the last shard's batch
-// alone, durable only once every shard's rows are: a crash or a failed
-// COMMIT part-way leaves the previous blob over the new rows of the shards
-// that committed, and the error reports the blob unapplied (a
-// *sqldb.DurabilityError only when the last shard's commit was one). Those
-// rows belong to a deferred or stale onion, unread until the blob that
-// clears the mark commits, so the next use redoes the rewrite.
+// on the shards it routes to (route), all or nothing (acrossShards). The
+// empty list commits the blob alone: it is how the proxy persists
+// metadata no server statement accompanies.
 func (e *Engine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error) {
-	parts := make([][]sqlparser.Statement, len(stmts))
-	lastOnly := true
+	pls := make([]placement, len(stmts))
 	for i, st := range stmts {
-		perShard, err := e.shardStatements(st)
-		if err != nil {
+		var err error
+		if pls[i], err = e.routeAutonomous(st, nil); err != nil {
 			return nil, err
 		}
-		if !slices.Contains(perShard, nil) {
-			lastOnly = false
-		}
-		parts[i] = perShard
 	}
-	return e.acrossShards(meta, lastOnly, func(sessions []*sqldb.Session) (*sqldb.Result, error) {
-		total := &sqldb.Result{}
-		for _, perShard := range parts {
-			for i, sub := range perShard {
-				if sub == nil {
-					continue
-				}
-				res, err := sessions[i].Exec(sub)
-				if err != nil {
-					return nil, fmt.Errorf("sharded: shard %d refused the statement (no shard applied it): %w", i, err)
-				}
-				total.Affected += res.Affected
-			}
-		}
-		return total, nil
-	})
+	return e.acrossShards(stmts, pls, meta, nil)
 }
 
-// shardStatements splits one write of an autonomous list by shard (nil
-// where a shard has no part).
-func (e *Engine) shardStatements(st sqlparser.Statement) ([]sqlparser.Statement, error) {
-	out := make([]sqlparser.Statement, len(e.shards))
-	table, where := "", sqlparser.Expr(nil)
-	switch s := st.(type) {
-	case *sqlparser.InsertStmt:
-		if e.routeCol(s.Table) == "" && e.tableCols(s.Table) != nil {
-			return nil, fmt.Errorf("sharded: cannot route autonomous INSERT into %s: table has no primary-key routing column", s.Table)
-		}
-		split, err := e.splitInsert(s, nil)
-		if err != nil {
-			return nil, err
-		}
-		for shard, sub := range split {
-			out[shard] = sub
-		}
-		return out, nil
-	case *sqlparser.UpdateStmt:
-		if e.assignsRouteCol(s) {
-			return nil, fmt.Errorf("sharded: UPDATE must not modify routing column of %s (rows are placed by its hash)", s.Table)
-		}
-		table, where = s.Table, s.Where
-	case *sqlparser.DeleteStmt:
-		table, where = s.Table, s.Where
-	default:
-		return nil, fmt.Errorf("sharded: %T in an autonomous statement list (writes only)", st)
-	}
-	if shard, ok := e.routeWhere(table, where, nil); ok {
-		out[shard] = st
-		return out, nil
-	}
-	for i := range out {
-		out[i] = st
-	}
-	return out, nil
-}
-
-// acrossShards opens a private transaction on every shard, lets stage run
-// statements in them (buffering, taking slot locks), and commits the
-// shards in order only when stage accepted everything — so a write
-// conflict or constraint violation on one shard refuses the whole with no
-// side effects, matching the single store's statement atomicity; the
-// deferred Close rolls back every buffer. (This is runtime atomicity, not
-// crash atomicity: a crash between the per-shard commits leaves some
-// shards on the old version — the documented torn-broadcast window; see
-// ARCHITECTURE.md.) The wrapped blob commits on every shard, or with
-// lastOnly on the last shard alone.
-func (e *Engine) acrossShards(meta []byte, lastOnly bool, stage func(sessions []*sqldb.Session) (*sqldb.Result, error)) (*sqldb.Result, error) {
+// acrossShards is the one commit of writes that span shards. It opens a
+// private transaction on every shard, stages each statement's parts in the
+// shards pls places them on (buffering, taking slot locks), and commits
+// the shards in order only when every shard accepted its parts — so a
+// write conflict or constraint violation on one shard refuses the whole
+// with no side effects, matching the single store's statement atomicity;
+// the deferred Close rolls back every buffer. This is runtime atomicity,
+// not crash atomicity: a crash between the per-shard commits leaves some
+// shards on the old version (see ARCHITECTURE.md).
+//
+// The blob rule: when some statement runs on every shard (a whole-table
+// rewrite, the proxy's peels and re-keys) or there is no statement (the
+// empty list: a bare blob), the wrapped blob commits on every shard, with
+// a broadcast's torn window. Otherwise (pinned or row-split writes, the
+// proxy's whole-column rewrites) it commits with the last shard's batch
+// alone, durable only once every
+// shard's rows are: a crash or a failed COMMIT part-way leaves the
+// previous blob over the new rows of the shards that committed, and the
+// error reports the blob unapplied (a *sqldb.DurabilityError only when the
+// last shard's commit was one). The proxy's rows there belong to a
+// deferred or stale onion, unread until the blob that clears the mark
+// commits, so its next use redoes the rewrite.
+func (e *Engine) acrossShards(stmts []sqlparser.Statement, pls []placement, meta []byte, params []sqldb.Value) (*sqldb.Result, error) {
+	lastOnly := len(pls) > 0 && !slices.ContainsFunc(pls, placement.everywhere)
 	return e.withMeta(meta, func(wrapped []byte) (*sqldb.Result, error) {
 		sessions := make([]*sqldb.Session, len(e.shards))
 		for i, sh := range e.shards {
@@ -853,9 +814,19 @@ func (e *Engine) acrossShards(meta []byte, lastOnly bool, stage func(sessions []
 				return nil, err
 			}
 		}
-		total, err := stage(sessions)
-		if err != nil {
-			return nil, err
+		total := &sqldb.Result{}
+		for k, pl := range pls {
+			for i, s := range sessions {
+				part := pl.on(i, stmts[k])
+				if part == nil {
+					continue
+				}
+				res, err := s.Exec(part, params...)
+				if err != nil {
+					return nil, fmt.Errorf("sharded: shard %d refused the statement (no shard applied it): %w", i, err)
+				}
+				total.Affected += res.Affected
+			}
 		}
 		last := len(sessions) - 1
 		for i, s := range sessions {

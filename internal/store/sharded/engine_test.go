@@ -151,6 +151,24 @@ func TestExecAutonomousRouting(t *testing.T) {
 	if _, err := e.ExecAutonomous(mv); err == nil {
 		t.Fatal("UPDATE of routing column succeeded")
 	}
+
+	// A multi-row INSERT that spans shards commits every row on its shard.
+	multi, _ := parseOne("INSERT INTO t (id, v) VALUES (50, 7), (51, 7), (52, 7), (53, 7), (54, 7), (55, 7)")
+	named := make(map[int]int)
+	for id := 50; id <= 55; id++ {
+		named[e.ShardOf("t", sqldb.Int(int64(id)))]++
+	}
+	if len(named) < 2 {
+		t.Fatalf("ids 50..55 all hash to one shard; the case needs a spanning INSERT")
+	}
+	if res, err := e.ExecAutonomous(multi); err != nil || res.Affected != 6 {
+		t.Fatalf("spanning autonomous INSERT: affected %v, err = %v; want 6 rows", res, err)
+	}
+	for s := 0; s < 3; s++ {
+		if got := mustExec(t, e.Shard(s), "SELECT COUNT(*) FROM t WHERE v = 7").Rows[0][0].I; got != int64(named[s]) {
+			t.Fatalf("shard %d holds %d of the INSERT's rows, want %d", s, got, named[s])
+		}
+	}
 }
 
 // TestExecAutonomousList: a statement list runs each statement on the
@@ -241,6 +259,27 @@ func TestExecAutonomousListBlobPlacement(t *testing.T) {
 	}
 	if n := mustExec(t, e, "SELECT COUNT(*) FROM t WHERE v = 10").Rows[0][0].I; n != 29 {
 		t.Fatalf("%d rows at v = 10 after the broadcast list, want 29", n)
+	}
+}
+
+// TestExecAutonomousListEmptyBlob: the empty list is a bare blob, and a
+// bare blob commits on every shard, as a write that runs on every shard
+// does, so a restart reads it from any shard.
+func TestExecAutonomousListEmptyBlob(t *testing.T) {
+	e := New(3)
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	for _, meta := range []string{"m1", "m2"} {
+		if _, err := e.ExecAutonomousListWithMeta(nil, []byte(meta)); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < 3; s++ {
+			if _, blob, _ := unwrapMeta(e.Shard(s).Meta()); string(blob) != meta {
+				t.Errorf("shard %d holds blob %q, want %q", s, blob, meta)
+			}
+		}
+		if string(e.Meta()) != meta {
+			t.Errorf("engine blob %q, want %q", e.Meta(), meta)
+		}
 	}
 }
 
@@ -460,6 +499,51 @@ func TestBroadcastWriteAtomicOnConflict(t *testing.T) {
 	if res.Rows[0][0].I != 12 { // every row exactly +1
 		t.Fatalf("retry double-applied: SUM = %d, want 12", res.Rows[0][0].I)
 	}
+
+	// A multi-row autocommit INSERT that one shard refuses leaves no row,
+	// and the blob it carries stays uncommitted.
+	if _, err := e.ExecAutonomousListWithMeta(nil, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(table, sql string, want int64) {
+		t.Helper()
+		st, _ := parseOne(sql)
+		if _, err := e.ExecWithMeta(st, []byte("refused")); err == nil {
+			t.Fatalf("%s: a row one shard refuses was accepted", sql)
+		}
+		if n := mustExec(t, e, "SELECT COUNT(*) FROM "+table).Rows[0][0].I; n != want {
+			t.Fatalf("%s: %d rows in %s after the refusal, want %d", sql, n, table, want)
+		}
+		if string(e.Meta()) != "kept" {
+			t.Fatalf("%s: the refused INSERT moved the blob to %q", sql, e.Meta())
+		}
+	}
+	// With a primary key: id 1 is taken on its shard, a new id lands on
+	// another.
+	fresh := 13
+	for e.ShardOf("t", sqldb.Int(int64(fresh))) == e.ShardOf("t", sqldb.Int(1)) {
+		fresh++
+	}
+	refused("t", fmt.Sprintf("INSERT INTO t (id, n) VALUES (%d, 0), (1, 0)", fresh), 12)
+
+	// Without one, a row is placed by a hash of its content. Find a row
+	// shard 0 holds and a row another shard holds, and keep only the
+	// second: inserting both again puts the first on shard 0 and the
+	// second against the unique index on its own shard.
+	mustExec(t, e, "CREATE TABLE u (a INT, b INT)")
+	mustExec(t, e, "CREATE UNIQUE INDEX u_a ON u (a)")
+	on0, dup := 0, 0
+	for c := 1; on0 == 0 || dup == 0; c++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO u (a, b) VALUES (%d, %d)", c, c))
+		switch len(mustExec(t, e.Shard(0), fmt.Sprintf("SELECT a FROM u WHERE a = %d", c)).Rows) {
+		case 1:
+			on0 = c
+		case 0:
+			dup = c
+		}
+	}
+	mustExec(t, e, fmt.Sprintf("DELETE FROM u WHERE a != %d", dup))
+	refused("u", fmt.Sprintf("INSERT INTO u (a, b) VALUES (%d, %d), (%d, %d)", on0, on0, dup, dup), 1)
 }
 
 // TestDirShardsDetection: the manifest probe distinguishes single-store

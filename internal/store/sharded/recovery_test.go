@@ -227,7 +227,7 @@ func TestMetaEnvelopeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-	if err := e.SetMeta([]byte("v1-broadcast")); err != nil {
+	if _, err := e.ExecAutonomousListWithMeta(nil, []byte("v1-broadcast")); err != nil {
 		t.Fatal(err)
 	}
 	// A routed insert carries a newer blob to exactly one shard.

@@ -65,9 +65,6 @@ func (e *Engine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []
 	return e.db.ExecAutonomousListWithMeta(stmts, meta)
 }
 
-// SetMeta implements store.Engine.
-func (e *Engine) SetMeta(meta []byte) error { return e.db.SetMeta(meta) }
-
 // Meta implements store.Engine.
 func (e *Engine) Meta() []byte { return e.db.Meta() }
 

@@ -10,9 +10,11 @@
 //     topology, unchanged semantics.
 //   - store/sharded: N sqldb instances, each with its own data directory,
 //     write-ahead log and group-commit cohort; rows are routed by hash of
-//     the hidden row id, DDL and sealed proxy metadata broadcast to every
-//     shard, and a read that spans shards runs a per-shard statement on
-//     each and one coordinator statement over their rows.
+//     the hidden row id, DDL is broadcast to every shard, a write that
+//     spans shards commits all or nothing, the sealed proxy metadata
+//     commits with the writes it describes, and a read that spans shards
+//     runs a per-shard statement on each and one coordinator statement
+//     over their rows.
 //
 // The split mirrors the paper's §8.4.1 observation that the DBMS — not the
 // cryptography — bounds steady-state throughput: once queries are
@@ -130,14 +132,15 @@ type Engine interface {
 	// ExecAutonomousListWithMeta is its list form, for INSERT, UPDATE and
 	// DELETE statements: they commit in one WAL batch per underlying
 	// instance, or are all refused. A single store commits the blob in the
-	// same batch. A sharded engine routes each statement to its shard and
+	// same batch. A sharded engine routes each statement to its shards and
 	// commits the blob on every shard if some statement runs on every
 	// shard, and otherwise with the last shard's batch alone, after every
-	// other shard's. Each of the proxy's onion adjustments uses it.
+	// other shard's. Each of the proxy's onion adjustments uses it. The
+	// empty list commits the blob alone (on every shard of a sharded
+	// engine): ExecAutonomousListWithMeta(nil, blob) is how metadata that
+	// no statement accompanies becomes durable.
 	ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error)
 
-	// SetMeta durably commits a metadata blob in its own commit unit.
-	SetMeta(meta []byte) error
 	// Meta returns the last committed metadata blob (nil if none); after
 	// reopening a durable engine, the newest blob recovered from disk.
 	Meta() []byte
