@@ -7,7 +7,7 @@
 // Ciphertexts are 2048 bits (n is 1024 bits), matching the paper. Paillier
 // encryption's dominant cost is the fresh n-th residue r^n mod n^2. A key
 // that holds its factorization — the proxy's always does — draws it from
-// fixed-base tables mod p² and q² at about a twenty-fifth of the textbook
+// fixed-base tables mod p² and q² at about a thirty-fifth of the textbook
 // cost (see fixedbase.go); the package also keeps the paper's §3.5.2
 // optimization of precomputing a pool of such values off the critical path;
 // see Precompute. The table walk and the server's ciphertext product

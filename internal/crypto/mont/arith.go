@@ -11,7 +11,8 @@ import (
 
 // addMulVVW's implementations, in the order a CPU may support them; kernel
 // (set per GOARCH) holds the one in use. arith_amd64.s compares kernel
-// with these values.
+// with these values, and kernelADX also sends Mul at 16 and 32 limbs to
+// the fused routines of mul_amd64.s.
 const (
 	kernelGo = iota
 	kernelMULQ

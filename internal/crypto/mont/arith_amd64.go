@@ -14,6 +14,39 @@ import "math/big"
 //go:noescape
 func addMulVVW(z, x []big.Word, y big.Word) (c big.Word)
 
+// montMulADX16 and montMulADX32 (mul_amd64.s, generated by _gen) are Mul at
+// 16 and 32 limbs in one call: every row of Mul's loop with MULX, ADCX and
+// ADOX, then Step 7's masked subtraction into z. t is scratch of 2n limbs
+// whose low n are zero; z, x, y and m are n limbs each. They read and write
+// through these pointers alone, so the caller checks the lengths.
+//
+//go:noescape
+func montMulADX16(z, t, x, y, m *big.Word, m0inv big.Word)
+
+//go:noescape
+func montMulADX32(z, t, x, y, m *big.Word, m0inv big.Word)
+
+// mulFused sets z = x·y·R⁻¹ mod m, as Mul does, with one call to a
+// montMulADX routine, and reports true; x, y and z are m.Len() limbs. It does
+// nothing and reports false unless kernel is kernelADX and m has 16 or 32
+// limbs.
+func (m *Modulus) mulFused(z, x, y []big.Word) bool {
+	if kernel != kernelADX {
+		return false
+	}
+	switch len(m.m) {
+	case 16:
+		var t [2 * 16]big.Word
+		montMulADX16(&z[0], &t[0], &x[0], &y[0], &m.m[0], m.m0inv)
+	case 32:
+		var t [2 * 32]big.Word
+		montMulADX32(&z[0], &t[0], &x[0], &y[0], &m.m[0], m.m0inv)
+	default:
+		return false
+	}
+	return true
+}
+
 // cpuid executes CPUID with EAX and ECX set (cpu_amd64.s).
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

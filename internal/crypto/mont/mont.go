@@ -22,8 +22,15 @@
 //     (arith_amd64.go) come from src/internal/cpu/cpu_x86.s and cpu_x86.go.
 //
 // On amd64 the assembly takes the ADX loop when CPUID reports ADX and BMI2,
-// else the MULQ loop; other GOARCHes and -tags purego use the Go loop.
+// else the MULQ loop; other GOARCHes and -tags purego use the Go loop. With
+// ADX, a 16- or 32-limb modulus (p², q² and n² of a 1024-bit Paillier key)
+// skips the loop: Mul is one call to a routine that runs every row, each
+// row's two addMulVVW passes unrolled into math/big's MULX/ADCX/ADOX step
+// with the carries in registers, and the final masked subtraction.
+// mul_amd64.s holds those routines; _gen writes it.
 package mont
+
+//go:generate go run ./_gen
 
 import (
 	"encoding/binary"
@@ -88,7 +95,13 @@ const stackLimbs = 64
 // Montgomery form of the product.
 func (m *Modulus) Mul(z, x, y []big.Word) {
 	n := len(m.m)
+	// The fused kernels read through raw pointers: a short operand panics
+	// here, even with spare capacity, before any of them reads past it.
+	_, _, _ = z[n-1], x[n-1], y[n-1]
 	x, y, z = x[:n], y[:n], z[:n]
+	if m.mulFused(z, x, y) {
+		return
+	}
 	var buf [2 * stackLimbs]big.Word
 	T := buf[:]
 	if n > stackLimbs {

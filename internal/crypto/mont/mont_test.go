@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	mrand "math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
 var kernelNames = map[int]string{kernelGo: "go", kernelMULQ: "mulq", kernelADX: "adx"}
 
-// forEachKernel runs f with each addMulVVW implementation this CPU and build
-// support forced in turn.
+// forEachKernel runs f with each kernel this CPU and build support forced in
+// turn: the addMulVVW loop and, under kernelADX, the fused routines.
 func forEachKernel(t testing.TB, f func(name string)) {
 	defer func(k int) { kernel = k }(kernel)
 	for k := kernelGo; k <= detectKernel(); k++ {
@@ -46,13 +49,27 @@ func fromLimbs(z []big.Word) *big.Int {
 }
 
 // TestMontMulDifferential holds Mul, ToMont and the byte I/O to big.Int
-// arithmetic with every addMulVVW kernel forced in turn: at 16 and 32 limbs
-// (p² and n² of a 1024-bit Paillier key), and at 64-, 256- and 520-bit
-// moduli, the sizes of the test keys and a limb count that leaves a
-// remainder after each unrolled loop. Operands are random plus 0, 1, 2,
-// m-2, m-1 and R mod m, and z aliases x, y and both.
+// arithmetic with every kernel forced in turn: at 16 and 32 limbs (p² and n²
+// of a 1024-bit Paillier key, the fused routines' sizes), and at 64-, 256-
+// and 520-bit moduli, the sizes of the test keys and a limb count that
+// leaves a remainder after each unrolled loop. Operands are random plus 0, 1,
+// 2, m-2, m-1 and R mod m, and z aliases x, y and both. At 16 and 32 limbs
+// it adds the carry edges of the final subtraction (carryEdges): a value
+// before it of R or more, so the carry bit is set, and one in [m, R).
 func TestMontMulDifferential(t *testing.T) {
+	edges := map[int][]mulCase{16: carryEdges(t, 16), 32: carryEdges(t, 32)}
 	forEachKernel(t, func(kname string) {
+		for n, cases := range edges {
+			for _, c := range cases {
+				mod, err := NewModulus(c.m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := checkMul(mod, c.x, c.y); err != nil {
+					t.Fatalf("%s kernel, %d limbs, m = %x: %v", kname, n, c.m, err)
+				}
+			}
+		}
 		for _, b := range []int{64, 256, 520, 1024, 2048} {
 			for trial := 0; trial < 4; trial++ {
 				m := oddModulus(t, b)
@@ -94,7 +111,6 @@ func checkModulus(t testing.TB, m *big.Int) error {
 		return fmt.Errorf("Len %d, want %d", n, len(m.Bits()))
 	}
 	r := new(big.Int).Lsh(big.NewInt(1), uint(n*bits.UintSize))
-	rInv := new(big.Int).ModInverse(r, m)
 	mm1 := new(big.Int).Sub(m, big.NewInt(1))
 	ops := []*big.Int{new(big.Int), big.NewInt(1), big.NewInt(2), new(big.Int).Sub(m, big.NewInt(2)), mm1,
 		new(big.Int).Mod(r, m)}
@@ -103,32 +119,10 @@ func checkModulus(t testing.TB, m *big.Int) error {
 	}
 	for _, x := range ops {
 		for _, y := range ops {
-			want := new(big.Int).Mul(x, y)
-			want.Mul(want, rInv).Mod(want, m)
-			xl, yl := toLimbs(x, n), toLimbs(y, n)
-			z := make([]big.Word, n)
-			mod.Mul(z, xl, yl)
-			if got := fromLimbs(z); got.Cmp(want) != 0 {
-				return fmt.Errorf("Mul(%x, %x) = %x, want %x", x, y, got, want)
-			}
-			mod.Mul(xl, xl, yl)
-			if got := fromLimbs(xl); got.Cmp(want) != 0 {
-				return fmt.Errorf("Mul(z=x) (%x, %x) = %x, want %x", x, y, got, want)
-			}
-			xl = toLimbs(x, n)
-			mod.Mul(yl, xl, yl)
-			if got := fromLimbs(yl); got.Cmp(want) != 0 {
-				return fmt.Errorf("Mul(z=y) (%x, %x) = %x, want %x", x, y, got, want)
+			if err := checkMul(mod, x, y); err != nil {
+				return err
 			}
 		}
-		sq := new(big.Int).Mul(x, x)
-		sq.Mul(sq, rInv).Mod(sq, m)
-		xl := toLimbs(x, n)
-		mod.Mul(xl, xl, xl)
-		if got := fromLimbs(xl); got.Cmp(sq) != 0 {
-			return fmt.Errorf("Mul(z=x=y) (%x) = %x, want %x", x, got, sq)
-		}
-
 		xm := make([]big.Word, n)
 		mod.ToMont(xm, toLimbs(x, n))
 		if got, want := fromLimbs(xm), new(big.Int).Mul(x, r); got.Cmp(want.Mod(want, m)) != 0 {
@@ -158,6 +152,159 @@ func checkModulus(t testing.TB, m *big.Int) error {
 		}
 	}
 	return nil
+}
+
+// checkMul holds mod.Mul(z, x, y) to x·y·R⁻¹ mod m with z apart from x and
+// y, z aliasing x, z aliasing y, and z, x and y all one slice (x squared).
+func checkMul(mod *Modulus, x, y *big.Int) error {
+	n := mod.Len()
+	m := fromLimbs(mod.m)
+	rInv := new(big.Int).Lsh(big.NewInt(1), uint(n*bits.UintSize))
+	rInv.ModInverse(rInv, m)
+	want := func(x, y *big.Int) *big.Int {
+		w := new(big.Int).Mul(x, y)
+		return w.Mul(w, rInv).Mod(w, m)
+	}
+	xy, xx := want(x, y), want(x, x)
+	xl, yl, z := toLimbs(x, n), toLimbs(y, n), make([]big.Word, n)
+	mod.Mul(z, xl, yl)
+	if got := fromLimbs(z); got.Cmp(xy) != 0 {
+		return fmt.Errorf("Mul(%x, %x) = %x, want %x", x, y, got, xy)
+	}
+	mod.Mul(xl, xl, yl)
+	if got := fromLimbs(xl); got.Cmp(xy) != 0 {
+		return fmt.Errorf("Mul(z=x) (%x, %x) = %x, want %x", x, y, got, xy)
+	}
+	xl = toLimbs(x, n)
+	mod.Mul(yl, xl, yl)
+	if got := fromLimbs(yl); got.Cmp(xy) != 0 {
+		return fmt.Errorf("Mul(z=y) (%x, %x) = %x, want %x", x, y, got, xy)
+	}
+	mod.Mul(xl, xl, xl)
+	if got := fromLimbs(xl); got.Cmp(xx) != 0 {
+		return fmt.Errorf("Mul(z=x=y) (%x) = %x, want %x", x, got, xx)
+	}
+	return nil
+}
+
+type mulCase struct{ m, x, y *big.Int }
+
+// beforeSubtraction is Mul's value before its final subtraction, in
+// [0, 2m): (x·y + q·m)/R for the q < R that makes the sum a multiple of R.
+func beforeSubtraction(c mulCase, n int) *big.Int {
+	r := new(big.Int).Lsh(big.NewInt(1), uint(n*bits.UintSize))
+	xy := new(big.Int).Mul(c.x, c.y)
+	q := new(big.Int).ModInverse(c.m, r)
+	q.Neg(q).Mul(q, xy).Mod(q, r)
+	return q.Mul(q, c.m).Add(q, xy).Rsh(q, uint(n*bits.UintSize))
+}
+
+// carryEdges returns n-limb cases whose value before Mul's final
+// subtraction is R or more (the carry bit above T[n:] is set) or lies in
+// [m, R) (no carry, and T[n:] >= m), found with big.Int: on the all-ones
+// modulus R-1, x = y = m-1 gives exactly R and (√R-1)·(√R+1) = m gives m;
+// on R-√R-1 and 3R/4+1, operands from a seeded source.
+func carryEdges(t testing.TB, n int) []mulCase {
+	w := n * bits.UintSize
+	r := new(big.Int).Lsh(big.NewInt(1), uint(w))
+	h := new(big.Int).Lsh(big.NewInt(1), uint(w/2))
+	one := big.NewInt(1)
+	ones := new(big.Int).Sub(r, one)
+	cases := []mulCase{
+		{ones, new(big.Int).Sub(ones, one), new(big.Int).Sub(ones, one)},
+		{ones, new(big.Int).Sub(h, one), new(big.Int).Add(h, one)},
+	}
+	rng := mrand.New(mrand.NewSource(int64(n)))
+	for _, m := range []*big.Int{
+		new(big.Int).Sub(new(big.Int).Sub(r, h), one),
+		new(big.Int).Add(new(big.Int).Rsh(new(big.Int).Mul(r, big.NewInt(3)), 2), one),
+	} {
+		var high, mid int
+		for i := 0; i < 1000 && (high < 2 || mid < 2); i++ {
+			c := mulCase{m, new(big.Int).Rand(rng, m), new(big.Int).Rand(rng, m)}
+			switch u := beforeSubtraction(c, n); {
+			case u.Cmp(r) >= 0 && high < 2:
+				high++
+				cases = append(cases, c)
+			case u.Cmp(m) >= 0 && u.Cmp(r) < 0 && mid < 2:
+				mid++
+				cases = append(cases, c)
+			}
+		}
+	}
+	var high, mid int
+	for _, c := range cases {
+		u := beforeSubtraction(c, n)
+		if u.Cmp(r) >= 0 {
+			high++
+		} else if u.Cmp(c.m) >= 0 {
+			mid++
+		}
+	}
+	if high < 3 || mid < 3 {
+		t.Fatalf("%d limbs: %d cases at R or above and %d in [m, R), want 3 of each", n, high, mid)
+	}
+	return cases
+}
+
+// FuzzMontMul holds Mul to x·y·R⁻¹ mod m under every kernel this CPU
+// supports, with z aliasing x, y and both (checkMul). size picks the limb
+// count: 16 or 32, the fused routines' sizes, or 9, which only the loop
+// runs. m is mb's leading bytes at that width, made odd with a nonzero top
+// limb, and x and y are xb and yb reduced below m.
+func FuzzMontMul(f *testing.F) {
+	f.Fuzz(func(t *testing.T, size uint8, mb, xb, yb []byte) {
+		n := []int{16, 32, 9}[size%3]
+		w := n * bits.UintSize
+		if len(mb) > w/8 {
+			mb = mb[:w/8]
+		}
+		m := new(big.Int).SetBytes(mb)
+		m.SetBit(m, 0, 1)
+		if m.BitLen() <= w-bits.UintSize {
+			m.SetBit(m, w-bits.UintSize, 1)
+		}
+		mod, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := new(big.Int).SetBytes(xb)
+		y := new(big.Int).SetBytes(yb)
+		x.Mod(x, m)
+		y.Mod(y, m)
+		forEachKernel(t, func(kname string) {
+			if err := checkMul(mod, x, y); err != nil {
+				t.Fatalf("%s kernel, %d limbs, m = %x: %v", kname, n, m, err)
+			}
+		})
+	})
+}
+
+// TestMulShortOperandPanics: at the fused routines' sizes, a z, x or y one
+// limb short panics with an index error before any kernel reads through it,
+// though its capacity covers m.
+func TestMulShortOperandPanics(t *testing.T) {
+	forEachKernel(t, func(kname string) {
+		for _, n := range []int{16, 32} {
+			mod, err := NewModulus(oddModulus(t, n*bits.UintSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for arg, name := range []string{"z", "x", "y"} {
+				ops := [3][]big.Word{make([]big.Word, n), make([]big.Word, n), make([]big.Word, n)}
+				ops[arg] = ops[arg][:n-1]
+				func() {
+					defer func() {
+						err, ok := recover().(runtime.Error)
+						if !ok || !strings.Contains(err.Error(), "index out of range") {
+							t.Errorf("%s kernel, %d limbs, short %s: recovered %v, want an index error", kname, n, name, err)
+						}
+					}()
+					mod.Mul(ops[0], ops[1], ops[2])
+				}()
+			}
+		}
+	})
 }
 
 // TestFillBytesPanicsWhenShort: a value wider than the buffer is refused.
