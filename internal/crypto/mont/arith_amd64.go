@@ -6,7 +6,11 @@
 
 package mont
 
-import "math/big"
+import (
+	"math/big"
+
+	"repro/internal/crypto/cpu"
+)
 
 // addMulVVW sets z += x·y and returns the carry word, as addMulVVWGo does,
 // with the loop kernel selects (arith_amd64.s).
@@ -47,23 +51,13 @@ func (m *Modulus) mulFused(z, x, y []big.Word) bool {
 	return true
 }
 
-// cpuid executes CPUID with EAX and ECX set (cpu_amd64.s).
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
 // kernel is addMulVVW's loop, chosen once from CPUID. The assembly reads it.
 var kernel = detectKernel()
 
 // detectKernel returns kernelADX when the CPU has ADX and BMI2 (MULX), and
 // kernelMULQ otherwise.
 func detectKernel() int {
-	const (
-		cpuidBMI2 = 1 << 8  // leaf 7, EBX
-		cpuidADX  = 1 << 19 // leaf 7, EBX
-	)
-	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
-		return kernelMULQ
-	}
-	if _, ebx, _, _ := cpuid(7, 0); ebx&(cpuidBMI2|cpuidADX) == cpuidBMI2|cpuidADX {
+	if cpu.X86HasADX && cpu.X86HasBMI2 {
 		return kernelADX
 	}
 	return kernelMULQ

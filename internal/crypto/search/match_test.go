@@ -1,7 +1,9 @@
 package search
 
 import (
+	"crypto/sha256"
 	"crypto/subtle"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -30,6 +32,18 @@ func referenceMatch(blob []byte, token Token) bool {
 		found |= subtle.ConstantTimeCompare(mac, want)
 	}
 	return found == 1
+}
+
+var kernelNames = map[int]string{kernelGeneric: "generic", kernelSHANI: "sha-ni"}
+
+// forEachKernel runs f with each compression kernel this CPU and build
+// support forced in turn.
+func forEachKernel(f func(name string)) {
+	defer func(k int) { kernel = k }(kernel)
+	for k := kernelGeneric; k <= detectKernel(); k++ {
+		kernel = k
+		f(kernelNames[k])
+	}
 }
 
 // TestSearchKnownAnswer pins SEARCH blobs stored in the DBMS: every blob in
@@ -81,8 +95,9 @@ func TestSearchKnownAnswer(t *testing.T) {
 }
 
 // randomBlob returns a blob to match tok against: entries made under tok
-// (so some blobs match), entries under other tokens, random bytes, and
-// lengths that are not a multiple of EntrySize.
+// (so some blobs match), tok's MACs with one bit flipped, entries under
+// other tokens, random bytes, and lengths that are not a multiple of
+// EntrySize.
 func randomBlob(rng *rand.Rand, tok Token) []byte {
 	n := rng.Intn(20)
 	blob := make([]byte, 0, n*EntrySize+EntrySize)
@@ -90,10 +105,16 @@ func randomBlob(rng *rand.Rand, tok Token) []byte {
 		salt := make([]byte, saltSize)
 		rng.Read(salt)
 		blob = append(blob, salt...)
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			blob = append(blob, prf.Sum(tok, salt)[:WordSize]...)
 		case 1:
+			// A near miss: tok's MAC with one bit flipped.
+			mac := prf.Sum(tok, salt)[:WordSize]
+			bit := rng.Intn(8 * WordSize)
+			mac[bit/8] ^= 1 << (bit % 8)
+			blob = append(blob, mac...)
+		case 2:
 			other := make([]byte, rng.Intn(3)*32)
 			rng.Read(other)
 			blob = append(blob, prf.Sum(other, salt)[:WordSize]...)
@@ -111,43 +132,102 @@ func randomBlob(rng *rand.Rand, tok Token) []byte {
 	return blob
 }
 
-// TestMatcherDifferential holds Matcher to referenceMatch on random tokens
-// — empty, 32 bytes like TokenFor's, and longer than a SHA-256 block, which
-// HMAC hashes first — and random blobs, including malformed lengths.
+// TestMatcherDifferential holds Matcher to referenceMatch under every
+// compression kernel, on random tokens — empty, 32 bytes like TokenFor's, and
+// longer than a SHA-256 block, which HMAC hashes first — and random blobs,
+// including malformed lengths.
 func TestMatcherDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	c := New([]byte("differential"))
-	matches := 0
-	for i := 0; i < 400; i++ {
-		var tok Token
-		switch i % 4 {
-		case 0:
-			tok = c.TokenFor(fmt.Sprintf("w%d", rng.Intn(50)))
-		case 1:
-			tok = make(Token, rng.Intn(64))
-		case 2:
-			tok = make(Token, 65+rng.Intn(100))
-		default:
-			tok = make(Token, 64)
-		}
-		if i%4 != 0 {
-			rng.Read(tok)
-		}
-		m := NewMatcher(tok)
-		for j := 0; j < 50; j++ {
-			blob := randomBlob(rng, tok)
-			want := referenceMatch(blob, tok)
-			if got := m.Match(blob); got != want {
-				t.Fatalf("token %x blob %x: Matcher.Match = %v, reference %v", tok, blob, got, want)
+	forEachKernel(func(kname string) {
+		rng := rand.New(rand.NewSource(1))
+		c := New([]byte("differential"))
+		matches := 0
+		for i := 0; i < 400; i++ {
+			var tok Token
+			switch i % 4 {
+			case 0:
+				tok = c.TokenFor(fmt.Sprintf("w%d", rng.Intn(50)))
+			case 1:
+				tok = make(Token, rng.Intn(64))
+			case 2:
+				tok = make(Token, 65+rng.Intn(100))
+			default:
+				tok = make(Token, 64)
 			}
-			if want {
-				matches++
+			if i%4 != 0 {
+				rng.Read(tok)
+			}
+			m := NewMatcher(tok)
+			for j := 0; j < 50; j++ {
+				blob := randomBlob(rng, tok)
+				want := referenceMatch(blob, tok)
+				if got := m.Match(blob); got != want {
+					t.Fatalf("%s kernel, token %x blob %x: Matcher.Match = %v, reference %v", kname, tok, blob, got, want)
+				}
+				if want {
+					matches++
+				}
 			}
 		}
+		if matches < 1000 {
+			t.Fatalf("%s kernel: only %d of 20000 blobs matched: the test no longer exercises matches", kname, matches)
+		}
+	})
+}
+
+// TestCompressDifferential holds each compression kernel to crypto/sha256:
+// from SHA-256's initial state, over random messages padded by hand to one
+// block (up to 55 bytes) or two, in one call and block by block, the state
+// is the message's digest. A trailing partial block is ignored, as Match's
+// callers never pass one.
+func TestCompressDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	forEachKernel(func(kname string) {
+		for i := 0; i < 2000; i++ {
+			msg := make([]byte, rng.Intn(2*sha256.BlockSize-8))
+			rng.Read(msg)
+			padded := append(append([]byte(nil), msg...), 0x80)
+			for len(padded)%sha256.BlockSize != sha256.BlockSize-8 {
+				padded = append(padded, 0)
+			}
+			padded = binary.BigEndian.AppendUint64(padded, uint64(len(msg))*8)
+			want := sha256.Sum256(msg)
+
+			whole := iv
+			tail := make([]byte, rng.Intn(sha256.BlockSize))
+			rng.Read(tail)
+			compress(&whole, append(padded, tail...))
+			stepped := iv
+			for off := 0; off < len(padded); off += sha256.BlockSize {
+				compress(&stepped, padded[off:off+sha256.BlockSize])
+			}
+			for _, st := range []*[8]uint32{&whole, &stepped} {
+				var got [sha256.Size]byte
+				for j, w := range st {
+					binary.BigEndian.PutUint32(got[4*j:], w)
+				}
+				if got != want {
+					t.Fatalf("%s kernel, %d-byte message %x: state %x, sha256 %x", kname, len(msg), msg, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestMatchAllocs holds Match of a 12-word blob, the analytic workload's
+// shape, to zero allocations under every compression kernel.
+func TestMatchAllocs(t *testing.T) {
+	c := New([]byte("allocs"))
+	words := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
+	blob, err := c.EncryptWords(words)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if matches < 1000 {
-		t.Fatalf("only %d of 20000 blobs matched: the test no longer exercises matches", matches)
-	}
+	m := NewMatcher(c.TokenFor("k"))
+	forEachKernel(func(kname string) {
+		if n := testing.AllocsPerRun(100, func() { m.Match(blob) }); n != 0 {
+			t.Errorf("%s kernel: %v allocs per Match, want 0", kname, n)
+		}
+	})
 }
 
 // TestMatcherConcurrent shares one Matcher across goroutines; run with
@@ -176,7 +256,8 @@ func TestMatcherConcurrent(t *testing.T) {
 }
 
 // FuzzSearchMatch requires Matcher.Match to agree with referenceMatch on
-// arbitrary blob and token bytes, and never to panic.
+// arbitrary blob and token bytes under every compression kernel, and never
+// to panic.
 func FuzzSearchMatch(f *testing.F) {
 	c := New([]byte("fuzz"))
 	blob, err := c.EncryptText("the quick brown fox")
@@ -188,15 +269,19 @@ func FuzzSearchMatch(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Fuzz(func(t *testing.T, blob, token []byte) {
 		want := referenceMatch(blob, token)
-		if got := NewMatcher(token).Match(blob); got != want {
-			t.Fatalf("Matcher.Match = %v, reference %v", got, want)
-		}
+		forEachKernel(func(kname string) {
+			if got := NewMatcher(token).Match(blob); got != want {
+				t.Fatalf("%s kernel: Matcher.Match = %v, reference %v", kname, got, want)
+			}
+		})
 	})
 }
 
 // BenchmarkMatch matches one token against the analytic workload's users
 // table: 2200 rows of 12 keywords. ns/word and allocs/word are per stored
-// word; "reference" is the per-word HMAC Match had before Matcher.
+// word. "matcher" runs the kernel this CPU selects, "matcher-generic" the Go
+// compression function every CPU has, and "reference" the per-word HMAC
+// Match had before Matcher.
 func BenchmarkMatch(b *testing.B) {
 	const rows, words = 2200, 12
 	c := New([]byte("bench"))
@@ -230,6 +315,16 @@ func BenchmarkMatch(b *testing.B) {
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perWord, "allocs/word")
 	}
 	b.Run("matcher", func(b *testing.B) {
+		run(b, func() {
+			m := NewMatcher(tok)
+			for _, blob := range blobs {
+				m.Match(blob)
+			}
+		})
+	})
+	b.Run("matcher-generic", func(b *testing.B) {
+		defer func(k int) { kernel = k }(kernel)
+		kernel = kernelGeneric
 		run(b, func() {
 			m := NewMatcher(tok)
 			for _, blob := range blobs {

@@ -11,11 +11,9 @@
 package search
 
 import (
-	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
-	"encoding"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -142,14 +140,22 @@ func Match(blob []byte, token Token) bool {
 }
 
 // Matcher tests blobs against one token. A stored entry is salt ||
-// prf.Sum(token, salt), an HMAC-SHA256 keyed by the token, so the
-// token's HMAC key schedule — the SHA-256 states after the ipad and opad
-// key blocks — is derived once here, and each entry then costs two
-// compressions: the inner hash's one message block and the outer hash's.
+// prf.Sum(token, salt)[:WordSize]: HMAC-SHA256 keyed by the token over the
+// 16-byte message be64(saltSize) || salt. The token's HMAC key schedule — the
+// SHA-256 states after the ipad and opad key blocks — is derived once here,
+// and each entry then costs two calls of the compression function on bare
+// states: one for the inner hash's last block and one for the outer hash's.
 // A Matcher is immutable and safe for concurrent use.
 type Matcher struct {
-	inner, outer []byte // marshaled SHA-256 midstates
+	inner, outer [8]uint32 // SHA-256 states after the ipad and opad blocks
 }
+
+// The bytes each hash of an entry's HMAC covers, its key block included;
+// each fits one block after the key block, padding included.
+const (
+	innerLen = sha256.BlockSize + 8 + saltSize // prf.Sum's length prefix, the salt
+	outerLen = sha256.BlockSize + sha256.Size  // the inner digest
+)
 
 // NewMatcher derives the HMAC midstates of token.
 func NewMatcher(token Token) *Matcher {
@@ -160,56 +166,56 @@ func NewMatcher(token Token) *Matcher {
 	} else {
 		copy(k[:], token)
 	}
-	midstate := func(pad byte) []byte {
-		var block [sha256.BlockSize]byte
-		for i := range block {
-			block[i] = k[i] ^ pad
-		}
-		h := sha256.New()
-		h.Write(block[:])
-		st, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-		if err != nil {
-			panic("search: sha256 state: " + err.Error()) // impossible: sha256 digests marshal
-		}
-		return st
+	m := &Matcher{inner: iv, outer: iv}
+	var block [sha256.BlockSize]byte
+	for i := range block {
+		block[i] = k[i] ^ 0x36
 	}
-	return &Matcher{inner: midstate(0x36), outer: midstate(0x5c)}
+	compress(&m.inner, block[:])
+	for i := range block {
+		block[i] = k[i] ^ 0x5c
+	}
+	compress(&m.outer, block[:])
+	return m
 }
 
 // Match reports whether blob contains the word behind the Matcher's token.
-// It scans every entry; the allocations are per call, not per entry.
+// It scans every entry and allocates nothing.
 func (m *Matcher) Match(blob []byte) bool {
 	if len(blob)%EntrySize != 0 || len(blob) == 0 {
 		return false
 	}
-	h := sha256.New()
-	st := h.(encoding.BinaryUnmarshaler)
-	// buf holds the inner message — prf.Sum's 8-byte length prefix and the
-	// salt — then the inner digest, then the outer one.
-	const msgLen = 8 + saltSize
-	buf := make([]byte, msgLen+2*sha256.Size)
-	binary.BigEndian.PutUint64(buf, saltSize)
+	// The last block of each hash, padded as SHA-256 pads it: inner takes
+	// each entry's salt at bytes 8–15, outer its inner digest at 0–31.
+	var inner, outer [sha256.BlockSize]byte
+	binary.BigEndian.PutUint64(inner[:], saltSize)
+	inner[8+saltSize] = 0x80
+	binary.BigEndian.PutUint64(inner[sha256.BlockSize-8:], innerLen*8)
+	outer[sha256.Size] = 0x80
+	binary.BigEndian.PutUint64(outer[sha256.BlockSize-8:], outerLen*8)
 	found := 0
 	for off := 0; off < len(blob); off += EntrySize {
-		copy(buf[8:msgLen], blob[off:off+saltSize])
-		restore(st, m.inner)
-		h.Write(buf[:msgLen])
-		in := h.Sum(buf[msgLen:msgLen])
-		restore(st, m.outer)
-		h.Write(in)
-		want := h.Sum(buf[msgLen+sha256.Size : msgLen+sha256.Size])[:WordSize]
-		// The server holds both token and blob, so a constant-time
-		// comparison hides nothing from it; it costs the same as
-		// bytes.Equal and keeps the scan's timing data-independent.
-		found |= subtle.ConstantTimeCompare(blob[off+saltSize:off+EntrySize], want)
+		entry := blob[off : off+EntrySize]
+		copy(inner[8:], entry[:saltSize])
+		h := m.inner
+		compress(&h, inner[:])
+		for i, w := range h {
+			binary.BigEndian.PutUint32(outer[4*i:], w)
+		}
+		h = m.outer
+		compress(&h, outer[:])
+		// The stored MAC is the outer digest's first WordSize bytes: its
+		// first four words. The server holds both token and blob, so a
+		// constant-time comparison hides nothing from it; it costs no more
+		// than a branch and keeps the scan's timing data-independent.
+		mac := entry[saltSize:]
+		diff := (h[0] ^ binary.BigEndian.Uint32(mac[0:])) |
+			(h[1] ^ binary.BigEndian.Uint32(mac[4:])) |
+			(h[2] ^ binary.BigEndian.Uint32(mac[8:])) |
+			(h[3] ^ binary.BigEndian.Uint32(mac[12:]))
+		found |= subtle.ConstantTimeEq(int32(diff), 0)
 	}
 	return found == 1
-}
-
-func restore(st encoding.BinaryUnmarshaler, state []byte) {
-	if err := st.UnmarshalBinary(state); err != nil {
-		panic("search: sha256 state: " + err.Error()) // impossible: the state came from MarshalBinary
-	}
 }
 
 // WordCount reports the number of keywords stored in a blob — exactly the
@@ -226,7 +232,3 @@ func padWord(w string) []byte {
 	copy(padded[2:], b)
 	return padded
 }
-
-// Probe is a helper for tests: true if two blobs are byte-identical (they
-// should never be, for probabilistic SEARCH).
-func Probe(a, b []byte) bool { return bytes.Equal(a, b) }

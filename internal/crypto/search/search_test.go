@@ -1,6 +1,7 @@
 package search
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -74,7 +75,7 @@ func TestProbabilisticBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Probe(b1, b2) {
+	if bytes.Equal(b1, b2) {
 		t.Fatal("identical blobs across encryptions")
 	}
 }
