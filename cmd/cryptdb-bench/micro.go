@@ -120,7 +120,9 @@ func fig13() error {
 		_, err := hk.DecryptInt64(c1)
 		return err
 	})
-	// add: one row of the server's hom_sum, a Montgomery multiplication.
+	// add: one row of the server's hom_sum, a Montgomery multiplication mod
+	// n²: on 52-bit digits with AVX-512 IFMA where the CPU has it, else the
+	// fused ADX routine (internal/crypto/mont).
 	pm, err := hom.NewProductModulus(hk.N2)
 	if err != nil {
 		return err

@@ -37,11 +37,11 @@ type fixedBase struct {
 	mod, ord *big.Int
 	m        *mont.Modulus // mod, for Montgomery multiplication
 	windows  int           // digits in an exponent
-	words    int           // big.Words in an entry
+	words    int           // words in an entry: m.Len()
 	// Entry i<<combWindow|d is b^(d·2^(combWindow·i)) mod mod, as `words`
-	// little-endian big.Words. The table is key material (it fixes the base
-	// of ρ's discrete logarithm) and exists only in memory: 2 MiB per
-	// prime at 1024 bits.
+	// words in m's operand form (SetBytes). The table is key material (it
+	// fixes the base of ρ's discrete logarithm) and exists only in memory:
+	// 2 MiB per prime at 1024 bits.
 	tab []big.Word
 	// Entry k is R^k mod mod (R of m), k = 0..windows: where a walk over k
 	// nonzero digits starts, so that its k Montgomery multiplications by
@@ -70,7 +70,9 @@ func newFixedBase(b, mod, ord *big.Int) (*fixedBase, error) {
 	// powers of step, held in Montgomery form, and each row ends on the
 	// next row's step.
 	cur, step := make([]big.Word, w), make([]big.Word, w)
-	copy(cur, b.Bits())
+	if !m.SetBytes(cur, b.Bytes()) {
+		return nil, fmt.Errorf("hom: fixed base not below its modulus")
+	}
 	m.ToMont(step, cur) // b^(2^(combWindow·i)), Montgomery form
 	for i := 0; i < f.windows; i++ {
 		clear(cur)
@@ -112,7 +114,7 @@ func (f *fixedBase) pow(x *big.Int) *big.Int {
 			f.m.Mul(acc, acc, f.tab[j:j+f.words])
 		}
 	}
-	return new(big.Int).SetBits(acc)
+	return new(big.Int).SetBytes(f.m.FillBytes(make([]byte, (f.mod.BitLen()+7)/8), acc))
 }
 
 // smallPrimeBound bounds the primes newRNKernel screens a base for: a base is

@@ -54,8 +54,20 @@ func TestFixedBaseResidueDecryptsToZero(t *testing.T) {
 // TestFixedBasePow checks the table walk against big.Int.Exp.
 func TestFixedBasePow(t *testing.T) {
 	k := kernelKey(t, 320)
-	for _, f := range []*fixedBase{k.rn.p, k.rn.q} {
-		b := new(big.Int).SetBits(f.tab[f.words : 2*f.words]) // entry 1: b^1
+	// And a 2048-bit modulus, the size of p² for a 2048-bit key: digit form
+	// on a CPU with AVX-512 IFMA.
+	mod, err := rand.Int(rand.Reader, new(big.Int).Lsh(one, 2048))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod.SetBit(mod, 2047, 1).SetBit(mod, 0, 1)
+	wide, err := newFixedBase(new(big.Int).Sub(mod, big.NewInt(3)), mod, new(big.Int).Lsh(one, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*fixedBase{k.rn.p, k.rn.q, wide} {
+		// entry 1: b^1
+		b := new(big.Int).SetBytes(f.m.FillBytes(make([]byte, (f.mod.BitLen()+7)/8), f.tab[f.words:2*f.words]))
 		top := new(big.Int).Sub(new(big.Int).Lsh(one, uint(combWindow*f.windows)), one)
 		xs := []*big.Int{new(big.Int), big.NewInt(1), big.NewInt(255), big.NewInt(256),
 			new(big.Int).Sub(f.ord, one), top}

@@ -75,9 +75,7 @@ func (p *Product) Mul(ct []byte) {
 		x = p.acc
 	}
 	if !p.pm.m.SetBytes(x, ct) {
-		p.wide.SetBytes(ct).Mod(&p.wide, p.pm.n2)
-		clear(x)
-		copy(x, p.wide.Bits())
+		p.pm.m.SetBytes(x, p.wide.SetBytes(ct).Mod(&p.wide, p.pm.n2).Bytes())
 	}
 	if p.k > 0 {
 		p.pm.m.Mul(p.acc, p.acc, x)
@@ -99,5 +97,5 @@ func (p *Product) Bytes() []byte {
 		i := bits.TrailingZeros64(e)
 		p.pm.m.Mul(p.c, p.c, p.pm.ladder[i*w:(i+1)*w])
 	}
-	return mont.FillBytes(out, p.c)
+	return p.pm.m.FillBytes(out, p.c)
 }

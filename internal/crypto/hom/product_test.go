@@ -4,15 +4,49 @@ import (
 	"bytes"
 	"crypto/rand"
 	"math/big"
+	"os"
+	"os/exec"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 )
+
+// productKeys returns a 512-bit key (n² of 16 limbs) and a 1024-bit one
+// (n² of 32 limbs, the server's: digit form on a CPU with AVX-512 IFMA),
+// generated once.
+var productKeys = sync.OnceValues(func() ([]*Key, error) {
+	var keys []*Key
+	for _, bits := range []int{512, DefaultBits} {
+		k, err := GenerateKey(bits)
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, k)
+	}
+	return keys, nil
+})
+
+// forEachProductKey runs f on each of productKeys.
+func forEachProductKey(t *testing.T, f func(t *testing.T, k *Key)) {
+	keys, err := productKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		t.Run(strconv.Itoa(k.N.BitLen()), func(t *testing.T) { f(t, k) })
+	}
+}
 
 // TestProductDifferential holds Product to big.Int's product mod n² of the
 // same blobs, at every length from 0 to 70 (so every correction from the
 // ladder up to bit 6), on blobs at and past the edges of the ciphertext
 // range; and checks that an encrypted column's product decrypts to its sum.
-func TestProductDifferential(t *testing.T) {
-	k := testKey(t)
+// It runs at both productKeys.
+func TestProductDifferential(t *testing.T) { forEachProductKey(t, testProductDifferential) }
+
+func testProductDifferential(t *testing.T, k *Key) {
 	pm, err := NewProductModulus(k.N2)
 	if err != nil {
 		t.Fatal(err)
@@ -64,9 +98,10 @@ func TestProductDifferential(t *testing.T) {
 	}
 }
 
-// TestProductMulAllocs: a step allocates nothing.
-func TestProductMulAllocs(t *testing.T) {
-	k := testKey(t)
+// TestProductMulAllocs: a step allocates nothing, at both productKeys.
+func TestProductMulAllocs(t *testing.T) { forEachProductKey(t, testProductMulAllocs) }
+
+func testProductMulAllocs(t *testing.T, k *Key) {
 	pm, err := NewProductModulus(k.N2)
 	if err != nil {
 		t.Fatal(err)
@@ -79,5 +114,33 @@ func TestProductMulAllocs(t *testing.T) {
 	p := pm.NewProduct()
 	if n := testing.AllocsPerRun(50, func() { p.Mul(b) }); n != 0 {
 		t.Fatalf("Product.Mul allocates %v times", n)
+	}
+}
+
+// TestProductKernels runs TestProductDifferential and TestProductMulAllocs
+// again in child processes, under the GODEBUG settings that move package
+// mont down from each amd64 kernel: cpu.avx512f=off (the ADX routines where
+// an IFMA CPU takes digit form) and cpu.adx=off (the MULQ loop). This
+// process runs them on the CPU's own kernel; -tags purego and the other
+// GOARCHes run the Go loop.
+func TestProductKernels(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the GODEBUG cpu options choose amd64 kernels")
+	}
+	if strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+		t.Skip("GODEBUG already sets cpu options")
+	}
+	for _, godebug := range []string{"cpu.avx512f=off", "cpu.adx=off"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestProduct(Differential|MulAllocs)$", "-test.v", "-test.count=1")
+		cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("GODEBUG=%s: %v\n%s", godebug, err, out)
+		}
+		for _, name := range []string{"TestProductDifferential/1024", "TestProductMulAllocs/1024"} {
+			if !strings.Contains(string(out), "--- PASS: "+name) {
+				t.Errorf("GODEBUG=%s: %s did not pass:\n%s", godebug, name, out)
+			}
+		}
 	}
 }

@@ -9,14 +9,18 @@ import (
 	"math/bits"
 )
 
-// addMulVVW's implementations, in the order a CPU may support them; kernel
-// (set per GOARCH) holds the one in use. arith_amd64.s compares kernel
-// with these values, and kernelADX also sends Mul at 16 and 32 limbs to
-// the fused routines of mul_amd64.s.
+// Mul's kernels, in the order a CPU may support them; kernel (set per
+// GOARCH) holds the one in use. The first three are addMulVVW's loops:
+// arith_amd64.s compares kernel with these values, and kernelADX also sends
+// Mul at 16 and 32 limbs to the fused routines of mul_amd64.s. kernelIFMA
+// runs the ADX loop and routines, except that a 32-limb modulus built under
+// it holds its operands as 52-bit digits and multiplies them with
+// amm52x40 (ifma_amd64.s).
 const (
 	kernelGo = iota
 	kernelMULQ
 	kernelADX
+	kernelIFMA
 )
 
 // addMulVVWGo sets z += x·y and returns the carry word: one row of a

@@ -30,12 +30,26 @@ func montMulADX16(z, t, x, y, m *big.Word, m0inv big.Word)
 //go:noescape
 func montMulADX32(z, t, x, y, m *big.Word, m0inv big.Word)
 
-// mulFused sets z = x·y·R⁻¹ mod m, as Mul does, with one call to a
-// montMulADX routine, and reports true; x, y and z are m.Len() limbs. It does
-// nothing and reports false unless kernel is kernelADX and m has 16 or 32
+// amm52x40 (ifma_amd64.s) is Mul on 40-digit operands (digits_amd64.go): z =
+// x·y·2^-2080 mod m, canonical, with k0 = -m⁻¹ mod 2^52. t is scratch of 40
+// words; z may alias x or y. Like the ADX routines it reads and writes
+// through these pointers alone.
+//
+//go:noescape
+func amm52x40(z, t, x, y, m *big.Word, k0 big.Word)
+
+// mulFused sets z = x·y·R⁻¹ mod m, as Mul does, with one call to amm52x40
+// or a montMulADX routine, and reports true; x, y and z are m.Len() words.
+// A modulus in digit form always takes amm52x40. Otherwise it does nothing
+// and reports false unless kernel is kernelADX or above and m has 16 or 32
 // limbs.
 func (m *Modulus) mulFused(z, x, y []big.Word) bool {
-	if kernel != kernelADX {
+	if m.digits {
+		var t [ifmaDigits]big.Word
+		amm52x40(&z[0], &t[0], &x[0], &y[0], &m.m[0], m.m0inv)
+		return true
+	}
+	if kernel < kernelADX {
 		return false
 	}
 	switch len(m.m) {
@@ -51,14 +65,18 @@ func (m *Modulus) mulFused(z, x, y []big.Word) bool {
 	return true
 }
 
-// kernel is addMulVVW's loop, chosen once from CPUID. The assembly reads it.
+// kernel is Mul's kernel, chosen once from CPUID. The assembly reads it.
 var kernel = detectKernel()
 
-// detectKernel returns kernelADX when the CPU has ADX and BMI2 (MULX), and
-// kernelMULQ otherwise.
+// detectKernel returns kernelIFMA when the CPU has ADX and BMI2 (MULX) and
+// AVX512F and AVX512IFMA with the OS saving the ZMM state, kernelADX when it
+// has only the first two, and kernelMULQ otherwise.
 func detectKernel() int {
-	if cpu.X86HasADX && cpu.X86HasBMI2 {
-		return kernelADX
+	switch {
+	case !cpu.X86HasADX || !cpu.X86HasBMI2:
+		return kernelMULQ
+	case cpu.X86HasAVX512F && cpu.X86HasAVX512IFMA:
+		return kernelIFMA
 	}
-	return kernelMULQ
+	return kernelADX
 }

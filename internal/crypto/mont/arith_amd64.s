@@ -7,13 +7,13 @@
 #include "textflag.h"
 
 // addMulVVW from math/big, which picks its loop from a flag set at init;
-// here the flag is kernel (arith_amd64.go), and kernelGo sends the call to
-// the Go loop.
+// here the flag is kernel (arith_amd64.go): kernelADX and kernelIFMA take
+// the ADX loop, and kernelGo sends the call to the Go loop.
 
 // func addMulVVW(z, x []big.Word, y big.Word) (c big.Word)
 TEXT ·addMulVVW(SB), NOSPLIT, $0-64
 	CMPQ ·kernel(SB), $2	// kernelADX
-	JEQ adx
+	JAE adx
 	CMPQ ·kernel(SB), $1	// kernelMULQ
 	JNE generic
 	MOVQ z+0(FP), R10

@@ -28,6 +28,14 @@
 // row's two addMulVVW passes unrolled into math/big's MULX/ADCX/ADOX step
 // with the carries in registers, and the final masked subtraction.
 // mul_amd64.s holds those routines; _gen writes it.
+//
+// When the CPU also has AVX512F and AVX512IFMA with the OS saving the ZMM
+// state, a 32-limb modulus takes digit form instead (digits_amd64.go): its
+// operands are 40 digits of 52 bits, R is 2^2080, and Mul is one call to
+// amm52x40 (ifma_amd64.s), Gueron and Krasnov's almost Montgomery
+// multiplication on VPMADD52LUQ/VPMADD52HUQ. The form is fixed when the
+// modulus is built; Len, SetBytes, FillBytes and ToMont follow it, so that a
+// caller that keeps to them never sees which form it has.
 package mont
 
 //go:generate go run ./_gen
@@ -42,15 +50,21 @@ import (
 // Modulus is an odd modulus m > 1 with its Montgomery constants. It is
 // read-only after NewModulus, so any number of goroutines may share it.
 type Modulus struct {
-	m     []big.Word // m's limbs
-	m0inv big.Word   // -m⁻¹ mod 2^W
+	m     []big.Word // m's limbs, or digits
+	m0inv big.Word   // -m⁻¹ mod 2^W, or mod 2^52 in digit form
 	rr    []big.Word // R² mod m
+	// digits reports digit form: every operand is 52-bit digits, and Mul
+	// is amm52x40.
+	digits bool
 }
 
 // NewModulus prepares m, which must be odd and greater than one.
 func NewModulus(m *big.Int) (*Modulus, error) {
 	if m.Sign() <= 0 || m.Bit(0) == 0 || m.BitLen() < 2 {
 		return nil, errors.New("mont: modulus must be odd and greater than one")
+	}
+	if d := newDigitModulus(m); d != nil {
+		return d, nil
 	}
 	n := len(m.Bits())
 	rr := new(big.Int).Lsh(big.NewInt(1), uint(2*n*bits.UintSize))
@@ -68,7 +82,8 @@ func limbs(x *big.Int, n int) []big.Word {
 	return z
 }
 
-// Len returns m's length in limbs: the length of every operand.
+// Len returns the length of every operand in words: m's limbs, or 40
+// digits in digit form.
 func (m *Modulus) Len() int { return len(m.m) }
 
 // minusInverseModW computes -x⁻¹ mod 2^W with x odd.
@@ -90,7 +105,7 @@ func minusInverseModW(x big.Word) big.Word {
 const stackLimbs = 64
 
 // Mul sets z = x·y·R⁻¹ mod m. x and y must be below m, and z, x and y all
-// m.Len() limbs long; z may alias x or y. Multiplying a Montgomery form (a·R)
+// m.Len() words long; z may alias x or y. Multiplying a Montgomery form (a·R)
 // by a plain value b gives the plain a·b; two Montgomery forms give the
 // Montgomery form of the product.
 func (m *Modulus) Mul(z, x, y []big.Word) {
@@ -149,10 +164,13 @@ func (m *Modulus) Mul(z, x, y []big.Word) {
 // value converts back.
 func (m *Modulus) ToMont(z, x []big.Word) { m.Mul(z, x, m.rr) }
 
-// SetBytes sets z (m.Len() limbs) to the big-endian value of b and reports
+// SetBytes sets z (m.Len() words) to the big-endian value of b and reports
 // whether it is below m. Leading zero bytes are ignored. On false z holds
 // no particular value.
 func (m *Modulus) SetBytes(z []big.Word, b []byte) bool {
+	if m.digits {
+		return m.setBytesDigits(z, b)
+	}
 	z = z[:len(m.m)]
 	for len(b) > 0 && b[0] == 0 {
 		b = b[1:]
@@ -168,17 +186,30 @@ func (m *Modulus) SetBytes(z []big.Word, b []byte) bool {
 	for _, c := range b[:j] {
 		z[i] = z[i]<<8 | big.Word(c)
 	}
-	for i := len(z) - 1; i >= 0; i-- {
-		if z[i] != m.m[i] {
-			return z[i] < m.m[i]
+	return less(z, m.m)
+}
+
+// less reports x < y for little-endian words of one length and radix.
+func less(x, y []big.Word) bool {
+	for i := len(x) - 1; i >= 0; i-- {
+		if x[i] != y[i] {
+			return x[i] < y[i]
 		}
 	}
 	return false
 }
 
-// FillBytes sets b to x big-endian, zero-padded on the left, and returns b.
-// It panics if x does not fit in len(b) bytes.
-func FillBytes(b []byte, x []big.Word) []byte {
+// FillBytes sets b to x, an operand below m, big-endian and zero-padded on
+// the left, and returns b. It panics if x does not fit in len(b) bytes.
+func (m *Modulus) FillBytes(b []byte, x []big.Word) []byte {
+	if m.digits {
+		return fillBytesDigits(b, x)
+	}
+	return fillLimbs(b, x[:len(m.m)])
+}
+
+// fillLimbs is FillBytes for little-endian limbs.
+func fillLimbs(b []byte, x []big.Word) []byte {
 	clear(b)
 	j := len(b)
 	for _, v := range x {

@@ -12,10 +12,12 @@ import (
 	"testing"
 )
 
-var kernelNames = map[int]string{kernelGo: "go", kernelMULQ: "mulq", kernelADX: "adx"}
+var kernelNames = map[int]string{kernelGo: "go", kernelMULQ: "mulq", kernelADX: "adx", kernelIFMA: "ifma"}
 
 // forEachKernel runs f with each kernel this CPU and build support forced in
-// turn: the addMulVVW loop and, under kernelADX, the fused routines.
+// turn: the addMulVVW loop, under kernelADX the fused routines, and under
+// kernelIFMA digit form at 32 limbs. A modulus takes its form when it is
+// built, so f builds its own.
 func forEachKernel(t testing.TB, f func(name string)) {
 	defer func(k int) { kernel = k }(kernel)
 	for k := kernelGo; k <= detectKernel(); k++ {
@@ -38,26 +40,54 @@ func oddModulus(t testing.TB, b int) *big.Int {
 	return m.SetBit(m.SetBit(m, b-1, 1), 0, 1)
 }
 
-func toLimbs(x *big.Int, n int) []big.Word {
-	z := make([]big.Word, n)
-	copy(z, x.Bits())
+// rBits returns log2 of mod's R: W per limb, or 52 per digit.
+func rBits(mod *Modulus) int {
+	if mod.digits {
+		return 52 * mod.Len()
+	}
+	return bits.UintSize * mod.Len()
+}
+
+// radix returns the bits of one operand word of mod.
+func radix(mod *Modulus) int { return rBits(mod) / mod.Len() }
+
+// toOperand and fromOperand convert between big.Int and mod's operand form
+// with big.Int arithmetic alone, apart from SetBytes and FillBytes; a word
+// at or above the radix is an error.
+func toOperand(mod *Modulus, x *big.Int) []big.Word {
+	z, w := make([]big.Word, mod.Len()), radix(mod)
+	mask := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(w)), big.NewInt(1))
+	for i, v := 0, new(big.Int).Set(x); i < len(z); i, v = i+1, v.Rsh(v, uint(w)) {
+		z[i] = big.Word(new(big.Int).And(v, mask).Uint64())
+	}
 	return z
 }
 
-func fromLimbs(z []big.Word) *big.Int {
-	return new(big.Int).SetBits(append([]big.Word(nil), z...))
+func fromOperand(mod *Modulus, z []big.Word) (*big.Int, error) {
+	x, w := new(big.Int), radix(mod)
+	for i := len(z) - 1; i >= 0; i-- {
+		if w < bits.UintSize && z[i]>>w != 0 {
+			return nil, fmt.Errorf("word %d is %x, not below 2^%d", i, z[i], w)
+		}
+		x.Lsh(x, uint(w)).Or(x, new(big.Int).SetUint64(uint64(z[i])))
+	}
+	return x, nil
 }
 
 // TestMontMulDifferential holds Mul, ToMont and the byte I/O to big.Int
 // arithmetic with every kernel forced in turn: at 16 and 32 limbs (p² and n²
-// of a 1024-bit Paillier key, the fused routines' sizes), and at 64-, 256-
-// and 520-bit moduli, the sizes of the test keys and a limb count that
-// leaves a remainder after each unrolled loop. Operands are random plus 0, 1,
-// 2, m-2, m-1 and R mod m, and z aliases x, y and both. At 16 and 32 limbs
-// it adds the carry edges of the final subtraction (carryEdges): a value
-// before it of R or more, so the carry bit is set, and one in [m, R).
+// of a 1024-bit Paillier key, the fused routines' and digit form's sizes),
+// and at 64-, 256- and 520-bit moduli, the sizes of the test keys and a limb
+// count that leaves a remainder after each unrolled loop. Operands are
+// random plus 0, 1, 2, m-2, m-1 and R mod m, and z aliases x, y and both. At
+// 16 and 32 limbs it adds the carry edges of the limb form's final
+// subtraction (carryEdges): a value before it of R or more, so the carry bit
+// is set, and one in [m, R). At 32 limbs it adds the digit form's
+// (subtractionEdges): 2048-bit moduli with a value before the subtraction in
+// [m, 2m) for R = 2^2080, m itself among them.
 func TestMontMulDifferential(t *testing.T) {
 	edges := map[int][]mulCase{16: carryEdges(t, 16), 32: carryEdges(t, 32)}
+	edges[32] = append(edges[32], subtractionEdges(t, 2048, 52*40)...)
 	forEachKernel(t, func(kname string) {
 		for n, cases := range edges {
 			for _, c := range cases {
@@ -107,10 +137,10 @@ func checkModulus(t testing.TB, m *big.Int) error {
 		return err
 	}
 	n := mod.Len()
-	if n != len(m.Bits()) {
-		return fmt.Errorf("Len %d, want %d", n, len(m.Bits()))
+	if want := (m.BitLen() + radix(mod) - 1) / radix(mod); n != want {
+		return fmt.Errorf("Len %d, want %d", n, want)
 	}
-	r := new(big.Int).Lsh(big.NewInt(1), uint(n*bits.UintSize))
+	r := new(big.Int).Lsh(big.NewInt(1), uint(rBits(mod)))
 	mm1 := new(big.Int).Sub(m, big.NewInt(1))
 	ops := []*big.Int{new(big.Int), big.NewInt(1), big.NewInt(2), new(big.Int).Sub(m, big.NewInt(2)), mm1,
 		new(big.Int).Mod(r, m)}
@@ -124,30 +154,33 @@ func checkModulus(t testing.TB, m *big.Int) error {
 			}
 		}
 		xm := make([]big.Word, n)
-		mod.ToMont(xm, toLimbs(x, n))
-		if got, want := fromLimbs(xm), new(big.Int).Mul(x, r); got.Cmp(want.Mod(want, m)) != 0 {
-			return fmt.Errorf("ToMont(%x) = %x, want %x", x, got, want)
+		mod.ToMont(xm, toOperand(mod, x))
+		if got, err := fromOperand(mod, xm); err != nil || got.Cmp(new(big.Int).Mod(new(big.Int).Mul(x, r), m)) != 0 {
+			return fmt.Errorf("ToMont(%x) = %x, %v", x, got, err)
 		}
-		mod.Mul(xm, xm, toLimbs(big.NewInt(1), n))
-		if got := fromLimbs(xm); got.Cmp(x) != 0 {
-			return fmt.Errorf("Mul(ToMont(%x), 1) = %x", x, got)
+		mod.Mul(xm, xm, toOperand(mod, big.NewInt(1)))
+		if got, err := fromOperand(mod, xm); err != nil || got.Cmp(x) != 0 {
+			return fmt.Errorf("Mul(ToMont(%x), 1) = %x, %v", x, got, err)
 		}
 
 		width := (m.BitLen() + 7) / 8
 		for _, pad := range []int{0, 3, 300 - width} {
-			buf := FillBytes(make([]byte, width+pad), toLimbs(x, n))
+			buf := mod.FillBytes(make([]byte, width+pad), toOperand(mod, x))
 			if want := x.FillBytes(make([]byte, width+pad)); !bytes.Equal(buf, want) {
 				return fmt.Errorf("FillBytes(%x) = %x, want %x", x, buf, want)
 			}
 			back := make([]big.Word, n)
-			if !mod.SetBytes(back, buf) || fromLimbs(back).Cmp(x) != 0 {
-				return fmt.Errorf("SetBytes(%x) = %x, want %x", buf, fromLimbs(back), x)
+			ok := mod.SetBytes(back, buf)
+			if got, err := fromOperand(mod, back); !ok || err != nil || got.Cmp(x) != 0 {
+				return fmt.Errorf("SetBytes(%x) = %x, %v, %v; want %x", buf, got, ok, err, x)
 			}
 		}
 	}
 	z := make([]big.Word, n)
-	for _, v := range []*big.Int{m, new(big.Int).Add(m, big.NewInt(5)), new(big.Int).Lsh(big.NewInt(1), uint(n*bits.UintSize))} {
-		if mod.SetBytes(z, v.Bytes()) {
+	top := new(big.Int).Lsh(big.NewInt(1), uint(len(m.Bits())*bits.UintSize))
+	for _, v := range []*big.Int{m, new(big.Int).Add(m, big.NewInt(5)), top, new(big.Int).Sub(top, big.NewInt(1)),
+		new(big.Int).Lsh(big.NewInt(1), uint(rBits(mod)))} {
+		if v.Cmp(m) >= 0 && mod.SetBytes(z, v.Bytes()) {
 			return fmt.Errorf("SetBytes accepted %x >= m", v)
 		}
 	}
@@ -158,45 +191,90 @@ func checkModulus(t testing.TB, m *big.Int) error {
 // y, z aliasing x, z aliasing y, and z, x and y all one slice (x squared).
 func checkMul(mod *Modulus, x, y *big.Int) error {
 	n := mod.Len()
-	m := fromLimbs(mod.m)
-	rInv := new(big.Int).Lsh(big.NewInt(1), uint(n*bits.UintSize))
+	m, err := fromOperand(mod, mod.m)
+	if err != nil {
+		return err
+	}
+	rInv := new(big.Int).Lsh(big.NewInt(1), uint(rBits(mod)))
 	rInv.ModInverse(rInv, m)
 	want := func(x, y *big.Int) *big.Int {
 		w := new(big.Int).Mul(x, y)
 		return w.Mul(w, rInv).Mod(w, m)
 	}
 	xy, xx := want(x, y), want(x, x)
-	xl, yl, z := toLimbs(x, n), toLimbs(y, n), make([]big.Word, n)
+	check := func(name string, z []big.Word, want *big.Int) error {
+		if got, err := fromOperand(mod, z); err != nil || got.Cmp(want) != 0 {
+			return fmt.Errorf("%s (%x, %x) = %x, %v; want %x", name, x, y, got, err, want)
+		}
+		return nil
+	}
+	xl, yl, z := toOperand(mod, x), toOperand(mod, y), make([]big.Word, n)
 	mod.Mul(z, xl, yl)
-	if got := fromLimbs(z); got.Cmp(xy) != 0 {
-		return fmt.Errorf("Mul(%x, %x) = %x, want %x", x, y, got, xy)
+	if err := check("Mul", z, xy); err != nil {
+		return err
 	}
 	mod.Mul(xl, xl, yl)
-	if got := fromLimbs(xl); got.Cmp(xy) != 0 {
-		return fmt.Errorf("Mul(z=x) (%x, %x) = %x, want %x", x, y, got, xy)
+	if err := check("Mul(z=x)", xl, xy); err != nil {
+		return err
 	}
-	xl = toLimbs(x, n)
+	xl = toOperand(mod, x)
 	mod.Mul(yl, xl, yl)
-	if got := fromLimbs(yl); got.Cmp(xy) != 0 {
-		return fmt.Errorf("Mul(z=y) (%x, %x) = %x, want %x", x, y, got, xy)
+	if err := check("Mul(z=y)", yl, xy); err != nil {
+		return err
 	}
 	mod.Mul(xl, xl, xl)
-	if got := fromLimbs(xl); got.Cmp(xx) != 0 {
-		return fmt.Errorf("Mul(z=x=y) (%x) = %x, want %x", x, got, xx)
-	}
-	return nil
+	return check("Mul(z=x=y)", xl, xx)
 }
 
 type mulCase struct{ m, x, y *big.Int }
 
 // beforeSubtraction is Mul's value before its final subtraction, in
-// [0, 2m): (x·y + q·m)/R for the q < R that makes the sum a multiple of R.
-func beforeSubtraction(c mulCase, n int) *big.Int {
-	r := new(big.Int).Lsh(big.NewInt(1), uint(n*bits.UintSize))
+// [0, 2m): (x·y + q·m)/R for R = 2^rbits and the q < R that makes the sum
+// a multiple of R.
+func beforeSubtraction(c mulCase, rbits int) *big.Int {
+	r := new(big.Int).Lsh(big.NewInt(1), uint(rbits))
 	xy := new(big.Int).Mul(c.x, c.y)
 	q := new(big.Int).ModInverse(c.m, r)
 	q.Neg(q).Mul(q, xy).Mod(q, r)
-	return q.Mul(q, c.m).Add(q, xy).Rsh(q, uint(n*bits.UintSize))
+	return q.Mul(q, c.m).Add(q, xy).Rsh(q, uint(rbits))
+}
+
+// subtractionEdges returns cases on random odd moduli of mbits bits whose
+// value before Mul's final subtraction, for R = 2^rbits, lies in [m, 2m),
+// checked with beforeSubtraction. For R far above m a random case lands
+// there with odds of about m/R, so they are built: the value is m + t when
+// x·y = s·m + t·R and q = R - s, so for x = m-1 and a small t, y = u·m - t·R
+// with u = ceil(t·R/m) (then y < m, and s = y - u). And on m = a·b, x = a·c
+// and y = b·d (c < b, d < a) give x·y = c·d·m, so the value is m itself and
+// the result zero.
+func subtractionEdges(t testing.TB, mbits, rbits int) []mulCase {
+	r := new(big.Int).Lsh(big.NewInt(1), uint(rbits))
+	one := big.NewInt(1)
+	var cases []mulCase
+	for i := 0; i < 3; i++ {
+		m := oddModulus(t, mbits)
+		x := new(big.Int).Sub(m, one)
+		for _, tt := range []*big.Int{one, big.NewInt(2), randBelow(t, new(big.Int).Lsh(one, 64))} {
+			tr := new(big.Int).Mul(tt, r)
+			u := new(big.Int).Add(tr, new(big.Int).Sub(m, one))
+			u.Quo(u, m)
+			y := new(big.Int).Sub(new(big.Int).Mul(u, m), tr)
+			cases = append(cases, mulCase{m, x, y}, mulCase{m, y, x})
+		}
+		// a and b at 3/4 of their ranges or above, so that m has mbits bits.
+		a, b := oddModulus(t, mbits/2), oddModulus(t, mbits-mbits/2)
+		a.SetBit(a, mbits/2-2, 1)
+		b.SetBit(b, mbits-mbits/2-2, 1)
+		m = new(big.Int).Mul(a, b)
+		c, d := randBelow(t, b), randBelow(t, a)
+		cases = append(cases, mulCase{m, c.Mul(c, a), d.Mul(d, b)})
+	}
+	for _, c := range cases {
+		if u := beforeSubtraction(c, rbits); u.Cmp(c.m) < 0 || u.Cmp(new(big.Int).Lsh(c.m, 1)) >= 0 || c.m.BitLen() != mbits {
+			t.Fatalf("m = %x, x = %x, y = %x: %d-bit modulus, value before the subtraction %x, not in [m, 2m)", c.m, c.x, c.y, c.m.BitLen(), u)
+		}
+	}
+	return cases
 }
 
 // carryEdges returns n-limb cases whose value before Mul's final
@@ -222,7 +300,7 @@ func carryEdges(t testing.TB, n int) []mulCase {
 		var high, mid int
 		for i := 0; i < 1000 && (high < 2 || mid < 2); i++ {
 			c := mulCase{m, new(big.Int).Rand(rng, m), new(big.Int).Rand(rng, m)}
-			switch u := beforeSubtraction(c, n); {
+			switch u := beforeSubtraction(c, w); {
 			case u.Cmp(r) >= 0 && high < 2:
 				high++
 				cases = append(cases, c)
@@ -234,7 +312,7 @@ func carryEdges(t testing.TB, n int) []mulCase {
 	}
 	var high, mid int
 	for _, c := range cases {
-		u := beforeSubtraction(c, n)
+		u := beforeSubtraction(c, w)
 		if u.Cmp(r) >= 0 {
 			high++
 		} else if u.Cmp(c.m) >= 0 {
@@ -249,8 +327,8 @@ func carryEdges(t testing.TB, n int) []mulCase {
 
 // FuzzMontMul holds Mul to x·y·R⁻¹ mod m under every kernel this CPU
 // supports, with z aliasing x, y and both (checkMul). size picks the limb
-// count: 16 or 32, the fused routines' sizes, or 9, which only the loop
-// runs. m is mb's leading bytes at that width, made odd with a nonzero top
+// count: 16 or 32, the fused routines' sizes (32 is digit form under
+// kernelIFMA), or 9, which only the loop runs. m is mb's leading bytes at that width, made odd with a nonzero top
 // limb, and x and y are xb and yb reduced below m.
 func FuzzMontMul(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size uint8, mb, xb, yb []byte) {
@@ -264,15 +342,15 @@ func FuzzMontMul(f *testing.F) {
 		if m.BitLen() <= w-bits.UintSize {
 			m.SetBit(m, w-bits.UintSize, 1)
 		}
-		mod, err := NewModulus(m)
-		if err != nil {
-			t.Fatal(err)
-		}
 		x := new(big.Int).SetBytes(xb)
 		y := new(big.Int).SetBytes(yb)
 		x.Mod(x, m)
 		y.Mod(y, m)
 		forEachKernel(t, func(kname string) {
+			mod, err := NewModulus(m)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := checkMul(mod, x, y); err != nil {
 				t.Fatalf("%s kernel, %d limbs, m = %x: %v", kname, n, m, err)
 			}
@@ -281,7 +359,7 @@ func FuzzMontMul(f *testing.F) {
 }
 
 // TestMulShortOperandPanics: at the fused routines' sizes, a z, x or y one
-// limb short panics with an index error before any kernel reads through it,
+// word short panics with an index error before any kernel reads through it,
 // though its capacity covers m.
 func TestMulShortOperandPanics(t *testing.T) {
 	forEachKernel(t, func(kname string) {
@@ -290,6 +368,7 @@ func TestMulShortOperandPanics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			n := mod.Len()
 			for arg, name := range []string{"z", "x", "y"} {
 				ops := [3][]big.Word{make([]big.Word, n), make([]big.Word, n), make([]big.Word, n)}
 				ops[arg] = ops[arg][:n-1]
@@ -307,14 +386,31 @@ func TestMulShortOperandPanics(t *testing.T) {
 	})
 }
 
-// TestFillBytesPanicsWhenShort: a value wider than the buffer is refused.
+// TestFillBytesPanicsWhenShort: a value wider than the buffer is refused,
+// in either form: a 3-byte value into 2 bytes, and under every kernel a
+// 2048-bit one into 255.
 func TestFillBytesPanicsWhenShort(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FillBytes truncated a value")
+	m := oddModulus(t, 2048)
+	x := new(big.Int).Sub(m, big.NewInt(1))
+	forEachKernel(t, func(kname string) {
+		for _, c := range []struct {
+			m, x  *big.Int
+			width int
+		}{{big.NewInt(0x10001), big.NewInt(0x10000), 2}, {m, x, 255}} {
+			mod, err := NewModulus(c.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s kernel: FillBytes truncated %x to %d bytes", kname, c.x, c.width)
+					}
+				}()
+				mod.FillBytes(make([]byte, c.width), toOperand(mod, c.x))
+			}()
 		}
-	}()
-	FillBytes(make([]byte, 2), []big.Word{0x10000})
+	})
 }
 
 func TestNewModulusRejects(t *testing.T) {
@@ -325,32 +421,37 @@ func TestNewModulusRejects(t *testing.T) {
 	}
 }
 
-// TestMulAllocs: Mul allocates nothing up to stackLimbs limbs.
+// TestMulAllocs: Mul allocates nothing up to stackLimbs limbs, under every
+// kernel.
 func TestMulAllocs(t *testing.T) {
-	mod, err := NewModulus(oddModulus(t, 2048))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := toLimbs(big.NewInt(12345), mod.Len())
-	if n := testing.AllocsPerRun(100, func() { mod.Mul(x, x, x) }); n != 0 {
-		t.Fatalf("Mul allocates %v times", n)
-	}
+	m := oddModulus(t, 2048)
+	forEachKernel(t, func(kname string) {
+		mod, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := toOperand(mod, big.NewInt(12345))
+		if n := testing.AllocsPerRun(100, func() { mod.Mul(x, x, x) }); n != 0 {
+			t.Fatalf("%s kernel: Mul allocates %v times", kname, n)
+		}
+	})
 }
 
 // BenchmarkMul: one modular multiplication at p² (1024 bits) and n² (2048
 // bits) of a 1024-bit Paillier key, by each kernel and by big.Int's Mul and
-// QuoRem, the arithmetic Mul replaces.
+// QuoRem, the arithmetic Mul replaces. At 1024 bits the ifma arm runs the
+// ADX routine: digit form is for 32 limbs alone.
 func BenchmarkMul(b *testing.B) {
 	for _, nb := range []int{1024, 2048} {
 		m := oddModulus(b, nb)
-		mod, err := NewModulus(m)
-		if err != nil {
-			b.Fatal(err)
-		}
 		x, y := randBelow(b, m), randBelow(b, m)
 		forEachKernel(b, func(kname string) {
+			mod, err := NewModulus(m)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.Run(fmt.Sprintf("bits=%d/%s", nb, kname), func(b *testing.B) {
-				z, yl := toLimbs(x, mod.Len()), toLimbs(y, mod.Len())
+				z, yl := toOperand(mod, x), toOperand(mod, y)
 				for i := 0; i < b.N; i++ {
 					mod.Mul(z, z, yl)
 				}

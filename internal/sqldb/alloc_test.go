@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -20,6 +21,7 @@ func TestSelectAllocBudget(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE w (id INT PRIMARY KEY, c1 INT, c2 INT, c3 TEXT, c4 TEXT, c5 INT, c6 INT, c7 TEXT)")
 	mustExec(t, db, "CREATE INDEX w_c1 ON w (c1) USING BTREE")
+	db.RegisterAggUDF("agg_nop", func() AggState { return nopAgg{} })
 	for i := 0; i < 1000; i++ {
 		mustExec(t, db, "INSERT INTO w (id, c1, c2, c3, c4, c5, c6, c7) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
 			Int(int64(i)), Int(int64(i)), Int(int64(i%7)), Text(fmt.Sprintf("t%d", i)), Text("pad"), Int(3), Int(int64(-i)), Text("x"))
@@ -35,13 +37,16 @@ func TestSelectAllocBudget(t *testing.T) {
 	}{
 		{"point", "SELECT c1, c2, c3, c4, c5, c6, c7 FROM w WHERE id = ?", 1, kib(8)},
 		{"range10", "SELECT c1, c2, c3, c4, c5, c6, c7 FROM w WHERE c1 >= ? AND c1 < ? + 10", 10, kib(16)},
+		// An aggregate UDF over all 1000 rows in 7 groups: about 7 KB with
+		// one argument slice per group; one per row was 70 KB.
+		{"udf_groupby", "SELECT c2, agg_nop(c5) FROM w GROUP BY c2", 7, kib(16)},
 	}
 	const stmts = 200
 	for _, c := range cases {
 		run := func(i int) {
 			k := Int(int64(i * 37 % 900))
-			params := []Value{k}
-			if c.rows > 1 {
+			var params []Value
+			for range strings.Count(c.sql, "?") {
 				params = append(params, k)
 			}
 			res, err := db.ExecSQL(c.sql, params...)

@@ -622,7 +622,7 @@ func (db *DB) compileAgg(rowc *exprCompiler, fc *sqlparser.FuncCall) (aggSpec, e
 			}
 			args[i] = ce
 		}
-		return aggSpec{newAcc: func() vAgg { return &cUDFAcc{args: args, state: factory()} }}, nil
+		return aggSpec{newAcc: func() vAgg { return &cUDFAcc{args: args, vals: make([]Value, len(args)), state: factory()} }}, nil
 	}
 	if fc.Name == "COUNT" && fc.Star {
 		return aggSpec{newAcc: func() vAgg { return &cCountStarAcc{} }}, nil

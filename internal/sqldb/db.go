@@ -17,7 +17,8 @@ import (
 // MySQL's CREATE FUNCTION mechanism (§7).
 type UDF func(args []Value) (Value, error)
 
-// AggState accumulates one group of an aggregate UDF.
+// AggState accumulates one group of an aggregate UDF. Step must not retain
+// args: the executor refills the slice for the group's next row.
 type AggState interface {
 	Step(args []Value) error
 	Final() (Value, error)

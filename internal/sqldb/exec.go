@@ -928,18 +928,18 @@ func (a *cMinMaxAcc) final() (Value, error) {
 
 type cUDFAcc struct {
 	args  []compiledExpr
+	vals  []Value // the row's arguments, refilled by every step
 	state AggState
 }
 
 func (a *cUDFAcc) step(ev *execEnv) error {
-	vals := make([]Value, len(a.args))
 	for i, arg := range a.args {
 		v, err := arg(ev)
 		if err != nil {
 			return err
 		}
-		vals[i] = v
+		a.vals[i] = v
 	}
-	return a.state.Step(vals)
+	return a.state.Step(a.vals)
 }
 func (a *cUDFAcc) final() (Value, error) { return a.state.Final() }
