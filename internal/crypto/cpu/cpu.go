@@ -1,7 +1,7 @@
 // Package cpu reports the x86 instruction-set extensions that the
 // repository's assembly kernels choose by: internal/crypto/mont's
 // MULX/ADCX/ADOX loop and AVX-512 IFMA kernel, and internal/crypto/search's
-// SHA-NI compression. It reads them once, at init, from CPUID and XGETBV, as
+// SHA-NI compression and 16-lane AVX-512 match. It reads them once, at init, from CPUID and XGETBV, as
 // the standard library's internal/cpu does, and then applies GODEBUG's
 // cpu.<name>=off settings as internal/cpu does, so that a binary run with
 // GODEBUG=cpu.adx=off (or cpu.all=off) takes the same fallback kernels here

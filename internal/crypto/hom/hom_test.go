@@ -1,6 +1,7 @@
 package hom
 
 import (
+	"fmt"
 	"math/big"
 	"sync"
 	"testing"
@@ -306,17 +307,30 @@ func benchKeyPair(b *testing.B) (*Key, *Key) {
 	return testKeyVal, withoutFactors(testKeyVal)
 }
 
+// BenchmarkDecryptCRT: DecryptInt64 with the key's factors, two
+// exponentiations mod p² and q², at the shared 512-bit bench key and at the
+// paper's DefaultBits, the cost of a proxy's Add-onion decryption.
 func BenchmarkDecryptCRT(b *testing.B) {
-	k, _ := benchKeyPair(b)
-	ct, err := k.EncryptInt64(42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.DecryptInt64(ct); err != nil {
-			b.Fatal(err)
-		}
+	for _, bits := range []int{512, DefaultBits} {
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			k, _ := benchKeyPair(b)
+			if bits != k.N.BitLen() {
+				var err error
+				if k, err = GenerateKey(bits); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ct, err := k.EncryptInt64(42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := k.DecryptInt64(ct); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

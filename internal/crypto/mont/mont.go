@@ -18,8 +18,9 @@
 //     src/math/big/arith_amd64.s, its MULX/ADCX/ADOX and MULQ loops, with
 //     a third branch to the Go loop; that loop (arith.go) is addMulVVW_g
 //     and mulAddWWW_g from src/math/big/arith.go;
-//   - the CPUID stub (cpu_amd64.s) and the ADX/BMI2 feature bits
-//     (arith_amd64.go) come from src/internal/cpu/cpu_x86.s and cpu_x86.go.
+//   - the CPUID stub and the feature bits the kernels choose by are
+//     internal/crypto/cpu's, which adapts them from
+//     src/internal/cpu/cpu_x86.s and cpu_x86.go.
 //
 // On amd64 the assembly takes the ADX loop when CPUID reports ADX and BMI2,
 // else the MULQ loop; other GOARCHes and -tags purego use the Go loop. With

@@ -34,16 +34,34 @@ func referenceMatch(blob []byte, token Token) bool {
 	return found == 1
 }
 
-var kernelNames = map[int]string{kernelGeneric: "generic", kernelSHANI: "sha-ni"}
+var (
+	kernelNames      = map[int]string{kernelGeneric: "generic", kernelSHANI: "sha-ni"}
+	matchKernelNames = map[int]string{matchPerEntry: "per-entry", matchLanes: "16-lane"}
+)
 
-// forEachKernel runs f with each compression kernel this CPU and build
-// support forced in turn.
+// kernelPair names a compress kernel and a match kernel together.
+func kernelPair(k, mk int) string { return kernelNames[k] + "/" + matchKernelNames[mk] }
+
+// forEachKernel runs f with each pair of a compression kernel and a match
+// kernel that this CPU and build support forced in turn. The two are chosen
+// apart: an AVX-512 CPU may lack SHA-NI, and a SHA-NI one AVX-512.
 func forEachKernel(f func(name string)) {
-	defer func(k int) { kernel = k }(kernel)
-	for k := kernelGeneric; k <= detectKernel(); k++ {
-		kernel = k
-		f(kernelNames[k])
+	defer func(k, mk int) { kernel, matchKernel = k, mk }(kernel, matchKernel)
+	for _, k := range choices(kernelGeneric, detectKernel()) {
+		for _, mk := range choices(matchPerEntry, detectMatchKernel()) {
+			kernel, matchKernel = k, mk
+			f(kernelPair(k, mk))
+		}
 	}
+}
+
+// choices returns the kernel every CPU has and, if it differs, the one
+// this CPU selects.
+func choices(baseline, detected int) []int {
+	if detected == baseline {
+		return []int{baseline}
+	}
+	return []int{baseline, detected}
 }
 
 // TestSearchKnownAnswer pins SEARCH blobs stored in the DBMS: every blob in
@@ -277,66 +295,64 @@ func FuzzSearchMatch(f *testing.F) {
 	})
 }
 
-// BenchmarkMatch matches one token against the analytic workload's users
-// table: 2200 rows of 12 keywords. ns/word and allocs/word are per stored
-// word. "matcher" runs the kernel this CPU selects, "matcher-generic" the Go
-// compression function every CPU has, and "reference" the per-word HMAC
+// BenchmarkMatch matches one token against tables shaped as the analytic
+// workload's users table, 2200 rows, at 1, 12, 16, 17 and 33 keywords a
+// row: 12 is the workload's, and the others show what the 16-lane kernel
+// pays for a masked remainder. ns/word and allocs/word are per stored word.
+// Each size has an arm per pair of compression and match kernel this CPU
+// supports (forEachKernel), and at 12 words "reference", the per-word HMAC
 // Match had before Matcher.
 func BenchmarkMatch(b *testing.B) {
-	const rows, words = 2200, 12
+	const rows = 2200
 	c := New([]byte("bench"))
-	rng := rand.New(rand.NewSource(1))
-	blobs := make([][]byte, rows)
-	for i := range blobs {
-		ws := make([]string, words)
-		for j := range ws {
-			ws[j] = fmt.Sprintf("kw%04d", rng.Intn(400))
-		}
-		blob, err := c.EncryptWords(ws)
-		if err != nil {
-			b.Fatal(err)
-		}
-		blobs[i] = blob
-	}
 	tok := c.TokenFor("kw0042")
-	// run times one statement's scan per iteration.
-	run := func(b *testing.B, statement func()) {
-		b.ReportAllocs()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			statement()
+	for _, words := range []int{1, 12, 16, 17, 33} {
+		rng := rand.New(rand.NewSource(1))
+		blobs := make([][]byte, rows)
+		for i := range blobs {
+			ws := make([]string, words)
+			for j := range ws {
+				ws[j] = fmt.Sprintf("kw%04d", rng.Intn(400))
+			}
+			blob, err := c.EncryptWords(ws)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blobs[i] = blob
 		}
-		b.StopTimer()
-		runtime.ReadMemStats(&after)
-		perWord := float64(b.N) * rows * words
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perWord, "ns/word")
-		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perWord, "allocs/word")
+		// run times one statement's scan per iteration.
+		run := func(b *testing.B, statement func()) {
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				statement()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			perWord := float64(b.N) * rows * float64(words)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perWord, "ns/word")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perWord, "allocs/word")
+		}
+		forEachKernel(func(kname string) {
+			b.Run(fmt.Sprintf("words=%d/%s", words, kname), func(b *testing.B) {
+				run(b, func() {
+					m := NewMatcher(tok)
+					for _, blob := range blobs {
+						m.Match(blob)
+					}
+				})
+			})
+		})
+		if words == 12 {
+			b.Run(fmt.Sprintf("words=%d/reference", words), func(b *testing.B) {
+				run(b, func() {
+					for _, blob := range blobs {
+						referenceMatch(blob, tok)
+					}
+				})
+			})
+		}
 	}
-	b.Run("matcher", func(b *testing.B) {
-		run(b, func() {
-			m := NewMatcher(tok)
-			for _, blob := range blobs {
-				m.Match(blob)
-			}
-		})
-	})
-	b.Run("matcher-generic", func(b *testing.B) {
-		defer func(k int) { kernel = k }(kernel)
-		kernel = kernelGeneric
-		run(b, func() {
-			m := NewMatcher(tok)
-			for _, blob := range blobs {
-				m.Match(blob)
-			}
-		})
-	})
-	b.Run("reference", func(b *testing.B) {
-		run(b, func() {
-			for _, blob := range blobs {
-				referenceMatch(blob, tok)
-			}
-		})
-	})
 }

@@ -78,11 +78,19 @@ var _K = [...]uint32{
 	0xc67178f2,
 }
 
-// Kernels of compress, in the order a CPU may support them; kernel (set per
-// GOARCH) holds the one in use.
+// Kernels of compress; kernel (set per GOARCH) holds the one in use.
 const (
 	kernelGeneric = iota
 	kernelSHANI
+)
+
+// Kernels of Matcher.Match's scan, chosen apart from compress's:
+// matchPerEntry runs compress twice per entry, matchLanes tests up to 16
+// entries a call (match_amd64.s). matchKernel (set per GOARCH) holds the
+// one in use.
+const (
+	matchPerEntry = iota
+	matchLanes
 )
 
 // iv is SHA-256's initial state.

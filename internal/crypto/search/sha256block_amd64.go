@@ -9,8 +9,20 @@ import "repro/internal/crypto/cpu"
 //go:noescape
 func blockSHANI(dig *[8]uint32, p []byte)
 
-// kernel is compress's kernel, chosen once from CPUID.
-var kernel = detectKernel()
+// matchAVX512 reports whether any of the up to 16 entries at entries, lane
+// i the i-th, whose bit is set in lanes is an HMAC match under the
+// midstates inner and outer (match_amd64.s, written by _gen). It reads no
+// entry whose bit is clear.
+//
+//go:noescape
+func matchAVX512(inner, outer *[8]uint32, entries *byte, lanes uint16) bool
+
+// kernel is compress's kernel and matchKernel Matcher.Match's, each chosen
+// once from CPUID.
+var (
+	kernel      = detectKernel()
+	matchKernel = detectMatchKernel()
+)
 
 // detectKernel returns kernelSHANI under the condition the standard
 // library's crypto/sha256 uses SHA-NI on (SHA, SSSE3, SSE4.1 and AVX with
@@ -22,6 +34,16 @@ func detectKernel() int {
 	return kernelGeneric
 }
 
+// detectMatchKernel returns matchLanes when the CPU has AVX512F with the OS
+// saving the ZMM state, whether or not it has SHA-NI, and matchPerEntry
+// otherwise.
+func detectMatchKernel() int {
+	if cpu.X86HasAVX512F {
+		return matchLanes
+	}
+	return matchPerEntry
+}
+
 // compress runs SHA-256's compression function over each whole 64-byte
 // block of p, updating the state dig.
 func compress(dig *[8]uint32, p []byte) {
@@ -30,4 +52,21 @@ func compress(dig *[8]uint32, p []byte) {
 		return
 	}
 	blockGeneric(dig, p)
+}
+
+// match scans a blob of whole entries, at least one, with matchKernel:
+// under matchLanes one matchAVX512 call per 16 entries, the last group
+// under a mask of the entries it has.
+func (m *Matcher) match(blob []byte) bool {
+	if matchKernel != matchLanes {
+		return m.matchEach(blob)
+	}
+	found := false
+	for off := 0; off < len(blob); off += 16 * EntrySize {
+		n := min(16, (len(blob)-off)/EntrySize)
+		if matchAVX512(&m.inner, &m.outer, &blob[off], uint16(1<<n-1)) {
+			found = true
+		}
+	}
+	return found
 }
