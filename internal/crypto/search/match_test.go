@@ -296,9 +296,10 @@ func FuzzSearchMatch(f *testing.F) {
 }
 
 // BenchmarkMatch matches one token against tables shaped as the analytic
-// workload's users table, 2200 rows, at 1, 12, 16, 17 and 33 keywords a
-// row: 12 is the workload's, and the others show what the 16-lane kernel
-// pays for a masked remainder. ns/word and allocs/word are per stored word.
+// workload's users table, 2200 rows, at 1, 4, 5, 12, 16, 17 and 33
+// keywords a row: 12 is the workload's, 1, 4 and 5 bracket the group size
+// below which SHA-NI's per-entry scan beats a 16-lane call (laneMin), and
+// the others show what the 16-lane kernel pays for a masked remainder. ns/word and allocs/word are per stored word.
 // Each size has an arm per pair of compression and match kernel this CPU
 // supports (forEachKernel), and at 12 words "reference", the per-word HMAC
 // Match had before Matcher.
@@ -306,7 +307,7 @@ func BenchmarkMatch(b *testing.B) {
 	const rows = 2200
 	c := New([]byte("bench"))
 	tok := c.TokenFor("kw0042")
-	for _, words := range []int{1, 12, 16, 17, 33} {
+	for _, words := range []int{1, 4, 5, 12, 16, 17, 33} {
 		rng := rand.New(rand.NewSource(1))
 		blobs := make([][]byte, rows)
 		for i := range blobs {

@@ -183,8 +183,9 @@ func NewMatcher(token Token) *Matcher {
 
 // Match reports whether blob contains the word behind the Matcher's token.
 // It scans every entry and allocates nothing. On a CPU with AVX512F it
-// tests 16 entries a call, one to each lane (matchAVX512); elsewhere it
-// takes one entry at a time (matchEach).
+// tests 16 entries a call, one to each lane (matchAVX512), but for a group
+// too short to pay for the call when SHA-NI compresses (laneMin);
+// elsewhere it takes one entry at a time (matchEach).
 func (m *Matcher) Match(blob []byte) bool {
 	if len(blob)%EntrySize != 0 || len(blob) == 0 {
 		return false

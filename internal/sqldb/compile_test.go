@@ -340,18 +340,21 @@ func TestSelectFeeds(t *testing.T) {
 		mustExec(t, db, "INSERT INTO t2 (id, fk, c) VALUES (?, ?, ?)", Int(int64(i)), Int(int64(i*7%60)), Int(int64(i%9)))
 		mustExec(t, db, "INSERT INTO t3 (id, k1, k2, d) VALUES (?, ?, ?, ?)", Int(int64(i)), Int(int64(i%9)), Int(int64(i%4)), Int(int64(i)))
 	}
-	fed := func(sql string, params ...Value) (*Result, error) {
+	// fed binds every FROM entry but local (-1: none) to its table's rows.
+	fed := func(sql string, local int) (*Result, error) {
 		s, err := sqlparser.Parse(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sel := s.(*sqlparser.SelectStmt)
-		feeds := make([]Feed, len(sel.From))
+		feeds := make([]*Feed, len(sel.From))
 		for i, ref := range sel.From {
-			res := mustExec(t, db, "SELECT * FROM "+ref.Table)
-			feeds[i] = Feed{Columns: res.Columns, Rows: res.Rows}
+			if i != local {
+				res := mustExec(t, db, "SELECT * FROM "+ref.Table)
+				feeds[i] = &Feed{Columns: res.Columns, Rows: res.Rows}
+			}
 		}
-		return db.SelectFeeds(sel, feeds, params...)
+		return db.SelectFeeds(sel, feeds)
 	}
 	var fedJoins int64
 	for _, q := range []struct {
@@ -368,16 +371,22 @@ func TestSelectFeeds(t *testing.T) {
 		{"SELECT t1.id FROM t1, t2 WHERE t1.id = t2.nope", false},
 	} {
 		rs, errS := db.ExecSQL(q.sql)
-		before := db.Stats().Plan.HashJoins
-		rf, errF := fed(q.sql)
-		fedJoins += db.Stats().Plan.HashJoins - before
-		if (errS == nil) != (errF == nil) {
-			t.Fatalf("%q: stored err=%v, fed err=%v", q.sql, errS, errF)
-		}
-		if errS == nil {
-			sameRows(t, "feeds", q.sql, rs, rf, q.ordered)
-			if strings.Join(rs.Columns, ",") != strings.Join(rf.Columns, ",") {
-				t.Fatalf("%q: columns %v vs %v", q.sql, rs.Columns, rf.Columns)
+		// Every entry fed, then each entry in turn left local.
+		entries := len(mustParse(t, q.sql).(*sqlparser.SelectStmt).From)
+		for local := -1; local < entries; local++ {
+			before := db.Stats().Plan.HashJoins
+			rf, errF := fed(q.sql, local)
+			if local < 0 {
+				fedJoins += db.Stats().Plan.HashJoins - before
+			}
+			if (errS == nil) != (errF == nil) {
+				t.Fatalf("%q, local entry %d: stored err=%v, fed err=%v", q.sql, local, errS, errF)
+			}
+			if errS == nil {
+				sameRows(t, "feeds", q.sql, rs, rf, q.ordered)
+				if strings.Join(rs.Columns, ",") != strings.Join(rf.Columns, ",") {
+					t.Fatalf("%q, local entry %d: columns %v vs %v", q.sql, local, rs.Columns, rf.Columns)
+				}
 			}
 		}
 	}
@@ -386,6 +395,46 @@ func TestSelectFeeds(t *testing.T) {
 	}
 	if _, err := db.SelectFeeds(&sqlparser.SelectStmt{From: []sqlparser.TableRef{{Table: "t1"}}}, nil); err == nil {
 		t.Fatal("SelectFeeds accepted a FROM entry without a feed")
+	}
+}
+
+// TestSessionSelectFeedsReadsOwnWrites: a local entry of Session.SelectFeeds
+// is the table as the session's open transaction sees it, and its committed
+// rows for every other session.
+func TestSessionSelectFeedsReadsOwnWrites(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE o (id INT PRIMARY KEY, uid INT)")
+	mustExec(t, db, "CREATE INDEX o_uid ON o (uid)")
+	mustExec(t, db, "INSERT INTO o (id, uid) VALUES (1, 1), (2, 2)")
+	sel := mustParse(t, "SELECT u.name, o.id FROM u JOIN o ON o.uid = u.id").(*sqlparser.SelectStmt)
+	feeds := []*Feed{{Columns: []string{"id", "name"}, Rows: [][]Value{{Int(1), Text("ann")}, {Int(3), Text("cy")}}}, nil}
+
+	sess := db.NewSession()
+	defer sess.Close()
+	for _, sql := range []string{"BEGIN", "INSERT INTO o (id, uid) VALUES (3, 3)", "DELETE FROM o WHERE id = 1"} {
+		if _, err := sess.ExecSQL(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		who  string
+		run  func(*sqlparser.SelectStmt, []*Feed, ...Value) (*Result, error)
+		want string
+	}{
+		{"transaction", sess.SelectFeeds, "[[cy 3]]"},
+		{"other session", db.NewSession().SelectFeeds, "[[ann 1]]"},
+		{"database", db.SelectFeeds, "[[ann 1]]"},
+	} {
+		res, err := c.run(sel, feeds)
+		if err != nil {
+			t.Fatalf("%s: %v", c.who, err)
+		}
+		if got := fmt.Sprint(res.Rows); got != c.want {
+			t.Errorf("%s reads %s, want %s", c.who, got, c.want)
+		}
+	}
+	if _, err := sess.ExecSQL("ROLLBACK"); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -115,7 +115,7 @@ type DB struct {
 
 	// Planner counters (atomics; see Stats).
 	fullScans, eqScans, rangeScans, orderedScans, minMaxFast atomic.Int64
-	compiledSel, hashJoins, nestedLoops                      atomic.Int64
+	compiledSel, hashJoins, indexJoins, nestedLoops          atomic.Int64
 }
 
 // PlanCounters tallies the scan planner's access-path decisions: how many
@@ -125,8 +125,10 @@ type DB struct {
 // also tallies the execution layer's choices: SELECTs run by the compiled
 // operator pipeline (Compiled; every SELECT but the MIN/MAX endpoint
 // answers, index-ordered walks included), hash-join vs. nested-loop
-// operators, and (summed in by a sharded store) GROUP BYs executed
-// per-shard with partial-aggregate recombination.
+// operators — IndexJoins counts the hash joins that probed the build
+// table's own hash index instead of hashing its rows — and (summed in by a
+// sharded store) GROUP BYs executed per-shard with partial-aggregate
+// recombination.
 type PlanCounters struct {
 	FullScans    int64
 	EqScans      int64
@@ -135,6 +137,7 @@ type PlanCounters struct {
 	MinMaxIndex  int64
 	Compiled     int64
 	HashJoins    int64
+	IndexJoins   int64
 	NestedLoops  int64
 	// Interpreted and DegradedJoins are always zero: they counted SELECTs
 	// run by the AST interpreter, which is no longer in the binary (it is
@@ -191,6 +194,7 @@ func (s *Stats) Add(o Stats) {
 	s.Plan.MinMaxIndex += o.Plan.MinMaxIndex
 	s.Plan.Compiled += o.Plan.Compiled
 	s.Plan.HashJoins += o.Plan.HashJoins
+	s.Plan.IndexJoins += o.Plan.IndexJoins
 	s.Plan.NestedLoops += o.Plan.NestedLoops
 	s.Plan.Interpreted += o.Plan.Interpreted
 	s.Plan.DegradedJoins += o.Plan.DegradedJoins
@@ -228,6 +232,7 @@ func (db *DB) Stats() Stats {
 			MinMaxIndex:  db.minMaxFast.Load(),
 			Compiled:     db.compiledSel.Load(),
 			HashJoins:    db.hashJoins.Load(),
+			IndexJoins:   db.indexJoins.Load(),
 			NestedLoops:  db.nestedLoops.Load(),
 		},
 		Cache:                db.pager.stats(),
@@ -305,6 +310,18 @@ func (db *DB) Table(name string) *Table {
 	return db.tables[name]
 }
 
+// RowCount reports the live rows of the named table, 0 for a table that
+// does not exist. Unlike Table(name).RowCount it reads under db.mu, so it
+// races no writer.
+func (db *DB) RowCount(name string) int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if t := db.tables[name]; t != nil {
+		return t.live
+	}
+	return 0
+}
+
 // TableNames lists tables in sorted order.
 func (db *DB) TableNames() []string {
 	db.mu.RLock()
@@ -360,7 +377,7 @@ func (db *DB) execStateless(st sqlparser.Statement, meta []byte, params []Value)
 	case *sqlparser.SelectStmt:
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		return db.execSelect(nil, s, params)
+		return db.execSelect(nil, s, nil, params)
 	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
 		return db.autocommitWrite(st, meta, params)
 	case *sqlparser.CreateTableStmt:

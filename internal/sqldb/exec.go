@@ -184,8 +184,9 @@ func (h *hashJoinSource) newProbeScratch() *probeScratch {
 }
 
 // prepare runs the build phase once and tallies the join in the planner
-// counters (hashJoins for a trusted-key build, nestedLoops for a
-// heterogeneous one that degrades to per-pair comparison).
+// counters (hashJoins for a trusted-key build, indexJoins too when that
+// build is an existing index, nestedLoops for a heterogeneous one that
+// degrades to per-pair comparison).
 func (h *hashJoinSource) prepare() (*builtTable, error) {
 	// When the key is one column, the build side is an unpruned full scan
 	// and that column already has a hash index, the index *is* the build
@@ -198,6 +199,7 @@ func (h *hashJoinSource) prepare() (*builtTable, error) {
 			kind, homog := idx.soleKind()
 			if homog {
 				h.db.hashJoins.Add(1)
+				h.db.indexJoins.Add(1)
 			} else {
 				h.db.nestedLoops.Add(1)
 			}

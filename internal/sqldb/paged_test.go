@@ -442,7 +442,7 @@ func TestScratchTablesStayOutOfCache(t *testing.T) {
 	}
 
 	st := mustParse(t, "SELECT x.k, y.w FROM x JOIN y ON x.k = y.id")
-	feeds := []Feed{
+	feeds := []*Feed{
 		{Columns: []string{"k"}, Rows: [][]Value{{Int(1)}, {Int(2)}, {Int(3)}}},
 		{Columns: []string{"id", "w"}, Rows: [][]Value{{Int(1), Text("x")}, {Int(2), Text("y")}}},
 	}

@@ -2,64 +2,93 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sqlparser"
 )
 
-// This file is where a SELECT enters: execSelect and SelectFeeds bind the
-// FROM entries into a scope and hand the statement to the compiled
-// pipeline (compile.go, exec.go), which runs every SELECT — an
-// index-ordered ORDER BY ... LIMIT too, as one of its access paths. The one
-// shortcut beside it is tryIndexMinMax, which answers MIN/MAX from
-// ordered-index endpoints without reading a row. The helpers the pipeline
-// and the test interpreter share (projection expansion, ORDER BY aliases,
-// DISTINCT, LIMIT) live here as well.
+// This file is where a SELECT enters: execSelect binds the FROM entries —
+// stored tables as the reading transaction sees them, or supplied feeds —
+// into a scope and hands the statement to the compiled pipeline
+// (compile.go, exec.go), which runs every SELECT — an index-ordered ORDER
+// BY ... LIMIT too, as one of its access paths. The one shortcut beside it
+// is tryIndexMinMax, which answers MIN/MAX from ordered-index endpoints
+// without reading a row. The helpers the pipeline and the test interpreter
+// share (projection expansion, ORDER BY aliases, DISTINCT, LIMIT) live here
+// as well.
 
 // Feed is a row set bound to one FROM entry in place of a stored table:
-// Columns names the positions of every row.
+// Columns names the positions of every row. The rows are only read, so one
+// Feed may serve statements on several databases at once.
 type Feed struct {
 	Columns []string
 	Rows    [][]Value
 }
 
 // SelectFeeds runs s through the compiled pipeline with FROM entry i bound
-// to feeds[i]. The rows are scanned where they lie — never copied into a
-// table, never indexed — and a hash join builds over them like over any
-// pruned access path. UDFs and plan counters are this database's. A sharded
-// store finishes every cross-shard SELECT this way, on shard 0, over the
-// rows its shards returned.
-func (db *DB) SelectFeeds(s *sqlparser.SelectStmt, feeds []Feed, params ...Value) (*Result, error) {
+// to feeds[i], or, where feeds[i] is nil, to this database's own table. The
+// fed rows are scanned where they lie — never copied into a table, never
+// indexed — and a hash join builds over them like over any pruned access
+// path; a local entry keeps its indexes, so an equi-join that builds on it
+// probes its hash index. UDFs and plan counters are this database's.
+//
+// A statement with a local entry holds db.mu's read side for its whole run,
+// as any read does; one over feeds alone holds it only while compiling,
+// for the UDF registries, so writers do not wait for it. A sharded store
+// runs every per-shard join this way, each fed entry the rows every shard
+// returned and the local entry that shard's table, and merges and
+// coordinator statements over feeds alone on shard 0.
+func (db *DB) SelectFeeds(s *sqlparser.SelectStmt, feeds []*Feed, params ...Value) (*Result, error) {
+	return db.selectFeeds(nil, s, feeds, params)
+}
+
+// SelectFeeds is DB.SelectFeeds on this session: a local entry is the table
+// as the session's open transaction sees it (read your writes).
+func (s *Session) SelectFeeds(st *sqlparser.SelectStmt, feeds []*Feed, params ...Value) (*Result, error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("sqldb: session is closed")
+	}
+	if s.txn == nil {
+		// As in exec: without a transaction the read runs off the
+		// session's mutex.
+		s.mu.Unlock()
+		return s.db.selectFeeds(nil, st, feeds, params)
+	}
+	defer s.mu.Unlock()
+	return s.db.selectFeeds(s.txn, st, feeds, params)
+}
+
+func (db *DB) selectFeeds(txn *Txn, s *sqlparser.SelectStmt, feeds []*Feed, params []Value) (*Result, error) {
 	if len(feeds) != len(s.From) {
 		return nil, fmt.Errorf("sqldb: %d feeds for %d FROM entries", len(feeds), len(s.From))
 	}
 	defer db.trackBusy(time.Now())
-	// db.mu guards only the UDF registries here, which compiling resolves
-	// into the plan: the run reads the caller's rows, so writers to this
-	// database do not wait for it.
 	db.mu.RLock()
-	sc, aggCalls, err := db.selectScope(nil, s, feeds)
-	var cp *compiledSelect
-	if err == nil {
-		cp, err = db.compileSelect(s, sc, aggCalls, params)
+	if slices.Contains(feeds, nil) {
+		defer db.mu.RUnlock()
+		return db.execSelect(txn, s, feeds, params)
 	}
+	res, cp, err := db.planSelect(txn, s, feeds, params)
 	db.mu.RUnlock()
-	if err != nil {
-		return nil, err
+	if cp == nil {
+		return res, err
 	}
-	db.compiledSel.Add(1)
 	return cp.run()
 }
 
-// selectScope binds the FROM tables as txn sees them (txn may be nil), or
-// the feeds when given, into a scope and collects the aggregate calls of the
-// projection, HAVING and ORDER BY — what makes a SELECT grouped, which the
-// MIN/MAX endpoint shortcut needs to know up front.
-func (db *DB) selectScope(txn *Txn, s *sqlparser.SelectStmt, feeds []Feed) (*scope, []*sqlparser.FuncCall, error) {
+// selectScope binds the FROM entries into a scope — entry i to feeds[i]
+// when feeds is given and feeds[i] is set, else to the table as txn (which
+// may be nil) sees it — and collects the aggregate calls of the projection,
+// HAVING and ORDER BY: what makes a SELECT grouped, which the MIN/MAX
+// endpoint shortcut needs to know up front.
+func (db *DB) selectScope(txn *Txn, s *sqlparser.SelectStmt, feeds []*Feed) (*scope, []*sqlparser.FuncCall, error) {
 	sc := &scope{}
 	for i, ref := range s.From {
-		if feeds != nil {
-			sc.addFeed(ref, &feeds[i])
+		if feeds != nil && feeds[i] != nil {
+			sc.addFeed(ref, feeds[i])
 			continue
 		}
 		t, ok := db.tables[ref.Table]
@@ -83,29 +112,38 @@ func (db *DB) selectScope(txn *Txn, s *sqlparser.SelectStmt, feeds []Feed) (*sco
 	return sc, aggCalls, nil
 }
 
-// execSelect runs s over the tables as txn sees them; txn is nil outside a
-// transaction. Callers hold db.mu's read side.
-func (db *DB) execSelect(txn *Txn, s *sqlparser.SelectStmt, params []Value) (*Result, error) {
-	sc, aggCalls, err := db.selectScope(txn, s, nil)
-	if err != nil {
-		return nil, err
+// execSelect runs s over the tables as txn sees them (txn is nil outside a
+// transaction) and the feeds, as selectScope binds them. Callers hold
+// db.mu's read side.
+func (db *DB) execSelect(txn *Txn, s *sqlparser.SelectStmt, feeds []*Feed, params []Value) (*Result, error) {
+	res, cp, err := db.planSelect(txn, s, feeds, params)
+	if cp == nil {
+		return res, err
 	}
+	return cp.run()
+}
 
+// planSelect binds and compiles s into the compiled operator pipeline
+// (compile.go / exec.go); an index-ordered walk is one of its access paths.
+// A statement the MIN/MAX endpoint shortcut answers returns its result and
+// a nil pipeline (it counts separately, minMaxFast). Callers hold db.mu's
+// read side.
+func (db *DB) planSelect(txn *Txn, s *sqlparser.SelectStmt, feeds []*Feed, params []Value) (*Result, *compiledSelect, error) {
+	sc, aggCalls, err := db.selectScope(txn, s, feeds)
+	if err != nil {
+		return nil, nil, err
+	}
 	if len(s.GroupBy) == 0 && len(aggCalls) > 0 {
 		if res, ok, err := db.tryIndexMinMax(s, sc); ok {
-			return res, err
+			return res, nil, err
 		}
 	}
-
-	// Resolve and lower the statement into the compiled operator pipeline
-	// (compile.go / exec.go); an index-ordered walk is one of its access
-	// paths. The endpoint shortcut above counts separately (minMaxFast).
 	cp, err := db.compileSelect(s, sc, aggCalls, params)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	db.compiledSel.Add(1)
-	return cp.run()
+	return nil, cp, nil
 }
 
 // tryIndexMinMax answers `SELECT MIN(col) / MAX(col) FROM t` projections

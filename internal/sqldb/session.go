@@ -231,7 +231,7 @@ func (txn *Txn) exec(st sqlparser.Statement, params []Value) (*Result, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if s, ok := st.(*sqlparser.SelectStmt); ok {
-		return db.execSelect(txn, s, params)
+		return db.execSelect(txn, s, nil, params)
 	}
 	return txn.stageWrite(st, params)
 }

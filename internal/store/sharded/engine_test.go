@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 	"repro/internal/store/single"
 )
 
-func mustExec(t *testing.T, ex store.Executor, sql string, params ...sqldb.Value) *sqldb.Result {
+func mustExec(t testing.TB, ex store.Executor, sql string, params ...sqldb.Value) *sqldb.Result {
 	t.Helper()
 	res, err := ex.ExecSQL(sql, params...)
 	if err != nil {
@@ -355,9 +356,11 @@ func TestStatsAggregation(t *testing.T) {
 	}
 }
 
-// TestCrossShardJoinCounters: a cross-shard equi-join runs in shard 0's
-// compiled pipeline, so its hash join and its compilation count in Stats
-// next to the shards' own reads of the two tables.
+// TestCrossShardJoinCounters: a cross-shard equi-join runs on the shards.
+// Every shard reads its rows of the fed entry (u) once and joins the whole
+// feed with its own rows of the local entry (o) once, in its compiled
+// pipeline; no coordinator statement runs, so no shard counts a second
+// join.
 func TestCrossShardJoinCounters(t *testing.T) {
 	const shards = 3
 	e := New(shards)
@@ -367,18 +370,107 @@ func TestCrossShardJoinCounters(t *testing.T) {
 		mustExec(t, e, fmt.Sprintf("INSERT INTO u (id, grp) VALUES (%d, %d)", i, i%4))
 		mustExec(t, e, fmt.Sprintf("INSERT INTO o (id, uid) VALUES (%d, %d)", i, i%10+1))
 	}
-	before := e.Stats().Plan
+	mustExec(t, e, "INSERT INTO o (id, uid) VALUES (31, 1)") // o is the larger entry
+	before := make([]sqldb.PlanCounters, shards)
+	for i := range before {
+		before[i] = e.Shard(i).Stats().Plan
+	}
 	res := mustExec(t, e, "SELECT o.id, u.grp FROM o, u WHERE o.uid = u.id")
-	if len(res.Rows) != 30 {
-		t.Fatalf("join returned %d rows, want 30", len(res.Rows))
+	if len(res.Rows) != 31 {
+		t.Fatalf("join returned %d rows, want 31", len(res.Rows))
 	}
+	for i := range before {
+		after := e.Shard(i).Stats().Plan
+		if got := after.HashJoins - before[i].HashJoins; got != 1 {
+			t.Errorf("shard %d: HashJoins advanced by %d, want 1 (its own join, no coordinator's)", i, got)
+		}
+		// One read of u for the feed, one join.
+		if got := after.Compiled - before[i].Compiled; got != 2 {
+			t.Errorf("shard %d: Compiled advanced by %d, want 2", i, got)
+		}
+	}
+}
+
+// TestCrossShardJoinProbesLocalIndex: when the local entry is a join's
+// build side, each shard probes that table's hash index for the fed rows
+// (IndexJoins) instead of hashing its rows again, as one store does.
+func TestCrossShardJoinProbesLocalIndex(t *testing.T) {
+	const shards = 3
+	e := New(shards)
+	mustExec(t, e, "CREATE TABLE u (id INT PRIMARY KEY, grp INT)")
+	mustExec(t, e, "CREATE TABLE o (id INT PRIMARY KEY, uid INT)")
+	mustExec(t, e, "CREATE INDEX o_uid ON o (uid)")
+	for i := 1; i <= 30; i++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO u (id, grp) VALUES (%d, %d)", i, i%4))
+	}
+	for i := 1; i <= 300; i++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO o (id, uid) VALUES (%d, %d)", i, i%30+1))
+	}
+	before := e.Stats().Plan
+	res := mustExec(t, e, "SELECT u.grp, o.id FROM u JOIN o ON o.uid = u.id WHERE u.grp = 1")
 	after := e.Stats().Plan
-	if got := after.HashJoins - before.HashJoins; got != 1 {
-		t.Fatalf("HashJoins advanced by %d, want 1", got)
+	if len(res.Rows) != 80 { // users 1, 5, …, 29, ten orders each
+		t.Fatalf("join returned %d rows, want 80", len(res.Rows))
 	}
-	// One read of each table per shard, plus the coordinator statement.
-	if got := after.Compiled - before.Compiled; got != 2*shards+1 {
-		t.Fatalf("Compiled advanced by %d, want %d", got, 2*shards+1)
+	if got := after.IndexJoins - before.IndexJoins; got != shards {
+		t.Errorf("IndexJoins advanced by %d, want %d: a shard hashed its orders again", got, shards)
+	}
+	if got := after.HashJoins - before.HashJoins; got != shards {
+		t.Errorf("HashJoins advanced by %d, want %d", got, shards)
+	}
+}
+
+// TestCrossShardJoinInTxn: a join inside a pinned transaction runs on the
+// shards and sees the transaction's uncommitted rows in the fed entry (u)
+// and in the local entry (o); other connections see them after COMMIT.
+func TestCrossShardJoinInTxn(t *testing.T) {
+	const shards = 3
+	e := New(shards)
+	mustExec(t, e, "CREATE TABLE u (id INT PRIMARY KEY, name TEXT)")
+	mustExec(t, e, "CREATE TABLE o (id INT PRIMARY KEY, uid INT)")
+	mustExec(t, e, "CREATE INDEX o_uid ON o (uid)")
+	for i := 1; i <= 9; i++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO u (id, name) VALUES (%d, 'u%d')", i, i))
+	}
+	for i := 1; i <= 27; i++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO o (id, uid) VALUES (%d, %d)", i, i%9+1))
+	}
+	// A new user and two new orders on the new user's shard, where the
+	// transaction pins: one order of the new user, one of user 2.
+	const uid = 100
+	pin := e.ShardOf("u", sqldb.Int(uid))
+	var oids []int
+	for id := 100; len(oids) < 2; id++ {
+		if e.ShardOf("o", sqldb.Int(int64(id))) == pin {
+			oids = append(oids, id)
+		}
+	}
+	sql := fmt.Sprintf("SELECT u.name, o.id FROM u JOIN o ON o.uid = u.id WHERE u.id = %d OR o.id = %d", uid, oids[1])
+	c := e.NewConn()
+	defer c.Close()
+	mustExec(t, c, "BEGIN")
+	mustExec(t, c, fmt.Sprintf("INSERT INTO u (id, name) VALUES (%d, 'new')", uid))
+	mustExec(t, c, fmt.Sprintf("INSERT INTO o (id, uid) VALUES (%d, %d)", oids[0], uid))
+	mustExec(t, c, fmt.Sprintf("INSERT INTO o (id, uid) VALUES (%d, 2)", oids[1]))
+	want := fmt.Sprintf("[[new %d] [u2 %d]]", oids[0], oids[1])
+	rows := func(ex store.Executor) string {
+		res := mustExec(t, ex, sql)
+		sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i][1].I < res.Rows[j][1].I })
+		return fmt.Sprint(res.Rows)
+	}
+	joins := e.Stats().Plan.HashJoins
+	if got := rows(c); got != want {
+		t.Fatalf("inside the transaction the join reads %s, want %s", got, want)
+	}
+	if got := e.Stats().Plan.HashJoins - joins; got != shards {
+		t.Errorf("HashJoins advanced by %d, want %d (one per shard: the join ran on the shards)", got, shards)
+	}
+	if got := rows(e); got != "[]" {
+		t.Fatalf("another connection reads %s before COMMIT, want nothing", got)
+	}
+	mustExec(t, c, "COMMIT")
+	if got := rows(e); got != want {
+		t.Fatalf("after COMMIT the join reads %s, want %s", got, want)
 	}
 }
 

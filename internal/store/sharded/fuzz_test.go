@@ -14,12 +14,14 @@ import (
 // on three shards loaded with the same rows, and requires both to fail or
 // both to return the same multiset of rows under the same column names.
 // Each column holds one value kind plus NULLs, as a CryptDB onion column
-// does. The seed corpus (testdata/fuzz) is the statement texts of
-// runEquivalence, of the benchmark's analytic mix and of TestFeedColumns'
-// resolution shapes (feed-*).
+// does; xsum is runEquivalence's aggregate UDF. The seed corpus
+// (testdata/fuzz) is the statement texts of runEquivalence, of the
+// benchmark's analytic mix, of TestFeedColumns' resolution shapes (feed-*)
+// and of the join shapes the shards run over feeds (join-*).
 func FuzzCrossShardSelect(f *testing.F) {
 	ref, dut := single.New(sqldb.New()), New(3)
 	for _, e := range []store.Engine{ref, dut} {
+		e.RegisterAggUDF("xsum", func() sqldb.AggState { return &xsumState{} })
 		loadFuzzTables(f, e)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
@@ -92,17 +94,19 @@ func loadFuzzTables(tb testing.TB, e store.Engine) {
 
 // deterministic reports whether one store's answer to s depends on the
 // rows alone, not on the order a scan meets them — only then must two
-// topologies agree. LIMIT/OFFSET needs a single-table, ungrouped ORDER BY
-// that ends in the unique id; a grouped query may read a column outside an
-// aggregate only as one of its GROUP BY expressions (or an alias of a
-// select item); and at most three FROM entries keep cross joins small.
+// topologies agree. LIMIT/OFFSET needs an ungrouped ORDER BY that orders
+// every row: over one table one that ends in the unique id, over several
+// one that names each entry's id qualified by that entry; a grouped query
+// may read a column outside an aggregate only as one of its GROUP BY
+// expressions (or an alias of a select item); and at most three FROM
+// entries keep cross joins small.
 func deterministic(s *sqlparser.SelectStmt) bool {
 	if len(s.From) > 3 {
 		return false
 	}
 	isAgg := func(ex sqlparser.Expr) bool {
 		fc, ok := ex.(*sqlparser.FuncCall)
-		return ok && builtinAggs[fc.Name]
+		return ok && (builtinAggs[fc.Name] || fc.Name == "xsum")
 	}
 	grouped := len(s.GroupBy) > 0 || (s.Having != nil && anyExpr(s.Having, isAgg))
 	for _, se := range s.Exprs {
@@ -111,19 +115,8 @@ func deterministic(s *sqlparser.SelectStmt) bool {
 	for _, o := range s.OrderBy {
 		grouped = grouped || anyExpr(o.Expr, isAgg)
 	}
-	if s.Limit != nil || s.Offset != nil {
-		if grouped || len(s.From) != 1 || len(s.OrderBy) == 0 {
-			return false
-		}
-		cr, ok := s.OrderBy[len(s.OrderBy)-1].Expr.(*sqlparser.ColRef)
-		if !ok || cr.Column != "id" {
-			return false
-		}
-		for _, se := range s.Exprs {
-			if se.Alias == "id" {
-				return false
-			}
-		}
+	if (s.Limit != nil || s.Offset != nil) && (grouped || !totalOrder(s)) {
+		return false
 	}
 	if !grouped {
 		return true
@@ -157,6 +150,45 @@ func deterministic(s *sqlparser.SelectStmt) bool {
 	}
 	for _, o := range s.OrderBy {
 		if visibleIndex(o.Expr, s.Exprs) < 0 && free(o.Expr) {
+			return false
+		}
+	}
+	return true
+}
+
+// totalOrder reports whether s's ORDER BY puts every result row in one
+// place: over one table it ends in the unique id (which no select-list
+// alias shadows); over several it names, for every entry, that entry's id
+// qualified by its alias (by its table name when it has none). Ids are
+// unique per table, so no two joined rows tie.
+func totalOrder(s *sqlparser.SelectStmt) bool {
+	if len(s.OrderBy) == 0 {
+		return false
+	}
+	if len(s.From) == 1 {
+		cr, ok := s.OrderBy[len(s.OrderBy)-1].Expr.(*sqlparser.ColRef)
+		if !ok || cr.Column != "id" {
+			return false
+		}
+		for _, se := range s.Exprs {
+			if se.Alias == "id" {
+				return false
+			}
+		}
+		return true
+	}
+	for _, ref := range s.From {
+		name := ref.Alias
+		if name == "" {
+			name = ref.Table
+		}
+		found := false
+		for _, o := range s.OrderBy {
+			if cr, ok := o.Expr.(*sqlparser.ColRef); ok && cr.Table == name && cr.Column == "id" {
+				found = true
+			}
+		}
+		if !found {
 			return false
 		}
 	}

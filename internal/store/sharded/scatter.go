@@ -2,38 +2,52 @@
 //
 // A SELECT that cannot be routed to one shard is finished one way: every
 // shard runs a per-shard statement in parallel, through this connection's
-// sessions, and shard 0's compiled pipeline runs a coordinator statement
-// over the rows they return (sqldb.SelectFeeds). Only the pair of
-// statements depends on the shape:
+// sessions, and shard 0's compiled pipeline runs a merge statement over the
+// rows they return (sqldb.SelectFeeds). Only the pair of statements depends
+// on the shape:
 //
 //   - Unordered plain reads (point, search, the proxy's column reads) run as
-//     written on every shard and concatenate; there is no coordinator
-//     statement.
+//     written on every shard and concatenate; there is no merge statement.
 //   - Ordered, DISTINCT or LIMIT plain reads project their non-selected
 //     ORDER BY keys as hidden columns and push LIMIT (absorbing OFFSET) down,
-//     so each shard's ordered (OPE) index stops early; the coordinator runs
+//     so each shard's ordered (OPE) index stops early; the merge runs
 //     SELECT [DISTINCT] visible FROM partial ORDER BY keys LIMIT ….
-//   - Single-table aggregates run a partial statement per shard — COUNT,
-//     SUM, MIN, MAX and aggregate UDFs as written, AVG as SUM and COUNT —
-//     and the coordinator merges the partials: COUNT and SUM by SUM,
-//     MIN/MAX by MIN/MAX, AVG as SUM(s)/SUM(c), an aggregate UDF re-applied
-//     to its partials (for hom_sum a product of per-shard partial products,
-//     §3.1's server-side SUM spread over shards). GROUP BY, HAVING, ORDER
-//     BY, expressions over aggregates, DISTINCT and LIMIT are the
-//     coordinator's.
-//   - Everything else — joins, COUNT(DISTINCT), star with ORDER BY — feeds
-//     each FROM entry from a plain read of its table: SELECT <the columns
-//     the statement names in that entry> (every column under a star),
-//     filtered by the leading WHERE conjuncts over that entry alone. The
-//     coordinator runs the statement as written over the feeds.
+//   - Aggregates run a partial statement per shard — COUNT, SUM, MIN, MAX
+//     and aggregate UDFs as written, AVG as SUM and COUNT — and the merge
+//     combines the partials: COUNT and SUM by SUM, MIN/MAX by MIN/MAX, AVG
+//     as SUM(s)/SUM(c), an aggregate UDF re-applied to its partials (for
+//     hom_sum a product of per-shard partial products, §3.1's server-side
+//     SUM spread over shards). GROUP BY, HAVING, ORDER BY, expressions over
+//     aggregates, DISTINCT and LIMIT are the merge's.
+//   - A statement over several FROM entries (a join) is planned the same
+//     way, and its per-shard statement is a fragment-and-replicate join:
+//     one entry stays local, read in place on every shard, and every other
+//     entry is fed — read once from every shard as SELECT <the columns the
+//     statement names in that entry> (every column under a star), filtered
+//     by the leading WHERE conjuncts over that entry alone — and the same
+//     feeds go to every shard (sqldb.Session.SelectFeeds). Joins are inner,
+//     and each local row lives on one shard, so the shards' joins partition
+//     the statement's. The local entry is the one with no pushed-down
+//     conjuncts of its own and the most rows summed over shards (the first
+//     of a tie): its feed would cost the most to ship, and with nothing
+//     pruning its scan a join that builds on it probes its hash index.
 //
-// A per-shard statement that fails sends the SELECT down the feed path,
-// where the coordinator evaluates every expression on exactly the rows one
+// Every feed is read before any per-shard statement starts, and each
+// per-shard statement holds its own shard's lock alone, so no shard's lock
+// is held while another shard is read.
+//
+// The feed path is the fallback. A join with no unfiltered entry, a shape
+// the planner refuses (COUNT(DISTINCT), a star with ORDER BY), a join whose
+// per-shard or merge statement fails and a rewritten single-table statement
+// that fails all run on shard 0 as written over a feed of every FROM entry
+// (feedExec), where every expression is evaluated on exactly the rows one
 // store would: a statement fails sharded when it fails on one store.
 //
 // Reads take no cross-shard snapshot: per-shard results reflect each
 // shard's committed state at its own read time, the same read-committed
-// view concurrent sessions already get within one sqldb instance.
+// view concurrent sessions already get within one sqldb instance. Inside a
+// transaction the pinned shard's session reads the transaction's writes,
+// in a feed and in a local entry alike.
 package sharded
 
 import (
@@ -50,30 +64,81 @@ func (c *Conn) execSelect(s *sqlparser.SelectStmt, params []sqldb.Value) (*sqldb
 	if len(e.shards) == 1 || len(s.From) == 0 {
 		return c.session(0).Exec(s, params...)
 	}
-	if len(s.From) == 1 {
-		if shard, ok := e.routeWhere(s.From[0].Table, s.Where, params, s.From[0].Alias); ok {
-			return c.session(shard).Exec(s, params...)
+	if len(s.From) > 1 {
+		return c.execJoin(s, params)
+	}
+	if shard, ok := e.routeWhere(s.From[0].Table, s.Where, params, s.From[0].Alias); ok {
+		return c.session(shard).Exec(s, params...)
+	}
+	if plan, ok := e.plan(s); ok {
+		// A statement run as written fails exactly where one store
+		// would; a rewritten one may not, and the feed path decides.
+		res, err := c.runPartial(plan, nil, params)
+		if err == nil || plan.merge == nil {
+			return res, err
 		}
-		planner := e.planPlain
-		if e.selectHasAgg(s) || len(s.GroupBy) > 0 {
-			planner = e.planAgg
-		}
-		if plan, ok := planner(s); ok {
-			// A statement run as written fails exactly where one store
-			// would; a rewritten one may not, and the feed path decides.
-			res, err := c.runPartial(plan, params)
-			if err == nil || plan.merge == nil {
-				return res, err
+	}
+	return c.feedExec(s, make([]*sqldb.Feed, 1), params)
+}
+
+// execJoin runs a SELECT over several FROM entries. Every entry but the
+// local one (localEntry) is read as a feed, and each shard joins the feeds
+// with its own rows of the local entry, through this connection's session:
+// the statement's answer is the union over shards, since every join is
+// inner and each local row lives on one shard. The planner's per-shard and
+// merge statements are the single-table ones. A refused plan or any error
+// finishes the statement on the feed path, over the feeds already read.
+func (c *Conn) execJoin(s *sqlparser.SelectStmt, params []sqldb.Value) (*sqldb.Result, error) {
+	e := c.eng
+	tabs := e.tablesOf(s.From)
+	own := e.pushdown(s, tabs)
+	cols := feedColumns(s, tabs)
+	feeds := make([]*sqldb.Feed, len(s.From))
+	if local := e.localEntry(tabs, own); local >= 0 {
+		if plan, ok := e.plan(s); ok {
+			if err := c.readFeeds(s, own, cols, feeds, local, params); err != nil {
+				return nil, err
+			}
+			if res, err := c.runPartial(plan, feeds, params); err == nil {
+				return res, nil
 			}
 		}
 	}
-	return c.feedExec(s, params)
+	return c.feedExec(s, feeds, params)
+}
+
+// localEntry picks the FROM entry a cross-shard join reads in place on
+// every shard: among the entries with no pushed-down conjuncts of their
+// own, the one with the most rows summed over shards, the first of a tie.
+// It is the entry whose feed would cost the most to ship, and the one whose
+// hash index can stand in for a join's build table, as no conjunct prunes
+// its scan. -1 (every entry filters itself, or a table does not exist)
+// leaves the statement to the feed path.
+func (e *Engine) localEntry(tabs []*sqldb.Table, own []sqlparser.Expr) int {
+	local, most := -1, -1
+	for i, t := range tabs {
+		if t == nil {
+			return -1
+		}
+		if own[i] != nil {
+			continue
+		}
+		rows := 0
+		for _, sh := range e.shards {
+			rows += sh.RowCount(t.Name)
+		}
+		if rows > most {
+			local, most = i, rows
+		}
+	}
+	return local
 }
 
 // scatter runs one statement on every shard in parallel through this
 // connection's sessions (so a pinned transaction reads its own writes on
-// its shard).
-func (c *Conn) scatter(st *sqlparser.SelectStmt, params []sqldb.Value) ([]*sqldb.Result, error) {
+// its shard): as written, or over feeds, every shard given the same ones
+// (sqldb.Session.SelectFeeds; a nil feed is the shard's own table).
+func (c *Conn) scatter(st *sqlparser.SelectStmt, feeds []*sqldb.Feed, params []sqldb.Value) ([]*sqldb.Result, error) {
 	n := len(c.eng.shards)
 	results := make([]*sqldb.Result, n)
 	errs := make([]error, n)
@@ -83,7 +148,11 @@ func (c *Conn) scatter(st *sqlparser.SelectStmt, params []sqldb.Value) ([]*sqldb
 		wg.Add(1)
 		go func(i int, sess *sqldb.Session) {
 			defer wg.Done()
-			results[i], errs[i] = sess.Exec(st, params...)
+			if feeds == nil {
+				results[i], errs[i] = sess.Exec(st, params...)
+			} else {
+				results[i], errs[i] = sess.SelectFeeds(st, feeds, params...)
+			}
 		}(i, sess)
 	}
 	wg.Wait()
@@ -216,12 +285,12 @@ func partialCol(i int) *sqlparser.ColRef {
 	return &sqlparser.ColRef{Column: "#" + strconv.Itoa(i)}
 }
 
-func (c *Conn) runPartial(plan *partialPlan, params []sqldb.Value) (*sqldb.Result, error) {
-	results, err := c.scatter(plan.perShard, params)
+func (c *Conn) runPartial(plan *partialPlan, feeds []*sqldb.Feed, params []sqldb.Value) (*sqldb.Result, error) {
+	results, err := c.scatter(plan.perShard, feeds, params)
 	if err != nil {
 		return nil, err
 	}
-	feed := sqldb.Feed{Columns: results[0].Columns}
+	feed := &sqldb.Feed{Columns: results[0].Columns}
 	for _, r := range results {
 		feed.Rows = append(feed.Rows, r.Rows...)
 	}
@@ -232,11 +301,20 @@ func (c *Conn) runPartial(plan *partialPlan, params []sqldb.Value) (*sqldb.Resul
 	for i := range feed.Columns {
 		feed.Columns[i] = partialCol(i).Column
 	}
-	return c.eng.shards[0].SelectFeeds(plan.merge, []sqldb.Feed{feed}, params...)
+	return c.eng.shards[0].SelectFeeds(plan.merge, []*sqldb.Feed{feed}, params...)
 }
 
-// planPlain plans a non-aggregate single-table SELECT. ok=false (a star
-// with ORDER BY) leaves it to the feed path.
+// plan plans a SELECT with planAgg when it aggregates or groups, else with
+// planPlain.
+func (e *Engine) plan(s *sqlparser.SelectStmt) (*partialPlan, bool) {
+	if e.selectHasAgg(s) || len(s.GroupBy) > 0 {
+		return e.planAgg(s)
+	}
+	return e.planPlain(s)
+}
+
+// planPlain plans a non-aggregate SELECT. ok=false (a star with ORDER BY,
+// or a qualified star no FROM entry answers) leaves it to the feed path.
 func (e *Engine) planPlain(s *sqlparser.SelectStmt) (*partialPlan, bool) {
 	if !s.Distinct && s.Limit == nil && s.Offset == nil && len(s.OrderBy) == 0 {
 		return &partialPlan{perShard: s}, true
@@ -247,12 +325,33 @@ func (e *Engine) planPlain(s *sqlparser.SelectStmt) (*partialPlan, bool) {
 			names = append(names, outName(se))
 			continue
 		}
-		cols := e.tableCols(s.From[0].Table)
-		if len(s.OrderBy) > 0 || cols == nil {
+		if len(s.OrderBy) > 0 {
 			return nil, false
 		}
-		for _, col := range cols {
-			names = append(names, col.Name)
+		// As sqldb expands it: a bare star every entry's columns in FROM
+		// order, t.* those of the first entry t names.
+		qual := ""
+		if cr, ok := se.Expr.(*sqlparser.ColRef); ok && !se.Star {
+			qual = cr.Table
+		}
+		found := false
+		for _, ref := range s.From {
+			if qual != "" && ref.Alias != qual && ref.Table != qual {
+				continue
+			}
+			cols := e.tableCols(ref.Table)
+			if cols == nil {
+				return nil, false
+			}
+			for _, col := range cols {
+				names = append(names, col.Name)
+			}
+			if found = true; qual != "" {
+				break
+			}
+		}
+		if !found {
+			return nil, false
 		}
 	}
 	merge := &sqlparser.SelectStmt{Distinct: s.Distinct, From: partialFrom, Limit: s.Limit, Offset: s.Offset}
@@ -412,18 +511,28 @@ func (p *partials) mergeAgg(fc *sqlparser.FuncCall) (sqlparser.Expr, bool) {
 // Feeds
 //
 
-// feedExec finishes a cross-shard SELECT exactly as one store would: each
-// FROM entry is fed by a read of its table from every shard, projected to
-// the columns the statement names there and filtered by its own leading
-// conjuncts, and shard 0 runs the statement as written over the feeds.
-// Every feed is read before the statement compiles, so no shard's lock is
-// held while another is read.
-func (c *Conn) feedExec(s *sqlparser.SelectStmt, params []sqldb.Value) (*sqldb.Result, error) {
+// feedExec finishes a cross-shard SELECT exactly as one store would: shard
+// 0 runs the statement as written over a feed for every FROM entry (those
+// in feeds already read, readFeeds reads the rest). Every feed is read
+// before the statement compiles, so no shard's lock is held while another
+// is read.
+func (c *Conn) feedExec(s *sqlparser.SelectStmt, feeds []*sqldb.Feed, params []sqldb.Value) (*sqldb.Result, error) {
 	tabs := c.eng.tablesOf(s.From)
-	own := c.eng.pushdown(s, tabs)
-	cols := feedColumns(s, tabs)
-	feeds := make([]sqldb.Feed, len(s.From))
+	if err := c.readFeeds(s, c.eng.pushdown(s, tabs), feedColumns(s, tabs), feeds, -1, params); err != nil {
+		return nil, err
+	}
+	return c.eng.shards[0].SelectFeeds(s, feeds, params...)
+}
+
+// readFeeds reads a feed into feeds[i] for every FROM entry i but skip that
+// has none yet: its table from every shard, projected to cols[i] (every
+// column when cols is nil) and filtered by its own leading conjuncts
+// own[i].
+func (c *Conn) readFeeds(s *sqlparser.SelectStmt, own []sqlparser.Expr, cols [][]string, feeds []*sqldb.Feed, skip int, params []sqldb.Value) error {
 	for i, ref := range s.From {
+		if i == skip || feeds[i] != nil {
+			continue
+		}
 		read := &sqlparser.SelectStmt{
 			Exprs: []sqlparser.SelectExpr{{Star: true}},
 			From:  []sqlparser.TableRef{{Table: ref.Table, Alias: ref.Alias}},
@@ -444,11 +553,11 @@ func (c *Conn) feedExec(s *sqlparser.SelectStmt, params []sqldb.Value) (*sqldb.R
 			res, err = c.execSelect(read, params)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		feeds[i] = sqldb.Feed{Columns: res.Columns, Rows: res.Rows}
+		feeds[i] = &sqldb.Feed{Columns: res.Columns, Rows: res.Rows}
 	}
-	return c.eng.shards[0].SelectFeeds(s, feeds, params...)
+	return nil
 }
 
 // feedColumns returns, per FROM entry, the columns its feed reads: those of

@@ -2,6 +2,7 @@ package sharded
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/proxy"
@@ -96,4 +97,62 @@ func (c joinRecConn) Exec(st sqlparser.Statement, params ...sqldb.Value) (*sqldb
 		*c.joins = append(*c.joins, s)
 	}
 	return c.Conn.Exec(st, params...)
+}
+
+// BenchmarkCrossShardJoin times the benchmark's two analytic join shapes
+// on plaintext tables of the analytic-shard2 workload's size (500 users in
+// 8 groups, 600 orders, the same indexes) at 1, 2 and 8 shards: join, a
+// group's users with their orders, and join_groupby, every order summed
+// per user group. The ratio of a sharded arm to shards=1 is what a
+// cross-shard join costs over one store.
+func BenchmarkCrossShardJoin(b *testing.B) {
+	const users, orders, groups = 500, 600, 8
+	shapes := []struct{ name, sql string }{
+		{"join", "SELECT u.name, o.amt FROM users u JOIN orders o ON o.uid = u.id WHERE u.grp = 3"},
+		{"join_groupby", "SELECT u.grp, COUNT(*), SUM(o.amt) FROM users u JOIN orders o ON o.uid = u.id GROUP BY u.grp"},
+	}
+	for _, shards := range []int{1, 2, 8} {
+		e := New(shards)
+		for _, sql := range []string{
+			"CREATE TABLE users (id INT PRIMARY KEY, grp INT, name TEXT, bio TEXT)",
+			"CREATE TABLE orders (id INT PRIMARY KEY, uid INT, grp INT, amt INT, day INT, note TEXT)",
+			"CREATE INDEX orders_uid ON orders (uid)",
+			"CREATE INDEX orders_amt ON orders (amt)",
+			"CREATE INDEX users_grp ON users (grp)",
+		} {
+			mustExec(b, e, sql)
+		}
+		load := func(head string, n int, row func(i int) string) {
+			for lo := 0; lo < n; lo += 50 {
+				var rows []string
+				for i := lo; i < min(lo+50, n); i++ {
+					rows = append(rows, row(i))
+				}
+				mustExec(b, e, head+strings.Join(rows, ", "))
+			}
+		}
+		load("INSERT INTO users (id, grp, name, bio) VALUES ", users, func(i int) string {
+			return fmt.Sprintf("(%d, %d, 'user-%05d', 'kw%04d kw%04d')", i, i%groups, i, i%1000, i*7%1000)
+		})
+		load("INSERT INTO orders (id, uid, grp, amt, day, note) VALUES ", orders, func(i int) string {
+			uid := i * 37 % users
+			return fmt.Sprintf("(%d, %d, %d, %d, %d, 'kw%04d')", i, uid, uid%groups, i%1000*100000+i, i%365, i%1000)
+		})
+		for _, sh := range shapes {
+			b.Run(fmt.Sprintf("%s/shards=%d", sh.name, shards), func(b *testing.B) {
+				st, err := sqlparser.Parse(sh.sql)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c := e.NewConn()
+				defer c.Close()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.Exec(st); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
