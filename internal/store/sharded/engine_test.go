@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sqldb"
@@ -471,6 +472,74 @@ func TestCrossShardJoinInTxn(t *testing.T) {
 	mustExec(t, c, "COMMIT")
 	if got := rows(e); got != want {
 		t.Fatalf("after COMMIT the join reads %s, want %s", got, want)
+	}
+}
+
+// TestCrossShardJoinConcurrentWriters runs joins on two connections while
+// two others insert into both tables: every shard reads the same feeds at
+// once, and the local entry's row counts and rows change under the
+// readers. Each joined row must still pair an order with its user, and the
+// grouped join must count every order that has a user.
+func TestCrossShardJoinConcurrentWriters(t *testing.T) {
+	e := New(3)
+	mustExec(t, e, "CREATE TABLE u (id INT PRIMARY KEY, grp INT)")
+	mustExec(t, e, "CREATE TABLE o (id INT PRIMARY KEY, uid INT)")
+	mustExec(t, e, "CREATE INDEX o_uid ON o (uid)")
+	for i := 1; i <= 20; i++ {
+		mustExec(t, e, fmt.Sprintf("INSERT INTO u (id, grp) VALUES (%d, %d)", i, i%3))
+		mustExec(t, e, fmt.Sprintf("INSERT INTO o (id, uid) VALUES (%d, %d)", i, i))
+	}
+	const rounds = 40
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := e.NewConn()
+			defer c.Close()
+			for i := 0; i < rounds; i++ {
+				id := 1000 + w*rounds + i
+				for _, sql := range []string{
+					fmt.Sprintf("INSERT INTO u (id, grp) VALUES (%d, %d)", id, id%3),
+					fmt.Sprintf("INSERT INTO o (id, uid) VALUES (%d, %d)", id, id),
+				} {
+					if _, err := c.ExecSQL(sql); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := e.NewConn()
+			defer c.Close()
+			for i := 0; i < rounds; i++ {
+				res, err := c.ExecSQL("SELECT u.id, o.uid FROM u JOIN o ON o.uid = u.id")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, row := range res.Rows {
+					if row[0].I != row[1].I {
+						t.Errorf("joined user %d with an order of user %d", row[0].I, row[1].I)
+						return
+					}
+				}
+				if _, err := c.ExecSQL("SELECT u.grp, COUNT(*) FROM u JOIN o ON o.uid = u.id GROUP BY u.grp"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	res := mustExec(t, e, "SELECT COUNT(*) FROM u JOIN o ON o.uid = u.id")
+	if got, want := res.Rows[0][0].I, int64(20+2*rounds); got != want {
+		t.Fatalf("after the writers the join counts %d rows, want %d", got, want)
 	}
 }
 

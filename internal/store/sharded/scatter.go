@@ -346,7 +346,8 @@ func (e *Engine) planPlain(s *sqlparser.SelectStmt) (*partialPlan, bool) {
 			for _, col := range cols {
 				names = append(names, col.Name)
 			}
-			if found = true; qual != "" {
+			found = true
+			if qual != "" {
 				break
 			}
 		}

@@ -147,6 +147,7 @@ func BenchmarkCrossShardJoin(b *testing.B) {
 				c := e.NewConn()
 				defer c.Close()
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := c.Exec(st); err != nil {
 						b.Fatal(err)
