@@ -70,9 +70,9 @@ func (p *Proxy) train(an *analysis) {
 	}
 }
 
-// commit makes the adjustments that meet reqs in one transition (adjust).
+// commit makes the adjustments that meet reqs in one transition.
 func (p *Proxy) commit(reqs []requirement) error {
-	err := p.adjust(func(a *adjustment) error {
+	err := p.transition(func(a *adjustment) error {
 		for _, r := range reqs {
 			a.column(r.cm)
 			a.column(r.joinWith)
@@ -90,64 +90,75 @@ func (p *Proxy) commit(reqs []requirement) error {
 	return nil
 }
 
-// adjust commits the onion adjustments plan records in one transition:
-// plan moves the metadata in memory; the result is sealed once and written
-// with one ExecAutonomousListWithMeta, one WAL batch per shard. The batch
-// holds first the whole-column rewrites (the first use of a deferred onion,
-// the resync of a stale column, RaiseOnion), then the decrypt_rnd peels and
-// join_adj re-keys in the order planned. Those carry the peeled layers'
-// keys and the re-keying deltas: shipping them to the DBMS for an in-place
-// re-encryption is the paper's adjustable-onion protocol (§3.1, §3.4), and
-// neither reveals an inner layer's key or a column's join key. The batch
-// runs outside any client transaction, like the paper's
-// separate-transaction adjustment: a client ROLLBACK must not undo it, since
-// the layer metadata moves with it. A failed batch reverts every
-// adjustment, and one that applied but failed to be durable keeps them all
-// (transition). The indexes a CREATE INDEX asked for on a layer the batch
-// exposed commit after it, each with its own blob: the store refuses DDL in
-// a list.
-func (p *Proxy) adjust(plan func(a *adjustment) error) error {
+// transition commits one statement's metadata changes with the server
+// statements that make them true, as one commit: plan moves the metadata
+// in memory (an onion adjustment, a CREATE or DROP, an index request, an
+// OPE-JOIN declaration); the indexes a CREATE INDEX wants on the layers
+// the plan exposed join it (index); the result is sealed once and written
+// with one ExecAutonomousListWithMeta, one WAL batch per shard. The list
+// holds first the whole-column rewrites (the first use of a deferred
+// onion, the resync of a stale column, RaiseOnion), then the decrypt_rnd
+// peels and join_adj re-keys in the order planned, then the DDL, which the
+// store applies after the rows. The peels and re-keys carry the peeled
+// layers' keys and the re-keying deltas: shipping them to the DBMS for an
+// in-place re-encryption is the paper's adjustable-onion protocol (§3.1,
+// §3.4), and neither reveals an inner layer's key or a column's join key.
+// The list runs outside any client transaction, like the paper's
+// separate-transaction adjustment (§3.2): a client ROLLBACK must not undo
+// it, since the layer metadata moves with it. A plan that moves nothing
+// commits nothing; with no statement the blob commits alone, and a proxy
+// without a data directory seals none. A failed plan or list reverts every
+// change, and a list that applied but failed to be durable
+// (*sqldb.DurabilityError) keeps them all: memory and the would-have-been
+// disk state moved together. Callers hold the write side of p.mu.
+func (p *Proxy) transition(plan func(a *adjustment) error) error {
 	if p.replica != nil {
 		// The primary adjusts; the rows and the blob replicate down.
 		return p.replicaReadOnly()
 	}
+	p.metaMu.Lock()
+	defer p.metaMu.Unlock()
 	a := &adjustment{p: p, byCol: make(map[*ColumnMeta]*rewrite)}
-	var planErr error
-	err := p.transition(func() func() {
-		planErr = plan(a)
-		return a.revert
-	}, func(sealed []byte) error {
-		if planErr != nil || len(a.undo) == 0 {
-			return planErr // a failed plan, or nothing moved
+	err := plan(a)
+	if err == nil && len(a.undo) == 0 {
+		return nil
+	}
+	var stmts []sqlparser.Statement
+	var sealed []byte
+	if err == nil {
+		for _, cm := range a.exposed {
+			a.index(cm)
 		}
-		stmts, err := a.statements()
-		if err == nil {
-			_, err = p.db.ExecAutonomousListWithMeta(stmts, sealed)
-		}
-		return err
-	})
+		stmts, err = a.statements()
+	}
+	if err == nil {
+		sealed, err = p.sealedMetaLocked()
+	}
+	if err == nil && (len(stmts) > 0 || sealed != nil) {
+		_, err = p.db.ExecAutonomousListWithMeta(stmts, sealed)
+	}
 	if err != nil {
+		if !stmtApplied(err) {
+			a.revert()
+		}
 		return err
 	}
 	p.stats.onionAdjustments.Add(a.adjusted)
 	p.stats.resyncs.Add(a.resynced)
 	p.trainLog = append(p.trainLog, a.events...)
-	for _, cm := range a.lowered {
-		if err := p.materializeIndexes(cm); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// adjustment is one statement's onion adjustments, planned in memory.
+// adjustment is one transition's metadata changes, planned in memory, and
+// the server statements that make them true.
 type adjustment struct {
 	p        *Proxy
 	rewrites []*rewrite // one per column named, in order; some write nothing
 	byCol    map[*ColumnMeta]*rewrite
 	updates  []sqlparser.Statement // peels and re-keys, in order
+	ddl      []sqlparser.Statement // CREATE, DROP and index builds, in order
 	undo     []func()
-	lowered  []*ColumnMeta // columns whose indexable layers may have moved
+	exposed  []*ColumnMeta // columns whose wanted indexes may be buildable now
 	events   []TrainEvent
 	adjusted int64
 	resynced int64
@@ -211,8 +222,11 @@ func (a *adjustment) at(cm *ColumnMeta, o onion.Onion) onionAt {
 func setTo[T any](a *adjustment, ptr *T, v T) {
 	old := *ptr
 	*ptr = v
-	a.undo = append(a.undo, func() { *ptr = old })
+	a.onUndo(func() { *ptr = old })
 }
+
+// onUndo records the undo of a change made in memory.
+func (a *adjustment) onUndo(undo func()) { a.undo = append(a.undo, undo) }
 
 // revert undoes every change, last first.
 func (a *adjustment) revert() {
@@ -303,7 +317,7 @@ func (a *adjustment) lower(cm *ColumnMeta, o onion.Onion, target onion.Layer) er
 			Table: cm.Table.Logical, Column: cm.Logical, Onion: o, Layer: target,
 		})
 	}
-	a.lowered = append(a.lowered, cm)
+	a.exposed = append(a.exposed, cm)
 	return nil
 }
 
@@ -391,7 +405,7 @@ func (a *adjustment) join(l, r *ColumnMeta) error {
 		})
 		rekey(cm)
 		a.adjusted++
-		a.lowered = append(a.lowered, cm)
+		a.exposed = append(a.exposed, cm)
 	}
 	// Record the join in the group structure, with path compression for
 	// the two joined columns (groupRoot itself never writes).
@@ -408,10 +422,10 @@ func lexAfter(a, b *ColumnMeta) bool {
 	return a.Logical > b.Logical
 }
 
-// statements builds the batch: each column's rewrite as UPDATEs by rid,
-// then the peels and re-keys. A rewrite reads every row of its column and
-// holds them in memory, as the read returns them; its UPDATEs carry rids
-// and ciphertexts only.
+// statements builds the list: each column's rewrite as UPDATEs by rid,
+// then the peels and re-keys, then the DDL. A rewrite reads every row of
+// its column and holds them in memory, as the read returns them; its
+// UPDATEs carry rids and ciphertexts only.
 func (a *adjustment) statements() ([]sqlparser.Statement, error) {
 	var stmts []sqlparser.Statement
 	for _, rw := range a.rewrites {
@@ -440,7 +454,7 @@ func (a *adjustment) statements() ([]sqlparser.Statement, error) {
 		}
 		stmts = append(stmts, rows...)
 	}
-	return append(stmts, a.updates...), nil
+	return append(append(stmts, a.updates...), a.ddl...), nil
 }
 
 // rewriteRows returns the UPDATEs that write onions of rw's column into

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/sqldb"
 	"repro/internal/sqlparser"
 	"repro/internal/store"
+	"repro/internal/store/sharded"
 	"repro/internal/store/single"
 )
 
@@ -72,6 +74,30 @@ func TestRefusedStatementLowersNothing(t *testing.T) {
 		mustSess(t, writer, "INSERT INTO u (id, c, w) VALUES (3, 'x', 7)")
 		return p
 	}
+	// A persistent proxy whose tag.label asked for a UNIQUE index while at
+	// RND, where nothing enforced it. Three duplicates put two on one shard
+	// of two.
+	dupes := func(eng store.Engine, dir string) *Proxy {
+		t.Cleanup(func() { eng.Close() }) //nolint:errcheck // test teardown
+		p, err := NewOnEngine(eng, Options{HOMBits: 256, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, p, "CREATE TABLE tag (id INT PRIMARY KEY, label TEXT)")
+		mustExec(t, p, "CREATE UNIQUE INDEX tag_label ON tag (label)")
+		mustExec(t, p, "INSERT INTO tag (id, label) VALUES (1, 'x'), (2, 'x'), (3, 'x'), (4, 'y')")
+		return p
+	}
+	dupDir, dupShardDir := t.TempDir(), t.TempDir()
+	dupEng, err := single.Open(dupDir, sqldb.DurabilityOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dupShardEng, err := sharded.Open(dupShardDir, 2, sqldb.DurabilityOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup, dupSharded := dupes(dupEng, dupDir), dupes(dupShardEng, dupShardDir)
 
 	for _, c := range []struct {
 		p         *Proxy
@@ -92,6 +118,10 @@ func TestRefusedStatementLowersNothing(t *testing.T) {
 			"proxy: range join between t.v and u.w requires DeclareOPEJoin before data load (§3.4)"},
 		{durable(), "SELECT t.id FROM t, u WHERE t.a = 'x' AND u.c = 'x'",
 			"proxy: onion adjustment on u conflicts with an open transaction; retry after it ends"},
+		// The peel that would expose the duplicates and the UNIQUE build
+		// are one list: the build's check refuses both.
+		{dup, "SELECT id FROM tag WHERE label = 'y'", "duplicate value for unique index"},
+		{dupSharded, "SELECT id FROM tag WHERE label = 'y'", "duplicate value for unique index"},
 	} {
 		report, adjusted := c.p.Report(), c.p.Stats().OnionAdjustments
 		blob, batches := c.p.Engine().Meta(), c.p.Engine().Stats().WAL.Batches
@@ -110,6 +140,15 @@ func TestRefusedStatementLowersNothing(t *testing.T) {
 		}
 		if n := c.p.Engine().Stats().WAL.Batches; n != batches {
 			t.Errorf("%s: refused after appending %d WAL batches", c.sql, n-batches)
+		}
+	}
+	for _, p := range []*Proxy{dup, dupSharded} {
+		_, err := p.Execute("SELECT id FROM tag WHERE label = 'x'")
+		if !errors.Is(err, sqldb.ErrUniqueDuplicate) {
+			t.Errorf("equality over duplicates: err = %v, want ErrUniqueDuplicate", err)
+		}
+		if cm := p.Table("tag").Col("label"); cm.Onions[onion.Eq].Current() != onion.RND || cm.idxEq {
+			t.Errorf("refused equality left tag.label's Eq at %s, indexed %v", cm.Onions[onion.Eq].Current(), cm.idxEq)
 		}
 	}
 }

@@ -91,27 +91,17 @@ func (p *Proxy) createTable(st *sqlparser.CreateTableStmt) error {
 	// Register first so the sealed metadata snapshot includes the new
 	// table, then create it at the DBMS with the snapshot attached: table
 	// and metadata become durable in one WAL batch, or not at all.
-	return p.transition(
-		func() func() {
-			p.tables[st.Name] = tm
-			return func() { delete(p.tables, st.Name); p.nTab-- }
-		},
-		func(sealed []byte) error {
-			//cryptdb:sink-ok anon is the rewritten CREATE TABLE: anonymized identifiers and onion column defs only, no data literals
-			if _, err := p.db.ExecAutonomousWithMeta(anon, sealed); err != nil {
-				return fmt.Errorf("proxy: creating anonymized table: %w", err)
-			}
-			return nil
-		})
+	return p.transition(func(a *adjustment) error {
+		p.tables[st.Name] = tm
+		a.onUndo(func() { delete(p.tables, st.Name); p.nTab-- })
+		a.ddl = append(a.ddl, anon)
+		return nil
+	})
 }
 
-// createIndex remembers the application's index request and materializes
-// indexes on the onion layers that support them. Per §3.3, indexes are
-// built on DET/JOIN/OPE ciphertexts but never on RND/HOM/SEARCH: the proxy
-// hash-indexes the Eq onion once it is at DET, the JAdj onion once joins
-// expose it, and builds an ordered (range) index on the Ord onion once it
-// sits at OPE — so one application CREATE INDEX yields both the equality
-// and the range index, exactly as a B-tree over plaintext would serve both.
+// createIndex remembers the application's index request and builds the
+// indexes the onion layers support now (index); a later onion adjustment
+// builds the others as it exposes their layers.
 func (p *Proxy) createIndex(st *sqlparser.CreateIndexStmt) error {
 	tm, ok := p.tables[st.Table]
 	if !ok {
@@ -140,82 +130,57 @@ func (p *Proxy) createIndex(st *sqlparser.CreateIndexStmt) error {
 	if cm.EncFor != nil {
 		return fmt.Errorf("proxy: cannot index multi-principal column %s.%s", st.Table, st.Column)
 	}
-	// The want* flags are metadata even when no index can materialize yet
-	// (every onion still at RND): they commit first, so a restarted proxy
-	// still builds the index once an adjustment exposes an indexable layer.
-	err := p.transition(func() func() {
-		index, unique, was := cm.wantIndex, cm.wantUnique, cm.wantUsing
-		cm.wantIndex, cm.wantUnique, cm.wantUsing = true, st.Unique, using
-		return func() { cm.wantIndex, cm.wantUnique, cm.wantUsing = index, unique, was }
-	}, p.commitMeta)
-	if err != nil {
-		return err
-	}
-	return p.materializeIndexes(cm)
+	// The want* flags are metadata even when no index can be built yet
+	// (every onion still at RND): they commit with the builds the exposed
+	// layers allow, so a later adjustment that exposes an indexable layer
+	// builds the rest with its own batch.
+	return p.transition(func(a *adjustment) error {
+		setTo(a, &cm.wantIndex, true)
+		setTo(a, &cm.wantUnique, st.Unique)
+		setTo(a, &cm.wantUsing, using)
+		a.exposed = append(a.exposed, cm)
+		return nil
+	})
 }
 
-// materializeIndexes creates server indexes for onions whose current layer
-// supports them.
-func (p *Proxy) materializeIndexes(cm *ColumnMeta) error {
+// index appends to the transition the server indexes cm's CREATE INDEX
+// wants on the layers its onions sit at now, and records each in the
+// metadata the transition seals with them. Per §3.3, indexes are built on
+// DET/JOIN/OPE ciphertexts but never on RND/HOM/SEARCH: a hash index on
+// the Eq onion once it is at DET, on the JAdj onion once joins expose it,
+// and an ordered (range) index on the Ord onion once it sits at OPE — so
+// one application CREATE INDEX yields both the equality and the range
+// index, exactly as a B-tree over plaintext would serve both. A UNIQUE
+// build over duplicate values refuses the whole transition (sqldb's check
+// when the list stages), so the layer that would expose them stays put.
+func (a *adjustment) index(cm *ColumnMeta) {
 	if !cm.wantIndex {
-		return nil
+		return
+	}
+	build := func(o onion.Onion, layer onion.Layer, built *bool, suffix, using string, unique bool) {
+		if st := cm.Onions[o]; st == nil || st.Current() != layer || *built {
+			return
+		}
+		setTo(a, built, true)
+		a.ddl = append(a.ddl, &sqlparser.CreateIndexStmt{
+			Name:   cm.Table.Anon + "_" + cm.Anon + "_" + suffix + "_idx",
+			Table:  cm.Table.Anon,
+			Column: cm.onionCol(o),
+			Unique: unique,
+			Using:  using,
+		})
 	}
 	// USING BTREE asks for a range-only index: skip the Eq hash index
 	// unless it must enforce UNIQUE. USING HASH suppresses the ordered
-	// index below. The JAdj index is proxy-internal (§3.4 joins probe by
+	// index. The JAdj index is proxy-internal (§3.4 joins probe by
 	// equality) and ignores the clause.
-	// Each index creation commits with a sealed metadata snapshot that
-	// already records it as materialized, so a crash cannot leave the
-	// index built but forgotten (or vice versa).
-	createWithMeta := func(stmt *sqlparser.CreateIndexStmt, done *bool) error {
-		return p.transition(func() func() { *done = true; return func() { *done = false } },
-			func(sealed []byte) error {
-				_, err := p.db.ExecAutonomousWithMeta(stmt, sealed)
-				return err
-			})
+	if cm.wantUsing != "BTREE" || cm.wantUnique {
+		build(onion.Eq, onion.DET, &cm.idxEq, "eq", "HASH", cm.wantUnique)
 	}
-	if st := cm.Onions[onion.Eq]; st != nil && st.Current() == onion.DET && !cm.idxEq &&
-		(cm.wantUsing != "BTREE" || cm.wantUnique) {
-		// DET ciphertexts only support equality: hash index, no ordered.
-		stmt := &sqlparser.CreateIndexStmt{
-			Name:   cm.Table.Anon + "_" + cm.Anon + "_eq_idx",
-			Table:  cm.Table.Anon,
-			Column: cm.onionCol(onion.Eq),
-			Unique: cm.wantUnique,
-			Using:  "HASH",
-		}
-		if err := createWithMeta(stmt, &cm.idxEq); err != nil {
-			return err
-		}
+	build(onion.JAdj, onion.JOIN, &cm.idxJadj, "jadj", "HASH", false)
+	if cm.wantUsing != "HASH" {
+		build(onion.Ord, onion.OPE, &cm.idxOrd, "ord", "BTREE", false)
 	}
-	if st := cm.Onions[onion.JAdj]; st != nil && st.Current() == onion.JOIN && !cm.idxJadj {
-		stmt := &sqlparser.CreateIndexStmt{
-			Name:   cm.Table.Anon + "_" + cm.Anon + "_jadj_idx",
-			Table:  cm.Table.Anon,
-			Column: cm.onionCol(onion.JAdj),
-			Using:  "HASH",
-		}
-		if err := createWithMeta(stmt, &cm.idxJadj); err != nil {
-			return err
-		}
-	}
-	// OPE ciphertexts preserve plaintext order, so an ordered index over
-	// them serves range predicates, ORDER BY ... LIMIT and MIN/MAX (§3.3).
-	// The Ord onion starts under RND; this materializes lazily after the
-	// first order-class query peels it (the adjustment re-invokes us).
-	if st := cm.Onions[onion.Ord]; st != nil && st.Current() == onion.OPE && !cm.idxOrd &&
-		cm.wantUsing != "HASH" {
-		stmt := &sqlparser.CreateIndexStmt{
-			Name:   cm.Table.Anon + "_" + cm.Anon + "_ord_idx",
-			Table:  cm.Table.Anon,
-			Column: cm.onionCol(onion.Ord),
-			Using:  "BTREE",
-		}
-		if err := createWithMeta(stmt, &cm.idxOrd); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DeclareOPEJoin declares ahead of time that two columns will participate
@@ -251,12 +216,13 @@ func (p *Proxy) DeclareOPEJoin(table1, col1, table2, col2 string) error {
 	set := func(cm *ColumnMeta, key []byte, label string) {
 		cm.opeShared, cm.opeSharedLabel, cm.opeCipher = key, label, nil
 	}
-	return p.transition(func() func() {
+	return p.transition(func(a *adjustment) error {
 		k1, l1, k2, l2 := c1.opeShared, c1.opeSharedLabel, c2.opeShared, c2.opeSharedLabel
 		set(c1, shared, label)
 		set(c2, shared, label)
-		return func() { set(c1, k1, l1); set(c2, k2, l2) }
-	}, p.commitMeta)
+		a.onUndo(func() { set(c1, k1, l1); set(c2, k2, l2) })
+		return nil
+	})
 }
 
 func (p *Proxy) lookupCol(table, col string) (*ColumnMeta, error) {

@@ -431,10 +431,6 @@ func (f *faultyEngine) ExecWithMeta(st sqlparser.Statement, meta []byte, params 
 	return f.withMeta(func() (*sqldb.Result, error) { return f.Engine.ExecWithMeta(st, meta, params...) })
 }
 
-func (f *faultyEngine) ExecAutonomousWithMeta(st sqlparser.Statement, meta []byte, params ...sqldb.Value) (*sqldb.Result, error) {
-	return f.withMeta(func() (*sqldb.Result, error) { return f.Engine.ExecAutonomousWithMeta(st, meta, params...) })
-}
-
 func (f *faultyEngine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error) {
 	return f.withMeta(func() (*sqldb.Result, error) {
 		k := f.failAt - f.listed - 1

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,17 +118,34 @@ var mixedAdjustments = []adjusting{
 
 // TestFirstUseOneBatchPerShard: on disk, each statement that adjusts onions
 // appends exactly one WAL batch to every shard, whatever it adjusts: the
-// rows of every column it fills, its peels and re-keys, and the sealed
-// metadata. A first use used to append one per row, and each adjustment
-// one of its own.
+// rows of every column it fills, its peels and re-keys, the indexes the
+// layers it exposes allow, and the sealed metadata. A first use used to
+// append one per row, and each adjustment and index build one of its own.
+// A client CREATE INDEX on a column already exposed is one batch per shard
+// too: the request and the build commit together.
 func TestFirstUseOneBatchPerShard(t *testing.T) {
 	opts := sqldb.DurabilityOptions{NoFsync: true, CheckpointBytes: -1}
 	paged := opts
 	paged.Paged, paged.CacheBytes = true, 64<<10
-	cases := mixedAdjustments
-	for _, fu := range firstUses {
-		cases = append(cases, adjusting{fu.name, nil, fu.first})
+	type batchCase struct {
+		adjusting
+		preLoad, postLoad []string            // run before and after the load
+		built             func(p *Proxy) bool // the index the statement must build
 	}
+	var cases []batchCase
+	for _, c := range mixedAdjustments {
+		cases = append(cases, batchCase{adjusting: c})
+	}
+	for _, fu := range firstUses {
+		cases = append(cases, batchCase{adjusting: adjusting{fu.name, nil, fu.first}})
+	}
+	cases = append(cases,
+		batchCase{adjusting: adjusting{"range+index", nil, "SELECT id FROM acct WHERE bal BETWEEN 100 AND 500"},
+			preLoad: []string{"CREATE INDEX acct_bal ON acct (bal)"},
+			built:   func(p *Proxy) bool { return p.Table("acct").Col("bal").idxOrd }},
+		batchCase{adjusting: adjusting{"create index", nil, "CREATE INDEX acct_memo ON acct (memo)"},
+			postLoad: []string{"SELECT id FROM acct WHERE memo = 'kw01 kw11'"},
+			built:    func(p *Proxy) bool { return p.Table("acct").Col("memo").idxEq }})
 	for _, dc := range []struct {
 		name string
 		open func(dir string) (store.Engine, error)
@@ -146,11 +164,16 @@ func TestFirstUseOneBatchPerShard(t *testing.T) {
 				}
 				t.Cleanup(func() { eng.Close() }) //nolint:errcheck // test teardown
 				l := newLifecycle(t, eng, Options{DataDir: dir, Plan: c.plan})
-				l.load(30, 300)
+				for _, s := range slices.Concat(deferredDDL, c.preLoad, deferredLoad(30, 300), c.postLoad) {
+					l.both(s)
+				}
 				before := eng.Stats().WAL.Batches
 				l.check(c.stmt)
 				if got, want := eng.Stats().WAL.Batches-before, int64(eng.Shards()); got != want {
 					t.Fatalf("the statement appended %d WAL batches, want %d (one per shard)", got, want)
+				}
+				if c.built != nil && !c.built(l.p) {
+					t.Fatal("the statement did not build the index")
 				}
 			})
 		}

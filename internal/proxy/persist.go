@@ -298,45 +298,6 @@ func (p *Proxy) sealedMetaLocked() ([]byte, error) {
 	return p.sealMeta(plain)
 }
 
-// A change is a metadata change that commits with a server statement:
-// calling it applies the change in memory and returns its undo.
-type change func() (undo func())
-
-// transition commits one metadata change together with the server
-// statement that makes it true (a CREATE or DROP, an index build, the batch
-// of a statement's onion adjustments): under metaMu it applies the
-// change in memory, seals the result and hands the blob to run, which
-// executes the statement with it attached, so both land in one WAL batch
-// (per shard) or neither does. If sealing or run fails, the change is
-// undone — unless the statement applied anyway (stmtApplied), when the kept
-// change is the one that matches the data. Callers hold the write side of
-// p.mu.
-func (p *Proxy) transition(c change, run func(sealed []byte) error) error {
-	p.metaMu.Lock()
-	defer p.metaMu.Unlock()
-	undo := c()
-	sealed, err := p.sealedMetaLocked()
-	if err == nil {
-		err = run(sealed)
-	}
-	if err != nil && !stmtApplied(err) {
-		undo()
-	}
-	return err
-}
-
-// commitMeta is the run of a transition no server statement accompanies
-// (the indexes a CREATE INDEX wants, an OPE-JOIN declaration): the blob
-// commits alone, as the empty statement list. A proxy without a data
-// directory seals nothing and has nothing to commit.
-func (p *Proxy) commitMeta(sealed []byte) error {
-	if sealed == nil {
-		return nil
-	}
-	_, err := p.db.ExecAutonomousListWithMeta(nil, sealed)
-	return err
-}
-
 //
 // Restoring
 //

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/onion"
 	"repro/internal/sqldb"
+	"repro/internal/store"
+	"repro/internal/store/sharded"
 	"repro/internal/store/single"
 )
 
@@ -107,86 +110,177 @@ func TestProxyRestartRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestartBuildsWantedIndexes: an index build commits after the batch
-// that exposed its layer, so a crash between the two loses the index. A
-// restarted primary builds every index its metadata wants and lacks; a
-// build that fails fails Open, except a UNIQUE index over duplicates,
-// which stays wanted and unbuilt as it does at runtime.
-func TestRestartBuildsWantedIndexes(t *testing.T) {
-	dir := t.TempDir()
-	db, err := sqldb.Open(dir, sqldb.DurabilityOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe := &faultyEngine{Engine: single.New(db)}
-	p, err := NewOnEngine(fe, Options{HOMBits: 256, DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExecP(t, p, "CREATE TABLE emp (id INT PRIMARY KEY, name TEXT)")
-	mustExecP(t, p, "CREATE INDEX emp_name ON emp (name)")
-	for i := 1; i <= 8; i++ {
-		mustExecP(t, p, fmt.Sprintf("INSERT INTO emp (id, name) VALUES (%d, 'n%d')", i, i))
-	}
-	// At RND nothing enforces UNIQUE, so the first equality's build meets
-	// the duplicates.
-	mustExecP(t, p, "CREATE TABLE tag (id INT PRIMARY KEY, label TEXT)")
-	mustExecP(t, p, "CREATE UNIQUE INDEX tag_label ON tag (label)")
-	mustExecP(t, p, "INSERT INTO tag (id, label) VALUES (1, 'x'), (2, 'x')")
-	if _, err := p.Execute("SELECT id FROM tag WHERE label = 'x'"); !errors.Is(err, sqldb.ErrUniqueDuplicate) {
-		t.Fatalf("equality over duplicates: err = %v, want ErrUniqueDuplicate", err)
-	}
-	// The first equality peels name's Eq onion to DET in one batch, and
-	// the index build follows with its own blob. Failing the build leaves
-	// what a crash between the two would.
-	fe.metaWrites, fe.metaFailAt, fe.metaFault = 0, 2, errInjected
-	if _, err := p.Execute("SELECT id FROM emp WHERE name = 'n3'"); !errors.Is(err, errInjected) {
-		t.Fatalf("equality: err = %v, want the injected index-build fault", err)
-	}
-	anon, col := p.Table("emp").Anon, p.Table("emp").Col("name").onionCol(onion.Eq)
-	eqIndexed := func(db *sqldb.DB) bool {
-		for _, ix := range db.Table(anon).Indexes() {
-			if ix.Column == col {
-				return true
+// TestRestartIndexAtEveryCut: a first use whose list also builds the index
+// a CREATE INDEX asked for before the load commits its rows, the index and
+// the metadata naming both in one WAL frame per shard. The logs are cut at
+// every frame boundary of that commit, in the order the shards commit
+// (shard 0 first), and reopened. At every cut the index is on every shard
+// exactly when the recovered metadata records it, the onion is deferred
+// exactly when it is not, and equality and range answer like the oracle.
+// On shards every middle cut is a torn first use whose list built the
+// index on the shards before the cut alone (TestFirstUseTornAcrossShards
+// with an index in the list): it recovers still deferred, and the redo
+// builds the index everywhere, a no-op on those shards. A torn Eq peel is not
+// cut here: its blob rides every shard, the open window of ARCHITECTURE's
+// recovery story.
+func TestRestartIndexAtEveryCut(t *testing.T) {
+	opts := sqldb.DurabilityOptions{NoFsync: true, CheckpointBytes: -1}
+	const (
+		rng = "SELECT id FROM acct WHERE bal BETWEEN 100 AND 500"
+		eq  = "SELECT id FROM acct WHERE bal = 137"
+	)
+	for _, c := range []struct {
+		name   string
+		shards int // 0: a single store
+		stmt   string
+		peel   bool // stmt also peels bal's Eq onion to DET
+	}{
+		{"single/range", 0, rng, false},
+		{"single/eq+range", 0, "SELECT id FROM acct WHERE bal != 137 AND bal BETWEEN 100 AND 500", true},
+		{"sharded2/range", 2, rng, false},
+		{"sharded4/range", 4, rng, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			open := func(dir string) store.Engine {
+				var eng store.Engine
+				var err error
+				if c.shards == 0 {
+					eng, err = single.Open(dir, opts)
+				} else {
+					eng, err = sharded.Open(dir, c.shards, opts)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { eng.Close() }) //nolint:errcheck // double Close is safe
+				return eng
 			}
-		}
-		return false
-	}
-	if st := p.Table("emp").Col("name").Onions[onion.Eq]; st.Current() != onion.DET || eqIndexed(db) {
-		t.Fatalf("before restart: Eq at %s, indexed %v; want DET without the index", st.Current(), eqIndexed(db))
-	}
-	db.Close()
+			wals := []string{"wal.log"} // each log, relative to the data dir, in commit order
+			if c.shards > 0 {
+				wals = nil
+				for i := 0; i < c.shards; i++ {
+					wals = append(wals, filepath.Join(sharded.ShardDir("", i), "wal.log"))
+				}
+			}
 
-	dbf, err := sqldb.Open(dir, sqldb.DurabilityOptions{})
+			dir := t.TempDir()
+			eng := open(dir)
+			l := newLifecycle(t, eng, Options{DataDir: dir})
+			for _, s := range deferredDDL {
+				l.both(s)
+			}
+			l.both("CREATE INDEX acct_bal ON acct (bal)")
+			for _, s := range deferredLoad(30, 300) {
+				l.both(s)
+			}
+			before := make([]int64, len(wals))
+			for i, w := range wals {
+				fi, err := os.Stat(filepath.Join(dir, w))
+				if err != nil {
+					t.Fatal(err)
+				}
+				before[i] = fi.Size()
+			}
+			l.check(c.stmt)
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for cut := 0; cut <= len(wals); cut++ {
+				t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+					cdir := copyDir(t, dir)
+					for i := cut; i < len(wals); i++ {
+						if err := os.Truncate(filepath.Join(cdir, wals[i]), before[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					eng := open(cdir)
+					p, err := NewOnEngine(eng, Options{HOMBits: 256, DataDir: cdir})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rl := &lifecycle{t: t, p: p, orc: l.orc}
+					committed := cut == len(wals)
+					cm := p.Table("acct").Col("bal")
+					hasIndex := func(db *sqldb.DB, o onion.Onion, ordered bool) bool {
+						return slices.ContainsFunc(db.Table(cm.Table.Anon).Indexes(), func(ix sqldb.IndexInfo) bool {
+							return ix.Column == cm.onionCol(o) && ix.Ordered == ordered
+						})
+					}
+					indexed := func(o onion.Onion, ordered bool) bool {
+						for _, db := range engineDBs(eng) {
+							if !hasIndex(db, o, ordered) {
+								return false
+							}
+						}
+						return true
+					}
+					check := func(when string) {
+						t.Helper()
+						if got, want := indexed(onion.Ord, true), cm.idxOrd; got != want {
+							t.Fatalf("%s: Ord index on every shard %v, metadata idxOrd %v", when, got, want)
+						}
+						if got, want := indexed(onion.Eq, false), cm.idxEq; got != want {
+							t.Fatalf("%s: Eq index on every shard %v, metadata idxEq %v", when, got, want)
+						}
+					}
+					for i, db := range engineDBs(eng) {
+						if hasIndex(db, onion.Ord, true) != (i < cut) {
+							t.Fatalf("shard %d holds the Ord index %v at cut %d", i, hasIndex(db, onion.Ord, true), cut)
+						}
+					}
+					check("recovered")
+					if cm.Onions[onion.Ord].Deferred == committed || cm.idxOrd != committed || (c.peel && cm.idxEq != committed) {
+						t.Fatalf("cut %d of %d: Ord deferred %v, idxOrd %v, idxEq %v", cut, len(wals),
+							cm.Onions[onion.Ord].Deferred, cm.idxOrd, cm.idxEq)
+					}
+					rl.check(rng)
+					rl.check(eq)
+					check("after the redo")
+					if !cm.idxOrd || !cm.idxEq {
+						t.Fatalf("after equality and range: idxOrd %v, idxEq %v; want both built", cm.idxOrd, cm.idxEq)
+					}
+				})
+			}
+		})
+	}
+}
+
+// copyDir copies a closed data directory to a fresh one, as a crash
+// would leave it.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o700)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o600)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	failing := &faultyEngine{Engine: single.New(dbf), metaFailAt: 1, metaFault: errInjected}
-	if _, err := NewOnEngine(failing, Options{HOMBits: 256, DataDir: dir}); !errors.Is(err, errInjected) {
-		t.Fatalf("restart whose index build fails: err = %v, want the injected fault", err)
-	}
-	dbf.Close()
+	return dst
+}
 
-	db2, p2 := openDurable(t, dir)
-	if !eqIndexed(db2) || !p2.Table("emp").Col("name").idxEq {
-		t.Fatalf("restart did not build the wanted index (server %v, metadata %v)", eqIndexed(db2), p2.Table("emp").Col("name").idxEq)
+// engineDBs returns the databases under a single or sharded engine.
+func engineDBs(eng store.Engine) []*sqldb.DB {
+	if e, ok := eng.(*sharded.Engine); ok {
+		dbs := make([]*sqldb.DB, e.Shards())
+		for i := range dbs {
+			dbs[i] = e.Shard(i)
+		}
+		return dbs
 	}
-	if got := resultString(t, p2, "SELECT id FROM emp WHERE name = 'n3'"); got != "3\n" {
-		t.Fatalf("equality after restart: %q", got)
-	}
-	if tc := p2.Table("tag").Col("label"); !tc.wantUnique || tc.idxEq {
-		t.Fatalf("tag.label: wantUnique %v, idxEq %v; want wanted and unbuilt", tc.wantUnique, tc.idxEq)
-	}
-	if got := resultString(t, p2, "SELECT id FROM tag WHERE label = 'x' ORDER BY id"); got != "1\n2\n" {
-		t.Fatalf("equality over duplicates after restart: %q", got)
-	}
-	// The index and the metadata naming it are durable: a second restart
-	// finds both.
-	db2.Close()
-	db3, p3 := openDurable(t, dir)
-	if !eqIndexed(db3) || !p3.Table("emp").Col("name").idxEq {
-		t.Fatal("the rebuilt index did not survive a second restart")
-	}
+	return []*sqldb.DB{eng.(*single.Engine).DB()}
 }
 
 // TestProxyRestartStaleness: HOM increments mark sibling onions stale in
@@ -369,9 +463,9 @@ func TestTransitionFailureReverts(t *testing.T) {
 			then: []string{"CREATE TABLE owner (oid INT PRIMARY KEY, name TEXT)",
 				"INSERT INTO owner (oid, name) VALUES (1, 'new')"},
 			query: "SELECT name FROM owner WHERE oid = 1"},
-		// The first blob commits the index request, the second the build.
+		// The index request and the build commit as one list.
 		{name: "index", setup: []string{"SELECT id FROM acct WHERE memo = 'kw01 kw11'"},
-			stmt: "CREATE INDEX memo_idx ON acct (memo)", failAt: 2,
+			stmt: "CREATE INDEX memo_idx ON acct (memo)", failAt: 1,
 			state: func(p *Proxy) string { return fmt.Sprint(p.Table("acct").Col("memo").idxEq) },
 			query: "SELECT id FROM acct WHERE memo = 'kw02 kw12'"},
 		// Every onion of memo is still at RND: the request is the only

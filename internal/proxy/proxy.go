@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 	"sync"
@@ -257,21 +256,6 @@ func openPersistent(db store.Engine, opts Options) (*Proxy, error) {
 	if sealed := db.Meta(); sealed != nil {
 		if err := p.restoreState(sealed); err != nil {
 			return nil, err
-		}
-	}
-	if rep == nil {
-		// An index build commits after the batch that exposed its layer,
-		// so a crash between the two loses the index: build whatever the
-		// metadata wants and lacks (materializeIndexes skips the rest). A
-		// UNIQUE index over duplicate values stays wanted and unbuilt, as
-		// it does at runtime, where the duplicates were written while the
-		// column sat at RND; any other failure fails Open.
-		for name, tm := range p.tables {
-			for _, cm := range tm.Cols {
-				if err := p.materializeIndexes(cm); err != nil && !errors.Is(err, sqldb.ErrUniqueDuplicate) {
-					return nil, fmt.Errorf("proxy: rebuilding indexes of %s: %w", name, err)
-				}
-			}
 		}
 	}
 	return p, nil

@@ -12,7 +12,7 @@ import (
 // infrequent queries requiring a low onion layer, CryptDB could be extended
 // to re-encrypt onions back to a higher layer after the infrequent query
 // finishes"). The proxy rewrites the whole column at the raised layer from
-// each row's Eq plaintext under the row's stored IV (adjust), which wraps
+// each row's Eq plaintext under the row's stored IV (transition), which wraps
 // the inner ciphertext the server holds in RND, and restores the onion
 // state, shrinking the leak window of the lower layer. It is a whole-column
 // rewrite like a first use, with the same refusals (on a replica, and while
@@ -49,7 +49,7 @@ func (p *Proxy) RaiseOnion(table, col string, o onion.Onion) error {
 		return err
 	}
 
-	err = p.adjust(func(a *adjustment) error {
+	err = p.transition(func(a *adjustment) error {
 		rw := a.column(cm)
 		setTo(a, &st.Cur, st.Cur-1)
 		// A raised Eq onion invalidates any DET index built while exposed:

@@ -152,11 +152,12 @@ func (s *Session) ExecuteStmt(st sqlparser.Statement, params ...sqldb.Value) (*s
 		if !ok {
 			return nil, fmt.Errorf("proxy: no table %s", x.Name)
 		}
-		return &sqldb.Result{}, p.transition(func() func() { delete(p.tables, x.Name); return func() { p.tables[x.Name] = tm } },
-			func(sealed []byte) error {
-				_, err := p.db.ExecAutonomousWithMeta(&sqlparser.DropTableStmt{Name: tm.Anon}, sealed)
-				return err
-			})
+		return &sqldb.Result{}, p.transition(func(a *adjustment) error {
+			delete(p.tables, x.Name)
+			a.onUndo(func() { p.tables[x.Name] = tm })
+			a.ddl = append(a.ddl, &sqlparser.DropTableStmt{Name: tm.Anon})
+			return nil
+		})
 	case *sqlparser.BeginStmt, *sqlparser.CommitStmt, *sqlparser.RollbackStmt:
 		// Transactions pass through unchanged (§3.3), scoped to this
 		// session's DBMS session.

@@ -61,17 +61,14 @@ type DB struct {
 	defOnce sync.Once
 	defSess *Session // lazy default session behind DB.Exec
 
-	// Durability state (nil/zero for a pure in-memory database). stmtBuf
-	// accumulates the redo records of the DDL statement being executed,
-	// under mu; it holds pre-encoded WAL ops (see wal.go). Every file
-	// call goes through fs.
+	// Durability state (nil/zero for a pure in-memory database). Every
+	// file call goes through fs.
 	fs          fsutil.FS
 	wal         *walWriter
 	lock        *dirLock
 	dir         string
 	dopts       DurabilityOptions
 	walSeq      uint64
-	stmtBuf     []byte
 	checkpoints int64
 
 	// pager is the buffer cache every table of this database belongs to;
@@ -367,10 +364,10 @@ func (db *DB) ExecWithMeta(st sqlparser.Statement, meta []byte, params ...Value)
 }
 
 // execStateless dispatches a statement that does not involve this caller's
-// transaction state: reads, autocommit writes, and DDL (which is always
-// durable immediately — it is not buffered, so it must not be discardable
-// by a client ROLLBACK). Transaction delimiters are rejected; they only
-// make sense on a session.
+// transaction state: reads, and writes and DDL as one-statement
+// transactions (DDL is durable at once, so a client ROLLBACK cannot discard
+// it). Transaction delimiters are rejected; they only make sense on a
+// session.
 func (db *DB) execStateless(st sqlparser.Statement, meta []byte, params []Value) (*Result, error) {
 	defer db.trackBusy(time.Now())
 	switch s := st.(type) {
@@ -378,14 +375,9 @@ func (db *DB) execStateless(st sqlparser.Statement, meta []byte, params []Value)
 		db.mu.RLock()
 		defer db.mu.RUnlock()
 		return db.execSelect(nil, s, nil, params)
-	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		return db.autocommitWrite(st, meta, params)
-	case *sqlparser.CreateTableStmt:
-		return db.autocommitDDL(meta, func() (*Result, error) { return db.execCreateTable(s) })
-	case *sqlparser.CreateIndexStmt:
-		return db.autocommitDDL(meta, func() (*Result, error) { return db.execCreateIndex(s) })
-	case *sqlparser.DropTableStmt:
-		return db.autocommitDDL(meta, func() (*Result, error) { return db.execDropTable(s) })
+	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt,
+		*sqlparser.CreateTableStmt, *sqlparser.CreateIndexStmt, *sqlparser.DropTableStmt:
+		return db.autocommit(st, meta, params)
 	case *sqlparser.BeginStmt, *sqlparser.CommitStmt, *sqlparser.RollbackStmt:
 		return nil, fmt.Errorf("sqldb: transaction statements require a session")
 	case *sqlparser.PrincTypeStmt:
@@ -394,43 +386,6 @@ func (db *DB) execStateless(st sqlparser.Statement, meta []byte, params []Value)
 		return &Result{}, nil
 	}
 	return nil, fmt.Errorf("sqldb: unsupported statement %T", st)
-}
-
-// CanDropTable reports whether DROP TABLE would currently succeed: the
-// table exists and no open transaction has buffered writes against it. A
-// sharded store pre-flights a drop broadcast with this on every shard so
-// one shard's refusal cannot leave the schema half-dropped. Advisory: a
-// transaction may write the table between the probe and the drop.
-func (db *DB) CanDropTable(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[name]; !ok {
-		return fmt.Errorf("sqldb: no table %s", name)
-	}
-	for txn := range db.openTxns {
-		if txn.writes(name) {
-			return fmt.Errorf("sqldb: cannot drop %s: written by an open transaction", name)
-		}
-	}
-	return nil
-}
-
-func (db *DB) execDropTable(s *sqlparser.DropTableStmt) (*Result, error) {
-	if _, ok := db.tables[s.Name]; !ok {
-		return nil, fmt.Errorf("sqldb: no table %s", s.Name)
-	}
-	// Refuse while an open transaction has buffered writes against the
-	// table: its commit would otherwise apply to an orphaned Table and
-	// write redo records for a name replay cannot resolve.
-	for txn := range db.openTxns {
-		if txn.writes(s.Name) {
-			return nil, fmt.Errorf("sqldb: cannot drop %s: written by an open transaction", s.Name)
-		}
-	}
-	db.pager.forgetTable(db.tables[s.Name])
-	delete(db.tables, s.Name)
-	db.redoDropTable(s.Name)
-	return &Result{}, nil
 }
 
 // Meta returns the last committed application-metadata blob (nil if none):
@@ -459,96 +414,155 @@ func (e *DurabilityError) Error() string {
 // Unwrap exposes the underlying I/O error.
 func (e *DurabilityError) Unwrap() error { return e.Err }
 
-func (db *DB) redoCreateTable(s *sqlparser.CreateTableStmt) {
-	if db.wal == nil {
-		return
-	}
-	cols := make([]walColDef, len(s.Cols))
-	for i, c := range s.Cols {
-		cols[i] = walColDef{name: c.Name, typ: c.Type, primary: c.Primary}
-	}
-	db.stmtBuf = appendCreateTableOp(db.stmtBuf, s.Name, cols)
-}
-
-func (db *DB) redoCreateIndex(table, column string, unique, ordered bool) {
-	if db.wal != nil {
-		db.stmtBuf = appendCreateIndexOp(db.stmtBuf, table, column, unique, ordered)
-	}
-}
-
-func (db *DB) redoDropTable(name string) {
-	if db.wal != nil {
-		db.stmtBuf = appendDropTableOp(db.stmtBuf, name)
-	}
-}
-
-func (db *DB) execCreateTable(s *sqlparser.CreateTableStmt) (*Result, error) {
-	if _, exists := db.tables[s.Name]; exists {
-		return nil, fmt.Errorf("sqldb: table %s already exists", s.Name)
-	}
-	cols := make([]Column, len(s.Cols))
-	seen := make(map[string]bool, len(s.Cols))
-	for i, c := range s.Cols {
-		if seen[c.Name] {
-			return nil, fmt.Errorf("sqldb: duplicate column %s.%s", s.Name, c.Name)
+// checkDDL refuses a CREATE TABLE, CREATE INDEX or DROP TABLE that could
+// not apply: against the tables as txn sees them while it stages, and
+// against the shared tables at apply (applied), once txn's row writes are
+// in them. A UNIQUE index is checked over the rows so seen, so a list whose
+// own writes make a column hold a value twice is refused before it commits.
+// After the check at apply passes, only a page fault stops applyDDL.
+// Callers hold db.mu.
+func (txn *Txn) checkDDL(st sqlparser.Statement, applied bool) error {
+	db := txn.db
+	switch s := st.(type) {
+	case *sqlparser.CreateTableStmt:
+		if _, exists := db.tables[s.Name]; exists {
+			return fmt.Errorf("sqldb: table %s already exists", s.Name)
 		}
-		seen[c.Name] = true
-		cols[i] = Column{Name: c.Name, Type: c.Type, Primary: c.Primary}
-	}
-	t := newTable(s.Name, cols, db.pager)
-	for _, c := range s.Cols {
-		if c.Primary {
-			if err := t.addIndex(c.Name, true); err != nil {
-				return nil, err
+		seen := make(map[string]bool, len(s.Cols))
+		for _, c := range s.Cols {
+			if seen[c.Name] {
+				return fmt.Errorf("sqldb: duplicate column %s.%s", s.Name, c.Name)
+			}
+			seen[c.Name] = true
+		}
+		return nil
+	case *sqlparser.CreateIndexStmt:
+		t, ok := db.tables[s.Table]
+		if !ok {
+			return fmt.Errorf("sqldb: no table %s", s.Table)
+		}
+		if _, err := indexBuilds(s); err != nil {
+			return err
+		}
+		pos := t.ColumnIndex(s.Column)
+		if pos < 0 {
+			return fmt.Errorf("sqldb: no column %s.%s to index", t.Name, s.Column)
+		}
+		if !s.Unique || t.indexes[s.Column] != nil {
+			return nil // building a hash index that exists is a no-op
+		}
+		var ws *txnTable
+		if !applied {
+			ws = txn.writeSet(t)
+		}
+		seen := make(map[string]struct{})
+		return access{kind: accessScan, ws: ws}.iterate(t, func(_ int, row []Value) error {
+			key := row[pos].Key()
+			if _, dup := seen[key]; dup {
+				return fmt.Errorf("%w on %s.%s", ErrUniqueDuplicate, t.Name, s.Column)
+			}
+			seen[key] = struct{}{}
+			return nil
+		})
+	case *sqlparser.DropTableStmt:
+		if _, ok := db.tables[s.Name]; !ok {
+			return fmt.Errorf("sqldb: no table %s", s.Name)
+		}
+		// An open transaction's commit would otherwise apply to an
+		// orphaned Table and write redo records for a name replay cannot
+		// resolve.
+		for other := range db.openTxns {
+			if other != txn && other.writes(s.Name) {
+				return fmt.Errorf("sqldb: cannot drop %s: written by an open transaction", s.Name)
 			}
 		}
+		return nil
 	}
-	db.tables[s.Name] = t
-	db.redoCreateTable(s)
-	return &Result{}, nil
+	return fmt.Errorf("sqldb: unsupported statement %T", st)
 }
 
-func (db *DB) execCreateIndex(s *sqlparser.CreateIndexStmt) (*Result, error) {
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return nil, fmt.Errorf("sqldb: no table %s", s.Table)
-	}
+// indexBuild is one index a CREATE INDEX builds.
+type indexBuild struct{ unique, ordered bool }
+
+// indexBuilds lists the indexes a CREATE INDEX builds, in build order.
+// MySQL's default index is a B-tree serving both equality and range; this
+// substrate splits that into a hash index plus an ordered index. A UNIQUE
+// BTREE enforces uniqueness through a hash index, since the ordered index
+// only accelerates ranges.
+func indexBuilds(s *sqlparser.CreateIndexStmt) ([]indexBuild, error) {
 	switch strings.ToUpper(s.Using) {
 	case "":
-		// MySQL's default index is a B-tree serving both equality and
-		// range; our substrate splits that into a hash index plus an
-		// ordered index.
-		if err := t.addIndex(s.Column, s.Unique); err != nil {
-			return nil, err
-		}
-		db.redoCreateIndex(s.Table, s.Column, s.Unique, false)
-		if err := t.addOrdIndex(s.Column); err != nil {
-			return nil, err
-		}
-		db.redoCreateIndex(s.Table, s.Column, false, true)
-		return &Result{}, nil
+		return []indexBuild{{unique: s.Unique}, {ordered: true}}, nil
 	case "HASH":
-		if err := t.addIndex(s.Column, s.Unique); err != nil {
-			return nil, err
-		}
-		db.redoCreateIndex(s.Table, s.Column, s.Unique, false)
-		return &Result{}, nil
+		return []indexBuild{{unique: s.Unique}}, nil
 	case "BTREE", "ORDERED":
 		if s.Unique {
-			// Uniqueness is enforced through a hash index; the ordered
-			// index only accelerates ranges.
-			if err := t.addIndex(s.Column, true); err != nil {
-				return nil, err
-			}
-			db.redoCreateIndex(s.Table, s.Column, true, false)
+			return []indexBuild{{unique: true}, {ordered: true}}, nil
 		}
-		if err := t.addOrdIndex(s.Column); err != nil {
-			return nil, err
-		}
-		db.redoCreateIndex(s.Table, s.Column, false, true)
-		return &Result{}, nil
+		return []indexBuild{{ordered: true}}, nil
 	}
 	return nil, fmt.Errorf("sqldb: unknown index type %q", s.Using)
+}
+
+// applyDDL applies one DDL statement that checkDDL passed, appending its
+// redo records to ops when the database is logged. Callers hold db.mu's
+// write side.
+func (db *DB) applyDDL(st sqlparser.Statement, ops []byte) ([]byte, error) {
+	logged := db.wal != nil
+	switch s := st.(type) {
+	case *sqlparser.CreateTableStmt:
+		cols := make([]Column, len(s.Cols))
+		defs := make([]walColDef, len(s.Cols))
+		for i, c := range s.Cols {
+			cols[i] = Column{Name: c.Name, Type: c.Type, Primary: c.Primary}
+			defs[i] = walColDef{name: c.Name, typ: c.Type, primary: c.Primary}
+		}
+		if err := db.createTable(s.Name, cols); err != nil {
+			return ops, err
+		}
+		if logged {
+			ops = appendCreateTableOp(ops, s.Name, defs)
+		}
+	case *sqlparser.CreateIndexStmt:
+		t := db.tables[s.Table]
+		builds, _ := indexBuilds(s) // checked
+		for _, b := range builds {
+			var err error
+			if b.ordered {
+				err = t.addOrdIndex(s.Column)
+			} else {
+				err = t.addIndex(s.Column, b.unique)
+			}
+			if err != nil {
+				return ops, err
+			}
+			if logged {
+				ops = appendCreateIndexOp(ops, s.Table, s.Column, b.unique, b.ordered)
+			}
+		}
+	case *sqlparser.DropTableStmt:
+		db.pager.forgetTable(db.tables[s.Name])
+		delete(db.tables, s.Name)
+		if logged {
+			ops = appendDropTableOp(ops, s.Name)
+		}
+	}
+	return ops, nil
+}
+
+// createTable installs an empty table with its PRIMARY KEY indexes.
+// Callers hold db.mu's write side.
+func (db *DB) createTable(name string, cols []Column) error {
+	t := newTable(name, cols, db.pager)
+	for _, c := range cols {
+		if c.Primary {
+			if err := t.addIndex(c.Name, true); err != nil {
+				return err
+			}
+		}
+	}
+	db.tables[name] = t
+	return nil
 }
 
 //
@@ -565,12 +579,12 @@ func (db *DB) InTxn() bool {
 	return len(db.openTxns) > 0
 }
 
-// ExecAutonomous executes a write statement outside any open transaction,
-// as if on a separate connection that commits immediately. The CryptDB
-// proxy uses this for onion adjustments and resyncs: those server-side
-// rewrites reflect proxy metadata transitions and must survive a client
-// ROLLBACK. The statement still executes atomically under the database
-// lock; if it touches a row slot owned by an open transaction it fails
+// ExecAutonomous executes a write or DDL statement outside any open
+// transaction, as if on a separate connection that commits immediately, so
+// a client ROLLBACK cannot undo it. The proxy commits through the list form
+// (ExecAutonomousListWithMeta); a sharded store's schema repair at Open
+// uses this one. The statement still executes atomically under the
+// database lock; if it touches a row slot owned by an open transaction it fails
 // with a WriteConflictError rather than waiting (first writer wins, and
 // blocking here could deadlock against the transaction's own next
 // statement).
@@ -580,19 +594,20 @@ func (db *DB) ExecAutonomous(st sqlparser.Statement, params ...Value) (*Result, 
 
 // ExecAutonomousWithMeta combines ExecAutonomous and ExecWithMeta: the
 // statement commits outside any open transaction, and the metadata blob
-// commits durably in the same WAL batch. The proxy's onion adjustments use
-// this so a layer transition and the metadata recording it are atomic.
+// commits durably in the same WAL batch.
 func (db *DB) ExecAutonomousWithMeta(st sqlparser.Statement, meta []byte, params ...Value) (*Result, error) {
 	return db.execStateless(st, meta, params)
 }
 
 // ExecAutonomousListWithMeta is ExecAutonomousWithMeta for a list of
-// INSERT, UPDATE and DELETE statements: they stage in a private
-// transaction, outside any open one, and commit with the metadata blob in
-// one WAL batch, or not at all. The proxy's whole-column rewrites use it,
-// so a column's new ciphertexts and the metadata naming their layer are
-// one commit. The empty list commits the blob alone, in a batch of its
-// one metadata record.
+// INSERT, UPDATE, DELETE, CREATE TABLE, CREATE INDEX and DROP TABLE
+// statements: they stage in a private transaction, outside any open one
+// (Session.Stage), and commit with the metadata blob in one WAL batch, or
+// not at all. The DDL applies after the row writes, in list order. The
+// proxy commits every schema change and onion adjustment of a statement
+// with it, so a column's new ciphertexts, the indexes its exposed layers
+// allow and the metadata naming both are one commit. The empty list
+// commits the blob alone, in a batch of its one metadata record.
 func (db *DB) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*Result, error) {
 	s := db.NewSession()
 	defer s.Close() //nolint:errcheck // rolls back a transaction a statement refused
@@ -601,13 +616,7 @@ func (db *DB) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byt
 	}
 	total := &Result{}
 	for _, st := range stmts {
-		switch st.(type) {
-		case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		default:
-			// DDL would not wait for the COMMIT.
-			return nil, fmt.Errorf("sqldb: %T in a statement list (writes only)", st)
-		}
-		res, err := s.Exec(st)
+		res, err := s.Stage(st)
 		if err != nil {
 			return nil, err
 		}

@@ -32,8 +32,10 @@
 // concurrent update — the stress tests (and the documented contract) use
 // single-statement RMW for contended rows. UNIQUE violations inside a
 // transaction surface at COMMIT, which then rolls the transaction back as a
-// unit. DDL never rides a transaction: it executes and becomes durable
-// immediately, as in the seed.
+// unit. A client's DDL never rides its transaction: it executes and becomes
+// durable immediately, as in the seed. Only a statement list (Stage, behind
+// DB.ExecAutonomousListWithMeta and a sharded store's commit) stages DDL,
+// to apply at its COMMIT after its row writes.
 package sqldb
 
 import (
@@ -187,25 +189,46 @@ func (s *Session) exec(st sqlparser.Statement, meta []byte, params []Value) (*Re
 		s.txn.attachMeta(meta, err)
 		return res, err
 	default:
-		// DDL and everything else: never transactional, executes and
-		// becomes durable immediately (as in the seed, where DDL was not
-		// undo-logged and survived ROLLBACK).
+		// DDL and everything else: never part of the client's
+		// transaction, executes and becomes durable immediately (as in
+		// the seed, where DDL was not undo-logged and survived ROLLBACK).
 		return s.db.execStateless(st, meta, params)
 	}
+}
+
+// Stage runs one statement of a statement list in the session's open
+// transaction. An INSERT, UPDATE or DELETE stages as Exec stages it. A
+// CREATE TABLE, CREATE INDEX or DROP TABLE is checked now, against the
+// tables as the transaction sees them (a UNIQUE index over its own write
+// set), and applies at COMMIT after the transaction's row writes, in the
+// order staged and in the same WAL frame. Anything else is refused.
+func (s *Session) Stage(st sqlparser.Statement, params ...Value) (*Result, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.txn == nil {
+		return nil, fmt.Errorf("sqldb: Stage outside a transaction")
+	}
+	db := s.db
+	defer db.trackBusy(time.Now())
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return s.txn.stage(st, params)
 }
 
 //
 // Transaction state
 //
 
-// Txn is one transaction: its write set, layered over the shared tables.
-// Nothing in it is visible to other sessions until commit applies it under
-// the database write lock. An autocommit write is a oneShot Txn that stages
-// and applies one statement under that lock (write.go).
+// Txn is one transaction: its write set, layered over the shared tables,
+// and the DDL a statement list staged. Nothing in it is visible to other
+// sessions until commit applies it under the database write lock. An
+// autocommit statement is a oneShot Txn that stages and applies one
+// statement under that lock (write.go).
 type Txn struct {
 	db      *DB
-	tables  []*txnTable // one per table written, in first-write order
-	meta    []byte      // latest ExecWithMeta blob; commits with the batch
+	tables  []*txnTable           // one per table written, in first-write order
+	ddl     []sqlparser.Statement // staged DDL, applied after the rows
+	meta    []byte                // latest ExecWithMeta blob; commits with the batch
 	oneShot bool
 }
 
@@ -233,7 +256,7 @@ func (txn *Txn) exec(st sqlparser.Statement, params []Value) (*Result, error) {
 	if s, ok := st.(*sqlparser.SelectStmt); ok {
 		return db.execSelect(txn, s, nil, params)
 	}
-	return txn.stageWrite(st, params)
+	return txn.stage(st, params)
 }
 
 //

@@ -411,16 +411,7 @@ func (db *DB) applyOp(op walOp) error {
 		for i, c := range op.cols {
 			cols[i] = Column{Name: c.name, Type: c.typ, Primary: c.primary}
 		}
-		t := newTable(op.table, cols, db.pager)
-		for _, c := range op.cols {
-			if c.primary {
-				if err := t.addIndex(c.name, true); err != nil {
-					return err
-				}
-			}
-		}
-		db.tables[op.table] = t
-		return nil
+		return db.createTable(op.table, cols)
 	case walOpMeta:
 		db.meta = op.meta
 		db.metaVer.Add(1)

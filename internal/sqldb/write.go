@@ -6,8 +6,10 @@ package sqldb
 // write set under db.mu's write side. A transactional statement stages
 // under the read side, claims its row slots first-writer-wins and applies
 // at COMMIT. An autocommit statement is a one-statement transaction: it
-// stages under the write side, claims nothing, and applies at once. Both
-// end in DB.commit, which turns what was applied into one WAL frame.
+// stages under the write side, claims nothing, and applies at once. DDL
+// takes the same path: it stages as the statement itself, checked, and
+// applies after the row writes (Session.Stage). Both end in DB.commit,
+// which turns what was applied into one WAL frame.
 
 import (
 	"bytes"
@@ -138,8 +140,9 @@ func (txn *Txn) table(t *Table) *txnTable {
 // stages every row or leaves the write set and the lock table as they were.
 //
 
-// stageWrite stages one INSERT, UPDATE or DELETE into txn's write set.
-func (txn *Txn) stageWrite(st sqlparser.Statement, params []Value) (*Result, error) {
+// stage stages one INSERT, UPDATE or DELETE into txn's write set, or one
+// CREATE TABLE, CREATE INDEX or DROP TABLE into txn.ddl (stageDDL).
+func (txn *Txn) stage(st sqlparser.Statement, params []Value) (*Result, error) {
 	switch s := st.(type) {
 	case *sqlparser.InsertStmt:
 		return txn.stageInsert(s, params)
@@ -147,8 +150,45 @@ func (txn *Txn) stageWrite(st sqlparser.Statement, params []Value) (*Result, err
 		return txn.stageUpdate(s, params)
 	case *sqlparser.DeleteStmt:
 		return txn.stageDelete(s, params)
+	case *sqlparser.CreateTableStmt, *sqlparser.CreateIndexStmt, *sqlparser.DropTableStmt:
+		return &Result{}, txn.stageDDL(st)
 	}
-	return nil, fmt.Errorf("sqldb: unsupported statement %T", st)
+	return nil, fmt.Errorf("sqldb: %T cannot be staged (writes and DDL only)", st)
+}
+
+// stageDDL checks one DDL statement and stages it to apply after txn's row
+// writes. Its DDL may not name a table that another of its DDL statements
+// creates or drops: the check at apply reads the tables as they are before
+// any of it applies. A one-statement transaction checks only at apply,
+// under the same hold of db.mu's write side.
+func (txn *Txn) stageDDL(st sqlparser.Statement) error {
+	name := ddlTable(st)
+	_, index := st.(*sqlparser.CreateIndexStmt)
+	for _, prev := range txn.ddl {
+		if _, prevIndex := prev.(*sqlparser.CreateIndexStmt); ddlTable(prev) == name && !(index && prevIndex) {
+			return fmt.Errorf("sqldb: table %s is created or dropped by another DDL statement of the transaction", name)
+		}
+	}
+	if !txn.oneShot {
+		if err := txn.checkDDL(st, false); err != nil {
+			return err
+		}
+	}
+	txn.ddl = append(txn.ddl, st)
+	return nil
+}
+
+// ddlTable names the table a DDL statement creates, indexes or drops.
+func ddlTable(st sqlparser.Statement) string {
+	switch s := st.(type) {
+	case *sqlparser.CreateTableStmt:
+		return s.Name
+	case *sqlparser.CreateIndexStmt:
+		return s.Table
+	case *sqlparser.DropTableStmt:
+		return s.Name
+	}
+	return ""
 }
 
 func (txn *Txn) stageInsert(s *sqlparser.InsertStmt, params []Value) (*Result, error) {
@@ -440,8 +480,9 @@ func (txn *Txn) lockSlots(t *Table, rows []matchedRow) error {
 // applyLocked installs the write set into the shared tables and returns the
 // encoded redo ops, in a deterministic order (tables sorted by name; deletes,
 // then modifications, then inserts, each in slot order — so a transaction
-// that deletes a unique key and re-inserts it commits cleanly). On a
-// constraint violation everything already applied is undone and an error
+// that deletes a unique key and re-inserts it commits cleanly), then applies
+// the staged DDL in order. On a constraint violation, or DDL that can no
+// longer apply, everything already applied is undone and an error
 // returned; the shared state is then exactly as before. A page fault
 // midway is not reverted (reverting may fault again): the ops returned
 // with it hold the redo of what was applied, for DB.commit to log. Callers
@@ -549,6 +590,18 @@ func (txn *Txn) applyLocked() ([]byte, error) {
 			}
 		}
 	}
+	for _, st := range txn.ddl {
+		if err := txn.checkDDL(st, true); err != nil {
+			revert()
+			return nil, err
+		}
+	}
+	for _, st := range txn.ddl {
+		var err error
+		if ops, err = txn.db.applyDDL(st, ops); err != nil {
+			return ops, err
+		}
+	}
 	return ops, nil
 }
 
@@ -605,15 +658,15 @@ func (db *DB) commit(meta []byte, apply func() ([]byte, error), release func()) 
 	return err
 }
 
-// autocommitWrite runs one INSERT, UPDATE or DELETE as a one-statement
-// transaction: it stages into a fresh write set and applies it at once,
-// both under db.mu's write side. A page fault while staging leaves nothing
-// applied.
-func (db *DB) autocommitWrite(st sqlparser.Statement, meta []byte, params []Value) (*Result, error) {
+// autocommit runs one INSERT, UPDATE, DELETE, CREATE TABLE, CREATE INDEX
+// or DROP TABLE as a one-statement transaction: it stages into a fresh
+// transaction and applies it at once, both under db.mu's write side. A page
+// fault while staging leaves nothing applied.
+func (db *DB) autocommit(st sqlparser.Statement, meta []byte, params []Value) (*Result, error) {
 	txn := &Txn{db: db, oneShot: true}
 	var res *Result
 	err := db.commit(meta, func() ([]byte, error) {
-		r, err := txn.stageWrite(st, params)
+		r, err := txn.stage(st, params)
 		if err != nil {
 			return nil, err
 		}
@@ -622,18 +675,6 @@ func (db *DB) autocommitWrite(st sqlparser.Statement, meta []byte, params []Valu
 			res = r
 		}
 		return ops, err
-	}, nil)
-	return res, err
-}
-
-// autocommitDDL runs one DDL statement under db.mu's write side. DDL
-// changes the schema in place; its redo ops accumulate in db.stmtBuf.
-func (db *DB) autocommitDDL(meta []byte, fn func() (*Result, error)) (*Result, error) {
-	var res *Result
-	err := db.commit(meta, func() (ops []byte, err error) {
-		db.stmtBuf = db.stmtBuf[:0]
-		res, err = fn()
-		return db.stmtBuf, err
 	}, nil)
 	return res, err
 }

@@ -150,9 +150,9 @@ func (c *Conn) exec(st sqlparser.Statement, meta []byte, params []sqldb.Value) (
 		return c.execWrite(st, meta, params)
 
 	default:
-		// DDL and principal declarations broadcast; like sqldb, DDL never
-		// rides a transaction.
-		return c.eng.execDDL(st, meta)
+		// DDL commits on every shard at once; like sqldb, a client's DDL
+		// never rides its transaction.
+		return c.eng.execAutonomous(st, meta, params)
 	}
 }
 

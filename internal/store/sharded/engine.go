@@ -23,13 +23,13 @@
 // statement that routes elsewhere fails with a clear error instead of
 // silently spanning shards without atomicity.
 //
-// DDL and schema are broadcast to every shard. Sealed proxy metadata rides
-// the WAL batches of the writes it describes, wrapped in a sequence
-// envelope so recovery can pick the newest blob across shards: a one-shard
-// write commits it on its shard, and a spanning write or list on every
-// shard when some statement runs on every shard, else with the last
-// shard's batch alone. A blob with no statement is the empty list, and it
-// commits on every shard.
+// DDL runs on every shard, as a placement of the same commit, in shard
+// order. Sealed proxy metadata rides the WAL batches of the writes it
+// describes, wrapped in a sequence envelope so recovery can pick the newest
+// blob across shards: a one-shard write commits it on its shard, and a
+// spanning write or list on every shard when some row statement runs on
+// every shard or none is in it, else with the last shard's batch alone. A
+// blob with no statement is the empty list, and it commits on every shard.
 //
 // A read that cannot be routed runs a per-shard statement on every shard in
 // parallel, and shard 0's compiled pipeline runs a coordinator statement
@@ -515,10 +515,12 @@ func (e *Engine) routeRow(s *sqlparser.InsertStmt, row []sqlparser.Expr, pos int
 }
 
 // A placement is where one write runs: on one shard (parts nil), or as
-// parts[i] on each shard i that has a part (nil where it has none).
+// parts[i] on each shard i that has a part (nil where it has none). DDL
+// runs on every shard.
 type placement struct {
 	shard int
 	parts []sqlparser.Statement
+	ddl   bool
 }
 
 // on returns the part of st that runs on shard i, nil if none does.
@@ -537,17 +539,22 @@ func (pl placement) everywhere() bool {
 	return pl.parts != nil && !slices.Contains(pl.parts, nil)
 }
 
-// route places one INSERT, UPDATE or DELETE. A statement whose rows all
-// live on one shard gets that shard, without allocating: an INSERT whose
-// rows route alike, an UPDATE or DELETE whose WHERE pins the routing
-// column. Any other gets its per-shard parts: an INSERT's rows split by
-// shard (in order), an unpinned UPDATE or DELETE on every shard.
+// route places one INSERT, UPDATE or DELETE, or one CREATE TABLE, CREATE
+// INDEX or DROP TABLE. A statement whose rows all live on one shard gets
+// that shard, without allocating: an INSERT whose rows route alike, an
+// UPDATE or DELETE whose WHERE pins the routing column. Any other gets its
+// per-shard parts: an INSERT's rows split by shard (in order), an unpinned
+// UPDATE or DELETE, and DDL, on every shard.
 func (e *Engine) route(st sqlparser.Statement, params []sqldb.Value) (placement, error) {
 	var table string
 	var where sqlparser.Expr
 	switch s := st.(type) {
 	case *sqlparser.InsertStmt:
 		return e.routeInsert(s, params)
+	case *sqlparser.CreateTableStmt, *sqlparser.CreateIndexStmt, *sqlparser.DropTableStmt:
+		pl := e.everyShard(st)
+		pl.ddl = true
+		return pl, nil
 	case *sqlparser.UpdateStmt:
 		if e.assignsRouteCol(s) {
 			return placement{}, fmt.Errorf("sharded: UPDATE must not modify routing column of %s (rows are placed by its hash)", s.Table)
@@ -561,11 +568,16 @@ func (e *Engine) route(st sqlparser.Statement, params []sqldb.Value) (placement,
 	if shard, ok := e.routeWhere(table, where, params); ok || len(e.shards) == 1 {
 		return placement{shard: shard}, nil
 	}
+	return e.everyShard(st), nil
+}
+
+// everyShard places st on every shard.
+func (e *Engine) everyShard(st sqlparser.Statement) placement {
 	parts := make([]sqlparser.Statement, len(e.shards))
 	for i := range parts {
 		parts[i] = st
 	}
-	return placement{parts: parts}, nil
+	return placement{parts: parts}
 }
 
 // routeInsert places an INSERT's rows by routeRow.
@@ -630,69 +642,6 @@ func (e *Engine) assignsRouteCol(s *sqlparser.UpdateStmt) bool {
 }
 
 //
-// DDL broadcast
-//
-
-// execDDL broadcasts a schema statement to every shard in order (shard 0
-// first — recovery's torn-broadcast disambiguation depends on it). A
-// sealed metadata blob (one envelope sequence) commits with the statement
-// on each shard's WAL, preserving the single store's schema/metadata
-// atomicity per shard; recovery reconciles shards a crash left behind.
-//
-// A runtime refusal must not diverge the shards the way a crash may:
-// DROP pre-flights every shard (the single store's "written by an open
-// transaction" refusal becomes a whole-broadcast refusal with no side
-// effects), and a mid-broadcast failure of CREATE/DROP is compensated by
-// undoing (or re-creating the schema of) the already-applied prefix. The
-// compensation cannot restore rows a racing refusal made DROP delete on
-// earlier shards — that window is the pre-flight's race and is narrow;
-// an index creation that fails mid-broadcast (per-shard unique violation)
-// leaves the index present on the prefix shards, which affects access
-// paths and per-shard unique enforcement only.
-func (e *Engine) execDDL(st sqlparser.Statement, meta []byte) (*sqldb.Result, error) {
-	if drop, ok := st.(*sqlparser.DropTableStmt); ok {
-		for _, sh := range e.shards {
-			if err := sh.CanDropTable(drop.Name); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return e.withMeta(meta, func(wrapped []byte) (*sqldb.Result, error) {
-		var res *sqldb.Result
-		for i, sh := range e.shards {
-			r, err := sh.ExecAutonomousWithMeta(st, wrapped)
-			if err != nil {
-				if i > 0 {
-					e.compensateDDL(st, i)
-					err = fmt.Errorf("sharded: DDL failed on shard %d of %d (applied prefix rolled back): %w", i, len(e.shards), err)
-				}
-				return r, err
-			}
-			res = r
-		}
-		return res, nil
-	})
-}
-
-// compensateDDL undoes the prefix shards 0..failed-1 of a half-applied
-// CREATE/DROP broadcast, best effort.
-func (e *Engine) compensateDDL(st sqlparser.Statement, failed int) {
-	switch s := st.(type) {
-	case *sqlparser.CreateTableStmt:
-		drop := &sqlparser.DropTableStmt{Name: s.Name}
-		for i := 0; i < failed; i++ {
-			e.shards[i].ExecAutonomous(drop) //nolint:errcheck // best-effort undo
-		}
-	case *sqlparser.DropTableStmt:
-		// The failing shard still holds the schema; re-create it (empty —
-		// the dropped prefix rows are gone) so the shards agree again.
-		for i := 0; i < failed; i++ {
-			replaySchema(e.shards[failed], e.shards[i], s.Name) //nolint:errcheck // best-effort undo
-		}
-	}
-}
-
-//
 // Engine-level statement entry points (implicit default connection)
 //
 
@@ -720,8 +669,9 @@ func (e *Engine) ExecWithMeta(st sqlparser.Statement, meta []byte, params ...sql
 }
 
 // ExecAutonomous implements store.Engine: a write commits outside any
-// transaction (write), DDL broadcasts (execDDL), and an INSERT into a table
-// with no primary key is refused rather than placed by a content hash.
+// transaction (write), DDL commits on every shard as a one-statement list,
+// and an INSERT into a table with no primary key is refused rather than
+// placed by a content hash.
 func (e *Engine) ExecAutonomous(st sqlparser.Statement, params ...sqldb.Value) (*sqldb.Result, error) {
 	return e.execAutonomous(st, nil, params)
 }
@@ -741,8 +691,11 @@ func (e *Engine) execAutonomous(st sqlparser.Statement, meta []byte, params []sq
 		return e.write(st, pl, meta, params)
 	case *sqlparser.SelectStmt:
 		return e.defaultConn().execSelect(s, params)
-	case *sqlparser.CreateTableStmt, *sqlparser.CreateIndexStmt, *sqlparser.DropTableStmt, *sqlparser.PrincTypeStmt:
-		return e.execDDL(st, meta)
+	case *sqlparser.CreateTableStmt, *sqlparser.CreateIndexStmt, *sqlparser.DropTableStmt:
+		return e.ExecAutonomousListWithMeta([]sqlparser.Statement{st}, meta)
+	case *sqlparser.PrincTypeStmt:
+		// Proxy metadata the DBMS ignores, as sqldb does.
+		return &sqldb.Result{}, nil
 	}
 	return nil, fmt.Errorf("sharded: unsupported autonomous statement %T", st)
 }
@@ -760,9 +713,9 @@ func (e *Engine) write(st sqlparser.Statement, pl placement, meta []byte, params
 }
 
 // ExecAutonomousListWithMeta implements store.Engine: each statement runs
-// on the shards it routes to (route), all or nothing (acrossShards). The
-// empty list commits the blob alone: it is how the proxy persists
-// metadata no server statement accompanies.
+// on the shards it routes to (route; DDL on every shard), all or nothing
+// (acrossShards). The empty list commits the blob alone: it is how the
+// proxy persists metadata no server statement accompanies.
 func (e *Engine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []byte) (*sqldb.Result, error) {
 	pls := make([]placement, len(stmts))
 	for i, st := range stmts {
@@ -774,30 +727,40 @@ func (e *Engine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []
 	return e.acrossShards(stmts, pls, meta, nil)
 }
 
-// acrossShards is the one commit of writes that span shards. It opens a
-// private transaction on every shard, stages each statement's parts in the
-// shards pls places them on (buffering, taking slot locks), and commits
-// the shards in order only when every shard accepted its parts — so a
-// write conflict or constraint violation on one shard refuses the whole
-// with no side effects, matching the single store's statement atomicity;
-// the deferred Close rolls back every buffer. This is runtime atomicity,
-// not crash atomicity: a crash between the per-shard commits leaves some
-// shards on the old version (see ARCHITECTURE.md).
+// acrossShards is the one commit of writes and DDL that span shards. It
+// opens a private transaction on every shard, stages each statement's
+// parts in the shards pls places them on (buffering, taking slot locks,
+// checking DDL: Session.Stage), and commits the shards in order 0..n-1
+// only when every shard accepted its parts — so a write conflict,
+// constraint violation or refused DDL (a DROP of a table an open
+// transaction wrote, a UNIQUE index over duplicates) on one shard refuses
+// the whole with no side effects, matching the single store's statement
+// atomicity; the deferred Close rolls back every buffer. This is runtime
+// atomicity, not crash atomicity: a crash between the per-shard commits
+// leaves some shards on the old version (see ARCHITECTURE.md), and
+// reconcileSchemas reads a torn DDL's direction from the commit order.
 //
-// The blob rule: when some statement runs on every shard (a whole-table
-// rewrite, the proxy's peels and re-keys) or there is no statement (the
-// empty list: a bare blob), the wrapped blob commits on every shard, with
-// a broadcast's torn window. Otherwise (pinned or row-split writes, the
-// proxy's whole-column rewrites) it commits with the last shard's batch
-// alone, durable only once every
-// shard's rows are: a crash or a failed COMMIT part-way leaves the
-// previous blob over the new rows of the shards that committed, and the
-// error reports the blob unapplied (a *sqldb.DurabilityError only when the
-// last shard's commit was one). The proxy's rows there belong to a
-// deferred or stale onion, unread until the blob that clears the mark
-// commits, so its next use redoes the rewrite.
+// The blob rule reads the row statements only. When one runs on every
+// shard (a whole-table rewrite, the proxy's peels and re-keys) or there is
+// none (the empty list: a bare blob; a list of DDL alone), the wrapped
+// blob commits on every shard, with a broadcast's torn window. Otherwise
+// (pinned or row-split writes, the proxy's whole-column rewrites, with or
+// without the indexes they expose) it commits with the last shard's batch
+// alone, durable only once every shard's rows are: a crash or a failed
+// COMMIT part-way leaves the previous blob over the new rows of the shards
+// that committed, and the error reports the blob unapplied (a
+// *sqldb.DurabilityError only when the last shard's commit was one). The
+// proxy's rows there belong to a deferred or stale onion, unread until the
+// blob that clears the mark commits, so its next use redoes the rewrite,
+// and an index built with them is built again, a no-op where it exists.
 func (e *Engine) acrossShards(stmts []sqlparser.Statement, pls []placement, meta []byte, params []sqldb.Value) (*sqldb.Result, error) {
-	lastOnly := len(pls) > 0 && !slices.ContainsFunc(pls, placement.everywhere)
+	rows, lastOnly := false, true
+	for _, pl := range pls {
+		if !pl.ddl {
+			rows, lastOnly = true, lastOnly && !pl.everywhere()
+		}
+	}
+	lastOnly = lastOnly && rows
 	return e.withMeta(meta, func(wrapped []byte) (*sqldb.Result, error) {
 		sessions := make([]*sqldb.Session, len(e.shards))
 		for i, sh := range e.shards {
@@ -821,7 +784,7 @@ func (e *Engine) acrossShards(stmts []sqlparser.Statement, pls []placement, meta
 				if part == nil {
 					continue
 				}
-				res, err := s.Exec(part, params...)
+				res, err := s.Stage(part, params...)
 				if err != nil {
 					return nil, fmt.Errorf("sharded: shard %d refused the statement (no shard applied it): %w", i, err)
 				}
