@@ -4,11 +4,11 @@ package cpu
 
 import (
 	"fmt"
-	"os"
-	"os/exec"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/crypto/cpu/cputest"
 )
 
 // featureLine lists every feature bit by its GODEBUG name.
@@ -32,9 +32,6 @@ func TestReportFeatures(t *testing.T) { t.Log(featureLine()) }
 // turned back on, a name turned off and on again, and a name internal/cpu
 // does not know, which changes nothing.
 func TestGODEBUGTurnsFeaturesOff(t *testing.T) {
-	if strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
-		t.Skip("GODEBUG already sets cpu options")
-	}
 	var all []string
 	for _, o := range options {
 		all = append(all, o.name)
@@ -67,13 +64,8 @@ func TestGODEBUGTurnsFeaturesOff(t *testing.T) {
 			*o.feature = saved[i]
 		}
 
-		cmd := exec.Command(os.Args[0], "-test.run=^TestReportFeatures$", "-test.v", "-test.count=1")
-		cmd.Env = append(os.Environ(), "GODEBUG="+c.godebug)
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("GODEBUG=%s: %v\n%s", c.godebug, err, out)
-		}
-		if !strings.Contains(string(out), want+"\n") {
+		out := cputest.RunUnder(t, c.godebug, "^TestReportFeatures$")
+		if !strings.Contains(out, want+"\n") {
 			t.Errorf("GODEBUG=%s: child reports\n%s\nwant %q", c.godebug, out, want)
 		}
 	}

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"crypto/rand"
 	"math/big"
-	"os"
-	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/crypto/cpu/cputest"
 )
 
 // productKeys returns a 512-bit key (n² of 16 limbs) and a 1024-bit one
@@ -120,25 +120,17 @@ func testProductMulAllocs(t *testing.T, k *Key) {
 // TestProductKernels runs TestProductDifferential and TestProductMulAllocs
 // again in child processes, under the GODEBUG settings that move package
 // mont down from each amd64 kernel: cpu.avx512f=off (the ADX routines where
-// an IFMA CPU takes digit form) and cpu.adx=off (the MULQ loop). This
-// process runs them on the CPU's own kernel; -tags purego and the other
-// GOARCHes run the Go loop.
+// an IFMA CPU takes digit form) and cpu.adx=off (the Go addMulVVW loop, as
+// on a CPU without ADX and BMI2). This process runs them on the CPU's own
+// kernel; -tags purego and the other GOARCHes run the Go loop.
 func TestProductKernels(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the GODEBUG cpu options choose amd64 kernels")
 	}
-	if strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
-		t.Skip("GODEBUG already sets cpu options")
-	}
 	for _, godebug := range []string{"cpu.avx512f=off", "cpu.adx=off"} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestProduct(Differential|MulAllocs)$", "-test.v", "-test.count=1")
-		cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("GODEBUG=%s: %v\n%s", godebug, err, out)
-		}
+		out := cputest.RunUnder(t, godebug, "^TestProduct(Differential|MulAllocs)$")
 		for _, name := range []string{"TestProductDifferential/1024", "TestProductMulAllocs/1024"} {
-			if !strings.Contains(string(out), "--- PASS: "+name) {
+			if !strings.Contains(out, "--- PASS: "+name) {
 				t.Errorf("GODEBUG=%s: %s did not pass:\n%s", godebug, name, out)
 			}
 		}

@@ -1,6 +1,7 @@
 // Command _gen writes mul_amd64.s: Modulus.Mul's rows as one assembly
 // routine per fixed limb count, every row's two passes unrolled into
-// MULX/ADCX/ADOX steps. Run it from the package directory:
+// MULX/ADCX/ADOX steps, and Mul in digit form, amm52x40, on AVX-512 IFMA.
+// Run it from the package directory:
 //
 //	go generate ./internal/crypto/mont
 //
@@ -11,7 +12,10 @@
 // Integer Arithmetic on Intel Architecture Processors", Intel, 2012). The rows
 // are the loop of Gueron's word-by-word Montgomery multiplication
 // (Algorithm 4 of https://eprint.iacr.org/2011/239.pdf), as Modulus.Mul runs
-// it with addMulVVW.
+// it with addMulVVW. amm52x40 is Gueron and Krasnov's almost Montgomery
+// multiplication on VPMADD52LUQ/VPMADD52HUQ ("Accelerating Big Integer
+// Arithmetic Using Intel IFMA Extensions", ARITH 2016), after OpenSSL's
+// rsaz-*-avx512.
 package main
 
 import (
@@ -147,6 +151,139 @@ func limb(j int, base string) string {
 	return fmt.Sprintf("%d(%s)", 8*j, base)
 }
 
+// zmm is one of the five ZMM registers that hold an operand of amm52x40,
+// eight 52-bit digits to a register: A is the accumulator's, X x's, Next
+// the register whose lane 0 moves into A's lane 7 on the shift down a
+// digit, and Off their byte offset in memory.
+type zmm struct {
+	A, X, Next string
+	Off        int
+}
+
+// ifma is amm52x40, the one shape in digit form: 40 digits hold the 2048
+// bits of n².
+var ifma = template.Must(template.New("ifma").Parse(`
+// func amm52x40(z, t, x, y, m *big.Word, k0 big.Word)
+//
+// z = x·y·R⁻¹ mod m for R = 2^2080, on operands of 40 digits of 52 bits
+// (digits.go): the word-by-word Montgomery loop of Mul with 52-bit digits
+// in the 64-bit lanes of five ZMM registers. A lane collects the low halves
+// of its digit's products, and after the shift down a digit the high halves
+// of the products of the digit below, without carrying: over 40 rows a lane
+// gains less than 160·2^52 < 2^60. Digit 0 is kept exactly in a register
+// (acc), from MULX products, so that the next row's q waits only for the
+// shift and not for the high halves; lane 0 of the accumulator is never
+// read otherwise. A scalar pass then carries the lanes, acc as digit 0, into
+// digits in z, the difference from m into t, and the result is t when it
+// did not borrow (the value was m or more), z otherwise, by a mask.
+//
+// Registers: Z0-Z4 the accumulator, Z5-Z9 x, Z10 y[i], Z11 the row's
+// multiple q of m, Z12 zero, m read from memory (DI); R8 acc, R9 k0 =
+// -m⁻¹ mod 2^52, R10 m's digit 0, R11 the digit mask, R13 x's digit 0, BX
+// y, CX the rows left. Nothing touches Z16-Z31, which VZEROUPPER does not
+// clear, so the upper state is clean again on return.
+TEXT ·amm52x40(SB), NOSPLIT, $0-48
+	MOVQ x+16(FP), SI
+	MOVQ y+24(FP), BX
+	MOVQ m+32(FP), DI
+	MOVQ k0+40(FP), R9
+{{range .Regs}}	VMOVDQU64 {{.Off}}(SI), {{.X}}
+{{end}}{{range .Regs}}	VPXORQ {{.A}}, {{.A}}, {{.A}}
+{{end}}	VPXORQ Z12, Z12, Z12
+	MOVQ 0(SI), R13
+	MOVQ 0(DI), R10
+	MOVQ $0xfffffffffffff, R11
+	XORQ R8, R8
+	MOVQ $40, CX
+
+row:
+	// acc + x[0]·y[i] + q·m[0] in R12:R8, with q = (acc + x[0]·y[i])·k0
+	// mod 2^52, which makes its low 52 bits zero; acc becomes the rest.
+	MOVQ (BX), DX
+	VPBROADCASTQ DX, Z10
+	MULXQ R13, AX, R12
+	ADDQ AX, R8
+	ADCQ $0, R12
+	MOVQ R8, DX
+	IMULQ R9, DX
+	ANDQ R11, DX
+	VPBROADCASTQ DX, Z11
+	MULXQ R10, AX, SI
+	ADDQ AX, R8
+	ADCQ SI, R12
+	SHRQ $52, R8
+	SHLQ $12, R12
+	ORQ R12, R8
+
+	// A += lo(x·y[i]) + lo(q·m), then shift A down a digit: lane 0 is
+	// spent, and acc takes the new lane 0.
+{{range .Regs}}	VPMADD52LUQ Z10, {{.X}}, {{.A}}
+{{end}}{{range .Regs}}	VPMADD52LUQ {{.Off}}(DI), Z11, {{.A}}
+{{end}}{{range .Regs}}	VALIGNQ $1, {{.A}}, {{.Next}}, {{.A}}
+{{end}}	VMOVQ X0, AX
+	ADDQ AX, R8
+
+	// The high halves land a digit up: after the shift, in the same lane
+	// (lane 0's are in acc already).
+{{range .Regs}}	VPMADD52HUQ Z10, {{.X}}, {{.A}}
+{{end}}{{range .Regs}}	VPMADD52HUQ {{.Off}}(DI), Z11, {{.A}}
+{{end}}
+	ADDQ $8, BX
+	DECQ CX
+	JNZ row
+
+	// Carry the lanes, with acc as digit 0, into digits in z (R8 the
+	// carry), and subtract m with a borrow (R12) into t. The value is
+	// below 2m < 2^2080, so nothing carries out of digit 39.
+	MOVQ z+0(FP), SI
+	MOVQ t+8(FP), BX
+{{range .Regs}}	VMOVDQU64 {{.A}}, {{.Off}}(SI)
+{{end}}	MOVQ R8, 0(SI)
+	XORQ R8, R8
+	XORQ R12, R12
+	XORQ CX, CX
+
+norm:
+	MOVQ (SI)(CX*8), AX
+	ADDQ R8, AX
+	MOVQ AX, R8
+	SHRQ $52, R8
+	ANDQ R11, AX
+	MOVQ AX, (SI)(CX*8)
+	SUBQ (DI)(CX*8), AX
+	SUBQ R12, AX
+	MOVQ AX, R12
+	SHRQ $63, R12
+	ANDQ R11, AX
+	MOVQ AX, (BX)(CX*8)
+	INCQ CX
+	CMPQ CX, $40
+	JNE norm
+
+	// No borrow: the value was m or more, and z takes t. The mask is all
+	// ones then and zero otherwise; z ^= mask & (z ^ t).
+	DECQ R12
+	VPBROADCASTQ R12, Z12
+{{range .Regs}}	VMOVDQU64 {{.Off}}(SI), {{.A}}
+{{end}}{{range .Regs}}	VPXORQ {{.Off}}(BX), {{.A}}, {{.X}}
+{{end}}{{range .Regs}}	VPANDQ Z12, {{.X}}, {{.X}}
+{{end}}{{range .Regs}}	VPXORQ {{.X}}, {{.A}}, {{.A}}
+{{end}}{{range .Regs}}	VMOVDQU64 {{.A}}, {{.Off}}(SI)
+{{end}}	VZEROUPPER
+	RET
+`))
+
+// ifmaRegs are amm52x40's registers: the accumulator in Z0-Z4, x in Z5-Z9,
+// and Z12, zero, shifting in at the top.
+func ifmaRegs() []zmm {
+	regs := make([]zmm, 5)
+	for i := range regs {
+		regs[i] = zmm{A: fmt.Sprintf("Z%d", i), X: fmt.Sprintf("Z%d", 5+i), Next: fmt.Sprintf("Z%d", i+1), Off: 64 * i}
+	}
+	regs[4].Next = "Z12"
+	return regs
+}
+
 func main() {
 	var b bytes.Buffer
 	b.WriteString(header)
@@ -158,6 +295,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+	}
+	if err := ifma.Execute(&b, struct{ Regs []zmm }{ifmaRegs()}); err != nil {
+		log.Fatal(err)
 	}
 	if err := os.WriteFile(out, b.Bytes(), 0o644); err != nil {
 		log.Fatal(err)

@@ -10,15 +10,14 @@ import (
 )
 
 // Mul's kernels, in the order a CPU may support them; kernel (set per
-// GOARCH) holds the one in use. The first three are addMulVVW's loops:
-// arith_amd64.s compares kernel with these values, and kernelADX also sends
-// Mul at 16 and 32 limbs to the fused routines of mul_amd64.s. kernelIFMA
-// runs the ADX loop and routines, except that a 32-limb modulus built under
-// it holds its operands as 52-bit digits and multiplies them with
-// amm52x40 (ifma_amd64.s).
+// GOARCH) holds the one in use. kernelGo is the Go addMulVVW loop. Under
+// kernelADX and above, arith_amd64.s runs addMulVVW's MULX/ADCX/ADOX loop,
+// comparing kernel with const_kernelADX, and Mul at 16 and 32 limbs calls
+// the fused routines of mul_amd64.s. kernelIFMA differs only in that a
+// 32-limb modulus built under it takes digit form (digits.go), which
+// amm52x40 (mul_amd64.s) multiplies.
 const (
 	kernelGo = iota
-	kernelMULQ
 	kernelADX
 	kernelIFMA
 )

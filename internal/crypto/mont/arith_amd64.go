@@ -30,10 +30,10 @@ func montMulADX16(z, t, x, y, m *big.Word, m0inv big.Word)
 //go:noescape
 func montMulADX32(z, t, x, y, m *big.Word, m0inv big.Word)
 
-// amm52x40 (ifma_amd64.s) is Mul on 40-digit operands (digits_amd64.go): z =
-// x·y·2^-2080 mod m, canonical, with k0 = -m⁻¹ mod 2^52. t is scratch of 40
-// words; z may alias x or y. Like the ADX routines it reads and writes
-// through these pointers alone.
+// amm52x40 (mul_amd64.s, generated by _gen) is Mul on 40-digit operands
+// (digits.go): z = x·y·2^-2080 mod m, canonical, with k0 = -m⁻¹ mod 2^52. t
+// is scratch of 40 words; z may alias x or y. Like the ADX routines it
+// reads and writes through these pointers alone.
 //
 //go:noescape
 func amm52x40(z, t, x, y, m *big.Word, k0 big.Word)
@@ -70,11 +70,11 @@ var kernel = detectKernel()
 
 // detectKernel returns kernelIFMA when the CPU has ADX and BMI2 (MULX) and
 // AVX512F and AVX512IFMA with the OS saving the ZMM state, kernelADX when it
-// has only the first two, and kernelMULQ otherwise.
+// has only the first two, and kernelGo otherwise.
 func detectKernel() int {
 	switch {
 	case !cpu.X86HasADX || !cpu.X86HasBMI2:
-		return kernelMULQ
+		return kernelGo
 	case cpu.X86HasAVX512F && cpu.X86HasAVX512IFMA:
 		return kernelIFMA
 	}

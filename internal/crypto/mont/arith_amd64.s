@@ -4,70 +4,17 @@
 
 //go:build amd64 && !purego
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // addMulVVW from math/big, which picks its loop from a flag set at init;
-// here the flag is kernel (arith_amd64.go): kernelADX and kernelIFMA take
-// the ADX loop, and kernelGo sends the call to the Go loop.
+// here the flag is kernel (arith_amd64.go): kernelADX and above take the ADX
+// loop, and kernelGo sends the call to the Go loop.
 
 // func addMulVVW(z, x []big.Word, y big.Word) (c big.Word)
 TEXT ·addMulVVW(SB), NOSPLIT, $0-64
-	CMPQ ·kernel(SB), $2	// kernelADX
+	CMPQ ·kernel(SB), $const_kernelADX
 	JAE adx
-	CMPQ ·kernel(SB), $1	// kernelMULQ
-	JNE generic
-	MOVQ z+0(FP), R10
-	MOVQ x+24(FP), R8
-	MOVQ y+48(FP), R9
-	MOVQ z_len+8(FP), R11
-	MOVQ $0, BX		// i = 0
-	MOVQ $0, CX		// c = 0
-	MOVQ R11, R12
-	ANDQ $-2, R12
-	CMPQ R11, $2
-	JAE A6
-	JMP E6
-
-A6:
-	MOVQ (R8)(BX*8), AX
-	MULQ R9
-	ADDQ (R10)(BX*8), AX
-	ADCQ $0, DX
-	ADDQ CX, AX
-	ADCQ $0, DX
-	MOVQ DX, CX
-	MOVQ AX, (R10)(BX*8)
-
-	MOVQ (8)(R8)(BX*8), AX
-	MULQ R9
-	ADDQ (8)(R10)(BX*8), AX
-	ADCQ $0, DX
-	ADDQ CX, AX
-	ADCQ $0, DX
-	MOVQ DX, CX
-	MOVQ AX, (8)(R10)(BX*8)
-
-	ADDQ $2, BX
-	CMPQ BX, R12
-	JL A6
-	JMP E6
-
-L6:	MOVQ (R8)(BX*8), AX
-	MULQ R9
-	ADDQ CX, AX
-	ADCQ $0, DX
-	ADDQ AX, (R10)(BX*8)
-	ADCQ $0, DX
-	MOVQ DX, CX
-	ADDQ $1, BX		// i++
-
-E6:	CMPQ BX, R11		// i < n
-	JL L6
-
-	MOVQ CX, c+56(FP)
-	RET
-
-generic:
 	JMP ·addMulVVWGo(SB)
 
 adx:

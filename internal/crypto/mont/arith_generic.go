@@ -13,11 +13,3 @@ func addMulVVW(z, x []big.Word, y big.Word) big.Word { return addMulVVWGo(z, x, 
 
 // mulFused never runs here: there is no fused kernel off amd64 or under purego.
 func (m *Modulus) mulFused(z, x, y []big.Word) bool { return false }
-
-// There is no digit form here (digits_amd64.go): no modulus takes it, so
-// the conversions are never called.
-func newDigitModulus(*big.Int) *Modulus { return nil }
-
-func (m *Modulus) setBytesDigits([]big.Word, []byte) bool { panic("mont: no digit form") }
-
-func fillBytesDigits([]byte, []big.Word) []byte { panic("mont: no digit form") }

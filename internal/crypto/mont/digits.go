@@ -1,5 +1,3 @@
-//go:build amd64 && !purego
-
 package mont
 
 import (
@@ -11,7 +9,9 @@ import (
 // key) holds m, R² mod m and every operand as 40 little-endian digits of 52
 // bits, one to a word, so that amm52x40's VPMADD52LUQ/VPMADD52HUQ multiply
 // them whole. R is 2^2080 = 2^(52·40). SetBytes and FillBytes convert at
-// the edges; Mul and ToMont keep their contracts.
+// the edges; Mul and ToMont keep their contracts. Only amd64 builds a
+// modulus in this form, but the conversions compile and run anywhere: they
+// take any word that holds a digit, uint64 as well as a 64-bit big.Word.
 const (
 	ifmaLimbs  = 32 // the modulus length in limbs that takes digit form
 	ifmaDigits = 40 // ceil(32·64 / 52)
@@ -19,6 +19,9 @@ const (
 	digitMask  = 1<<digitBits - 1
 	pairBytes  = 2 * digitBits / 8 // two digits are 13 bytes
 )
+
+// digitWord is a word that holds one digit.
+type digitWord interface{ ~uint | ~uint64 }
 
 // newDigitModulus prepares m in digit form when kernel is kernelIFMA and m
 // has ifmaLimbs limbs, and returns nil otherwise.
@@ -29,7 +32,7 @@ func newDigitModulus(m *big.Int) *Modulus {
 	rr := new(big.Int).Lsh(big.NewInt(1), 2*ifmaDigits*digitBits)
 	mod := &Modulus{
 		m:      make([]big.Word, ifmaDigits),
-		m0inv:  minusInverseModW(m.Bits()[0]) & digitMask,
+		m0inv:  big.Word(uint64(minusInverseModW(m.Bits()[0])) & digitMask),
 		rr:     make([]big.Word, ifmaDigits),
 		digits: true,
 	}
@@ -44,13 +47,13 @@ func newDigitModulus(m *big.Int) *Modulus {
 // bytes ending 13k bytes from the right, and digit 2k+1 the top 52 bits of
 // the 8 bytes ending 13k+5 from the right. buf holds b right-aligned over
 // zeros, 20 pairs long.
-func setDigits(z []big.Word, b []byte) {
+func setDigits[W digitWord](z []W, b []byte) {
 	var buf [pairBytes * ifmaDigits / 2]byte
 	copy(buf[len(buf)-len(b):], b)
 	z = z[:ifmaDigits]
 	for k, o := 0, len(buf); k < ifmaDigits/2; k, o = k+1, o-pairBytes {
-		z[2*k] = big.Word(binary.BigEndian.Uint64(buf[o-8:o])) & digitMask
-		z[2*k+1] = big.Word(binary.BigEndian.Uint64(buf[o-pairBytes:o-5]) >> 12)
+		z[2*k] = W(binary.BigEndian.Uint64(buf[o-8:o]) & digitMask)
+		z[2*k+1] = W(binary.BigEndian.Uint64(buf[o-pairBytes:o-5]) >> 12)
 	}
 }
 
@@ -70,7 +73,7 @@ func (m *Modulus) setBytesDigits(z []big.Word, b []byte) bool {
 // fillBytesDigits is FillBytes in digit form: each pair of digits is
 // written as setDigits reads it, the two 8-byte windows agreeing where they
 // overlap.
-func fillBytesDigits(b []byte, x []big.Word) []byte {
+func fillBytesDigits[W digitWord](b []byte, x []W) []byte {
 	var buf [pairBytes * ifmaDigits / 2]byte
 	x = x[:ifmaDigits]
 	for k, o := 0, len(buf); k < ifmaDigits/2; k, o = k+1, o-pairBytes {

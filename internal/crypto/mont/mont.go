@@ -15,28 +15,28 @@
 //     minusInverseModW is the function of that name, in
 //     src/crypto/internal/fips140/bigmod/nat.go;
 //   - addMulVVW's amd64 assembly (arith_amd64.s) is addMulVVW from
-//     src/math/big/arith_amd64.s, its MULX/ADCX/ADOX and MULQ loops, with
-//     a third branch to the Go loop; that loop (arith.go) is addMulVVW_g
-//     and mulAddWWW_g from src/math/big/arith.go;
+//     src/math/big/arith_amd64.s, its MULX/ADCX/ADOX loop, with a branch
+//     to the Go loop; that loop (arith.go) is addMulVVW_g and mulAddWWW_g
+//     from src/math/big/arith.go;
 //   - the CPUID stub and the feature bits the kernels choose by are
 //     internal/crypto/cpu's, which adapts them from
 //     src/internal/cpu/cpu_x86.s and cpu_x86.go.
 //
-// On amd64 the assembly takes the ADX loop when CPUID reports ADX and BMI2,
-// else the MULQ loop; other GOARCHes and -tags purego use the Go loop. With
-// ADX, a 16- or 32-limb modulus (p², q² and n² of a 1024-bit Paillier key)
-// skips the loop: Mul is one call to a routine that runs every row, each
-// row's two addMulVVW passes unrolled into math/big's MULX/ADCX/ADOX step
-// with the carries in registers, and the final masked subtraction.
-// mul_amd64.s holds those routines; _gen writes it.
+// On amd64 the assembly takes the ADX loop when CPUID reports ADX and BMI2;
+// other CPUs, GOARCHes and -tags purego use the Go loop. With ADX, a 16- or
+// 32-limb modulus (p², q² and n² of a 1024-bit Paillier key) skips the
+// loop: Mul is one call to a routine that runs every row, each row's two
+// addMulVVW passes unrolled into math/big's MULX/ADCX/ADOX step with the
+// carries in registers, and the final masked subtraction.
 //
 // When the CPU also has AVX512F and AVX512IFMA with the OS saving the ZMM
-// state, a 32-limb modulus takes digit form instead (digits_amd64.go): its
+// state, a 32-limb modulus takes digit form instead (digits.go): its
 // operands are 40 digits of 52 bits, R is 2^2080, and Mul is one call to
-// amm52x40 (ifma_amd64.s), Gueron and Krasnov's almost Montgomery
-// multiplication on VPMADD52LUQ/VPMADD52HUQ. The form is fixed when the
-// modulus is built; Len, SetBytes, FillBytes and ToMont follow it, so that a
-// caller that keeps to them never sees which form it has.
+// amm52x40, Gueron and Krasnov's almost Montgomery multiplication on
+// VPMADD52LUQ/VPMADD52HUQ. mul_amd64.s holds amm52x40 and the ADX
+// routines; _gen writes it. The form is fixed when the modulus is built;
+// Len, SetBytes, FillBytes and ToMont follow it, so that a caller that keeps
+// to them never sees which form it has.
 package mont
 
 //go:generate go run ./_gen

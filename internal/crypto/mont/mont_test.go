@@ -8,11 +8,12 @@ import (
 	"math/bits"
 	mrand "math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
-var kernelNames = map[int]string{kernelGo: "go", kernelMULQ: "mulq", kernelADX: "adx", kernelIFMA: "ifma"}
+var kernelNames = map[int]string{kernelGo: "go", kernelADX: "adx", kernelIFMA: "ifma"}
 
 // forEachKernel runs f with each kernel this CPU and build support forced in
 // turn: the addMulVVW loop, under kernelADX the fused routines, and under
@@ -24,6 +25,16 @@ func forEachKernel(t testing.TB, f func(name string)) {
 		kernel = k
 		f(kernelNames[k])
 	}
+}
+
+// TestReportKernel logs the kernel this process chose, for
+// TestKernelFollowsGODEBUG to read from a child, and the kernels
+// forEachKernel forces here, so that a run's log says which ones it tested.
+func TestReportKernel(t *testing.T) {
+	t.Log("kernel=" + kernelNames[kernel])
+	var forced []string
+	forEachKernel(t, func(name string) { forced = append(forced, name) })
+	t.Log("mont: " + strings.Join(forced, " "))
 }
 
 func randBelow(t testing.TB, max *big.Int) *big.Int {
@@ -85,9 +96,28 @@ func fromOperand(mod *Modulus, z []big.Word) (*big.Int, error) {
 // is set, and one in [m, R). At 32 limbs it adds the digit form's
 // (subtractionEdges): 2048-bit moduli with a value before the subtraction in
 // [m, 2m) for R = 2^2080, m itself among them.
+//
+// The digit model (ammRef) is held to big.Int on every GOARCH and build, on
+// the digit form's edges and on 0, 1, m-1 and random operands of 520- to
+// 2048-bit moduli; where the CPU has IFMA, checkMul holds amm52x40 to it.
 func TestMontMulDifferential(t *testing.T) {
 	edges := map[int][]mulCase{16: carryEdges(t, 16), 32: carryEdges(t, 32)}
-	edges[32] = append(edges[32], subtractionEdges(t, 2048, 52*40)...)
+	digitCases := subtractionEdges(t, 2048, 52*40)
+	edges[32] = append(edges[32], digitCases...)
+	for _, b := range []int{520, 1024, 2048} {
+		m := oddModulus(t, b)
+		ops := []*big.Int{new(big.Int), big.NewInt(1), new(big.Int).Sub(m, big.NewInt(1)), randBelow(t, m), randBelow(t, m)}
+		for _, x := range ops {
+			for _, y := range ops {
+				digitCases = append(digitCases, mulCase{m, x, y})
+			}
+		}
+	}
+	for _, c := range digitCases {
+		if err := checkDigitModel(c); err != nil {
+			t.Fatalf("digit model, m = %x: %v", c.m, err)
+		}
+	}
 	forEachKernel(t, func(kname string) {
 		for n, cases := range edges {
 			for _, c := range cases {
@@ -213,6 +243,13 @@ func checkMul(mod *Modulus, x, y *big.Int) error {
 	if err := check("Mul", z, xy); err != nil {
 		return err
 	}
+	if mod.digits {
+		ref := make([]uint64, n)
+		ammRef(ref, words64(xl), words64(yl), words64(mod.m), uint64(mod.m0inv))
+		if got := words64(z); !slices.Equal(got, ref) {
+			return fmt.Errorf("amm52x40(%x, %x) = %x, the digit model %x", x, y, got, ref)
+		}
+	}
 	mod.Mul(xl, xl, yl)
 	if err := check("Mul(z=x)", xl, xy); err != nil {
 		return err
@@ -227,6 +264,95 @@ func checkMul(mod *Modulus, x, y *big.Int) error {
 }
 
 type mulCase struct{ m, x, y *big.Int }
+
+// words64 returns z's words as uint64s.
+func words64(z []big.Word) []uint64 {
+	u := make([]uint64, len(z))
+	for i, w := range z {
+		u[i] = uint64(w)
+	}
+	return u
+}
+
+// ammRef is a model of amm52x40 in Go, on uint64 digits so that it runs on
+// any GOARCH and build: z = x·y·2^-2080 mod m, canonical, for 40-digit
+// operands x, y < m < 2^2048 and k0 = -m⁻¹ mod 2^52. Each row adds x·y[i]
+// and q·m, with q chosen to clear digit 0, and drops digit 0. As
+// VPMADD52LUQ and VPMADD52HUQ add them, a product's low 52 bits go to its
+// own digit and its high bits to the digit above, and the digits carry only
+// at the end; digit 0 alone carries every row, so that q sees it whole. The
+// value is then below 2m, and one subtraction makes it canonical.
+func ammRef(z, x, y, m []uint64, k0 uint64) {
+	var a [ifmaDigits + 1]uint64
+	for i := 0; i < ifmaDigits; i++ {
+		_, lo := mul52(x[0], y[i])
+		q := (a[0] + lo) * k0 & digitMask
+		for j := 0; j < ifmaDigits; j++ {
+			xh, xl := mul52(x[j], y[i])
+			mh, ml := mul52(q, m[j])
+			a[j] += xl + ml
+			a[j+1] += xh + mh
+		}
+		a[1] += a[0] >> digitBits
+		copy(a[:], a[1:])
+		a[ifmaDigits] = 0
+	}
+	var t [ifmaDigits]uint64
+	var c, b uint64
+	for j := range t {
+		v := a[j] + c
+		z[j], c = v&digitMask, v>>digitBits
+		d := z[j] - m[j] - b
+		t[j], b = d&digitMask, d>>63
+	}
+	if b == 0 {
+		copy(z, t[:])
+	}
+}
+
+// mul52 returns the product of two digits as its bits above 52 and its low
+// 52 bits.
+func mul52(x, y uint64) (hi, lo uint64) {
+	h, l := bits.Mul64(x, y)
+	return h<<(64-digitBits) | l>>digitBits, l & digitMask
+}
+
+// checkDigitModel holds ammRef to x·y·2^-2080 mod m for m below 2^2048.
+// m, x and y go in by setDigits and the result comes out by
+// fillBytesDigits, and each conversion is held to big.Int on the way: the
+// digits to the value's 52-bit slices, and the bytes back to the value, in
+// a buffer shorter and one longer than digit form's 260 bytes.
+func checkDigitModel(c mulCase) error {
+	var m, x, y, z [ifmaDigits]uint64
+	mask := new(big.Int).SetUint64(digitMask)
+	for _, op := range []struct {
+		d []uint64
+		v *big.Int
+	}{{m[:], c.m}, {x[:], c.x}, {y[:], c.y}} {
+		setDigits(op.d, op.v.Bytes())
+		for i, d := range op.d {
+			if want := new(big.Int).Rsh(op.v, uint(digitBits*i)); d != want.And(want, mask).Uint64() {
+				return fmt.Errorf("setDigits(%x): digit %d is %x, want %x", op.v, i, d, want)
+			}
+		}
+		for _, width := range []int{ifmaLimbs * 8, 300} {
+			if b, want := fillBytesDigits(make([]byte, width), op.d), op.v.FillBytes(make([]byte, width)); !bytes.Equal(b, want) {
+				return fmt.Errorf("fillBytesDigits(setDigits(%x)) = %x", op.v, b)
+			}
+		}
+	}
+	r := new(big.Int).Lsh(big.NewInt(1), digitBits*ifmaDigits)
+	k0 := new(big.Int).Lsh(big.NewInt(1), digitBits)
+	k0.Sub(k0, new(big.Int).ModInverse(c.m, k0))
+	ammRef(z[:], x[:], y[:], m[:], k0.Uint64())
+	got := new(big.Int).SetBytes(fillBytesDigits(make([]byte, ifmaLimbs*8), z[:]))
+	want := new(big.Int).Mul(c.x, c.y)
+	want.Mul(want, r.ModInverse(r, c.m)).Mod(want, c.m)
+	if got.Cmp(want) != 0 {
+		return fmt.Errorf("ammRef(%x, %x) = %x, want %x", c.x, c.y, got, want)
+	}
+	return nil
+}
 
 // beforeSubtraction is Mul's value before its final subtraction, in
 // [0, 2m): (x·y + q·m)/R for R = 2^rbits and the q < R that makes the sum
@@ -326,11 +452,20 @@ func carryEdges(t testing.TB, n int) []mulCase {
 }
 
 // FuzzMontMul holds Mul to x·y·R⁻¹ mod m under every kernel this CPU
-// supports, with z aliasing x, y and both (checkMul). size picks the limb
-// count: 16 or 32, the fused routines' sizes (32 is digit form under
-// kernelIFMA), or 9, which only the loop runs. m is mb's leading bytes at that width, made odd with a nonzero top
-// limb, and x and y are xb and yb reduced below m.
+// supports, with z aliasing x, y and both (checkMul), and the digit model
+// (checkDigitModel) to x·y·2^-2080 mod m. size picks the limb count: 16 or
+// 32, the fused routines' sizes (32 is digit form under kernelIFMA), or 9,
+// which only the loop runs. m is mb's leading bytes at that width, made odd
+// with a nonzero top limb, and x and y are xb and yb reduced below m. The
+// seed is 32 limbs whose value before digit form's final subtraction is
+// m+1 (subtractionEdges, with x = m-1).
 func FuzzMontMul(f *testing.F) {
+	one := big.NewInt(1)
+	m := new(big.Int).Sub(new(big.Int).Lsh(one, 2048), big.NewInt(159))
+	r := new(big.Int).Lsh(one, digitBits*ifmaDigits)
+	y := new(big.Int).Add(r, new(big.Int).Sub(m, one))
+	y.Quo(y, m).Mul(y, m).Sub(y, r)
+	f.Add(uint8(1), m.Bytes(), new(big.Int).Sub(m, one).Bytes(), y.Bytes())
 	f.Fuzz(func(t *testing.T, size uint8, mb, xb, yb []byte) {
 		n := []int{16, 32, 9}[size%3]
 		w := n * bits.UintSize
@@ -355,6 +490,9 @@ func FuzzMontMul(f *testing.F) {
 				t.Fatalf("%s kernel, %d limbs, m = %x: %v", kname, n, m, err)
 			}
 		})
+		if err := checkDigitModel(mulCase{m, x, y}); err != nil {
+			t.Fatalf("digit model, %d limbs, m = %x: %v", n, m, err)
+		}
 	})
 }
 
@@ -388,7 +526,7 @@ func TestMulShortOperandPanics(t *testing.T) {
 
 // TestFillBytesPanicsWhenShort: a value wider than the buffer is refused,
 // in either form: a 3-byte value into 2 bytes, and under every kernel a
-// 2048-bit one into 255.
+// 2048-bit one into 255, and so by fillBytesDigits on any GOARCH.
 func TestFillBytesPanicsWhenShort(t *testing.T) {
 	m := oddModulus(t, 2048)
 	x := new(big.Int).Sub(m, big.NewInt(1))
@@ -411,6 +549,14 @@ func TestFillBytesPanicsWhenShort(t *testing.T) {
 			}()
 		}
 	})
+	d := make([]uint64, ifmaDigits)
+	setDigits(d, x.Bytes())
+	defer func() {
+		if recover() == nil {
+			t.Errorf("fillBytesDigits truncated %x to 255 bytes", x)
+		}
+	}()
+	fillBytesDigits(make([]byte, 255), d)
 }
 
 func TestNewModulusRejects(t *testing.T) {

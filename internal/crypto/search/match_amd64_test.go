@@ -3,15 +3,11 @@
 package search
 
 import (
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
-)
 
-// TestReportMatchKernel logs the kernels this process chose, for
-// TestMatchKernelFollowsGODEBUG to read from a child.
-func TestReportMatchKernel(t *testing.T) { t.Log("kernel=" + kernelPair(kernel, matchKernel)) }
+	"repro/internal/crypto/cpu/cputest"
+)
 
 // TestMatchKernelFollowsGODEBUG runs this test binary again under GODEBUG
 // values that turn features off and holds the kernels the child chose to
@@ -20,9 +16,6 @@ func TestReportMatchKernel(t *testing.T) { t.Log("kernel=" + kernelPair(kernel, 
 // keeps Match's kernel and takes compress to the Go function, and
 // cpu.all=off takes both to the Go code.
 func TestMatchKernelFollowsGODEBUG(t *testing.T) {
-	if strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
-		t.Skip("GODEBUG already sets cpu options")
-	}
 	for _, c := range []struct {
 		godebug string
 		k, mk   int
@@ -31,13 +24,8 @@ func TestMatchKernelFollowsGODEBUG(t *testing.T) {
 		{"cpu.sha=off", kernelGeneric, detectMatchKernel()},
 		{"cpu.all=off", kernelGeneric, matchPerEntry},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestReportMatchKernel$", "-test.v", "-test.count=1")
-		cmd.Env = append(os.Environ(), "GODEBUG="+c.godebug)
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("GODEBUG=%s: %v\n%s", c.godebug, err, out)
-		}
-		if want := "kernel=" + kernelPair(c.k, c.mk) + "\n"; !strings.Contains(string(out), want) {
+		out := cputest.RunUnder(t, c.godebug, "^TestReportMatchKernel$")
+		if want := "kernel=" + kernelPair(c.k, c.mk) + "\n"; !strings.Contains(out, want) {
 			t.Errorf("GODEBUG=%s: child reports\n%s\nwant %q", c.godebug, out, want)
 		}
 	}

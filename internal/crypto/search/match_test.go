@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -53,6 +54,16 @@ func forEachKernel(f func(name string)) {
 			f(kernelPair(k, mk))
 		}
 	}
+}
+
+// TestReportMatchKernel logs the kernels this process chose, for
+// TestMatchKernelFollowsGODEBUG to read from a child, and the pairs
+// forEachKernel forces here, so that a run's log says which ones it tested.
+func TestReportMatchKernel(t *testing.T) {
+	t.Log("kernel=" + kernelPair(kernel, matchKernel))
+	var forced []string
+	forEachKernel(func(name string) { forced = append(forced, name) })
+	t.Log("search: " + strings.Join(forced, " "))
 }
 
 // choices returns the kernel every CPU has and, if it differs, the one

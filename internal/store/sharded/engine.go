@@ -227,7 +227,15 @@ func Open(dir string, n int, opts sqldb.DurabilityOptions) (*Engine, error) {
 // later shards is a torn CREATE (re-apply it, with indexes, to the shards
 // that lack it); a table missing on shard 0 but present later is a torn
 // DROP (finish dropping it everywhere) — resurrecting it would silently
-// serve a subset of its rows. Rows are never copied either way — a shard
+// serve a subset of its rows. An index shard 0 has on a table that a later
+// shard lacks is a torn CREATE INDEX when shard 0 also holds a newer
+// metadata envelope than that shard, or neither holds one: it is built
+// there too, or equality on that shard would scan and a UNIQUE index go
+// unenforced. A list of DDL alone commits its blob on every shard, shard 0
+// first, so its torn commit leaves exactly that. A list whose blob commits
+// with the last shard alone (rows and the indexes they expose) is left
+// torn instead: its blob never committed, and the proxy's redo of the list
+// builds the index. Rows are never copied either way — a shard
 // that lost committed rows to a torn WAL tail stays short, the same
 // fail-open contract as the single store's torn tail. (Residual ambiguity:
 // a torn tail on shard 0 that swallowed a CREATE reads as a torn DROP;
@@ -265,6 +273,19 @@ func (e *Engine) reconcileSchemas() error {
 			}
 		}
 	}
+	// Every table of shard 0 is on every shard now. A sequence of 0 is no
+	// envelope: wrapNext starts at 1.
+	seq0, _, _ := unwrapMeta(e.shards[0].Meta())
+	for _, sh := range e.shards[1:] {
+		if seq, _, _ := unwrapMeta(sh.Meta()); seq != 0 && seq >= seq0 {
+			continue
+		}
+		for _, name := range e.shards[0].TableNames() {
+			if err := replayIndexes(e.shards[0], sh, name); err != nil {
+				return fmt.Errorf("sharded: reconciling the indexes of %s: %w", name, err)
+			}
+		}
+	}
 	return nil
 }
 
@@ -284,7 +305,18 @@ func replaySchema(donor, sh *sqldb.DB, name string) error {
 	if _, err := sh.ExecAutonomous(create); err != nil {
 		return err
 	}
-	for _, ix := range dt.Indexes() {
+	return replayIndexes(donor, sh, name)
+}
+
+// replayIndexes builds on sh each index of donor's table name that sh's
+// lacks, with the same column, UNIQUE flag and kind (hash or ordered): a
+// column has at most one index of each kind.
+func replayIndexes(donor, sh *sqldb.DB, name string) error {
+	have := sh.Table(name).Indexes()
+	for _, ix := range donor.Table(name).Indexes() {
+		if slices.ContainsFunc(have, func(h sqldb.IndexInfo) bool { return h.Column == ix.Column && h.Ordered == ix.Ordered }) {
+			continue
+		}
 		using := "HASH"
 		if ix.Ordered {
 			using = "BTREE"

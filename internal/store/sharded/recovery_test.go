@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sqldb"
+	"repro/internal/sqlparser"
 )
 
 // TestTornShardRecovery simulates a kill -9 that tore one shard's WAL
@@ -180,6 +181,104 @@ func TestDDLReconcile(t *testing.T) {
 	// Routed writes to the reconciled shard work again.
 	for i := 1; i <= 20; i++ {
 		mustExec(t, e, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, %d)", i, i))
+	}
+}
+
+// TestDDLReconcileTornIndex: a crash between the shards' commits of a
+// CREATE INDEX (shard 0 has it, shard 1's log ends before it) is repaired
+// at open: shard 1 builds every index shard 0 lists, and a later open,
+// with nothing torn, writes nothing. The CREATE INDEX runs bare, and as a
+// list of DDL alone with a blob, which commits on every shard: the newest
+// blob, recovered from shard 0, records the index.
+func TestDDLReconcileTornIndex(t *testing.T) {
+	for _, withMeta := range []bool{false, true} {
+		t.Run(fmt.Sprintf("meta=%v", withMeta), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := sqldb.DurabilityOptions{CheckpointBytes: -1}
+			e, err := Open(dir, 2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+			for i := 1; i <= 20; i++ {
+				mustExec(t, e, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, %d)", i, i%7))
+			}
+			if withMeta {
+				if _, err := e.ExecAutonomousListWithMeta(nil, []byte("v1")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			walPath := filepath.Join(ShardDir(dir, 1), "wal.log")
+			info, err := os.Stat(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			beforeIndex := info.Size()
+
+			e, err = Open(dir, 0, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if withMeta {
+				st, err := parseOne("CREATE INDEX t_v ON t (v)")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.ExecAutonomousListWithMeta([]sqlparser.Statement{st}, []byte("v2")); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				mustExec(t, e, "CREATE INDEX t_v ON t (v)")
+			}
+			want := e.Shard(0).Table("t").Indexes()
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(walPath, beforeIndex); err != nil {
+				t.Fatal(err)
+			}
+
+			sizes := func() (s [2]int64) {
+				for i := range s {
+					info, err := os.Stat(filepath.Join(ShardDir(dir, i), "wal.log"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					s[i] = info.Size()
+				}
+				return s
+			}
+			var reconciled [2]int64
+			for pass := 0; pass < 2; pass++ {
+				e, err = Open(dir, 0, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := 0; s < 2; s++ {
+					if got := e.Shard(s).Table("t").Indexes(); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("open %d: shard %d lists indexes %+v, want shard 0's %+v", pass, s, got, want)
+					}
+				}
+				if withMeta && string(e.Meta()) != "v2" {
+					t.Fatalf("open %d: Meta() = %q, want the blob of the CREATE INDEX", pass, e.Meta())
+				}
+				res := mustExec(t, e, "SELECT COUNT(*) FROM t WHERE v = 3")
+				if got := res.Rows[0][0].I; got != 3 {
+					t.Fatalf("open %d: %d rows with v = 3, want 3", pass, got)
+				}
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if pass == 0 {
+					reconciled = sizes()
+				} else if got := sizes(); got != reconciled {
+					t.Fatalf("an open with nothing torn grew the logs from %v to %v bytes", reconciled, got)
+				}
+			}
+		})
 	}
 }
 
