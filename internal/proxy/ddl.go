@@ -111,6 +111,11 @@ func (p *Proxy) createIndex(st *sqlparser.CreateIndexStmt) error {
 	if cm == nil {
 		return fmt.Errorf("proxy: no column %s.%s", st.Table, st.Column)
 	}
+	if st.Unique && p.db.Shards() > 1 {
+		// Rows are placed by rid, so each shard would check the index
+		// over its own rows only.
+		return fmt.Errorf("proxy: CREATE UNIQUE INDEX on %s.%s refused: the store has %d shards, rows are placed by the hidden row id, and each shard would check the index over its own rows only", st.Table, st.Column, p.db.Shards())
+	}
 	using := strings.ToUpper(st.Using)
 	if using == "ORDERED" {
 		using = "BTREE"

@@ -117,12 +117,16 @@ var mixedAdjustments = []adjusting{
 }
 
 // TestFirstUseOneBatchPerShard: on disk, each statement that adjusts onions
-// appends exactly one WAL batch to every shard, whatever it adjusts: the
-// rows of every column it fills, its peels and re-keys, the indexes the
-// layers it exposes allow, and the sealed metadata. A first use used to
-// append one per row, and each adjustment and index build one of its own.
-// A client CREATE INDEX on a column already exposed is one batch per shard
-// too: the request and the build commit together.
+// appends exactly one WAL batch to every shard that carries what it writes
+// there, whatever it adjusts: the rows of every column it fills, its peels
+// and re-keys, the indexes the layers it exposes allow, and the sealed
+// metadata (the last shard's). On shards every shard but the last, whose
+// batch decides, logs its batch as a prepared part and then one outcome
+// batch of a single record, which its replication stream carries: 2n-1
+// batches on n shards. A first use used to append one per row, and each
+// adjustment and index build one of its own. A client CREATE INDEX on a
+// column already exposed is one batch per shard too: the request and the
+// build commit together.
 func TestFirstUseOneBatchPerShard(t *testing.T) {
 	opts := sqldb.DurabilityOptions{NoFsync: true, CheckpointBytes: -1}
 	paged := opts
@@ -169,8 +173,8 @@ func TestFirstUseOneBatchPerShard(t *testing.T) {
 				}
 				before := eng.Stats().WAL.Batches
 				l.check(c.stmt)
-				if got, want := eng.Stats().WAL.Batches-before, int64(eng.Shards()); got != want {
-					t.Fatalf("the statement appended %d WAL batches, want %d (one per shard)", got, want)
+				if got, want := eng.Stats().WAL.Batches-before, int64(2*eng.Shards()-1); got != want {
+					t.Fatalf("the statement appended %d WAL batches, want %d (one per shard, and an outcome on each prepared one)", got, want)
 				}
 				if c.built != nil && !c.built(l.p) {
 					t.Fatal("the statement did not build the index")
@@ -213,16 +217,17 @@ func TestFirstUseFaultWritesNothing(t *testing.T) {
 }
 
 // crashEngine simulates a kill -9 inside a sharded first use: once armed,
-// it notes the size of the last shard's log, forwards one statement list
-// and reports a crash, so the proxy runs nothing after it. Cutting that log
-// back to the noted size then leaves the state of a crash after every other
-// shard committed its rows and before the last shard committed its rows
-// and the blob.
+// it notes the size of every shard's log, forwards one statement list and
+// reports a crash, so the proxy runs nothing after it. crash then cuts the
+// last shard's log back to its noted size and every other shard's to the
+// end of the first batch the list appended there: the state of a crash
+// after every other shard logged its prepared part and before the last
+// shard, the decider, committed its rows, the blob and the decision.
 type crashEngine struct {
 	store.Engine
-	wal   string
+	wals  []string
 	armed bool
-	size  int64
+	sizes []int64
 }
 
 var errCrash = errors.New("simulated crash")
@@ -232,21 +237,48 @@ func (c *crashEngine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, me
 		return c.Engine.ExecAutonomousListWithMeta(stmts, meta)
 	}
 	c.armed = false
-	fi, err := os.Stat(c.wal)
-	if err != nil {
-		return nil, err
+	c.sizes = nil
+	for _, w := range c.wals {
+		fi, err := os.Stat(w)
+		if err != nil {
+			return nil, err
+		}
+		c.sizes = append(c.sizes, fi.Size())
 	}
-	c.size = fi.Size()
 	if _, err := c.Engine.ExecAutonomousListWithMeta(stmts, meta); err != nil {
 		return nil, err
 	}
 	return nil, errCrash
 }
 
-// TestFirstUseTornAcrossShards: a crash between the shards' commits of a
-// first use recovers the onion still deferred, over rows that some shards
-// hold and the last does not; the next use writes the whole column again
-// and answers like the oracle.
+// crash cuts the logs, with the engine closed.
+func (c *crashEngine) crash(t *testing.T) {
+	t.Helper()
+	last := len(c.wals) - 1
+	for i, w := range c.wals {
+		size := c.sizes[i]
+		if i < last {
+			data, err := os.ReadFile(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, err := sqldb.SplitFrames(data[size:])
+			if err != nil || len(frames) != 2 {
+				t.Fatalf("shard %d logged %d batches (%v), want its prepared part and its outcome", i, len(frames), err)
+			}
+			size += int64(len(frames[0]))
+		}
+		if err := os.Truncate(w, size); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFirstUseTornAcrossShards: a crash between the prepared parts of a
+// sharded first use and the decider's batch recovers the onion still
+// deferred, with no shard holding the rows: Open drops every prepared
+// part, since no shard recorded the decision. The next use writes the whole
+// column and answers like the oracle.
 func TestFirstUseTornAcrossShards(t *testing.T) {
 	opts := sqldb.DurabilityOptions{NoFsync: true, CheckpointBytes: -1}
 	rows := map[string]int{"owner": 30, "acct": 300}
@@ -258,7 +290,10 @@ func TestFirstUseTornAcrossShards(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ce := &crashEngine{Engine: eng, wal: filepath.Join(sharded.ShardDir(dir, shards-1), "wal.log")}
+				ce := &crashEngine{Engine: eng}
+				for i := 0; i < shards; i++ {
+					ce.wals = append(ce.wals, filepath.Join(sharded.ShardDir(dir, i), "wal.log"))
+				}
 				l := newLifecycle(t, ce, Options{DataDir: dir})
 				l.load(30, 300)
 				before := onionState(l.p, fu.onion, fu.cols)
@@ -270,9 +305,7 @@ func TestFirstUseTornAcrossShards(t *testing.T) {
 				if err := eng.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.Truncate(ce.wal, ce.size); err != nil {
-					t.Fatal(err)
-				}
+				ce.crash(t)
 				eng2, err := sharded.Open(dir, shards, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -284,13 +317,10 @@ func TestFirstUseTornAcrossShards(t *testing.T) {
 				if got := onionState(l.p, fu.onion, fu.cols); got != before {
 					t.Fatalf("the restart recovered %s, want %s", got, before)
 				}
-				torn := false
 				for _, c := range fu.cols {
-					n := l.stored(c[0], c[1], fu.onion)
-					torn = torn || (n > 0 && n < rows[c[0]])
-				}
-				if !torn {
-					t.Fatal("no column was left partly written: the crash fell outside the first use")
+					if n := l.stored(c[0], c[1], fu.onion); n != 0 {
+						t.Fatalf("%s.%s: %d of %d rows hold the first use's ciphertexts after the crash, want none", c[0], c[1], n, rows[c[0]])
+					}
 				}
 
 				l.check(fu.first)

@@ -113,16 +113,14 @@ func TestProxyRestartRoundTrip(t *testing.T) {
 // TestRestartIndexAtEveryCut: a first use whose list also builds the index
 // a CREATE INDEX asked for before the load commits its rows, the index and
 // the metadata naming both in one WAL frame per shard. The logs are cut at
-// every frame boundary of that commit, in the order the shards commit
-// (shard 0 first), and reopened. At every cut the index is on every shard
-// exactly when the recovered metadata records it, the onion is deferred
-// exactly when it is not, and equality and range answer like the oracle.
-// On shards every middle cut is a torn first use whose list built the
-// index on the shards before the cut alone (TestFirstUseTornAcrossShards
-// with an index in the list): it recovers still deferred, and the redo
-// builds the index everywhere, a no-op on those shards. A torn Eq peel is not
-// cut here: its blob rides every shard, the open window of ARCHITECTURE's
-// recovery story.
+// every frame boundary of that commit and reopened. On one store that is
+// before or after the frame. On shards the cuts follow the commit's order:
+// at cut k < n the first k shards keep their prepared part alone (their
+// outcome, written after the decision, is cut) and the others nothing; the
+// last shard decides, so only cut n keeps the decision. At every cut the
+// index is on every shard or on none, exactly as the recovered metadata
+// records it, the onion is deferred exactly when it is not, and equality
+// and range answer like the oracle.
 func TestRestartIndexAtEveryCut(t *testing.T) {
 	opts := sqldb.DurabilityOptions{NoFsync: true, CheckpointBytes: -1}
 	const (
@@ -189,8 +187,23 @@ func TestRestartIndexAtEveryCut(t *testing.T) {
 			for cut := 0; cut <= len(wals); cut++ {
 				t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 					cdir := copyDir(t, dir)
-					for i := cut; i < len(wals); i++ {
-						if err := os.Truncate(filepath.Join(cdir, wals[i]), before[i]); err != nil {
+					for i := range wals {
+						size := before[i]
+						if i < cut && cut < len(wals) {
+							// Keep the prepared part, cut its outcome.
+							data, err := os.ReadFile(filepath.Join(cdir, wals[i]))
+							if err != nil {
+								t.Fatal(err)
+							}
+							frames, err := sqldb.SplitFrames(data[size:])
+							if err != nil || len(frames) != 2 {
+								t.Fatalf("shard %d logged %d batches (%v), want its prepared part and its outcome", i, len(frames), err)
+							}
+							size += int64(len(frames[0]))
+						} else if i < cut {
+							continue
+						}
+						if err := os.Truncate(filepath.Join(cdir, wals[i]), size); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -225,7 +238,7 @@ func TestRestartIndexAtEveryCut(t *testing.T) {
 						}
 					}
 					for i, db := range engineDBs(eng) {
-						if hasIndex(db, onion.Ord, true) != (i < cut) {
+						if hasIndex(db, onion.Ord, true) != committed {
 							t.Fatalf("shard %d holds the Ord index %v at cut %d", i, hasIndex(db, onion.Ord, true), cut)
 						}
 					}

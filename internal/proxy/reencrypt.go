@@ -17,13 +17,10 @@ import (
 // state, shrinking the leak window of the lower layer. It is a whole-column
 // rewrite like a first use, with the same refusals (on a replica, and while
 // an open transaction has written the table) and the same commit: the
-// re-wrapped rows and the raised layer are one WAL batch per shard. On one
-// store, every row therefore sits at the layer the metadata names, before a
-// crash or failed write and after it. On a sharded engine, a crash or a
-// failed COMMIT between two shards' batches leaves the shards before it
-// raised under metadata naming the lower layer: unlike a deferred onion's
-// rows, these are read, so a raise has the torn-broadcast window of any
-// onion adjustment (ARCHITECTURE.md, "Recovery story").
+// re-wrapped rows and the raised layer are one WAL batch per shard, and on
+// a sharded engine the shards commit as one decision. So every row sits
+// at the layer the metadata names, before a crash or failed write and
+// after it, on one store and on every shard.
 func (p *Proxy) RaiseOnion(table, col string, o onion.Onion) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

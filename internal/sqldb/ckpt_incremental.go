@@ -480,7 +480,7 @@ func (db *DB) loadPaged(path string) (uint64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("sqldb: manifest schema decode: %w", err)
 		}
-		if err := db.applyOp(op); err != nil {
+		if err := db.recoverOp(op); err != nil {
 			return 0, fmt.Errorf("sqldb: manifest schema load: %w", err)
 		}
 	}

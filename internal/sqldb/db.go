@@ -53,6 +53,12 @@ type DB struct {
 	// TABLE consults it so a commit can never resurrect a dropped table.
 	openTxns map[*Txn]struct{}
 
+	// pending holds the redo of each prepared part awaiting its outcome,
+	// and decided the ids of the writes this database decided whose parts
+	// may still await publication (prepare.go). Guarded by mu.
+	pending map[uint64][]byte
+	decided map[uint64]struct{}
+
 	// locks is the striped slot-lock table (first-writer-wins row locks;
 	// see locktable.go). It has its own per-stripe mutexes, so
 	// transactional statements claim locks under mu's *read* side.
@@ -266,6 +272,8 @@ func newDB(pg *pager) *DB {
 		udfs:     make(map[string]UDF),
 		aggUDFs:  make(map[string]AggUDF),
 		openTxns: make(map[*Txn]struct{}),
+		pending:  make(map[uint64][]byte),
+		decided:  make(map[uint64]struct{}),
 		pager:    pg,
 	}
 }
@@ -508,20 +516,14 @@ func indexBuilds(s *sqlparser.CreateIndexStmt) ([]indexBuild, error) {
 // redo records to ops when the database is logged. Callers hold db.mu's
 // write side.
 func (db *DB) applyDDL(st sqlparser.Statement, ops []byte) ([]byte, error) {
-	logged := db.wal != nil
 	switch s := st.(type) {
 	case *sqlparser.CreateTableStmt:
 		cols := make([]Column, len(s.Cols))
-		defs := make([]walColDef, len(s.Cols))
 		for i, c := range s.Cols {
 			cols[i] = Column{Name: c.Name, Type: c.Type, Primary: c.Primary}
-			defs[i] = walColDef{name: c.Name, typ: c.Type, primary: c.Primary}
 		}
 		if err := db.createTable(s.Name, cols); err != nil {
 			return ops, err
-		}
-		if logged {
-			ops = appendCreateTableOp(ops, s.Name, defs)
 		}
 	case *sqlparser.CreateIndexStmt:
 		t := db.tables[s.Table]
@@ -536,18 +538,36 @@ func (db *DB) applyDDL(st sqlparser.Statement, ops []byte) ([]byte, error) {
 			if err != nil {
 				return ops, err
 			}
-			if logged {
-				ops = appendCreateIndexOp(ops, s.Table, s.Column, b.unique, b.ordered)
-			}
 		}
 	case *sqlparser.DropTableStmt:
 		db.pager.forgetTable(db.tables[s.Name])
 		delete(db.tables, s.Name)
-		if logged {
-			ops = appendDropTableOp(ops, s.Name)
-		}
+	}
+	if db.wal != nil {
+		ops = ddlRedo(ops, st)
 	}
 	return ops, nil
+}
+
+// ddlRedo appends the redo records of one DDL statement that checkDDL
+// passed: what applyDDL applies, and what replay applies.
+func ddlRedo(ops []byte, st sqlparser.Statement) []byte {
+	switch s := st.(type) {
+	case *sqlparser.CreateTableStmt:
+		defs := make([]walColDef, len(s.Cols))
+		for i, c := range s.Cols {
+			defs[i] = walColDef{name: c.Name, typ: c.Type, primary: c.Primary}
+		}
+		ops = appendCreateTableOp(ops, s.Name, defs)
+	case *sqlparser.CreateIndexStmt:
+		builds, _ := indexBuilds(s) // checked
+		for _, b := range builds {
+			ops = appendCreateIndexOp(ops, s.Table, s.Column, b.unique, b.ordered)
+		}
+	case *sqlparser.DropTableStmt:
+		ops = appendDropTableOp(ops, s.Name)
+	}
+	return ops
 }
 
 // createTable installs an empty table with its PRIMARY KEY indexes.
@@ -582,8 +602,8 @@ func (db *DB) InTxn() bool {
 // ExecAutonomous executes a write or DDL statement outside any open
 // transaction, as if on a separate connection that commits immediately, so
 // a client ROLLBACK cannot undo it. The proxy commits through the list form
-// (ExecAutonomousListWithMeta); a sharded store's schema repair at Open
-// uses this one. The statement still executes atomically under the
+// (ExecAutonomousListWithMeta); the single store's ExecAutonomous is this
+// one. The statement still executes atomically under the
 // database lock; if it touches a row slot owned by an open transaction it fails
 // with a WriteConflictError rather than waiting (first writer wins, and
 // blocking here could deadlock against the transaction's own next

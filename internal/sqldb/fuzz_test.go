@@ -104,19 +104,24 @@ func FuzzReplicatedFrame(f *testing.F) {
 		if len(data) >= 8 {
 			frames = append(frames, buildFrame(binary.BigEndian.Uint64(data), data[8:]))
 		}
-		for _, frame := range frames {
-			if len(frame) > frameHdrLen {
-				d := &walDecoder{buf: frame[frameHdrLen:]}
-				d.off = 8
-				for !d.done() {
-					op, err := d.op()
-					if err != nil {
-						break
-					}
-					if op.slot > maxFuzzSlot {
-						return
-					}
+		// bigSlot reports an op, or an op of a prepared part, that writes a
+		// slot above maxFuzzSlot.
+		var bigSlot func(d *walDecoder) bool
+		bigSlot = func(d *walDecoder) bool {
+			for !d.done() {
+				op, err := d.op()
+				if err != nil {
+					return false
 				}
+				if op.slot > maxFuzzSlot || (op.part != nil && bigSlot(&walDecoder{buf: op.part, part: true})) {
+					return true
+				}
+			}
+			return false
+		}
+		for _, frame := range frames {
+			if len(frame) > frameHdrLen && bigSlot(&walDecoder{buf: frame[frameHdrLen:], off: 8}) {
+				return
 			}
 			db := New()
 			if err := db.ApplyReplicatedFrame(frame); err != nil {

@@ -353,6 +353,7 @@ func (db *DB) ResetFromSnapshot(ops []byte, seq uint64) error {
 		db.adoptStagedTable(t)
 	}
 	db.tables = scratch.tables
+	db.pending = scratch.pending
 	db.meta = scratch.meta
 	db.metaVer.Add(1)
 	db.walSeq = seq

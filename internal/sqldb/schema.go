@@ -50,9 +50,8 @@ type Table struct {
 	lockSeed uint64
 }
 
-// IndexInfo describes one index on a table, for introspection: storage
-// layers above sqldb (the sharded store reconciles schemas across shards
-// after a crash) rebuild DDL from it.
+// IndexInfo describes one index on a table, for introspection: the
+// sharded store's Open compares its shards' indexes with it.
 type IndexInfo struct {
 	Column  string
 	Unique  bool

@@ -229,6 +229,7 @@ type Txn struct {
 	tables  []*txnTable           // one per table written, in first-write order
 	ddl     []sqlparser.Statement // staged DDL, applied after the rows
 	meta    []byte                // latest ExecWithMeta blob; commits with the batch
+	decides uint64                // the id of the write this commit decides (CommitDeciding)
 	oneShot bool
 }
 

@@ -147,7 +147,7 @@ func open(fsys fsutil.FS, dir string, opts DurabilityOptions) (*DB, error) {
 		}
 		for _, b := range batches {
 			for _, op := range b.ops {
-				if err := db.applyOp(op); err != nil {
+				if err := db.recoverOp(op); err != nil {
 					return nil, fmt.Errorf("sqldb: wal replay (batch %d): %w", b.seq, err)
 				}
 			}
@@ -254,7 +254,8 @@ func (db *DB) maybeAutoCheckpoint() {
 }
 
 // snapshotOps serializes the whole database — schema, indexes, rows (with
-// their slots), and the committed meta blob — as one self-contained WAL-op
+// their slots), the committed meta blob and the prepared parts awaiting
+// their outcome — as one self-contained WAL-op
 // stream, in a deterministic order: the stream shipped to a catching-up
 // follower (TapWithSnapshot), and the input of StateDigest. Callers hold
 // db.mu (either side).
@@ -282,7 +283,7 @@ func (db *DB) snapshotOps() ([]byte, error) {
 	if db.meta != nil {
 		ops = appendMetaOp(ops, db.meta)
 	}
-	return ops, nil
+	return db.appendHeldOps(ops, false), nil
 }
 
 // appendTableSchemaOps emits the ops that recreate one table's schema and
@@ -314,9 +315,10 @@ func appendTableSchemaOps(ops []byte, name string, t *Table) []byte {
 	return ops
 }
 
-// schemaOps serializes every table's schema plus the committed meta blob —
-// the row-free counterpart of snapshotOps, embedded in the manifest (rows
-// live in page segments). Callers hold db.mu (either side).
+// schemaOps serializes every table's schema plus the committed meta blob,
+// the prepared parts and the decisions held — the row-free counterpart of
+// snapshotOps, embedded in the manifest (rows live in page segments).
+// Callers hold db.mu (either side).
 func (db *DB) schemaOps() []byte {
 	names := make([]string, 0, len(db.tables))
 	for n := range db.tables {
@@ -330,5 +332,5 @@ func (db *DB) schemaOps() []byte {
 	if db.meta != nil {
 		ops = appendMetaOp(ops, db.meta)
 	}
-	return ops
+	return db.appendHeldOps(ops, true)
 }

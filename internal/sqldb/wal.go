@@ -45,13 +45,16 @@ import (
 // SQL, so replay is deterministic regardless of UDFs, randomness or
 // planner decisions during the original execution.
 const (
-	walOpInsert      = 1 // table, slot, row values
-	walOpDelete      = 2 // table, slot
-	walOpUpdate      = 3 // table, slot, pos, new value
-	walOpCreateTable = 4 // table, column defs (name, type, primary)
-	walOpCreateIndex = 5 // table, column, unique flag, kind (hash/ordered)
-	walOpDropTable   = 6 // table
-	walOpMeta        = 7 // opaque application metadata blob
+	walOpInsert      = 1  // table, slot, row values
+	walOpDelete      = 2  // table, slot
+	walOpUpdate      = 3  // table, slot, pos, new value
+	walOpCreateTable = 4  // table, column defs (name, type, primary)
+	walOpCreateIndex = 5  // table, column, unique flag, kind (hash/ordered)
+	walOpDropTable   = 6  // table
+	walOpMeta        = 7  // opaque application metadata blob
+	walOpPrepare     = 8  // id, one part of a write that spans databases: its redo ops, held unapplied
+	walOpDecide      = 9  // id: this batch commits the write whose other parts were prepared under id
+	walOpResolve     = 10 // id, outcome: publish (commit) or drop the part prepared under id
 )
 
 const (
@@ -77,6 +80,9 @@ type walOp struct {
 	unique  bool
 	ordered bool
 	meta    []byte
+	id      uint64 // prepare, decide, resolve: the id of the write that spans databases
+	part    []byte // prepare: the part's encoded redo ops
+	commit  bool   // resolve: publish, not drop
 }
 
 type walColDef struct {
@@ -182,13 +188,33 @@ func appendMetaOp(buf []byte, meta []byte) []byte {
 	return append(buf, meta...)
 }
 
+func appendPrepareOp(buf []byte, id uint64, part []byte) []byte {
+	buf = append(buf, walOpPrepare)
+	buf = appendUvarint(buf, id)
+	buf = appendUvarint(buf, uint64(len(part)))
+	return append(buf, part...)
+}
+
+func appendDecideOp(buf []byte, id uint64) []byte {
+	return appendUvarint(append(buf, walOpDecide), id)
+}
+
+func appendResolveOp(buf []byte, id uint64, commit bool) []byte {
+	buf = appendUvarint(append(buf, walOpResolve), id)
+	if commit {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
 //
 // Decoding
 //
 
 type walDecoder struct {
-	buf []byte
-	off int
+	buf  []byte
+	off  int
+	part bool // decoding a prepared part's ops: row and DDL ops only
 }
 
 func (d *walDecoder) done() bool { return d.off >= len(d.buf) }
@@ -296,6 +322,9 @@ func (d *walDecoder) op() (walOp, error) {
 	if err != nil {
 		return walOp{}, err
 	}
+	if d.part && kind >= walOpMeta {
+		return walOp{}, fmt.Errorf("sqldb: wal: op kind %d inside a prepared part", kind)
+	}
 	op := walOp{kind: kind}
 	switch kind {
 	case walOpInsert:
@@ -386,6 +415,41 @@ func (d *walDecoder) op() (walOp, error) {
 			return op, err
 		}
 		op.meta = append([]byte(nil), b...)
+	case walOpPrepare:
+		if op.id, err = d.uvarint(); err != nil {
+			return op, err
+		}
+		n, err := d.uvarint()
+		if err != nil {
+			return op, err
+		}
+		b, err := d.bytes(n)
+		if err != nil {
+			return op, err
+		}
+		// A part holds row and DDL ops only: no blob, and no part inside it.
+		for pd := (&walDecoder{buf: b, part: true}); !pd.done(); {
+			if _, err := pd.op(); err != nil {
+				return op, err
+			}
+		}
+		op.part = append([]byte(nil), b...)
+	case walOpDecide:
+		if op.id, err = d.uvarint(); err != nil {
+			return op, err
+		}
+	case walOpResolve:
+		if op.id, err = d.uvarint(); err != nil {
+			return op, err
+		}
+		flag, err := d.byte()
+		if err != nil {
+			return op, err
+		}
+		if flag > 1 {
+			return op, fmt.Errorf("sqldb: wal: outcome flag %d", flag)
+		}
+		op.commit = flag == 1
 	default:
 		return op, fmt.Errorf("sqldb: wal: unknown op kind %d", kind)
 	}
@@ -416,6 +480,16 @@ func (db *DB) applyOp(op walOp) error {
 		db.meta = op.meta
 		db.metaVer.Add(1)
 		return nil
+	case walOpPrepare:
+		if _, held := db.pending[op.id]; held {
+			return fmt.Errorf("sqldb: wal replay: part %d is prepared twice", op.id)
+		}
+		db.pending[op.id] = op.part
+		return nil
+	case walOpDecide:
+		return nil // read by recovery alone (recoverOp)
+	case walOpResolve:
+		return db.resolveLocked(op.id, op.commit)
 	}
 	t, ok := db.tables[op.table]
 	if !ok {

@@ -477,17 +477,23 @@ func (txn *Txn) lockSlots(t *Table, rows []matchedRow) error {
 // Apply and commit
 //
 
-// applyLocked installs the write set into the shared tables and returns the
+// apply installs the write set into the shared tables and returns the
 // encoded redo ops, in a deterministic order (tables sorted by name; deletes,
 // then modifications, then inserts, each in slot order — so a transaction
 // that deletes a unique key and re-inserts it commits cleanly), then applies
-// the staged DDL in order. On a constraint violation, or DDL that can no
+// the staged DDL in order, then, for the decision of a write that spans
+// databases, records it. On a constraint violation, or DDL that can no
 // longer apply, everything already applied is undone and an error
 // returned; the shared state is then exactly as before. A page fault
 // midway is not reverted (reverting may fault again): the ops returned
-// with it hold the redo of what was applied, for DB.commit to log. Callers
-// hold db.mu's write side.
-func (txn *Txn) applyLocked() ([]byte, error) {
+// with it hold the redo of what was applied, for DB.commit to log.
+//
+// With prepare set it computes the redo of a prepared part (prepare.go)
+// and changes nothing: the rows apply, so slots are assigned and checked,
+// and the DDL is checked against them; then the rows are reverted, the
+// DDL's redo is encoded without applying it, and a page fault reverts too.
+// Callers hold db.mu's write side.
+func (txn *Txn) apply(prepare bool) ([]byte, error) {
 	type undoRec struct {
 		kind int // 0 = re-place deleted row, 1 = revert cell, 2 = remove inserted row
 		t    *Table
@@ -512,7 +518,16 @@ func (txn *Txn) applyLocked() ([]byte, error) {
 			}
 		}
 	}
-	logged := txn.db.wal != nil
+	// faulted ends the apply at a page fault: the redo so far, or, for a
+	// prepared part, nothing.
+	faulted := func(ops []byte, err error) ([]byte, error) {
+		if prepare {
+			revert()
+			return nil, err
+		}
+		return ops, err
+	}
+	logged := txn.db.wal != nil || prepare
 	var ops []byte
 
 	slices.SortFunc(txn.tables, func(a, b *txnTable) int { return cmp.Compare(a.t.Name, b.t.Name) })
@@ -536,7 +551,7 @@ func (txn *Txn) applyLocked() ([]byte, error) {
 			}
 			row, err := t.deleteRow(slot)
 			if err != nil {
-				return ops, err
+				return faulted(ops, err)
 			}
 			if row != nil {
 				undo = append(undo, undoRec{kind: 0, t: t, slot: slot, row: row})
@@ -552,7 +567,7 @@ func (txn *Txn) applyLocked() ([]byte, error) {
 			}
 			row, err := t.rowAt(slot)
 			if err != nil {
-				return ops, err
+				return faulted(ops, err)
 			}
 			for pos := range m.row {
 				old := row[pos]
@@ -564,7 +579,7 @@ func (txn *Txn) applyLocked() ([]byte, error) {
 					return nil, err
 				}
 				if err := t.updateCellUnchecked(slot, pos, m.row[pos]); err != nil {
-					return ops, err
+					return faulted(ops, err)
 				}
 				undo = append(undo, undoRec{kind: 1, t: t, slot: slot, pos: pos, old: old})
 				if logged {
@@ -582,7 +597,7 @@ func (txn *Txn) applyLocked() ([]byte, error) {
 			}
 			slot, err := t.insertRow(tr.row)
 			if err != nil {
-				return ops, err
+				return faulted(ops, err)
 			}
 			undo = append(undo, undoRec{kind: 2, t: t, slot: slot})
 			if logged {
@@ -596,25 +611,33 @@ func (txn *Txn) applyLocked() ([]byte, error) {
 			return nil, err
 		}
 	}
+	if prepare {
+		revert()
+		for _, st := range txn.ddl {
+			ops = ddlRedo(ops, st)
+		}
+		return ops, nil
+	}
 	for _, st := range txn.ddl {
 		var err error
 		if ops, err = txn.db.applyDDL(st, ops); err != nil {
 			return ops, err
 		}
 	}
+	if txn.decides != 0 {
+		txn.db.decided[txn.decides] = struct{}{}
+		if logged {
+			ops = appendDecideOp(ops, txn.decides)
+		}
+	}
 	return ops, nil
 }
 
+// applyLocked is apply of a commit: it installs the write set.
+func (txn *Txn) applyLocked() ([]byte, error) { return txn.apply(false) }
+
 // commit ends a write under db.mu's write side, which it takes and
-// releases. apply changes the shared tables and returns the redo ops of
-// what it changed; release, if set, runs under the lock afterwards either
-// way. On success the ops and meta become one WAL frame, staged into the
-// group-commit cohort while the lock is still held (so the log stays in
-// dependency order) and made durable after releasing it, sharing the fsync
-// with concurrent committers. A failed apply changed nothing — except one a
-// page fault stopped midway, whose applied effects cannot be cleanly
-// reverted (reverting may fault again): their redo is committed and the
-// fault returned, so the log tracks memory.
+// releases (finish).
 func (db *DB) commit(meta []byte, apply func() ([]byte, error), release func()) error {
 	if db.wal != nil {
 		// Announce before taking the lock, so a flushing leader holds its
@@ -623,6 +646,20 @@ func (db *DB) commit(meta []byte, apply func() ([]byte, error), release func()) 
 		defer db.wal.retire()
 	}
 	db.mu.Lock()
+	return db.finish(meta, apply, release)
+}
+
+// finish ends a write under db.mu's write side, which the caller holds and
+// finish releases. apply changes the shared tables and returns the redo ops
+// of what it changed; release, if set, runs under the lock afterwards
+// either way. On success the ops and meta become one WAL frame, staged into
+// the group-commit cohort while the lock is still held (so the log stays in
+// dependency order) and made durable after releasing it, sharing the fsync
+// with concurrent committers. A failed apply changed nothing — except one a
+// page fault stopped midway, whose applied effects cannot be cleanly
+// reverted (reverting may fault again): their redo is committed and the
+// fault returned, so the log tracks memory.
+func (db *DB) finish(meta []byte, apply func() ([]byte, error), release func()) error {
 	ops, err := apply()
 	if err == nil && meta != nil {
 		if db.wal != nil {

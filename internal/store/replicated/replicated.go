@@ -131,7 +131,7 @@ func OpenFollower(dir, primaryAddr string, opts sqldb.DurabilityOptions) (*Follo
 		if shards > 1 && opts.CacheBytes > 0 {
 			opts.CacheBytes /= int64(shards)
 		}
-		se, err := sharded.Open(dir, shards, opts)
+		se, err := sharded.OpenReplica(dir, shards, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -193,6 +193,9 @@ func (f *FollowerEngine) MetaGeneration() uint64 {
 // Follower exposes one shard's replication tail (tests and the server's
 // catch-up wait).
 func (f *FollowerEngine) Follower(shard int) *repl.Follower { return f.followers[shard] }
+
+// Shard exposes one shard's replayed database (tests, tooling).
+func (f *FollowerEngine) Shard(i int) *sqldb.DB { return f.dbs[i] }
 
 // WaitCaughtUp blocks until every shard's replay position reaches the
 // corresponding sequence in seqs (one entry per shard).

@@ -3,9 +3,11 @@ package replicated_test
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/fsutil/crashfs"
 	"repro/internal/sqldb"
 	"repro/internal/store"
 	"repro/internal/store/replicated"
@@ -124,7 +126,8 @@ func TestFollowerReadOnlySingle(t *testing.T) {
 
 func TestFollowerSharded(t *testing.T) {
 	const shards = 2
-	eng, err := sharded.Open(t.TempDir(), shards, dopts)
+	pdir, fdir := t.TempDir(), t.TempDir()
+	eng, err := sharded.Open(pdir, shards, dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +135,6 @@ func TestFollowerSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 
 	if _, err := p.ExecSQL("CREATE TABLE kv (k INT PRIMARY KEY, v TEXT)"); err != nil {
 		t.Fatal(err)
@@ -153,11 +155,10 @@ func TestFollowerSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := replicated.OpenFollower(t.TempDir(), p.Addr(), dopts)
+	f, err := replicated.OpenFollower(fdir, p.Addr(), dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	if f.Shards() != shards {
 		t.Fatalf("follower has %d shards, want %d", f.Shards(), shards)
 	}
@@ -192,10 +193,131 @@ func TestFollowerSharded(t *testing.T) {
 	if seq := f.ReplicaSeq(); seq == 0 {
 		t.Fatal("ReplicaSeq is 0 after replication")
 	}
+
+	// A write that spans both shards, held between shard 0's prepared
+	// batch and the decider's (shard 1's) batch: the follower holds the
+	// part, unpublished, across a checkpoint and a restart, and publishes
+	// it when its stream carries the outcome.
+	eng.Close()
+	p.Close()
+	f.Close()
+	rec := crashfs.Install(t)
+	release := func() {}
+	if eng, err = sharded.Open(pdir, shards, dopts); err != nil {
+		t.Fatal(err)
+	}
+	if p, err = replicated.WrapPrimary(eng, "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if f, err = replicated.OpenFollower(fdir, p.Addr(), dopts); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { f.Close() }()
+	// A test failure must not leave the write held, which would stall the
+	// closes above.
+	defer func() { release() }()
+	connected := func(f *replicated.FollowerEngine) {
+		t.Helper()
+		// A stream that connects while a part is held waits for the
+		// outcome; the held cases need shard 0's stream up.
+		for i := 0; i < shards; i++ {
+			for deadline := time.Now().Add(20 * time.Second); f.Follower(i).Connects() == 0; {
+				if time.Now().After(deadline) {
+					t.Fatalf("follower shard %d never connected", i)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		waitFollower(t, p, f, shards)
+	}
+	connected(f)
+	held := func(sql string) (resume func()) {
+		t.Helper()
+		seq0 := p.Replication().ShardSeq(0)
+		_, release = rec.Hold(filepath.Join(sharded.ShardDir(pdir, 1), "wal.log"))
+		done := make(chan error, 1)
+		go func() {
+			_, err := p.ExecSQL(sql)
+			done <- err
+		}()
+		if err := f.Follower(0).WaitCaughtUp(seq0+1, 20*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(f.Shard(0).Unresolved()); n != 1 {
+			t.Fatalf("the follower's shard 0 holds %d prepared parts, want 1", n)
+		}
+		return func() {
+			release()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	digestsMatch := func(f *replicated.FollowerEngine) {
+		t.Helper()
+		waitFollower(t, p, f, shards)
+		for i := 0; i < shards; i++ {
+			if got, want := f.Shard(i).StateDigest(), eng.Shard(i).StateDigest(); got != want {
+				t.Fatalf("follower shard %d digest %s, primary %s", i, got, want)
+			}
+		}
+	}
+
+	// Restarted between the prepared batch and its outcome.
+	rows := func(from int) string {
+		sql := "INSERT INTO kv (k, v) VALUES "
+		for k := from; k < from+8; k++ {
+			if k > from {
+				sql += ", "
+			}
+			sql += fmt.Sprintf("(%d, 'h%d')", k, k)
+		}
+		return sql
+	}
+	resume := held(rows(100))
+	if err := f.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if f, err = replicated.OpenFollower(fdir, p.Addr(), dopts); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(f.Shard(0).Unresolved()); n != 1 {
+		t.Fatalf("after a restart the follower's shard 0 holds %d prepared parts, want 1", n)
+	}
+	if n := mustCount(t, f, "SELECT COUNT(*) FROM kv WHERE k >= 100"); n != 0 {
+		t.Fatalf("%d rows of a write not yet decided are visible on the follower", n)
+	}
+	resume()
+	digestsMatch(f)
+	if n := mustCount(t, f, "SELECT COUNT(*) FROM kv WHERE k >= 100"); n != 8 {
+		t.Fatalf("follower holds %d of the 8 rows after the outcome", n)
+	}
+
+	// A catch-up snapshot requested while a part is pending: a new
+	// follower of a checkpointed primary waits for the outcome and gets
+	// the published part.
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	connected(f)
+	resume = held(rows(200))
+	late, err := replicated.OpenFollower(t.TempDir(), p.Addr(), dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	resume()
+	digestsMatch(late)
+	digestsMatch(f)
 }
 
-func TestOpenFollowerBadPrimary(t *testing.T) {
-	if _, err := replicated.OpenFollower(t.TempDir(), "127.0.0.1:1", dopts); err == nil {
-		t.Fatal("OpenFollower against a dead address succeeded")
+func mustCount(t *testing.T, f *replicated.FollowerEngine, sql string) int64 {
+	t.Helper()
+	res, err := f.ExecSQL(sql)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res.Rows[0][0].I
 }

@@ -14,8 +14,8 @@ import (
 // Transactions pin to the first shard they write: BEGIN is recorded
 // locally, the first routed write opens the transaction on its shard, and
 // every later write must route to the same shard — a statement that routes
-// elsewhere fails with a clear error (the engine has no distributed
-// commit, so spanning shards would silently drop atomicity). Reads inside
+// elsewhere fails with a clear error (a transaction's writes commit on its
+// shard alone; only a write outside one commits across shards). Reads inside
 // a transaction scatter as usual; the pinned shard's session sees the
 // transaction's buffered writes, every other shard serves committed state.
 type Conn struct {

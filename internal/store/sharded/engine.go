@@ -17,19 +17,20 @@
 // INSERT's rows split by shard, an unpinned UPDATE or DELETE on every
 // shard). Outside a transaction a one-shard write autocommits on its
 // shard, and anything else — a client's autocommit, an autonomous write or
-// a statement list — commits all or nothing through one commit
-// (acrossShards). Inside a transaction a write that spans shards is
-// refused: a transaction pins itself to the first shard it writes, and a
-// statement that routes elsewhere fails with a clear error instead of
-// silently spanning shards without atomicity.
+// a statement list, DDL among them, which runs on every shard — commits
+// through one commit (acrossShards). Inside a transaction a write that
+// spans shards is refused: a transaction pins itself to the first shard it
+// writes, and a statement that routes elsewhere fails with a clear error
+// instead of silently spanning shards without atomicity.
 //
-// DDL runs on every shard, as a placement of the same commit, in shard
-// order. Sealed proxy metadata rides the WAL batches of the writes it
-// describes, wrapped in a sequence envelope so recovery can pick the newest
-// blob across shards: a one-shard write commits it on its shard, and a
-// spanning write or list on every shard when some row statement runs on
-// every shard or none is in it, else with the last shard's batch alone. A
-// blob with no statement is the empty list, and it commits on every shard.
+// A write whose staged parts land on two or more shards commits all or
+// nothing, across a crash too: every participant but the last logs its
+// part as a prepared batch, the last participant's ordinary batch (the
+// decider's) carries the decision, and the prepared parts are published
+// after it (sqldb's prepare.go); Open resolves what a crash left prepared.
+// Sealed proxy metadata rides the decider's batch alone — a one-shard
+// write's own batch, and for a bare blob the last shard's — wrapped in a
+// sequence envelope so recovery can pick the newest blob across shards.
 //
 // A read that cannot be routed runs a per-shard statement on every shard in
 // parallel, and shard 0's compiled pipeline runs a coordinator statement
@@ -85,6 +86,9 @@ type Engine struct {
 	metaMu  sync.Mutex
 	metaSeq uint64
 	meta    []byte
+
+	// writeSeq numbers the writes that prepare parts (acrossShards).
+	writeSeq atomic.Uint64
 
 	// udfMu guards the names of the registered aggregate UDFs, which the
 	// planner must tell from scalar calls.
@@ -162,12 +166,29 @@ func DirShards(dir string) (n int, ok bool) {
 // sqldb data directory per shard (shard-000/, shard-001/, ...). n is the
 // shard count for a fresh directory; reopening an existing one requires n
 // to match the directory's manifest (pass 0 to accept whatever it says).
-// Every shard recovers independently — manifest load, WAL replay, torn
-// tail truncation — then schemas are reconciled: a shard that crashed
-// before a broadcast CREATE TABLE/INDEX reached it gets the missing DDL
-// re-applied (its torn rows stay lost, exactly like a torn tail in the
-// single store).
+// Every shard recovers on its own — manifest load, WAL replay, torn tail
+// truncation — and then every part of a write that spans shards that a
+// crash left prepared is resolved against its decider: published where the
+// decider's batch recorded the decision, dropped where it did not (presumed
+// abort), and the outcome logged on the part's shard. Open then checks that
+// every shard holds the same tables and indexes, and refuses, naming the
+// shard and the table, when they differ: with every spanning write
+// committed through one decision, only a change made outside the engine,
+// or a machine crash under NoFsync, can make them differ.
 func Open(dir string, n int, opts sqldb.DurabilityOptions) (*Engine, error) {
+	return open(dir, n, opts, true)
+}
+
+// OpenReplica is Open for a replication follower's shards: it resolves no
+// prepared part, since a follower never decides — each part waits for the
+// outcome its shard's stream carries — and it checks no schema, since the
+// shards replay their streams independently and may stand at different
+// points of one write.
+func OpenReplica(dir string, n int, opts sqldb.DurabilityOptions) (*Engine, error) {
+	return open(dir, n, opts, false)
+}
+
+func open(dir string, n int, opts sqldb.DurabilityOptions, primary bool) (*Engine, error) {
 	if err := fsutil.OS.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("sharded: creating data dir: %w", err)
 	}
@@ -213,119 +234,64 @@ func Open(dir string, n int, opts sqldb.DurabilityOptions) (*Engine, error) {
 		}
 		e.shards[i] = sh
 	}
-	if err := e.reconcileSchemas(); err != nil {
-		return nil, err
+	if primary {
+		if err := e.resolve(); err != nil {
+			return nil, err
+		}
+		if err := e.checkSchemas(); err != nil {
+			return nil, err
+		}
 	}
 	e.recoverMeta()
 	ok = true
 	return e, nil
 }
 
-// reconcileSchemas repairs DDL that a crash mid-broadcast left half
-// applied. Broadcasts run shard 0 first, so the direction of the torn
-// statement is readable from shard 0: a table present there but missing on
-// later shards is a torn CREATE (re-apply it, with indexes, to the shards
-// that lack it); a table missing on shard 0 but present later is a torn
-// DROP (finish dropping it everywhere) — resurrecting it would silently
-// serve a subset of its rows. An index shard 0 has on a table that a later
-// shard lacks is a torn CREATE INDEX when shard 0 also holds a newer
-// metadata envelope than that shard, or neither holds one: it is built
-// there too, or equality on that shard would scan and a UNIQUE index go
-// unenforced. A list of DDL alone commits its blob on every shard, shard 0
-// first, so its torn commit leaves exactly that. A list whose blob commits
-// with the last shard alone (rows and the indexes they expose) is left
-// torn instead: its blob never committed, and the proxy's redo of the list
-// builds the index. Rows are never copied either way — a shard
-// that lost committed rows to a torn WAL tail stays short, the same
-// fail-open contract as the single store's torn tail. (Residual ambiguity:
-// a torn tail on shard 0 that swallowed a CREATE reads as a torn DROP;
-// shard 0's log is treated as the authority.)
-func (e *Engine) reconcileSchemas() error {
-	union := make(map[string]*sqldb.DB) // table -> donor shard
+// resolve ends every part a crash left prepared: it publishes the parts
+// whose write some shard's batch decided and drops the rest, logging each
+// outcome on the part's shard, then forgets the decisions, which no part
+// awaits any more. The next write id is past every id recovery saw.
+func (e *Engine) resolve() error {
+	decided := make(map[uint64]bool)
+	var last uint64
 	for _, sh := range e.shards {
-		for _, name := range sh.TableNames() {
-			if _, seen := union[name]; !seen {
-				union[name] = sh
+		for _, id := range sh.Decided() {
+			decided[id] = true
+			last = max(last, id)
+		}
+	}
+	for i, sh := range e.shards {
+		for _, id := range sh.Unresolved() {
+			last = max(last, id)
+			if err := sh.Resolve(id, decided[id]); err != nil {
+				return fmt.Errorf("sharded: resolving the part of write %d on shard %d: %w", id, i, err)
 			}
 		}
 	}
-	for name, donor := range union {
-		if e.shards[0].Table(name) == nil {
-			// Torn DROP: shard 0 already dropped it; complete the
-			// broadcast on the shards the crash skipped.
-			drop := &sqlparser.DropTableStmt{Name: name}
-			for _, sh := range e.shards {
-				if sh.Table(name) == nil {
-					continue
-				}
-				if _, err := sh.ExecAutonomous(drop); err != nil {
-					return fmt.Errorf("sharded: completing torn DROP of %s: %w", name, err)
-				}
-			}
-			continue
-		}
-		for _, sh := range e.shards {
-			if sh.Table(name) != nil {
-				continue
-			}
-			if err := replaySchema(donor, sh, name); err != nil {
-				return fmt.Errorf("sharded: reconciling table %s: %w", name, err)
-			}
+	for _, sh := range e.shards {
+		for _, id := range sh.Decided() {
+			sh.Forget(id)
 		}
 	}
-	// Every table of shard 0 is on every shard now. A sequence of 0 is no
-	// envelope: wrapNext starts at 1.
-	seq0, _, _ := unwrapMeta(e.shards[0].Meta())
-	for _, sh := range e.shards[1:] {
-		if seq, _, _ := unwrapMeta(sh.Meta()); seq != 0 && seq >= seq0 {
-			continue
-		}
-		for _, name := range e.shards[0].TableNames() {
-			if err := replayIndexes(e.shards[0], sh, name); err != nil {
-				return fmt.Errorf("sharded: reconciling the indexes of %s: %w", name, err)
-			}
-		}
-	}
+	e.writeSeq.Store(last)
 	return nil
 }
 
-// replaySchema re-creates one table (columns, PRIMARY KEY flag, indexes —
-// never rows) on sh, copying the schema from donor.
-func replaySchema(donor, sh *sqldb.DB, name string) error {
-	dt := donor.Table(name)
-	if dt == nil {
-		return fmt.Errorf("donor lost table %s", name)
-	}
-	create := &sqlparser.CreateTableStmt{Name: name}
-	for _, c := range dt.Cols {
-		create.Cols = append(create.Cols, sqlparser.ColumnDef{
-			Name: c.Name, Type: c.Type, Primary: c.Primary,
-		})
-	}
-	if _, err := sh.ExecAutonomous(create); err != nil {
-		return err
-	}
-	return replayIndexes(donor, sh, name)
-}
-
-// replayIndexes builds on sh each index of donor's table name that sh's
-// lacks, with the same column, UNIQUE flag and kind (hash or ordered): a
-// column has at most one index of each kind.
-func replayIndexes(donor, sh *sqldb.DB, name string) error {
-	have := sh.Table(name).Indexes()
-	for _, ix := range donor.Table(name).Indexes() {
-		if slices.ContainsFunc(have, func(h sqldb.IndexInfo) bool { return h.Column == ix.Column && h.Ordered == ix.Ordered }) {
-			continue
+// checkSchemas refuses shards that do not hold the same tables, with the
+// same columns and indexes, naming the first shard and table that differ
+// from shard 0.
+func (e *Engine) checkSchemas() error {
+	schema := func(sh *sqldb.DB, name string) string {
+		if t := sh.Table(name); t != nil {
+			return fmt.Sprint(t.Cols, t.Indexes())
 		}
-		using := "HASH"
-		if ix.Ordered {
-			using = "BTREE"
-		}
-		st := &sqlparser.CreateIndexStmt{
-			Table: name, Column: ix.Column, Unique: ix.Unique, Using: using,
-		}
-		if _, err := sh.ExecAutonomous(st); err != nil {
-			return fmt.Errorf("index on %s.%s: %w", name, ix.Column, err)
+		return "no such table"
+	}
+	for i, sh := range e.shards[1:] {
+		for _, name := range append(e.shards[0].TableNames(), sh.TableNames()...) {
+			if got, want := schema(sh, name), schema(e.shards[0], name); got != want {
+				return fmt.Errorf("sharded: shard %d holds table %s as %s, shard 0 as %s; the shards were changed outside the engine", i+1, name, got, want)
+			}
 		}
 	}
 	return nil
@@ -547,12 +513,10 @@ func (e *Engine) routeRow(s *sqlparser.InsertStmt, row []sqlparser.Expr, pos int
 }
 
 // A placement is where one write runs: on one shard (parts nil), or as
-// parts[i] on each shard i that has a part (nil where it has none). DDL
-// runs on every shard.
+// parts[i] on each shard i that has a part (nil where it has none).
 type placement struct {
 	shard int
 	parts []sqlparser.Statement
-	ddl   bool
 }
 
 // on returns the part of st that runs on shard i, nil if none does.
@@ -566,27 +530,31 @@ func (pl placement) on(i int, st sqlparser.Statement) sqlparser.Statement {
 	return nil
 }
 
-// everywhere reports whether the write has a part on every shard.
-func (pl placement) everywhere() bool {
-	return pl.parts != nil && !slices.Contains(pl.parts, nil)
-}
-
 // route places one INSERT, UPDATE or DELETE, or one CREATE TABLE, CREATE
 // INDEX or DROP TABLE. A statement whose rows all live on one shard gets
 // that shard, without allocating: an INSERT whose rows route alike, an
 // UPDATE or DELETE whose WHERE pins the routing column. Any other gets its
 // per-shard parts: an INSERT's rows split by shard (in order), an unpinned
-// UPDATE or DELETE, and DDL, on every shard.
+// UPDATE or DELETE, and DDL, on every shard. On more than one shard a
+// UNIQUE index is refused unless it is on the routing column: each shard
+// would check only its own rows.
 func (e *Engine) route(st sqlparser.Statement, params []sqldb.Value) (placement, error) {
 	var table string
 	var where sqlparser.Expr
 	switch s := st.(type) {
 	case *sqlparser.InsertStmt:
 		return e.routeInsert(s, params)
-	case *sqlparser.CreateTableStmt, *sqlparser.CreateIndexStmt, *sqlparser.DropTableStmt:
-		pl := e.everyShard(st)
-		pl.ddl = true
-		return pl, nil
+	case *sqlparser.CreateIndexStmt:
+		if col := e.routeCol(s.Table); s.Unique && len(e.shards) > 1 && s.Column != col {
+			why := "its rows are placed by " + col
+			if col == "" {
+				why = "it has no primary key, so its rows are placed by a hash of their content"
+			}
+			return placement{}, fmt.Errorf("sharded: CREATE UNIQUE INDEX on %s.%s refused: %s, and each shard would check the index over its own rows only", s.Table, s.Column, why)
+		}
+		return e.everyShard(st), nil
+	case *sqlparser.CreateTableStmt, *sqlparser.DropTableStmt:
+		return e.everyShard(st), nil
 	case *sqlparser.UpdateStmt:
 		if e.assignsRouteCol(s) {
 			return placement{}, fmt.Errorf("sharded: UPDATE must not modify routing column of %s (rows are placed by its hash)", s.Table)
@@ -759,40 +727,19 @@ func (e *Engine) ExecAutonomousListWithMeta(stmts []sqlparser.Statement, meta []
 	return e.acrossShards(stmts, pls, meta, nil)
 }
 
-// acrossShards is the one commit of writes and DDL that span shards. It
-// opens a private transaction on every shard, stages each statement's
-// parts in the shards pls places them on (buffering, taking slot locks,
-// checking DDL: Session.Stage), and commits the shards in order 0..n-1
-// only when every shard accepted its parts — so a write conflict,
-// constraint violation or refused DDL (a DROP of a table an open
-// transaction wrote, a UNIQUE index over duplicates) on one shard refuses
-// the whole with no side effects, matching the single store's statement
-// atomicity; the deferred Close rolls back every buffer. This is runtime
-// atomicity, not crash atomicity: a crash between the per-shard commits
-// leaves some shards on the old version (see ARCHITECTURE.md), and
-// reconcileSchemas reads a torn DDL's direction from the commit order.
-//
-// The blob rule reads the row statements only. When one runs on every
-// shard (a whole-table rewrite, the proxy's peels and re-keys) or there is
-// none (the empty list: a bare blob; a list of DDL alone), the wrapped
-// blob commits on every shard, with a broadcast's torn window. Otherwise
-// (pinned or row-split writes, the proxy's whole-column rewrites, with or
-// without the indexes they expose) it commits with the last shard's batch
-// alone, durable only once every shard's rows are: a crash or a failed
-// COMMIT part-way leaves the previous blob over the new rows of the shards
-// that committed, and the error reports the blob unapplied (a
-// *sqldb.DurabilityError only when the last shard's commit was one). The
-// proxy's rows there belong to a deferred or stale onion, unread until the
-// blob that clears the mark commits, so its next use redoes the rewrite,
-// and an index built with them is built again, a no-op where it exists.
+// acrossShards is the one commit of writes and DDL that span shards. Each
+// shard stages its parts in a private transaction (Session.Stage), so a
+// refusal on any shard commits nothing anywhere. The shards whose parts
+// write a row or DDL take part; the last of them decides. Every other
+// prepares its part, in shard order (each keeps its write lock until the
+// outcome, and the ascending order keeps two such commits from waiting on
+// each other); the decider commits its rows, the blob and the decision in
+// one batch; then the prepared parts publish. With one participant that is
+// its ordinary commit, and with none the blob commits on the last shard.
+// A decider that refuses at apply drops every prepared part. A
+// *sqldb.DurabilityError from it is returned as such after the parts
+// publish: the write applied in memory, as on one store.
 func (e *Engine) acrossShards(stmts []sqlparser.Statement, pls []placement, meta []byte, params []sqldb.Value) (*sqldb.Result, error) {
-	rows, lastOnly := false, true
-	for _, pl := range pls {
-		if !pl.ddl {
-			rows, lastOnly = true, lastOnly && !pl.everywhere()
-		}
-	}
-	lastOnly = lastOnly && rows
 	return e.withMeta(meta, func(wrapped []byte) (*sqldb.Result, error) {
 		sessions := make([]*sqldb.Session, len(e.shards))
 		for i, sh := range e.shards {
@@ -823,23 +770,57 @@ func (e *Engine) acrossShards(stmts []sqlparser.Statement, pls []placement, meta
 				total.Affected += res.Affected
 			}
 		}
-		last := len(sessions) - 1
+		var parts []int // the participants but the decider
 		for i, s := range sessions {
-			blob := wrapped
-			if lastOnly && i < last {
-				blob = nil
+			if s.Writes() {
+				parts = append(parts, i)
 			}
-			if _, err := s.ExecWithMeta(&sqlparser.CommitStmt{}, blob); err != nil {
-				switch {
-				case lastOnly && i < last:
-					// %v, not %w: even a durability failure here leaves
-					// the blob uncommitted everywhere.
-					return nil, fmt.Errorf("sharded: shard %d failed to commit (shards before it committed their rows; the metadata did not commit): %v", i, err)
-				case i > 0:
-					err = fmt.Errorf("sharded: statement committed on shards 0..%d but failed to commit on shard %d: %w", i-1, i, err)
+		}
+		decider := len(sessions) - 1 // a bare blob's shard
+		if n := len(parts); n > 0 {
+			decider, parts = parts[n-1], parts[:n-1]
+		}
+		var id uint64 // 0: one participant, whose commit decides nothing
+		if len(parts) > 0 {
+			id = e.writeSeq.Add(1)
+		}
+		var prepared []*sqldb.Prepared
+		resolve := func(commit bool) (first error) {
+			for _, p := range prepared {
+				if err := p.Resolve(commit); err != nil && first == nil {
+					first = err
 				}
-				return nil, err
 			}
+			return first
+		}
+		for _, i := range parts {
+			p, err := sessions[i].Prepare(id)
+			if err != nil {
+				//cryptdb:vet-ok durabilityerr: an abort outcome that fails to log leaves its part unresolved, which Open drops (presumed abort)
+				resolve(false)
+				return nil, fmt.Errorf("sharded: shard %d refused the statement (nothing committed): %w", i, err)
+			}
+			prepared = append(prepared, p)
+		}
+		_, err := sessions[decider].CommitDeciding(id, wrapped)
+		if err != nil && !errors.As(err, new(*sqldb.DurabilityError)) {
+			//cryptdb:vet-ok durabilityerr: an abort outcome that fails to log leaves its part unresolved, which Open drops (presumed abort)
+			resolve(false)
+			return nil, fmt.Errorf("sharded: shard %d refused the statement at commit (nothing committed): %w", decider, err)
+		}
+		if perr := resolve(true); perr != nil {
+			// The decider keeps its decision, and its checkpoints carry
+			// it, for the part whose outcome may not be on disk.
+			if err == nil {
+				err = fmt.Errorf("sharded: the statement committed, but a shard could not publish its part: %w", perr)
+			}
+			return nil, err
+		}
+		if id != 0 {
+			e.shards[decider].Forget(id)
+		}
+		if err != nil {
+			return nil, err
 		}
 		return total, nil
 	})

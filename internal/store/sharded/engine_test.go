@@ -220,11 +220,11 @@ func TestExecAutonomousList(t *testing.T) {
 	}
 }
 
-// TestExecAutonomousListBlobPlacement: where a list commits its blob
-// follows from its routing. A list with a statement that runs on every
-// shard (a peel or re-key beside pinned rows) commits the blob on every
-// shard; a list whose statements are all pinned commits it on the last
-// shard alone, leaving the others at the previous blob.
+// TestExecAutonomousListBlobPlacement: a list commits its blob with the
+// decider's batch alone, the last shard its statements write on: the last
+// shard for a list with a statement that runs on every shard (a peel or
+// re-key beside pinned rows), the pinned row's shard for a list of one
+// pinned statement. The other shards keep the blob they held.
 func TestExecAutonomousListBlobPlacement(t *testing.T) {
 	e := New(3)
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
@@ -240,14 +240,17 @@ func TestExecAutonomousListBlobPlacement(t *testing.T) {
 		}
 		return out
 	}
+	home := e.ShardOf("t", sqldb.Int(4))
+	pinnedWant := []string{"", "", "m1"}
+	pinnedWant[home] = "m2"
 	for _, c := range []struct {
 		name  string
 		stmts []sqlparser.Statement
 		meta  string
 		want  []string
 	}{
-		{"broadcast", []sqlparser.Statement{pinned, everywhere}, "m1", []string{"m1", "m1", "m1"}},
-		{"pinned", []sqlparser.Statement{pinned}, "m2", []string{"m1", "m1", "m2"}},
+		{"broadcast", []sqlparser.Statement{pinned, everywhere}, "m1", []string{"", "", "m1"}},
+		{"pinned", []sqlparser.Statement{pinned}, "m2", pinnedWant},
 	} {
 		if _, err := e.ExecAutonomousListWithMeta(c.stmts, []byte(c.meta)); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -265,8 +268,8 @@ func TestExecAutonomousListBlobPlacement(t *testing.T) {
 }
 
 // TestExecAutonomousListEmptyBlob: the empty list is a bare blob, and a
-// bare blob commits on every shard, as a write that runs on every shard
-// does, so a restart reads it from any shard.
+// bare blob commits on one shard, the last; a restart reads the newest
+// blob from whichever shard holds it (TestMetaEnvelopeRecovery).
 func TestExecAutonomousListEmptyBlob(t *testing.T) {
 	e := New(3)
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
@@ -275,8 +278,12 @@ func TestExecAutonomousListEmptyBlob(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s := 0; s < 3; s++ {
-			if _, blob, _ := unwrapMeta(e.Shard(s).Meta()); string(blob) != meta {
-				t.Errorf("shard %d holds blob %q, want %q", s, blob, meta)
+			want := ""
+			if s == 2 {
+				want = meta
+			}
+			if _, blob, _ := unwrapMeta(e.Shard(s).Meta()); string(blob) != want {
+				t.Errorf("shard %d holds blob %q, want %q", s, blob, want)
 			}
 		}
 		if string(e.Meta()) != meta {
@@ -687,24 +694,50 @@ func TestBroadcastWriteAtomicOnConflict(t *testing.T) {
 	}
 	refused("t", fmt.Sprintf("INSERT INTO t (id, n) VALUES (%d, 0), (1, 0)", fresh), 12)
 
-	// Without one, a row is placed by a hash of its content. Find a row
-	// shard 0 holds and a row another shard holds, and keep only the
-	// second: inserting both again puts the first on shard 0 and the
-	// second against the unique index on its own shard.
+	// Without one, a row is placed by a hash of its content, so a UNIQUE
+	// index would hold per shard only: it is refused, on every shard.
 	mustExec(t, e, "CREATE TABLE u (a INT, b INT)")
-	mustExec(t, e, "CREATE UNIQUE INDEX u_a ON u (a)")
-	on0, dup := 0, 0
-	for c := 1; on0 == 0 || dup == 0; c++ {
-		mustExec(t, e, fmt.Sprintf("INSERT INTO u (a, b) VALUES (%d, %d)", c, c))
-		switch len(mustExec(t, e.Shard(0), fmt.Sprintf("SELECT a FROM u WHERE a = %d", c)).Rows) {
-		case 1:
-			on0 = c
-		case 0:
-			dup = c
+	if _, err := e.ExecSQL("CREATE UNIQUE INDEX u_a ON u (a)"); err == nil || !strings.Contains(err.Error(), "no primary key") {
+		t.Fatalf("CREATE UNIQUE INDEX on a table with no primary key: err = %v, want the refusal", err)
+	}
+	for s := 0; s < 3; s++ {
+		if ix := e.Shard(s).Table("u").Indexes(); len(ix) != 0 {
+			t.Fatalf("the refused index left %+v on shard %d", ix, s)
 		}
 	}
-	mustExec(t, e, fmt.Sprintf("DELETE FROM u WHERE a != %d", dup))
-	refused("u", fmt.Sprintf("INSERT INTO u (a, b) VALUES (%d, %d), (%d, %d)", on0, on0, dup, dup), 1)
+}
+
+// TestUniqueIndexOffRoutingKeyRefused: on more than one shard a UNIQUE
+// index on a column other than the routing key is refused, since each
+// shard would check it over its own rows only; two rows with one value,
+// routed to different shards, are then both kept, with no constraint
+// claiming otherwise. A UNIQUE index on the routing key, and any on one
+// shard, is built.
+func TestUniqueIndexOffRoutingKeyRefused(t *testing.T) {
+	e := New(2)
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	_, err := e.ExecSQL("CREATE UNIQUE INDEX t_v ON t (v)")
+	if err == nil || !strings.Contains(err.Error(), "placed by id") || !strings.Contains(err.Error(), "own rows") {
+		t.Fatalf("CREATE UNIQUE INDEX t_v: err = %v, want the refusal saying why", err)
+	}
+	other := 2
+	for e.ShardOf("t", sqldb.Int(int64(other))) == e.ShardOf("t", sqldb.Int(1)) {
+		other++
+	}
+	mustExec(t, e, "INSERT INTO t (id, v) VALUES (1, 7)")
+	mustExec(t, e, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, 7)", other))
+	if n := len(mustExec(t, e, "SELECT id FROM t WHERE v = 7").Rows); n != 2 {
+		t.Fatalf("WHERE v = 7 read %d rows, want both", n)
+	}
+	for s := 0; s < 2; s++ {
+		if ix := e.Shard(s).Table("t").Indexes(); len(ix) != 1 || ix[0].Column != "id" {
+			t.Fatalf("shard %d holds indexes %+v, want the primary key's alone", s, ix)
+		}
+	}
+	mustExec(t, e, "CREATE UNIQUE INDEX t_id ON t (id)")
+	one := New(1)
+	mustExec(t, one, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	mustExec(t, one, "CREATE UNIQUE INDEX t_v ON t (v)")
 }
 
 // TestDirShardsDetection: the manifest probe distinguishes single-store

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sqldb"
-	"repro/internal/sqlparser"
 )
 
 // TestTornShardRecovery simulates a kill -9 that tore one shard's WAL
@@ -135,9 +135,10 @@ func TestShardCountPinned(t *testing.T) {
 	}
 }
 
-// TestDDLReconcile: a crash between broadcast DDL reaching shard 0 and the
-// rest is repaired at open — the lagging shard gets the table and indexes
-// re-applied.
+// TestDDLReconcile: DDL run on one shard by hand, outside the engine,
+// leaves the shards with different schemas, which no write through the
+// engine can: Open refuses the store, naming the shard and the table,
+// rather than repair it.
 func TestDDLReconcile(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(dir, 3, sqldb.DurabilityOptions{})
@@ -146,145 +147,32 @@ func TestDDLReconcile(t *testing.T) {
 	}
 	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
 	mustExec(t, e, "CREATE INDEX t_v ON t (v)")
-	// Simulate the torn broadcast: drop the table on one shard directly.
 	if _, err := e.Shard(2).ExecSQL("DROP TABLE t"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
+	wantRefusal(t, dir, "shard 2 holds table t as no such table")
 
-	e, err = Open(dir, 0, sqldb.DurabilityOptions{})
-	if err != nil {
+	// An index built on one shard alone is refused too.
+	dir = t.TempDir()
+	if e, err = Open(dir, 2, sqldb.DurabilityOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	st := e.Shard(2).Table("t")
-	if st == nil {
-		t.Fatal("shard 2 still missing table t after reconcile")
+	mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	if _, err := e.Shard(1).ExecSQL("CREATE INDEX t_v ON t (v)"); err != nil {
+		t.Fatal(err)
 	}
-	var hasUnique, hasOrdered bool
-	for _, ix := range st.Indexes() {
-		if ix.Column == "id" && ix.Unique {
-			hasUnique = true
-		}
-		if ix.Column == "v" && ix.Ordered {
-			hasOrdered = true
-		}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if !hasUnique || !hasOrdered {
-		t.Fatalf("reconciled indexes incomplete: %+v", st.Indexes())
-	}
-	if got := st.Cols[0]; !got.Primary || got.Name != "id" {
-		t.Fatalf("reconciled schema lost the primary flag: %+v", st.Cols)
-	}
-	// Routed writes to the reconciled shard work again.
-	for i := 1; i <= 20; i++ {
-		mustExec(t, e, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, %d)", i, i))
-	}
+	wantRefusal(t, dir, "shard 1 holds table t as [{id INT true} {v INT false}] [{id true false} {v false false} {v false true}], shard 0 as [{id INT true} {v INT false}] [{id true false}]")
 }
 
-// TestDDLReconcileTornIndex: a crash between the shards' commits of a
-// CREATE INDEX (shard 0 has it, shard 1's log ends before it) is repaired
-// at open: shard 1 builds every index shard 0 lists, and a later open,
-// with nothing torn, writes nothing. The CREATE INDEX runs bare, and as a
-// list of DDL alone with a blob, which commits on every shard: the newest
-// blob, recovered from shard 0, records the index.
-func TestDDLReconcileTornIndex(t *testing.T) {
-	for _, withMeta := range []bool{false, true} {
-		t.Run(fmt.Sprintf("meta=%v", withMeta), func(t *testing.T) {
-			dir := t.TempDir()
-			opts := sqldb.DurabilityOptions{CheckpointBytes: -1}
-			e, err := Open(dir, 2, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustExec(t, e, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-			for i := 1; i <= 20; i++ {
-				mustExec(t, e, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, %d)", i, i%7))
-			}
-			if withMeta {
-				if _, err := e.ExecAutonomousListWithMeta(nil, []byte("v1")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			walPath := filepath.Join(ShardDir(dir, 1), "wal.log")
-			info, err := os.Stat(walPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			beforeIndex := info.Size()
-
-			e, err = Open(dir, 0, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if withMeta {
-				st, err := parseOne("CREATE INDEX t_v ON t (v)")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := e.ExecAutonomousListWithMeta([]sqlparser.Statement{st}, []byte("v2")); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				mustExec(t, e, "CREATE INDEX t_v ON t (v)")
-			}
-			want := e.Shard(0).Table("t").Indexes()
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Truncate(walPath, beforeIndex); err != nil {
-				t.Fatal(err)
-			}
-
-			sizes := func() (s [2]int64) {
-				for i := range s {
-					info, err := os.Stat(filepath.Join(ShardDir(dir, i), "wal.log"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					s[i] = info.Size()
-				}
-				return s
-			}
-			var reconciled [2]int64
-			for pass := 0; pass < 2; pass++ {
-				e, err = Open(dir, 0, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for s := 0; s < 2; s++ {
-					if got := e.Shard(s).Table("t").Indexes(); fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("open %d: shard %d lists indexes %+v, want shard 0's %+v", pass, s, got, want)
-					}
-				}
-				if withMeta && string(e.Meta()) != "v2" {
-					t.Fatalf("open %d: Meta() = %q, want the blob of the CREATE INDEX", pass, e.Meta())
-				}
-				res := mustExec(t, e, "SELECT COUNT(*) FROM t WHERE v = 3")
-				if got := res.Rows[0][0].I; got != 3 {
-					t.Fatalf("open %d: %d rows with v = 3, want 3", pass, got)
-				}
-				if err := e.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if pass == 0 {
-					reconciled = sizes()
-				} else if got := sizes(); got != reconciled {
-					t.Fatalf("an open with nothing torn grew the logs from %v to %v bytes", reconciled, got)
-				}
-			}
-		})
-	}
-}
-
-// TestTornDropReconcile: a crash mid-DROP-broadcast (shard 0 dropped, the
-// rest did not) must complete the drop at open, not resurrect the table
-// with a silent subset of its rows.
+// TestTornDropReconcile: a DROP TABLE run on shard 0 alone, by hand, is
+// refused at Open, naming the shards and the table, not completed or
+// undone.
 func TestTornDropReconcile(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(dir, 3, sqldb.DurabilityOptions{})
@@ -295,25 +183,31 @@ func TestTornDropReconcile(t *testing.T) {
 	for i := 1; i <= 30; i++ {
 		mustExec(t, e, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, %d)", i, i))
 	}
-	// Simulate the torn broadcast: DROP reached shard 0 only.
 	if _, err := e.Shard(0).ExecSQL("DROP TABLE t"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e, err = Open(dir, 0, sqldb.DurabilityOptions{})
-	if err != nil {
-		t.Fatal(err)
+	wantRefusal(t, dir, "shard 1 holds table t as [{id INT true} {v INT false}] [{id true false}], shard 0 as no such table")
+}
+
+// wantRefusal opens dir and wants Open refused with an error containing
+// want, every shard closed again.
+func wantRefusal(t *testing.T, dir, want string) {
+	t.Helper()
+	e, err := Open(dir, 0, sqldb.DurabilityOptions{})
+	if err == nil {
+		e.Close()
+		t.Fatalf("Open accepted shards with different schemas, want %q", want)
 	}
-	defer e.Close()
-	for s := 0; s < 3; s++ {
-		if e.Shard(s).Table("t") != nil {
-			t.Fatalf("shard %d resurrected the half-dropped table", s)
-		}
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open: %v, want an error naming %q", err, want)
 	}
-	if names := e.TableNames(); len(names) != 0 {
-		t.Fatalf("TableNames = %v after completed drop", names)
+	// The refusal released every shard: a second attempt gets the same
+	// answer, not a locked directory.
+	if _, err2 := Open(dir, 0, sqldb.DurabilityOptions{}); err2 == nil || err2.Error() != err.Error() {
+		t.Fatalf("second Open: %v, want %v", err2, err)
 	}
 }
 
