@@ -311,6 +311,19 @@ func TestFollowerSharded(t *testing.T) {
 	resume()
 	digestsMatch(late)
 	digestsMatch(f)
+
+	// A follower never decides: a restart keeps no decision its log
+	// replayed, so its checkpoints carry none.
+	f.Close()
+	if f, err = replicated.OpenFollower(fdir, p.Addr(), dopts); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < shards; i++ {
+		if ids := f.Shard(i).Decided(); len(ids) != 0 {
+			t.Fatalf("a restarted follower's shard %d holds decisions %v", i, ids)
+		}
+	}
+	digestsMatch(f)
 }
 
 func mustCount(t *testing.T, f *replicated.FollowerEngine, sql string) int64 {

@@ -242,6 +242,13 @@ func open(dir string, n int, opts sqldb.DurabilityOptions, primary bool) (*Engin
 			return nil, err
 		}
 	}
+	// No part awaits a decision recovery read any more (a follower's
+	// parts await their outcomes), so none is carried into checkpoints.
+	for _, sh := range e.shards {
+		for _, id := range sh.Decided() {
+			sh.Forget(id)
+		}
+	}
 	e.recoverMeta()
 	ok = true
 	return e, nil
@@ -249,8 +256,8 @@ func open(dir string, n int, opts sqldb.DurabilityOptions, primary bool) (*Engin
 
 // resolve ends every part a crash left prepared: it publishes the parts
 // whose write some shard's batch decided and drops the rest, logging each
-// outcome on the part's shard, then forgets the decisions, which no part
-// awaits any more. The next write id is past every id recovery saw.
+// outcome on the part's shard. The next write id is past every id recovery
+// saw.
 func (e *Engine) resolve() error {
 	decided := make(map[uint64]bool)
 	var last uint64
@@ -266,11 +273,6 @@ func (e *Engine) resolve() error {
 			if err := sh.Resolve(id, decided[id]); err != nil {
 				return fmt.Errorf("sharded: resolving the part of write %d on shard %d: %w", id, i, err)
 			}
-		}
-	}
-	for _, sh := range e.shards {
-		for _, id := range sh.Decided() {
-			sh.Forget(id)
 		}
 	}
 	e.writeSeq.Store(last)
