@@ -334,3 +334,9 @@ func mustCount(t *testing.T, f *replicated.FollowerEngine, sql string) int64 {
 	}
 	return res.Rows[0][0].I
 }
+
+func TestOpenFollowerBadPrimary(t *testing.T) {
+	if _, err := replicated.OpenFollower(t.TempDir(), "127.0.0.1:1", dopts); err == nil {
+		t.Fatal("OpenFollower against a dead address succeeded")
+	}
+}
